@@ -9,6 +9,7 @@ fatal, because those would corrupt custody.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
@@ -175,39 +176,8 @@ class ContactRecord:
 
 
 @dataclass(frozen=True)
-class WifiRecord:
-    ssid: str
-    last_connected: Optional[UtcTimestamp] = None
-    record_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class BrowserRecord:
-    url: str
-    visited_at: Optional[UtcTimestamp]
-    title: Optional[str] = None
-    record_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class SimRecord:
-    status: Optional[str] = None
-    operator_number: Optional[str] = None
-    country: Optional[str] = None
-    serial: Optional[str] = None
-    sim_type: Optional[str] = None
-    record_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class EmailAccountRecord:
     address_or_number: str
-    record_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class RunningAppRecord:
-    app_name: str
     record_id: Optional[str] = None
 
 
@@ -691,39 +661,27 @@ def ingest_cloud_log(
     return events
 
 
+def device_to_json_dict(profile: DeviceProfile) -> dict:
+    """Stable JSON form of a device profile, fields in declaration order.
+
+    Timestamps render as their source text.
+    """
+    section: dict = {}
+    for spec in dataclasses.fields(DeviceProfile):
+        value = getattr(profile, spec.name)
+        section[spec.name] = value.original_text if isinstance(value, UtcTimestamp) else value
+    return section
+
+
 def dump_to_json_dict(dump: DeviceDump) -> dict:
     """Stable JSON form of an ingested dump, byte-deterministic once encoded."""
-    profile = dump.device
     return {
         "dump_id": dump.dump_id,
         "collected_at": dump.collected_at.original_text,
         "zone_offset_minutes": dump.zone_offset_minutes,
         "tool_name": dump.tool_name,
         "tool_version": dump.tool_version,
-        "device": {
-            "model": profile.model,
-            "device_name": profile.device_name,
-            "android_version": profile.android_version,
-            "sdk_level": profile.sdk_level,
-            "brand": profile.brand,
-            "manufacturer": profile.manufacturer,
-            "kernel_name": profile.kernel_name,
-            "wifi_mac": profile.wifi_mac,
-            "wifi_ssid": profile.wifi_ssid,
-            "bluetooth_mac": profile.bluetooth_mac,
-            "imei": profile.imei,
-            "developer_option_enabled": profile.developer_option_enabled,
-            "encryption_enabled": profile.encryption_enabled,
-            "flight_mode_on": profile.flight_mode_on,
-            "screen_lock_enabled": profile.screen_lock_enabled,
-            "screen_saver_enabled": profile.screen_saver_enabled,
-            "battery_percent": profile.battery_percent,
-            "device_clock_at_acquisition": (
-                profile.device_clock_at_acquisition.original_text
-                if profile.device_clock_at_acquisition
-                else None
-            ),
-        },
+        "device": device_to_json_dict(dump.device),
         "records": [
             {
                 "record_id": r.record_id,

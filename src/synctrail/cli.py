@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands mirror the pipeline stages: simulate, ingest, seal, verify,
-diff, correlate, enrich, report, and run-all which chains them. Data
+diff, correlate, enrich, report, and run-all which chains them over a
+single read of the bundle. Data
 goes to files, human diagnostics go to stderr, and the exit code says
 what happened: 0 success, 2 usage error, 3 custody violated (tampered
 chain), 4 fatal input problem.
@@ -15,11 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
 from .acquisition import (
+    AppRecord,
     AppStatus,
     DeviceDump,
     LedgerEntry,
@@ -34,6 +37,10 @@ from .acquisition import (
 from .correlation import (
     DEFAULT_MIN_SKEW_SUPPORT,
     DEFAULT_WINDOW_SECONDS,
+    CloudUsageFinding,
+    SkewEstimate,
+    SyncLink,
+    UnifiedTimeline,
     build_timeline,
     derive_cloud_usage_findings,
     detect_uninstall_evidence,
@@ -56,7 +63,13 @@ from .errors import (
     UnsupportedAlgorithm,
 )
 from .evidence import Locale, canonical_encode
-from .osint import build_identity_graph, load_geo_table, resolve_ip
+from .osint import (
+    GeoRecord,
+    IdentityGraph,
+    build_identity_graph,
+    load_geo_table,
+    resolve_ip,
+)
 from .preservation import (
     IsolationMethod,
     Verdict,
@@ -70,6 +83,7 @@ from .preservation import (
 from .reporting import (
     CaseReport,
     ReportFormat,
+    assemble_case_report,
     finding_to_dict,
     identity_graph_to_dict,
     geo_to_list,
@@ -133,7 +147,7 @@ def _read_json(path: Path, default: object) -> object:
 
 def _step_ingest(
     bundle: Path, out: Path, locale: Locale, dump_canonical: Optional[Path] = None
-) -> DeviceDump:
+) -> tuple[DeviceDump, list[AppRecord], list[LedgerEntry]]:
     dump = ingest_device_dump(bundle, locale)
     for warning in profile_format_warnings(dump.device):
         _say(f"note: {warning}")
@@ -154,13 +168,12 @@ def _step_ingest(
         f"ingested {len(dump.records)} records from {bundle.name} "
         f"({len(dump.ledger)} ledger entries)"
     )
-    return dump
+    return dump, apps, parse_ledger
 
 
 def _step_seal(
-    bundle: Path, locale: Locale, examiner: str, isolation: IsolationMethod
+    dump: DeviceDump, bundle: Path, examiner: str, isolation: IsolationMethod
 ) -> None:
-    dump = ingest_device_dump(bundle, locale)
     manifest = seal_dump(dump, examiner=examiner, isolation_method=isolation)
     path = write_sealed_manifest(manifest, bundle)
     _say(
@@ -169,9 +182,8 @@ def _step_seal(
     )
 
 
-def _step_verify(bundle: Path, out: Optional[Path], locale: Locale) -> VerificationReport:
+def _step_verify(dump: DeviceDump, bundle: Path, out: Optional[Path]) -> VerificationReport:
     manifest = load_sealed_manifest(bundle)
-    dump = ingest_device_dump(bundle, locale)
     try:
         report = verify_chain(manifest, dump.records)
     except RecordCountMismatch as exc:
@@ -193,15 +205,27 @@ def _step_verify(bundle: Path, out: Optional[Path], locale: Locale) -> Verificat
     return report
 
 
+@dataclass(frozen=True)
+class _Correlation:
+    parameters: dict
+    cloud_log_name: str
+    event_count: int
+    cloud_ledger: list[LedgerEntry]
+    skew: SkewEstimate
+    links: list[SyncLink]
+    timeline: UnifiedTimeline
+    findings: list[CloudUsageFinding]
+
+
 def _step_correlate(
-    bundle: Path,
+    dump: DeviceDump,
+    apps: Sequence[AppRecord],
     cloud_log: Path,
     out: Path,
     locale: Locale,
     window_seconds: int,
     min_support: int,
-) -> None:
-    dump = ingest_device_dump(bundle, locale)
+) -> _Correlation:
     cloud_ledger: list[LedgerEntry] = []
     events = ingest_cloud_log(cloud_log, cloud_ledger)
 
@@ -213,10 +237,14 @@ def _step_correlate(
 
     links = match_synced_artifacts(dump.records, events, skew, window_seconds)
     timeline = build_timeline(dump.records, events, skew)
-    parse_ledger: list[LedgerEntry] = []
-    apps = parse_app_inventory(dump, parse_ledger)
     uninstall = detect_uninstall_evidence(apps, events)
-    findings = derive_cloud_usage_findings(links, timeline, uninstall, events)
+    findings = derive_cloud_usage_findings(links, uninstall, events)
+    parameters = {
+        "window_seconds": window_seconds,
+        "min_skew_support": min_support,
+        "locale": locale.value,
+        "timestamp_assumption": TIMESTAMP_ASSUMPTION,
+    }
 
     _write_json(out / "skew.json", skew_to_dict(skew))
     _write_json(out / "links.json", [link_to_dict(link) for link in links])
@@ -236,24 +264,27 @@ def _step_correlate(
             "ledger": ledger_to_list(cloud_ledger),
         },
     )
-    _write_json(
-        out / "parameters.json",
-        {
-            "window_seconds": window_seconds,
-            "min_skew_support": min_support,
-            "locale": locale.value,
-            "timestamp_assumption": TIMESTAMP_ASSUMPTION,
-        },
-    )
+    _write_json(out / "parameters.json", parameters)
     _say(
         f"correlated: skew {skew.offset_seconds} s "
         f"({'fallback' if skew.fallback else f'support {skew.support_count}'}), "
         f"{len(links)} links, {len(findings)} findings"
     )
+    return _Correlation(
+        parameters=parameters,
+        cloud_log_name=cloud_log.name,
+        event_count=len(events),
+        cloud_ledger=cloud_ledger,
+        skew=skew,
+        links=links,
+        timeline=timeline,
+        findings=findings,
+    )
 
 
-def _step_enrich(bundle: Path, out: Path, locale: Locale, geo_table: Optional[Path]) -> None:
-    dump = ingest_device_dump(bundle, locale)
+def _step_enrich(
+    dump: DeviceDump, out: Path, geo_table: Optional[Path]
+) -> tuple[IdentityGraph, list[GeoRecord]]:
     messages, calls, contacts = parse_comm_artifacts(dump)
     emails = parse_email_accounts(dump)
     graph = build_identity_graph(contacts, messages, calls, emails)
@@ -276,9 +307,24 @@ def _step_enrich(bundle: Path, out: Path, locale: Locale, geo_table: Optional[Pa
         f"enriched: {len(graph.nodes)} identifiers, {len(graph.edges)} edges, "
         f"{len(geo_hits)} geolocated addresses"
     )
+    return graph, geo_hits
 
 
-def _step_report(out: Path, case_id: Optional[str], format: ReportFormat) -> Path:
+@dataclass(frozen=True)
+class _Analysis:
+    """Every stage result of one `run-all`, all from a single ingest."""
+
+    dump: DeviceDump
+    apps: list[AppRecord]
+    parse_ledger: list[LedgerEntry]
+    verification: VerificationReport
+    correlation: _Correlation
+    identity_graph: IdentityGraph
+    geo: list[GeoRecord]
+
+
+def _load_case_report(out: Path, case_id: Optional[str]) -> CaseReport:
+    """Rebuild a report from the stage files that earlier subcommands wrote."""
     dump_data = _read_json(out / "dump.json", {})
     verification = _read_json(out / "verification.json", None)
     parameters = _read_json(
@@ -317,7 +363,7 @@ def _step_report(out: Path, case_id: Optional[str], format: ReportFormat) -> Pat
         )
         ledger.extend(cloud_meta.get("ledger", []))
 
-    report = CaseReport(
+    return CaseReport(
         case_id=effective_case_id,
         tool_version=__version__,
         parameters=parameters,
@@ -332,8 +378,34 @@ def _step_report(out: Path, case_id: Optional[str], format: ReportFormat) -> Pat
         geo=_read_json(out / "geo.json", []),
         error_ledger=ledger,
     )
+
+
+def _step_report(
+    out: Path, case_id: Optional[str], format: ReportFormat, analysis: Optional[_Analysis] = None
+) -> Path:
+    if analysis is None:
+        report = _load_case_report(out, case_id)
+    else:
+        correlation = analysis.correlation
+        report = assemble_case_report(
+            case_id=case_id or analysis.dump.dump_id or "case",
+            tool_version=__version__,
+            parameters=correlation.parameters,
+            dump=analysis.dump,
+            apps=analysis.apps,
+            cloud_log_names=[correlation.cloud_log_name],
+            cloud_event_count=correlation.event_count,
+            verification=analysis.verification,
+            skew=correlation.skew,
+            links=correlation.links,
+            findings=correlation.findings,
+            timeline=correlation.timeline,
+            identity_graph=analysis.identity_graph,
+            geo=analysis.geo,
+            extra_ledger=[*analysis.parse_ledger, *correlation.cloud_ledger],
+        )
     suffix = {"json": ".report.json", "md": ".report.md", "html": ".report.html"}[format.value]
-    path = out / f"{effective_case_id}{suffix}"
+    path = out / f"{report.case_id}{suffix}"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(render_report(report, format))
     _say(f"report written to {path}")
@@ -474,11 +546,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "seal":
-            _step_seal(args.bundle, locale, args.examiner, _ISOLATION[args.isolation])
+            dump = ingest_device_dump(args.bundle, locale)
+            _step_seal(dump, args.bundle, args.examiner, _ISOLATION[args.isolation])
             return EXIT_OK
 
         if args.command == "verify":
-            report = _step_verify(args.bundle, args.out, locale)
+            dump = ingest_device_dump(args.bundle, locale)
+            report = _step_verify(dump, args.bundle, args.out)
             return EXIT_OK if report.verdict is Verdict.INTACT else EXIT_TAMPERED
 
         if args.command == "diff":
@@ -501,8 +575,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "correlate":
+            dump = ingest_device_dump(args.bundle, locale)
             _step_correlate(
-                args.bundle,
+                dump,
+                parse_app_inventory(dump),
                 args.cloud_log,
                 args.out,
                 locale,
@@ -512,7 +588,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "enrich":
-            _step_enrich(args.bundle, args.out, locale, args.geo_table)
+            _step_enrich(ingest_device_dump(args.bundle, locale), args.out, args.geo_table)
             return EXIT_OK
 
         if args.command == "report":
@@ -520,24 +596,36 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "run-all":
-            _step_ingest(args.bundle, args.out, locale)
+            # One ingest feeds every stage, so the chain verdict covers
+            # exactly the records that are correlated and reported.
+            dump, apps, parse_ledger = _step_ingest(args.bundle, args.out, locale)
             # Never re-seal an already sealed bundle: that would launder
             # any modification made since the original seal.
             if (args.bundle / "manifest.sealed.json").is_file():
                 _say("bundle already sealed, keeping the existing manifest")
             else:
-                _step_seal(args.bundle, locale, args.examiner, _ISOLATION[args.isolation])
-            verification = _step_verify(args.bundle, args.out, locale)
-            _step_correlate(
-                args.bundle,
+                _step_seal(dump, args.bundle, args.examiner, _ISOLATION[args.isolation])
+            verification = _step_verify(dump, args.bundle, args.out)
+            correlation = _step_correlate(
+                dump,
+                apps,
                 args.cloud_log,
                 args.out,
                 locale,
                 args.window_seconds,
                 args.min_skew_support,
             )
-            _step_enrich(args.bundle, args.out, locale, args.geo_table)
-            _step_report(args.out, args.case_id, _FORMATS[args.format])
+            graph, geo = _step_enrich(dump, args.out, args.geo_table)
+            analysis = _Analysis(
+                dump=dump,
+                apps=apps,
+                parse_ledger=parse_ledger,
+                verification=verification,
+                correlation=correlation,
+                identity_graph=graph,
+                geo=geo,
+            )
+            _step_report(args.out, args.case_id, _FORMATS[args.format], analysis)
             return EXIT_OK if verification.verdict is Verdict.INTACT else EXIT_TAMPERED
 
     except _FATAL_ERRORS as exc:
@@ -549,3 +637,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

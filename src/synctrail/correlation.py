@@ -348,7 +348,6 @@ def detect_uninstall_evidence(
 
 def derive_cloud_usage_findings(
     links: Sequence[SyncLink],
-    timeline: UnifiedTimeline,
     uninstall_findings: Sequence[CloudUsageFinding],
     cloud_events: Sequence[CloudEvent],
 ) -> list[CloudUsageFinding]:

@@ -238,19 +238,22 @@ def epoch_to_iso(epoch: int) -> str:
 
 
 def civil_from_epoch(epoch: int) -> tuple[int, int, int, int, int, int]:
-    """UTC epoch seconds to (year, month, day, hour, minute, second)."""
+    """UTC epoch seconds to (year, month, day, hour, minute, second).
+
+    Closed-form days-to-civil conversion on the proleptic Gregorian
+    calendar, with years starting in March so the leap day falls last
+    (H. Hinnant, "chrono-Compatible Low-Level Date Algorithms").
+    """
     days, rem = divmod(epoch, 86400)
     hour, rem = divmod(rem, 3600)
     minute, second = divmod(rem, 60)
-    year = 1970
-    while True:
-        length = 366 if calendar.isleap(year) else 365
-        if days < length:
-            break
-        days -= length
-        year += 1
-    month = 1
-    while days >= _month_length(year, month):
-        days -= _month_length(year, month)
-        month += 1
-    return year, month, days + 1, hour, minute, second
+    era, day_of_era = divmod(days + 719468, 146097)  # 0000-03-01 to 1970-01-01
+    year_of_era = (
+        day_of_era - day_of_era // 1460 + day_of_era // 36524 - day_of_era // 146096
+    ) // 365
+    day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
+    shifted_month = (5 * day_of_year + 2) // 153  # 0 = March .. 11 = February
+    day = day_of_year - (153 * shifted_month + 2) // 5 + 1
+    month = shifted_month + 3 if shifted_month < 10 else shifted_month - 9
+    year = era * 400 + year_of_era + (1 if month <= 2 else 0)
+    return year, month, day, hour, minute, second

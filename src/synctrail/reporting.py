@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .acquisition import AppRecord, AppStatus, DeviceDump, LedgerEntry, dump_to_json_dict
+from .acquisition import AppRecord, AppStatus, DeviceDump, LedgerEntry, device_to_json_dict
 from .correlation import CloudUsageFinding, SkewEstimate, SyncLink, UnifiedTimeline
 from .osint import GeoRecord, IdentityGraph
 from .preservation import VerificationReport
@@ -155,7 +155,7 @@ def assemble_case_report(
     inputs: dict = {"dumps": [], "cloud_logs": []}
     ledger: list[LedgerEntry] = []
     if dump is not None:
-        device = dump_to_json_dict(dump)["device"]
+        device = device_to_json_dict(dump.device)
         device["installed_app_count"] = sum(
             1 for a in apps if a.status is not AppStatus.UNINSTALLED
         )

@@ -25,7 +25,6 @@ from synctrail.correlation import (
     Confidence,
     FindingKind,
     LinkTier,
-    build_timeline,
     derive_cloud_usage_findings,
     detect_uninstall_evidence,
     estimate_clock_skew,
@@ -122,9 +121,8 @@ def test_criterion_2_uninstall_evidence(golden_bundle, golden_cloud_log):
         events = ingest_cloud_log(golden_cloud_log)
         apps = parse_app_inventory(dump)
         links = match_synced_artifacts(dump.records, events, zero_skew())
-        timeline = build_timeline(dump.records, events, zero_skew())
         uninstall = detect_uninstall_evidence(apps, events)
-        findings = derive_cloud_usage_findings(links, timeline, uninstall, events)
+        findings = derive_cloud_usage_findings(links, uninstall, events)
         flagged = [f for f in findings if f.kind is FindingKind.APP_USED_THEN_UNINSTALLED]
         assert len(flagged) == 1
         assert flagged[0].confidence is Confidence.HIGH

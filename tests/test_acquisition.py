@@ -9,6 +9,7 @@ from synctrail.acquisition import (
     Direction,
     EventKind,
     LedgerEntry,
+    device_to_json_dict,
     dump_to_json_dict,
     ingest_cloud_log,
     ingest_device_dump,
@@ -54,6 +55,27 @@ class TestIngestDeviceDump:
         assert profile.wifi_mac == "bc:f5:a:c:b3:d7:58"
         assert profile.battery_percent == 22
         assert dump.ledger == ()
+
+    def test_device_section_keeps_documented_order(self, tmp_path):
+        bundle = write_bundle(
+            tmp_path / "b",
+            {"device_info.jsonl": [
+                {"model": "X1", "device_clock": "12/05/2016 10:00:00 AM", "flight_mode_on": "true"}
+            ]},
+        )
+        dump = ingest_device_dump(bundle)
+        section = device_to_json_dict(dump.device)
+        assert list(section) == [
+            "model", "device_name", "android_version", "sdk_level", "brand",
+            "manufacturer", "kernel_name", "wifi_mac", "wifi_ssid", "bluetooth_mac",
+            "imei", "developer_option_enabled", "encryption_enabled", "flight_mode_on",
+            "screen_lock_enabled", "screen_saver_enabled", "battery_percent",
+            "device_clock_at_acquisition",
+        ]
+        assert section["model"] == "X1"
+        assert section["flight_mode_on"] is True
+        assert section["device_clock_at_acquisition"] == "12/05/2016 10:00:00 AM"
+        assert dump_to_json_dict(dump)["device"] == section
 
     def test_seven_group_mac_warns_but_is_kept(self, golden_bundle):
         from synctrail.acquisition import profile_format_warnings

@@ -2,8 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import synctrail
+from synctrail import cli
 from synctrail.acquisition import ingest_device_dump
 from synctrail.cli import run
 from synctrail.evidence import canonical_encode
@@ -217,24 +225,37 @@ class TestSubcommandOutputs:
         assert (out / "CASE-9.report.json").is_file()
 
 
+def stepwise(case, out, *reports):
+    """Run ingest, verify, correlate and enrich one by one, then each report."""
+    bundle, log = str(case.bundle_dir), str(case.cloud_log)
+    assert run(["ingest", bundle, "--out", str(out)]) == 0
+    verify_rc = run(["verify", bundle, "--out", str(out)])
+    assert run(["correlate", bundle, log, "--out", str(out)]) == 0
+    assert run(["enrich", bundle, "--out", str(out)]) == 0
+    for extra in reports:
+        assert run(["report", "--out", str(out), *extra]) == 0
+    return verify_rc
+
+
 class TestRunAll:
     def test_run_all_matches_stepwise_bytes(self, tmp_path):
         case = simulate(tmp_path, n_uploads=6, skew_seconds=300)
-        combined = tmp_path / "combined"
-        stepwise = tmp_path / "stepwise"
+        bundle, log = str(case.bundle_dir), str(case.cloud_log)
+        formats = {"json": ".report.json", "md": ".report.md", "html": ".report.html"}
+        for fmt in formats:
+            out = str(tmp_path / f"combined-{fmt}")
+            assert run(["run-all", bundle, log, "--out", out, "--format", fmt]) == 0
 
-        assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(combined)]) == 0
-
-        assert run(["ingest", str(case.bundle_dir), "--out", str(stepwise)]) == 0
         # Bundle was sealed by run-all already; sealing twice would rewrite
         # the same manifest, so verify directly against it.
-        assert run(["verify", str(case.bundle_dir), "--out", str(stepwise)]) == 0
-        assert run(["correlate", str(case.bundle_dir), str(case.cloud_log), "--out", str(stepwise)]) == 0
-        assert run(["enrich", str(case.bundle_dir), "--out", str(stepwise)]) == 0
-        assert run(["report", "--out", str(stepwise)]) == 0
+        stepwise_out = tmp_path / "stepwise"
+        verify_rc = stepwise(case, stepwise_out, *(["--format", fmt] for fmt in formats))
+        assert verify_rc == 0
 
-        name = "sim-1000.report.json"
-        assert (combined / name).read_bytes() == (stepwise / name).read_bytes()
+        for fmt, suffix in formats.items():
+            name = f"sim-1000{suffix}"
+            combined = tmp_path / f"combined-{fmt}" / name
+            assert combined.read_bytes() == (stepwise_out / name).read_bytes(), fmt
 
     def test_run_all_on_tampered_bundle_exits_three(self, tmp_path):
         case = simulate(tmp_path)
@@ -245,6 +266,41 @@ class TestRunAll:
         assert rc == 3
         report = json.loads(next(iter(out.glob("*.report.json"))).read_text())
         assert report["inputs"]["dumps"][0]["chain_verdict"] == "Tampered"
+        # Stepwise verify reaches the same verdict, and the same report bytes.
+        assert stepwise(case, tmp_path / "stepwise", []) == 3
+        name = "sim-1000.report.json"
+        assert (out / name).read_bytes() == (tmp_path / "stepwise" / name).read_bytes()
+
+    def test_run_all_ingests_each_input_once(self, tmp_path, monkeypatch):
+        case = simulate(tmp_path, n_uploads=6, skew_seconds=300)
+        calls = {"ingest_device_dump": 0, "ingest_cloud_log": 0}
+        for name in calls:
+            original = getattr(cli, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        out = tmp_path / "out"
+        assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 0
+        assert calls == {"ingest_device_dump": 1, "ingest_cloud_log": 1}
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("module", ["synctrail", "synctrail.cli"])
+    def test_python_dash_m_prints_version(self, module):
+        src = str(Path(synctrail.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-m", module, "--version"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stdout.strip() == f"synctrail {synctrail.__version__}"
 
 
 class TestGoldenThroughCli:

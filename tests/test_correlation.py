@@ -324,8 +324,7 @@ class TestDeriveFindings:
         records = [device_file("r0", BASE, d)]
         events = [cloud("e0", BASE + 1, kind=EventKind.UPLOAD, digest=d)]
         links = match_synced_artifacts(records, events, zero_skew())
-        timeline = build_timeline(records, events, zero_skew())
-        findings = derive_cloud_usage_findings(links, timeline, [], events)
+        findings = derive_cloud_usage_findings(links, [], events)
         assert len(findings) == 1
         assert findings[0].kind is FindingKind.PROVEN_UPLOAD
         assert findings[0].confidence is Confidence.HIGH
@@ -335,9 +334,7 @@ class TestDeriveFindings:
         records = [device_file("r0", BASE, name="doc.pdf", size=5)]
         events = [cloud("e0", BASE + 2, kind=EventKind.DOWNLOAD, name="doc.pdf", size=5)]
         links = match_synced_artifacts(records, events, zero_skew())
-        findings = derive_cloud_usage_findings(
-            links, build_timeline(records, events, zero_skew()), [], events
-        )
+        findings = derive_cloud_usage_findings(links, [], events)
         assert findings[0].kind is FindingKind.PROVEN_DOWNLOAD
         assert findings[0].confidence is Confidence.MEDIUM
 
@@ -345,7 +342,7 @@ class TestDeriveFindings:
         uninstall = detect_uninstall_evidence(
             [], [cloud("e0", BASE, kind=EventKind.INSTALL, name="com.example.gone")]
         )
-        findings = derive_cloud_usage_findings([], build_timeline([], [], zero_skew()), uninstall, [])
+        findings = derive_cloud_usage_findings([], uninstall, [])
         assert [f.kind for f in findings] == [FindingKind.APP_USED_THEN_UNINSTALLED]
 
     def test_account_activity_per_login_account(self):
@@ -354,7 +351,7 @@ class TestDeriveFindings:
             cloud("e1", BASE + 5, kind=EventKind.LOGIN, account="a@x"),
             cloud("e2", BASE + 9, kind=EventKind.LOGIN, account="a@x"),
         ]
-        findings = derive_cloud_usage_findings([], build_timeline([], events, zero_skew()), [], events)
+        findings = derive_cloud_usage_findings([], [], events)
         assert [f.kind for f in findings] == [FindingKind.ACCOUNT_ACTIVITY] * 2
         # Final order is (kind, first supporting id): e0 before e1.
         assert findings[0].supporting_ids == ("e0",)
@@ -368,10 +365,9 @@ class TestDeriveFindings:
         events = ingest_cloud_log(case.cloud_log)
         skew = estimate_clock_skew(dump.records, events)
         links = match_synced_artifacts(dump.records, events, skew)
-        timeline = build_timeline(dump.records, events, skew)
         apps = parse_app_inventory(dump)
         uninstall = detect_uninstall_evidence(apps, events)
-        findings = derive_cloud_usage_findings(links, timeline, uninstall, events)
+        findings = derive_cloud_usage_findings(links, uninstall, events)
 
         upload_pairs = {
             f.supporting_ids
@@ -389,9 +385,8 @@ class TestDeriveFindings:
             cloud("e2", BASE + 3, kind=EventKind.INSTALL, name="com.example.gone"),
         ]
         links = match_synced_artifacts(records, events, zero_skew())
-        timeline = build_timeline(records, events, zero_skew())
         uninstall = detect_uninstall_evidence([], events)
-        findings = derive_cloud_usage_findings(links, timeline, uninstall, events)
+        findings = derive_cloud_usage_findings(links, uninstall, events)
         assert [f.kind for f in findings] == [
             FindingKind.PROVEN_UPLOAD,
             FindingKind.APP_USED_THEN_UNINSTALLED,

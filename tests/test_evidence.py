@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import calendar
 import shutil
 import subprocess
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from synctrail.evidence import (
     Locale,
     Source,
     UtcTimestamp,
+    EPOCH_MAX,
     canonical_encode,
+    civil_from_epoch,
     epoch_to_iso,
     normalize_timestamp,
     record_digest,
@@ -125,6 +129,24 @@ class TestNormalizeTimestamp:
         iso = ts.to_iso()
         parts = [int(x) for x in (iso[0:4], iso[5:7], iso[8:10], iso[11:13], iso[14:16], iso[17:19])]
         assert civil_to_epoch(*parts) == epoch
+
+
+class TestCivilFromEpoch:
+    def test_every_day_matches_gmtime(self):
+        for epoch in range(0, EPOCH_MAX + 1, 86400):
+            assert civil_from_epoch(epoch) == time.gmtime(epoch)[:6], epoch
+
+    def test_last_supported_second(self):
+        assert civil_from_epoch(EPOCH_MAX) == (2100, 12, 31, 23, 59, 59)
+
+    def test_each_second_around_leap_days_matches_gmtime(self):
+        leap_years = [year for year in range(1970, 2101) if calendar.isleap(year)]
+        assert 2100 not in leap_years
+        for year in leap_years:
+            leap_day = calendar.timegm((year, 2, 29, 0, 0, 0))
+            for boundary in (leap_day, leap_day + 86400):
+                for epoch in range(boundary - 600, boundary + 601):
+                    assert civil_from_epoch(epoch) == time.gmtime(epoch)[:6], epoch
 
 
 class TestCanonicalEncode:

@@ -61,7 +61,7 @@ def golden_case(golden_bundle, golden_cloud_log) -> CaseReport:
     links = match_synced_artifacts(dump.records, events, skew)
     timeline = build_timeline(dump.records, events, skew)
     uninstall = detect_uninstall_evidence(apps, events)
-    findings = derive_cloud_usage_findings(links, timeline, uninstall, events)
+    findings = derive_cloud_usage_findings(links, uninstall, events)
     messages, calls, contacts = parse_comm_artifacts(dump)
     graph = build_identity_graph(contacts, messages, calls, parse_email_accounts(dump))
     verification = verify_chain(seal_dump(dump), dump.records)
