@@ -639,7 +639,7 @@ def ingest_cloud_log(
         if fields.get("size") is not None:
             try:
                 size = int(fields["size"])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 note(line_no, f"bad size {fields['size']!r}")
                 continue
         if event_id in seen:

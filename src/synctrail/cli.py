@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 from . import __version__
 from .acquisition import (
@@ -412,8 +412,29 @@ def _step_report(
     return path
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line, like every other failure."""
+
+    def error(self, message: str) -> NoReturn:
+        hint = f"run '{self.prog} --help' for usage"
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message} ({hint})\n")
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="synctrail",
         description=(
             "Correlate mobile device artifact dumps with cloud event logs to prove "
@@ -433,6 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+
+    def add_correlation(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--window-seconds", type=_int_at_least(0), default=DEFAULT_WINDOW_SECONDS
+        )
+        p.add_argument(
+            "--min-skew-support", type=_int_at_least(1), default=DEFAULT_MIN_SKEW_SUPPORT
+        )
 
     p = sub.add_parser("simulate", help="generate a synthetic case with ground truth")
     add_out(p)
@@ -480,8 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cloud_log", type=Path)
     add_out(p)
     add_locale(p)
-    p.add_argument("--window-seconds", type=int, default=DEFAULT_WINDOW_SECONDS)
-    p.add_argument("--min-skew-support", type=int, default=DEFAULT_MIN_SKEW_SUPPORT)
+    add_correlation(p)
 
     p = sub.add_parser("enrich", help="identity graph and offline IP geolocation")
     p.add_argument("bundle", type=Path)
@@ -499,8 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cloud_log", type=Path)
     add_out(p)
     add_locale(p)
-    p.add_argument("--window-seconds", type=int, default=DEFAULT_WINDOW_SECONDS)
-    p.add_argument("--min-skew-support", type=int, default=DEFAULT_MIN_SKEW_SUPPORT)
+    add_correlation(p)
     p.add_argument("--examiner", default="unknown")
     p.add_argument("--isolation", choices=sorted(_ISOLATION), default="none")
     p.add_argument("--geo-table", type=Path, default=None)

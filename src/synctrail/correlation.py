@@ -13,6 +13,7 @@ tie rules, so repeated runs and permuted inputs cannot change output.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -48,15 +49,16 @@ class Confidence(Enum):
 
 
 _KIND_ORDER = {kind: index for index, kind in enumerate(FindingKind)}
-_TIER_ORDER = {tier: index for index, tier in enumerate(LinkTier)}
 
 
 @dataclass(frozen=True)
 class SkewEstimate:
     """Cloud clock minus device clock, in whole seconds.
 
-    ``fallback`` is set on the zero estimate used when too few
-    digest-matched pairs existed to measure anything.
+    ``support_count`` is the number of one-to-one digest pairs the
+    offset was taken from. ``fallback`` is set on the zero estimate used
+    when too few such pairs existed to measure anything, which includes
+    every case where content only repeats.
     """
 
     offset_seconds: int
@@ -126,21 +128,38 @@ def _record_size(record: EvidenceRecord) -> Optional[int]:
         return None
 
 
-def _digest_pairs(
+def _shared_digests(
     device_records: Sequence[EvidenceRecord], cloud_events: Sequence[CloudEvent]
-) -> list[tuple[EvidenceRecord, CloudEvent]]:
-    by_digest: dict[str, list[EvidenceRecord]] = {}
+) -> list[tuple[Sequence[tuple[int, str]], Sequence[str], list[tuple[int, str]]]]:
+    """Each content digest both sides carry, as (dated, undated, events).
+
+    Dated records and events are (time, id) pairs with uncorrected
+    times; undated records are their ids.
+    """
+    events_by_digest: dict[str, list[tuple[int, str]]] = {}
+    for event in cloud_events:
+        if event.content_digest is not None:
+            events_by_digest.setdefault(event.content_digest.hex(), []).append(
+                (event.timestamp.seconds_since_epoch, event.event_id)
+            )
+    if not events_by_digest:
+        return []
+    dated: dict[str, list[tuple[int, str]]] = {}
+    undated: dict[str, list[str]] = {}
     for record in device_records:
         digest = _record_digest_attr(record)
-        if digest is not None:
-            by_digest.setdefault(digest, []).append(record)
-    pairs = []
-    for event in cloud_events:
-        if event.content_digest is None:
-            continue
-        for record in by_digest.get(event.content_digest.hex(), ()):
-            pairs.append((record, event))
-    return pairs
+        if digest in events_by_digest:
+            if record.timestamp is None:
+                undated.setdefault(digest, []).append(record.record_id)
+            else:
+                dated.setdefault(digest, []).append(
+                    (record.timestamp.seconds_since_epoch, record.record_id)
+                )
+    return [
+        (dated.get(digest, ()), undated.get(digest, ()), events)
+        for digest, events in events_by_digest.items()
+        if digest in dated or digest in undated
+    ]
 
 
 def estimate_clock_skew(
@@ -148,22 +167,45 @@ def estimate_clock_skew(
     cloud_events: Sequence[CloudEvent],
     min_support: int = DEFAULT_MIN_SKEW_SUPPORT,
 ) -> SkewEstimate:
-    """Estimate cloud-minus-device clock offset from digest-matched pairs.
+    """Estimate cloud-minus-device clock offset from one-to-one digest pairs.
 
-    The offset is the median of (cloud time - device time) over every
-    pair sharing an exact content digest with timestamps on both sides;
-    an even pair count takes the lower median so the result is always an
-    observed delta. The median keeps a minority of mis-logged events
-    from dragging the estimate.
+    A pair counts only when its content digest is carried by exactly one
+    device record, which is dated, and exactly one cloud event: repeated
+    content cannot say which copy synced when, and the median over its
+    cross product is unsound. Two events repeat a digest whatever their
+    kinds, so an upload and a later download of one content leave it
+    out too. The offset is the median of (cloud time - device time) over
+    those pairs; an even count takes the lower median so the result is
+    always an observed delta. ``support_count`` is the number of pairs
+    used. Raises InsufficientSupport when there are no pairs or fewer
+    than ``min_support``.
     """
+    # Each digest's one time on a side, or None once a second item (or an
+    # undated record) shows the digest repeats there.
+    event_times: dict[str, Optional[int]] = {}
+    for event in cloud_events:
+        if event.content_digest is not None:
+            digest = event.content_digest.hex()
+            event_times[digest] = (
+                None if digest in event_times else event.timestamp.seconds_since_epoch
+            )
+    record_times: dict[str, Optional[int]] = {}
+    for record in device_records:
+        digest = _record_digest_attr(record)
+        if digest in event_times:
+            record_times[digest] = (
+                None
+                if digest in record_times or record.timestamp is None
+                else record.timestamp.seconds_since_epoch
+            )
     deltas = sorted(
-        event.timestamp.seconds_since_epoch - record.timestamp.seconds_since_epoch
-        for record, event in _digest_pairs(device_records, cloud_events)
-        if record.timestamp is not None
+        event_times[digest] - record_time
+        for digest, record_time in record_times.items()
+        if record_time is not None and event_times[digest] is not None
     )
-    if len(deltas) < min_support:
+    if not deltas or len(deltas) < min_support:
         raise InsufficientSupport(
-            f"{len(deltas)} digest-matched pairs, need at least {min_support}"
+            f"{len(deltas)} one-to-one digest pairs, need at least {max(min_support, 1)}"
         )
     return SkewEstimate(
         offset_seconds=deltas[(len(deltas) - 1) // 2],
@@ -172,14 +214,210 @@ def estimate_clock_skew(
     )
 
 
-def _corrected_delta(
-    record: EvidenceRecord, event: CloudEvent, offset_seconds: int
-) -> Optional[int]:
-    if record.timestamp is None:
-        return None
-    return (event.timestamp.seconds_since_epoch - offset_seconds) - (
-        record.timestamp.seconds_since_epoch
-    )
+_RECORD, _EVENT = 0, 1
+
+
+class _Sweep:
+    """Greedy smallest-gap matching over time-sorted lines.
+
+    Every record/event pair inside one line is a candidate, ranked by
+    (|gap|, record id, event id); the sweep links the smallest unused
+    pair whose gap fits ``max_gap`` until none is left. Items of a line
+    are grouped by corrected timestamp (``add_line``), ids sorted within
+    each group, and the groups are chained in time order. The smallest
+    unused pair of a line lies inside one group or between two
+    neighbouring groups that still hold unused items: an unused item
+    between its two sides would form a pair with a smaller gap. So the
+    heap holds only the best pair of each such place. A link can only
+    change the places next to the groups of its two items, which are
+    refreshed; heap entries that name a used item are dropped when
+    popped. An item may sit in several lines, and all of its groups are
+    refreshed.
+    """
+
+    def __init__(
+        self,
+        used_records: set[str],
+        used_events: set[str],
+        offset_seconds: int,
+        max_gap: Optional[int],
+    ) -> None:
+        self.offset = offset_seconds
+        self.max_gap = max_gap
+        self.links: list[tuple[str, str, Optional[int]]] = []
+        # Indexed by side (_RECORD or _EVENT), then by group: sorted ids,
+        # and the index of the first id that may still be unused.
+        self.used = (used_records, used_events)
+        self.ids: tuple[list[list[str]], list[list[str]]] = ([], [])
+        self.pos: tuple[list[int], list[int]] = ([], [])
+        self.groups_of: tuple[dict[str, list[int]], dict[str, list[int]]] = ({}, {})
+        # Per group: its time and its neighbours (-1 at either end of a line).
+        self.times: list[int] = []
+        self.prev: list[int] = []
+        self.next: list[int] = []
+        self.heap: list[tuple[int, str, str, int]] = []
+
+    def link(self, record_id: str, event_id: str, delta: Optional[int]) -> None:
+        self.used[_RECORD].add(record_id)
+        self.used[_EVENT].add(event_id)
+        self.links.append((record_id, event_id, delta))
+
+    def add_line(
+        self,
+        records: Sequence[tuple[int, str]],
+        events: Sequence[tuple[int, str]],
+        disjoint: bool,
+    ) -> None:
+        """Add one line of (time, id) records and events.
+
+        Times are uncorrected: records on the device clock, events on
+        the cloud clock. ``disjoint`` says that no item of the line sits
+        in any other line of this sweep.
+        """
+        if disjoint and len(records) == 1 and len(events) == 1:
+            # The pair is the only candidate either item has: no sweep.
+            (record_time, record_id), (event_time, event_id) = records[0], events[0]
+            delta = event_time - self.offset - record_time
+            if self._fits(delta):
+                self.link(record_id, event_id, delta)
+            return
+        if not records or not events:
+            return
+        first = len(self.times)
+        last_time = None
+        group = first - 1
+        # Record times move onto the cloud clock, which keeps every gap.
+        for time, side, item in sorted(
+            [(t + self.offset, _RECORD, record_id) for t, record_id in records]
+            + [(t, _EVENT, event_id) for t, event_id in events]
+        ):
+            if time != last_time:
+                last_time = time
+                group += 1
+                self.times.append(time)
+                self.ids[_RECORD].append([])
+                self.ids[_EVENT].append([])
+            self.ids[side][group].append(item)
+            self.groups_of[side].setdefault(item, []).append(group)
+        end = group + 1
+        for side in (_RECORD, _EVENT):
+            self.pos[side].extend([0] * (end - first))
+        self.prev.extend(range(first - 1, end - 1))
+        self.next.extend(range(first + 1, end + 1))
+        self.prev[first] = -1
+        self.next[end - 1] = -1
+        for group in range(first, end):
+            self._push_within(group)
+            self._push_between(group, self.next[group])
+
+    def run(self) -> None:
+        used_records, used_events = self.used
+        while self.heap:
+            _, record_id, event_id, delta = heapq.heappop(self.heap)
+            if record_id in used_records or event_id in used_events:
+                continue
+            self.link(record_id, event_id, delta)
+            for group in dict.fromkeys(
+                self.groups_of[_RECORD][record_id] + self.groups_of[_EVENT][event_id]
+            ):
+                self._refresh(group)
+
+    def _fits(self, gap: int) -> bool:
+        return self.max_gap is None or abs(gap) <= self.max_gap
+
+    def _first(self, side: int, group: int) -> Optional[str]:
+        """The smallest unused id of one side of a group, or None."""
+        ids, pos, used = self.ids[side][group], self.pos[side][group], self.used[side]
+        while pos < len(ids) and ids[pos] in used:
+            pos += 1
+        self.pos[side][group] = pos
+        return ids[pos] if pos < len(ids) else None
+
+    def _push_within(self, group: int) -> None:
+        record_id, event_id = self._first(_RECORD, group), self._first(_EVENT, group)
+        if record_id is not None and event_id is not None:
+            heapq.heappush(self.heap, (0, record_id, event_id, 0))
+
+    def _push_between(self, early: int, late: int) -> None:
+        if early < 0 or late < 0:
+            return
+        gap = self.times[late] - self.times[early]
+        if not self._fits(gap):
+            return
+        candidates = []
+        for record_group, event_group, delta in ((early, late, gap), (late, early, -gap)):
+            record_id = self._first(_RECORD, record_group)
+            event_id = self._first(_EVENT, event_group)
+            if record_id is not None and event_id is not None:
+                candidates.append((gap, record_id, event_id, delta))
+        if candidates:
+            heapq.heappush(self.heap, min(candidates))
+
+    def _refresh(self, group: int) -> None:
+        prev, next_ = self.prev[group], self.next[group]
+        if self._first(_RECORD, group) is None and self._first(_EVENT, group) is None:
+            if prev >= 0:
+                self.next[prev] = next_
+            if next_ >= 0:
+                self.prev[next_] = prev
+            self._push_between(prev, next_)
+        else:
+            self._push_within(group)
+            self._push_between(prev, group)
+            self._push_between(group, next_)
+
+
+def _window_lines(
+    device_records: Sequence[EvidenceRecord],
+    cloud_events: Sequence[CloudEvent],
+    used_records: set[str],
+    used_events: set[str],
+) -> list[tuple[list[tuple[int, str]], list[tuple[int, str]], bool]]:
+    """Split each object's unused dated records and events into size-class lines.
+
+    Lines are (records, events, disjoint) with (time, id) items, times
+    uncorrected. Sizes are compatible when equal or when either side
+    has none. Each compatible pair lands in exactly one line: equal
+    sizes in that size's line, a size-less record in the line against
+    every event of its object, a sized record in the line against its
+    object's size-less events. So no item sits in more than two lines,
+    and only items of an object with a size-less item sit in two: the
+    lines of every other object are disjoint.
+    """
+    classes: dict[tuple[str, Optional[int]], tuple[list, list]] = {}
+    for record in device_records:
+        name = record.attributes.get(OBJECT_ATTR)
+        if name and record.timestamp is not None and record.record_id not in used_records:
+            classes.setdefault((name, _record_size(record)), ([], []))[0].append(
+                (record.timestamp.seconds_since_epoch, record.record_id)
+            )
+    names = {name for name, _ in classes}
+    for event in cloud_events:
+        name = event.package_or_object
+        if name in names and event.event_id not in used_events:
+            line = classes.get((name, event.size_bytes))
+            if line is None:
+                line = classes[name, event.size_bytes] = ([], [])
+            line[1].append((event.timestamp.seconds_since_epoch, event.event_id))
+    mixed = {name for name, size in classes if size is None}
+    lines = [
+        (records, events, name not in mixed)
+        for (name, size), (records, events) in classes.items()
+        if size is not None
+    ]
+    if mixed:
+        sized_of: dict[str, list[tuple[list, list]]] = {}
+        for (name, size), line in classes.items():
+            if size is not None and name in mixed:
+                sized_of.setdefault(name, []).append(line)
+        for (name, size), (sizeless_records, sizeless_events) in classes.items():
+            if size is None:
+                sized = sized_of.get(name, [])
+                every_event = sizeless_events + [item for line in sized for item in line[1]]
+                sized_records = [item for line in sized for item in line[0]]
+                lines.append((sizeless_records, every_event, False))
+                lines.append((sized_records, sizeless_events, False))
+    return lines
 
 
 def match_synced_artifacts(
@@ -193,60 +431,41 @@ def match_synced_artifacts(
     Pass 1 links every equal-content-digest pair it can, choosing
     greedily by smallest skew-corrected time gap with ties broken on
     (record id, event id); each record and event is used at most once.
-    Pass 2 links the remainder on matching object name, equal size when
-    both sides report one, and a corrected gap within the window.
-    Output is sorted by (tier, device record id).
+    Undated records of a digest then take its leftover events, both in
+    id order. Pass 2 links the remainder by the same greedy rule on
+    matching object name, equal size when both sides report one, and a
+    corrected gap within the window. Each digest and each object is
+    swept in time order (see ``_Sweep``), so no pass builds the cross
+    product of a repeated key. Output is sorted by (tier, device record
+    id).
     """
     used_records: set[str] = set()
     used_events: set[str] = set()
-    links: list[SyncLink] = []
 
-    exact_candidates = []
-    for record, event in _digest_pairs(device_records, cloud_events):
-        delta = _corrected_delta(record, event, skew.offset_seconds)
-        rank = (1, 0) if delta is None else (0, abs(delta))
-        exact_candidates.append((rank, record.record_id, event.event_id, delta))
-    exact_candidates.sort()
-    for _, record_id, event_id, delta in exact_candidates:
-        if record_id in used_records or event_id in used_events:
-            continue
-        used_records.add(record_id)
-        used_events.add(event_id)
-        links.append(SyncLink(record_id, event_id, LinkTier.EXACT_DIGEST, delta))
+    shared = _shared_digests(device_records, cloud_events)
+    exact = _Sweep(used_records, used_events, skew.offset_seconds, max_gap=None)
+    for dated, _, events in shared:
+        # An item carries one digest, so it sits in that digest's line only.
+        exact.add_line(dated, events, disjoint=True)
+    exact.run()
+    for _, undated, events in shared:
+        if undated:
+            leftover = sorted(event_id for _, event_id in events if event_id not in used_events)
+            for record_id, event_id in zip(sorted(undated), leftover):
+                exact.link(record_id, event_id, None)
 
-    window_candidates = []
-    by_object: dict[str, list[EvidenceRecord]] = {}
-    for record in device_records:
-        if record.record_id in used_records:
-            continue
-        name = record.attributes.get(OBJECT_ATTR)
-        if name:
-            by_object.setdefault(name, []).append(record)
-    for event in cloud_events:
-        if event.event_id in used_events or not event.package_or_object:
-            continue
-        for record in by_object.get(event.package_or_object, ()):
-            size = _record_size(record)
-            if (
-                size is not None
-                and event.size_bytes is not None
-                and size != event.size_bytes
-            ):
-                continue
-            delta = _corrected_delta(record, event, skew.offset_seconds)
-            if delta is None or abs(delta) > window_seconds:
-                continue
-            window_candidates.append((abs(delta), record.record_id, event.event_id, delta))
-    window_candidates.sort()
-    for _, record_id, event_id, delta in window_candidates:
-        if record_id in used_records or event_id in used_events:
-            continue
-        used_records.add(record_id)
-        used_events.add(event_id)
-        links.append(SyncLink(record_id, event_id, LinkTier.METADATA_WINDOW, delta))
+    window = _Sweep(used_records, used_events, skew.offset_seconds, max_gap=window_seconds)
+    for records, events, disjoint in _window_lines(
+        device_records, cloud_events, used_records, used_events
+    ):
+        window.add_line(records, events, disjoint)
+    window.run()
 
-    links.sort(key=lambda link: (_TIER_ORDER[link.tier], link.device_record_id))
-    return links
+    return [
+        SyncLink(record_id, event_id, tier, delta)
+        for tier, sweep in ((LinkTier.EXACT_DIGEST, exact), (LinkTier.METADATA_WINDOW, window))
+        for record_id, event_id, delta in sorted(sweep.links)
+    ]
 
 
 def build_timeline(

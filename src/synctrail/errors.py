@@ -45,7 +45,7 @@ class DeviceMismatch(ForensicsError):
 
 
 class InsufficientSupport(ForensicsError):
-    """Too few digest-matched pairs to estimate clock skew."""
+    """Too few one-to-one digest pairs to estimate clock skew."""
 
 
 class MalformedTable(ForensicsError):

@@ -350,6 +350,17 @@ class TestIngestCloudLog:
         assert event.content_digest.hex() == digest
         assert event.size_bytes == 123
 
+    def test_overflowing_size_ledgered_and_rest_ingested(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text(
+            '{"id":"e1","kind":"Upload","ts":"2016-05-10T16:51:13Z","size":1e400}\n'
+            '{"id":"e2","kind":"Upload","ts":"2016-05-10T16:52:13Z","size":7}\n'
+        )
+        ledger: list[LedgerEntry] = []
+        events = ingest_cloud_log(path, ledger)
+        assert [(e.event_id, e.size_bytes) for e in events] == [("e2", 7)]
+        assert [(e.line, e.message) for e in ledger] == [(1, "bad size inf")]
+
     def test_file_order_preserved(self, tmp_path):
         rows = [
             {"id": f"e{i}", "kind": "Login", "ts": f"2016-05-10T16:51:{59 - i:02d}Z"}

@@ -39,6 +39,35 @@ class TestExitCodes:
         rc = run(["simulate", "--out", str(tmp_path), "--seed", "1", "--uploads", "-3"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--window-seconds", "-5"),
+            ("--window-seconds", "ten"),
+            ("--min-skew-support", "0"),
+            ("--min-skew-support", "-2"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["correlate", "run-all"])
+    def test_bad_correlation_values_are_one_line_usage_errors(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        out = tmp_path / "out"
+        assert run([command, "bundle", "log.jsonl", "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"argument {flag}:" in err
+        assert not out.exists()
+
+    def test_run_all_with_no_digests_and_least_support_falls_back(self, tmp_path):
+        case = simulate(tmp_path, digest_logging=False)
+        out = tmp_path / "out"
+        argv = ["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out),
+                "--min-skew-support", "1", "--window-seconds", "0"]
+        assert run(argv) == 0
+        skew = json.loads((out / "skew.json").read_text())
+        assert skew["fallback"] is True
+
     def test_verify_untampered_is_zero(self, tmp_path):
         case = simulate(tmp_path)
         assert run(["seal", str(case.bundle_dir)]) == 0

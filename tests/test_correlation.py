@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import random
+import time
 
 import pytest
 
@@ -81,6 +83,42 @@ def digest_hex(tag: str) -> str:
     return hashlib.sha256(tag.encode()).hexdigest()
 
 
+def _tie_heavy_case(rng: random.Random):
+    """A small case dense in what a time sweep can get wrong.
+
+    Few digests and object names, so keys repeat, or a few more, so many
+    keys hold one record and one event; a span of 0 puts every item at
+    one timestamp; sizes may be missing on either side, or on none; some
+    records are undated; ids are drawn independently of time order.
+    """
+    digests = [digest_hex(f"c{i}") for i in range(rng.randint(1, 6))]
+    objects = ["a.bin", "b.bin", "c.bin", "d.bin"][: rng.randint(1, 4)]
+    sizes = rng.choice(((None, 1, 2), (1, 2), (None, 1, 2, 1, 2, 1, 2)))
+    span = rng.choice((0, 2, 10, 400))
+    offset = rng.choice((0, 5, -7, 120))
+    records = [
+        device_file(
+            f"r{rng.randrange(100):02d}-{i}",
+            None if rng.random() < 0.15 else BASE + rng.randint(0, span),
+            rng.choice(digests) if rng.random() < 0.5 else None,
+            name=rng.choice(objects) if rng.random() < 0.8 else None,
+            size=rng.choice(sizes),
+        )
+        for i in range(rng.randint(0, 8))
+    ]
+    events = [
+        cloud(
+            f"e{rng.randrange(100):02d}-{i}",
+            BASE + offset + rng.randint(0, span),
+            digest=rng.choice(digests) if rng.random() < 0.5 else None,
+            name=rng.choice(objects + [""]),
+            size=rng.choice(sizes),
+        )
+        for i in range(rng.randint(0, 8))
+    ]
+    return records, events, offset
+
+
 class TestEstimateClockSkew:
     def test_identical_clocks(self):
         records = [device_file(f"r{i}", BASE + i, digest_hex(f"d{i}")) for i in range(5)]
@@ -115,6 +153,72 @@ class TestEstimateClockSkew:
         with pytest.raises(InsufficientSupport):
             estimate_clock_skew(records, events, min_support=3)
         assert zero_skew().fallback
+
+    @pytest.mark.parametrize("min_support", [0, -1])
+    def test_no_pairs_is_insufficient_whatever_the_minimum(self, min_support):
+        records = [device_file("r0", BASE, name="x.jpg")]
+        events = [cloud("e0", BASE, name="x.jpg")]
+        with pytest.raises(InsufficientSupport):
+            estimate_clock_skew(records, events, min_support=min_support)
+
+    def test_repeated_content_gives_no_support(self):
+        # Three one-to-one pairs carry the truth. One content was saved k
+        # times an hour apart on the device and uploaded in one burst
+        # after the last copy, so its k*k cross product is skewed late.
+        true_skew, k = 300, 5
+        records, events = [], []
+        for i in range(3):
+            d = digest_hex(f"unique{i}")
+            records.append(device_file(f"u{i}", BASE + 10_000 * i, d))
+            events.append(cloud(f"ue{i}", BASE + 10_000 * i + true_skew + i, digest=d))
+        shared = digest_hex("shared")
+        first_copy = BASE + 100_000
+        for i in range(k):
+            records.append(device_file(f"s{i}", first_copy + 3600 * i, shared))
+            events.append(
+                cloud(f"se{i}", first_copy + 3600 * (k - 1) + true_skew + i, digest=shared)
+            )
+        cross_product = [
+            e.timestamp.seconds_since_epoch - r.timestamp.seconds_since_epoch
+            for r in records
+            for e in events
+            if e.content_digest.hex() == r.attributes["content_digest"]
+        ]
+        assert lower_median(cross_product) - true_skew >= 3600
+
+        skew = estimate_clock_skew(records, events, min_support=3)
+        assert true_skew <= skew.offset_seconds <= true_skew + 2
+        assert skew.support_count == 3
+        assert skew.spread_seconds == 2
+
+    def test_only_repeated_content_is_insufficient(self):
+        d = digest_hex("again")
+        records = [device_file(f"r{i}", BASE + i, d) for i in range(4)]
+        events = [cloud(f"e{i}", BASE + i, digest=d) for i in range(4)]
+        with pytest.raises(InsufficientSupport):
+            estimate_clock_skew(records, events, min_support=1)
+
+    def test_upload_then_download_of_one_content_is_not_counted(self):
+        # Any two events make a digest repeat, whatever their kinds: the
+        # download leaves the upload's pair out of the support.
+        d = digest_hex("round trip")
+        records = [device_file("r0", BASE, d)]
+        events = [cloud("e0", BASE + 300, digest=d),
+                  cloud("e1", BASE + 900, kind=EventKind.DOWNLOAD, digest=d)]
+        for i in range(2):
+            u = digest_hex(f"once{i}")
+            records.append(device_file(f"u{i}", BASE + 5000 * (i + 1), u))
+            events.append(cloud(f"ue{i}", BASE + 5000 * (i + 1) + 301, digest=u))
+        skew = estimate_clock_skew(records, events, min_support=1)
+        assert (skew.offset_seconds, skew.support_count) == (301, 2)
+
+    @pytest.mark.parametrize("copy_epoch", [None, BASE + 30])
+    def test_second_device_copy_makes_a_digest_ambiguous(self, copy_epoch):
+        d = digest_hex("copy")
+        records = [device_file("r0", BASE, d), device_file("r1", copy_epoch, d)]
+        events = [cloud("e0", BASE + 60, digest=d)]
+        with pytest.raises(InsufficientSupport):
+            estimate_clock_skew(records, events, min_support=1)
 
     @pytest.mark.parametrize("true_skew", [-300, 300])
     def test_simulator_skew_recovered_within_jitter(self, tmp_path, true_skew):
@@ -192,6 +296,49 @@ class TestMatchSyncedArtifacts:
         ]
         oracle = brute_force_match(records, events, skew.offset_seconds, 300)
         assert mine == oracle
+
+    def test_matches_brute_force_on_seeded_tie_heavy_cases(self):
+        rng = random.Random(20_161_109)
+        for index in range(3000):
+            records, events, offset = _tie_heavy_case(rng)
+            window = (0, 3, 300)[index % 3]
+            skew = SkewEstimate(offset_seconds=offset, support_count=0, spread_seconds=0)
+            mine = [
+                (l.device_record_id, l.cloud_event_id, l.tier.value, l.time_delta_seconds)
+                for l in match_synced_artifacts(records, events, skew, window_seconds=window)
+            ]
+            assert mine == brute_force_match(records, events, offset, window), f"case {index}"
+
+    def test_undated_records_take_leftover_events_in_id_order(self):
+        d = digest_hex("undated-many")
+        records = [device_file("r2", None, d), device_file("r1", None, d),
+                   device_file("r3", BASE, d)]
+        events = [cloud(f"e{i}", BASE + 50 * i, digest=d) for i in (3, 1, 2, 0)]
+        links = match_synced_artifacts(records, events, zero_skew())
+        assert [(l.device_record_id, l.cloud_event_id, l.time_delta_seconds) for l in links] == [
+            ("r1", "e1", None),
+            ("r2", "e2", None),
+            ("r3", "e0", 0),
+        ]
+
+    def test_shared_digest_and_object_match_in_bounded_time(self):
+        # At n = 2,000 the old cross products took tens of seconds; the
+        # bound is loose so the test never flakes on a slow machine.
+        n = 2000
+        d = digest_hex("one content")
+        records, events = [], []
+        for i in range(n):
+            records.append(device_file(f"d{i:05d}", BASE + 7 * i, d, name="same.bin", size=5))
+            events.append(cloud(f"x{i:05d}", BASE + 7 * i + 1, digest=d, name="same.bin", size=5))
+            # Every one of these is within the window of about 600 others.
+            records.append(device_file(f"o{i:05d}", BASE + 100_000 + i, name="same.bin", size=5))
+            events.append(cloud(f"y{i:05d}", BASE + 100_000 + i, name="same.bin", size=5))
+        started = time.perf_counter()
+        links = match_synced_artifacts(records, events, zero_skew())
+        assert time.perf_counter() - started < 5.0
+        assert [(l.device_record_id, l.cloud_event_id, l.tier) for l in links] == [
+            (f"d{i:05d}", f"x{i:05d}", LinkTier.EXACT_DIGEST) for i in range(n)
+        ] + [(f"o{i:05d}", f"y{i:05d}", LinkTier.METADATA_WINDOW) for i in range(n)]
 
     def test_no_record_or_event_in_two_links(self):
         d = digest_hex("x")
