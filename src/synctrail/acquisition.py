@@ -9,6 +9,7 @@ fatal, because those would corrupt custody.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import re
@@ -21,6 +22,7 @@ from .errors import (
     DuplicateEventId,
     DuplicateRecordId,
     ImpossibleDate,
+    MalformedManifest,
     MissingManifest,
     UnparseableTimestamp,
 )
@@ -371,7 +373,20 @@ def _load_manifest(bundle: Path) -> dict:
     for required in ("dump_id", "collected_at", "zone_offset_minutes"):
         if required not in data:
             raise MissingManifest(f"{manifest_path} missing field {required!r}")
+    data["zone_offset_minutes"] = _zone_offset(data["zone_offset_minutes"], manifest_path)
     return data
+
+
+def _zone_offset(value: object, manifest_path: Path) -> int:
+    """An integer, or a string holding one; a float is refused, not truncated."""
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise MalformedManifest(
+        f"{manifest_path} field 'zone_offset_minutes' must be an integer, got {value!r}"
+    )
 
 
 def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRST) -> DeviceDump:
@@ -384,7 +399,7 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
     """
     bundle = Path(bundle_path)
     manifest = _load_manifest(bundle)
-    zone_offset = int(manifest["zone_offset_minutes"])
+    zone_offset = manifest["zone_offset_minutes"]
     collected_at = normalize_timestamp(str(manifest["collected_at"]), locale, 0)
 
     records: list[EvidenceRecord] = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NoReturn, Optional, Sequence
 
-from . import __version__
+from . import __version__, atomic
 from .acquisition import (
     AppRecord,
     AppStatus,
@@ -56,13 +56,15 @@ from .errors import (
     ImpossibleDate,
     InsufficientSupport,
     IoFailure,
+    MalformedManifest,
+    MalformedStageFile,
     MalformedTable,
     MissingManifest,
     RecordCountMismatch,
     UnparseableTimestamp,
     UnsupportedAlgorithm,
 )
-from .evidence import Locale, canonical_encode
+from .evidence import Locale
 from .osint import (
     GeoRecord,
     IdentityGraph,
@@ -117,6 +119,8 @@ _ISOLATION = {
 
 _FATAL_ERRORS = (
     MissingManifest,
+    MalformedManifest,
+    MalformedStageFile,
     DuplicateRecordId,
     DuplicateEventId,
     UnsupportedAlgorithm,
@@ -135,14 +139,32 @@ def _say(message: str) -> None:
 
 
 def _write_json(path: Path, payload: object) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    """Write a stage file: compact UTF-8 JSON on one line, on the C encoder."""
+    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+    atomic.write_bytes(path, (text + "\n").encode("utf-8"))
 
 
-def _read_json(path: Path, default: object) -> object:
+def _read_stage(path: Path, default: object, required: Sequence[str] = ()) -> object:
+    """Load a stage file, or ``default`` when it is absent.
+
+    A stage file holds a JSON list when its default is a list and an
+    object otherwise, with at least the ``required`` keys. Anything else,
+    including a truncated file, raises MalformedStageFile naming the file.
+    """
     if not path.is_file():
         return default
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:
+        raise MalformedStageFile(f"stage file {path} is not valid JSON: {exc}") from None
+    kind = list if isinstance(default, list) else dict
+    if not isinstance(data, kind):
+        what = "a JSON list" if kind is list else "a JSON object"
+        raise MalformedStageFile(f"stage file {path} must hold {what}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise MalformedStageFile(f"stage file {path} missing field {missing[0]!r}")
+    return data
 
 
 def _step_ingest(
@@ -161,8 +183,7 @@ def _step_ingest(
     payload["parse_ledger"] = ledger_to_list(parse_ledger)
     _write_json(out / "dump.json", payload)
     if dump_canonical is not None:
-        dump_canonical.parent.mkdir(parents=True, exist_ok=True)
-        dump_canonical.write_bytes(b"".join(canonical_encode(r) for r in dump.records))
+        atomic.write_bytes(dump_canonical, b"".join(r.canonical for r in dump.records))
         _say(f"canonical record bytes written to {dump_canonical}")
     _say(
         f"ingested {len(dump.records)} records from {bundle.name} "
@@ -325,9 +346,9 @@ class _Analysis:
 
 def _load_case_report(out: Path, case_id: Optional[str]) -> CaseReport:
     """Rebuild a report from the stage files that earlier subcommands wrote."""
-    dump_data = _read_json(out / "dump.json", {})
-    verification = _read_json(out / "verification.json", None)
-    parameters = _read_json(
+    dump_data = _read_stage(out / "dump.json", {}, ("dump_id", "collected_at"))
+    verification = _read_stage(out / "verification.json", None, ("verdict",))
+    parameters = _read_stage(
         out / "parameters.json",
         {
             "window_seconds": DEFAULT_WINDOW_SECONDS,
@@ -336,8 +357,8 @@ def _load_case_report(out: Path, case_id: Optional[str]) -> CaseReport:
             "timestamp_assumption": TIMESTAMP_ASSUMPTION,
         },
     )
-    timeline_data = _read_json(out / "timeline.json", {"entries": [], "excluded_undated": 0})
-    cloud_meta = _read_json(out / "cloud_log.json", None)
+    timeline_data = _read_stage(out / "timeline.json", {"entries": [], "excluded_undated": 0})
+    cloud_meta = _read_stage(out / "cloud_log.json", None, ("name", "event_count"))
 
     effective_case_id = case_id or dump_data.get("dump_id") or "case"
     device = dict(dump_data.get("device", {}))
@@ -369,13 +390,13 @@ def _load_case_report(out: Path, case_id: Optional[str]) -> CaseReport:
         parameters=parameters,
         inputs=inputs,
         device=device,
-        skew=_read_json(out / "skew.json", None),
-        links=_read_json(out / "links.json", []),
-        findings=_read_json(out / "findings.json", []),
+        skew=_read_stage(out / "skew.json", None),
+        links=_read_stage(out / "links.json", []),
+        findings=_read_stage(out / "findings.json", []),
         timeline=timeline_data.get("entries", []),
         excluded_undated=timeline_data.get("excluded_undated", 0),
-        identity_graph=_read_json(out / "identity_graph.json", {"nodes": [], "edges": []}),
-        geo=_read_json(out / "geo.json", []),
+        identity_graph=_read_stage(out / "identity_graph.json", {"nodes": [], "edges": []}),
+        geo=_read_stage(out / "geo.json", []),
         error_ledger=ledger,
     )
 
@@ -406,8 +427,7 @@ def _step_report(
         )
     suffix = {"json": ".report.json", "md": ".report.md", "html": ".report.html"}[format.value]
     path = out / f"{report.case_id}{suffix}"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(render_report(report, format))
+    atomic.write_bytes(path, render_report(report, format))
     _say(f"report written to {path}")
     return path
 

@@ -24,6 +24,14 @@ class MissingManifest(ForensicsError):
     """Bundle directory lacks a readable manifest.json."""
 
 
+class MalformedManifest(ForensicsError):
+    """manifest.json or manifest.sealed.json is present but not well formed."""
+
+
+class MalformedStageFile(ForensicsError):
+    """A stage file that `report` reads back is truncated or not what it should hold."""
+
+
 class DuplicateRecordId(ForensicsError):
     """Two records in one dump claim the same record id."""
 

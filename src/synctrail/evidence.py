@@ -108,9 +108,10 @@ class Digest256:
 class EvidenceRecord:
     """One typed, timestamped artifact entry with provenance and digest.
 
-    ``attributes`` preserves source order; the digest is computed over the
-    canonical encoding at construction time and can never drift from the
-    record contents.
+    ``attributes`` preserves source order. The canonical encoding is
+    computed once, at construction, and kept as ``canonical``; the digest
+    and the custody chain both hash those bytes, so neither can drift
+    from the record contents.
     """
 
     record_id: str
@@ -119,6 +120,7 @@ class EvidenceRecord:
     attributes: Mapping[str, str]
     source: Source
     digest: Digest256 = field(init=False, compare=True)
+    canonical: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.record_id:
@@ -132,6 +134,7 @@ class EvidenceRecord:
             _check_clean(key, f"attribute key {key!r}")
             _check_clean(value, f"attribute value for {key!r}")
         object.__setattr__(self, "attributes", dict(self.attributes))
+        object.__setattr__(self, "canonical", canonical_encode(self))
         object.__setattr__(self, "digest", record_digest(self))
 
 
@@ -162,8 +165,8 @@ def canonical_encode(record: EvidenceRecord) -> bytes:
 
 
 def record_digest(record: EvidenceRecord) -> Digest256:
-    """SHA-256 over the canonical encoding."""
-    return Digest256(hashlib.sha256(canonical_encode(record)).digest())
+    """SHA-256 over the record's canonical encoding."""
+    return Digest256(hashlib.sha256(record.canonical).digest())
 
 
 def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> UtcTimestamp:

@@ -15,8 +15,17 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import atomic
 from .acquisition import DeviceDump
-from .errors import DeviceMismatch, MissingManifest, RecordCountMismatch, UnsupportedAlgorithm
+from .errors import (
+    DeviceMismatch,
+    ImpossibleDate,
+    MalformedManifest,
+    MissingManifest,
+    RecordCountMismatch,
+    UnparseableTimestamp,
+    UnsupportedAlgorithm,
+)
 from .evidence import (
     DIGEST_ALGORITHM,
     FIELD_SEP,
@@ -25,7 +34,7 @@ from .evidence import (
     EvidenceRecord,
     Locale,
     UtcTimestamp,
-    canonical_encode,
+    canonical_encode,  # noqa: F401  re-exported: the encoding the chain hashes
     normalize_timestamp,
 )
 
@@ -93,13 +102,14 @@ def chain_digest(
     """Linked hash chain over the record sequence.
 
     The anchor is the digest of the header bytes; each link hashes the
-    previous link concatenated with the record's canonical encoding.
+    previous link concatenated with the record's canonical encoding,
+    taken from ``record.canonical``.
     Returns the chain head and one link per record, in order.
     """
     current = hashlib.sha256(manifest_header).digest()
     links: list[Digest256] = []
     for record in records:
-        current = hashlib.sha256(current + canonical_encode(record)).digest()
+        current = hashlib.sha256(current + record.canonical).digest()
         links.append(Digest256(current))
     return Digest256(current), links
 
@@ -212,7 +222,7 @@ def diff_acquisitions(
 
 
 def write_sealed_manifest(manifest: AcquisitionManifest, bundle_path: Path | str) -> Path:
-    """Write manifest.sealed.json beside the bundle's category files."""
+    """Write manifest.sealed.json beside the bundle's category files, atomically."""
     path = Path(bundle_path) / SEALED_MANIFEST
     payload = {
         "dump_id": manifest.dump_id,
@@ -224,23 +234,65 @@ def write_sealed_manifest(manifest: AcquisitionManifest, bundle_path: Path | str
         "chain_head": manifest.chain_head.hex(),
         "record_links": [link.hex() for link in manifest.record_links],
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    atomic.write_bytes(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
     return path
 
 
+_SEALED_STRINGS = ("dump_id", "collected_at", "examiner", "isolation_method", "digest_algorithm")
+
+
 def load_sealed_manifest(bundle_path: Path | str) -> AcquisitionManifest:
+    """Read manifest.sealed.json; any malformed content raises MalformedManifest."""
     path = Path(bundle_path) / SEALED_MANIFEST
     if not path.is_file():
         raise MissingManifest(f"no {SEALED_MANIFEST} in {bundle_path}; seal the bundle first")
-    data = json.loads(path.read_text(encoding="utf-8"))
-    collected = normalize_timestamp(data["collected_at"], Locale.DAY_FIRST, 0)
+    try:
+        data = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:
+        raise MalformedManifest(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise MalformedManifest(f"{path} must hold a JSON object")
+    for key in (*_SEALED_STRINGS, "record_count", "chain_head", "record_links"):
+        if key not in data:
+            raise MalformedManifest(f"{path} missing field {key!r}")
+    for key in _SEALED_STRINGS:
+        if not isinstance(data[key], str):
+            raise MalformedManifest(f"{path} field {key!r} must be a string")
+    count = data["record_count"]
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise MalformedManifest(f"{path} field 'record_count' must be a count, got {count!r}")
+    try:
+        isolation = IsolationMethod(data["isolation_method"])
+    except ValueError:
+        raise MalformedManifest(
+            f"{path} field 'isolation_method' has unknown value {data['isolation_method']!r}"
+        ) from None
+    try:
+        collected_at = normalize_timestamp(data["collected_at"], Locale.DAY_FIRST, 0)
+    except (UnparseableTimestamp, ImpossibleDate) as exc:
+        raise MalformedManifest(f"{path} field 'collected_at': {exc}") from None
+    links = data["record_links"]
+    if not isinstance(links, list):
+        raise MalformedManifest(f"{path} field 'record_links' must be a list")
     return AcquisitionManifest(
         dump_id=data["dump_id"],
-        collected_at=collected,
+        collected_at=collected_at,
         examiner=data["examiner"],
-        isolation_method=IsolationMethod(data["isolation_method"]),
+        isolation_method=isolation,
         digest_algorithm=data["digest_algorithm"],
-        record_count=int(data["record_count"]),
-        chain_head=Digest256.from_hex(data["chain_head"]),
-        record_links=tuple(Digest256.from_hex(h) for h in data["record_links"]),
+        record_count=count,
+        chain_head=_sealed_digest(data["chain_head"], path, "chain_head"),
+        record_links=tuple(
+            _sealed_digest(text, path, "record_links", i) for i, text in enumerate(links)
+        ),
     )
+
+
+def _sealed_digest(text: object, path: Path, name: str, index: Optional[int] = None) -> Digest256:
+    try:
+        return Digest256.from_hex(text)  # TypeError unless text is a str
+    except (TypeError, ValueError):
+        where = name if index is None else f"{name}[{index}]"
+        raise MalformedManifest(
+            f"{path} field {where!r} must be 64 hex characters, got {text!r}"
+        ) from None

@@ -220,10 +220,27 @@ def render_report(case: CaseReport, format: ReportFormat = ReportFormat.JSON) ->
     """Render a report; same case in, same bytes out, in every format."""
     data = report_to_json_dict(case)
     if format is ReportFormat.JSON:
-        return (json.dumps(data, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        return _render_json(data).encode("utf-8")
     if format is ReportFormat.MARKDOWN:
         return _render_markdown(data).encode("utf-8")
     return _render_html(data).encode("utf-8")
+
+
+def _render_json(data: dict) -> str:
+    """Exactly ``json.dumps(data, indent=2, ensure_ascii=False) + "\\n"``.
+
+    Each top-level member is encoded on its own and indented one more
+    level, so the encoder's working memory is bounded by the largest
+    section rather than the whole report. Indenting by replacing
+    newlines is exact because an encoded JSON string never contains a
+    raw newline.
+    """
+    members = (
+        f"  {json.dumps(key, ensure_ascii=False)}: "
+        + json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+        for key, value in data.items()
+    )
+    return "{\n" + ",\n".join(members) + "\n}\n"
 
 
 def redact(report_json: dict, policy: Sequence[str]) -> dict:

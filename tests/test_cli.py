@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import synctrail
-from synctrail import cli
+from synctrail import cli, evidence, preservation
 from synctrail.acquisition import ingest_device_dump
 from synctrail.cli import run
 from synctrail.evidence import canonical_encode
@@ -314,6 +314,181 @@ class TestRunAll:
         out = tmp_path / "out"
         assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 0
         assert calls == {"ingest_device_dump": 1, "ingest_cloud_log": 1}
+
+    def test_run_all_encodes_each_record_once(self, tmp_path, monkeypatch):
+        case = simulate(tmp_path, n_uploads=6, skew_seconds=300)
+        calls = []
+        original = evidence.canonical_encode
+
+        def counted(record):
+            calls.append(record.record_id)
+            return original(record)
+
+        monkeypatch.setattr(evidence, "canonical_encode", counted)
+        monkeypatch.setattr(preservation, "canonical_encode", counted)
+        out = tmp_path / "out"
+        assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 0
+        report = json.loads((out / "sim-1000.report.json").read_text())
+        assert len(calls) == report["inputs"]["dumps"][0]["record_count"] == len(case.records)
+        assert sorted(calls) == sorted(set(calls))
+
+
+STAGE_FILES = ("dump.json", "verification.json", "skew.json", "links.json", "timeline.json",
+               "findings.json", "cloud_log.json", "parameters.json", "identity_graph.json",
+               "geo.json")
+
+
+class TestStageFiles:
+    def test_every_stage_file_is_one_compact_json_line(self, tmp_path):
+        case = simulate(tmp_path, n_uploads=6, skew_seconds=300)
+        out = tmp_path / "out"
+        assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 0
+        second = tmp_path / "second"
+        shutil.copytree(case.bundle_dir, second)
+        assert run(["diff", str(case.bundle_dir), str(second), "--out", str(out)]) == 0
+        written = sorted(p.name for p in out.glob("*.json") if ".report." not in p.name)
+        assert written == sorted((*STAGE_FILES, "diff.json"))
+        for name in written:
+            raw = (out / name).read_bytes()
+            assert raw.endswith(b"\n") and raw.count(b"\n") == 1, name
+            compact = json.dumps(json.loads(raw), ensure_ascii=False, separators=(",", ":"))
+            assert raw == (compact + "\n").encode("utf-8"), name
+
+    def test_report_reads_indented_stage_files_to_the_same_bytes(self, tmp_path):
+        case = simulate(tmp_path, n_uploads=6, skew_seconds=300)
+        formats = {"json": ".report.json", "md": ".report.md", "html": ".report.html"}
+        out = tmp_path / "out"
+        assert run(["seal", str(case.bundle_dir)]) == 0
+        assert stepwise(case, out, *(["--format", fmt] for fmt in formats)) == 0
+        compact = {fmt: (out / f"sim-1000{suffix}").read_bytes() for fmt, suffix in formats.items()}
+        for name in STAGE_FILES:
+            path = out / name
+            indented = json.dumps(json.loads(path.read_bytes()), indent=2, ensure_ascii=False)
+            path.write_text(indented + "\n", encoding="utf-8")
+        for fmt, suffix in formats.items():
+            assert run(["report", "--out", str(out), "--format", fmt]) == 0
+            assert (out / f"sim-1000{suffix}").read_bytes() == compact[fmt], fmt
+
+    def test_no_temporary_file_is_left_after_a_run(self, tmp_path):
+        case = simulate(tmp_path)
+        out = tmp_path / "out"
+        assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 0
+        assert run(["report", "--out", str(out), "--format", "md"]) == 0
+        leftovers = [p.name for d in (out, case.bundle_dir) for p in d.iterdir()
+                     if p.name.endswith(".tmp")]
+        assert leftovers == []
+
+    def test_failed_write_keeps_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        case = simulate(tmp_path)
+        out = tmp_path / "out"
+        assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 0
+        report = out / "sim-1000.report.json"
+        before = report.read_bytes()
+        unsealed = tmp_path / "unsealed"
+        shutil.copytree(case.bundle_dir, unsealed)
+        (unsealed / "manifest.sealed.json").unlink()
+
+        def failing_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        (out / "links.json").write_text("[]\n")  # the report must differ if it were written
+        assert run(["report", "--out", str(out)]) == 4
+        assert run(["seal", str(unsealed)]) == 4
+        assert report.read_bytes() == before
+        assert not (unsealed / "manifest.sealed.json").exists()
+        leftovers = [p.name for d in (out, unsealed) for p in d.iterdir() if p.name.endswith(".tmp")]
+        assert leftovers == []
+
+
+def _without(key):
+    def damage(raw: bytes) -> bytes:
+        data = json.loads(raw)
+        del data[key]
+        return json.dumps(data).encode()
+
+    return damage
+
+
+def _with(key, value):
+    def damage(raw: bytes) -> bytes:
+        data = json.loads(raw)
+        if isinstance(key, tuple):
+            data[key[0]][key[1]] = value
+        else:
+            data[key] = value
+        return json.dumps(data).encode()
+
+    return damage
+
+
+_TRUNCATED_SEALED = b'{\n  "dump_id": "sim-1000",\n  "coll'
+_NOT_HEX = "zz" * 32
+
+# One row per malformed input: (file damaged, damage, command, exit code, stderr line).
+# The command runs on a case that `run-all` has sealed and analysed into `out/`.
+MALFORMED_INPUTS = [
+    pytest.param("out/links.json", lambda raw: b'{"trunc', "report", 4,
+                 "error: stage file {path} is not valid JSON: "
+                 "Unterminated string starting at: line 1 column 2 (char 1)",
+                 id="truncated-links"),
+    pytest.param("out/cloud_log.json", lambda raw: b"\xff" + raw, "report", 4,
+                 "error: stage file {path} is not valid JSON: 'utf-8' codec can't decode "
+                 "byte 0xff in position 0: invalid start byte",
+                 id="non-utf8-cloud-log-stage"),
+    pytest.param("out/dump.json", lambda raw: b"[]", "report", 4,
+                 "error: stage file {path} must hold a JSON object", id="dump-not-object"),
+    pytest.param("out/findings.json", lambda raw: b"{}", "report", 4,
+                 "error: stage file {path} must hold a JSON list", id="findings-not-list"),
+    pytest.param("out/verification.json", _without("verdict"), "report", 4,
+                 "error: stage file {path} missing field 'verdict'", id="verification-no-verdict"),
+    pytest.param("bundle/manifest.sealed.json", lambda raw: _TRUNCATED_SEALED, "verify", 4,
+                 "error: {path} is not valid JSON: "
+                 "Unterminated string starting at: line 3 column 3 (char 29)",
+                 id="truncated-sealed-manifest"),
+    pytest.param("bundle/manifest.sealed.json", _without("record_links"), "verify", 4,
+                 "error: {path} missing field 'record_links'", id="sealed-no-record-links"),
+    pytest.param("bundle/manifest.sealed.json", _without("chain_head"), "verify", 4,
+                 "error: {path} missing field 'chain_head'", id="sealed-no-chain-head"),
+    pytest.param("bundle/manifest.sealed.json", _without("record_count"), "verify", 4,
+                 "error: {path} missing field 'record_count'", id="sealed-no-record-count"),
+    pytest.param("bundle/manifest.sealed.json", _with(("record_links", 3), _NOT_HEX), "verify", 4,
+                 f"error: {{path}} field 'record_links[3]' must be 64 hex characters, "
+                 f"got '{_NOT_HEX}'",
+                 id="sealed-non-hex-link"),
+    pytest.param("bundle/manifest.sealed.json", _with("chain_head", "abc"), "verify", 4,
+                 "error: {path} field 'chain_head' must be 64 hex characters, got 'abc'",
+                 id="sealed-short-head"),
+    pytest.param("bundle/manifest.sealed.json", _with("record_count", "43"), "verify", 4,
+                 "error: {path} field 'record_count' must be a count, got '43'",
+                 id="sealed-count-as-string"),
+    pytest.param("bundle/manifest.json", _with("zone_offset_minutes", "abc"), "ingest", 4,
+                 "error: {path} field 'zone_offset_minutes' must be an integer, got 'abc'",
+                 id="zone-offset-abc"),
+    pytest.param("bundle/manifest.json", _with("zone_offset_minutes", 1.5), "verify", 4,
+                 "error: {path} field 'zone_offset_minutes' must be an integer, got 1.5",
+                 id="zone-offset-float"),
+]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("target, damage, command, code, line", MALFORMED_INPUTS)
+    def test_one_stderr_line_and_documented_exit(
+        self, tmp_path, capsys, target, damage, command, code, line
+    ):
+        case = simulate(tmp_path)
+        bundle, out = case.bundle_dir, tmp_path / "out"
+        assert run(["run-all", str(bundle), str(case.cloud_log), "--out", str(out)]) == 0
+        path = {"out": out, "bundle": bundle}[target.split("/")[0]] / target.split("/")[1]
+        path.write_bytes(damage(path.read_bytes()))
+        capsys.readouterr()
+        argv = {
+            "report": ["report", "--out", str(out)],
+            "verify": ["verify", str(bundle)],
+            "ingest": ["ingest", str(bundle), "--out", str(out)],
+        }[command]
+        assert run(argv) == code
+        assert capsys.readouterr().err == line.format(path=path) + "\n"
 
 
 class TestEntryPoints:

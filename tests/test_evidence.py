@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synctrail.acquisition import ingest_device_dump
 from synctrail.errors import ImpossibleDate, UnparseableTimestamp
 from synctrail.evidence import (
     ArtifactCategory,
@@ -168,6 +169,13 @@ class TestCanonicalEncode:
             attributes={"name": "Sheets", "status": "All", "_line": "2"},
         )
         assert canonical_encode(record) == reference_encode(record)
+
+    def test_kept_bytes_match_reference_encoder_on_golden_bundle(self, golden_bundle):
+        records = ingest_device_dump(golden_bundle).records
+        assert records
+        for record in records:
+            assert record.canonical == reference_encode(record), record.record_id
+            assert record.digest.value == hashlib.sha256(reference_encode(record)).digest()
 
     @given(record_id=clean_text, attributes=attribute_maps)
     def test_matches_reference_encoder(self, record_id, attributes):

@@ -3,6 +3,9 @@ from __future__ import annotations
 import hashlib
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from synctrail.acquisition import (
     ingest_cloud_log,
     ingest_device_dump,
@@ -128,6 +131,81 @@ class TestRenderReport:
         assert "<script" not in page
         assert "<style>" in page
         assert "LG-D802" in page
+
+
+def whole_document_json(case: CaseReport) -> bytes:
+    """The JSON report as one json.dumps call over the whole document renders it."""
+    data = report_to_json_dict(case)
+    return (json.dumps(data, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+# Strings that an indenting renderer could mistake for structure.
+TRICKY = ["a\nb", "back\\slash", 'say "hi"', "{", "]", "line\u2028sep", "\x00\x07\x1b\t\r",
+          "Zoë – 東京 🙂", "", "  : , "]
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.text() | st.sampled_from(TRICKY)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+json_objects = st.dictionaries(st.text() | st.sampled_from(TRICKY), json_values, max_size=3)
+
+
+class TestSectionBySectionJson:
+    def test_tricky_strings_empty_sections_and_no_skew(self):
+        nested = {key: [key, {key: key}, [], {}] for key in TRICKY}
+        case = CaseReport(
+            case_id="case\n\"1\"",
+            tool_version="0.1.0",
+            parameters={"window_seconds": 300, "note": "\u2028"},
+            inputs={"dumps": [], "cloud_logs": []},
+            device={},
+            skew=None,
+            links=[nested, [], {}],
+            findings=TRICKY,
+            timeline=[{"attributes": nested}],
+            excluded_undated=0,
+            identity_graph={"nodes": [], "edges": [[]]},
+            geo=[],
+            error_ledger=[{"message": text} for text in TRICKY],
+        )
+        assert render_report(case, ReportFormat.JSON) == whole_document_json(case)
+
+    def test_empty_case(self):
+        case = empty_case()
+        assert case.skew is None
+        assert render_report(case, ReportFormat.JSON) == whole_document_json(case)
+
+    def test_golden_case(self, golden_bundle, golden_cloud_log):
+        case = golden_case(golden_bundle, golden_cloud_log)
+        assert render_report(case, ReportFormat.JSON) == whole_document_json(case)
+
+    @settings(deadline=None)
+    @given(
+        text=st.text() | st.sampled_from(TRICKY),
+        objects=st.lists(json_objects, min_size=4, max_size=4),
+        lists=st.lists(st.lists(json_values, max_size=3), min_size=5, max_size=5),
+        skew=st.none() | json_objects,
+        count=st.integers(),
+    )
+    def test_any_json_content(self, text, objects, lists, skew, count):
+        case = CaseReport(
+            case_id=text,
+            tool_version=text,
+            parameters=objects[0],
+            inputs=objects[1],
+            device=objects[2],
+            skew=skew,
+            links=lists[0],
+            findings=lists[1],
+            timeline=lists[2],
+            excluded_undated=count,
+            identity_graph=objects[3],
+            geo=lists[3],
+            error_ledger=lists[4],
+        )
+        assert render_report(case, ReportFormat.JSON) == whole_document_json(case)
 
 
 class TestRedact:
