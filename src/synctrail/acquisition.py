@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import json
 import re
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -67,13 +68,6 @@ TIME_FIELDS: dict[ArtifactCategory, str] = {
 
 _KNOWN_FILES = {name for name, _ in CATEGORY_FILES}
 
-_PROFILE_BOOL_FIELDS = (
-    "developer_option_enabled",
-    "encryption_enabled",
-    "flight_mode_on",
-    "screen_lock_enabled",
-    "screen_saver_enabled",
-)
 _PHONE_STATE_BOOLS = (
     "screen_lock_enabled",
     "screen_saver_enabled",
@@ -141,6 +135,17 @@ class DeviceProfile:
     screen_saver_enabled: Optional[bool] = None
     battery_percent: Optional[int] = None
     device_clock_at_acquisition: Optional[UtcTimestamp] = None
+
+
+def _profile_fields(kind: type) -> tuple[str, ...]:
+    """Names of the DeviceProfile fields typed ``Optional[kind]``, in declaration order."""
+    hints = typing.get_type_hints(DeviceProfile)
+    fields = dataclasses.fields(DeviceProfile)
+    return tuple(f.name for f in fields if hints[f.name] == Optional[kind])
+
+
+_PROFILE_STR_FIELDS = _profile_fields(str)
+_PROFILE_BOOL_FIELDS = _profile_fields(bool)
 
 
 @dataclass(frozen=True)
@@ -218,6 +223,28 @@ class DeviceDump:
 
 class _LineError(Exception):
     """Internal: one line could not become a record; goes to the ledger."""
+
+
+def _json_object(line: bytes) -> dict:
+    """One input line as a JSON object, or _LineError saying why it is not.
+
+    Callers split files with ``bytes.splitlines``, which breaks only at
+    CR and LF, so a raw U+2028 or U+0085 inside a JSON string stays on
+    its line, and one undecodable line costs only that line.
+    """
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _LineError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
+    try:
+        fields = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _LineError(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise _LineError("invalid JSON: nested too deeply") from None
+    if not isinstance(fields, dict):
+        raise _LineError("line is not a JSON object")
+    return fields
 
 
 def _stringify(value: object) -> str:
@@ -305,19 +332,7 @@ def _build_profile(
     values: dict[str, object] = {}
     if info is not None:
         attrs = info.attributes
-        for name in (
-            "model",
-            "device_name",
-            "android_version",
-            "sdk_level",
-            "brand",
-            "manufacturer",
-            "kernel_name",
-            "wifi_mac",
-            "wifi_ssid",
-            "bluetooth_mac",
-            "imei",
-        ):
+        for name in _PROFILE_STR_FIELDS:
             if name in attrs:
                 values[name] = attrs[name]
         for name in _PROFILE_BOOL_FIELDS:
@@ -366,7 +381,7 @@ def _load_manifest(bundle: Path) -> dict:
         raise MissingManifest(f"no {BUNDLE_MANIFEST} in {bundle}")
     try:
         data = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise MissingManifest(f"{manifest_path} unreadable: {exc}") from exc
     if not isinstance(data, dict):
         raise MissingManifest(f"{manifest_path} must hold a JSON object")
@@ -413,16 +428,13 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
         path = bundle / file_name
         if not path.is_file():
             continue
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_bytes().splitlines()
         line_counts[file_name] = len(lines)
         for line_no, line in enumerate(lines, start=1):
             try:
-                fields = json.loads(line)
-            except json.JSONDecodeError as exc:
-                ledger.append(LedgerEntry(file_name, line_no, f"invalid JSON: {exc.msg}"))
-                continue
-            if not isinstance(fields, dict):
-                ledger.append(LedgerEntry(file_name, line_no, "line is not a JSON object"))
+                fields = _json_object(line)
+            except _LineError as exc:
+                ledger.append(LedgerEntry(file_name, line_no, str(exc)))
                 continue
             try:
                 record = record_from_fields(
@@ -614,16 +626,11 @@ def ingest_cloud_log(
         if ledger is not None:
             ledger.append(LedgerEntry(file_name, line_no, message))
 
-    for line_no, line in enumerate(
-        log_path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for line_no, line in enumerate(log_path.read_bytes().splitlines(), start=1):
         try:
-            fields = json.loads(line)
-        except json.JSONDecodeError as exc:
-            note(line_no, f"invalid JSON: {exc.msg}")
-            continue
-        if not isinstance(fields, dict):
-            note(line_no, "line is not a JSON object")
+            fields = _json_object(line)
+        except _LineError as exc:
+            note(line_no, str(exc))
             continue
         event_id = fields.get("id")
         if not isinstance(event_id, str) or not event_id:

@@ -16,9 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NoReturn, Optional, Sequence
+from typing import Any, Callable, NoReturn, Optional, Sequence
 
 from . import __version__, atomic
 from .acquisition import (
@@ -37,10 +36,6 @@ from .acquisition import (
 from .correlation import (
     DEFAULT_MIN_SKEW_SUPPORT,
     DEFAULT_WINDOW_SECONDS,
-    CloudUsageFinding,
-    SkewEstimate,
-    SyncLink,
-    UnifiedTimeline,
     build_timeline,
     derive_cloud_usage_findings,
     detect_uninstall_evidence,
@@ -62,12 +57,11 @@ from .errors import (
     MissingManifest,
     RecordCountMismatch,
     UnparseableTimestamp,
+    UnsafeCaseId,
     UnsupportedAlgorithm,
 )
 from .evidence import Locale
 from .osint import (
-    GeoRecord,
-    IdentityGraph,
     build_identity_graph,
     load_geo_table,
     resolve_ip,
@@ -83,15 +77,18 @@ from .preservation import (
     write_sealed_manifest,
 )
 from .reporting import (
-    CaseReport,
+    STAGE_FILES,
     ReportFormat,
-    assemble_case_report,
+    StageFile,
+    build_case_report,
     finding_to_dict,
     identity_graph_to_dict,
     geo_to_list,
     ledger_to_list,
     link_to_dict,
+    parameters_to_dict,
     render_report,
+    shape_problem,
     skew_to_dict,
     timeline_to_list,
 )
@@ -101,11 +98,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_TAMPERED = 3
 EXIT_PARSE_FATAL = 4
-
-TIMESTAMP_ASSUMPTION = (
-    "All times normalized to UTC; legacy device timestamps read per the locale "
-    "flag; sources without zone data are assumed UTC"
-)
 
 _LOCALES = {"day-first": Locale.DAY_FIRST, "month-first": Locale.MONTH_FIRST}
 _FORMATS = {"json": ReportFormat.JSON, "md": ReportFormat.MARKDOWN, "html": ReportFormat.HTML}
@@ -130,8 +122,12 @@ _FATAL_ERRORS = (
     DeviceMismatch,
     EmptyBundle,
     IoFailure,
+    UnsafeCaseId,
     OSError,
 )
+
+# Stage payloads by stage-file name, as written to --out.
+Stages = dict[str, Any]
 
 
 def _say(message: str) -> None:
@@ -144,32 +140,50 @@ def _write_json(path: Path, payload: object) -> None:
     atomic.write_bytes(path, (text + "\n").encode("utf-8"))
 
 
-def _read_stage(path: Path, default: object, required: Sequence[str] = ()) -> object:
-    """Load a stage file, or ``default`` when it is absent.
+def _write_stages(out: Path, stages: Stages) -> Stages:
+    for name, payload in stages.items():
+        _write_json(out / name, payload)
+    return stages
 
-    A stage file holds a JSON list when its default is a list and an
-    object otherwise, with at least the ``required`` keys. Anything else,
-    including a truncated file, raises MalformedStageFile naming the file.
+
+def _read_stage(path: Path, stage: StageFile) -> Any:
+    """Load a stage file and check that it holds what the report reads.
+
+    Anything else, including a truncated file, raises MalformedStageFile
+    naming the file.
     """
-    if not path.is_file():
-        return default
     try:
         data = json.loads(path.read_bytes().decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedStageFile(f"stage file {path} is not valid JSON: {exc}") from None
-    kind = list if isinstance(default, list) else dict
-    if not isinstance(data, kind):
-        what = "a JSON list" if kind is list else "a JSON object"
-        raise MalformedStageFile(f"stage file {path} must hold {what}")
-    missing = [key for key in required if key not in data]
-    if missing:
-        raise MalformedStageFile(f"stage file {path} missing field {missing[0]!r}")
+    problem = shape_problem(data, stage.shape)
+    if problem:
+        raise MalformedStageFile(f"stage file {path} {problem}")
     return data
+
+
+def _case_id_problem(case_id: str) -> Optional[str]:
+    """Why ``case_id`` cannot name a report file inside --out, or None."""
+    if case_id in ("", ".", "..") or any(c in case_id for c in "/\\\0"):
+        return "must be one path component: not empty, '.' or '..', no '/', '\\' or NUL"
+    return None
+
+
+def _case_id(text: str) -> str:
+    problem = _case_id_problem(text)
+    if problem:
+        raise argparse.ArgumentTypeError(f"case id {text!r} {problem}")
+    return text
+
+
+def _verdict_exit(stages: Stages) -> int:
+    intact = stages["verification.json"]["verdict"] == Verdict.INTACT.value
+    return EXIT_OK if intact else EXIT_TAMPERED
 
 
 def _step_ingest(
     bundle: Path, out: Path, locale: Locale, dump_canonical: Optional[Path] = None
-) -> tuple[DeviceDump, list[AppRecord], list[LedgerEntry]]:
+) -> tuple[DeviceDump, list[AppRecord], Stages]:
     dump = ingest_device_dump(bundle, locale)
     for warning in profile_format_warnings(dump.device):
         _say(f"note: {warning}")
@@ -182,6 +196,8 @@ def _step_ingest(
     }
     payload["parse_ledger"] = ledger_to_list(parse_ledger)
     _write_json(out / "dump.json", payload)
+    # The report reads only how many records there are: keep none of their JSON.
+    payload["records"] = dump.records
     if dump_canonical is not None:
         atomic.write_bytes(dump_canonical, b"".join(r.canonical for r in dump.records))
         _say(f"canonical record bytes written to {dump_canonical}")
@@ -189,7 +205,7 @@ def _step_ingest(
         f"ingested {len(dump.records)} records from {bundle.name} "
         f"({len(dump.ledger)} ledger entries)"
     )
-    return dump, apps, parse_ledger
+    return dump, apps, {"dump.json": payload}
 
 
 def _step_seal(
@@ -203,7 +219,7 @@ def _step_seal(
     )
 
 
-def _step_verify(dump: DeviceDump, bundle: Path, out: Optional[Path]) -> VerificationReport:
+def _step_verify(dump: DeviceDump, bundle: Path, out: Optional[Path]) -> Stages:
     manifest = load_sealed_manifest(bundle)
     try:
         report = verify_chain(manifest, dump.records)
@@ -212,30 +228,18 @@ def _step_verify(dump: DeviceDump, bundle: Path, out: Optional[Path]) -> Verific
         # surfaced with the tampered exit code rather than a parse error.
         _say(f"verification failed: {exc}")
         report = VerificationReport(verdict=Verdict.TAMPERED, first_divergent_index=0)
+    stages = {
+        "verification.json": {
+            "verdict": report.verdict.value,
+            "first_divergent_index": report.first_divergent_index,
+            "expected": report.expected.hex() if report.expected else None,
+            "actual": report.actual.hex() if report.actual else None,
+        }
+    }
     if out is not None:
-        _write_json(
-            out / "verification.json",
-            {
-                "verdict": report.verdict.value,
-                "first_divergent_index": report.first_divergent_index,
-                "expected": report.expected.hex() if report.expected else None,
-                "actual": report.actual.hex() if report.actual else None,
-            },
-        )
+        _write_stages(out, stages)
     _say(f"chain verdict: {report.verdict.value}")
-    return report
-
-
-@dataclass(frozen=True)
-class _Correlation:
-    parameters: dict
-    cloud_log_name: str
-    event_count: int
-    cloud_ledger: list[LedgerEntry]
-    skew: SkewEstimate
-    links: list[SyncLink]
-    timeline: UnifiedTimeline
-    findings: list[CloudUsageFinding]
+    return stages
 
 
 def _step_correlate(
@@ -246,7 +250,7 @@ def _step_correlate(
     locale: Locale,
     window_seconds: int,
     min_support: int,
-) -> _Correlation:
+) -> Stages:
     cloud_ledger: list[LedgerEntry] = []
     events = ingest_cloud_log(cloud_log, cloud_ledger)
 
@@ -260,56 +264,33 @@ def _step_correlate(
     timeline = build_timeline(dump.records, events, skew)
     uninstall = detect_uninstall_evidence(apps, events)
     findings = derive_cloud_usage_findings(links, uninstall, events)
-    parameters = {
-        "window_seconds": window_seconds,
-        "min_skew_support": min_support,
-        "locale": locale.value,
-        "timestamp_assumption": TIMESTAMP_ASSUMPTION,
-    }
-
-    _write_json(out / "skew.json", skew_to_dict(skew))
-    _write_json(out / "links.json", [link_to_dict(link) for link in links])
-    _write_json(
-        out / "timeline.json",
-        {"entries": timeline_to_list(timeline), "excluded_undated": timeline.excluded_undated},
-    )
-    _write_json(
-        out / "findings.json",
-        [finding_to_dict(f, f"F{i + 1:03d}") for i, f in enumerate(findings)],
-    )
-    _write_json(
-        out / "cloud_log.json",
-        {
+    stages = _write_stages(out, {
+        "skew.json": skew_to_dict(skew),
+        "links.json": [link_to_dict(link) for link in links],
+        "timeline.json": {
+            "entries": timeline_to_list(timeline),
+            "excluded_undated": timeline.excluded_undated,
+        },
+        "findings.json": [finding_to_dict(f, f"F{i + 1:03d}") for i, f in enumerate(findings)],
+        "cloud_log.json": {
             "name": cloud_log.name,
             "event_count": len(events),
             "ledger": ledger_to_list(cloud_ledger),
         },
-    )
-    _write_json(out / "parameters.json", parameters)
+        "parameters.json": parameters_to_dict(window_seconds, min_support, locale),
+    })
     _say(
         f"correlated: skew {skew.offset_seconds} s "
         f"({'fallback' if skew.fallback else f'support {skew.support_count}'}), "
         f"{len(links)} links, {len(findings)} findings"
     )
-    return _Correlation(
-        parameters=parameters,
-        cloud_log_name=cloud_log.name,
-        event_count=len(events),
-        cloud_ledger=cloud_ledger,
-        skew=skew,
-        links=links,
-        timeline=timeline,
-        findings=findings,
-    )
+    return stages
 
 
-def _step_enrich(
-    dump: DeviceDump, out: Path, geo_table: Optional[Path]
-) -> tuple[IdentityGraph, list[GeoRecord]]:
+def _step_enrich(dump: DeviceDump, out: Path, geo_table: Optional[Path]) -> Stages:
     messages, calls, contacts = parse_comm_artifacts(dump)
     emails = parse_email_accounts(dump)
     graph = build_identity_graph(contacts, messages, calls, emails)
-    _write_json(out / "identity_graph.json", identity_graph_to_dict(graph))
 
     geo_hits = []
     if geo_table is not None:
@@ -323,108 +304,22 @@ def _step_enrich(
             hit = resolve_ip(ip, table)
             if hit is not None:
                 geo_hits.append(hit)
-    _write_json(out / "geo.json", geo_to_list(geo_hits))
+    stages = _write_stages(
+        out,
+        {"identity_graph.json": identity_graph_to_dict(graph), "geo.json": geo_to_list(geo_hits)},
+    )
     _say(
         f"enriched: {len(graph.nodes)} identifiers, {len(graph.edges)} edges, "
         f"{len(geo_hits)} geolocated addresses"
     )
-    return graph, geo_hits
+    return stages
 
 
-@dataclass(frozen=True)
-class _Analysis:
-    """Every stage result of one `run-all`, all from a single ingest."""
-
-    dump: DeviceDump
-    apps: list[AppRecord]
-    parse_ledger: list[LedgerEntry]
-    verification: VerificationReport
-    correlation: _Correlation
-    identity_graph: IdentityGraph
-    geo: list[GeoRecord]
-
-
-def _load_case_report(out: Path, case_id: Optional[str]) -> CaseReport:
-    """Rebuild a report from the stage files that earlier subcommands wrote."""
-    dump_data = _read_stage(out / "dump.json", {}, ("dump_id", "collected_at"))
-    verification = _read_stage(out / "verification.json", None, ("verdict",))
-    parameters = _read_stage(
-        out / "parameters.json",
-        {
-            "window_seconds": DEFAULT_WINDOW_SECONDS,
-            "min_skew_support": DEFAULT_MIN_SKEW_SUPPORT,
-            "locale": Locale.DAY_FIRST.value,
-            "timestamp_assumption": TIMESTAMP_ASSUMPTION,
-        },
-    )
-    timeline_data = _read_stage(out / "timeline.json", {"entries": [], "excluded_undated": 0})
-    cloud_meta = _read_stage(out / "cloud_log.json", None, ("name", "event_count"))
-
-    effective_case_id = case_id or dump_data.get("dump_id") or "case"
-    device = dict(dump_data.get("device", {}))
-    app_counts = dump_data.get("app_counts")
-    if app_counts:
-        device["installed_app_count"] = app_counts["installed"]
-        device["uninstalled_app_count"] = app_counts["uninstalled"]
-
-    inputs: dict = {"dumps": [], "cloud_logs": []}
-    ledger = list(dump_data.get("ledger", [])) + list(dump_data.get("parse_ledger", []))
-    if dump_data:
-        inputs["dumps"].append(
-            {
-                "dump_id": dump_data["dump_id"],
-                "collected_at": dump_data["collected_at"],
-                "record_count": len(dump_data.get("records", [])),
-                "chain_verdict": verification["verdict"] if verification else "Unverified",
-            }
-        )
-    if cloud_meta:
-        inputs["cloud_logs"].append(
-            {"name": cloud_meta["name"], "event_count": cloud_meta["event_count"]}
-        )
-        ledger.extend(cloud_meta.get("ledger", []))
-
-    return CaseReport(
-        case_id=effective_case_id,
-        tool_version=__version__,
-        parameters=parameters,
-        inputs=inputs,
-        device=device,
-        skew=_read_stage(out / "skew.json", None),
-        links=_read_stage(out / "links.json", []),
-        findings=_read_stage(out / "findings.json", []),
-        timeline=timeline_data.get("entries", []),
-        excluded_undated=timeline_data.get("excluded_undated", 0),
-        identity_graph=_read_stage(out / "identity_graph.json", {"nodes": [], "edges": []}),
-        geo=_read_stage(out / "geo.json", []),
-        error_ledger=ledger,
-    )
-
-
-def _step_report(
-    out: Path, case_id: Optional[str], format: ReportFormat, analysis: Optional[_Analysis] = None
-) -> Path:
-    if analysis is None:
-        report = _load_case_report(out, case_id)
-    else:
-        correlation = analysis.correlation
-        report = assemble_case_report(
-            case_id=case_id or analysis.dump.dump_id or "case",
-            tool_version=__version__,
-            parameters=correlation.parameters,
-            dump=analysis.dump,
-            apps=analysis.apps,
-            cloud_log_names=[correlation.cloud_log_name],
-            cloud_event_count=correlation.event_count,
-            verification=analysis.verification,
-            skew=correlation.skew,
-            links=correlation.links,
-            findings=correlation.findings,
-            timeline=correlation.timeline,
-            identity_graph=analysis.identity_graph,
-            geo=analysis.geo,
-            extra_ledger=[*analysis.parse_ledger, *correlation.cloud_ledger],
-        )
+def _step_report(out: Path, stages: Stages, case_id: Optional[str], format: ReportFormat) -> Path:
+    report = build_case_report(stages, __version__, case_id)
+    problem = _case_id_problem(report.case_id)
+    if problem:
+        raise UnsafeCaseId(f"dump id {report.case_id!r} cannot name the report file: it {problem}")
     suffix = {"json": ".report.json", "md": ".report.md", "html": ".report.html"}[format.value]
     path = out / f"{report.case_id}{suffix}"
     atomic.write_bytes(path, render_report(report, format))
@@ -539,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render the case report from prior stage outputs")
     add_out(p)
-    p.add_argument("--case-id", default=None)
+    p.add_argument("--case-id", type=_case_id, default=None)
     p.add_argument("--format", choices=sorted(_FORMATS), default="json")
 
     p = sub.add_parser("run-all", help="ingest, seal, verify, correlate, enrich, report")
@@ -551,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--examiner", default="unknown")
     p.add_argument("--isolation", choices=sorted(_ISOLATION), default="none")
     p.add_argument("--geo-table", type=Path, default=None)
-    p.add_argument("--case-id", default=None)
+    p.add_argument("--case-id", type=_case_id, default=None)
     p.add_argument("--format", choices=sorted(_FORMATS), default="json")
 
     return parser
@@ -599,8 +494,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "verify":
             dump = ingest_device_dump(args.bundle, locale)
-            report = _step_verify(dump, args.bundle, args.out)
-            return EXIT_OK if report.verdict is Verdict.INTACT else EXIT_TAMPERED
+            return _verdict_exit(_step_verify(dump, args.bundle, args.out))
 
         if args.command == "diff":
             a = ingest_device_dump(args.bundle_a, locale)
@@ -639,41 +533,39 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "report":
-            _step_report(args.out, args.case_id, _FORMATS[args.format])
+            stages = {
+                name: _read_stage(args.out / name, stage)
+                for name, stage in STAGE_FILES.items()
+                if (args.out / name).is_file()
+            }
+            _step_report(args.out, stages, args.case_id, _FORMATS[args.format])
             return EXIT_OK
 
         if args.command == "run-all":
             # One ingest feeds every stage, so the chain verdict covers
             # exactly the records that are correlated and reported.
-            dump, apps, parse_ledger = _step_ingest(args.bundle, args.out, locale)
+            dump, apps, stages = _step_ingest(args.bundle, args.out, locale)
             # Never re-seal an already sealed bundle: that would launder
             # any modification made since the original seal.
             if (args.bundle / "manifest.sealed.json").is_file():
                 _say("bundle already sealed, keeping the existing manifest")
             else:
                 _step_seal(dump, args.bundle, args.examiner, _ISOLATION[args.isolation])
-            verification = _step_verify(dump, args.bundle, args.out)
-            correlation = _step_correlate(
-                dump,
-                apps,
-                args.cloud_log,
-                args.out,
-                locale,
-                args.window_seconds,
-                args.min_skew_support,
+            stages.update(_step_verify(dump, args.bundle, args.out))
+            stages.update(
+                _step_correlate(
+                    dump,
+                    apps,
+                    args.cloud_log,
+                    args.out,
+                    locale,
+                    args.window_seconds,
+                    args.min_skew_support,
+                )
             )
-            graph, geo = _step_enrich(dump, args.out, args.geo_table)
-            analysis = _Analysis(
-                dump=dump,
-                apps=apps,
-                parse_ledger=parse_ledger,
-                verification=verification,
-                correlation=correlation,
-                identity_graph=graph,
-                geo=geo,
-            )
-            _step_report(args.out, args.case_id, _FORMATS[args.format], analysis)
-            return EXIT_OK if verification.verdict is Verdict.INTACT else EXIT_TAMPERED
+            stages.update(_step_enrich(dump, args.out, args.geo_table))
+            _step_report(args.out, stages, args.case_id, _FORMATS[args.format])
+            return _verdict_exit(stages)
 
     except _FATAL_ERRORS as exc:
         _say(f"error: {exc}")

@@ -32,6 +32,10 @@ class MalformedStageFile(ForensicsError):
     """A stage file that `report` reads back is truncated or not what it should hold."""
 
 
+class UnsafeCaseId(ForensicsError):
+    """A case id from the dump cannot name a report file inside the output directory."""
+
+
 class DuplicateRecordId(ForensicsError):
     """Two records in one dump claim the same record id."""
 

@@ -248,7 +248,7 @@ def load_sealed_manifest(bundle_path: Path | str) -> AcquisitionManifest:
         raise MissingManifest(f"no {SEALED_MANIFEST} in {bundle_path}; seal the bundle first")
     try:
         data = json.loads(path.read_bytes().decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedManifest(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise MalformedManifest(f"{path} must hold a JSON object")

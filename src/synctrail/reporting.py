@@ -17,12 +17,19 @@ import logging
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
-from .acquisition import AppRecord, AppStatus, DeviceDump, LedgerEntry, device_to_json_dict
-from .correlation import CloudUsageFinding, SkewEstimate, SyncLink, UnifiedTimeline
+from .acquisition import LedgerEntry
+from .correlation import (
+    DEFAULT_MIN_SKEW_SUPPORT,
+    DEFAULT_WINDOW_SECONDS,
+    CloudUsageFinding,
+    SkewEstimate,
+    SyncLink,
+    UnifiedTimeline,
+)
+from .evidence import Locale
 from .osint import GeoRecord, IdentityGraph
-from .preservation import VerificationReport
 
 logger = logging.getLogger(__name__)
 
@@ -129,72 +136,162 @@ def geo_to_list(records: Sequence[GeoRecord]) -> list:
     ]
 
 
+TIMESTAMP_ASSUMPTION = (
+    "All times normalized to UTC; legacy device timestamps read per the locale "
+    "flag; sources without zone data are assumed UTC"
+)
+
+
+def parameters_to_dict(
+    window_seconds: int = DEFAULT_WINDOW_SECONDS,
+    min_skew_support: int = DEFAULT_MIN_SKEW_SUPPORT,
+    locale: Locale = Locale.DAY_FIRST,
+) -> dict:
+    return {
+        "window_seconds": window_seconds,
+        "min_skew_support": min_skew_support,
+        "locale": locale.value,
+        "timestamp_assumption": TIMESTAMP_ASSUMPTION,
+    }
+
+
 def ledger_to_list(entries: Sequence[LedgerEntry]) -> list:
     return [{"file": e.file, "line": e.line, "message": e.message} for e in entries]
 
 
-def assemble_case_report(
-    case_id: str,
-    tool_version: str,
-    parameters: dict,
-    dump: Optional[DeviceDump] = None,
-    apps: Sequence[AppRecord] = (),
-    cloud_log_names: Sequence[str] = (),
-    cloud_event_count: int = 0,
-    verification: Optional[VerificationReport] = None,
-    skew: Optional[SkewEstimate] = None,
-    links: Sequence[SyncLink] = (),
-    findings: Sequence[CloudUsageFinding] = (),
-    timeline: Optional[UnifiedTimeline] = None,
-    identity_graph: Optional[IdentityGraph] = None,
-    geo: Sequence[GeoRecord] = (),
-    extra_ledger: Sequence[LedgerEntry] = (),
+# The shape of what the report reads from a stage file: a dict is a
+# JSON object with at least those keys, each of the shape given; a
+# one-item list is a JSON list whose items all have that item's shape;
+# ``str`` is a string and ``None`` any value.
+_LEDGER = [{"file": None, "line": None, "message": None}]
+_IDENTIFIER = {"kind": None, "value": None}
+
+
+@dataclass(frozen=True)
+class StageFile:
+    """What one stage file stands for when absent, and what the report reads."""
+
+    absent: object
+    shape: object
+
+
+STAGE_FILES: dict[str, StageFile] = {
+    "dump.json": StageFile(None, {
+        "dump_id": str,
+        "collected_at": None,
+        "device": {},
+        "app_counts": {"installed": None, "uninstalled": None},
+        "records": [None],
+        "ledger": _LEDGER,
+        "parse_ledger": _LEDGER,
+    }),
+    "verification.json": StageFile(None, {"verdict": None}),
+    "parameters.json": StageFile(parameters_to_dict(), {}),
+    "cloud_log.json": StageFile(None, {"name": None, "event_count": None, "ledger": _LEDGER}),
+    "skew.json": StageFile(None, {
+        "offset_seconds": None, "support_count": None, "spread_seconds": None, "fallback": None,
+    }),
+    "links.json": StageFile([], [{
+        "device_record_id": None, "cloud_event_id": None, "tier": None,
+        "time_delta_seconds": None,
+    }]),
+    "findings.json": StageFile([], [{
+        "finding_id": None, "kind": None, "confidence": None, "narrative": None,
+        "supporting_ids": [str],
+    }]),
+    "timeline.json": StageFile({"entries": [], "excluded_undated": 0}, {
+        "entries": [{"timestamp_utc": None, "source": None, "id": None, "label": None}],
+        "excluded_undated": None,
+    }),
+    "identity_graph.json": StageFile({"nodes": [], "edges": []}, {
+        "nodes": [None],
+        "edges": [{"a": _IDENTIFIER, "b": _IDENTIFIER, "count": None}],
+    }),
+    "geo.json": StageFile([], [{"ip": None, "country": None, "city": None, "source_table": None}]),
+}
+
+_KIND_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
+
+
+def shape_problem(value: Any, shape: Any, where: str = "") -> Optional[str]:
+    """Why ``value`` does not have ``shape`` (see STAGE_FILES), or None if it does."""
+    if shape is None:
+        return None
+    kind = str if shape is str else type(shape)
+    if not isinstance(value, kind):
+        at = f"field {where!r} " if where else ""
+        return f"{at}must hold {_KIND_NAMES[kind]}"
+    if kind is dict:
+        for key, inner in shape.items():
+            at = f"{where}.{key}" if where else key
+            if key not in value:
+                return f"missing field {at!r}"
+            problem = shape_problem(value[key], inner, at)
+            if problem:
+                return problem
+    elif kind is list and shape[0] is not None:
+        for index, item in enumerate(value):
+            problem = shape_problem(item, shape[0], f"{where}[{index}]")
+            if problem:
+                return problem
+    return None
+
+
+def build_case_report(
+    stages: Mapping[str, Any], tool_version: str, case_id: Optional[str] = None
 ) -> CaseReport:
-    """Fold the outputs of every pipeline stage into one report."""
+    """Fold stage-file payloads, keyed by file name, into one report.
+
+    ``run-all`` passes the payloads it has just written and ``report``
+    the ones it reads back, so both give the same bytes. A file missing
+    from ``stages`` stands for its ``STAGE_FILES`` absent value. The
+    case id defaults to the dump id, then to ``case``.
+    """
+
+    def stage(name: str) -> Any:
+        return stages[name] if name in stages else copy.deepcopy(STAGE_FILES[name].absent)
+
+    dump, verification, cloud_log, timeline = map(
+        stage, ("dump.json", "verification.json", "cloud_log.json", "timeline.json")
+    )
     device: dict = {}
     inputs: dict = {"dumps": [], "cloud_logs": []}
-    ledger: list[LedgerEntry] = []
+    ledger: list = []
     if dump is not None:
-        device = device_to_json_dict(dump.device)
-        device["installed_app_count"] = sum(
-            1 for a in apps if a.status is not AppStatus.UNINSTALLED
-        )
-        device["uninstalled_app_count"] = sum(
-            1 for a in apps if a.status is AppStatus.UNINSTALLED
-        )
+        device = {
+            **dump["device"],
+            "installed_app_count": dump["app_counts"]["installed"],
+            "uninstalled_app_count": dump["app_counts"]["uninstalled"],
+        }
         inputs["dumps"].append(
             {
-                "dump_id": dump.dump_id,
-                "collected_at": dump.collected_at.original_text,
-                "record_count": len(dump.records),
-                "chain_verdict": verification.verdict.value if verification else "Unverified",
+                "dump_id": dump["dump_id"],
+                "collected_at": dump["collected_at"],
+                "record_count": len(dump["records"]),
+                "chain_verdict": "Unverified" if verification is None else verification["verdict"],
             }
         )
-        ledger.extend(dump.ledger)
-    inputs["cloud_logs"] = [
-        {"name": name, "event_count": cloud_event_count} for name in cloud_log_names
-    ]
-    ledger.extend(extra_ledger)
+        ledger += [*dump["ledger"], *dump["parse_ledger"]]
+    if cloud_log is not None:
+        inputs["cloud_logs"].append(
+            {"name": cloud_log["name"], "event_count": cloud_log["event_count"]}
+        )
+        ledger += cloud_log["ledger"]
 
     return CaseReport(
-        case_id=case_id,
+        case_id=case_id or (dump["dump_id"] if dump is not None else "") or "case",
         tool_version=tool_version,
-        parameters=parameters,
+        parameters=stage("parameters.json"),
         inputs=inputs,
         device=device,
-        skew=skew_to_dict(skew) if skew is not None else None,
-        links=[link_to_dict(link) for link in links],
-        findings=[
-            finding_to_dict(finding, f"F{index + 1:03d}")
-            for index, finding in enumerate(findings)
-        ],
-        timeline=timeline_to_list(timeline) if timeline is not None else [],
-        excluded_undated=timeline.excluded_undated if timeline is not None else 0,
-        identity_graph=identity_graph_to_dict(identity_graph)
-        if identity_graph is not None
-        else {"nodes": [], "edges": []},
-        geo=geo_to_list(geo),
-        error_ledger=ledger_to_list(ledger),
+        skew=stage("skew.json"),
+        links=stage("links.json"),
+        findings=stage("findings.json"),
+        timeline=timeline["entries"],
+        excluded_undated=timeline["excluded_undated"],
+        identity_graph=stage("identity_graph.json"),
+        geo=stage("geo.json"),
+        error_ledger=ledger,
     )
 
 

@@ -192,6 +192,48 @@ class TestIngestDeviceDump:
         second = dump_to_json_dict(ingest_device_dump(golden_bundle))
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
+    def test_every_profile_field_is_read(self, tmp_path):
+        strings = ["model", "device_name", "android_version", "sdk_level", "brand",
+                   "manufacturer", "kernel_name", "wifi_mac", "wifi_ssid", "bluetooth_mac",
+                   "imei"]
+        flags = ["developer_option_enabled", "encryption_enabled", "flight_mode_on",
+                 "screen_lock_enabled", "screen_saver_enabled"]
+        row = {name: f"v-{name}" for name in strings} | {name: "true" for name in flags}
+        bundle = write_bundle(tmp_path / "b", {"device_info.jsonl": [row]})
+        section = device_to_json_dict(ingest_device_dump(bundle).device)
+        assert {name: section[name] for name in strings} == {n: f"v-{n}" for n in strings}
+        assert all(section[name] is True for name in flags)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_unicode_line_separator_stays_inside_its_record(self, tmp_path, separator):
+        bundle = write_bundle(tmp_path / "b", {})
+        line = json.dumps({"id": "m1", "peer": "+1", "body": f"a{separator}b"}, ensure_ascii=False)
+        (bundle / "messages.jsonl").write_bytes(line.encode("utf-8") + b"\n")
+        dump = ingest_device_dump(bundle)
+        assert [r.attributes["body"] for r in dump.records] == [f"a{separator}b"]
+        assert dump.ledger == ()
+        assert dump.line_counts == {"messages.jsonl": 1}
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (b"\xff", "invalid UTF-8 at byte 0: invalid start byte"),
+            (b'{"id":"m9","body":"caf\xc3"}',
+             "invalid UTF-8 at byte 22: invalid continuation byte"),
+            (b"[" * 100_000, "invalid JSON: nested too deeply"),
+        ],
+        ids=["lone-0xff", "truncated-sequence", "nested-too-deeply"],
+    )
+    def test_undecodable_line_is_one_ledger_entry(self, tmp_path, bad, message):
+        bundle = write_bundle(tmp_path / "b", {})
+        (bundle / "messages.jsonl").write_bytes(
+            b'{"id":"m1","peer":"+1"}\n' + bad + b'\n{"id":"m2","peer":"+2"}\n'
+        )
+        dump = ingest_device_dump(bundle)
+        assert [r.record_id for r in dump.records] == ["m1", "m2"]
+        assert dump.ledger == (LedgerEntry("messages.jsonl", 2, message),)
+        assert dump.line_counts == {"messages.jsonl": 3}
+
     def test_losslessness_per_file(self, tmp_path):
         bundle = write_bundle(
             tmp_path / "b",
@@ -360,6 +402,33 @@ class TestIngestCloudLog:
         events = ingest_cloud_log(path, ledger)
         assert [(e.event_id, e.size_bytes) for e in events] == [("e2", 7)]
         assert [(e.line, e.message) for e in ledger] == [(1, "bad size inf")]
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u0085"])
+    def test_unicode_line_separator_stays_inside_its_event(self, tmp_path, separator):
+        path = tmp_path / "log.jsonl"
+        row = {"id": "e1", "kind": "Upload", "ts": "2016-05-10T16:51:13Z",
+               "object": f"a{separator}b"}
+        path.write_bytes(json.dumps(row, ensure_ascii=False).encode("utf-8") + b"\n")
+        ledger: list[LedgerEntry] = []
+        events = ingest_cloud_log(path, ledger)
+        assert [e.package_or_object for e in events] == [f"a{separator}b"]
+        assert ledger == []
+
+    def test_undecodable_line_is_one_ledger_entry(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(
+            b'{"id":"e1","kind":"Login","ts":"2016-05-10T16:51:13Z"}\n'
+            b"\xff\n"
+            + b'{"a":' * 100_000 + b"\n"
+            b'{"id":"e2","kind":"Login","ts":"2016-05-10T16:52:13Z"}\n'
+        )
+        ledger: list[LedgerEntry] = []
+        events = ingest_cloud_log(path, ledger)
+        assert [e.event_id for e in events] == ["e1", "e2"]
+        assert ledger == [
+            LedgerEntry("log.jsonl", 2, "invalid UTF-8 at byte 0: invalid start byte"),
+            LedgerEntry("log.jsonl", 3, "invalid JSON: nested too deeply"),
+        ]
 
     def test_file_order_preserved(self, tmp_path):
         rows = [

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import synctrail
-from synctrail import cli, evidence, preservation
+from synctrail import cli, evidence, preservation, reporting
 from synctrail.acquisition import ingest_device_dump
 from synctrail.cli import run
 from synctrail.evidence import canonical_encode
@@ -253,6 +253,56 @@ class TestSubcommandOutputs:
         assert run(["report", "--out", str(out), "--case-id", "CASE-9"]) == 0
         assert (out / "CASE-9.report.json").is_file()
 
+    def test_report_from_dump_json_alone(self, tmp_path):
+        case = simulate(tmp_path)
+        out = tmp_path / "out"
+        assert run(["ingest", str(case.bundle_dir), "--out", str(out)]) == 0
+        assert run(["report", "--out", str(out)]) == 0
+        report = json.loads((out / "sim-1000.report.json").read_text())
+        assert report["inputs"]["dumps"][0]["chain_verdict"] == "Unverified"
+        assert report["inputs"]["dumps"][0]["record_count"] == len(case.records)
+        assert report["inputs"]["cloud_logs"] == []
+        assert report["parameters"] == {
+            "window_seconds": 300,
+            "min_skew_support": 3,
+            "locale": "day-first",
+            "timestamp_assumption": reporting.TIMESTAMP_ASSUMPTION,
+        }
+        assert report["skew"] is None
+        assert report["links"] == report["findings"] == report["timeline"] == report["geo"] == []
+        assert report["excluded_undated"] == 0
+        assert report["identity_graph"] == {"nodes": [], "edges": []}
+        assert report["error_ledger"] == []
+
+
+class TestCaseId:
+    @pytest.mark.parametrize("case_id", ["", ".", "..", "../x", "a/b", "a\\b"])
+    @pytest.mark.parametrize("command", ["report", "run-all"])
+    def test_case_id_must_be_one_path_component(self, tmp_path, capsys, command, case_id):
+        out = tmp_path / "out"
+        inputs = ["bundle", "log.jsonl"] if command == "run-all" else []
+        assert run([command, *inputs, "--out", str(out), "--case-id", case_id]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"argument --case-id: case id {case_id!r} must be one path component" in err
+        assert not out.exists()
+
+    def test_dump_id_cannot_move_the_report_out_of_out(self, tmp_path, capsys):
+        case = simulate(tmp_path)
+        manifest = case.bundle_dir / "manifest.json"
+        manifest.write_text(json.dumps(json.loads(manifest.read_text()) | {"dump_id": "../../up"}))
+        out = tmp_path / "deep" / "out"
+        line = ("error: dump id '../../up' cannot name the report file: it must be one path "
+                "component: not empty, '.' or '..', no '/', '\\' or NUL")
+        assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.splitlines()[-1] == line
+        assert run(["report", "--out", str(out), "--format", "md"]) == 4
+        assert capsys.readouterr().err == line + "\n"
+        assert list(tmp_path.rglob("*.report.*")) == []
+        assert run(["report", "--out", str(out), "--case-id", "CASE-1"]) == 0
+        assert [p.name for p in tmp_path.rglob("*.report.*")] == ["CASE-1.report.json"]
+        assert (out / "CASE-1.report.json").is_file()
+
 
 def stepwise(case, out, *reports):
     """Run ingest, verify, correlate and enrich one by one, then each report."""
@@ -298,6 +348,24 @@ class TestRunAll:
         # Stepwise verify reaches the same verdict, and the same report bytes.
         assert stepwise(case, tmp_path / "stepwise", []) == 3
         name = "sim-1000.report.json"
+        assert (out / name).read_bytes() == (tmp_path / "stepwise" / name).read_bytes()
+
+    def test_error_ledger_is_bundle_then_app_inventory_then_cloud_log(self, tmp_path):
+        case = simulate(tmp_path)
+        with open(case.cloud_log, "a", encoding="utf-8") as handle:
+            handle.write("not json\n")
+        with open(case.bundle_dir / "installed_apps.jsonl", "a", encoding="utf-8") as handle:
+            handle.write('{"id":"app-x","name":"X","status":"Weird"}\n')
+        with open(case.bundle_dir / "messages.jsonl", "ab") as handle:
+            handle.write(b"\xff\n")
+        out = tmp_path / "out"
+        assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 0
+        name = "sim-1000.report.json"
+        report = json.loads((out / name).read_text())
+        assert [entry["file"] for entry in report["error_ledger"]] == [
+            "messages.jsonl", "installed_apps.jsonl", case.cloud_log.name,
+        ]
+        assert stepwise(case, tmp_path / "stepwise", []) == 0
         assert (out / name).read_bytes() == (tmp_path / "stepwise" / name).read_bytes()
 
     def test_run_all_ingests_each_input_once(self, tmp_path, monkeypatch):
@@ -401,29 +469,32 @@ class TestStageFiles:
         assert leftovers == []
 
 
-def _without(key):
+def _edit(key, change):
+    """Apply ``change(parent, last)`` at ``key``, a name or a tuple path into the JSON."""
+
     def damage(raw: bytes) -> bytes:
         data = json.loads(raw)
-        del data[key]
+        *parents, last = key if isinstance(key, tuple) else (key,)
+        target = data
+        for step in parents:
+            target = target[step]
+        change(target, last)
         return json.dumps(data).encode()
 
     return damage
+
+
+def _without(key):
+    return _edit(key, lambda parent, last: parent.pop(last))
 
 
 def _with(key, value):
-    def damage(raw: bytes) -> bytes:
-        data = json.loads(raw)
-        if isinstance(key, tuple):
-            data[key[0]][key[1]] = value
-        else:
-            data[key] = value
-        return json.dumps(data).encode()
-
-    return damage
+    return _edit(key, lambda parent, last: parent.__setitem__(last, value))
 
 
 _TRUNCATED_SEALED = b'{\n  "dump_id": "sim-1000",\n  "coll'
 _NOT_HEX = "zz" * 32
+_TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 
 # One row per malformed input: (file damaged, damage, command, exit code, stderr line).
 # The command runs on a case that `run-all` has sealed and analysed into `out/`.
@@ -468,6 +539,47 @@ MALFORMED_INPUTS = [
     pytest.param("bundle/manifest.json", _with("zone_offset_minutes", 1.5), "verify", 4,
                  "error: {path} field 'zone_offset_minutes' must be an integer, got 1.5",
                  id="zone-offset-float"),
+    pytest.param("bundle/manifest.sealed.json", lambda raw: b"[" * 100_000, "verify", 4,
+                 "error: {path} is not valid JSON: " + _TOO_DEEP, id="sealed-nested-too-deeply"),
+    pytest.param("bundle/manifest.json", lambda raw: b"[" * 100_000, "ingest", 4,
+                 "error: {path} unreadable: " + _TOO_DEEP, id="manifest-nested-too-deeply"),
+    pytest.param("bundle/manifest.json", lambda raw: b"\xff" + raw, "ingest", 4,
+                 "error: {path} unreadable: 'utf-8' codec can't decode byte 0xff in position 0: "
+                 "invalid start byte",
+                 id="non-utf8-manifest"),
+    # Nested stage-file content that the renderers index.
+    pytest.param("out/links.json", lambda raw: b'[{"tier":"ExactDigest"}]', "report-md", 4,
+                 "error: stage file {path} missing field '[0].device_record_id'",
+                 id="link-with-tier-only"),
+    pytest.param("out/links.json", _without((0, "time_delta_seconds")), "report-md", 4,
+                 "error: stage file {path} missing field '[0].time_delta_seconds'",
+                 id="link-without-delta"),
+    pytest.param("out/findings.json", _with((0, "supporting_ids", 1), 7), "report-md", 4,
+                 "error: stage file {path} field '[0].supporting_ids[1]' must hold a string",
+                 id="finding-id-not-string"),
+    pytest.param("out/timeline.json", _with(("entries", 0), 5), "report-md", 4,
+                 "error: stage file {path} field 'entries[0]' must hold a JSON object",
+                 id="timeline-entry-not-object"),
+    pytest.param("out/identity_graph.json", _without(("edges", 0, "count")), "report-md", 4,
+                 "error: stage file {path} missing field 'edges[0].count'",
+                 id="edge-without-count"),
+    pytest.param("out/cloud_log.json", _with("ledger", [{"file": "x", "line": 1}]), "report", 4,
+                 "error: stage file {path} missing field 'ledger[0].message'",
+                 id="cloud-ledger-without-message"),
+    pytest.param("out/dump.json", _with("device", []), "report", 4,
+                 "error: stage file {path} field 'device' must hold a JSON object",
+                 id="device-not-object"),
+    pytest.param("out/dump.json", _with("dump_id", 7), "report", 4,
+                 "error: stage file {path} field 'dump_id' must hold a string",
+                 id="dump-id-not-string"),
+    pytest.param("out/skew.json", _without("fallback"), "report-md", 4,
+                 "error: stage file {path} missing field 'fallback'", id="skew-without-fallback"),
+    pytest.param("out/timeline.json", lambda raw: b"[" * 100_000, "report", 4,
+                 "error: stage file {path} is not valid JSON: " + _TOO_DEEP,
+                 id="stage-nested-too-deeply"),
+    pytest.param("out/geo.json", lambda raw: b"[null]", "report-md", 4,
+                 "error: stage file {path} field '[0]' must hold a JSON object",
+                 id="geo-entry-null"),
 ]
 
 
@@ -484,6 +596,7 @@ class TestMalformedInputs:
         capsys.readouterr()
         argv = {
             "report": ["report", "--out", str(out)],
+            "report-md": ["report", "--out", str(out), "--format", "md"],
             "verify": ["verify", str(bundle)],
             "ingest": ["ingest", str(bundle), "--out", str(out)],
         }[command]

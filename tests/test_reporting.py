@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synctrail.acquisition import (
+    AppStatus,
+    dump_to_json_dict,
     ingest_cloud_log,
     ingest_device_dump,
     parse_app_inventory,
@@ -25,10 +27,15 @@ from synctrail.preservation import seal_dump, verify_chain
 from synctrail.reporting import (
     CaseReport,
     ReportFormat,
-    assemble_case_report,
+    build_case_report,
+    finding_to_dict,
+    identity_graph_to_dict,
+    link_to_dict,
     redact,
     render_report,
     report_to_json_dict,
+    skew_to_dict,
+    timeline_to_list,
 )
 
 SECTIONS = [
@@ -47,13 +54,11 @@ SECTIONS = [
     "error_ledger",
 ]
 
+PARAMETERS = {"window_seconds": 300, "min_skew_support": 3, "locale": "day-first"}
+
 
 def empty_case() -> CaseReport:
-    return assemble_case_report(
-        case_id="empty",
-        tool_version="0.1.0",
-        parameters={"window_seconds": 300, "min_skew_support": 3, "locale": "day-first"},
-    )
+    return build_case_report({"parameters.json": PARAMETERS}, "0.1.0", "empty")
 
 
 def golden_case(golden_bundle, golden_cloud_log) -> CaseReport:
@@ -68,21 +73,26 @@ def golden_case(golden_bundle, golden_cloud_log) -> CaseReport:
     messages, calls, contacts = parse_comm_artifacts(dump)
     graph = build_identity_graph(contacts, messages, calls, parse_email_accounts(dump))
     verification = verify_chain(seal_dump(dump), dump.records)
-    return assemble_case_report(
-        case_id="golden",
-        tool_version="0.1.0",
-        parameters={"window_seconds": 300, "min_skew_support": 3, "locale": "day-first"},
-        dump=dump,
-        apps=apps,
-        cloud_log_names=[golden_cloud_log.name],
-        cloud_event_count=len(events),
-        verification=verification,
-        skew=skew,
-        links=links,
-        findings=findings,
-        timeline=timeline,
-        identity_graph=graph,
-    )
+    uninstalled = sum(1 for a in apps if a.status is AppStatus.UNINSTALLED)
+    stages = {
+        "parameters.json": PARAMETERS,
+        "dump.json": {
+            **dump_to_json_dict(dump),
+            "app_counts": {"installed": len(apps) - uninstalled, "uninstalled": uninstalled},
+            "parse_ledger": [],
+        },
+        "verification.json": {"verdict": verification.verdict.value},
+        "cloud_log.json": {"name": golden_cloud_log.name, "event_count": len(events), "ledger": []},
+        "skew.json": skew_to_dict(skew),
+        "links.json": [link_to_dict(link) for link in links],
+        "findings.json": [finding_to_dict(f, f"F{i + 1:03d}") for i, f in enumerate(findings)],
+        "timeline.json": {
+            "entries": timeline_to_list(timeline),
+            "excluded_undated": timeline.excluded_undated,
+        },
+        "identity_graph.json": identity_graph_to_dict(graph),
+    }
+    return build_case_report(stages, "0.1.0", "golden")
 
 
 class TestRenderReport:
