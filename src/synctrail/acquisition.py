@@ -225,6 +225,26 @@ class _LineError(Exception):
     """Internal: one line could not become a record; goes to the ledger."""
 
 
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+# One decoder for every JSON reader, built once: bundle and cloud log
+# lines, manifest.json, manifest.sealed.json and stage files.
+_JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def load_json(text: str) -> object:
+    """``json.loads(text)``, except that NaN, Infinity and -Infinity raise ValueError.
+
+    Malformed text raises json.JSONDecodeError, with the same message as
+    ``json.loads`` gives, and nesting too deep raises RecursionError.
+    """
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _JSON_DECODER.decode(text)
+
+
 def _json_object(line: bytes) -> dict:
     """One input line as a JSON object, or _LineError saying why it is not.
 
@@ -237,9 +257,11 @@ def _json_object(line: bytes) -> dict:
     except UnicodeDecodeError as exc:
         raise _LineError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
     try:
-        fields = json.loads(text)
+        fields = load_json(text)
     except json.JSONDecodeError as exc:
         raise _LineError(f"invalid JSON: {exc.msg}") from None
+    except ValueError as exc:
+        raise _LineError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise _LineError("invalid JSON: nested too deeply") from None
     if not isinstance(fields, dict):
@@ -252,9 +274,24 @@ def _stringify(value: object) -> str:
         return value
     if isinstance(value, bool):
         return "true" if value else "false"
+    if type(value) is int:
+        return int.__repr__(value)  # what json.dumps writes, without its encoder set-up
     if isinstance(value, (int, float)):
         return json.dumps(value)
     return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
+
+def _integer(value: object) -> Optional[int]:
+    """An int, or a string that ``int()`` reads; None for anything else.
+
+    A float or a bool is refused, never truncated to an int.
+    """
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    return None
 
 
 def record_from_fields(
@@ -287,7 +324,7 @@ def record_from_fields(
             raise _LineError(f"attribute key {key!r} uses the reserved '_' prefix")
         if value is None:
             continue
-        attributes[key] = _stringify(value)
+        attributes[key] = value if type(value) is str else _stringify(value)
     attributes["_file"] = file_name
     attributes["_line"] = str(line_no)
 
@@ -380,7 +417,7 @@ def _load_manifest(bundle: Path) -> dict:
     if not manifest_path.is_file():
         raise MissingManifest(f"no {BUNDLE_MANIFEST} in {bundle}")
     try:
-        data = json.loads(manifest_path.read_text(encoding="utf-8"))
+        data = load_json(manifest_path.read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         raise MissingManifest(f"{manifest_path} unreadable: {exc}") from exc
     if not isinstance(data, dict):
@@ -393,15 +430,12 @@ def _load_manifest(bundle: Path) -> dict:
 
 
 def _zone_offset(value: object, manifest_path: Path) -> int:
-    """An integer, or a string holding one; a float is refused, not truncated."""
-    if isinstance(value, str):
-        with contextlib.suppress(ValueError):
-            return int(value)
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise MalformedManifest(
-        f"{manifest_path} field 'zone_offset_minutes' must be an integer, got {value!r}"
-    )
+    offset = _integer(value)
+    if offset is None:
+        raise MalformedManifest(
+            f"{manifest_path} field 'zone_offset_minutes' must be an integer, got {value!r}"
+        )
+    return offset
 
 
 def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRST) -> DeviceDump:
@@ -657,13 +691,11 @@ def ingest_cloud_log(
             except ValueError:
                 note(line_no, f"bad content digest {fields['digest']!r}")
                 continue
-        size: Optional[int] = None
-        if fields.get("size") is not None:
-            try:
-                size = int(fields["size"])
-            except (TypeError, ValueError, OverflowError):
-                note(line_no, f"bad size {fields['size']!r}")
-                continue
+        raw_size = fields.get("size")
+        size = None if raw_size is None else _integer(raw_size)
+        if size is None and raw_size is not None:
+            note(line_no, f"bad size {raw_size!r}")
+            continue
         if event_id in seen:
             raise DuplicateEventId(
                 f"event id {event_id!r} on line {line_no} already used on line {seen[event_id]}"
@@ -674,13 +706,18 @@ def ingest_cloud_log(
                 event_id=event_id,
                 kind=kind,
                 timestamp=timestamp,
-                account=str(fields.get("account", "")),
-                package_or_object=str(fields.get("object", "")),
+                account=_optional_text(fields.get("account")),
+                package_or_object=_optional_text(fields.get("object")),
                 content_digest=digest,
                 size_bytes=size,
             )
         )
     return events
+
+
+def _optional_text(value: object) -> str:
+    """A cloud text field: absent or null is "", other values as device attributes are."""
+    return "" if value is None else _stringify(value)
 
 
 def device_to_json_dict(profile: DeviceProfile) -> dict:

@@ -28,6 +28,7 @@ from .acquisition import (
     dump_to_json_dict,
     ingest_cloud_log,
     ingest_device_dump,
+    load_json,
     parse_app_inventory,
     parse_comm_artifacts,
     parse_email_accounts,
@@ -153,7 +154,7 @@ def _read_stage(path: Path, stage: StageFile) -> Any:
     naming the file.
     """
     try:
-        data = json.loads(path.read_bytes().decode("utf-8"))
+        data = load_json(path.read_bytes().decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise MalformedStageFile(f"stage file {path} is not valid JSON: {exc}") from None
     problem = shape_problem(data, stage.shape)

@@ -490,10 +490,11 @@ def build_timeline(
             TimelineEntry(record.timestamp, Source.DEVICE, record.record_id, record.category.value)
         )
     for event in cloud_events:
-        corrected = UtcTimestamp(
-            event.timestamp.seconds_since_epoch - skew.offset_seconds,
-            event.timestamp.original_text,
-        )
+        corrected = event.timestamp
+        if skew.offset_seconds:
+            corrected = UtcTimestamp(
+                corrected.seconds_since_epoch - skew.offset_seconds, corrected.original_text
+            )
         entries.append(TimelineEntry(corrected, Source.CLOUD, event.event_id, event.kind.value))
     entries.sort(
         key=lambda e: (

@@ -21,6 +21,7 @@ from .errors import ImpossibleDate, UnparseableTimestamp
 FIELD_SEP = b"\x1f"
 RECORD_TERM = b"\x1e"
 _FORBIDDEN = ("\x1f", "\x1e")
+_FIELD_SEP_TEXT = FIELD_SEP.decode("ascii")
 
 # Epoch bounds for 1970-01-01T00:00:00Z .. 2100-12-31T23:59:59Z.
 EPOCH_MIN = 0
@@ -31,6 +32,7 @@ DIGEST_ALGORITHM = "sha-256"
 _ISO_RE = re.compile(
     r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:\d{2})$"
 )
+_ISO_Z_LENGTH = len("YYYY-MM-DDThh:mm:ssZ")
 _LEGACY_RE = re.compile(
     r"^(\d{1,2})/(\d{1,2})/(\d{4}) (\d{1,2}):(\d{2}):(\d{2}) (AM|PM)$"
 )
@@ -71,6 +73,10 @@ class UtcTimestamp:
 
     seconds_since_epoch: int
     original_text: str
+    # Not a field: the ISO rendering, kept on the instance once formatted.
+    # A timestamp parsed from ISO-Z text starts with that text, which
+    # already is its rendering.
+    _iso = None
 
     def __post_init__(self) -> None:
         if not (EPOCH_MIN <= self.seconds_since_epoch <= EPOCH_MAX):
@@ -82,8 +88,10 @@ class UtcTimestamp:
         _check_clean(self.original_text, "timestamp text")
 
     def to_iso(self) -> str:
-        """Render as YYYY-MM-DDTHH:MM:SSZ."""
-        return epoch_to_iso(self.seconds_since_epoch)
+        """Render as YYYY-MM-DDTHH:MM:SSZ, formatting at most once per instance."""
+        if self._iso is None:
+            object.__setattr__(self, "_iso", epoch_to_iso(self.seconds_since_epoch))
+        return self._iso  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -123,19 +131,44 @@ class EvidenceRecord:
     canonical: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.record_id:
-            raise ValueError("record_id must be nonempty")
-        _check_clean(self.record_id, "record_id")
-        for key, value in self.attributes.items():
-            if not isinstance(key, str) or not key:
-                raise ValueError("attribute keys must be nonempty strings")
-            if not isinstance(value, str):
-                raise ValueError(f"attribute {key!r} value must be a string")
-            _check_clean(key, f"attribute key {key!r}")
-            _check_clean(value, f"attribute value for {key!r}")
-        object.__setattr__(self, "attributes", dict(self.attributes))
-        object.__setattr__(self, "canonical", canonical_encode(self))
+        # Validation reads the encoded bytes: the fields are clean exactly
+        # when the encoding holds one separator between each pair of its
+        # 4 + 2n fields, one terminator, and no empty id or key. Anything
+        # else, a failed encode included, replays the per-field checks,
+        # which raise what they always raised; an encode error is raised
+        # only when every check passes, as if the checks had run first.
+        attributes = self.attributes
+        try:
+            canonical = canonical_encode(self)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            canonical, error = b"", exc
+        if not (
+            canonical
+            and self.record_id
+            and canonical.count(FIELD_SEP) == 3 + 2 * len(attributes)
+            and canonical.count(RECORD_TERM) == 1
+            and "" not in attributes
+        ):
+            _check_fields(self.record_id, attributes)
+            if not canonical:
+                raise error
+        object.__setattr__(self, "attributes", dict(attributes))
+        object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "digest", record_digest(self))
+
+
+def _check_fields(record_id: str, attributes: Mapping[str, str]) -> None:
+    """Raise ValueError naming the first field that is empty, not a string, or unclean."""
+    if not record_id:
+        raise ValueError("record_id must be nonempty")
+    _check_clean(record_id, "record_id")
+    for key, value in attributes.items():
+        if not isinstance(key, str) or not key:
+            raise ValueError("attribute keys must be nonempty strings")
+        if not isinstance(value, str):
+            raise ValueError(f"attribute {key!r} value must be a string")
+        _check_clean(key, f"attribute key {key!r}")
+        _check_clean(value, f"attribute value for {key!r}")
 
 
 def _check_clean(text: str, what: str) -> None:
@@ -152,16 +185,21 @@ def canonical_encode(record: EvidenceRecord) -> bytes:
     sorted by key. Fields are joined with 0x1f and the record ends with
     0x1e. Attribute insertion order therefore never affects the bytes.
     """
+    attributes = record.attributes
     fields = [
         record.record_id,
         record.category.value,
         record.timestamp.original_text if record.timestamp else "",
         record.source.value,
     ]
-    for key in sorted(record.attributes):
-        fields.append(key)
-        fields.append(record.attributes[key])
-    return FIELD_SEP.join(f.encode("utf-8") for f in fields) + RECORD_TERM
+    for key in sorted(attributes):
+        fields += (key, attributes[key])
+    try:
+        return _FIELD_SEP_TEXT.join(fields).encode("utf-8") + RECORD_TERM
+    except (TypeError, UnicodeEncodeError):
+        # Encode field by field so the error names the field's own
+        # type, or a position within the field.
+        return FIELD_SEP.join(f.encode("utf-8") for f in fields) + RECORD_TERM
 
 
 def record_digest(record: EvidenceRecord) -> Digest256:
@@ -180,13 +218,20 @@ def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> U
     """
     m = _ISO_RE.match(raw)
     if m:
-        year, month, day, hour, minute, second = (int(g) for g in m.groups()[:6])
+        year, month, day, hour, minute, second = map(int, m.groups()[:6])
         zone = m.group(7)
         _validate_civil(year, month, day, hour, minute, second)
         epoch = _epoch_from_civil(year, month, day, hour, minute, second)
-        if zone != "Z":
-            sign = 1 if zone[0] == "+" else -1
-            epoch -= sign * (int(zone[1:3]) * 3600 + int(zone[4:6]) * 60)
+        if zone == "Z":
+            stamp = UtcTimestamp(epoch, raw)
+            # Validated ASCII text of this exact length already is the ISO
+            # rendering; \d also matches other scripts' digits, and $
+            # matches before a trailing newline, so other text is formatted.
+            if len(raw) == _ISO_Z_LENGTH and raw.isascii():
+                object.__setattr__(stamp, "_iso", raw)
+            return stamp
+        sign = 1 if zone[0] == "+" else -1
+        epoch -= sign * (int(zone[1:3]) * 3600 + int(zone[4:6]) * 60)
         return UtcTimestamp(epoch, raw)
 
     m = _LEGACY_RE.match(raw)
@@ -231,7 +276,18 @@ def _month_length(year: int, month: int) -> int:
 def _epoch_from_civil(
     year: int, month: int, day: int, hour: int, minute: int, second: int
 ) -> int:
-    return calendar.timegm((year, month, day, hour, minute, second, 0, 0, 0))
+    """UTC epoch seconds of a civil time; the inverse of ``civil_from_epoch``.
+
+    Closed-form days-from-civil on the proleptic Gregorian calendar, with
+    years starting in March (H. Hinnant). Years here are 1970-2100, so
+    no era is negative.
+    """
+    year -= month <= 2
+    era, year_of_era = divmod(year, 400)
+    day_of_year = (153 * (month - 3 if month > 2 else month + 9) + 2) // 5 + day - 1
+    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
+    days = era * 146097 + day_of_era - 719468  # 0000-03-01 to 1970-01-01
+    return days * 86400 + hour * 3600 + minute * 60 + second
 
 
 def epoch_to_iso(epoch: int) -> str:

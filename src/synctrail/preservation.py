@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import atomic
-from .acquisition import DeviceDump
+from .acquisition import DeviceDump, load_json
 from .errors import (
     DeviceMismatch,
     ImpossibleDate,
@@ -247,7 +247,7 @@ def load_sealed_manifest(bundle_path: Path | str) -> AcquisitionManifest:
     if not path.is_file():
         raise MissingManifest(f"no {SEALED_MANIFEST} in {bundle_path}; seal the bundle first")
     try:
-        data = json.loads(path.read_bytes().decode("utf-8"))
+        data = load_json(path.read_bytes().decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise MalformedManifest(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -17,7 +17,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .acquisition import LedgerEntry
 from .correlation import (
@@ -326,18 +326,81 @@ def render_report(case: CaseReport, format: ReportFormat = ReportFormat.JSON) ->
 def _render_json(data: dict) -> str:
     """Exactly ``json.dumps(data, indent=2, ensure_ascii=False) + "\\n"``.
 
-    Each top-level member is encoded on its own and indented one more
-    level, so the encoder's working memory is bounded by the largest
-    section rather than the whole report. Indenting by replacing
-    newlines is exact because an encoded JSON string never contains a
-    raw newline.
+    Each top-level member is written and joined on its own, so the
+    writer's small strings never outnumber those of the largest
+    section, and the members are joined once into the report.
     """
-    members = (
-        f"  {json.dumps(key, ensure_ascii=False)}: "
-        + json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
-        for key, value in data.items()
-    )
-    return "{\n" + ",\n".join(members) + "\n}\n"
+    out = ["{"]
+    before = "\n  "
+    for key, value in data.items():
+        parts = [before, _encode_str(key), ": "]
+        _append_json(value, "\n  ", parts)
+        out.append("".join(parts))
+        before = ",\n  "
+    out.append("\n}\n")
+    return "".join(out)
+
+
+# How json.dumps(..., ensure_ascii=False) writes each leaf type it
+# meets in a report, strings on the C encoder; a subclass is no key here.
+_LEAVES: dict[type, Callable[[Any], str]] = {
+    str: json.encoder.encode_basestring,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+_encode_str = _LEAVES[str]
+
+
+def _append_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``value`` as ``json.dumps(value, indent=2, ensure_ascii=False)``
+    does, with ``newline`` (a newline and the current indent) between lines.
+
+    Leaves of a ``_LEAVES`` type, and nonempty lists and dicts with
+    string keys, are written here. Any other value, subclasses and empty
+    containers included, and any dict with a non-string key, is handed
+    whole to json.dumps. Re-indenting its output by replacing newlines is
+    exact because an encoded JSON string never holds a raw newline.
+    """
+    kind = type(value)
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        out.append(leaf(value))
+    elif kind is list and value:
+        inner = newline + "  "
+        before = "[" + inner
+        for item in value:
+            leaf = _LEAVES.get(type(item))
+            if leaf is not None:
+                out.append(before + leaf(item))
+            else:
+                out.append(before)
+                _append_json(item, inner, out)
+            before = "," + inner
+        out.append(newline + "]")
+    elif kind is dict and value:
+        start = len(out)
+        inner = newline + "  "
+        before = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                del out[start:]
+                out.append(_dumps(value, newline))
+                return
+            leaf = _LEAVES.get(type(item))
+            if leaf is not None:
+                out.append(before + _encode_str(key) + ": " + leaf(item))
+            else:
+                out.append(before + _encode_str(key) + ": ")
+                _append_json(item, inner, out)
+            before = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(_dumps(value, newline))
+
+
+def _dumps(value: Any, newline: str) -> str:
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline)
 
 
 def redact(report_json: dict, policy: Sequence[str]) -> dict:

@@ -139,3 +139,35 @@ def linear_scan_geo(rows, ip_value: int):
         if start <= ip_value <= end:
             return country, city
     return None
+
+
+def reference_checked_encode(record_id, category_text, timestamp_text, attributes, source_text):
+    """Validate and encode record fields one at a time, the long way.
+
+    The checks run in order: the id is nonempty and holds neither
+    separator, then each attribute in insertion order has a nonempty
+    string key and a string value, neither holding a separator. Then
+    every field is encoded on its own, so an encode error names a
+    position within its field. Raises whatever the first failing step
+    raises; returns the canonical bytes otherwise.
+    """
+
+    def check_clean(text, what):
+        for mark in ("\x1f", "\x1e"):
+            if mark in text:
+                raise ValueError(f"{what} contains reserved separator byte {mark!r}")
+
+    if not record_id:
+        raise ValueError("record_id must be nonempty")
+    check_clean(record_id, "record_id")
+    for key, value in attributes.items():
+        if not isinstance(key, str) or not key:
+            raise ValueError("attribute keys must be nonempty strings")
+        if not isinstance(value, str):
+            raise ValueError(f"attribute {key!r} value must be a string")
+        check_clean(key, f"attribute key {key!r}")
+        check_clean(value, f"attribute value for {key!r}")
+    fields = [record_id, category_text, timestamp_text, source_text]
+    for key in sorted(attributes):
+        fields += [key, attributes[key]]
+    return b"\x1f".join(field.encode("utf-8") for field in fields) + b"\x1e"

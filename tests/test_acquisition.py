@@ -155,6 +155,25 @@ class TestIngestDeviceDump:
             e.file == "sensor_history.jsonl" and e.line == 0 for e in dump.ledger
         )
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_is_one_ledger_entry(self, tmp_path, constant):
+        bundle = write_bundle(tmp_path / "b", {})
+        (bundle / "running_apps.jsonl").write_text(
+            f'{{"name":"a","pid":{constant}}}\n{{"name":"b","nested":[1,{{"x":{constant}}}]}}\n'
+            '{"name":"c"}\n'
+        )
+        dump = ingest_device_dump(bundle)
+        assert [r.attributes["name"] for r in dump.records] == ["c"]
+        message = f"invalid JSON: non-finite number {constant} is not allowed"
+        assert [(e.line, e.message) for e in dump.ledger] == [(1, message), (2, message)]
+
+    def test_bom_line_keeps_its_ledger_message(self, tmp_path):
+        bundle = write_bundle(tmp_path / "b", {})
+        (bundle / "running_apps.jsonl").write_text('\ufeff{"name":"a"}\n', encoding="utf-8")
+        assert [e.message for e in ingest_device_dump(bundle).ledger] == [
+            "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        ]
+
     def test_reserved_underscore_keys_rejected_per_line(self, tmp_path):
         bundle = write_bundle(
             tmp_path / "b",
@@ -402,6 +421,55 @@ class TestIngestCloudLog:
         events = ingest_cloud_log(path, ledger)
         assert [(e.event_id, e.size_bytes) for e in events] == [("e2", 7)]
         assert [(e.line, e.message) for e in ledger] == [(1, "bad size inf")]
+
+    @pytest.mark.parametrize("size", [1.5, 12.0, True, False, "1.5", "twelve", [12], {"n": 1}])
+    def test_size_that_is_not_an_integer_is_ledgered(self, tmp_path, size):
+        path = tmp_path / "log.jsonl"
+        path.write_text(
+            json.dumps({"id": "e1", "kind": "Upload", "ts": "2016-05-10T16:51:13Z", "size": size})
+            + '\n{"id":"e2","kind":"Upload","ts":"2016-05-10T16:52:13Z","size":null}\n'
+        )
+        ledger: list[LedgerEntry] = []
+        events = ingest_cloud_log(path, ledger)
+        assert [(e.event_id, e.size_bytes) for e in events] == [("e2", None)]
+        assert [(e.line, e.message) for e in ledger] == [(1, f"bad size {size!r}")]
+
+    @pytest.mark.parametrize("size, expected", [(12, 12), ("12", 12), (" 7 ", 7), (0, 0)])
+    def test_integer_size_or_integer_string_accepted(self, tmp_path, size, expected):
+        path = tmp_path / "log.jsonl"
+        path.write_text(
+            json.dumps({"id": "e1", "kind": "Upload", "ts": "2016-05-10T16:51:13Z", "size": size})
+        )
+        assert [e.size_bytes for e in ingest_cloud_log(path)] == [expected]
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [(None, ""), ("a@x", "a@x"), (5, "5"), (True, "true"), (1.5, "1.5"),
+         ({"k": "Zoë"}, '{"k":"Zoë"}'), (["a", 1], '["a",1]')],
+    )
+    def test_account_and_object_stringified_as_device_attributes_are(
+        self, tmp_path, value, text
+    ):
+        path = tmp_path / "log.jsonl"
+        row = {"id": "e1", "kind": "Login", "ts": "2016-05-10T16:51:13Z",
+               "account": value, "object": value}
+        path.write_text(json.dumps(row) + "\n")
+        (event,) = ingest_cloud_log(path)
+        assert (event.account, event.package_or_object) == (text, text)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_is_one_ledger_entry(self, tmp_path, constant):
+        path = tmp_path / "log.jsonl"
+        path.write_text(
+            f'{{"id":"e1","kind":"Upload","ts":"2016-05-10T16:51:13Z","size":{constant}}}\n'
+            '{"id":"e2","kind":"Upload","ts":"2016-05-10T16:52:13Z"}\n'
+        )
+        ledger: list[LedgerEntry] = []
+        events = ingest_cloud_log(path, ledger)
+        assert [e.event_id for e in events] == ["e2"]
+        assert [(e.line, e.message) for e in ledger] == [
+            (1, f"invalid JSON: non-finite number {constant} is not allowed")
+        ]
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u0085"])
     def test_unicode_line_separator_stays_inside_its_event(self, tmp_path, separator):

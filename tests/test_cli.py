@@ -580,6 +580,18 @@ MALFORMED_INPUTS = [
     pytest.param("out/geo.json", lambda raw: b"[null]", "report-md", 4,
                  "error: stage file {path} field '[0]' must hold a JSON object",
                  id="geo-entry-null"),
+    # NaN and the infinities are not JSON, whatever Python's decoder accepts by default.
+    pytest.param("out/skew.json", lambda raw: raw.replace(b"{", b'{"pad":NaN,', 1), "report", 4,
+                 "error: stage file {path} is not valid JSON: "
+                 "non-finite number NaN is not allowed",
+                 id="stage-nan"),
+    pytest.param("bundle/manifest.sealed.json",
+                 lambda raw: raw.replace(b"{", b'{"pad": -Infinity,', 1), "verify", 4,
+                 "error: {path} is not valid JSON: non-finite number -Infinity is not allowed",
+                 id="sealed-minus-infinity"),
+    pytest.param("bundle/manifest.json", _with("zone_offset_minutes", float("inf")), "ingest", 4,
+                 "error: {path} unreadable: non-finite number Infinity is not allowed",
+                 id="manifest-infinity"),
 ]
 
 

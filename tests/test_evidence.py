@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synctrail.acquisition import ingest_device_dump
+from synctrail.acquisition import LedgerEntry, ingest_device_dump
 from synctrail.errors import ImpossibleDate, UnparseableTimestamp
 from synctrail.evidence import (
     ArtifactCategory,
@@ -26,8 +26,10 @@ from synctrail.evidence import (
     normalize_timestamp,
     record_digest,
 )
+from synctrail import evidence
 
-from _oracles import civil_to_epoch, reference_encode
+from _oracles import civil_to_epoch, reference_checked_encode, reference_encode
+from test_acquisition import write_bundle
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -267,3 +269,153 @@ class TestUtcTimestamp:
     def test_original_text_required(self):
         with pytest.raises(ValueError):
             UtcTimestamp(0, "")
+
+
+def outcome(build):
+    """What ``build()`` gives: its bytes, or the type and message of what it raised."""
+    try:
+        return build()
+    except Exception as exc:  # every failure is compared, whatever its type
+        return type(exc), str(exc)
+
+
+# (record id, attributes): every way a field can fail its checks, and a
+# few that pass. Where two fields fail, the first in check order wins.
+FIELD_CASES = {
+    "empty-id": ("", {"k": "v"}),
+    "none-id": (None, {}),
+    "int-id": (5, {}),
+    "id-0x1f": ("a\x1fb", {}),
+    "id-0x1e": ("a\x1eb", {"k": "v"}),
+    "key-0x1f": ("r1", {"k\x1f": "v"}),
+    "key-0x1e": ("r1", {"a": "v", "k\x1e": "v"}),
+    "value-0x1f": ("r1", {"k": "v\x1fw"}),
+    "value-0x1e": ("r1", {"k": "\x1e"}),
+    "int-key": ("r1", {1: "v"}),
+    "mixed-keys": ("r1", {"b": "v", 1: "v"}),
+    "int-value": ("r1", {"k": 1}),
+    "none-value": ("r1", {"k": None}),
+    "empty-key": ("r1", {"": "v"}),
+    "empty-key-after-bad-value": ("r1", {"k": "v\x1e", "": "v"}),
+    "bad-value-after-empty-key": ("r1", {"": "v", "k": "v\x1e"}),
+    "lone-surrogate-id": ("r\ud800", {"k": "v"}),
+    "lone-surrogate-key": ("r1", {"a": "v", "key\udc00": "v"}),
+    "lone-surrogate-value": ("r1", {"k": "va\ud800"}),
+    "surrogate-before-separator": ("r1", {"a": "\ud800", "b\x1f": "v"}),
+    "attributes-not-a-mapping": ("r1", [("k", "v")]),
+    "clean": ("r1", {"z": "last", "k": "Zoë – 東京 🙂"}),
+    "clean-no-attributes": ("r1", {}),
+}
+
+MAPPING_CASES = {name: case for name, case in FIELD_CASES.items() if isinstance(case[1], dict)}
+
+
+class TestFieldChecksMatchReference:
+    """The one-pass check gives what the field-by-field checks gave, byte for byte
+    and error for error."""
+
+    @pytest.mark.parametrize("record_id, attributes", FIELD_CASES.values(), ids=FIELD_CASES)
+    def test_record_construction(self, record_id, attributes):
+        expected = outcome(
+            lambda: reference_checked_encode(record_id, "Message", "", attributes, "Device")
+        )
+        got = outcome(lambda: make_record(record_id=record_id, attributes=attributes).canonical)
+        assert got == expected
+
+    @pytest.mark.parametrize("record_id, attributes", MAPPING_CASES.values(), ids=MAPPING_CASES)
+    def test_canonical_encode_of_unchecked_fields(self, record_id, attributes):
+        record = make_record()
+        object.__setattr__(record, "record_id", record_id)
+        object.__setattr__(record, "attributes", attributes)
+        encoded = outcome(lambda: canonical_encode(record))
+        if isinstance(encoded, bytes):
+            assert encoded == reference_encode(record)
+        else:
+            assert encoded == outcome(lambda: reference_encode(record))
+
+    @pytest.mark.parametrize("mark", ["\x1f", "\x1e"])
+    def test_timestamp_text(self, mark):
+        with pytest.raises(ValueError) as caught:
+            UtcTimestamp(0, f"t{mark}")
+        assert str(caught.value) == f"timestamp text contains reserved separator byte {mark!r}"
+        # Text that bypassed that check is encoded as it stands, as before.
+        stamp = UtcTimestamp(0, "t")
+        object.__setattr__(stamp, "original_text", f"t{mark}u")
+        record = make_record(timestamp=stamp, attributes={"k": "v"})
+        assert record.canonical == reference_checked_encode(
+            "r1", "Message", f"t{mark}u", {"k": "v"}, "Device"
+        )
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"id": "a\x1fb", "name": "x"},
+            {"id": "a\x1eb"},
+            {"name\x1f": "x"},
+            {"name": "x\x1e"},
+            {"name": "x", "package": "p\x1f"},
+            {"id": "r\ud800"},
+            {"name": "xy\udfff"},
+            {"n\ud800": "x"},
+        ],
+    )
+    def test_ingest_ledger_message(self, tmp_path, row):
+        bundle = write_bundle(tmp_path / "b", {"running_apps.jsonl": [row]})
+        dump = ingest_device_dump(bundle)
+        attributes = {k: v for k, v in row.items() if k != "id"}
+        attributes.update(_file="running_apps.jsonl", _line="1")
+        record_id = row.get("id", "running_apps:1")
+        _, message = outcome(
+            lambda: reference_checked_encode(record_id, "RunningApp", "", attributes, "Device")
+        )
+        assert dump.records == ()
+        assert dump.ledger == (LedgerEntry("running_apps.jsonl", 1, message),)
+
+
+class TestEpochFromCivil:
+    def test_first_and_last_second_of_every_day_matches_timegm(self):
+        for year in range(1970, 2101):
+            for month in range(1, 13):
+                for day in range(1, calendar.monthrange(year, month)[1] + 1):
+                    for clock in ((0, 0, 0), (23, 59, 59)):
+                        civil = (year, month, day, *clock)
+                        assert evidence._epoch_from_civil(*civil) == calendar.timegm(civil), civil
+
+
+class TestToIso:
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "2016-04-06T14:33:53Z",
+            "1970-01-01T00:00:00Z",
+            "2100-12-31T23:59:59Z",
+            "2016-04-06T15:33:53+01:00",
+            "2016-04-06T00:10:00-02:30",
+            "06/04/2016 02:33:53 PM",
+            "29/02/2016 12:00:00 AM",
+            "2016-04-06T14:33:53Z\n",  # $ matches before a final newline
+            "٢٠١٦-٠٤-٠٦T14:33:53Z",  # \d matches digits of other scripts
+            "２０１６-04-06T14:33:53Z",
+        ],
+    )
+    @pytest.mark.parametrize("zone_offset_minutes", [0, 90])
+    def test_equals_epoch_to_iso(self, raw, zone_offset_minutes):
+        stamp = normalize_timestamp(raw, Locale.DAY_FIRST, zone_offset_minutes)
+        assert stamp.to_iso() == epoch_to_iso(stamp.seconds_since_epoch)
+        assert stamp.to_iso() is stamp.to_iso()
+
+    def test_iso_z_text_is_its_own_rendering(self):
+        raw = "2016-04-06T14:33:53Z"
+        assert normalize_timestamp(raw, Locale.DAY_FIRST, 0).to_iso() is raw
+
+    @pytest.mark.parametrize("text", ["not a timestamp", "2016-04-06T14:33:53Z", "x"])
+    def test_directly_built(self, text):
+        stamp = UtcTimestamp(1459953233 + 7, text)
+        assert stamp.to_iso() == epoch_to_iso(1459953240) == "2016-04-06T14:34:00Z"
+
+    def test_rendering_is_not_part_of_equality(self):
+        a = normalize_timestamp("2016-04-06T14:33:53Z", Locale.DAY_FIRST, 0)
+        b = UtcTimestamp(a.seconds_since_epoch, a.original_text)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        b.to_iso()
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)

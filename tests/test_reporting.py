@@ -153,10 +153,17 @@ def whole_document_json(case: CaseReport) -> bytes:
 TRICKY = ["a\nb", "back\\slash", 'say "hi"', "{", "]", "line\u2028sep", "\x00\x07\x1b\t\r",
           "Zoë – 東京 🙂", "", "  : , "]
 
-json_scalars = st.none() | st.booleans() | st.integers() | st.text() | st.sampled_from(TRICKY)
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.sampled_from(TRICKY)
+)
+# Keys json.dumps accepts besides strings; a dict may mix them with strings.
+other_keys = st.none() | st.booleans() | st.integers() | st.floats()
 json_values = st.recursive(
     json_scalars,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(st.text() | other_keys, inner, max_size=4),
     max_leaves=8,
 )
 json_objects = st.dictionaries(st.text() | st.sampled_from(TRICKY), json_values, max_size=3)
