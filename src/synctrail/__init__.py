@@ -18,7 +18,6 @@ from .acquisition import (
     ingest_cloud_log,
     ingest_device_dump,
     parse_app_inventory,
-    parse_comm_artifacts,
 )
 from .correlation import (
     CloudUsageFinding,
@@ -52,7 +51,7 @@ from .preservation import (
     seal_dump,
     verify_chain,
 )
-from .reporting import CaseReport, ReportFormat, redact, render_report
+from .reporting import ReportFormat, build_case_report, redact, render_report
 from .simulator import GroundTruth, SimParams, generate_case, inject_tamper
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "AppRecord",
     "AppStatus",
     "ArtifactCategory",
-    "CaseReport",
     "CloudEvent",
     "CloudUsageFinding",
     "DeviceDump",
@@ -82,6 +80,7 @@ __all__ = [
     "UnifiedTimeline",
     "UtcTimestamp",
     "VerificationReport",
+    "build_case_report",
     "build_identity_graph",
     "build_timeline",
     "canonical_encode",
@@ -98,7 +97,6 @@ __all__ = [
     "match_synced_artifacts",
     "normalize_timestamp",
     "parse_app_inventory",
-    "parse_comm_artifacts",
     "record_digest",
     "redact",
     "render_report",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import re
 import typing
 from dataclasses import dataclass, field
@@ -83,11 +84,6 @@ class AppStatus(Enum):
     UNINSTALLED = "Uninstalled"
 
 
-class Direction(Enum):
-    INCOMING = "Incoming"
-    OUTGOING = "Outgoing"
-
-
 class EventKind(Enum):
     INSTALL = "Install"
     UNINSTALL = "Uninstall"
@@ -98,7 +94,6 @@ class EventKind(Enum):
 
 
 _STATUS_BY_KEY = {s.value.lower(): s for s in AppStatus}
-_DIRECTION_BY_KEY = {d.value.lower(): d for d in Direction}
 _KIND_BY_KEY = {k.value.lower(): k for k in EventKind}
 
 
@@ -158,37 +153,6 @@ class AppRecord:
 
 
 @dataclass(frozen=True)
-class MessageRecord:
-    peer_number: str
-    body: str
-    direction: Direction
-    delivered_at: Optional[UtcTimestamp] = None
-    record_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class CallRecord:
-    peer_number: str
-    at: UtcTimestamp
-    direction: Direction
-    duration_s: Optional[int] = None
-    record_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ContactRecord:
-    display_name: str
-    numbers: tuple[str, ...]
-    record_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class EmailAccountRecord:
-    address_or_number: str
-    record_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class CloudEvent:
     """One entry of the cloud-side forensic log, on the cloud clock."""
 
@@ -229,13 +193,24 @@ def _reject_constant(name: str) -> None:
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
+def _finite_float(text: str) -> float:
+    """A float literal's value; one too large for a float, such as 1e400, raises ValueError."""
+    value = float(text)
+    if math.isinf(value):
+        _reject_constant(text)
+    return value
+
+
 # One decoder for every JSON reader, built once: bundle and cloud log
 # lines, manifest.json, manifest.sealed.json and stage files.
-_JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_JSON_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_reject_constant)
 
 
 def load_json(text: str) -> object:
-    """``json.loads(text)``, except that NaN, Infinity and -Infinity raise ValueError.
+    """``json.loads(text)``, except that a non-finite number raises ValueError.
+
+    That is NaN, Infinity and -Infinity, and a float literal too large
+    for a float, such as 1e400.
 
     Malformed text raises json.JSONDecodeError, with the same message as
     ``json.loads`` gives, and nesting too deep raises RecursionError.
@@ -546,101 +521,6 @@ def parse_app_inventory(
             )
         )
     return apps
-
-
-def parse_comm_artifacts(
-    dump: DeviceDump, ledger: Optional[list[LedgerEntry]] = None
-) -> tuple[list[MessageRecord], list[CallRecord], list[ContactRecord]]:
-    """Type the communication artifacts: messages, calls, contacts."""
-
-    def note(record: EvidenceRecord, message: str) -> None:
-        if ledger is not None:
-            file_name, line_no = _provenance(record)
-            ledger.append(LedgerEntry(file_name, line_no, message))
-
-    messages: list[MessageRecord] = []
-    calls: list[CallRecord] = []
-    contacts: list[ContactRecord] = []
-    for record in dump.records:
-        attrs = record.attributes
-        if record.category is ArtifactCategory.MESSAGE:
-            direction_text = attrs.get("direction")
-            if direction_text is None:
-                direction = Direction.INCOMING
-                note(record, "message without direction, defaulting to Incoming")
-            else:
-                parsed = _DIRECTION_BY_KEY.get(direction_text.lower())
-                if parsed is None:
-                    note(record, f"unknown message direction {direction_text!r}")
-                    continue
-                direction = parsed
-            messages.append(
-                MessageRecord(
-                    peer_number=attrs.get("peer", ""),
-                    body=attrs.get("body", ""),
-                    direction=direction,
-                    delivered_at=record.timestamp,
-                    record_id=record.record_id,
-                )
-            )
-        elif record.category is ArtifactCategory.CALL_RECORD:
-            direction = _DIRECTION_BY_KEY.get(attrs.get("direction", "").lower())
-            if direction is None:
-                note(record, f"unknown call direction {attrs.get('direction')!r}")
-                continue
-            if record.timestamp is None:
-                note(record, "call record without a timestamp")
-                continue
-            duration: Optional[int] = None
-            if "duration_s" in attrs:
-                try:
-                    duration = int(attrs["duration_s"])
-                except ValueError:
-                    note(record, f"bad call duration {attrs['duration_s']!r}")
-                    continue
-            calls.append(
-                CallRecord(
-                    peer_number=attrs.get("peer", ""),
-                    at=record.timestamp,
-                    direction=direction,
-                    duration_s=duration,
-                    record_id=record.record_id,
-                )
-            )
-        elif record.category is ArtifactCategory.CONTACT:
-            numbers: tuple[str, ...] = ()
-            if "numbers" in attrs:
-                try:
-                    decoded = json.loads(attrs["numbers"])
-                except json.JSONDecodeError:
-                    decoded = None
-                if not isinstance(decoded, list) or not all(
-                    isinstance(n, str) for n in decoded
-                ):
-                    note(record, "contact numbers must be a JSON list of strings")
-                    continue
-                numbers = tuple(decoded)
-            contacts.append(
-                ContactRecord(
-                    display_name=attrs.get("name", ""),
-                    numbers=numbers,
-                    record_id=record.record_id,
-                )
-            )
-    return messages, calls, contacts
-
-
-def parse_email_accounts(dump: DeviceDump) -> list[EmailAccountRecord]:
-    """Configured email and phone-number accounts on the device."""
-    accounts = []
-    for record in dump.records:
-        if record.category is ArtifactCategory.CONFIGURED_EMAIL:
-            address = record.attributes.get("address_or_number", "")
-            if address:
-                accounts.append(
-                    EmailAccountRecord(address_or_number=address, record_id=record.record_id)
-                )
-    return accounts
 
 
 def ingest_cloud_log(

@@ -30,8 +30,6 @@ from .acquisition import (
     ingest_device_dump,
     load_json,
     parse_app_inventory,
-    parse_comm_artifacts,
-    parse_email_accounts,
     profile_format_warnings,
 )
 from .correlation import (
@@ -45,21 +43,11 @@ from .correlation import (
     zero_skew,
 )
 from .errors import (
-    DeviceMismatch,
-    DuplicateEventId,
-    DuplicateRecordId,
-    EmptyBundle,
-    ImpossibleDate,
+    ForensicsError,
     InsufficientSupport,
-    IoFailure,
-    MalformedManifest,
     MalformedStageFile,
-    MalformedTable,
-    MissingManifest,
     RecordCountMismatch,
-    UnparseableTimestamp,
     UnsafeCaseId,
-    UnsupportedAlgorithm,
 )
 from .evidence import Locale
 from .osint import (
@@ -110,22 +98,9 @@ _ISOLATION = {
     "none": IsolationMethod.NONE,
 }
 
-_FATAL_ERRORS = (
-    MissingManifest,
-    MalformedManifest,
-    MalformedStageFile,
-    DuplicateRecordId,
-    DuplicateEventId,
-    UnsupportedAlgorithm,
-    MalformedTable,
-    UnparseableTimestamp,
-    ImpossibleDate,
-    DeviceMismatch,
-    EmptyBundle,
-    IoFailure,
-    UnsafeCaseId,
-    OSError,
-)
+# RecordCountMismatch and InsufficientSupport are caught where they are
+# raised; any ForensicsError that escapes a stage is fatal.
+_FATAL_ERRORS = (ForensicsError, OSError)
 
 # Stage payloads by stage-file name, as written to --out.
 Stages = dict[str, Any]
@@ -289,9 +264,7 @@ def _step_correlate(
 
 
 def _step_enrich(dump: DeviceDump, out: Path, geo_table: Optional[Path]) -> Stages:
-    messages, calls, contacts = parse_comm_artifacts(dump)
-    emails = parse_email_accounts(dump)
-    graph = build_identity_graph(contacts, messages, calls, emails)
+    graph = build_identity_graph(dump.records)
 
     geo_hits = []
     if geo_table is not None:
@@ -318,11 +291,13 @@ def _step_enrich(dump: DeviceDump, out: Path, geo_table: Optional[Path]) -> Stag
 
 def _step_report(out: Path, stages: Stages, case_id: Optional[str], format: ReportFormat) -> Path:
     report = build_case_report(stages, __version__, case_id)
-    problem = _case_id_problem(report.case_id)
+    problem = _case_id_problem(report["case_id"])
     if problem:
-        raise UnsafeCaseId(f"dump id {report.case_id!r} cannot name the report file: it {problem}")
+        raise UnsafeCaseId(
+            f"dump id {report['case_id']!r} cannot name the report file: it {problem}"
+        )
     suffix = {"json": ".report.json", "md": ".report.md", "html": ".report.html"}[format.value]
-    path = out / f"{report.case_id}{suffix}"
+    path = out / f"{report['case_id']}{suffix}"
     atomic.write_bytes(path, render_report(report, format))
     _say(f"report written to {path}")
     return path

@@ -29,12 +29,14 @@ EPOCH_MAX = 4133980799
 
 DIGEST_ALGORITHM = "sha-256"
 
+# ASCII digits only, and the whole text: both grammars are matched with
+# fullmatch, so a trailing newline is refused.
 _ISO_RE = re.compile(
-    r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(Z|[+-]\d{2}:\d{2})$"
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})"
+    r"(Z|[+-][0-9]{2}:[0-9]{2})"
 )
-_ISO_Z_LENGTH = len("YYYY-MM-DDThh:mm:ssZ")
 _LEGACY_RE = re.compile(
-    r"^(\d{1,2})/(\d{1,2})/(\d{4}) (\d{1,2}):(\d{2}):(\d{2}) (AM|PM)$"
+    r"([0-9]{1,2})/([0-9]{1,2})/([0-9]{4}) ([0-9]{1,2}):([0-9]{2}):([0-9]{2}) (AM|PM)"
 )
 
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
@@ -216,7 +218,7 @@ def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> U
     ``DD/MM/YYYY hh:mm:ss AM/PM`` form, read day-first or month-first per
     the locale and shifted from the dump's zone offset into UTC.
     """
-    m = _ISO_RE.match(raw)
+    m = _ISO_RE.fullmatch(raw)
     if m:
         year, month, day, hour, minute, second = map(int, m.groups()[:6])
         zone = m.group(7)
@@ -224,17 +226,14 @@ def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> U
         epoch = _epoch_from_civil(year, month, day, hour, minute, second)
         if zone == "Z":
             stamp = UtcTimestamp(epoch, raw)
-            # Validated ASCII text of this exact length already is the ISO
-            # rendering; \d also matches other scripts' digits, and $
-            # matches before a trailing newline, so other text is formatted.
-            if len(raw) == _ISO_Z_LENGTH and raw.isascii():
-                object.__setattr__(stamp, "_iso", raw)
+            # Validated ISO-Z text already is the ISO rendering.
+            object.__setattr__(stamp, "_iso", raw)
             return stamp
         sign = 1 if zone[0] == "+" else -1
         epoch -= sign * (int(zone[1:3]) * 3600 + int(zone[4:6]) * 60)
         return UtcTimestamp(epoch, raw)
 
-    m = _LEGACY_RE.match(raw)
+    m = _LEGACY_RE.fullmatch(raw)
     if m:
         first, second_field, year = int(m.group(1)), int(m.group(2)), int(m.group(3))
         hour12, minute, second = int(m.group(4)), int(m.group(5)), int(m.group(6))

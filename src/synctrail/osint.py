@@ -13,11 +13,16 @@ import ipaddress
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 from bisect import bisect_right
 
-from .acquisition import CallRecord, ContactRecord, EmailAccountRecord, MessageRecord
+from .acquisition import _integer, load_json
 from .errors import MalformedTable
+from .evidence import ArtifactCategory, EvidenceRecord
+
+
+# Message and call directions, lowercased.
+_DIRECTIONS = ("incoming", "outgoing")
 
 
 class IdKind(Enum):
@@ -86,18 +91,21 @@ def _edge_key(a: Identifier, b: Identifier) -> tuple[Identifier, Identifier]:
     return (a, b) if ka <= kb else (b, a)
 
 
-def build_identity_graph(
-    contacts: Sequence[ContactRecord],
-    messages: Sequence[MessageRecord],
-    calls: Sequence[CallRecord],
-    configured_emails: Sequence[EmailAccountRecord],
-) -> IdentityGraph:
-    """Connect identifiers that co-occur in one artifact.
+def build_identity_graph(records: Iterable[EvidenceRecord]) -> IdentityGraph:
+    """Connect identifiers that co-occur in one artifact of a dump.
 
     A contact ties its own numbers together; each message or call ties
-    the peer to every account configured on the device. Construction is
-    order-independent, so permuting the input artifacts cannot change
-    the graph.
+    its peer to every account configured on the device. Of the comm
+    records, these take part, and the rest are left out:
+
+    - a configured account, by its ``address_or_number``;
+    - a contact whose ``numbers``, when present, is a JSON list of strings;
+    - a message whose ``direction``, when present, is Incoming or Outgoing;
+    - a dated call whose ``direction`` is Incoming or Outgoing, and whose
+      ``duration_s``, when present, ``int()`` reads.
+
+    Directions match case-insensitively. Construction is
+    order-independent, so permuting the records cannot change the graph.
     """
     nodes: set[Identifier] = set()
     edges: dict[tuple[Identifier, Identifier], int] = {}
@@ -110,27 +118,48 @@ def build_identity_graph(
                 key = _edge_key(first, second)
                 edges[key] = edges.get(key, 0) + 1
 
-    owners = []
-    for account in configured_emails:
-        owner = normalize_identifier(account.address_or_number)
-        if owner is not None:
-            owners.append(owner)
-            nodes.add(owner)
+    owners: list[Identifier] = []
+    peers: list[str] = []
+    for record in records:
+        category, attrs = record.category, record.attributes
+        if category is ArtifactCategory.MESSAGE:
+            direction = attrs.get("direction")
+            if direction is None or direction.lower() in _DIRECTIONS:
+                peers.append(attrs.get("peer", ""))
+        elif category is ArtifactCategory.CALL_RECORD:
+            if (
+                attrs.get("direction", "").lower() in _DIRECTIONS
+                and record.timestamp is not None
+                and ("duration_s" not in attrs or _integer(attrs["duration_s"]) is not None)
+            ):
+                peers.append(attrs.get("peer", ""))
+        elif category is ArtifactCategory.CONTACT:
+            numbers = _string_list(attrs["numbers"]) if "numbers" in attrs else []
+            if numbers is not None:
+                found = [normalize_identifier(number) for number in numbers]
+                add_artifact(i for i in found if i is not None)
+        elif category is ArtifactCategory.CONFIGURED_EMAIL:
+            owner = normalize_identifier(attrs.get("address_or_number", ""))
+            if owner is not None:
+                owners.append(owner)
 
-    for contact in contacts:
-        found = [normalize_identifier(number) for number in contact.numbers]
-        add_artifact(i for i in found if i is not None)
-
-    for message in messages:
-        peer = normalize_identifier(message.peer_number)
-        if peer is not None:
-            add_artifact([peer, *owners])
-    for call in calls:
-        peer = normalize_identifier(call.peer_number)
+    nodes.update(owners)
+    for peer in map(normalize_identifier, peers):
         if peer is not None:
             add_artifact([peer, *owners])
 
     return IdentityGraph(nodes=frozenset(nodes), edges=edges)
+
+
+def _string_list(text: str) -> Optional[list[str]]:
+    """The JSON list of strings that ``text`` holds, or None if it holds anything else."""
+    try:
+        value = load_json(text)
+    except (ValueError, RecursionError):
+        return None
+    if isinstance(value, list) and all(isinstance(item, str) for item in value):
+        return value
+    return None
 
 
 def load_geo_table(path: Path | str) -> GeoTable:

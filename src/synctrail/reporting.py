@@ -15,7 +15,7 @@ import html
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -40,29 +40,6 @@ class ReportFormat(Enum):
     JSON = "json"
     MARKDOWN = "md"
     HTML = "html"
-
-
-@dataclass(frozen=True)
-class CaseReport:
-    """Assembled case data, already in JSON-ready form.
-
-    Every section exists even when empty so a report's shape never
-    depends on what the case happened to contain.
-    """
-
-    case_id: str
-    tool_version: str
-    parameters: dict
-    inputs: dict
-    device: dict
-    skew: Optional[dict]
-    links: list = field(default_factory=list)
-    findings: list = field(default_factory=list)
-    timeline: list = field(default_factory=list)
-    excluded_undated: int = 0
-    identity_graph: dict = field(default_factory=dict)
-    geo: list = field(default_factory=list)
-    error_ledger: list = field(default_factory=list)
 
 
 def skew_to_dict(skew: SkewEstimate) -> dict:
@@ -239,8 +216,12 @@ def shape_problem(value: Any, shape: Any, where: str = "") -> Optional[str]:
 
 def build_case_report(
     stages: Mapping[str, Any], tool_version: str, case_id: Optional[str] = None
-) -> CaseReport:
-    """Fold stage-file payloads, keyed by file name, into one report.
+) -> dict:
+    """Fold stage-file payloads, keyed by file name, into the report.
+
+    The report is a dict of its sections, in report order. Every section
+    exists even when empty, so a report's shape never depends on what
+    the case happened to contain.
 
     ``run-all`` passes the payloads it has just written and ``report``
     the ones it reads back, so both give the same bytes. A file missing
@@ -278,49 +259,30 @@ def build_case_report(
         )
         ledger += cloud_log["ledger"]
 
-    return CaseReport(
-        case_id=case_id or (dump["dump_id"] if dump is not None else "") or "case",
-        tool_version=tool_version,
-        parameters=stage("parameters.json"),
-        inputs=inputs,
-        device=device,
-        skew=stage("skew.json"),
-        links=stage("links.json"),
-        findings=stage("findings.json"),
-        timeline=timeline["entries"],
-        excluded_undated=timeline["excluded_undated"],
-        identity_graph=stage("identity_graph.json"),
-        geo=stage("geo.json"),
-        error_ledger=ledger,
-    )
-
-
-def report_to_json_dict(case: CaseReport) -> dict:
     return {
-        "case_id": case.case_id,
-        "tool_version": case.tool_version,
-        "parameters": case.parameters,
-        "inputs": case.inputs,
-        "device": case.device,
-        "skew": case.skew,
-        "links": case.links,
-        "findings": case.findings,
-        "timeline": case.timeline,
-        "excluded_undated": case.excluded_undated,
-        "identity_graph": case.identity_graph,
-        "geo": case.geo,
-        "error_ledger": case.error_ledger,
+        "case_id": case_id or (dump["dump_id"] if dump is not None else "") or "case",
+        "tool_version": tool_version,
+        "parameters": stage("parameters.json"),
+        "inputs": inputs,
+        "device": device,
+        "skew": stage("skew.json"),
+        "links": stage("links.json"),
+        "findings": stage("findings.json"),
+        "timeline": timeline["entries"],
+        "excluded_undated": timeline["excluded_undated"],
+        "identity_graph": stage("identity_graph.json"),
+        "geo": stage("geo.json"),
+        "error_ledger": ledger,
     }
 
 
-def render_report(case: CaseReport, format: ReportFormat = ReportFormat.JSON) -> bytes:
-    """Render a report; same case in, same bytes out, in every format."""
-    data = report_to_json_dict(case)
+def render_report(report: dict, format: ReportFormat = ReportFormat.JSON) -> bytes:
+    """Render a report; same report in, same bytes out, in every format."""
     if format is ReportFormat.JSON:
-        return _render_json(data).encode("utf-8")
+        return _render_json(report).encode("utf-8")
     if format is ReportFormat.MARKDOWN:
-        return _render_markdown(data).encode("utf-8")
-    return _render_html(data).encode("utf-8")
+        return _render_markdown(report).encode("utf-8")
+    return _render_html(report).encode("utf-8")
 
 
 def _render_json(data: dict) -> str:

@@ -1,0 +1,120 @@
+"""Byte pins: the SHA-256 of every file `run-all` writes, on three fixed inputs.
+
+Each input runs through `run-all` once per report format into one
+output directory. The pins cover every stage file, the json, md and
+html reports, the sealed manifest, and the stderr of the three runs
+with the temporary directory's path replaced by ``<tmp>``. A change
+that keeps the program's output keeps every pin; a change meant to
+alter output updates the pins it moves and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import shutil
+from pathlib import Path
+
+import pytest
+
+from synctrail.cli import run
+
+DATA_DIR = Path(__file__).parent / "data"
+
+
+def golden(tmp: Path) -> tuple[Path, Path, list[str]]:
+    bundle = tmp / "bundle"
+    shutil.copytree(DATA_DIR / "golden" / "bundle", bundle)
+    return bundle, DATA_DIR / "golden" / "cloud_events.jsonl", []
+
+
+def simulated(tmp: Path) -> tuple[Path, Path, list[str]]:
+    argv = ["simulate", "--seed", "21", "--skew-seconds", "300", "--uploads", "12",
+            "--messages", "10", "--calls", "6", "--out", str(tmp / "case")]
+    assert run(argv) == 0
+    return tmp / "case" / "bundle", tmp / "case" / "cloud_events.jsonl", []
+
+
+def comm_shapes(tmp: Path) -> tuple[Path, Path, list[str]]:
+    """Every malformed messages, calls, contacts and configured-emails shape, and a geo table."""
+    source = DATA_DIR / "comm_shapes"
+    bundle = tmp / "bundle"
+    shutil.copytree(source / "bundle", bundle)
+    return bundle, source / "cloud_events.jsonl", ["--geo-table", str(source / "geo.csv")]
+
+
+def run_all_hashes(make_input, tmp: Path, capsys) -> dict[str, str]:
+    """SHA-256 of each file written and of the stderr of `run-all` in each format."""
+    bundle, cloud_log, extra = make_input(tmp)
+    out = tmp / "out"
+    capsys.readouterr()
+    codes = [
+        run(["run-all", str(bundle), str(cloud_log), "--out", str(out), "--format", fmt, *extra])
+        for fmt in ("json", "md", "html")
+    ]
+    assert codes == [0, 0, 0]
+    stderr = capsys.readouterr().err.replace(str(tmp), "<tmp>")
+    files = sorted(out.iterdir()) + [bundle / "manifest.sealed.json"]
+    hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
+    hashes["stderr"] = hashlib.sha256(stderr.encode("utf-8")).hexdigest()
+    return hashes
+
+
+PINS = {
+    "golden": (golden, {
+        "cloud_log.json": "2c69f6ab903e9e5833624f569b2f9c3f5a7ae79c8f0708095c4359a9a1fa782f",
+        "dump.json": "41cb36cacf8f9ddd9d574a1cb683bac2b636187905e8091a07523c3b769d1154",
+        "findings.json": "e612f9a9311c85175b2afe385ae757e1057f4d88ba46c82ed33d2068f5aa8ede",
+        "geo.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "golden-lgd802.report.html": "8cdd425e25a96455567796de4903d2a42cf492a2aea584fd0785b227d5fd0622",
+        "golden-lgd802.report.json": "6067c6966fdaced13f8d61bbe1e6e7d595c2a6f81e717f6812e30871561f54e4",
+        "golden-lgd802.report.md": "efc277c4634602cebeef4ca2fc2de94f63ef9f0563b15ac51145e5cd387899cf",
+        "identity_graph.json": "abbbfb47098474bd0d478558b8155778186e01016ee5127395ad1c5a2d3dbfb3",
+        "links.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
+        "skew.json": "38885eb8176156bf1fa0fadb06c592ffc0bfae277c6780abcebf25ab5540c4e8",
+        "timeline.json": "2333851e0fe78205a52f1e9b1aaae6675114c5c6dca8170c4ab354495d8f0443",
+        "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
+        "manifest.sealed.json": "9789db559dc09921ab4ebf913aff2d7ff4ef4185e5d50bd625c3a7d1bf2a039e",
+        "stderr": "33b980b1d7cf2001db7ba2e3a532986245902b664eeae0056068996aa45a839b",
+    }),
+    "simulated": (simulated, {
+        "cloud_log.json": "897ab55886061313e5dfb9200c3fc3f21235c42acee26d301b247a6798a0da2f",
+        "dump.json": "53478d135a81def40b6614ef12e8fedd580cb0dc9904ad9ff345b63a7dade1f0",
+        "findings.json": "cbc46df9a52610c0094f5185394387fdee81ea726937ad83b7735eb6deb485e4",
+        "geo.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "identity_graph.json": "526eb0999ac9b3ddbee586deefbb5892252d601d2f0b3e3535cf65e47c9a8c86",
+        "links.json": "767270c8a6221664cf820554528c01a96c8a5cc6b9d6854c21f50bcdf11511c5",
+        "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
+        "sim-21.report.html": "aef4c33f50835824b9be7d8b94b8d91ada0b9d733a510b02785a2b6406395059",
+        "sim-21.report.json": "c291b2812563c4685d2c0cf780bfb000fac7cb8ba2a46467f078c40d890c6e89",
+        "sim-21.report.md": "decfb50e6c5d8e55f3c7feeb0eea096ad135fa9309e5d543ceb2ff36f4fab32e",
+        "skew.json": "44aedde6aa676ae66094b5577475e6761e5402f570385861dfc3c5c2de262480",
+        "timeline.json": "46c23acf11796607c2fbbeac3db0de144426dc636e7e320b1362d5f5c763d5e4",
+        "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
+        "manifest.sealed.json": "65f202005437913d099f71fe278f63b49acd1b79549d492cfde2a05d56a0c847",
+        "stderr": "1cef506a4af1cde6e2256817ee0b832bc190ec142ebc849e9dd5dc72acf1e024",
+    }),
+    "comm_shapes": (comm_shapes, {
+        "cloud_log.json": "a535418085b9fe419abad0bcb4ebff342b3a49b0dc30fac4c43c6e67f22b7e8e",
+        "comm-shapes.report.html": "4cf2523d4ecbd118726ea14fcf7f7f1d7c6544c14a45dc5e048aebbba3023675",
+        "comm-shapes.report.json": "8f8f7432d8197df3db33a3367eabfe17c99b29151bc6031daf41c682ec1e538d",
+        "comm-shapes.report.md": "aa1593cc95e97082eeb4de88281f9d11f70261cbbb559ad3ac99ba5763575e13",
+        "dump.json": "7d2747bf434ec07c7e9bb221ecc55ae7607a7a97fabecdcf4ccded105fbb953a",
+        "findings.json": "0e912041b6e5aba5a11b5be9fb30b9d546cf90baf8f60f546e7dba70f00cd31d",
+        "geo.json": "6cb537435364bcecaebc1ff278492daa4a90aa77792f1ae58fd4d966eb56d998",
+        "identity_graph.json": "243f543da9d5ba2b0e93fa77af69ac432173cacd932aea3538f9afd4601ab20f",
+        "links.json": "9c16bffce7e7baa557ba4298832c6b2f6aa38fd606ca6330d639a0606cde9e10",
+        "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
+        "skew.json": "38885eb8176156bf1fa0fadb06c592ffc0bfae277c6780abcebf25ab5540c4e8",
+        "timeline.json": "5f099499fc47cb4cd054da5ac31d2d81f077c6ed92bc8c712bc8b46a8b547efa",
+        "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
+        "manifest.sealed.json": "540938fb3220219b355da29c9b92a81c8fe235b8a93f2cb6a827becdaeea86f2",
+        "stderr": "2dbf3e3f777fd8dd25b9c31b34dffe443299ef549bef441f1d283113407b536e",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_run_all_bytes_are_pinned(tmp_path, capsys, name):
+    make_input, pinned = PINS[name]
+    assert run_all_hashes(make_input, tmp_path, capsys) == pinned

@@ -14,6 +14,7 @@ import synctrail
 from synctrail import cli, evidence, preservation, reporting
 from synctrail.acquisition import ingest_device_dump
 from synctrail.cli import run
+from synctrail.errors import ForensicsError
 from synctrail.evidence import canonical_encode
 from synctrail.simulator import SimParams, generate_case, inject_tamper
 
@@ -21,6 +22,16 @@ from synctrail.simulator import SimParams, generate_case, inject_tamper
 def simulate(tmp_path, **kwargs):
     params = SimParams(seed=kwargs.pop("seed", 1000), **kwargs)
     return generate_case(params, tmp_path / "case")
+
+
+def _forensics_errors() -> list[type]:
+    """ForensicsError and every subclass of it, at any depth."""
+    found, pending = [], [ForensicsError]
+    while pending:
+        error = pending.pop()
+        found.append(error)
+        pending += error.__subclasses__()
+    return sorted(found, key=lambda error: error.__name__)
 
 
 class TestExitCodes:
@@ -106,6 +117,32 @@ class TestExitCodes:
             ["correlate", str(case.bundle_dir), str(log), "--out", str(tmp_path / "o")]
         )
         assert rc == 4
+
+    @pytest.mark.parametrize("error", _forensics_errors(), ids=lambda error: error.__name__)
+    @pytest.mark.parametrize(
+        "stage, command",
+        [
+            ("ingest_device_dump", "run-all"),
+            ("build_identity_graph", "enrich"),
+            ("render_report", "report"),
+        ],
+    )
+    def test_any_forensics_error_escaping_a_stage_is_parse_fatal(
+        self, tmp_path, capsys, monkeypatch, golden_bundle, golden_cloud_log,
+        error, stage, command,
+    ):
+        def fail(*args, **kwargs):
+            raise error(f"{error.__name__} escaped {stage}")
+
+        monkeypatch.setattr(cli, stage, fail)
+        out = tmp_path / "out"
+        argv = {
+            "run-all": ["run-all", str(golden_bundle), str(golden_cloud_log), "--out", str(out)],
+            "enrich": ["enrich", str(golden_bundle), "--out", str(out)],
+            "report": ["report", "--out", str(out)],
+        }[command]
+        assert run(argv) == 4
+        assert capsys.readouterr().err == f"error: {error.__name__} escaped {stage}\n"
 
 
 class TestSubcommandOutputs:
@@ -592,6 +629,19 @@ MALFORMED_INPUTS = [
     pytest.param("bundle/manifest.json", _with("zone_offset_minutes", float("inf")), "ingest", 4,
                  "error: {path} unreadable: non-finite number Infinity is not allowed",
                  id="manifest-infinity"),
+    # A float literal too large for a float is no more a number than Infinity is.
+    pytest.param("out/skew.json", lambda raw: raw.replace(b"{", b'{"pad":1e400,', 1), "report", 4,
+                 "error: stage file {path} is not valid JSON: "
+                 "non-finite number 1e400 is not allowed",
+                 id="stage-overflowing-float"),
+    pytest.param("bundle/manifest.json",
+                 lambda raw: raw.replace(b"{", b'{"pad": -1e400,', 1), "ingest", 4,
+                 "error: {path} unreadable: non-finite number -1e400 is not allowed",
+                 id="manifest-overflowing-float"),
+    pytest.param("bundle/manifest.sealed.json",
+                 lambda raw: raw.replace(b"{", b'{"pad": 1E999,', 1), "verify", 4,
+                 "error: {path} is not valid JSON: non-finite number 1E999 is not allowed",
+                 id="sealed-overflowing-float"),
 ]
 
 

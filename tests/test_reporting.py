@@ -12,8 +12,6 @@ from synctrail.acquisition import (
     ingest_cloud_log,
     ingest_device_dump,
     parse_app_inventory,
-    parse_comm_artifacts,
-    parse_email_accounts,
 )
 from synctrail.correlation import (
     build_timeline,
@@ -25,7 +23,6 @@ from synctrail.correlation import (
 from synctrail.osint import build_identity_graph
 from synctrail.preservation import seal_dump, verify_chain
 from synctrail.reporting import (
-    CaseReport,
     ReportFormat,
     build_case_report,
     finding_to_dict,
@@ -33,7 +30,6 @@ from synctrail.reporting import (
     link_to_dict,
     redact,
     render_report,
-    report_to_json_dict,
     skew_to_dict,
     timeline_to_list,
 )
@@ -57,11 +53,11 @@ SECTIONS = [
 PARAMETERS = {"window_seconds": 300, "min_skew_support": 3, "locale": "day-first"}
 
 
-def empty_case() -> CaseReport:
+def empty_case() -> dict:
     return build_case_report({"parameters.json": PARAMETERS}, "0.1.0", "empty")
 
 
-def golden_case(golden_bundle, golden_cloud_log) -> CaseReport:
+def golden_case(golden_bundle, golden_cloud_log) -> dict:
     dump = ingest_device_dump(golden_bundle)
     events = ingest_cloud_log(golden_cloud_log)
     apps = parse_app_inventory(dump)
@@ -70,8 +66,7 @@ def golden_case(golden_bundle, golden_cloud_log) -> CaseReport:
     timeline = build_timeline(dump.records, events, skew)
     uninstall = detect_uninstall_evidence(apps, events)
     findings = derive_cloud_usage_findings(links, uninstall, events)
-    messages, calls, contacts = parse_comm_artifacts(dump)
-    graph = build_identity_graph(contacts, messages, calls, parse_email_accounts(dump))
+    graph = build_identity_graph(dump.records)
     verification = verify_chain(seal_dump(dump), dump.records)
     uninstalled = sum(1 for a in apps if a.status is AppStatus.UNINSTALLED)
     stages = {
@@ -143,10 +138,9 @@ class TestRenderReport:
         assert "LG-D802" in page
 
 
-def whole_document_json(case: CaseReport) -> bytes:
+def whole_document_json(case: dict) -> bytes:
     """The JSON report as one json.dumps call over the whole document renders it."""
-    data = report_to_json_dict(case)
-    return (json.dumps(data, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return (json.dumps(case, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 # Strings that an indenting renderer could mistake for structure.
@@ -172,26 +166,26 @@ json_objects = st.dictionaries(st.text() | st.sampled_from(TRICKY), json_values,
 class TestSectionBySectionJson:
     def test_tricky_strings_empty_sections_and_no_skew(self):
         nested = {key: [key, {key: key}, [], {}] for key in TRICKY}
-        case = CaseReport(
-            case_id="case\n\"1\"",
-            tool_version="0.1.0",
-            parameters={"window_seconds": 300, "note": "\u2028"},
-            inputs={"dumps": [], "cloud_logs": []},
-            device={},
-            skew=None,
-            links=[nested, [], {}],
-            findings=TRICKY,
-            timeline=[{"attributes": nested}],
-            excluded_undated=0,
-            identity_graph={"nodes": [], "edges": [[]]},
-            geo=[],
-            error_ledger=[{"message": text} for text in TRICKY],
-        )
+        case = {
+            "case_id": "case\n\"1\"",
+            "tool_version": "0.1.0",
+            "parameters": {"window_seconds": 300, "note": "\u2028"},
+            "inputs": {"dumps": [], "cloud_logs": []},
+            "device": {},
+            "skew": None,
+            "links": [nested, [], {}],
+            "findings": TRICKY,
+            "timeline": [{"attributes": nested}],
+            "excluded_undated": 0,
+            "identity_graph": {"nodes": [], "edges": [[]]},
+            "geo": [],
+            "error_ledger": [{"message": text} for text in TRICKY],
+        }
         assert render_report(case, ReportFormat.JSON) == whole_document_json(case)
 
     def test_empty_case(self):
         case = empty_case()
-        assert case.skew is None
+        assert case["skew"] is None
         assert render_report(case, ReportFormat.JSON) == whole_document_json(case)
 
     def test_golden_case(self, golden_bundle, golden_cloud_log):
@@ -207,28 +201,27 @@ class TestSectionBySectionJson:
         count=st.integers(),
     )
     def test_any_json_content(self, text, objects, lists, skew, count):
-        case = CaseReport(
-            case_id=text,
-            tool_version=text,
-            parameters=objects[0],
-            inputs=objects[1],
-            device=objects[2],
-            skew=skew,
-            links=lists[0],
-            findings=lists[1],
-            timeline=lists[2],
-            excluded_undated=count,
-            identity_graph=objects[3],
-            geo=lists[3],
-            error_ledger=lists[4],
-        )
+        case = {
+            "case_id": text,
+            "tool_version": text,
+            "parameters": objects[0],
+            "inputs": objects[1],
+            "device": objects[2],
+            "skew": skew,
+            "links": lists[0],
+            "findings": lists[1],
+            "timeline": lists[2],
+            "excluded_undated": count,
+            "identity_graph": objects[3],
+            "geo": lists[3],
+            "error_ledger": lists[4],
+        }
         assert render_report(case, ReportFormat.JSON) == whole_document_json(case)
 
 
 class TestRedact:
     def report_with_bodies(self) -> dict:
-        case = empty_case()
-        data = report_to_json_dict(case)
+        data = empty_case()
         data["device"] = {"model": "X"}
         data["timeline"] = [
             {"id": "m1", "attributes": {"body": "secret plans", "peer": "+1"}},
