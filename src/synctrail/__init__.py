@@ -20,10 +20,7 @@ from .acquisition import (
     parse_app_inventory,
 )
 from .correlation import (
-    CloudUsageFinding,
     SkewEstimate,
-    SyncLink,
-    UnifiedTimeline,
     build_timeline,
     derive_cloud_usage_findings,
     detect_uninstall_evidence,
@@ -41,7 +38,7 @@ from .evidence import (
     normalize_timestamp,
     record_digest,
 )
-from .osint import IdentityGraph, build_identity_graph, load_geo_table, resolve_ip
+from .osint import build_identity_graph, load_geo_table, resolve_ip
 from .preservation import (
     AcquisitionDiff,
     AcquisitionManifest,
@@ -62,22 +59,18 @@ __all__ = [
     "AppStatus",
     "ArtifactCategory",
     "CloudEvent",
-    "CloudUsageFinding",
     "DeviceDump",
     "DeviceProfile",
     "Digest256",
     "EventKind",
     "EvidenceRecord",
     "GroundTruth",
-    "IdentityGraph",
     "LedgerEntry",
     "Locale",
     "ReportFormat",
     "SimParams",
     "SkewEstimate",
     "Source",
-    "SyncLink",
-    "UnifiedTimeline",
     "UtcTimestamp",
     "VerificationReport",
     "build_case_report",

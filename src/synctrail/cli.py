@@ -70,16 +70,11 @@ from .reporting import (
     ReportFormat,
     StageFile,
     build_case_report,
-    finding_to_dict,
-    identity_graph_to_dict,
-    geo_to_list,
     ledger_to_list,
-    link_to_dict,
     parameters_to_dict,
     render_report,
     shape_problem,
     skew_to_dict,
-    timeline_to_list,
 )
 from .simulator import SimParams, generate_case
 
@@ -242,12 +237,9 @@ def _step_correlate(
     findings = derive_cloud_usage_findings(links, uninstall, events)
     stages = _write_stages(out, {
         "skew.json": skew_to_dict(skew),
-        "links.json": [link_to_dict(link) for link in links],
-        "timeline.json": {
-            "entries": timeline_to_list(timeline),
-            "excluded_undated": timeline.excluded_undated,
-        },
-        "findings.json": [finding_to_dict(f, f"F{i + 1:03d}") for i, f in enumerate(findings)],
+        "links.json": links,
+        "timeline.json": timeline,
+        "findings.json": findings,
         "cloud_log.json": {
             "name": cloud_log.name,
             "event_count": len(events),
@@ -278,12 +270,10 @@ def _step_enrich(dump: DeviceDump, out: Path, geo_table: Optional[Path]) -> Stag
             hit = resolve_ip(ip, table)
             if hit is not None:
                 geo_hits.append(hit)
-    stages = _write_stages(
-        out,
-        {"identity_graph.json": identity_graph_to_dict(graph), "geo.json": geo_to_list(geo_hits)},
-    )
+        geo_hits.sort(key=lambda hit: hit["ip"])
+    stages = _write_stages(out, {"identity_graph.json": graph, "geo.json": geo_hits})
     _say(
-        f"enriched: {len(graph.nodes)} identifiers, {len(graph.edges)} edges, "
+        f"enriched: {len(graph['nodes'])} identifiers, {len(graph['edges'])} edges, "
         f"{len(geo_hits)} geolocated addresses"
     )
     return stages

@@ -9,6 +9,9 @@ followed by uninstall, account activity).
 Every operation here is a pure function over immutable inputs and is
 deterministic down to the byte: all orderings are total, with explicit
 tie rules, so repeated runs and permuted inputs cannot change output.
+Links, the timeline and findings come back as their stage-file payloads
+(``links.json``, ``timeline.json``, ``findings.json``): JSON-ready lists
+and dicts whose enum-valued fields hold the enum values.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional, Sequence
 
 from .acquisition import AppRecord, AppStatus, CloudEvent, EventKind
 from .errors import InsufficientSupport
-from .evidence import EvidenceRecord, Source, UtcTimestamp
+from .evidence import EvidenceRecord, Source, check_epoch, epoch_to_iso
 
 DEFAULT_WINDOW_SECONDS = 300
 DEFAULT_MIN_SKEW_SUPPORT = 3
@@ -48,7 +51,7 @@ class Confidence(Enum):
     MEDIUM = "Medium"
 
 
-_KIND_ORDER = {kind: index for index, kind in enumerate(FindingKind)}
+_KIND_ORDER = {kind.value: index for index, kind in enumerate(FindingKind)}
 
 
 @dataclass(frozen=True)
@@ -65,44 +68,6 @@ class SkewEstimate:
     support_count: int
     spread_seconds: int
     fallback: bool = False
-
-
-@dataclass(frozen=True)
-class SyncLink:
-    """One matched device record / cloud event pair.
-
-    ``time_delta_seconds`` is the skew-corrected cloud-minus-device gap;
-    it is None only for digest matches where a side lacked a timestamp.
-    """
-
-    device_record_id: str
-    cloud_event_id: str
-    tier: LinkTier
-    time_delta_seconds: Optional[int]
-
-
-@dataclass(frozen=True)
-class TimelineEntry:
-    timestamp: UtcTimestamp
-    source: Source
-    ref_id: str
-    label: str
-
-
-@dataclass(frozen=True)
-class UnifiedTimeline:
-    """Merged, skew-corrected, totally ordered device and cloud events."""
-
-    entries: tuple[TimelineEntry, ...]
-    excluded_undated: int
-
-
-@dataclass(frozen=True)
-class CloudUsageFinding:
-    kind: FindingKind
-    confidence: Confidence
-    supporting_ids: tuple[str, ...]
-    narrative: str
 
 
 def zero_skew() -> SkewEstimate:
@@ -425,7 +390,7 @@ def match_synced_artifacts(
     cloud_events: Sequence[CloudEvent],
     skew: SkewEstimate,
     window_seconds: int = DEFAULT_WINDOW_SECONDS,
-) -> list[SyncLink]:
+) -> list[dict]:
     """Match device artifacts to the cloud events that mirror them.
 
     Pass 1 links every equal-content-digest pair it can, choosing
@@ -436,8 +401,8 @@ def match_synced_artifacts(
     matching object name, equal size when both sides report one, and a
     corrected gap within the window. Each digest and each object is
     swept in time order (see ``_Sweep``), so no pass builds the cross
-    product of a repeated key. Output is sorted by (tier, device record
-    id).
+    product of a repeated key. Output is the ``links.json`` rows, sorted
+    by (tier, device record id).
     """
     used_records: set[str] = set()
     used_events: set[str] = set()
@@ -462,7 +427,12 @@ def match_synced_artifacts(
     window.run()
 
     return [
-        SyncLink(record_id, event_id, tier, delta)
+        {
+            "device_record_id": record_id,
+            "cloud_event_id": event_id,
+            "tier": tier.value,
+            "time_delta_seconds": delta,
+        }
         for tier, sweep in ((LinkTier.EXACT_DIGEST, exact), (LinkTier.METADATA_WINDOW, window))
         for record_id, event_id, delta in sorted(sweep.links)
     ]
@@ -472,49 +442,69 @@ def build_timeline(
     device_records: Sequence[EvidenceRecord],
     cloud_events: Sequence[CloudEvent],
     skew: SkewEstimate,
-) -> UnifiedTimeline:
-    """Merge both sides onto the device clock.
+) -> dict:
+    """Merge both sides onto the device clock, as the ``timeline.json`` payload.
 
-    Cloud timestamps are shifted by minus the estimated offset. The sort
-    is total: time, then Device before Cloud, then id, so the result is
-    byte-stable across runs and input orderings. Undated records are
-    excluded and counted.
+    Cloud timestamps are shifted by minus the estimated offset; a shift
+    out of 1970-2100 raises ImpossibleDate. The sort is total: time,
+    then Device before Cloud, then id, so the result is byte-stable
+    across runs and input orderings. Each time is formatted once.
+    Undated records are excluded and counted.
     """
-    entries: list[TimelineEntry] = []
+    # (time, side, id, ISO time, label); side 0 is the device, 1 the cloud.
+    rows = []
     excluded = 0
     for record in device_records:
-        if record.timestamp is None:
+        stamp = record.timestamp
+        if stamp is None:
             excluded += 1
-            continue
-        entries.append(
-            TimelineEntry(record.timestamp, Source.DEVICE, record.record_id, record.category.value)
-        )
-    for event in cloud_events:
-        corrected = event.timestamp
-        if skew.offset_seconds:
-            corrected = UtcTimestamp(
-                corrected.seconds_since_epoch - skew.offset_seconds, corrected.original_text
+        else:
+            rows.append(
+                (stamp.seconds_since_epoch, 0, record.record_id, stamp.to_iso(),
+                 record.category.value)
             )
-        entries.append(TimelineEntry(corrected, Source.CLOUD, event.event_id, event.kind.value))
-    entries.sort(
-        key=lambda e: (
-            e.timestamp.seconds_since_epoch,
-            0 if e.source is Source.DEVICE else 1,
-            e.ref_id,
-        )
-    )
-    return UnifiedTimeline(entries=tuple(entries), excluded_undated=excluded)
+    offset = skew.offset_seconds
+    for event in cloud_events:
+        stamp = event.timestamp
+        if offset:
+            seconds = check_epoch(stamp.seconds_since_epoch - offset)
+            iso = epoch_to_iso(seconds)
+        else:
+            seconds, iso = stamp.seconds_since_epoch, stamp.to_iso()
+        rows.append((seconds, 1, event.event_id, iso, event.kind.value))
+    rows.sort()
+    sources = (Source.DEVICE.value, Source.CLOUD.value)
+    return {
+        "entries": [
+            {"timestamp_utc": iso, "source": sources[side], "id": ref_id, "label": label}
+            for _, side, ref_id, iso, label in rows
+        ],
+        "excluded_undated": excluded,
+    }
+
+
+def _finding(
+    kind: FindingKind, confidence: Confidence, supporting_ids: list[str], narrative: str
+) -> dict:
+    """One ``findings.json`` row, before its id is assigned."""
+    return {
+        "kind": kind.value,
+        "confidence": confidence.value,
+        "supporting_ids": supporting_ids,
+        "narrative": narrative,
+    }
 
 
 def detect_uninstall_evidence(
     apps: Sequence[AppRecord], cloud_events: Sequence[CloudEvent]
-) -> list[CloudUsageFinding]:
+) -> list[dict]:
     """Flag packages that were used against the cloud and then removed.
 
     A package qualifies when the device inventory lists it as
     uninstalled, or the cloud logged its install while the device has no
     trace of it, provided the cloud saw at least one event for it.
-    Confidence is High when the cloud also logged the uninstall.
+    Confidence is High when the cloud also logged the uninstall. Each
+    finding is a ``findings.json`` row without its ``finding_id``.
     """
     events_by_package: dict[str, list[CloudEvent]] = {}
     for event in cloud_events:
@@ -553,62 +543,54 @@ def detect_uninstall_evidence(
             else "no cloud uninstall entry was logged"
         )
         findings.append(
-            CloudUsageFinding(
-                kind=FindingKind.APP_USED_THEN_UNINSTALLED,
-                confidence=Confidence.HIGH if cloud_uninstall else Confidence.MEDIUM,
-                supporting_ids=tuple(supporting),
-                narrative=(
-                    f"Package {package} produced {len(events)} cloud event(s); "
-                    f"{source}, and {closer}."
-                ),
+            _finding(
+                FindingKind.APP_USED_THEN_UNINSTALLED,
+                Confidence.HIGH if cloud_uninstall else Confidence.MEDIUM,
+                supporting,
+                f"Package {package} produced {len(events)} cloud event(s); "
+                f"{source}, and {closer}.",
             )
         )
     return findings
 
 
 def derive_cloud_usage_findings(
-    links: Sequence[SyncLink],
-    uninstall_findings: Sequence[CloudUsageFinding],
+    links: Sequence[dict],
+    uninstall_findings: Sequence[dict],
     cloud_events: Sequence[CloudEvent],
-) -> list[CloudUsageFinding]:
-    """Assemble the final ordered finding list for the report.
+) -> list[dict]:
+    """Assemble the final ordered finding list, as the ``findings.json`` rows.
 
     Each upload or download link becomes a proven-transfer finding
     (digest matches are High confidence, window matches Medium), every
     account with a login event becomes an account-activity finding, and
     the uninstall findings are folded in. Order is (kind, first
-    supporting id). Narratives are templated, never free text.
+    supporting id), and ids ``F001``, ``F002``, ... follow that order.
+    Narratives are templated, never free text.
     """
     events_by_id = {event.event_id: event for event in cloud_events}
-    findings: list[CloudUsageFinding] = []
+    findings: list[dict] = []
 
     for link in links:
-        event = events_by_id.get(link.cloud_event_id)
+        record_id, event_id = link["device_record_id"], link["cloud_event_id"]
+        event = events_by_id.get(event_id)
         if event is None or event.kind not in (EventKind.UPLOAD, EventKind.DOWNLOAD):
             continue
-        kind = (
-            FindingKind.PROVEN_UPLOAD
-            if event.kind is EventKind.UPLOAD
-            else FindingKind.PROVEN_DOWNLOAD
-        )
-        confidence = (
-            Confidence.HIGH if link.tier is LinkTier.EXACT_DIGEST else Confidence.MEDIUM
-        )
+        exact = link["tier"] == LinkTier.EXACT_DIGEST.value
         basis = (
             "an exact content digest match"
-            if link.tier is LinkTier.EXACT_DIGEST
+            if exact
             else "matching object metadata inside the sync window"
         )
         findings.append(
-            CloudUsageFinding(
-                kind=kind,
-                confidence=confidence,
-                supporting_ids=(link.device_record_id, link.cloud_event_id),
-                narrative=(
-                    f"Device artifact {link.device_record_id} and cloud event "
-                    f"{link.cloud_event_id} ({event.kind.value}) are the same object, "
-                    f"established by {basis}."
-                ),
+            _finding(
+                FindingKind.PROVEN_UPLOAD
+                if event.kind is EventKind.UPLOAD
+                else FindingKind.PROVEN_DOWNLOAD,
+                Confidence.HIGH if exact else Confidence.MEDIUM,
+                [record_id, event_id],
+                f"Device artifact {record_id} and cloud event {event_id} "
+                f"({event.kind.value}) are the same object, established by {basis}.",
             )
         )
 
@@ -619,17 +601,18 @@ def derive_cloud_usage_findings(
     for account in sorted(logins_by_account):
         event_ids = sorted(logins_by_account[account])
         findings.append(
-            CloudUsageFinding(
-                kind=FindingKind.ACCOUNT_ACTIVITY,
-                confidence=Confidence.HIGH,
-                supporting_ids=tuple(event_ids),
-                narrative=(
-                    f"Account {account} authenticated against the cloud service "
-                    f"{len(event_ids)} time(s)."
-                ),
+            _finding(
+                FindingKind.ACCOUNT_ACTIVITY,
+                Confidence.HIGH,
+                event_ids,
+                f"Account {account} authenticated against the cloud service "
+                f"{len(event_ids)} time(s).",
             )
         )
 
     findings.extend(uninstall_findings)
-    findings.sort(key=lambda f: (_KIND_ORDER[f.kind], f.supporting_ids[0]))
-    return findings
+    findings.sort(key=lambda f: (_KIND_ORDER[f["kind"]], f["supporting_ids"][0]))
+    return [
+        {"finding_id": f"F{number:03d}", **finding}
+        for number, finding in enumerate(findings, start=1)
+    ]

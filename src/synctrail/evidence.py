@@ -81,10 +81,7 @@ class UtcTimestamp:
     _iso = None
 
     def __post_init__(self) -> None:
-        if not (EPOCH_MIN <= self.seconds_since_epoch <= EPOCH_MAX):
-            raise ImpossibleDate(
-                f"timestamp {self.seconds_since_epoch} outside supported range 1970-2100"
-            )
+        check_epoch(self.seconds_since_epoch)
         if not self.original_text:
             raise ValueError("original_text must be preserved, got empty string")
         _check_clean(self.original_text, "timestamp text")
@@ -287,6 +284,13 @@ def _epoch_from_civil(
     day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
     days = era * 146097 + day_of_era - 719468  # 0000-03-01 to 1970-01-01
     return days * 86400 + hour * 3600 + minute * 60 + second
+
+
+def check_epoch(epoch: int) -> int:
+    """Return ``epoch`` if it lies in 1970-2100; raise ImpossibleDate otherwise."""
+    if not EPOCH_MIN <= epoch <= EPOCH_MAX:
+        raise ImpossibleDate(f"timestamp {epoch} outside supported range 1970-2100")
+    return epoch
 
 
 def epoch_to_iso(epoch: int) -> str:

@@ -3,17 +3,20 @@
 Builds an identity graph from the identifiers found in communication
 artifacts and resolves IP addresses against a bundled range table.
 Nothing here touches the network; results must be reproducible in
-court, so only local lookup data participates.
+court, so only local lookup data participates. The graph and each geo
+hit come back as their stage-file payloads (``identity_graph.json``,
+one ``geo.json`` row).
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 import ipaddress
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 from bisect import bisect_right
 
 from .acquisition import _integer, load_json
@@ -31,32 +34,6 @@ class IdKind(Enum):
 
 
 @dataclass(frozen=True)
-class Identifier:
-    kind: IdKind
-    value: str
-
-
-@dataclass(frozen=True)
-class IdentityGraph:
-    """Co-occurrence graph over normalized identifiers.
-
-    Edge keys are unordered pairs stored in canonical (sorted) order;
-    the count says in how many artifacts both endpoints appeared.
-    """
-
-    nodes: frozenset[Identifier]
-    edges: Mapping[tuple[Identifier, Identifier], int]
-
-
-@dataclass(frozen=True)
-class GeoRecord:
-    ip: str
-    country: str
-    city: str
-    source_table: str
-
-
-@dataclass(frozen=True)
 class GeoTable:
     """Sorted, non-overlapping IPv4 ranges with country and city labels."""
 
@@ -66,32 +43,27 @@ class GeoTable:
     labels: tuple[tuple[str, str], ...]
 
 
-def normalize_identifier(raw: str) -> Optional[Identifier]:
-    """Normalize one identifier: emails lowercase, phones digits-only.
+def normalize_identifier(raw: str) -> Optional[tuple[str, str]]:
+    """Normalize one identifier to a (kind, value) pair of IdKind value and text.
 
-    A leading ``+`` on a phone number is kept; no country code is ever
-    inferred. Returns None when nothing usable remains.
+    Emails are lowercased, phones kept digits-only. A leading ``+`` on a
+    phone number is kept; no country code is ever inferred. Returns None
+    when nothing usable remains. Pairs sort by kind, then value.
     """
     text = raw.strip()
     if not text:
         return None
     if "@" in text:
-        return Identifier(IdKind.EMAIL, text.lower())
+        return (IdKind.EMAIL.value, text.lower())
     digits = "".join(ch for ch in text if ch.isdigit())
     if not digits:
         return None
     if text.startswith("+"):
         digits = "+" + digits
-    return Identifier(IdKind.PHONE, digits)
+    return (IdKind.PHONE.value, digits)
 
 
-def _edge_key(a: Identifier, b: Identifier) -> tuple[Identifier, Identifier]:
-    ka = (a.kind.value, a.value)
-    kb = (b.kind.value, b.value)
-    return (a, b) if ka <= kb else (b, a)
-
-
-def build_identity_graph(records: Iterable[EvidenceRecord]) -> IdentityGraph:
+def build_identity_graph(records: Iterable[EvidenceRecord]) -> dict:
     """Connect identifiers that co-occur in one artifact of a dump.
 
     A contact ties its own numbers together; each message or call ties
@@ -104,35 +76,37 @@ def build_identity_graph(records: Iterable[EvidenceRecord]) -> IdentityGraph:
     - a dated call whose ``direction`` is Incoming or Outgoing, and whose
       ``duration_s``, when present, ``int()`` reads.
 
-    Directions match case-insensitively. Construction is
-    order-independent, so permuting the records cannot change the graph.
+    Directions match case-insensitively. The result is the
+    ``identity_graph.json`` payload: nodes in (kind, value) order, and
+    each edge once, its ends in that order, with the number of
+    artifacts both ends appeared in. Construction is order-independent,
+    so permuting the records cannot change the graph.
     """
-    nodes: set[Identifier] = set()
-    edges: dict[tuple[Identifier, Identifier], int] = {}
+    nodes: set[tuple[str, str]] = set()
+    edges: dict[tuple[tuple[str, str], tuple[str, str]], int] = {}
 
-    def add_artifact(identifiers: Iterable[Identifier]) -> None:
-        group = sorted(set(identifiers), key=lambda i: (i.kind.value, i.value))
+    def add_artifact(identifiers: Iterable[tuple[str, str]], count: int = 1) -> None:
+        group = sorted(set(identifiers))
         nodes.update(group)
         for index, first in enumerate(group):
             for second in group[index + 1 :]:
-                key = _edge_key(first, second)
-                edges[key] = edges.get(key, 0) + 1
+                edges[first, second] = edges.get((first, second), 0) + count
 
-    owners: list[Identifier] = []
-    peers: list[str] = []
+    owners: list[tuple[str, str]] = []
+    peers: Counter[str] = Counter()
     for record in records:
         category, attrs = record.category, record.attributes
         if category is ArtifactCategory.MESSAGE:
             direction = attrs.get("direction")
             if direction is None or direction.lower() in _DIRECTIONS:
-                peers.append(attrs.get("peer", ""))
+                peers[attrs.get("peer", "")] += 1
         elif category is ArtifactCategory.CALL_RECORD:
             if (
                 attrs.get("direction", "").lower() in _DIRECTIONS
                 and record.timestamp is not None
                 and ("duration_s" not in attrs or _integer(attrs["duration_s"]) is not None)
             ):
-                peers.append(attrs.get("peer", ""))
+                peers[attrs.get("peer", "")] += 1
         elif category is ArtifactCategory.CONTACT:
             numbers = _string_list(attrs["numbers"]) if "numbers" in attrs else []
             if numbers is not None:
@@ -144,11 +118,24 @@ def build_identity_graph(records: Iterable[EvidenceRecord]) -> IdentityGraph:
                 owners.append(owner)
 
     nodes.update(owners)
-    for peer in map(normalize_identifier, peers):
+    # Every message or call with one normalized peer adds the same edges,
+    # so each distinct peer adds them once, weighted by its artifacts.
+    by_peer: Counter[tuple[str, str]] = Counter()
+    for raw, count in peers.items():
+        peer = normalize_identifier(raw)
         if peer is not None:
-            add_artifact([peer, *owners])
+            by_peer[peer] += count
+    for peer, count in by_peer.items():
+        add_artifact([peer, *owners], count)
 
-    return IdentityGraph(nodes=frozenset(nodes), edges=edges)
+    node = {(kind, value): {"kind": kind, "value": value} for kind, value in sorted(nodes)}
+    return {
+        "nodes": list(node.values()),
+        "edges": [
+            {"a": node[a], "b": node[b], "count": count}
+            for (a, b), count in sorted(edges.items())
+        ],
+    }
 
 
 def _string_list(text: str) -> Optional[list[str]]:
@@ -167,39 +154,51 @@ def load_geo_table(path: Path | str) -> GeoTable:
 
     Rows must already be sorted by range start and must not overlap;
     violations raise MalformedTable at load so later lookups can trust
-    binary search.
+    binary search. So does a file that is not UTF-8 or that csv cannot
+    read, such as one with a field over csv's size limit.
     """
     table_path = Path(path)
     starts: list[int] = []
     ends: list[int] = []
     labels: list[tuple[str, str]] = []
     with open(table_path, newline="", encoding="utf-8") as handle:
-        for row_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) < 4:
-                raise MalformedTable(f"{table_path}:{row_no}: need 4 columns, got {len(row)}")
-            try:
-                start = int(ipaddress.IPv4Address(row[0].strip()))
-                end = int(ipaddress.IPv4Address(row[1].strip()))
-            except ipaddress.AddressValueError as exc:
-                raise MalformedTable(f"{table_path}:{row_no}: {exc}") from exc
-            if end < start:
-                raise MalformedTable(f"{table_path}:{row_no}: range end precedes start")
-            if starts and start <= ends[-1]:
-                raise MalformedTable(
-                    f"{table_path}:{row_no}: ranges must be sorted and non-overlapping"
-                )
-            starts.append(start)
-            ends.append(end)
-            labels.append((row[2].strip(), row[3].strip()))
+        reader = csv.reader(handle)
+        try:
+            for row_no, row in enumerate(reader, start=1):
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                if len(row) < 4:
+                    raise MalformedTable(
+                        f"{table_path}:{row_no}: need 4 columns, got {len(row)}"
+                    )
+                try:
+                    start = int(ipaddress.IPv4Address(row[0].strip()))
+                    end = int(ipaddress.IPv4Address(row[1].strip()))
+                except ipaddress.AddressValueError as exc:
+                    raise MalformedTable(f"{table_path}:{row_no}: {exc}") from exc
+                if end < start:
+                    raise MalformedTable(f"{table_path}:{row_no}: range end precedes start")
+                if starts and start <= ends[-1]:
+                    raise MalformedTable(
+                        f"{table_path}:{row_no}: ranges must be sorted and non-overlapping"
+                    )
+                starts.append(start)
+                ends.append(end)
+                labels.append((row[2].strip(), row[3].strip()))
+        except UnicodeDecodeError as exc:
+            raise MalformedTable(f"{table_path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise MalformedTable(f"{table_path}:{reader.line_num}: {exc}") from None
     return GeoTable(
         name=table_path.name, starts=tuple(starts), ends=tuple(ends), labels=tuple(labels)
     )
 
 
-def resolve_ip(ip: str, geo_table: GeoTable) -> Optional[GeoRecord]:
-    """Binary-search the range table; a miss is an absent result, not an error."""
+def resolve_ip(ip: str, geo_table: GeoTable) -> Optional[dict]:
+    """Binary-search the range table for one ``geo.json`` row.
+
+    A miss is an absent result, not an error.
+    """
     try:
         value = int(ipaddress.IPv4Address(ip.strip()))
     except ipaddress.AddressValueError:
@@ -208,4 +207,4 @@ def resolve_ip(ip: str, geo_table: GeoTable) -> Optional[GeoRecord]:
     if index < 0 or value > geo_table.ends[index]:
         return None
     country, city = geo_table.labels[index]
-    return GeoRecord(ip=ip.strip(), country=country, city=city, source_table=geo_table.name)
+    return {"ip": ip.strip(), "country": country, "city": city, "source_table": geo_table.name}

@@ -15,21 +15,13 @@ import html
 import json
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .acquisition import LedgerEntry
-from .correlation import (
-    DEFAULT_MIN_SKEW_SUPPORT,
-    DEFAULT_WINDOW_SECONDS,
-    CloudUsageFinding,
-    SkewEstimate,
-    SyncLink,
-    UnifiedTimeline,
-)
+from .correlation import DEFAULT_MIN_SKEW_SUPPORT, DEFAULT_WINDOW_SECONDS
 from .evidence import Locale
-from .osint import GeoRecord, IdentityGraph
 
 logger = logging.getLogger(__name__)
 
@@ -42,75 +34,9 @@ class ReportFormat(Enum):
     HTML = "html"
 
 
-def skew_to_dict(skew: SkewEstimate) -> dict:
-    return {
-        "offset_seconds": skew.offset_seconds,
-        "support_count": skew.support_count,
-        "spread_seconds": skew.spread_seconds,
-        "fallback": skew.fallback,
-    }
-
-
-def link_to_dict(link: SyncLink) -> dict:
-    return {
-        "device_record_id": link.device_record_id,
-        "cloud_event_id": link.cloud_event_id,
-        "tier": link.tier.value,
-        "time_delta_seconds": link.time_delta_seconds,
-    }
-
-
-def finding_to_dict(finding: CloudUsageFinding, finding_id: str) -> dict:
-    return {
-        "finding_id": finding_id,
-        "kind": finding.kind.value,
-        "confidence": finding.confidence.value,
-        "supporting_ids": list(finding.supporting_ids),
-        "narrative": finding.narrative,
-    }
-
-
-def timeline_to_list(timeline: UnifiedTimeline) -> list:
-    return [
-        {
-            "timestamp_utc": entry.timestamp.to_iso(),
-            "source": entry.source.value,
-            "id": entry.ref_id,
-            "label": entry.label,
-        }
-        for entry in timeline.entries
-    ]
-
-
-def identity_graph_to_dict(graph: IdentityGraph) -> dict:
-    nodes = sorted(graph.nodes, key=lambda n: (n.kind.value, n.value))
-    edges = sorted(
-        graph.edges.items(),
-        key=lambda item: (
-            item[0][0].kind.value,
-            item[0][0].value,
-            item[0][1].kind.value,
-            item[0][1].value,
-        ),
-    )
-    return {
-        "nodes": [{"kind": n.kind.value, "value": n.value} for n in nodes],
-        "edges": [
-            {
-                "a": {"kind": a.kind.value, "value": a.value},
-                "b": {"kind": b.kind.value, "value": b.value},
-                "count": count,
-            }
-            for (a, b), count in edges
-        ],
-    }
-
-
-def geo_to_list(records: Sequence[GeoRecord]) -> list:
-    return [
-        {"ip": r.ip, "country": r.country, "city": r.city, "source_table": r.source_table}
-        for r in sorted(records, key=lambda r: r.ip)
-    ]
+def skew_to_dict(skew: Any) -> dict:
+    """A correlation.SkewEstimate as its ``skew.json`` payload."""
+    return asdict(skew)
 
 
 TIMESTAMP_ASSUMPTION = (

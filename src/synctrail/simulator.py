@@ -12,20 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .acquisition import (
-    CATEGORY_FILES,
-    TIME_FIELDS,
-    CloudEvent,
-    ingest_cloud_log,
-    ingest_device_dump,
-    record_from_fields,
-)
+from .acquisition import CATEGORY_FILES, TIME_FIELDS, ingest_device_dump
 from .errors import EmptyBundle, IoFailure
-from .evidence import EvidenceRecord, Locale, civil_from_epoch, epoch_to_iso
+from .evidence import civil_from_epoch, epoch_to_iso
 
 CLOUD_LOG_NAME = "cloud_events.jsonl"
 GROUND_TRUTH_NAME = "ground_truth.json"
@@ -134,8 +127,6 @@ class SimCase:
     bundle_dir: Path
     cloud_log: Path
     ground_truth: GroundTruth
-    records: tuple[EvidenceRecord, ...] = field(repr=False, default=())
-    events: tuple[CloudEvent, ...] = field(repr=False, default=())
 
 
 def _legacy_text(epoch: int) -> str:
@@ -402,21 +393,7 @@ def generate_case(params: SimParams, out_dir: Path | str) -> SimCase:
         )
     except OSError as exc:
         raise IoFailure(f"could not write case under {out}: {exc}") from exc
-
-    records = []
-    for file_name, category in CATEGORY_FILES:
-        for line_no, fields in enumerate(lines[file_name], start=1):
-            records.append(
-                record_from_fields(category, fields, file_name, line_no, Locale.DAY_FIRST, 0)
-            )
-    parsed_events = ingest_cloud_log(cloud_log)
-    return SimCase(
-        bundle_dir=bundle,
-        cloud_log=cloud_log,
-        ground_truth=truth,
-        records=tuple(records),
-        events=tuple(parsed_events),
-    )
+    return SimCase(bundle_dir=bundle, cloud_log=cloud_log, ground_truth=truth)
 
 
 def inject_tamper(bundle_path: Path | str, seed: int) -> tuple[Path, int]:

@@ -123,10 +123,12 @@ def test_criterion_2_uninstall_evidence(golden_bundle, golden_cloud_log):
         links = match_synced_artifacts(dump.records, events, zero_skew())
         uninstall = detect_uninstall_evidence(apps, events)
         findings = derive_cloud_usage_findings(links, uninstall, events)
-        flagged = [f for f in findings if f.kind is FindingKind.APP_USED_THEN_UNINSTALLED]
+        flagged = [
+            f for f in findings if f["kind"] == FindingKind.APP_USED_THEN_UNINSTALLED.value
+        ]
         assert len(flagged) == 1
-        assert flagged[0].confidence is Confidence.HIGH
-        assert "com.example.ccs.osfunctionenable" in flagged[0].narrative
+        assert flagged[0]["confidence"] == Confidence.HIGH.value
+        assert "com.example.ccs.osfunctionenable" in flagged[0]["narrative"]
 
 
 def test_criterion_3_tamper_detection(tmp_path):
@@ -265,7 +267,7 @@ def test_criterion_5_correlation_oracle_equivalence(tmp_path):
             links = match_synced_artifacts(dump.records, events, skew)
 
             mine = [
-                (l.device_record_id, l.cloud_event_id, l.tier.value, l.time_delta_seconds)
+                (l["device_record_id"], l["cloud_event_id"], l["tier"], l["time_delta_seconds"])
                 for l in links
             ]
             oracle = brute_force_match(dump.records, events, skew.offset_seconds, 300)
@@ -277,16 +279,16 @@ def test_criterion_5_correlation_oracle_equivalence(tmp_path):
             truth = set(case.ground_truth.true_links)
             if digest_logging:
                 exact = {
-                    (l.device_record_id, l.cloud_event_id)
+                    (l["device_record_id"], l["cloud_event_id"])
                     for l in links
-                    if l.tier is LinkTier.EXACT_DIGEST
+                    if l["tier"] == LinkTier.EXACT_DIGEST.value
                 }
                 assert exact == truth, f"seed {seed}: precision/recall below 1.0"
             else:
                 window = {
-                    (l.device_record_id, l.cloud_event_id)
+                    (l["device_record_id"], l["cloud_event_id"])
                     for l in links
-                    if l.tier is LinkTier.METADATA_WINDOW
+                    if l["tier"] == LinkTier.METADATA_WINDOW.value
                 }
                 recall = len(window & truth) / len(truth) if truth else 1.0
                 assert recall >= 1.0, f"seed {seed}: metadata recall {recall}"
@@ -380,4 +382,4 @@ def test_criterion_8_geo_lookup_oracle(tmp_path):
             if expected is None:
                 assert got is None
             else:
-                assert (got.country, got.city) == expected
+                assert (got["country"], got["city"]) == expected

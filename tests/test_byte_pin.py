@@ -1,4 +1,4 @@
-"""Byte pins: the SHA-256 of every file `run-all` writes, on three fixed inputs.
+"""Byte pins: the SHA-256 of every file `run-all` writes, on five fixed inputs.
 
 Each input runs through `run-all` once per report format into one
 output directory. The pins cover every stage file, the json, md and
@@ -32,6 +32,24 @@ def simulated(tmp: Path) -> tuple[Path, Path, list[str]]:
             "--messages", "10", "--calls", "6", "--out", str(tmp / "case")]
     assert run(argv) == 0
     return tmp / "case" / "bundle", tmp / "case" / "cloud_events.jsonl", []
+
+
+def simulated_metadata_only(tmp: Path) -> tuple[Path, Path, list[str]]:
+    """No digests logged: the skew falls back, every link is a MetadataWindow link."""
+    argv = ["simulate", "--seed", "22", "--no-digest-logging", "--skew-seconds", "120",
+            "--uploads", "12", "--messages", "10", "--calls", "6", "--out", str(tmp / "case")]
+    assert run(argv) == 0
+    return tmp / "case" / "bundle", tmp / "case" / "cloud_events.jsonl", []
+
+
+def sync_shapes(tmp: Path) -> tuple[Path, Path, list[str]]:
+    """A measured nonzero skew, Download links on both tiers, an undated record
+    linked by digest, size-less objects on both sides, an orphan cloud install,
+    and peers repeated across messages and calls."""
+    source = DATA_DIR / "sync_shapes"
+    bundle = tmp / "bundle"
+    shutil.copytree(source / "bundle", bundle)
+    return bundle, source / "cloud_events.jsonl", []
 
 
 def comm_shapes(tmp: Path) -> tuple[Path, Path, list[str]]:
@@ -93,6 +111,40 @@ PINS = {
         "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
         "manifest.sealed.json": "65f202005437913d099f71fe278f63b49acd1b79549d492cfde2a05d56a0c847",
         "stderr": "1cef506a4af1cde6e2256817ee0b832bc190ec142ebc849e9dd5dc72acf1e024",
+    }),
+    "simulated_metadata_only": (simulated_metadata_only, {
+        "cloud_log.json": "897ab55886061313e5dfb9200c3fc3f21235c42acee26d301b247a6798a0da2f",
+        "dump.json": "5f8d45f87a81e1e3dab1fb11ff62b79e871e83f78cdb1392afd5ae911382f1b3",
+        "findings.json": "43c5dec3a7d1ecb6e7793a8b0a353dd94d1930c347f07afc1766136423cde56f",
+        "geo.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "identity_graph.json": "7b9f06ec6ccfac5bde792204d5fa5125e382d732411898926517132ee56d3772",
+        "links.json": "c0b4ae142b3438671b92d45fc89e65479127719068bb4a4f32ac3c346c30d3c6",
+        "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
+        "sim-22.report.html": "9400e8ab43bdb8a56c92ebf0c57895ccfe6d3978781fd39e343818971aaabec9",
+        "sim-22.report.json": "c38dba59d3ec4cadaa31d4e9504cfc29907e66da9fcab128cf2e6f7124ec70f8",
+        "sim-22.report.md": "079f0de08a3ef7ea026edc5c3cfdf66a86f9f82565aff29772a2b52457e2401c",
+        "skew.json": "38885eb8176156bf1fa0fadb06c592ffc0bfae277c6780abcebf25ab5540c4e8",
+        "timeline.json": "32c68c0545ec1f3da600b512705afb8bf72e4218cac1391da579344268aca39d",
+        "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
+        "manifest.sealed.json": "948082c31a38cba778c023130e741aac556ed7b990ab9f9445a1a0ff825a06be",
+        "stderr": "f443bf547664ab7779111d49c127bb541d3a1d9a558c9435fdaae5f2c8113019",
+    }),
+    "sync_shapes": (sync_shapes, {
+        "cloud_log.json": "ffb98959d6cd2bd9e91fb7f10cca350c2a6d8cd89afc23e16cf9718fc1372669",
+        "dump.json": "997a27a7cd9051c1a14539d7fb92ed53f55b9b547c7e9dc58200b59c57fd3f46",
+        "findings.json": "86e1bc54bbc82de428fba759074508da1b26e6723b13817188609ed5b234de0f",
+        "geo.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "identity_graph.json": "14b86e0eb3ef51348f860b5b6e37b8b38785e6153b1fa15734ead4718d1cc352",
+        "links.json": "42da26d0ea53a34279988f864095ee5010cf7e8d691a7cfea0bd2c7ac72d545e",
+        "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
+        "skew.json": "8474a3058d54ac52769fe8c55a0835762a01c296355ca63454ce0121f2e05a00",
+        "sync-shapes.report.html": "372ead2f63140bf4091208873bfc288c33f5bec848a6c5f510ad9d0056032776",
+        "sync-shapes.report.json": "f79dcaf5d74d0a3f9cb5e041b82b2f6e16ba42119c1a869cf0e8b3e6805e8c44",
+        "sync-shapes.report.md": "548fef50e877c9f4c51a4f236719514c3129bf4eab8f64def9db5367d51e016e",
+        "timeline.json": "7b44cd4de3a3a95cd0d03c0a34236381979fa878a1cdb551801854ebd46e2ce2",
+        "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
+        "manifest.sealed.json": "6a51a914c4f0e56c22a934edcf6d643e6f6f116b606bfa34e0566b2e4c14692d",
+        "stderr": "cce2b4f01b1da38f792aa52aa5b983edbbad5fefe80948670d718397a0a74f84",
     }),
     "comm_shapes": (comm_shapes, {
         "cloud_log.json": "a535418085b9fe419abad0bcb4ebff342b3a49b0dc30fac4c43c6e67f22b7e8e",

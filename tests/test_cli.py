@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -159,7 +160,7 @@ class TestSubcommandOutputs:
         assert run(["ingest", str(case.bundle_dir), "--out", str(out)]) == 0
         data = json.loads((out / "dump.json").read_text())
         assert data["dump_id"] == "sim-1000"
-        assert len(data["records"]) == len(case.records)
+        assert len(data["records"]) == len(ingest_device_dump(case.bundle_dir).records)
 
     def test_dump_canonical_debug_flag_feeds_digest_oracle(self, tmp_path):
         bundle = tmp_path / "tiny"
@@ -297,7 +298,8 @@ class TestSubcommandOutputs:
         assert run(["report", "--out", str(out)]) == 0
         report = json.loads((out / "sim-1000.report.json").read_text())
         assert report["inputs"]["dumps"][0]["chain_verdict"] == "Unverified"
-        assert report["inputs"]["dumps"][0]["record_count"] == len(case.records)
+        record_count = len(ingest_device_dump(case.bundle_dir).records)
+        assert report["inputs"]["dumps"][0]["record_count"] == record_count
         assert report["inputs"]["cloud_logs"] == []
         assert report["parameters"] == {
             "window_seconds": 300,
@@ -422,6 +424,7 @@ class TestRunAll:
 
     def test_run_all_encodes_each_record_once(self, tmp_path, monkeypatch):
         case = simulate(tmp_path, n_uploads=6, skew_seconds=300)
+        record_count = len(ingest_device_dump(case.bundle_dir).records)
         calls = []
         original = evidence.canonical_encode
 
@@ -434,7 +437,7 @@ class TestRunAll:
         out = tmp_path / "out"
         assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 0
         report = json.loads((out / "sim-1000.report.json").read_text())
-        assert len(calls) == report["inputs"]["dumps"][0]["record_count"] == len(case.records)
+        assert len(calls) == report["inputs"]["dumps"][0]["record_count"] == record_count
         assert sorted(calls) == sorted(set(calls))
 
 
@@ -664,6 +667,41 @@ class TestMalformedInputs:
         }[command]
         assert run(argv) == code
         assert capsys.readouterr().err == line.format(path=path) + "\n"
+
+
+_FIELD_LIMIT = csv.field_size_limit()
+
+
+class TestMalformedGeoTable:
+    @pytest.mark.parametrize(
+        "body, problem",
+        [
+            (b"# start,end,country,city\n10.0.0.0,10.0.0.255,IE,Dubl\xe9n\n",
+             ": not UTF-8 text (invalid continuation byte)"),
+            (b"10.0.0.0,10.0.0.255,IE,Dublin\n10.0.1.0,10.0.1.255,IE,"
+             + b"x" * (_FIELD_LIMIT + 1) + b"\n",
+             f":2: field larger than field limit ({_FIELD_LIMIT})"),
+        ],
+        ids=["not-utf8", "field-over-csv-limit"],
+    )
+    @pytest.mark.parametrize("command", ["enrich", "run-all"])
+    def test_exits_4_with_one_line_naming_the_table(
+        self, tmp_path, capsys, body, problem, command
+    ):
+        case = simulate(tmp_path)
+        table = tmp_path / "geo.csv"
+        table.write_bytes(body)
+        logs = [str(case.cloud_log)] if command == "run-all" else []
+        argv = [command, str(case.bundle_dir), *logs, "--out", str(tmp_path / "out"),
+                "--geo-table", str(table)]
+        capsys.readouterr()
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        # run-all reports the stages before enrich on lines of their own.
+        assert err.splitlines()[-1] == f"error: {table}{problem}"
+        assert "Traceback" not in err
+        if command == "enrich":
+            assert err.count("\n") == 1
 
 
 class TestEntryPoints:

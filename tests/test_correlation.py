@@ -27,7 +27,7 @@ from synctrail.correlation import (
     zero_skew,
     SkewEstimate,
 )
-from synctrail.errors import InsufficientSupport
+from synctrail.errors import ImpossibleDate, InsufficientSupport
 from synctrail.evidence import (
     ArtifactCategory,
     Digest256,
@@ -41,6 +41,13 @@ from synctrail.simulator import SimParams, generate_case
 from _oracles import brute_force_match, lower_median
 
 BASE = 1462752000  # inside the simulated week
+
+
+def link_tuple(link: dict) -> tuple:
+    """A links.json row as (record id, event id, tier, time delta)."""
+    return (
+        link["device_record_id"], link["cloud_event_id"], link["tier"], link["time_delta_seconds"]
+    )
 
 
 def ts(epoch: int) -> UtcTimestamp:
@@ -244,8 +251,8 @@ class TestMatchSyncedArtifacts:
         events = [cloud("e0", BASE + 1, digest=d)]
         links = match_synced_artifacts(records, events, zero_skew())
         assert len(links) == 1
-        assert links[0].tier is LinkTier.EXACT_DIGEST
-        assert links[0].time_delta_seconds == 1
+        assert links[0]["tier"] == LinkTier.EXACT_DIGEST.value
+        assert links[0]["time_delta_seconds"] == 1
 
     def test_each_side_used_at_most_once(self):
         d = digest_hex("same")
@@ -253,15 +260,15 @@ class TestMatchSyncedArtifacts:
         events = [cloud("e0", BASE + 1, digest=d)]
         links = match_synced_artifacts(records, events, zero_skew())
         assert len(links) == 1
-        assert links[0].device_record_id == "r0"  # smallest corrected delta wins
+        assert links[0]["device_record_id"] == "r0"  # smallest corrected delta wins
 
     def test_metadata_window_respects_size_and_window(self):
         records = [device_file("r0", BASE, name="IMG.jpg", size=100)]
         same = [cloud("e0", BASE + 10, name="IMG.jpg", size=100)]
         other_size = [cloud("e1", BASE + 10, name="IMG.jpg", size=999)]
         far = [cloud("e2", BASE + 301, name="IMG.jpg", size=100)]
-        assert match_synced_artifacts(records, same, zero_skew())[0].tier is (
-            LinkTier.METADATA_WINDOW
+        assert match_synced_artifacts(records, same, zero_skew())[0]["tier"] == (
+            LinkTier.METADATA_WINDOW.value
         )
         assert match_synced_artifacts(records, other_size, zero_skew()) == []
         assert match_synced_artifacts(records, far, zero_skew(), window_seconds=300) == []
@@ -271,8 +278,8 @@ class TestMatchSyncedArtifacts:
         records = [device_file("r0", None, d)]
         events = [cloud("e0", BASE, digest=d)]
         links = match_synced_artifacts(records, events, zero_skew())
-        assert links[0].tier is LinkTier.EXACT_DIGEST
-        assert links[0].time_delta_seconds is None
+        assert links[0]["tier"] == LinkTier.EXACT_DIGEST.value
+        assert links[0]["time_delta_seconds"] is None
 
     def test_matches_brute_force_on_dense_grid(self):
         # 20 records x 20 events with colliding names and a few shared digests.
@@ -291,7 +298,7 @@ class TestMatchSyncedArtifacts:
             )
         skew = zero_skew()
         mine = [
-            (l.device_record_id, l.cloud_event_id, l.tier.value, l.time_delta_seconds)
+            link_tuple(l)
             for l in match_synced_artifacts(records, events, skew, window_seconds=300)
         ]
         oracle = brute_force_match(records, events, skew.offset_seconds, 300)
@@ -304,7 +311,7 @@ class TestMatchSyncedArtifacts:
             window = (0, 3, 300)[index % 3]
             skew = SkewEstimate(offset_seconds=offset, support_count=0, spread_seconds=0)
             mine = [
-                (l.device_record_id, l.cloud_event_id, l.tier.value, l.time_delta_seconds)
+                link_tuple(l)
                 for l in match_synced_artifacts(records, events, skew, window_seconds=window)
             ]
             assert mine == brute_force_match(records, events, offset, window), f"case {index}"
@@ -315,7 +322,9 @@ class TestMatchSyncedArtifacts:
                    device_file("r3", BASE, d)]
         events = [cloud(f"e{i}", BASE + 50 * i, digest=d) for i in (3, 1, 2, 0)]
         links = match_synced_artifacts(records, events, zero_skew())
-        assert [(l.device_record_id, l.cloud_event_id, l.time_delta_seconds) for l in links] == [
+        assert [
+            (l["device_record_id"], l["cloud_event_id"], l["time_delta_seconds"]) for l in links
+        ] == [
             ("r1", "e1", None),
             ("r2", "e2", None),
             ("r3", "e0", 0),
@@ -336,17 +345,17 @@ class TestMatchSyncedArtifacts:
         started = time.perf_counter()
         links = match_synced_artifacts(records, events, zero_skew())
         assert time.perf_counter() - started < 5.0
-        assert [(l.device_record_id, l.cloud_event_id, l.tier) for l in links] == [
-            (f"d{i:05d}", f"x{i:05d}", LinkTier.EXACT_DIGEST) for i in range(n)
-        ] + [(f"o{i:05d}", f"y{i:05d}", LinkTier.METADATA_WINDOW) for i in range(n)]
+        assert [link_tuple(l)[:3] for l in links] == [
+            (f"d{i:05d}", f"x{i:05d}", "ExactDigest") for i in range(n)
+        ] + [(f"o{i:05d}", f"y{i:05d}", "MetadataWindow") for i in range(n)]
 
     def test_no_record_or_event_in_two_links(self):
         d = digest_hex("x")
         records = [device_file(f"r{i}", BASE + i, d, name="n.bin") for i in range(4)]
         events = [cloud(f"e{i}", BASE + i, digest=d, name="n.bin") for i in range(4)]
         links = match_synced_artifacts(records, events, zero_skew())
-        seen_r = [l.device_record_id for l in links]
-        seen_e = [l.cloud_event_id for l in links]
+        seen_r = [l["device_record_id"] for l in links]
+        seen_e = [l["cloud_event_id"] for l in links]
         assert len(seen_r) == len(set(seen_r))
         assert len(seen_e) == len(set(seen_e))
 
@@ -373,16 +382,13 @@ class TestMatchSyncedArtifacts:
         shifted_skew = estimate_clock_skew(dump.records, shifted_events)
         assert shifted_skew.offset_seconds == skew.offset_seconds + shift
         shifted = match_synced_artifacts(dump.records, shifted_events, shifted_skew)
-        assert [(l.device_record_id, l.cloud_event_id, l.tier) for l in shifted] == [
-            (l.device_record_id, l.cloud_event_id, l.tier) for l in baseline
-        ]
+        assert [link_tuple(l)[:3] for l in shifted] == [link_tuple(l)[:3] for l in baseline]
 
 
 class TestBuildTimeline:
     def test_empty(self):
         timeline = build_timeline([], [], zero_skew())
-        assert timeline.entries == ()
-        assert timeline.excluded_undated == 0
+        assert timeline == {"entries": [], "excluded_undated": 0}
 
     def test_tie_rule_device_before_cloud(self):
         offset = 300
@@ -390,17 +396,20 @@ class TestBuildTimeline:
         events = [cloud("e0", BASE + offset, kind=EventKind.LOGIN)]
         skew = SkewEstimate(offset_seconds=offset, support_count=5, spread_seconds=0)
         timeline = build_timeline(records, events, skew)
-        assert [e.ref_id for e in timeline.entries] == ["r0", "e0"]
-        assert (
-            timeline.entries[0].timestamp.seconds_since_epoch
-            == timeline.entries[1].timestamp.seconds_since_epoch
-            == BASE
-        )
+        assert [e["id"] for e in timeline["entries"]] == ["r0", "e0"]
+        assert [e["timestamp_utc"] for e in timeline["entries"]] == [epoch_to_iso(BASE)] * 2
 
     def test_id_breaks_remaining_ties(self):
         records = [device_file("rb", BASE), device_file("ra", BASE)]
         timeline = build_timeline(records, [], zero_skew())
-        assert [e.ref_id for e in timeline.entries] == ["ra", "rb"]
+        assert [e["id"] for e in timeline["entries"]] == ["ra", "rb"]
+
+    def test_cloud_time_shifted_out_of_range_is_impossible(self):
+        skew = SkewEstimate(offset_seconds=200, support_count=3, spread_seconds=0)
+        shifted = build_timeline([], [cloud("e0", 200, kind=EventKind.LOGIN)], skew)
+        assert shifted["entries"][0]["timestamp_utc"] == "1970-01-01T00:00:00Z"
+        with pytest.raises(ImpossibleDate, match="timestamp -1 outside supported range"):
+            build_timeline([], [cloud("e0", 199, kind=EventKind.LOGIN)], skew)
 
     def test_total_order_oracle(self, tmp_path):
         case = generate_case(SimParams(seed=88, skew_seconds=60), tmp_path)
@@ -409,14 +418,15 @@ class TestBuildTimeline:
         skew = estimate_clock_skew(dump.records, events)
         timeline = build_timeline(dump.records, events, skew)
 
+        # ISO-Z text of one format sorts as its instant does.
         keys = [
-            (e.timestamp.seconds_since_epoch, 0 if e.source is Source.DEVICE else 1, e.ref_id)
-            for e in timeline.entries
+            (e["timestamp_utc"], 0 if e["source"] == Source.DEVICE.value else 1, e["id"])
+            for e in timeline["entries"]
         ]
         assert keys == sorted(keys)
         dated_records = sum(1 for r in dump.records if r.timestamp is not None)
-        assert len(timeline.entries) == dated_records + len(events)
-        assert timeline.excluded_undated == len(dump.records) - dated_records
+        assert len(timeline["entries"]) == dated_records + len(events)
+        assert timeline["excluded_undated"] == len(dump.records) - dated_records
 
     def test_rebuild_is_deterministic(self, tmp_path):
         case = generate_case(SimParams(seed=89), tmp_path)
@@ -436,11 +446,12 @@ class TestUninstallEvidence:
         findings = detect_uninstall_evidence(apps, events)
         assert len(findings) == 1
         finding = findings[0]
-        assert finding.kind is FindingKind.APP_USED_THEN_UNINSTALLED
-        assert finding.confidence is Confidence.HIGH
-        assert "com.example.ccs.osfunctionenable" in finding.narrative
-        assert "app-0007" in finding.supporting_ids
-        assert {"e1", "e2"} <= set(finding.supporting_ids)
+        assert finding["kind"] == FindingKind.APP_USED_THEN_UNINSTALLED.value
+        assert finding["confidence"] == Confidence.HIGH.value
+        assert "com.example.ccs.osfunctionenable" in finding["narrative"]
+        assert "app-0007" in finding["supporting_ids"]
+        assert {"e1", "e2"} <= set(finding["supporting_ids"])
+        assert "finding_id" not in finding
 
     def test_no_evidence_no_findings(self):
         apps = [AppRecord(app_name="Fine", status=AppStatus.ALL, record_id="a1")]
@@ -450,8 +461,8 @@ class TestUninstallEvidence:
         events = [cloud("e0", BASE, kind=EventKind.INSTALL, name="com.example.gone")]
         findings = detect_uninstall_evidence([], events)
         assert len(findings) == 1
-        assert findings[0].confidence is Confidence.MEDIUM
-        assert findings[0].supporting_ids == ("e0",)
+        assert findings[0]["confidence"] == Confidence.MEDIUM.value
+        assert findings[0]["supporting_ids"] == ["e0"]
 
     def test_device_uninstall_without_cloud_events_is_silent(self):
         apps = [
@@ -473,24 +484,25 @@ class TestDeriveFindings:
         links = match_synced_artifacts(records, events, zero_skew())
         findings = derive_cloud_usage_findings(links, [], events)
         assert len(findings) == 1
-        assert findings[0].kind is FindingKind.PROVEN_UPLOAD
-        assert findings[0].confidence is Confidence.HIGH
-        assert findings[0].supporting_ids == ("r0", "e0")
+        assert findings[0]["kind"] == FindingKind.PROVEN_UPLOAD.value
+        assert findings[0]["confidence"] == Confidence.HIGH.value
+        assert findings[0]["supporting_ids"] == ["r0", "e0"]
+        assert findings[0]["finding_id"] == "F001"
 
     def test_download_and_metadata_confidence(self):
         records = [device_file("r0", BASE, name="doc.pdf", size=5)]
         events = [cloud("e0", BASE + 2, kind=EventKind.DOWNLOAD, name="doc.pdf", size=5)]
         links = match_synced_artifacts(records, events, zero_skew())
         findings = derive_cloud_usage_findings(links, [], events)
-        assert findings[0].kind is FindingKind.PROVEN_DOWNLOAD
-        assert findings[0].confidence is Confidence.MEDIUM
+        assert findings[0]["kind"] == FindingKind.PROVEN_DOWNLOAD.value
+        assert findings[0]["confidence"] == Confidence.MEDIUM.value
 
     def test_empty_case_keeps_only_uninstall_findings(self):
         uninstall = detect_uninstall_evidence(
             [], [cloud("e0", BASE, kind=EventKind.INSTALL, name="com.example.gone")]
         )
         findings = derive_cloud_usage_findings([], uninstall, [])
-        assert [f.kind for f in findings] == [FindingKind.APP_USED_THEN_UNINSTALLED]
+        assert [f["kind"] for f in findings] == [FindingKind.APP_USED_THEN_UNINSTALLED.value]
 
     def test_account_activity_per_login_account(self):
         events = [
@@ -499,12 +511,13 @@ class TestDeriveFindings:
             cloud("e2", BASE + 9, kind=EventKind.LOGIN, account="a@x"),
         ]
         findings = derive_cloud_usage_findings([], [], events)
-        assert [f.kind for f in findings] == [FindingKind.ACCOUNT_ACTIVITY] * 2
+        assert [f["kind"] for f in findings] == [FindingKind.ACCOUNT_ACTIVITY.value] * 2
         # Final order is (kind, first supporting id): e0 before e1.
-        assert findings[0].supporting_ids == ("e0",)
-        assert "b@x" in findings[0].narrative
-        assert findings[1].supporting_ids == ("e1", "e2")
-        assert "a@x" in findings[1].narrative
+        assert findings[0]["supporting_ids"] == ["e0"]
+        assert "b@x" in findings[0]["narrative"]
+        assert findings[1]["supporting_ids"] == ["e1", "e2"]
+        assert "a@x" in findings[1]["narrative"]
+        assert [f["finding_id"] for f in findings] == ["F001", "F002"]
 
     def test_supporting_ids_cover_ground_truth_links(self, tmp_path):
         case = generate_case(SimParams(seed=90, n_uploads=7, skew_seconds=200), tmp_path)
@@ -517,9 +530,9 @@ class TestDeriveFindings:
         findings = derive_cloud_usage_findings(links, uninstall, events)
 
         upload_pairs = {
-            f.supporting_ids
+            tuple(f["supporting_ids"])
             for f in findings
-            if f.kind in (FindingKind.PROVEN_UPLOAD, FindingKind.PROVEN_DOWNLOAD)
+            if f["kind"] in (FindingKind.PROVEN_UPLOAD.value, FindingKind.PROVEN_DOWNLOAD.value)
         }
         assert upload_pairs == set(case.ground_truth.true_links)
 
@@ -534,8 +547,9 @@ class TestDeriveFindings:
         links = match_synced_artifacts(records, events, zero_skew())
         uninstall = detect_uninstall_evidence([], events)
         findings = derive_cloud_usage_findings(links, uninstall, events)
-        assert [f.kind for f in findings] == [
-            FindingKind.PROVEN_UPLOAD,
-            FindingKind.APP_USED_THEN_UNINSTALLED,
-            FindingKind.ACCOUNT_ACTIVITY,
+        assert [f["kind"] for f in findings] == [
+            FindingKind.PROVEN_UPLOAD.value,
+            FindingKind.APP_USED_THEN_UNINSTALLED.value,
+            FindingKind.ACCOUNT_ACTIVITY.value,
         ]
+        assert [f["finding_id"] for f in findings] == ["F001", "F002", "F003"]

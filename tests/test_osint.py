@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import random
@@ -15,7 +16,6 @@ from synctrail.errors import MalformedTable
 from synctrail.evidence import ArtifactCategory, EvidenceRecord, Source, UtcTimestamp
 from synctrail.osint import (
     IdKind,
-    Identifier,
     build_identity_graph,
     load_geo_table,
     normalize_identifier,
@@ -56,21 +56,36 @@ def owner(address: str) -> EvidenceRecord:
     return record(ArtifactCategory.CONFIGURED_EMAIL, address_or_number=address)
 
 
-OWNER = Identifier(IdKind.EMAIL, "owner@x.com")
-PEER = Identifier(IdKind.PHONE, "+3531")
+OWNER = (IdKind.EMAIL.value, "owner@x.com")
+PEER = (IdKind.PHONE.value, "+3531")
+
+
+def phone(number: str) -> tuple[str, str]:
+    return (IdKind.PHONE.value, number)
+
+
+def graph_of(records) -> tuple[set, dict]:
+    """The identity_graph.json payload as (node pairs, {(a, b): count})."""
+    graph = build_identity_graph(records)
+
+    def pair(node: dict) -> tuple[str, str]:
+        return (node["kind"], node["value"])
+
+    return (
+        {pair(node) for node in graph["nodes"]},
+        {(pair(edge["a"]), pair(edge["b"])): edge["count"] for edge in graph["edges"]},
+    )
 
 
 class TestNormalizeIdentifier:
     def test_phone_strips_separators_keeps_plus(self):
-        assert normalize_identifier(" +353 87-000 0001 ") == Identifier(
-            IdKind.PHONE, "+353870000001"
-        )
+        assert normalize_identifier(" +353 87-000 0001 ") == phone("+353870000001")
 
     def test_no_country_code_inference(self):
-        assert normalize_identifier("0870000001") == Identifier(IdKind.PHONE, "0870000001")
+        assert normalize_identifier("0870000001") == phone("0870000001")
 
     def test_email_lowercased(self):
-        assert normalize_identifier("Alice@X.COM") == Identifier(IdKind.EMAIL, "alice@x.com")
+        assert normalize_identifier("Alice@X.COM") == (IdKind.EMAIL.value, "alice@x.com")
 
     def test_empty_and_junk(self):
         assert normalize_identifier("") is None
@@ -79,35 +94,70 @@ class TestNormalizeIdentifier:
 
 class TestIdentityGraph:
     def test_empty_inputs(self):
-        graph = build_identity_graph([])
-        assert graph.nodes == frozenset()
-        assert graph.edges == {}
+        assert build_identity_graph([]) == {"nodes": [], "edges": []}
 
     def test_contact_with_two_numbers(self):
-        graph = build_identity_graph([contact("+3531", "+3532")])
-        x = Identifier(IdKind.PHONE, "+3531")
-        y = Identifier(IdKind.PHONE, "+3532")
-        assert graph.nodes == frozenset({x, y})
-        assert graph.edges == {(x, y): 1}
+        assert build_identity_graph([contact("+3532", "+3531")]) == {
+            "nodes": [{"kind": "Phone", "value": "+3531"}, {"kind": "Phone", "value": "+3532"}],
+            "edges": [
+                {
+                    "a": {"kind": "Phone", "value": "+3531"},
+                    "b": {"kind": "Phone", "value": "+3532"},
+                    "count": 1,
+                }
+            ],
+        }
 
     def test_planted_clique_of_three(self):
-        graph = build_identity_graph([contact("+1", "+2", "+3")])
-        assert len(graph.nodes) == 3
-        assert len(graph.edges) == 3
-        assert all(count == 1 for count in graph.edges.values())
+        nodes, edges = graph_of([contact("+1", "+2", "+3")])
+        assert len(nodes) == 3
+        assert len(edges) == 3
+        assert all(count == 1 for count in edges.values())
 
     def test_messages_tie_owner_to_peer(self):
-        graph = build_identity_graph([message("+3531"), message("+3531"), owner("owner@x.com")])
-        assert graph.edges == {(OWNER, PEER): 2}
+        _, edges = graph_of([message("+3531"), message("+3531"), owner("owner@x.com")])
+        assert edges == {(OWNER, PEER): 2}
 
     def test_calls_count_separately(self):
-        graph = build_identity_graph([message("+3531"), call("+3531"), owner("owner@x.com")])
-        assert list(graph.edges.values()) == [2]
+        _, edges = graph_of([message("+3531"), call("+3531"), owner("owner@x.com")])
+        assert list(edges.values()) == [2]
+
+    def test_peers_that_normalize_alike_count_together(self):
+        records = [message("+353 1"), call("+3531"), message("+353-1"), message("+3532"),
+                   owner("owner@x.com"), owner("+3539")]
+        _, edges = graph_of(records)
+        assert edges == {
+            (OWNER, PEER): 3,
+            (OWNER, phone("+3532")): 1,
+            (OWNER, phone("+3539")): 4,
+            (PEER, phone("+3539")): 3,
+            (phone("+3532"), phone("+3539")): 1,
+        }
+
+    def test_peer_that_is_an_owner_ties_only_the_owners(self):
+        _, edges = graph_of([message("Owner@X.com"), owner("owner@x.com"), owner("+3539")])
+        assert edges == {(OWNER, phone("+3539")): 1}
+
+    def test_nodes_and_edges_sort_by_kind_then_value(self):
+        graph = build_identity_graph(
+            [contact("b@x.com", "+2", "a@x.com", "+1"), owner("c@x.com")]
+        )
+        pairs = [(node["kind"], node["value"]) for node in graph["nodes"]]
+        assert pairs == sorted(pairs) == [
+            ("Email", "a@x.com"), ("Email", "b@x.com"), ("Email", "c@x.com"),
+            ("Phone", "+1"), ("Phone", "+2"),
+        ]
+        ends = [
+            ((e["a"]["kind"], e["a"]["value"]), (e["b"]["kind"], e["b"]["value"]))
+            for e in graph["edges"]
+        ]
+        assert ends == sorted(ends)
+        assert all(a < b for a, b in ends)
 
     def test_duplicate_number_in_one_contact_no_self_edge(self):
-        graph = build_identity_graph([contact("+3531", "+353 1")])
-        assert len(graph.nodes) == 1
-        assert graph.edges == {}
+        nodes, edges = graph_of([contact("+3531", "+353 1")])
+        assert len(nodes) == 1
+        assert edges == {}
 
     def test_order_independence(self):
         records = [
@@ -117,8 +167,8 @@ class TestIdentityGraph:
         assert build_identity_graph(records) == build_identity_graph(reversed(records))
 
     def test_owners_are_nodes_without_any_artifact(self):
-        graph = build_identity_graph([owner("Owner@X.com"), owner(""), owner("---")])
-        assert graph.nodes == frozenset({OWNER})
+        nodes, _ = graph_of([owner("Owner@X.com"), owner(""), owner("---")])
+        assert nodes == {OWNER}
 
     @pytest.mark.parametrize(
         "artifact, counts",
@@ -141,9 +191,9 @@ class TestIdentityGraph:
         ],
     )
     def test_which_messages_and_calls_count(self, artifact, counts):
-        graph = build_identity_graph([artifact, owner("owner@x.com")])
-        assert graph.edges == ({(OWNER, PEER): 1} if counts else {})
-        assert graph.nodes == ({OWNER, PEER} if counts else {OWNER})
+        nodes, edges = graph_of([artifact, owner("owner@x.com")])
+        assert edges == ({(OWNER, PEER): 1} if counts else {})
+        assert nodes == ({OWNER, PEER} if counts else {OWNER})
 
     @pytest.mark.parametrize(
         "numbers, nodes",
@@ -165,7 +215,7 @@ class TestIdentityGraph:
     )
     def test_contact_numbers_must_be_a_json_list_of_strings(self, numbers, nodes):
         graph = build_identity_graph([record(ArtifactCategory.CONTACT, numbers=numbers)])
-        assert len(graph.nodes) == nodes
+        assert len(graph["nodes"]) == nodes
 
     def test_other_categories_take_no_part(self):
         records = [
@@ -178,7 +228,7 @@ class TestIdentityGraph:
                 ArtifactCategory.CONFIGURED_EMAIL,
             )
         ]
-        assert build_identity_graph(records).nodes == frozenset()
+        assert build_identity_graph(records) == {"nodes": [], "edges": []}
 
     def test_ingested_bundle(self, tmp_path):
         bundle = write_bundle(
@@ -199,10 +249,10 @@ class TestIdentityGraph:
                 "configured_emails.jsonl": [{"id": "e1", "address_or_number": "Owner@x.com"}],
             },
         )
-        graph = build_identity_graph(ingest_device_dump(bundle).records)
-        phones = {n: Identifier(IdKind.PHONE, n) for n in ("+3531", "+3532", "+3533", "+3534")}
-        assert graph.nodes == {OWNER, *phones.values()}
-        assert graph.edges == {
+        nodes, edges = graph_of(ingest_device_dump(bundle).records)
+        phones = {n: phone(n) for n in ("+3531", "+3532", "+3533", "+3534")}
+        assert nodes == {OWNER, *phones.values()}
+        assert edges == {
             (OWNER, phones["+3531"]): 1,
             (OWNER, phones["+3532"]): 1,
             (OWNER, phones["+3533"]): 1,
@@ -219,9 +269,9 @@ def make_table(tmp_path, rows):
 class TestGeoLookup:
     def test_containment(self, tmp_path):
         table = load_geo_table(make_table(tmp_path, [("10.0.0.0", "10.0.0.255", "IE", "Dublin")]))
-        hit = resolve_ip("10.0.0.7", table)
-        assert (hit.country, hit.city) == ("IE", "Dublin")
-        assert hit.source_table == "geo.csv"
+        assert resolve_ip(" 10.0.0.7", table) == {
+            "ip": "10.0.0.7", "country": "IE", "city": "Dublin", "source_table": "geo.csv"
+        }
 
     def test_miss_is_absent(self, tmp_path):
         table = load_geo_table(make_table(tmp_path, [("10.0.0.0", "10.0.0.255", "IE", "Dublin")]))
@@ -248,6 +298,21 @@ class TestGeoLookup:
         with pytest.raises(MalformedTable):
             load_geo_table(make_table(tmp_path, rows))
 
+    def test_non_utf8_table_rejected(self, tmp_path):
+        path = tmp_path / "geo.csv"
+        path.write_bytes(b"10.0.0.0,10.0.0.255,IE,Cork\n10.0.1.0,10.0.1.255,\xff\xfe,Cork\n")
+        problem = r"geo\.csv: not UTF-8 text \(invalid start byte\)$"
+        with pytest.raises(MalformedTable, match=problem):
+            load_geo_table(path)
+
+    def test_field_over_csv_limit_rejected(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "geo.csv"
+        path.write_text(f"10.0.0.0,10.0.0.255,IE,{'x' * (limit + 1)}\n", encoding="utf-8")
+        problem = rf"geo\.csv:1: field larger than field limit \({limit}\)$"
+        with pytest.raises(MalformedTable, match=problem):
+            load_geo_table(path)
+
     def test_matches_linear_scan_oracle(self, tmp_path):
         rng = random.Random(4242)
         rows = []
@@ -269,7 +334,7 @@ class TestGeoLookup:
             if expected is None:
                 assert got is None
             else:
-                assert (got.country, got.city) == expected
+                assert (got["country"], got["city"]) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(value=st.integers(min_value=0, max_value=2**32 - 1))
@@ -285,7 +350,7 @@ class TestGeoLookup:
         got = resolve_ip(str_ip(value), table)
         assert (got is None) == (expected is None)
         if got is not None:
-            assert (got.country, got.city) == expected
+            assert (got["country"], got["city"]) == expected
 
 
 def str_ip(value: int) -> str:

@@ -25,13 +25,9 @@ from synctrail.preservation import seal_dump, verify_chain
 from synctrail.reporting import (
     ReportFormat,
     build_case_report,
-    finding_to_dict,
-    identity_graph_to_dict,
-    link_to_dict,
     redact,
     render_report,
     skew_to_dict,
-    timeline_to_list,
 )
 
 SECTIONS = [
@@ -79,13 +75,10 @@ def golden_case(golden_bundle, golden_cloud_log) -> dict:
         "verification.json": {"verdict": verification.verdict.value},
         "cloud_log.json": {"name": golden_cloud_log.name, "event_count": len(events), "ledger": []},
         "skew.json": skew_to_dict(skew),
-        "links.json": [link_to_dict(link) for link in links],
-        "findings.json": [finding_to_dict(f, f"F{i + 1:03d}") for i, f in enumerate(findings)],
-        "timeline.json": {
-            "entries": timeline_to_list(timeline),
-            "excluded_undated": timeline.excluded_undated,
-        },
-        "identity_graph.json": identity_graph_to_dict(graph),
+        "links.json": links,
+        "findings.json": findings,
+        "timeline.json": timeline,
+        "identity_graph.json": graph,
     }
     return build_case_report(stages, "0.1.0", "golden")
 
