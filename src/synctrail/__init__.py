@@ -5,51 +5,73 @@ preserves them under verifiable hash chains, and correlates
 synchronized artifacts on one skew-corrected timeline.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .acquisition import (
-    AppRecord,
-    AppStatus,
-    CloudEvent,
-    DeviceDump,
-    DeviceProfile,
-    EventKind,
-    LedgerEntry,
-    ingest_cloud_log,
-    ingest_device_dump,
-    parse_app_inventory,
-)
-from .correlation import (
-    SkewEstimate,
-    build_timeline,
-    derive_cloud_usage_findings,
-    detect_uninstall_evidence,
-    estimate_clock_skew,
-    match_synced_artifacts,
-)
-from .evidence import (
-    ArtifactCategory,
-    Digest256,
-    EvidenceRecord,
-    Locale,
-    Source,
-    UtcTimestamp,
-    canonical_encode,
-    normalize_timestamp,
-    record_digest,
-)
-from .osint import build_identity_graph, load_geo_table, resolve_ip
-from .preservation import (
-    AcquisitionDiff,
-    AcquisitionManifest,
-    VerificationReport,
-    chain_digest,
-    diff_acquisitions,
-    seal_dump,
-    verify_chain,
-)
-from .reporting import ReportFormat, build_case_report, redact, render_report
-from .simulator import GroundTruth, SimParams, generate_case, inject_tamper
+# The module that defines each public name. A module is imported the
+# first time one of its names is read (PEP 562), so a process loads only
+# the code it runs: `python -m synctrail verify` never loads the
+# simulator or the report renderers' dependencies it does not call.
+_EXPORTS = {
+    "AppRecord": "acquisition",
+    "AppStatus": "acquisition",
+    "CloudEvent": "acquisition",
+    "DeviceDump": "acquisition",
+    "DeviceProfile": "acquisition",
+    "EventKind": "acquisition",
+    "LedgerEntry": "acquisition",
+    "ingest_cloud_log": "acquisition",
+    "ingest_device_dump": "acquisition",
+    "parse_app_inventory": "acquisition",
+    "SkewEstimate": "correlation",
+    "build_timeline": "correlation",
+    "derive_cloud_usage_findings": "correlation",
+    "detect_uninstall_evidence": "correlation",
+    "estimate_clock_skew": "correlation",
+    "match_synced_artifacts": "correlation",
+    "ArtifactCategory": "evidence",
+    "Digest256": "evidence",
+    "EvidenceRecord": "evidence",
+    "Locale": "evidence",
+    "Source": "evidence",
+    "UtcTimestamp": "evidence",
+    "canonical_encode": "evidence",
+    "normalize_timestamp": "evidence",
+    "record_digest": "evidence",
+    "build_identity_graph": "osint",
+    "load_geo_table": "osint",
+    "resolve_ip": "osint",
+    "AcquisitionDiff": "preservation",
+    "AcquisitionManifest": "preservation",
+    "VerificationReport": "preservation",
+    "chain_digest": "preservation",
+    "diff_acquisitions": "preservation",
+    "seal_dump": "preservation",
+    "verify_chain": "preservation",
+    "ReportFormat": "reporting",
+    "build_case_report": "reporting",
+    "redact": "reporting",
+    "render_report": "reporting",
+    "GroundTruth": "simulator",
+    "SimParams": "simulator",
+    "generate_case": "simulator",
+    "inject_tamper": "simulator",
+}
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
 
 __all__ = [
     "__version__",

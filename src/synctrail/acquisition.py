@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 import re
-import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -35,6 +34,9 @@ from .evidence import (
     Locale,
     Source,
     UtcTimestamp,
+    _ingested_record,
+    _new,
+    _set,
     normalize_timestamp,
 )
 
@@ -112,6 +114,8 @@ class LedgerEntry:
 
 @dataclass(frozen=True)
 class DeviceProfile:
+    """What the first device-info and phone-state lines say about the handset."""
+
     model: Optional[str] = None
     device_name: Optional[str] = None
     android_version: Optional[str] = None
@@ -132,19 +136,23 @@ class DeviceProfile:
     device_clock_at_acquisition: Optional[UtcTimestamp] = None
 
 
-def _profile_fields(kind: type) -> tuple[str, ...]:
-    """Names of the DeviceProfile fields typed ``Optional[kind]``, in declaration order."""
-    hints = typing.get_type_hints(DeviceProfile)
-    fields = dataclasses.fields(DeviceProfile)
-    return tuple(f.name for f in fields if hints[f.name] == Optional[kind])
+def _profile_fields(kind: str) -> tuple[str, ...]:
+    """Names of the DeviceProfile fields annotated ``Optional[kind]``, in declaration order.
+
+    Annotations here are postponed, so each is its source text.
+    """
+    annotation = f"Optional[{kind}]"
+    return tuple(f.name for f in dataclasses.fields(DeviceProfile) if f.type == annotation)
 
 
-_PROFILE_STR_FIELDS = _profile_fields(str)
-_PROFILE_BOOL_FIELDS = _profile_fields(bool)
+_PROFILE_STR_FIELDS = _profile_fields("str")
+_PROFILE_BOOL_FIELDS = _profile_fields("bool")
 
 
 @dataclass(frozen=True)
 class AppRecord:
+    """One installed-app inventory line, typed."""
+
     app_name: str
     status: AppStatus
     package: Optional[str] = None
@@ -152,7 +160,7 @@ class AppRecord:
     record_id: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CloudEvent:
     """One entry of the cloud-side forensic log, on the cloud clock."""
 
@@ -316,13 +324,7 @@ def record_from_fields(
                 raise _LineError(f"bad {time_field}: {exc}") from exc
 
     try:
-        return EvidenceRecord(
-            record_id=record_id,
-            category=category,
-            timestamp=timestamp,
-            attributes=attributes,
-            source=Source.DEVICE,
-        )
+        return _ingested_record(record_id, category, timestamp, attributes, Source.DEVICE)
     except ValueError as exc:
         raise _LineError(str(exc)) from exc
 
@@ -429,7 +431,7 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
     records: list[EvidenceRecord] = []
     ledger: list[LedgerEntry] = []
     line_counts: dict[str, int] = {}
-    seen_ids: dict[str, str] = {}
+    seen_ids: dict[str, EvidenceRecord] = {}
     first_info: Optional[EvidenceRecord] = None
     first_state: Optional[EvidenceRecord] = None
 
@@ -452,13 +454,13 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
             except _LineError as exc:
                 ledger.append(LedgerEntry(file_name, line_no, str(exc)))
                 continue
-            where = f"{file_name}:{line_no}"
             if record.record_id in seen_ids:
+                first_file, first_line = _provenance(seen_ids[record.record_id])
                 raise DuplicateRecordId(
-                    f"record id {record.record_id!r} at {where} already used "
-                    f"at {seen_ids[record.record_id]}"
+                    f"record id {record.record_id!r} at {file_name}:{line_no} already used "
+                    f"at {first_file}:{first_line}"
                 )
-            seen_ids[record.record_id] = where
+            seen_ids[record.record_id] = record
             records.append(record)
             if category is ArtifactCategory.DEVICE_INFO and first_info is None:
                 first_info = record
@@ -581,17 +583,17 @@ def ingest_cloud_log(
                 f"event id {event_id!r} on line {line_no} already used on line {seen[event_id]}"
             )
         seen[event_id] = line_no
-        events.append(
-            CloudEvent(
-                event_id=event_id,
-                kind=kind,
-                timestamp=timestamp,
-                account=_optional_text(fields.get("account")),
-                package_or_object=_optional_text(fields.get("object")),
-                content_digest=digest,
-                size_bytes=size,
-            )
-        )
+        # Every field is checked above, and CloudEvent checks nothing more:
+        # set its slots as its __init__ would.
+        event = _new(CloudEvent)
+        _set(event, "event_id", event_id)
+        _set(event, "kind", kind)
+        _set(event, "timestamp", timestamp)
+        _set(event, "account", _optional_text(fields.get("account")))
+        _set(event, "package_or_object", _optional_text(fields.get("object")))
+        _set(event, "content_digest", digest)
+        _set(event, "size_bytes", size)
+        events.append(event)
     return events
 
 

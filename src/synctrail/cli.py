@@ -19,6 +19,11 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, Sequence
 
+# Every layer function that run-all calls is imported here, at module
+# level, and called through this module's globals: the benchmark's
+# tracer (perfbench/tracing.py) wraps them through vars(cli). The
+# simulator is imported by `simulate` alone, so other commands never
+# load it.
 from . import __version__, atomic
 from .acquisition import (
     AppRecord,
@@ -76,7 +81,6 @@ from .reporting import (
     shape_problem,
     skew_to_dict,
 )
-from .simulator import SimParams, generate_case
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -263,7 +267,9 @@ def _step_enrich(dump: DeviceDump, out: Path, geo_table: Optional[Path]) -> Stag
         table = load_geo_table(geo_table)
         seen = set()
         for record in dump.records:
-            ip = record.attributes.get("ip")
+            # resolve_ip reads the address without surrounding whitespace,
+            # so " 10.0.0.7" and "10.0.0.7" are one address, resolved once.
+            ip = record.attributes.get("ip", "").strip()
             if not ip or ip in seen:
                 continue
             seen.add(ip)
@@ -428,6 +434,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command == "simulate":
+            from .simulator import SimParams, generate_case
+
             try:
                 params = SimParams(
                     seed=args.seed,

@@ -7,7 +7,6 @@ over. All types here are immutable; operations are pure functions.
 
 from __future__ import annotations
 
-import calendar
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -69,16 +68,23 @@ class ArtifactCategory(Enum):
     CLOUD_EVENT = "CloudEvent"
 
 
-@dataclass(frozen=True)
+# Ingest builds records, timestamps, digests and cloud events by setting
+# their slots with these, as the dataclass __init__ would, without the
+# constructors' layers of calls; see _ingested_record.
+_new = object.__new__
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True)
 class UtcTimestamp:
     """A UTC instant plus the exact source text it was read from."""
 
     seconds_since_epoch: int
     original_text: str
-    # Not a field: the ISO rendering, kept on the instance once formatted.
-    # A timestamp parsed from ISO-Z text starts with that text, which
+    # The ISO rendering, kept once formatted; no part of equality or repr.
+    # A timestamp read from ISO-Z text starts with that text, which
     # already is its rendering.
-    _iso = None
+    _iso: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_epoch(self.seconds_since_epoch)
@@ -89,11 +95,11 @@ class UtcTimestamp:
     def to_iso(self) -> str:
         """Render as YYYY-MM-DDTHH:MM:SSZ, formatting at most once per instance."""
         if self._iso is None:
-            object.__setattr__(self, "_iso", epoch_to_iso(self.seconds_since_epoch))
+            _set(self, "_iso", epoch_to_iso(self.seconds_since_epoch))
         return self._iso  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Digest256:
     """A 32-byte digest; renders as 64 lowercase hex characters."""
 
@@ -111,7 +117,7 @@ class Digest256:
         return self.value.hex()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceRecord:
     """One typed, timestamped artifact entry with provenance and digest.
 
@@ -130,30 +136,67 @@ class EvidenceRecord:
     canonical: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # Validation reads the encoded bytes: the fields are clean exactly
-        # when the encoding holds one separator between each pair of its
-        # 4 + 2n fields, one terminator, and no empty id or key. Anything
-        # else, a failed encode included, replays the per-field checks,
-        # which raise what they always raised; an encode error is raised
-        # only when every check passes, as if the checks had run first.
         attributes = self.attributes
-        try:
-            canonical = canonical_encode(self)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            canonical, error = b"", exc
-        if not (
-            canonical
-            and self.record_id
-            and canonical.count(FIELD_SEP) == 3 + 2 * len(attributes)
-            and canonical.count(RECORD_TERM) == 1
-            and "" not in attributes
-        ):
-            _check_fields(self.record_id, attributes)
-            if not canonical:
-                raise error
-        object.__setattr__(self, "attributes", dict(attributes))
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "digest", record_digest(self))
+        _encode_and_digest(self)
+        _set(self, "attributes", dict(attributes))
+
+
+def _encode_and_digest(record: EvidenceRecord) -> None:
+    """Check a record's fields, then set its canonical bytes and digest.
+
+    Validation reads the encoded bytes: the fields are clean exactly
+    when the encoding holds one separator between each pair of its
+    4 + 2n fields, one terminator, and no empty id or key. Anything
+    else, a failed encode included, replays the per-field checks, which
+    raise what they always raised; an encode error is raised only when
+    every check passes, as if the checks had run first.
+    """
+    attributes = record.attributes
+    try:
+        canonical = canonical_encode(record)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        canonical, error = b"", exc
+    if not (
+        canonical
+        and record.record_id
+        and canonical.count(FIELD_SEP) == 3 + 2 * len(attributes)
+        and canonical.count(RECORD_TERM) == 1
+        and "" not in attributes
+    ):
+        _check_fields(record.record_id, attributes)
+        if not canonical:
+            raise error
+    _set(record, "canonical", canonical)
+    _set(record, "digest", _sha256_digest(canonical))
+
+
+def _ingested_record(
+    record_id: str,
+    category: ArtifactCategory,
+    timestamp: Optional[UtcTimestamp],
+    attributes: dict[str, str],
+    source: Source,
+) -> EvidenceRecord:
+    """The record ``EvidenceRecord(...)`` builds from these fields, with every check.
+
+    For ingest, which passes an attribute dict it has just built and
+    holds nowhere else, so the dict is kept instead of copied.
+    """
+    record = _new(EvidenceRecord)
+    _set(record, "record_id", record_id)
+    _set(record, "category", category)
+    _set(record, "timestamp", timestamp)
+    _set(record, "attributes", attributes)
+    _set(record, "source", source)
+    _encode_and_digest(record)
+    return record
+
+
+def _sha256_digest(data: bytes) -> Digest256:
+    """The SHA-256 of ``data``; a SHA-256 digest is 32 bytes, so that is not checked again."""
+    digest = _new(Digest256)
+    _set(digest, "value", hashlib.sha256(data).digest())
+    return digest
 
 
 def _check_fields(record_id: str, attributes: Mapping[str, str]) -> None:
@@ -187,9 +230,9 @@ def canonical_encode(record: EvidenceRecord) -> bytes:
     attributes = record.attributes
     fields = [
         record.record_id,
-        record.category.value,
+        record.category._value_,  # what .value returns, without its descriptor call
         record.timestamp.original_text if record.timestamp else "",
-        record.source.value,
+        record.source._value_,
     ]
     for key in sorted(attributes):
         fields += (key, attributes[key])
@@ -203,7 +246,7 @@ def canonical_encode(record: EvidenceRecord) -> bytes:
 
 def record_digest(record: EvidenceRecord) -> Digest256:
     """SHA-256 over the record's canonical encoding."""
-    return Digest256(hashlib.sha256(record.canonical).digest())
+    return _sha256_digest(record.canonical)
 
 
 def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> UtcTimestamp:
@@ -217,14 +260,16 @@ def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> U
     """
     m = _ISO_RE.fullmatch(raw)
     if m:
-        year, month, day, hour, minute, second = map(int, m.groups()[:6])
-        zone = m.group(7)
-        _validate_civil(year, month, day, hour, minute, second)
-        epoch = _epoch_from_civil(year, month, day, hour, minute, second)
+        *civil, zone = m.groups()
+        epoch = _epoch_from_civil(*map(int, civil))
         if zone == "Z":
-            stamp = UtcTimestamp(epoch, raw)
-            # Validated ISO-Z text already is the ISO rendering.
-            object.__setattr__(stamp, "_iso", raw)
+            # Text that _ISO_RE matched holds no separator, and a validated
+            # year puts a Z time in 1970-2100: UtcTimestamp's checks hold
+            # already. Validated ISO-Z text already is the ISO rendering.
+            stamp = _new(UtcTimestamp)
+            _set(stamp, "seconds_since_epoch", epoch)
+            _set(stamp, "original_text", raw)
+            _set(stamp, "_iso", raw)
             return stamp
         sign = 1 if zone[0] == "+" else -1
         epoch -= sign * (int(zone[1:3]) * 3600 + int(zone[4:6]) * 60)
@@ -242,7 +287,6 @@ def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> U
         if not 1 <= hour12 <= 12:
             raise ImpossibleDate(f"hour {hour12} invalid for 12-hour clock in {raw!r}")
         hour = hour12 % 12 + (12 if meridiem == "PM" else 0)
-        _validate_civil(year, month, day, hour, minute, second)
         epoch = _epoch_from_civil(year, month, day, hour, minute, second)
         epoch -= zone_offset_minutes * 60
         return UtcTimestamp(epoch, raw)
@@ -250,34 +294,25 @@ def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> U
     raise UnparseableTimestamp(f"timestamp {raw!r} matches no supported grammar")
 
 
-def _validate_civil(
-    year: int, month: int, day: int, hour: int, minute: int, second: int
-) -> None:
-    if not 1970 <= year <= 2100:
-        raise ImpossibleDate(f"year {year} outside supported range 1970-2100")
-    if not 1 <= month <= 12:
-        raise ImpossibleDate(f"month {month} does not exist")
-    if not 1 <= day <= _month_length(year, month):
-        raise ImpossibleDate(f"day {day} does not exist in {year}-{month:02d}")
-    if hour > 23 or minute > 59 or second > 59:
-        raise ImpossibleDate(f"time {hour:02d}:{minute:02d}:{second:02d} out of range")
-
-
-def _month_length(year: int, month: int) -> int:
-    if month == 2 and calendar.isleap(year):
-        return 29
-    return _DAYS_IN_MONTH[month - 1]
-
-
 def _epoch_from_civil(
     year: int, month: int, day: int, hour: int, minute: int, second: int
 ) -> int:
     """UTC epoch seconds of a civil time; the inverse of ``civil_from_epoch``.
 
-    Closed-form days-from-civil on the proleptic Gregorian calendar, with
-    years starting in March (H. Hinnant). Years here are 1970-2100, so
-    no era is negative.
+    A time that does not exist, or whose year is outside 1970-2100,
+    raises ImpossibleDate. Closed-form days-from-civil on the proleptic
+    Gregorian calendar, with years starting in March (H. Hinnant). Years
+    here are 1970-2100, so no era is negative.
     """
+    if not 1970 <= year <= 2100:
+        raise ImpossibleDate(f"year {year} outside supported range 1970-2100")
+    if not 1 <= month <= 12:
+        raise ImpossibleDate(f"month {month} does not exist")
+    leap_day = month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    if not 1 <= day <= _DAYS_IN_MONTH[month - 1] + leap_day:
+        raise ImpossibleDate(f"day {day} does not exist in {year}-{month:02d}")
+    if hour > 23 or minute > 59 or second > 59:
+        raise ImpossibleDate(f"time {hour:02d}:{minute:02d}:{second:02d} out of range")
     year -= month <= 2
     era, year_of_era = divmod(year, 400)
     day_of_year = (153 * (month - 3 if month > 2 else month + 9) + 2) // 5 + day - 1

@@ -10,7 +10,6 @@ one ``geo.json`` row).
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 import ipaddress
 from dataclasses import dataclass
@@ -157,6 +156,8 @@ def load_geo_table(path: Path | str) -> GeoTable:
     binary search. So does a file that is not UTF-8 or that csv cannot
     read, such as one with a field over csv's size limit.
     """
+    import csv  # only --geo-table reads CSV
+
     table_path = Path(path)
     starts: list[int] = []
     ends: list[int] = []

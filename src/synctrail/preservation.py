@@ -58,8 +58,9 @@ class Verdict(Enum):
 class AcquisitionManifest:
     """Custody envelope over an ordered record set.
 
-    ``record_links`` holds the running chain value after each record, so
-    tampering can be localized to an index during verification.
+    ``record_links`` holds the running chain value after each record, as
+    its 32 raw bytes, so tampering can be localized to an index during
+    verification.
     """
 
     dump_id: str
@@ -69,11 +70,13 @@ class AcquisitionManifest:
     digest_algorithm: str
     record_count: int
     chain_head: Digest256
-    record_links: tuple[Digest256, ...]
+    record_links: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """A chain verdict; when tampered, the first divergent link with both digests."""
+
     verdict: Verdict
     first_divergent_index: Optional[int] = None
     expected: Optional[Digest256] = None
@@ -82,6 +85,8 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class AcquisitionDiff:
+    """Record ids added, removed and changed between two acquisitions."""
+
     added: tuple[str, ...]
     removed: tuple[str, ...]
     changed: tuple[str, ...]
@@ -98,19 +103,19 @@ def manifest_header_bytes(
 
 def chain_digest(
     manifest_header: bytes, records: Sequence[EvidenceRecord]
-) -> tuple[Digest256, list[Digest256]]:
+) -> tuple[Digest256, list[bytes]]:
     """Linked hash chain over the record sequence.
 
     The anchor is the digest of the header bytes; each link hashes the
     previous link concatenated with the record's canonical encoding,
     taken from ``record.canonical``.
-    Returns the chain head and one link per record, in order.
+    Returns the chain head and one 32-byte link per record, in order.
     """
     current = hashlib.sha256(manifest_header).digest()
-    links: list[Digest256] = []
+    links: list[bytes] = []
     for record in records:
         current = hashlib.sha256(current + record.canonical).digest()
-        links.append(Digest256(current))
+        links.append(current)
     return Digest256(current), links
 
 
@@ -174,8 +179,8 @@ def verify_chain(
             return VerificationReport(
                 verdict=Verdict.TAMPERED,
                 first_divergent_index=index,
-                expected=stored,
-                actual=recomputed,
+                expected=Digest256(stored),
+                actual=Digest256(recomputed),
             )
     # Head mismatch with no divergent link means the sealed head itself
     # was altered; the earliest suspect index is 0.
@@ -281,18 +286,20 @@ def load_sealed_manifest(bundle_path: Path | str) -> AcquisitionManifest:
         isolation_method=isolation,
         digest_algorithm=data["digest_algorithm"],
         record_count=count,
-        chain_head=_sealed_digest(data["chain_head"], path, "chain_head"),
+        chain_head=Digest256(_sealed_link(data["chain_head"], path, "chain_head")),
         record_links=tuple(
-            _sealed_digest(text, path, "record_links", i) for i, text in enumerate(links)
+            _sealed_link(text, path, "record_links", i) for i, text in enumerate(links)
         ),
     )
 
 
-def _sealed_digest(text: object, path: Path, name: str, index: Optional[int] = None) -> Digest256:
+def _sealed_link(text: object, path: Path, name: str, index: Optional[int] = None) -> bytes:
+    """The 32 bytes a sealed digest's hex text names; MalformedManifest if it names none."""
     try:
-        return Digest256.from_hex(text)  # TypeError unless text is a str
+        value = bytes.fromhex(text)  # TypeError unless text is a str
     except (TypeError, ValueError):
+        value = b""
+    if len(value) != 32:
         where = name if index is None else f"{name}[{index}]"
-        raise MalformedManifest(
-            f"{path} field {where!r} must be 64 hex characters, got {text!r}"
-        ) from None
+        raise MalformedManifest(f"{path} field {where!r} must be 64 hex characters, got {text!r}")
+    return value

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import html
 import json
-import logging
 import re
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -22,8 +20,6 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 from .acquisition import LedgerEntry
 from .correlation import DEFAULT_MIN_SKEW_SUPPORT, DEFAULT_WINDOW_SECONDS
 from .evidence import Locale
-
-logger = logging.getLogger(__name__)
 
 _REDACTED_RE = re.compile(r"^\[REDACTED:[0-9a-f]{8}\]$")
 
@@ -325,7 +321,9 @@ def redact(report_json: dict, policy: Sequence[str]) -> dict:
 
     result = walk(copy.deepcopy(report_json))
     for key in sorted(wanted - matched):
-        logger.warning("redaction policy key %r matched no attribute", key)
+        import logging  # loaded only to warn: a policy that matches runs without it
+
+        logging.getLogger(__name__).warning("redaction policy key %r matched no attribute", key)
     return result
 
 
@@ -454,6 +452,8 @@ def _render_markdown(data: dict) -> str:
 
 def _render_html(data: dict) -> str:
     # Self-contained static page: inline styles, no scripts, opens anywhere.
+    import html  # only the HTML format needs it
+
     markdown_body = _render_markdown(data)
     rows = []
     for line in markdown_body.splitlines():

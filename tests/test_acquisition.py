@@ -143,6 +143,20 @@ class TestIngestDeviceDump:
         with pytest.raises(DuplicateRecordId):
             ingest_device_dump(bundle)
 
+    def test_duplicate_record_id_names_both_lines(self, tmp_path):
+        bundle = write_bundle(
+            tmp_path / "b",
+            {
+                "messages.jsonl": [{"id": "m1", "peer": "+1"}, {"peer": "+2"}],
+                "calls.jsonl": [{"peer": "+3"}, {"id": "m1", "peer": "+4"}],
+            },
+        )
+        with pytest.raises(DuplicateRecordId) as caught:
+            ingest_device_dump(bundle)
+        assert str(caught.value) == (
+            "record id 'm1' at calls.jsonl:2 already used at messages.jsonl:1"
+        )
+
     def test_unknown_category_file_reported_not_fatal(self, tmp_path):
         bundle = write_bundle(tmp_path / "b", {"messages.jsonl": [{"id": "m1", "peer": "+1"}]})
         (bundle / "sensor_history.jsonl").write_text('{"id":"s1"}\n')
@@ -169,6 +183,31 @@ class TestIngestDeviceDump:
         (bundle / "running_apps.jsonl").write_text('\ufeff{"name":"a"}\n', encoding="utf-8")
         assert [e.message for e in ingest_device_dump(bundle).ledger] == [
             "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        ]
+
+    @pytest.mark.parametrize(
+        "line, outcome",
+        [
+            ('{"name":"a"}', "a"),
+            (' \t{"name":"a"}', "a"),
+            ('{"name":"a"} \t', "a"),
+            ('{"name":"a"}x', "invalid JSON: Extra data"),
+            ('{"name":"a"}{"name":"b"}', "invalid JSON: Extra data"),
+            ('{"name":"a"} 1', "invalid JSON: Extra data"),
+            ("", "invalid JSON: Expecting value"),
+            (" ", "invalid JSON: Expecting value"),
+            ('{"name":"a"', "invalid JSON: Expecting ',' delimiter"),
+            ('{"name":"a\\x"}', "invalid JSON: Invalid \\escape"),
+            ('["a"]', "line is not a JSON object"),
+            ("7", "line is not a JSON object"),
+        ],
+    )
+    def test_each_line_is_read_as_json_loads_reads_it(self, tmp_path, line, outcome):
+        bundle = write_bundle(tmp_path / "b", {})
+        (bundle / "running_apps.jsonl").write_text(line + "\n")
+        dump = ingest_device_dump(bundle)
+        assert [r.attributes["name"] for r in dump.records] + [e.message for e in dump.ledger] == [
+            outcome
         ]
 
     def test_reserved_underscore_keys_rejected_per_line(self, tmp_path):

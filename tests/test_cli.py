@@ -226,6 +226,23 @@ class TestSubcommandOutputs:
         assert graph["nodes"]
         assert json.loads((out / "geo.json").read_text()) == []
 
+    def test_enrich_resolves_an_address_once_whatever_its_whitespace(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        (bundle / "manifest.json").write_text(
+            '{"dump_id":"d","collected_at":"2016-05-12T10:00:00Z","zone_offset_minutes":0}'
+        )
+        (bundle / "browser_history.jsonl").write_text(
+            '{"id":"w1","url":"u","ip":"10.0.0.7"}\n{"id":"w2","url":"u","ip":" 10.0.0.7\\t"}\n'
+        )
+        out = tmp_path / "out"
+        table = Path(__file__).parent / "data" / "comm_shapes" / "geo.csv"
+        assert run(["enrich", str(bundle), "--out", str(out), "--geo-table", str(table)]) == 0
+        assert json.loads((out / "geo.json").read_text()) == [
+            {"ip": "10.0.0.7", "country": "IE", "city": "Dublin", "source_table": "geo.csv"}
+        ]
+        assert capsys.readouterr().err.endswith(", 1 geolocated addresses\n")
+
     def test_diff_writes_diff_json(self, tmp_path):
         case = simulate(tmp_path)
         second = tmp_path / "second"

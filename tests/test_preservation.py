@@ -85,7 +85,7 @@ class TestChainDigest:
     def test_links_prefix_property(self):
         records = [record(f"r{i}", k=str(i)) for i in range(5)]
         head, links = chain_digest(HEADER, records)
-        assert links[-1] == head
+        assert links[-1] == head.value
         for n in range(5):
             prefix_head, prefix_links = chain_digest(HEADER, records[:n])
             assert prefix_links == links[:n]
