@@ -18,13 +18,10 @@ _EXPORTS = {
     "AppStatus": "acquisition",
     "CloudEvent": "acquisition",
     "DeviceDump": "acquisition",
-    "DeviceProfile": "acquisition",
     "EventKind": "acquisition",
-    "LedgerEntry": "acquisition",
     "ingest_cloud_log": "acquisition",
     "ingest_device_dump": "acquisition",
     "parse_app_inventory": "acquisition",
-    "SkewEstimate": "correlation",
     "build_timeline": "correlation",
     "derive_cloud_usage_findings": "correlation",
     "detect_uninstall_evidence": "correlation",
@@ -42,9 +39,7 @@ _EXPORTS = {
     "build_identity_graph": "osint",
     "load_geo_table": "osint",
     "resolve_ip": "osint",
-    "AcquisitionDiff": "preservation",
     "AcquisitionManifest": "preservation",
-    "VerificationReport": "preservation",
     "chain_digest": "preservation",
     "diff_acquisitions": "preservation",
     "seal_dump": "preservation",
@@ -75,26 +70,21 @@ def __dir__() -> list[str]:
 
 __all__ = [
     "__version__",
-    "AcquisitionDiff",
     "AcquisitionManifest",
     "AppRecord",
     "AppStatus",
     "ArtifactCategory",
     "CloudEvent",
     "DeviceDump",
-    "DeviceProfile",
     "Digest256",
     "EventKind",
     "EvidenceRecord",
     "GroundTruth",
-    "LedgerEntry",
     "Locale",
     "ReportFormat",
     "SimParams",
-    "SkewEstimate",
     "Source",
     "UtcTimestamp",
-    "VerificationReport",
     "build_case_report",
     "build_identity_graph",
     "build_timeline",

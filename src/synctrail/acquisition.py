@@ -10,7 +10,6 @@ fatal, because those would corrupt custody.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import math
 import re
@@ -99,54 +98,20 @@ _STATUS_BY_KEY = {s.value.lower(): s for s in AppStatus}
 _KIND_BY_KEY = {k.value.lower(): k for k in EventKind}
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    """One recoverable parse problem, pinned to its source line.
-
-    Line 0 marks file-level notes (for example an unrecognized category
-    file) that do not consume an input line.
-    """
-
-    file: str
-    line: int
-    message: str
-
-
-@dataclass(frozen=True)
-class DeviceProfile:
-    """What the first device-info and phone-state lines say about the handset."""
-
-    model: Optional[str] = None
-    device_name: Optional[str] = None
-    android_version: Optional[str] = None
-    sdk_level: Optional[str] = None
-    brand: Optional[str] = None
-    manufacturer: Optional[str] = None
-    kernel_name: Optional[str] = None
-    wifi_mac: Optional[str] = None
-    wifi_ssid: Optional[str] = None
-    bluetooth_mac: Optional[str] = None
-    imei: Optional[str] = None
-    developer_option_enabled: Optional[bool] = None
-    encryption_enabled: Optional[bool] = None
-    flight_mode_on: Optional[bool] = None
-    screen_lock_enabled: Optional[bool] = None
-    screen_saver_enabled: Optional[bool] = None
-    battery_percent: Optional[int] = None
-    device_clock_at_acquisition: Optional[UtcTimestamp] = None
-
-
-def _profile_fields(kind: str) -> tuple[str, ...]:
-    """Names of the DeviceProfile fields annotated ``Optional[kind]``, in declaration order.
-
-    Annotations here are postponed, so each is its source text.
-    """
-    annotation = f"Optional[{kind}]"
-    return tuple(f.name for f in dataclasses.fields(DeviceProfile) if f.type == annotation)
-
-
-_PROFILE_STR_FIELDS = _profile_fields("str")
-_PROFILE_BOOL_FIELDS = _profile_fields("bool")
+# The device section of dump.json, in its key order: the text, flag and
+# number fields read from the first device-info line (phone-state flags
+# from the first phone-state line win), then the device clock's text.
+_PROFILE_STR_FIELDS = (
+    "model", "device_name", "android_version", "sdk_level", "brand", "manufacturer",
+    "kernel_name", "wifi_mac", "wifi_ssid", "bluetooth_mac", "imei",
+)
+_PROFILE_BOOL_FIELDS = (
+    "developer_option_enabled", "encryption_enabled", "flight_mode_on",
+    "screen_lock_enabled", "screen_saver_enabled",
+)
+_PROFILE_FIELDS = (
+    *_PROFILE_STR_FIELDS, *_PROFILE_BOOL_FIELDS, "battery_percent", "device_clock_at_acquisition",
+)
 
 
 @dataclass(frozen=True)
@@ -177,6 +142,10 @@ class CloudEvent:
 class DeviceDump:
     """A fully ingested bundle: manifest data, records, and error ledger.
 
+    ``device`` is the ``device`` section of ``dump.json``: every profile
+    field, None where the bundle does not say. Each ledger entry is a
+    ``{"file", "line", "message"}`` row; line 0 marks a file-level note,
+    such as an unrecognized category file, that consumes no input line.
     ``line_counts`` holds the raw line count of every recognized category
     file so losslessness (records + ledgered lines = input lines) can be
     audited per file.
@@ -187,9 +156,9 @@ class DeviceDump:
     zone_offset_minutes: int
     tool_name: str
     tool_version: str
-    device: DeviceProfile
+    device: dict
     records: tuple[EvidenceRecord, ...]
-    ledger: tuple[LedgerEntry, ...] = ()
+    ledger: tuple[dict, ...] = ()
     line_counts: Mapping[str, int] = field(default_factory=dict)
 
 
@@ -340,19 +309,18 @@ def _parse_bool(text: Optional[str]) -> Optional[bool]:
     return None
 
 
-def _build_profile(
-    info: Optional[EvidenceRecord], state: Optional[EvidenceRecord]
-) -> DeviceProfile:
-    values: dict[str, object] = {}
+def _build_profile(info: Optional[EvidenceRecord], state: Optional[EvidenceRecord]) -> dict:
+    """The ``device`` section of dump.json, from the first device-info and phone-state lines."""
+    profile: dict = dict.fromkeys(_PROFILE_FIELDS)
     if info is not None:
         attrs = info.attributes
         for name in _PROFILE_STR_FIELDS:
             if name in attrs:
-                values[name] = attrs[name]
+                profile[name] = attrs[name]
         for name in _PROFILE_BOOL_FIELDS:
             parsed = _parse_bool(attrs.get(name))
             if parsed is not None:
-                values[name] = parsed
+                profile[name] = parsed
         battery = attrs.get("battery_percent")
         if battery is not None:
             try:
@@ -360,20 +328,21 @@ def _build_profile(
             except ValueError:
                 level = -1
             if 0 <= level <= 100:
-                values["battery_percent"] = level
-        values["device_clock_at_acquisition"] = info.timestamp
+                profile["battery_percent"] = level
+        if info.timestamp is not None:
+            profile["device_clock_at_acquisition"] = info.timestamp.original_text
     if state is not None:
         for name in _PHONE_STATE_BOOLS:
             parsed = _parse_bool(state.attributes.get(name))
             if parsed is not None:
-                values[name] = parsed
-    return DeviceProfile(**values)  # type: ignore[arg-type]
+                profile[name] = parsed
+    return profile
 
 
 _MAC_RE = re.compile(r"^[0-9a-fA-F]{2}(:[0-9a-fA-F]{2}){5}$")
 
 
-def profile_format_warnings(profile: DeviceProfile) -> list[str]:
+def profile_format_warnings(profile: Mapping[str, object]) -> list[str]:
     """Cosmetic format checks on identifier fields.
 
     Evidence is never rejected on format grounds (real extractions carry
@@ -381,11 +350,13 @@ def profile_format_warnings(profile: DeviceProfile) -> list[str]:
     examiner may want to eyeball.
     """
     warnings = []
-    for label, value in (("wifi_mac", profile.wifi_mac), ("bluetooth_mac", profile.bluetooth_mac)):
+    for label in ("wifi_mac", "bluetooth_mac"):
+        value = profile.get(label)
         if value and not _MAC_RE.match(value):
             warnings.append(f"{label} {value!r} is not a canonical 6-group MAC, kept as-is")
-    if profile.imei and not (profile.imei.isdigit() and 14 <= len(profile.imei) <= 16):
-        warnings.append(f"imei {profile.imei!r} is not 14-16 digits, kept as-is")
+    imei = profile.get("imei")
+    if imei and not (imei.isdigit() and 14 <= len(imei) <= 16):
+        warnings.append(f"imei {imei!r} is not 14-16 digits, kept as-is")
     return warnings
 
 
@@ -429,7 +400,7 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
     collected_at = normalize_timestamp(str(manifest["collected_at"]), locale, 0)
 
     records: list[EvidenceRecord] = []
-    ledger: list[LedgerEntry] = []
+    ledger: list[dict] = []
     line_counts: dict[str, int] = {}
     seen_ids: dict[str, EvidenceRecord] = {}
     first_info: Optional[EvidenceRecord] = None
@@ -445,14 +416,14 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
             try:
                 fields = _json_object(line)
             except _LineError as exc:
-                ledger.append(LedgerEntry(file_name, line_no, str(exc)))
+                ledger.append({"file": file_name, "line": line_no, "message": str(exc)})
                 continue
             try:
                 record = record_from_fields(
                     category, fields, file_name, line_no, locale, zone_offset
                 )
             except _LineError as exc:
-                ledger.append(LedgerEntry(file_name, line_no, str(exc)))
+                ledger.append({"file": file_name, "line": line_no, "message": str(exc)})
                 continue
             if record.record_id in seen_ids:
                 first_file, first_line = _provenance(seen_ids[record.record_id])
@@ -469,7 +440,7 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
 
     for path in sorted(bundle.glob("*.jsonl")):
         if path.name not in _KNOWN_FILES:
-            ledger.append(LedgerEntry(path.name, 0, "unrecognized category file"))
+            ledger.append({"file": path.name, "line": 0, "message": "unrecognized category file"})
 
     return DeviceDump(
         dump_id=str(manifest["dump_id"]),
@@ -488,12 +459,11 @@ def _provenance(record: EvidenceRecord) -> tuple[str, int]:
     return record.attributes.get("_file", "?"), int(record.attributes.get("_line", "0"))
 
 
-def parse_app_inventory(
-    dump: DeviceDump, ledger: Optional[list[LedgerEntry]] = None
-) -> list[AppRecord]:
+def parse_app_inventory(dump: DeviceDump, ledger: Optional[list[dict]] = None) -> list[AppRecord]:
     """Type the installed-app records, one AppRecord per inventory line.
 
-    Lines with an unknown status value are ledgered and skipped.
+    Lines with an unknown status value or without a name are skipped,
+    each with a ledger row appended to ``ledger`` when one is given.
     """
     apps: list[AppRecord] = []
     for record in dump.records:
@@ -504,14 +474,14 @@ def parse_app_inventory(
         status = _STATUS_BY_KEY.get(status_text.lower())
         if status is None:
             if ledger is not None:
-                ledger.append(
-                    LedgerEntry(file_name, line_no, f"unknown app status {status_text!r}")
-                )
+                message = f"unknown app status {status_text!r}"
+                ledger.append({"file": file_name, "line": line_no, "message": message})
             continue
         name = record.attributes.get("name", "")
         if not name:
             if ledger is not None:
-                ledger.append(LedgerEntry(file_name, line_no, "app record without a name"))
+                message = "app record without a name"
+                ledger.append({"file": file_name, "line": line_no, "message": message})
             continue
         apps.append(
             AppRecord(
@@ -525,13 +495,12 @@ def parse_app_inventory(
     return apps
 
 
-def ingest_cloud_log(
-    path: Path | str, ledger: Optional[list[LedgerEntry]] = None
-) -> list[CloudEvent]:
+def ingest_cloud_log(path: Path | str, ledger: Optional[list[dict]] = None) -> list[CloudEvent]:
     """Parse a cloud event log (JSON Lines, one event per line).
 
     Events keep file order. Unknown kinds and malformed lines are
-    ledgered and skipped; a duplicated event id is fatal.
+    skipped, each with a ledger row appended to ``ledger`` when one is
+    given; a duplicated event id is fatal.
     """
     log_path = Path(path)
     file_name = log_path.name
@@ -540,7 +509,7 @@ def ingest_cloud_log(
 
     def note(line_no: int, message: str) -> None:
         if ledger is not None:
-            ledger.append(LedgerEntry(file_name, line_no, message))
+            ledger.append({"file": file_name, "line": line_no, "message": message})
 
     for line_no, line in enumerate(log_path.read_bytes().splitlines(), start=1):
         try:
@@ -602,18 +571,6 @@ def _optional_text(value: object) -> str:
     return "" if value is None else _stringify(value)
 
 
-def device_to_json_dict(profile: DeviceProfile) -> dict:
-    """Stable JSON form of a device profile, fields in declaration order.
-
-    Timestamps render as their source text.
-    """
-    section: dict = {}
-    for spec in dataclasses.fields(DeviceProfile):
-        value = getattr(profile, spec.name)
-        section[spec.name] = value.original_text if isinstance(value, UtcTimestamp) else value
-    return section
-
-
 def dump_to_json_dict(dump: DeviceDump) -> dict:
     """Stable JSON form of an ingested dump, byte-deterministic once encoded."""
     return {
@@ -622,7 +579,7 @@ def dump_to_json_dict(dump: DeviceDump) -> dict:
         "zone_offset_minutes": dump.zone_offset_minutes,
         "tool_name": dump.tool_name,
         "tool_version": dump.tool_version,
-        "device": device_to_json_dict(dump.device),
+        "device": dump.device,
         "records": [
             {
                 "record_id": r.record_id,
@@ -635,8 +592,6 @@ def dump_to_json_dict(dump: DeviceDump) -> dict:
             }
             for r in dump.records
         ],
-        "ledger": [
-            {"file": e.file, "line": e.line, "message": e.message} for e in dump.ledger
-        ],
+        "ledger": list(dump.ledger),
         "line_counts": dict(dump.line_counts),
     }

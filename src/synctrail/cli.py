@@ -29,7 +29,6 @@ from .acquisition import (
     AppRecord,
     AppStatus,
     DeviceDump,
-    LedgerEntry,
     dump_to_json_dict,
     ingest_cloud_log,
     ingest_device_dump,
@@ -63,7 +62,6 @@ from .osint import (
 from .preservation import (
     IsolationMethod,
     Verdict,
-    VerificationReport,
     diff_acquisitions,
     load_sealed_manifest,
     seal_dump,
@@ -73,13 +71,10 @@ from .preservation import (
 from .reporting import (
     STAGE_FILES,
     ReportFormat,
-    StageFile,
     build_case_report,
-    ledger_to_list,
     parameters_to_dict,
     render_report,
     shape_problem,
-    skew_to_dict,
 )
 
 EXIT_OK = 0
@@ -121,7 +116,7 @@ def _write_stages(out: Path, stages: Stages) -> Stages:
     return stages
 
 
-def _read_stage(path: Path, stage: StageFile) -> Any:
+def _read_stage(path: Path, shape: object) -> Any:
     """Load a stage file and check that it holds what the report reads.
 
     Anything else, including a truncated file, raises MalformedStageFile
@@ -131,7 +126,7 @@ def _read_stage(path: Path, stage: StageFile) -> Any:
         data = load_json(path.read_bytes().decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise MalformedStageFile(f"stage file {path} is not valid JSON: {exc}") from None
-    problem = shape_problem(data, stage.shape)
+    problem = shape_problem(data, shape)
     if problem:
         raise MalformedStageFile(f"stage file {path} {problem}")
     return data
@@ -162,14 +157,14 @@ def _step_ingest(
     dump = ingest_device_dump(bundle, locale)
     for warning in profile_format_warnings(dump.device):
         _say(f"note: {warning}")
-    parse_ledger: list[LedgerEntry] = []
+    parse_ledger: list[dict] = []
     apps = parse_app_inventory(dump, parse_ledger)
     payload = dump_to_json_dict(dump)
     payload["app_counts"] = {
         "installed": sum(1 for a in apps if a.status is not AppStatus.UNINSTALLED),
         "uninstalled": sum(1 for a in apps if a.status is AppStatus.UNINSTALLED),
     }
-    payload["parse_ledger"] = ledger_to_list(parse_ledger)
+    payload["parse_ledger"] = parse_ledger
     _write_json(out / "dump.json", payload)
     # The report reads only how many records there are: keep none of their JSON.
     payload["records"] = dump.records
@@ -197,23 +192,21 @@ def _step_seal(
 def _step_verify(dump: DeviceDump, bundle: Path, out: Optional[Path]) -> Stages:
     manifest = load_sealed_manifest(bundle)
     try:
-        report = verify_chain(manifest, dump.records)
+        verification = verify_chain(manifest, dump.records)
     except RecordCountMismatch as exc:
         # A record added or removed after sealing is custody violation,
         # surfaced with the tampered exit code rather than a parse error.
         _say(f"verification failed: {exc}")
-        report = VerificationReport(verdict=Verdict.TAMPERED, first_divergent_index=0)
-    stages = {
-        "verification.json": {
-            "verdict": report.verdict.value,
-            "first_divergent_index": report.first_divergent_index,
-            "expected": report.expected.hex() if report.expected else None,
-            "actual": report.actual.hex() if report.actual else None,
+        verification = {
+            "verdict": Verdict.TAMPERED.value,
+            "first_divergent_index": 0,
+            "expected": None,
+            "actual": None,
         }
-    }
+    stages = {"verification.json": verification}
     if out is not None:
         _write_stages(out, stages)
-    _say(f"chain verdict: {report.verdict.value}")
+    _say(f"chain verdict: {verification['verdict']}")
     return stages
 
 
@@ -226,7 +219,7 @@ def _step_correlate(
     window_seconds: int,
     min_support: int,
 ) -> Stages:
-    cloud_ledger: list[LedgerEntry] = []
+    cloud_ledger: list[dict] = []
     events = ingest_cloud_log(cloud_log, cloud_ledger)
 
     try:
@@ -240,20 +233,20 @@ def _step_correlate(
     uninstall = detect_uninstall_evidence(apps, events)
     findings = derive_cloud_usage_findings(links, uninstall, events)
     stages = _write_stages(out, {
-        "skew.json": skew_to_dict(skew),
+        "skew.json": skew,
         "links.json": links,
         "timeline.json": timeline,
         "findings.json": findings,
         "cloud_log.json": {
             "name": cloud_log.name,
             "event_count": len(events),
-            "ledger": ledger_to_list(cloud_ledger),
+            "ledger": cloud_ledger,
         },
         "parameters.json": parameters_to_dict(window_seconds, min_support, locale),
     })
+    support = "fallback" if skew["fallback"] else f"support {skew['support_count']}"
     _say(
-        f"correlated: skew {skew.offset_seconds} s "
-        f"({'fallback' if skew.fallback else f'support {skew.support_count}'}), "
+        f"correlated: skew {skew['offset_seconds']} s ({support}), "
         f"{len(links)} links, {len(findings)} findings"
     )
     return stages
@@ -474,18 +467,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             a = ingest_device_dump(args.bundle_a, locale)
             b = ingest_device_dump(args.bundle_b, locale)
             diff = diff_acquisitions(a, b, allow_device_mismatch=args.allow_device_mismatch)
-            _write_json(
-                args.out / "diff.json",
-                {
-                    "added": list(diff.added),
-                    "removed": list(diff.removed),
-                    "changed": list(diff.changed),
-                    "identical_count": diff.identical_count,
-                },
-            )
+            _write_json(args.out / "diff.json", diff)
             _say(
-                f"diff: {len(diff.added)} added, {len(diff.removed)} removed, "
-                f"{len(diff.changed)} changed, {diff.identical_count} identical"
+                f"diff: {len(diff['added'])} added, {len(diff['removed'])} removed, "
+                f"{len(diff['changed'])} changed, {diff['identical_count']} identical"
             )
             return EXIT_OK
 
@@ -508,8 +493,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "report":
             stages = {
-                name: _read_stage(args.out / name, stage)
-                for name, stage in STAGE_FILES.items()
+                name: _read_stage(args.out / name, shape)
+                for name, (_, shape) in STAGE_FILES.items()
                 if (args.out / name).is_file()
             }
             _step_report(args.out, stages, args.case_id, _FORMATS[args.format])

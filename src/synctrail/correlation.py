@@ -9,15 +9,15 @@ followed by uninstall, account activity).
 Every operation here is a pure function over immutable inputs and is
 deterministic down to the byte: all orderings are total, with explicit
 tie rules, so repeated runs and permuted inputs cannot change output.
-Links, the timeline and findings come back as their stage-file payloads
-(``links.json``, ``timeline.json``, ``findings.json``): JSON-ready lists
-and dicts whose enum-valued fields hold the enum values.
+The skew estimate, links, the timeline and findings come back as their
+stage-file payloads (``skew.json``, ``links.json``, ``timeline.json``,
+``findings.json``): JSON-ready lists and dicts whose enum-valued fields
+hold the enum values.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -54,25 +54,9 @@ class Confidence(Enum):
 _KIND_ORDER = {kind.value: index for index, kind in enumerate(FindingKind)}
 
 
-@dataclass(frozen=True)
-class SkewEstimate:
-    """Cloud clock minus device clock, in whole seconds.
-
-    ``support_count`` is the number of one-to-one digest pairs the
-    offset was taken from. ``fallback`` is set on the zero estimate used
-    when too few such pairs existed to measure anything, which includes
-    every case where content only repeats.
-    """
-
-    offset_seconds: int
-    support_count: int
-    spread_seconds: int
-    fallback: bool = False
-
-
-def zero_skew() -> SkewEstimate:
-    """Fallback estimate for when skew cannot be measured."""
-    return SkewEstimate(offset_seconds=0, support_count=0, spread_seconds=0, fallback=True)
+def zero_skew() -> dict:
+    """The fallback ``skew.json`` payload, for when skew cannot be measured."""
+    return {"offset_seconds": 0, "support_count": 0, "spread_seconds": 0, "fallback": True}
 
 
 def _record_digest_attr(record: EvidenceRecord) -> Optional[str]:
@@ -131,7 +115,7 @@ def estimate_clock_skew(
     device_records: Sequence[EvidenceRecord],
     cloud_events: Sequence[CloudEvent],
     min_support: int = DEFAULT_MIN_SKEW_SUPPORT,
-) -> SkewEstimate:
+) -> dict:
     """Estimate cloud-minus-device clock offset from one-to-one digest pairs.
 
     A pair counts only when its content digest is carried by exactly one
@@ -141,9 +125,12 @@ def estimate_clock_skew(
     kinds, so an upload and a later download of one content leave it
     out too. The offset is the median of (cloud time - device time) over
     those pairs; an even count takes the lower median so the result is
-    always an observed delta. ``support_count`` is the number of pairs
-    used. Raises InsufficientSupport when there are no pairs or fewer
-    than ``min_support``.
+    always an observed delta. Returns the ``skew.json`` payload: the
+    offset in whole seconds, ``support_count`` (the number of pairs
+    used), ``spread_seconds`` (the largest minus the smallest delta) and
+    ``fallback`` false; ``zero_skew`` is the one with ``fallback`` true.
+    Raises InsufficientSupport when there are no pairs or fewer than
+    ``min_support``.
     """
     # Each digest's one time on a side, or None once a second item (or an
     # undated record) shows the digest repeats there.
@@ -172,11 +159,12 @@ def estimate_clock_skew(
         raise InsufficientSupport(
             f"{len(deltas)} one-to-one digest pairs, need at least {max(min_support, 1)}"
         )
-    return SkewEstimate(
-        offset_seconds=deltas[(len(deltas) - 1) // 2],
-        support_count=len(deltas),
-        spread_seconds=deltas[-1] - deltas[0],
-    )
+    return {
+        "offset_seconds": deltas[(len(deltas) - 1) // 2],
+        "support_count": len(deltas),
+        "spread_seconds": deltas[-1] - deltas[0],
+        "fallback": False,
+    }
 
 
 _RECORD, _EVENT = 0, 1
@@ -388,7 +376,7 @@ def _window_lines(
 def match_synced_artifacts(
     device_records: Sequence[EvidenceRecord],
     cloud_events: Sequence[CloudEvent],
-    skew: SkewEstimate,
+    skew: dict,
     window_seconds: int = DEFAULT_WINDOW_SECONDS,
 ) -> list[dict]:
     """Match device artifacts to the cloud events that mirror them.
@@ -408,7 +396,7 @@ def match_synced_artifacts(
     used_events: set[str] = set()
 
     shared = _shared_digests(device_records, cloud_events)
-    exact = _Sweep(used_records, used_events, skew.offset_seconds, max_gap=None)
+    exact = _Sweep(used_records, used_events, skew["offset_seconds"], max_gap=None)
     for dated, _, events in shared:
         # An item carries one digest, so it sits in that digest's line only.
         exact.add_line(dated, events, disjoint=True)
@@ -419,7 +407,7 @@ def match_synced_artifacts(
             for record_id, event_id in zip(sorted(undated), leftover):
                 exact.link(record_id, event_id, None)
 
-    window = _Sweep(used_records, used_events, skew.offset_seconds, max_gap=window_seconds)
+    window = _Sweep(used_records, used_events, skew["offset_seconds"], max_gap=window_seconds)
     for records, events, disjoint in _window_lines(
         device_records, cloud_events, used_records, used_events
     ):
@@ -441,7 +429,7 @@ def match_synced_artifacts(
 def build_timeline(
     device_records: Sequence[EvidenceRecord],
     cloud_events: Sequence[CloudEvent],
-    skew: SkewEstimate,
+    skew: dict,
 ) -> dict:
     """Merge both sides onto the device clock, as the ``timeline.json`` payload.
 
@@ -463,7 +451,7 @@ def build_timeline(
                 (stamp.seconds_since_epoch, 0, record.record_id, stamp.to_iso(),
                  record.category.value)
             )
-    offset = skew.offset_seconds
+    offset = skew["offset_seconds"]
     for event in cloud_events:
         stamp = event.timestamp
         if offset:

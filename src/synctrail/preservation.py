@@ -8,6 +8,7 @@ of the same device record-by-record.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from dataclasses import dataclass
@@ -73,26 +74,6 @@ class AcquisitionManifest:
     record_links: tuple[bytes, ...]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """A chain verdict; when tampered, the first divergent link with both digests."""
-
-    verdict: Verdict
-    first_divergent_index: Optional[int] = None
-    expected: Optional[Digest256] = None
-    actual: Optional[Digest256] = None
-
-
-@dataclass(frozen=True)
-class AcquisitionDiff:
-    """Record ids added, removed and changed between two acquisitions."""
-
-    added: tuple[str, ...]
-    removed: tuple[str, ...]
-    changed: tuple[str, ...]
-    identical_count: int
-
-
 def manifest_header_bytes(
     dump_id: str, collected_at_iso: str, examiner: str, digest_algorithm: str
 ) -> bytes:
@@ -141,15 +122,14 @@ def seal_dump(
     )
 
 
-def verify_chain(
-    manifest: AcquisitionManifest, records: Sequence[EvidenceRecord]
-) -> VerificationReport:
+def verify_chain(manifest: AcquisitionManifest, records: Sequence[EvidenceRecord]) -> dict:
     """Recompute the chain and compare it to a sealed manifest.
 
-    Intact means the recomputed head equals the sealed head. On any
-    mismatch the report carries the smallest record index whose
-    recomputed link differs from the stored one, with the expected and
-    actual digests at that index.
+    Returns the ``verification.json`` payload: the verdict's value, and
+    when tampered the smallest record index whose recomputed link
+    differs from the stored one, with the expected and actual digests at
+    that index in hex. Intact means the recomputed head equals the
+    sealed head, and leaves the other three fields null.
     """
     if manifest.digest_algorithm != DIGEST_ALGORITHM:
         raise UnsupportedAlgorithm(
@@ -173,36 +153,37 @@ def verify_chain(
     )
     head, links = chain_digest(header, records)
     if head == manifest.chain_head:
-        return VerificationReport(verdict=Verdict.INTACT)
+        return _verification(Verdict.INTACT, None, None, None)
     for index, (stored, recomputed) in enumerate(zip(manifest.record_links, links)):
         if stored != recomputed:
-            return VerificationReport(
-                verdict=Verdict.TAMPERED,
-                first_divergent_index=index,
-                expected=Digest256(stored),
-                actual=Digest256(recomputed),
-            )
+            return _verification(Verdict.TAMPERED, index, stored.hex(), recomputed.hex())
     # Head mismatch with no divergent link means the sealed head itself
     # was altered; the earliest suspect index is 0.
-    return VerificationReport(
-        verdict=Verdict.TAMPERED,
-        first_divergent_index=0,
-        expected=manifest.chain_head,
-        actual=head,
-    )
+    return _verification(Verdict.TAMPERED, 0, manifest.chain_head.hex(), head.hex())
 
 
-def diff_acquisitions(
-    a: DeviceDump, b: DeviceDump, allow_device_mismatch: bool = False
-) -> AcquisitionDiff:
+def _verification(
+    verdict: Verdict, index: Optional[int], expected: Optional[str], actual: Optional[str]
+) -> dict:
+    return {
+        "verdict": verdict.value,
+        "first_divergent_index": index,
+        "expected": expected,
+        "actual": actual,
+    }
+
+
+def diff_acquisitions(a: DeviceDump, b: DeviceDump, allow_device_mismatch: bool = False) -> dict:
     """Compare two acquisitions record-by-record, matched on record id.
 
     Both dumps must claim the same device (equal IMEI) unless the
-    override flag is set. ``changed`` lists ids present in both whose
-    digests differ.
+    override flag is set. Returns the ``diff.json`` payload: the ids
+    ``added`` to ``b``, ``removed`` from it and ``changed`` (present in
+    both, with different digests), each sorted, and the
+    ``identical_count``.
     """
-    imei_a = a.device.imei
-    imei_b = b.device.imei
+    imei_a = a.device["imei"]
+    imei_b = b.device["imei"]
     if not allow_device_mismatch and (imei_a is None or imei_a != imei_b):
         raise DeviceMismatch(
             f"dumps claim different devices (imei {imei_a!r} vs {imei_b!r}); "
@@ -218,12 +199,7 @@ def diff_acquisitions(
         if by_id_a[rid].digest != by_id_b[rid].digest
     )
     identical = len(set(by_id_a) & set(by_id_b)) - len(changed)
-    return AcquisitionDiff(
-        added=tuple(added),
-        removed=tuple(removed),
-        changed=tuple(changed),
-        identical_count=identical,
-    )
+    return {"added": added, "removed": removed, "changed": changed, "identical_count": identical}
 
 
 def write_sealed_manifest(manifest: AcquisitionManifest, bundle_path: Path | str) -> Path:
@@ -294,11 +270,15 @@ def load_sealed_manifest(bundle_path: Path | str) -> AcquisitionManifest:
 
 
 def _sealed_link(text: object, path: Path, name: str, index: Optional[int] = None) -> bytes:
-    """The 32 bytes a sealed digest's hex text names; MalformedManifest if it names none."""
-    try:
-        value = bytes.fromhex(text)  # TypeError unless text is a str
-    except (TypeError, ValueError):
-        value = b""
+    """The 32 bytes a sealed digest's hex text names; MalformedManifest if it names none.
+
+    The text must be exactly 64 hex digits, in either case: ``bytes.fromhex``
+    alone would also read whitespace between and around them.
+    """
+    value = b""
+    if isinstance(text, str) and len(text) == 64:
+        with contextlib.suppress(ValueError):
+            value = bytes.fromhex(text)
     if len(value) != 32:
         where = name if index is None else f"{name}[{index}]"
         raise MalformedManifest(f"{path} field {where!r} must be 64 hex characters, got {text!r}")

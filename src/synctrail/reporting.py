@@ -13,11 +13,9 @@ import copy
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from .acquisition import LedgerEntry
 from .correlation import DEFAULT_MIN_SKEW_SUPPORT, DEFAULT_WINDOW_SECONDS
 from .evidence import Locale
 
@@ -28,11 +26,6 @@ class ReportFormat(Enum):
     JSON = "json"
     MARKDOWN = "md"
     HTML = "html"
-
-
-def skew_to_dict(skew: Any) -> dict:
-    """A correlation.SkewEstimate as its ``skew.json`` payload."""
-    return asdict(skew)
 
 
 TIMESTAMP_ASSUMPTION = (
@@ -54,10 +47,6 @@ def parameters_to_dict(
     }
 
 
-def ledger_to_list(entries: Sequence[LedgerEntry]) -> list:
-    return [{"file": e.file, "line": e.line, "message": e.message} for e in entries]
-
-
 # The shape of what the report reads from a stage file: a dict is a
 # JSON object with at least those keys, each of the shape given; a
 # one-item list is a JSON list whose items all have that item's shape;
@@ -65,17 +54,10 @@ def ledger_to_list(entries: Sequence[LedgerEntry]) -> list:
 _LEDGER = [{"file": None, "line": None, "message": None}]
 _IDENTIFIER = {"kind": None, "value": None}
 
-
-@dataclass(frozen=True)
-class StageFile:
-    """What one stage file stands for when absent, and what the report reads."""
-
-    absent: object
-    shape: object
-
-
-STAGE_FILES: dict[str, StageFile] = {
-    "dump.json": StageFile(None, {
+# Each stage file's (absent, shape): what the report takes the file to
+# hold when it is absent, and the shape of what the report reads from it.
+STAGE_FILES: dict[str, tuple[object, object]] = {
+    "dump.json": (None, {
         "dump_id": str,
         "collected_at": None,
         "device": {},
@@ -84,29 +66,29 @@ STAGE_FILES: dict[str, StageFile] = {
         "ledger": _LEDGER,
         "parse_ledger": _LEDGER,
     }),
-    "verification.json": StageFile(None, {"verdict": None}),
-    "parameters.json": StageFile(parameters_to_dict(), {}),
-    "cloud_log.json": StageFile(None, {"name": None, "event_count": None, "ledger": _LEDGER}),
-    "skew.json": StageFile(None, {
+    "verification.json": (None, {"verdict": None}),
+    "parameters.json": (parameters_to_dict(), {}),
+    "cloud_log.json": (None, {"name": None, "event_count": None, "ledger": _LEDGER}),
+    "skew.json": (None, {
         "offset_seconds": None, "support_count": None, "spread_seconds": None, "fallback": None,
     }),
-    "links.json": StageFile([], [{
+    "links.json": ([], [{
         "device_record_id": None, "cloud_event_id": None, "tier": None,
         "time_delta_seconds": None,
     }]),
-    "findings.json": StageFile([], [{
+    "findings.json": ([], [{
         "finding_id": None, "kind": None, "confidence": None, "narrative": None,
         "supporting_ids": [str],
     }]),
-    "timeline.json": StageFile({"entries": [], "excluded_undated": 0}, {
+    "timeline.json": ({"entries": [], "excluded_undated": 0}, {
         "entries": [{"timestamp_utc": None, "source": None, "id": None, "label": None}],
         "excluded_undated": None,
     }),
-    "identity_graph.json": StageFile({"nodes": [], "edges": []}, {
+    "identity_graph.json": ({"nodes": [], "edges": []}, {
         "nodes": [None],
         "edges": [{"a": _IDENTIFIER, "b": _IDENTIFIER, "count": None}],
     }),
-    "geo.json": StageFile([], [{"ip": None, "country": None, "city": None, "source_table": None}]),
+    "geo.json": ([], [{"ip": None, "country": None, "city": None, "source_table": None}]),
 }
 
 _KIND_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
@@ -152,7 +134,7 @@ def build_case_report(
     """
 
     def stage(name: str) -> Any:
-        return stages[name] if name in stages else copy.deepcopy(STAGE_FILES[name].absent)
+        return stages[name] if name in stages else copy.deepcopy(STAGE_FILES[name][0])
 
     dump, verification, cloud_log, timeline = map(
         stage, ("dump.json", "verification.json", "cloud_log.json", "timeline.json")

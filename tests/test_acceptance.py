@@ -85,11 +85,11 @@ def test_criterion_1_golden_fixture_parses_exactly(golden_bundle):
     with criterion(1, "hand-authored golden fixture parses exactly", 1.0):
         dump = ingest_device_dump(golden_bundle)
         profile = dump.device
-        assert profile.model == "LG-D802"
-        assert profile.android_version == "4.4.2"
-        assert profile.sdk_level == "19"
-        assert profile.brand == "lge"
-        assert profile.manufacturer == "LGE"
+        assert profile["model"] == "LG-D802"
+        assert profile["android_version"] == "4.4.2"
+        assert profile["sdk_level"] == "19"
+        assert profile["brand"] == "lge"
+        assert profile["manufacturer"] == "LGE"
 
         apps = parse_app_inventory(dump)
         inventory = {
@@ -142,7 +142,7 @@ def test_criterion_3_tamper_detection(tmp_path):
             dump = ingest_device_dump(case.bundle_dir)
             write_sealed_manifest(seal_dump(dump), case.bundle_dir)
             manifest = load_sealed_manifest(case.bundle_dir)
-            assert verify_chain(manifest, dump.records).verdict is Verdict.INTACT
+            assert verify_chain(manifest, dump.records)["verdict"] == Verdict.INTACT.value
             bundles.append((case, dump, manifest))
 
         rng = random.Random(987)
@@ -153,8 +153,8 @@ def test_criterion_3_tamper_detection(tmp_path):
             mutated = list(dump.records)
             mutated[index] = mutate_attribute(dump.records[index], rng)
             report = verify_chain(manifest, mutated)
-            assert report.verdict is Verdict.TAMPERED
-            assert report.first_divergent_index == index
+            assert report["verdict"] == Verdict.TAMPERED.value
+            assert report["first_divergent_index"] == index
             trials += 1
 
         # A handful of on-disk mutations through the tamper injector too.
@@ -164,15 +164,14 @@ def test_criterion_3_tamper_detection(tmp_path):
             shutil.copytree(case.bundle_dir, scratch)
             _, index = inject_tamper(scratch, seed=seed)
             report = verify_chain(load_sealed_manifest(scratch), ingest_device_dump(scratch).records)
-            assert report.verdict is Verdict.TAMPERED
-            assert report.first_divergent_index == index
+            assert report["verdict"] == Verdict.TAMPERED.value
+            assert report["first_divergent_index"] == index
             trials += 1
         assert trials >= 1000
 
         for case, dump, manifest in bundles:
-            assert verify_chain(manifest, ingest_device_dump(case.bundle_dir).records).verdict is (
-                Verdict.INTACT
-            )
+            verification = verify_chain(manifest, ingest_device_dump(case.bundle_dir).records)
+            assert verification["verdict"] == Verdict.INTACT.value
 
 
 def test_criterion_4_skew_recovery(tmp_path):
@@ -197,8 +196,8 @@ def test_criterion_4_skew_recovery(tmp_path):
                 events = ingest_cloud_log(case.cloud_log)
                 estimate = estimate_clock_skew(dump.records, events, min_support=5)
                 truth = case.ground_truth.true_skew_seconds
-                assert truth - 2 <= estimate.offset_seconds <= truth + 2, (
-                    f"seed {seed}: estimated {estimate.offset_seconds}, truth {truth}"
+                assert truth - 2 <= estimate["offset_seconds"] <= truth + 2, (
+                    f"seed {seed}: estimated {estimate['offset_seconds']}, truth {truth}"
                 )
                 trial += 1
         assert trial == 100
@@ -270,7 +269,7 @@ def test_criterion_5_correlation_oracle_equivalence(tmp_path):
                 (l["device_record_id"], l["cloud_event_id"], l["tier"], l["time_delta_seconds"])
                 for l in links
             ]
-            oracle = brute_force_match(dump.records, events, skew.offset_seconds, 300)
+            oracle = brute_force_match(dump.records, events, skew["offset_seconds"], 300)
             assert mine == oracle, f"seed {seed}: greedy diverged from brute force"
             if repeated:
                 # Which copy synced is ambiguous, so the truth cannot be asked for.
@@ -322,7 +321,7 @@ def test_criterion_7_ingestion_losslessness(tmp_path, golden_bundle):
             assert dump.line_counts, f"{bundle} had no category files"
             for file_name, total in dump.line_counts.items():
                 parsed = sum(1 for r in dump.records if r.attributes["_file"] == file_name)
-                ledgered = sum(1 for e in dump.ledger if e.file == file_name and e.line > 0)
+                ledgered = sum(1 for e in dump.ledger if e["file"] == file_name and e["line"] > 0)
                 assert parsed + ledgered == total, f"{bundle}/{file_name}"
             return dump
 

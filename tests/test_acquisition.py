@@ -7,8 +7,6 @@ import pytest
 from synctrail.acquisition import (
     AppStatus,
     EventKind,
-    LedgerEntry,
-    device_to_json_dict,
     dump_to_json_dict,
     ingest_cloud_log,
     ingest_device_dump,
@@ -42,15 +40,15 @@ class TestIngestDeviceDump:
     def test_golden_device_profile(self, golden_bundle):
         dump = ingest_device_dump(golden_bundle)
         profile = dump.device
-        assert profile.model == "LG-D802"
-        assert profile.android_version == "4.4.2"
-        assert profile.sdk_level == "19"
-        assert profile.brand == "lge"
-        assert profile.manufacturer == "LGE"
-        assert profile.kernel_name == "jingfu.wang"
+        assert profile["model"] == "LG-D802"
+        assert profile["android_version"] == "4.4.2"
+        assert profile["sdk_level"] == "19"
+        assert profile["brand"] == "lge"
+        assert profile["manufacturer"] == "LGE"
+        assert profile["kernel_name"] == "jingfu.wang"
         # Seven hex groups: kept opaque, never rejected on cosmetic grounds.
-        assert profile.wifi_mac == "bc:f5:a:c:b3:d7:58"
-        assert profile.battery_percent == 22
+        assert profile["wifi_mac"] == "bc:f5:a:c:b3:d7:58"
+        assert profile["battery_percent"] == 22
         assert dump.ledger == ()
 
     def test_device_section_keeps_documented_order(self, tmp_path):
@@ -61,7 +59,7 @@ class TestIngestDeviceDump:
             ]},
         )
         dump = ingest_device_dump(bundle)
-        section = device_to_json_dict(dump.device)
+        section = dump.device
         assert list(section) == [
             "model", "device_name", "android_version", "sdk_level", "brand",
             "manufacturer", "kernel_name", "wifi_mac", "wifi_ssid", "bluetooth_mac",
@@ -80,12 +78,12 @@ class TestIngestDeviceDump:
         dump = ingest_device_dump(golden_bundle)
         warnings = profile_format_warnings(dump.device)
         assert any("wifi_mac" in w for w in warnings)
-        assert dump.device.wifi_mac == "bc:f5:a:c:b3:d7:58"
+        assert dump.device["wifi_mac"] == "bc:f5:a:c:b3:d7:58"
 
     def test_canonical_mac_passes_format_check(self):
-        from synctrail.acquisition import DeviceProfile, profile_format_warnings
+        from synctrail.acquisition import profile_format_warnings
 
-        profile = DeviceProfile(wifi_mac="bc:f5:0a:0c:b3:d7", imei="356938035643809")
+        profile = {"wifi_mac": "bc:f5:0a:0c:b3:d7", "imei": "356938035643809"}
         assert profile_format_warnings(profile) == []
 
     def test_golden_record_order_and_provenance(self, golden_bundle):
@@ -120,8 +118,8 @@ class TestIngestDeviceDump:
         dump = ingest_device_dump(bundle)
         assert len([r for r in dump.records if r.category is ArtifactCategory.MESSAGE]) == 4
         assert len(dump.ledger) == 1
-        assert dump.ledger[0].file == "messages.jsonl"
-        assert dump.ledger[0].line == 3
+        assert dump.ledger[0]["file"] == "messages.jsonl"
+        assert dump.ledger[0]["line"] == 3
 
     def test_bad_timestamp_goes_to_ledger(self, tmp_path):
         bundle = write_bundle(
@@ -133,7 +131,7 @@ class TestIngestDeviceDump:
         )
         dump = ingest_device_dump(bundle)
         assert len(dump.records) == 1
-        assert dump.ledger[0].line == 2
+        assert dump.ledger[0]["line"] == 2
 
     def test_duplicate_record_id_fatal(self, tmp_path):
         bundle = write_bundle(
@@ -163,7 +161,7 @@ class TestIngestDeviceDump:
         dump = ingest_device_dump(bundle)
         assert len(dump.records) == 1
         assert any(
-            e.file == "sensor_history.jsonl" and e.line == 0 for e in dump.ledger
+            e["file"] == "sensor_history.jsonl" and e["line"] == 0 for e in dump.ledger
         )
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
@@ -176,12 +174,12 @@ class TestIngestDeviceDump:
         dump = ingest_device_dump(bundle)
         assert [r.attributes["name"] for r in dump.records] == ["c"]
         message = f"invalid JSON: non-finite number {constant} is not allowed"
-        assert [(e.line, e.message) for e in dump.ledger] == [(1, message), (2, message)]
+        assert [(e["line"], e["message"]) for e in dump.ledger] == [(1, message), (2, message)]
 
     def test_bom_line_keeps_its_ledger_message(self, tmp_path):
         bundle = write_bundle(tmp_path / "b", {})
         (bundle / "running_apps.jsonl").write_text('\ufeff{"name":"a"}\n', encoding="utf-8")
-        assert [e.message for e in ingest_device_dump(bundle).ledger] == [
+        assert [e["message"] for e in ingest_device_dump(bundle).ledger] == [
             "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
         ]
 
@@ -206,7 +204,8 @@ class TestIngestDeviceDump:
         bundle = write_bundle(tmp_path / "b", {})
         (bundle / "running_apps.jsonl").write_text(line + "\n")
         dump = ingest_device_dump(bundle)
-        assert [r.attributes["name"] for r in dump.records] + [e.message for e in dump.ledger] == [
+        messages = [e["message"] for e in dump.ledger]
+        assert [r.attributes["name"] for r in dump.records] + messages == [
             outcome
         ]
 
@@ -217,7 +216,7 @@ class TestIngestDeviceDump:
         )
         dump = ingest_device_dump(bundle)
         assert dump.records == ()
-        assert "_" in dump.ledger[0].message
+        assert "_" in dump.ledger[0]["message"]
 
     def test_synthesized_ids_when_absent(self, tmp_path):
         bundle = write_bundle(tmp_path / "b", {"messages.jsonl": [{"peer": "+1"}, {"peer": "+2"}]})
@@ -255,7 +254,7 @@ class TestIngestDeviceDump:
                  "screen_lock_enabled", "screen_saver_enabled"]
         row = {name: f"v-{name}" for name in strings} | {name: "true" for name in flags}
         bundle = write_bundle(tmp_path / "b", {"device_info.jsonl": [row]})
-        section = device_to_json_dict(ingest_device_dump(bundle).device)
+        section = ingest_device_dump(bundle).device
         assert {name: section[name] for name in strings} == {n: f"v-{n}" for n in strings}
         assert all(section[name] is True for name in flags)
 
@@ -286,7 +285,7 @@ class TestIngestDeviceDump:
         )
         dump = ingest_device_dump(bundle)
         assert [r.record_id for r in dump.records] == ["m1", "m2"]
-        assert dump.ledger == (LedgerEntry("messages.jsonl", 2, message),)
+        assert dump.ledger == ({"file": "messages.jsonl", "line": 2, "message": message},)
         assert dump.line_counts == {"messages.jsonl": 3}
 
     def test_losslessness_per_file(self, tmp_path):
@@ -306,7 +305,7 @@ class TestIngestDeviceDump:
         dump = ingest_device_dump(bundle)
         for file_name, total in dump.line_counts.items():
             parsed = sum(1 for r in dump.records if r.attributes["_file"] == file_name)
-            ledgered = sum(1 for e in dump.ledger if e.file == file_name and e.line > 0)
+            ledgered = sum(1 for e in dump.ledger if e["file"] == file_name and e["line"] > 0)
             assert parsed + ledgered == total
 
 
@@ -328,10 +327,10 @@ class TestParseAppInventory:
             tmp_path / "b",
             {"installed_apps.jsonl": [{"id": "a1", "name": "X", "status": "Sideloaded"}]},
         )
-        ledger: list[LedgerEntry] = []
+        ledger: list[dict] = []
         apps = parse_app_inventory(ingest_device_dump(bundle), ledger)
         assert apps == []
-        assert "Sideloaded" in ledger[0].message
+        assert "Sideloaded" in ledger[0]["message"]
 
     def test_empty_inventory(self, tmp_path):
         bundle = write_bundle(tmp_path / "b", {})
@@ -367,10 +366,10 @@ class TestIngestCloudLog:
             '{"id":"e1","kind":"Teleport","ts":"2016-05-10T16:51:13Z"}\n'
             '{"id":"e2","kind":"Login","ts":"2016-05-10T16:52:13Z","account":"a@x"}\n'
         )
-        ledger: list[LedgerEntry] = []
+        ledger: list[dict] = []
         events = ingest_cloud_log(path, ledger)
         assert [e.event_id for e in events] == ["e2"]
-        assert "Teleport" in ledger[0].message
+        assert "Teleport" in ledger[0]["message"]
 
     def test_duplicate_event_id_names_both_lines(self, tmp_path):
         rows = [
@@ -404,10 +403,10 @@ class TestIngestCloudLog:
             '{"id":"e1","kind":"Upload","ts":"2016-05-10T16:51:13Z","size":1e400}\n'
             '{"id":"e2","kind":"Upload","ts":"2016-05-10T16:52:13Z","size":7}\n'
         )
-        ledger: list[LedgerEntry] = []
+        ledger: list[dict] = []
         events = ingest_cloud_log(path, ledger)
         assert [(e.event_id, e.size_bytes) for e in events] == [("e2", 7)]
-        assert [(e.line, e.message) for e in ledger] == [
+        assert [(e["line"], e["message"]) for e in ledger] == [
             (1, "invalid JSON: non-finite number 1e400 is not allowed")
         ]
 
@@ -418,10 +417,10 @@ class TestIngestCloudLog:
             json.dumps({"id": "e1", "kind": "Upload", "ts": "2016-05-10T16:51:13Z", "size": size})
             + '\n{"id":"e2","kind":"Upload","ts":"2016-05-10T16:52:13Z","size":null}\n'
         )
-        ledger: list[LedgerEntry] = []
+        ledger: list[dict] = []
         events = ingest_cloud_log(path, ledger)
         assert [(e.event_id, e.size_bytes) for e in events] == [("e2", None)]
-        assert [(e.line, e.message) for e in ledger] == [(1, f"bad size {size!r}")]
+        assert [(e["line"], e["message"]) for e in ledger] == [(1, f"bad size {size!r}")]
 
     @pytest.mark.parametrize("size, expected", [(12, 12), ("12", 12), (" 7 ", 7), (0, 0)])
     def test_integer_size_or_integer_string_accepted(self, tmp_path, size, expected):
@@ -453,10 +452,10 @@ class TestIngestCloudLog:
             f'{{"id":"e1","kind":"Upload","ts":"2016-05-10T16:51:13Z","size":{constant}}}\n'
             '{"id":"e2","kind":"Upload","ts":"2016-05-10T16:52:13Z"}\n'
         )
-        ledger: list[LedgerEntry] = []
+        ledger: list[dict] = []
         events = ingest_cloud_log(path, ledger)
         assert [e.event_id for e in events] == ["e2"]
-        assert [(e.line, e.message) for e in ledger] == [
+        assert [(e["line"], e["message"]) for e in ledger] == [
             (1, f"invalid JSON: non-finite number {constant} is not allowed")
         ]
 
@@ -466,7 +465,7 @@ class TestIngestCloudLog:
         row = {"id": "e1", "kind": "Upload", "ts": "2016-05-10T16:51:13Z",
                "object": f"a{separator}b"}
         path.write_bytes(json.dumps(row, ensure_ascii=False).encode("utf-8") + b"\n")
-        ledger: list[LedgerEntry] = []
+        ledger: list[dict] = []
         events = ingest_cloud_log(path, ledger)
         assert [e.package_or_object for e in events] == [f"a{separator}b"]
         assert ledger == []
@@ -479,12 +478,13 @@ class TestIngestCloudLog:
             + b'{"a":' * 100_000 + b"\n"
             b'{"id":"e2","kind":"Login","ts":"2016-05-10T16:52:13Z"}\n'
         )
-        ledger: list[LedgerEntry] = []
+        ledger: list[dict] = []
         events = ingest_cloud_log(path, ledger)
         assert [e.event_id for e in events] == ["e1", "e2"]
         assert ledger == [
-            LedgerEntry("log.jsonl", 2, "invalid UTF-8 at byte 0: invalid start byte"),
-            LedgerEntry("log.jsonl", 3, "invalid JSON: nested too deeply"),
+            {"file": "log.jsonl", "line": 2,
+             "message": "invalid UTF-8 at byte 0: invalid start byte"},
+            {"file": "log.jsonl", "line": 3, "message": "invalid JSON: nested too deeply"},
         ]
 
     def test_file_order_preserved(self, tmp_path):

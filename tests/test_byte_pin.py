@@ -6,6 +6,10 @@ html reports, the sealed manifest, and the stderr of the three runs
 with the temporary directory's path replaced by ``<tmp>``. A change
 that keeps the program's output keeps every pin; a change meant to
 alter output updates the pins it moves and says why.
+
+The stepwise pins hold the exact bytes, exit code and stderr of the
+custody commands that `run-all` never reaches on these inputs: `verify`
+of a tampered and of a shortened copy, and `diff`.
 """
 
 from __future__ import annotations
@@ -170,3 +174,86 @@ PINS = {
 def test_run_all_bytes_are_pinned(tmp_path, capsys, name):
     make_input, pinned = PINS[name]
     assert run_all_hashes(make_input, tmp_path, capsys) == pinned
+
+
+# Stepwise pins: the custody commands' outputs, exit codes and stderr on
+# golden-bundle copies that were tampered with, shortened or edited.
+
+
+def sealed_golden(tmp: Path) -> Path:
+    bundle, _, _ = golden(tmp)
+    assert run(["seal", str(bundle)]) == 0
+    return bundle
+
+
+def stepwise(argv: list[str], tmp: Path, capsys, written: str) -> tuple[int, str, str]:
+    """The exit code of ``argv``, the text of the file it wrote, and its stderr."""
+    capsys.readouterr()
+    code = run(argv)
+    stderr = capsys.readouterr().err.replace(str(tmp), "<tmp>")
+    path = tmp / "out" / written
+    return code, path.read_text(encoding="utf-8") if path.is_file() else "", stderr
+
+
+def test_verify_of_a_tampered_copy_is_pinned(tmp_path, capsys):
+    from synctrail.simulator import inject_tamper
+
+    bundle = sealed_golden(tmp_path)
+    _, index = inject_tamper(bundle, 3)
+    argv = ["verify", str(bundle), "--out", str(tmp_path / "out")]
+    assert index == 3
+    assert stepwise(argv, tmp_path, capsys, "verification.json") == (
+        3,
+        '{"verdict":"Tampered","first_divergent_index":3,'
+        '"expected":"c11cd06de9ec14513af4d6f30eea5d891c3e26f210fb4d27d6e9e530e1a74eb1",'
+        '"actual":"c4af2068966c78e9966198f029767722916d79bb8f2b8c54e9988230072e672b"}\n',
+        "chain verdict: Tampered\n",
+    )
+
+
+def test_verify_of_a_shortened_copy_is_pinned(tmp_path, capsys):
+    bundle = sealed_golden(tmp_path)
+    path = bundle / "running_apps.jsonl"
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-1]))
+    argv = ["verify", str(bundle), "--out", str(tmp_path / "out")]
+    assert stepwise(argv, tmp_path, capsys, "verification.json") == (
+        3,
+        '{"verdict":"Tampered","first_divergent_index":0,"expected":null,"actual":null}\n',
+        "verification failed: manifest sealed 16 records, got 15\nchain verdict: Tampered\n",
+    )
+
+
+def edited_golden_copy(tmp: Path) -> Path:
+    """The golden bundle with run-0009 added, run-0008 removed and run-0003 changed.
+
+    Every other record keeps its line, and so its digest, which covers
+    the line number.
+    """
+    bundle = tmp / "edited"
+    shutil.copytree(DATA_DIR / "golden" / "bundle", bundle)
+    path = bundle / "running_apps.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = b'{"id":"run-0003","name":"Viber Messenger"}\n'
+    lines[-1] = b'{"id":"run-0009","name":"Gallery"}\n'
+    path.write_bytes(b"".join(lines))
+    return bundle
+
+
+def test_diff_of_an_edited_copy_is_pinned(tmp_path, capsys):
+    bundle, _, _ = golden(tmp_path)
+    argv = ["diff", str(bundle), str(edited_golden_copy(tmp_path)), "--out", str(tmp_path / "out")]
+    assert stepwise([*argv, "--allow-device-mismatch"], tmp_path, capsys, "diff.json") == (
+        0,
+        '{"added":["run-0009"],"removed":["run-0008"],"changed":["run-0003"],'
+        '"identical_count":14}\n',
+        "diff: 1 added, 1 removed, 1 changed, 14 identical\n",
+    )
+    # The golden device reports no IMEI, so without the override the dumps
+    # cannot be shown to come from one device.
+    (tmp_path / "out" / "diff.json").unlink()
+    assert stepwise(argv, tmp_path, capsys, "diff.json") == (
+        4,
+        "",
+        "error: dumps claim different devices (imei None vs None); "
+        "pass the override flag to diff anyway\n",
+    )

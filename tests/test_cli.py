@@ -551,6 +551,9 @@ def _with(key, value):
 
 _TRUNCATED_SEALED = b'{\n  "dump_id": "sim-1000",\n  "coll'
 _NOT_HEX = "zz" * 32
+# 32 bytes that bytes.fromhex reads, but not as 64 hex characters.
+_SPACED_HEX = " ".join(["AB"] * 32)
+_PADDED_HEX = "\t" + "ab" * 32 + "\n"
 _TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 
 # One row per malformed input: (file damaged, damage, command, exit code, stderr line).
@@ -587,6 +590,15 @@ MALFORMED_INPUTS = [
     pytest.param("bundle/manifest.sealed.json", _with("chain_head", "abc"), "verify", 4,
                  "error: {path} field 'chain_head' must be 64 hex characters, got 'abc'",
                  id="sealed-short-head"),
+    pytest.param("bundle/manifest.sealed.json", _with("chain_head", _SPACED_HEX), "verify", 4,
+                 f"error: {{path}} field 'chain_head' must be 64 hex characters, "
+                 f"got '{_SPACED_HEX}'",
+                 id="sealed-space-separated-head"),
+    pytest.param("bundle/manifest.sealed.json", _with(("record_links", 0), _PADDED_HEX),
+                 "verify", 4,
+                 "error: {path} field 'record_links[0]' must be 64 hex characters, "
+                 "got '\\t" + "ab" * 32 + "\\n'",
+                 id="sealed-whitespace-padded-link"),
     pytest.param("bundle/manifest.sealed.json", _with("record_count", "43"), "verify", 4,
                  "error: {path} field 'record_count' must be a count, got '43'",
                  id="sealed-count-as-string"),

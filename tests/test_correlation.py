@@ -25,7 +25,6 @@ from synctrail.correlation import (
     estimate_clock_skew,
     match_synced_artifacts,
     zero_skew,
-    SkewEstimate,
 )
 from synctrail.errors import ImpossibleDate, InsufficientSupport
 from synctrail.evidence import (
@@ -131,10 +130,10 @@ class TestEstimateClockSkew:
         records = [device_file(f"r{i}", BASE + i, digest_hex(f"d{i}")) for i in range(5)]
         events = [cloud(f"e{i}", BASE + i, digest=digest_hex(f"d{i}")) for i in range(5)]
         skew = estimate_clock_skew(records, events, min_support=3)
-        assert skew.offset_seconds == 0
-        assert skew.spread_seconds == 0
-        assert skew.support_count == 5
-        assert not skew.fallback
+        assert skew["offset_seconds"] == 0
+        assert skew["spread_seconds"] == 0
+        assert skew["support_count"] == 5
+        assert not skew["fallback"]
 
     def test_median_of_three_deltas(self):
         deltas = [118, 120, 125]
@@ -144,22 +143,22 @@ class TestEstimateClockSkew:
             for i in range(3)
         ]
         skew = estimate_clock_skew(records, events, min_support=3)
-        assert skew.offset_seconds == lower_median(deltas) == 120
-        assert skew.spread_seconds == 125 - 118
+        assert skew["offset_seconds"] == lower_median(deltas) == 120
+        assert skew["spread_seconds"] == 125 - 118
 
     def test_even_count_takes_lower_median(self):
         deltas = [100, 200]
         records = [device_file(f"r{i}", BASE, digest_hex(f"d{i}")) for i in range(2)]
         events = [cloud(f"e{i}", BASE + deltas[i], digest=digest_hex(f"d{i}")) for i in range(2)]
         skew = estimate_clock_skew(records, events, min_support=2)
-        assert skew.offset_seconds == 100
+        assert skew["offset_seconds"] == 100
 
     def test_insufficient_support(self):
         records = [device_file("r0", BASE, digest_hex("d0"))]
         events = [cloud("e0", BASE, digest=digest_hex("d0"))]
         with pytest.raises(InsufficientSupport):
             estimate_clock_skew(records, events, min_support=3)
-        assert zero_skew().fallback
+        assert zero_skew()["fallback"]
 
     @pytest.mark.parametrize("min_support", [0, -1])
     def test_no_pairs_is_insufficient_whatever_the_minimum(self, min_support):
@@ -194,9 +193,9 @@ class TestEstimateClockSkew:
         assert lower_median(cross_product) - true_skew >= 3600
 
         skew = estimate_clock_skew(records, events, min_support=3)
-        assert true_skew <= skew.offset_seconds <= true_skew + 2
-        assert skew.support_count == 3
-        assert skew.spread_seconds == 2
+        assert true_skew <= skew["offset_seconds"] <= true_skew + 2
+        assert skew["support_count"] == 3
+        assert skew["spread_seconds"] == 2
 
     def test_only_repeated_content_is_insufficient(self):
         d = digest_hex("again")
@@ -217,7 +216,7 @@ class TestEstimateClockSkew:
             records.append(device_file(f"u{i}", BASE + 5000 * (i + 1), u))
             events.append(cloud(f"ue{i}", BASE + 5000 * (i + 1) + 301, digest=u))
         skew = estimate_clock_skew(records, events, min_support=1)
-        assert (skew.offset_seconds, skew.support_count) == (301, 2)
+        assert (skew["offset_seconds"], skew["support_count"]) == (301, 2)
 
     @pytest.mark.parametrize("copy_epoch", [None, BASE + 30])
     def test_second_device_copy_makes_a_digest_ambiguous(self, copy_epoch):
@@ -236,7 +235,7 @@ class TestEstimateClockSkew:
         dump = ingest_device_dump(case.bundle_dir)
         events = ingest_cloud_log(case.cloud_log)
         skew = estimate_clock_skew(dump.records, events)
-        assert true_skew - 2 <= skew.offset_seconds <= true_skew + 2
+        assert true_skew - 2 <= skew["offset_seconds"] <= true_skew + 2
 
 
 class TestMatchSyncedArtifacts:
@@ -301,7 +300,7 @@ class TestMatchSyncedArtifacts:
             link_tuple(l)
             for l in match_synced_artifacts(records, events, skew, window_seconds=300)
         ]
-        oracle = brute_force_match(records, events, skew.offset_seconds, 300)
+        oracle = brute_force_match(records, events, skew["offset_seconds"], 300)
         assert mine == oracle
 
     def test_matches_brute_force_on_seeded_tie_heavy_cases(self):
@@ -309,7 +308,9 @@ class TestMatchSyncedArtifacts:
         for index in range(3000):
             records, events, offset = _tie_heavy_case(rng)
             window = (0, 3, 300)[index % 3]
-            skew = SkewEstimate(offset_seconds=offset, support_count=0, spread_seconds=0)
+            skew = {
+                "offset_seconds": offset, "support_count": 0, "spread_seconds": 0, "fallback": False,
+            }
             mine = [
                 link_tuple(l)
                 for l in match_synced_artifacts(records, events, skew, window_seconds=window)
@@ -380,7 +381,7 @@ class TestMatchSyncedArtifacts:
             for e in events
         ]
         shifted_skew = estimate_clock_skew(dump.records, shifted_events)
-        assert shifted_skew.offset_seconds == skew.offset_seconds + shift
+        assert shifted_skew["offset_seconds"] == skew["offset_seconds"] + shift
         shifted = match_synced_artifacts(dump.records, shifted_events, shifted_skew)
         assert [link_tuple(l)[:3] for l in shifted] == [link_tuple(l)[:3] for l in baseline]
 
@@ -394,7 +395,9 @@ class TestBuildTimeline:
         offset = 300
         records = [device_file("r0", BASE)]
         events = [cloud("e0", BASE + offset, kind=EventKind.LOGIN)]
-        skew = SkewEstimate(offset_seconds=offset, support_count=5, spread_seconds=0)
+        skew = {
+            "offset_seconds": offset, "support_count": 5, "spread_seconds": 0, "fallback": False,
+        }
         timeline = build_timeline(records, events, skew)
         assert [e["id"] for e in timeline["entries"]] == ["r0", "e0"]
         assert [e["timestamp_utc"] for e in timeline["entries"]] == [epoch_to_iso(BASE)] * 2
@@ -405,7 +408,7 @@ class TestBuildTimeline:
         assert [e["id"] for e in timeline["entries"]] == ["ra", "rb"]
 
     def test_cloud_time_shifted_out_of_range_is_impossible(self):
-        skew = SkewEstimate(offset_seconds=200, support_count=3, spread_seconds=0)
+        skew = {"offset_seconds": 200, "support_count": 3, "spread_seconds": 0, "fallback": False}
         shifted = build_timeline([], [cloud("e0", 200, kind=EventKind.LOGIN)], skew)
         assert shifted["entries"][0]["timestamp_utc"] == "1970-01-01T00:00:00Z"
         with pytest.raises(ImpossibleDate, match="timestamp -1 outside supported range"):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synctrail.acquisition import LedgerEntry, ingest_device_dump
+from synctrail.acquisition import ingest_device_dump
 from synctrail.errors import ImpossibleDate, UnparseableTimestamp
 from synctrail.evidence import (
     ArtifactCategory,
@@ -369,7 +369,7 @@ class TestFieldChecksMatchReference:
             lambda: reference_checked_encode(record_id, "RunningApp", "", attributes, "Device")
         )
         assert dump.records == ()
-        assert dump.ledger == (LedgerEntry("running_apps.jsonl", 1, message),)
+        assert dump.ledger == ({"file": "running_apps.jsonl", "line": 1, "message": message},)
 
 
 class TestEpochFromCivil:
@@ -418,11 +418,11 @@ class TestToIso:
         dump = ingest_device_dump(write_bundle(tmp_path / "b", {"wifi_history.jsonl": [row]}))
         assert dump.records == ()
         assert dump.ledger == (
-            LedgerEntry(
-                "wifi_history.jsonl",
-                1,
-                f"bad last_connected: timestamp {raw!r} matches no supported grammar",
-            ),
+            {
+                "file": "wifi_history.jsonl",
+                "line": 1,
+                "message": f"bad last_connected: timestamp {raw!r} matches no supported grammar",
+            },
         )
 
     def test_iso_z_text_is_its_own_rendering(self):

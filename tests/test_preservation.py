@@ -110,9 +110,9 @@ class TestVerifyChain:
     def test_unmodified_is_intact(self):
         records = [record(f"r{i}", k=str(i)) for i in range(8)]
         report = verify_chain(self.make_sealed(records), records)
-        assert report.verdict is Verdict.INTACT
-        assert report.first_divergent_index is None
-        assert report.expected is None and report.actual is None
+        assert report["verdict"] == Verdict.INTACT.value
+        assert report["first_divergent_index"] is None
+        assert report["expected"] is None and report["actual"] is None
 
     @pytest.mark.parametrize("k", [0, 3, 7])
     def test_flip_localized_to_index(self, k):
@@ -121,9 +121,9 @@ class TestVerifyChain:
         tampered = list(records)
         tampered[k] = mutate_record(records[k], "k", 2)
         report = verify_chain(manifest, tampered)
-        assert report.verdict is Verdict.TAMPERED
-        assert report.first_divergent_index == k
-        assert report.expected is not None and report.actual is not None
+        assert report["verdict"] == Verdict.TAMPERED.value
+        assert report["first_divergent_index"] == k
+        assert report["expected"] is not None and report["actual"] is not None
 
     def test_appended_record_is_count_mismatch(self):
         records = [record("r1", k="1")]
@@ -148,8 +148,8 @@ class TestVerifyChain:
         tampered = list(records)
         tampered[k] = mutate_record(records[k], "payload", pos)
         report = verify_chain(manifest, tampered)
-        assert report.verdict is Verdict.TAMPERED
-        assert report.first_divergent_index == k
+        assert report["verdict"] == Verdict.TAMPERED.value
+        assert report["first_divergent_index"] == k
 
 
 class TestSealAndLoad:
@@ -161,7 +161,7 @@ class TestSealAndLoad:
         assert path.name == "manifest.sealed.json"
         loaded = load_sealed_manifest(case.bundle_dir)
         assert loaded == manifest
-        assert verify_chain(loaded, dump.records).verdict is Verdict.INTACT
+        assert verify_chain(loaded, dump.records)["verdict"] == Verdict.INTACT.value
 
     def test_sealed_file_carries_hex_fields(self, tmp_path):
         case = generate_case(SimParams(seed=12, n_uploads=1), tmp_path)
@@ -178,8 +178,8 @@ class TestDiffAcquisitions:
         case = generate_case(SimParams(seed=21), tmp_path)
         dump = ingest_device_dump(case.bundle_dir)
         diff = diff_acquisitions(dump, dump)
-        assert diff.added == diff.removed == diff.changed == ()
-        assert diff.identical_count == len(dump.records)
+        assert diff["added"] == diff["removed"] == diff["changed"] == []
+        assert diff["identical_count"] == len(dump.records)
 
     def test_appended_message_shows_as_added(self, tmp_path):
         case = generate_case(SimParams(seed=22), tmp_path)
@@ -193,8 +193,8 @@ class TestDiffAcquisitions:
         a = ingest_device_dump(case.bundle_dir)
         b = ingest_device_dump(second)
         diff = diff_acquisitions(a, b)
-        assert diff.added == ("msg-9999",)
-        assert diff.removed == () and diff.changed == ()
+        assert diff["added"] == ["msg-9999"]
+        assert diff["removed"] == [] and diff["changed"] == []
 
     def test_modified_timestamp_shows_as_changed(self, tmp_path):
         case = generate_case(SimParams(seed=23, n_apps=4), tmp_path)
@@ -209,8 +209,8 @@ class TestDiffAcquisitions:
         diff = diff_acquisitions(
             ingest_device_dump(case.bundle_dir), ingest_device_dump(second)
         )
-        assert diff.changed == (json.loads(lines[0])["id"],)
-        assert diff.added == () and diff.removed == ()
+        assert diff["changed"] == [json.loads(lines[0])["id"]]
+        assert diff["added"] == [] and diff["removed"] == []
 
     def test_device_mismatch_requires_override(self, tmp_path):
         case_a = generate_case(SimParams(seed=24), tmp_path / "a")
@@ -220,7 +220,7 @@ class TestDiffAcquisitions:
         with pytest.raises(DeviceMismatch):
             diff_acquisitions(a, b)
         diff = diff_acquisitions(a, b, allow_device_mismatch=True)
-        assert diff.identical_count >= 0
+        assert diff["identical_count"] >= 0
 
     def test_symmetry_up_to_swapping(self, tmp_path):
         case = generate_case(SimParams(seed=26), tmp_path)
@@ -235,7 +235,7 @@ class TestDiffAcquisitions:
         b = ingest_device_dump(second)
         ab = diff_acquisitions(a, b)
         ba = diff_acquisitions(b, a)
-        assert ab.added == ba.removed
-        assert ab.removed == ba.added
-        assert ab.changed == ba.changed
-        assert ab.identical_count == ba.identical_count
+        assert ab["added"] == ba["removed"]
+        assert ab["removed"] == ba["added"]
+        assert ab["changed"] == ba["changed"]
+        assert ab["identical_count"] == ba["identical_count"]

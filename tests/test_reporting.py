@@ -27,7 +27,6 @@ from synctrail.reporting import (
     build_case_report,
     redact,
     render_report,
-    skew_to_dict,
 )
 
 SECTIONS = [
@@ -72,9 +71,9 @@ def golden_case(golden_bundle, golden_cloud_log) -> dict:
             "app_counts": {"installed": len(apps) - uninstalled, "uninstalled": uninstalled},
             "parse_ledger": [],
         },
-        "verification.json": {"verdict": verification.verdict.value},
+        "verification.json": verification,
         "cloud_log.json": {"name": golden_cloud_log.name, "event_count": len(events), "ledger": []},
-        "skew.json": skew_to_dict(skew),
+        "skew.json": skew,
         "links.json": links,
         "findings.json": findings,
         "timeline.json": timeline,

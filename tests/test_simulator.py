@@ -127,8 +127,8 @@ class TestInjectTamper:
             load_sealed_manifest(case.bundle_dir),
             ingest_device_dump(case.bundle_dir).records,
         )
-        assert report.verdict is Verdict.TAMPERED
-        assert report.first_divergent_index == index
+        assert report["verdict"] == Verdict.TAMPERED.value
+        assert report["first_divergent_index"] == index
 
     def test_fixed_seed_fixed_flip(self, tmp_path):
         case = generate_case(SimParams(seed=71), tmp_path / "x")

@@ -46,6 +46,36 @@ def test_importing_the_cli_loads_nothing_a_command_may_not_run():
     assert sorted((loaded - bare) & set(ONE_PATH_ONLY)) == []
 
 
+# A frozen dataclass costs start-up time: Python compiles its generated
+# methods when the class is created. These are the types the pipeline
+# keeps; every stage result is the JSON-ready payload of its stage file.
+DATACLASSES = [
+    "AcquisitionManifest",
+    "AppRecord",
+    "CloudEvent",
+    "DeviceDump",
+    "Digest256",
+    "EvidenceRecord",
+    "GeoTable",
+    "UtcTimestamp",
+]
+
+_DATACLASS_CENSUS = """
+import dataclasses, sys
+import synctrail.cli
+for name, module in sorted(sys.modules.items()):
+    for value in vars(module).values() if name.partition(".")[0] == "synctrail" else ():
+        if isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == name:
+            print(value.__qualname__)
+"""
+
+
+def test_importing_the_cli_creates_only_the_kept_dataclasses():
+    result = python("-c", _DATACLASS_CENSUS)
+    assert result.returncode == 0, result.stderr
+    assert sorted(result.stdout.split()) == DATACLASSES
+
+
 def test_verify_runs_without_them(tmp_path):
     bundle = tmp_path / "bundle"
     shutil.copytree(DATA / "golden" / "bundle", bundle)
