@@ -39,7 +39,6 @@ _EXPORTS = {
     "build_identity_graph": "osint",
     "load_geo_table": "osint",
     "resolve_ip": "osint",
-    "AcquisitionManifest": "preservation",
     "chain_digest": "preservation",
     "diff_acquisitions": "preservation",
     "seal_dump": "preservation",
@@ -70,7 +69,6 @@ def __dir__() -> list[str]:
 
 __all__ = [
     "__version__",
-    "AcquisitionManifest",
     "AppRecord",
     "AppStatus",
     "ArtifactCategory",

@@ -339,7 +339,7 @@ def _build_profile(info: Optional[EvidenceRecord], state: Optional[EvidenceRecor
     return profile
 
 
-_MAC_RE = re.compile(r"^[0-9a-fA-F]{2}(:[0-9a-fA-F]{2}){5}$")
+_MAC_RE = re.compile(r"[0-9a-fA-F]{2}(:[0-9a-fA-F]{2}){5}")
 
 
 def profile_format_warnings(profile: Mapping[str, object]) -> list[str]:
@@ -352,10 +352,10 @@ def profile_format_warnings(profile: Mapping[str, object]) -> list[str]:
     warnings = []
     for label in ("wifi_mac", "bluetooth_mac"):
         value = profile.get(label)
-        if value and not _MAC_RE.match(value):
+        if value and not _MAC_RE.fullmatch(value):
             warnings.append(f"{label} {value!r} is not a canonical 6-group MAC, kept as-is")
     imei = profile.get("imei")
-    if imei and not (imei.isdigit() and 14 <= len(imei) <= 16):
+    if imei and not (imei.isascii() and imei.isdigit() and 14 <= len(imei) <= 16):
         warnings.append(f"imei {imei!r} is not 14-16 digits, kept as-is")
     return warnings
 

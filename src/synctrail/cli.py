@@ -184,8 +184,8 @@ def _step_seal(
     manifest = seal_dump(dump, examiner=examiner, isolation_method=isolation)
     path = write_sealed_manifest(manifest, bundle)
     _say(
-        f"sealed {manifest.record_count} records, chain head "
-        f"{manifest.chain_head.hex()} -> {path.name}"
+        f"sealed {manifest['record_count']} records, chain head "
+        f"{manifest['chain_head']} -> {path.name}"
     )
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,7 +33,6 @@ from .evidence import (
     Digest256,
     EvidenceRecord,
     Locale,
-    UtcTimestamp,
     canonical_encode,  # noqa: F401  re-exported: the encoding the chain hashes
     normalize_timestamp,
 )
@@ -55,30 +53,18 @@ class Verdict(Enum):
     TAMPERED = "Tampered"
 
 
-@dataclass(frozen=True)
-class AcquisitionManifest:
-    """Custody envelope over an ordered record set.
+def manifest_header_bytes(manifest: dict) -> bytes:
+    """Fixed header encoding that anchors the chain, same field rules as records.
 
-    ``record_links`` holds the running chain value after each record, as
-    its 32 raw bytes, so tampering can be localized to an index during
-    verification.
+    Reads the header fields of a ``manifest.sealed.json`` payload,
+    ``collected_at`` in its ISO-Z form.
     """
-
-    dump_id: str
-    collected_at: UtcTimestamp
-    examiner: str
-    isolation_method: IsolationMethod
-    digest_algorithm: str
-    record_count: int
-    chain_head: Digest256
-    record_links: tuple[bytes, ...]
-
-
-def manifest_header_bytes(
-    dump_id: str, collected_at_iso: str, examiner: str, digest_algorithm: str
-) -> bytes:
-    """Fixed header encoding that anchors the chain, same field rules as records."""
-    fields = (dump_id, collected_at_iso, examiner, digest_algorithm)
+    fields = (
+        manifest["dump_id"],
+        manifest["collected_at"],
+        manifest["examiner"],
+        manifest["digest_algorithm"],
+    )
     return FIELD_SEP.join(f.encode("utf-8") for f in fields) + RECORD_TERM
 
 
@@ -104,62 +90,56 @@ def seal_dump(
     dump: DeviceDump,
     examiner: str = "unknown",
     isolation_method: IsolationMethod = IsolationMethod.NONE,
-) -> AcquisitionManifest:
-    """Compute the chain over a dump's records and wrap it in a manifest."""
-    header = manifest_header_bytes(
-        dump.dump_id, dump.collected_at.to_iso(), examiner, DIGEST_ALGORITHM
-    )
-    head, links = chain_digest(header, dump.records)
-    return AcquisitionManifest(
-        dump_id=dump.dump_id,
-        collected_at=dump.collected_at,
-        examiner=examiner,
-        isolation_method=isolation_method,
-        digest_algorithm=DIGEST_ALGORITHM,
-        record_count=len(dump.records),
-        chain_head=head,
-        record_links=tuple(links),
-    )
+) -> dict:
+    """Compute the chain over a dump's records.
 
-
-def verify_chain(manifest: AcquisitionManifest, records: Sequence[EvidenceRecord]) -> dict:
-    """Recompute the chain and compare it to a sealed manifest.
-
-    Returns the ``verification.json`` payload: the verdict's value, and
-    when tampered the smallest record index whose recomputed link
-    differs from the stored one, with the expected and actual digests at
-    that index in hex. Intact means the recomputed head equals the
-    sealed head, and leaves the other three fields null.
+    Returns the ``manifest.sealed.json`` payload: the header fields, then
+    the chain head and the running chain value after each record (so
+    tampering can be localized to an index), as lowercase hex.
     """
-    if manifest.digest_algorithm != DIGEST_ALGORITHM:
-        raise UnsupportedAlgorithm(
-            f"cannot verify algorithm {manifest.digest_algorithm!r}, only {DIGEST_ALGORITHM}"
-        )
-    if manifest.record_count != len(records):
-        raise RecordCountMismatch(
-            f"manifest sealed {manifest.record_count} records, got {len(records)}"
-        )
-    if len(manifest.record_links) != manifest.record_count:
-        raise RecordCountMismatch(
-            f"manifest stores {len(manifest.record_links)} links "
-            f"for {manifest.record_count} records"
-        )
+    manifest = {
+        "dump_id": dump.dump_id,
+        "collected_at": dump.collected_at.to_iso(),
+        "examiner": examiner,
+        "isolation_method": isolation_method.value,
+        "digest_algorithm": DIGEST_ALGORITHM,
+        "record_count": len(dump.records),
+    }
+    head, links = chain_digest(manifest_header_bytes(manifest), dump.records)
+    manifest["chain_head"] = head.hex()
+    manifest["record_links"] = [link.hex() for link in links]
+    return manifest
 
-    header = manifest_header_bytes(
-        manifest.dump_id,
-        manifest.collected_at.to_iso(),
-        manifest.examiner,
-        manifest.digest_algorithm,
-    )
-    head, links = chain_digest(header, records)
-    if head == manifest.chain_head:
+
+def verify_chain(manifest: dict, records: Sequence[EvidenceRecord]) -> dict:
+    """Recompute the chain and compare it to a sealed manifest payload.
+
+    ``manifest`` is as ``seal_dump`` or ``load_sealed_manifest`` returns
+    it, digests in lowercase hex. Returns the ``verification.json``
+    payload: the verdict's value, and when tampered the smallest record
+    index whose recomputed link differs from the stored one, with the
+    expected and actual digests at that index in hex. Intact means the
+    recomputed head equals the sealed head, and leaves the other three
+    fields null.
+    """
+    algorithm, count = manifest["digest_algorithm"], manifest["record_count"]
+    sealed_links = manifest["record_links"]
+    if algorithm != DIGEST_ALGORITHM:
+        raise UnsupportedAlgorithm(f"cannot verify algorithm {algorithm!r}, only {DIGEST_ALGORITHM}")
+    if count != len(records):
+        raise RecordCountMismatch(f"manifest sealed {count} records, got {len(records)}")
+    if len(sealed_links) != count:
+        raise RecordCountMismatch(f"manifest stores {len(sealed_links)} links for {count} records")
+
+    head, links = chain_digest(manifest_header_bytes(manifest), records)
+    if head.hex() == manifest["chain_head"]:
         return _verification(Verdict.INTACT, None, None, None)
-    for index, (stored, recomputed) in enumerate(zip(manifest.record_links, links)):
-        if stored != recomputed:
-            return _verification(Verdict.TAMPERED, index, stored.hex(), recomputed.hex())
+    for index, (stored, recomputed) in enumerate(zip(sealed_links, links)):
+        if stored != recomputed.hex():
+            return _verification(Verdict.TAMPERED, index, stored, recomputed.hex())
     # Head mismatch with no divergent link means the sealed head itself
     # was altered; the earliest suspect index is 0.
-    return _verification(Verdict.TAMPERED, 0, manifest.chain_head.hex(), head.hex())
+    return _verification(Verdict.TAMPERED, 0, manifest["chain_head"], head.hex())
 
 
 def _verification(
@@ -202,28 +182,23 @@ def diff_acquisitions(a: DeviceDump, b: DeviceDump, allow_device_mismatch: bool 
     return {"added": added, "removed": removed, "changed": changed, "identical_count": identical}
 
 
-def write_sealed_manifest(manifest: AcquisitionManifest, bundle_path: Path | str) -> Path:
-    """Write manifest.sealed.json beside the bundle's category files, atomically."""
+def write_sealed_manifest(manifest: dict, bundle_path: Path | str) -> Path:
+    """Write the payload as manifest.sealed.json beside the bundle's category files, atomically."""
     path = Path(bundle_path) / SEALED_MANIFEST
-    payload = {
-        "dump_id": manifest.dump_id,
-        "collected_at": manifest.collected_at.to_iso(),
-        "examiner": manifest.examiner,
-        "isolation_method": manifest.isolation_method.value,
-        "digest_algorithm": manifest.digest_algorithm,
-        "record_count": manifest.record_count,
-        "chain_head": manifest.chain_head.hex(),
-        "record_links": [link.hex() for link in manifest.record_links],
-    }
-    atomic.write_bytes(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+    atomic.write_bytes(path, (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
     return path
 
 
 _SEALED_STRINGS = ("dump_id", "collected_at", "examiner", "isolation_method", "digest_algorithm")
 
 
-def load_sealed_manifest(bundle_path: Path | str) -> AcquisitionManifest:
-    """Read manifest.sealed.json; any malformed content raises MalformedManifest."""
+def load_sealed_manifest(bundle_path: Path | str) -> dict:
+    """Read manifest.sealed.json; any malformed content raises MalformedManifest.
+
+    Returns the payload in the form ``seal_dump`` gives it: digests in
+    lowercase hex, ``collected_at`` in its ISO-Z rendering, and only the
+    fields the format defines.
+    """
     path = Path(bundle_path) / SEALED_MANIFEST
     if not path.is_file():
         raise MissingManifest(f"no {SEALED_MANIFEST} in {bundle_path}; seal the bundle first")
@@ -243,7 +218,7 @@ def load_sealed_manifest(bundle_path: Path | str) -> AcquisitionManifest:
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise MalformedManifest(f"{path} field 'record_count' must be a count, got {count!r}")
     try:
-        isolation = IsolationMethod(data["isolation_method"])
+        IsolationMethod(data["isolation_method"])
     except ValueError:
         raise MalformedManifest(
             f"{path} field 'isolation_method' has unknown value {data['isolation_method']!r}"
@@ -255,22 +230,22 @@ def load_sealed_manifest(bundle_path: Path | str) -> AcquisitionManifest:
     links = data["record_links"]
     if not isinstance(links, list):
         raise MalformedManifest(f"{path} field 'record_links' must be a list")
-    return AcquisitionManifest(
-        dump_id=data["dump_id"],
-        collected_at=collected_at,
-        examiner=data["examiner"],
-        isolation_method=isolation,
-        digest_algorithm=data["digest_algorithm"],
-        record_count=count,
-        chain_head=Digest256(_sealed_link(data["chain_head"], path, "chain_head")),
-        record_links=tuple(
+    return {
+        "dump_id": data["dump_id"],
+        "collected_at": collected_at.to_iso(),
+        "examiner": data["examiner"],
+        "isolation_method": data["isolation_method"],
+        "digest_algorithm": data["digest_algorithm"],
+        "record_count": count,
+        "chain_head": _sealed_link(data["chain_head"], path, "chain_head"),
+        "record_links": [
             _sealed_link(text, path, "record_links", i) for i, text in enumerate(links)
-        ),
-    )
+        ],
+    }
 
 
-def _sealed_link(text: object, path: Path, name: str, index: Optional[int] = None) -> bytes:
-    """The 32 bytes a sealed digest's hex text names; MalformedManifest if it names none.
+def _sealed_link(text: object, path: Path, name: str, index: Optional[int] = None) -> str:
+    """A sealed digest's hex text in lowercase; MalformedManifest if it names no 32 bytes.
 
     The text must be exactly 64 hex digits, in either case: ``bytes.fromhex``
     alone would also read whitespace between and around them.
@@ -282,4 +257,4 @@ def _sealed_link(text: object, path: Path, name: str, index: Optional[int] = Non
     if len(value) != 32:
         where = name if index is None else f"{name}[{index}]"
         raise MalformedManifest(f"{path} field {where!r} must be 64 hex characters, got {text!r}")
-    return value
+    return value.hex()

@@ -86,6 +86,23 @@ class TestIngestDeviceDump:
         profile = {"wifi_mac": "bc:f5:0a:0c:b3:d7", "imei": "356938035643809"}
         assert profile_format_warnings(profile) == []
 
+    @pytest.mark.parametrize(
+        "profile, note",
+        [
+            ({"wifi_mac": "aa:bb:cc:dd:ee:ff\n"},
+             "wifi_mac 'aa:bb:cc:dd:ee:ff\\n' is not a canonical 6-group MAC, kept as-is"),
+            ({"imei": "\uff13\uff15\uff16\uff19\uff13\uff18\uff10\uff13\uff15\uff16"
+                      "\uff14\uff13\uff18\uff10\uff19"},
+             "imei '\uff13\uff15\uff16\uff19\uff13\uff18\uff10\uff13\uff15\uff16"
+             "\uff14\uff13\uff18\uff10\uff19' is not 14-16 digits, kept as-is"),
+        ],
+        ids=["mac-with-trailing-newline", "imei-of-full-width-digits"],
+    )
+    def test_malformed_identifier_gets_a_note(self, profile, note):
+        from synctrail.acquisition import profile_format_warnings
+
+        assert profile_format_warnings(profile) == [note]
+
     def test_golden_record_order_and_provenance(self, golden_bundle):
         dump = ingest_device_dump(golden_bundle)
         assert len(dump.records) == 1 + 7 + 8

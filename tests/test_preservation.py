@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synctrail.acquisition import ingest_device_dump
+from synctrail.cli import run
 from synctrail.errors import DeviceMismatch, RecordCountMismatch, UnsupportedAlgorithm
 from synctrail.evidence import (
     ArtifactCategory,
@@ -18,7 +19,6 @@ from synctrail.evidence import (
     canonical_encode,
 )
 from synctrail.preservation import (
-    AcquisitionManifest,
     IsolationMethod,
     Verdict,
     chain_digest,
@@ -29,7 +29,7 @@ from synctrail.preservation import (
     verify_chain,
     write_sealed_manifest,
 )
-from synctrail.simulator import SimParams, generate_case
+from synctrail.simulator import SimParams, generate_case, inject_tamper
 
 
 def record(rid: str, **attrs: str) -> EvidenceRecord:
@@ -42,7 +42,13 @@ def record(rid: str, **attrs: str) -> EvidenceRecord:
     )
 
 
-HEADER = manifest_header_bytes("d-1", "2016-05-12T10:00:00Z", "jdoe", "sha-256")
+HEADER_FIELDS = {
+    "dump_id": "d-1",
+    "collected_at": "2016-05-12T10:00:00Z",
+    "examiner": "jdoe",
+    "digest_algorithm": "sha-256",
+}
+HEADER = manifest_header_bytes(HEADER_FIELDS)
 
 
 def mutate_record(original: EvidenceRecord, key: str, position: int) -> EvidenceRecord:
@@ -92,20 +98,15 @@ class TestChainDigest:
 
 
 class TestVerifyChain:
-    def make_sealed(self, records) -> AcquisitionManifest:
+    def make_sealed(self, records) -> dict:
         head, links = chain_digest(HEADER, records)
-        from synctrail.evidence import UtcTimestamp
-
-        return AcquisitionManifest(
-            dump_id="d-1",
-            collected_at=UtcTimestamp(1463047200, "2016-05-12T10:00:00Z"),
-            examiner="jdoe",
-            isolation_method=IsolationMethod.AIRPLANE_MODE,
-            digest_algorithm="sha-256",
-            record_count=len(records),
-            chain_head=head,
-            record_links=tuple(links),
-        )
+        return {
+            **HEADER_FIELDS,
+            "isolation_method": IsolationMethod.AIRPLANE_MODE.value,
+            "record_count": len(records),
+            "chain_head": head.hex(),
+            "record_links": [link.hex() for link in links],
+        }
 
     def test_unmodified_is_intact(self):
         records = [record(f"r{i}", k=str(i)) for i in range(8)]
@@ -134,7 +135,7 @@ class TestVerifyChain:
     def test_unsupported_algorithm(self):
         records = [record("r1", k="1")]
         manifest = self.make_sealed(records)
-        object.__setattr__(manifest, "digest_algorithm", "md5")
+        manifest["digest_algorithm"] = "md5"
         with pytest.raises(UnsupportedAlgorithm):
             verify_chain(manifest, records)
 
@@ -171,6 +172,56 @@ class TestSealAndLoad:
         assert data["digest_algorithm"] == "sha-256"
         assert len(data["chain_head"]) == 64
         assert len(data["record_links"]) == data["record_count"] == len(dump.records)
+
+
+def rewrite_sealed(bundle, change) -> None:
+    """Apply ``change`` to the parsed sealed manifest and write it back."""
+    path = bundle / "manifest.sealed.json"
+    data = json.loads(path.read_text())
+    change(data)
+    path.write_text(json.dumps(data, indent=2) + "\n")
+
+
+def uppercase_digests(data: dict) -> None:
+    data["chain_head"] = data["chain_head"].upper()
+    data["record_links"] = [link.upper() for link in data["record_links"]]
+
+
+class TestSealedManifestAsWritten:
+    """What verify accepts of a sealed manifest edited by hand, and what it reports."""
+
+    def sealed_case(self, tmp_path):
+        case = generate_case(SimParams(seed=31, n_uploads=3), tmp_path / "case")
+        assert run(["seal", str(case.bundle_dir)]) == 0
+        return case.bundle_dir
+
+    def test_uppercase_head_and_links_verify_intact(self, tmp_path):
+        bundle = self.sealed_case(tmp_path)
+        rewrite_sealed(bundle, uppercase_digests)
+        assert run(["verify", str(bundle)]) == 0
+
+    def test_uppercase_divergent_link_is_reported_in_lowercase(self, tmp_path):
+        bundle = self.sealed_case(tmp_path)
+        links = json.loads((bundle / "manifest.sealed.json").read_text())["record_links"]
+        rewrite_sealed(bundle, uppercase_digests)
+        _, index = inject_tamper(bundle, seed=7)
+        out = tmp_path / "out"
+        assert run(["verify", str(bundle), "--out", str(out)]) == 3
+        verification = json.loads((out / "verification.json").read_text())
+        assert verification["verdict"] == Verdict.TAMPERED.value
+        assert verification["first_divergent_index"] == index
+        assert verification["expected"] == links[index]
+        assert verification["expected"] == verification["expected"].lower()
+
+    def test_offset_form_of_collected_at_verifies_intact(self, tmp_path):
+        bundle = self.sealed_case(tmp_path)
+
+        def offset_form(data: dict) -> None:
+            assert data["collected_at"].endswith("Z")
+            data["collected_at"] = data["collected_at"][:-1] + "+00:00"
+
+        rewrite_sealed(bundle, offset_form)
+        assert run(["verify", str(bundle)]) == 0
 
 
 class TestDiffAcquisitions:

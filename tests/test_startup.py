@@ -50,7 +50,6 @@ def test_importing_the_cli_loads_nothing_a_command_may_not_run():
 # methods when the class is created. These are the types the pipeline
 # keeps; every stage result is the JSON-ready payload of its stage file.
 DATACLASSES = [
-    "AcquisitionManifest",
     "AppRecord",
     "CloudEvent",
     "DeviceDump",
