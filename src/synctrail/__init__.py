@@ -28,7 +28,6 @@ _EXPORTS = {
     "estimate_clock_skew": "correlation",
     "match_synced_artifacts": "correlation",
     "ArtifactCategory": "evidence",
-    "Digest256": "evidence",
     "EvidenceRecord": "evidence",
     "Locale": "evidence",
     "Source": "evidence",
@@ -53,6 +52,8 @@ _EXPORTS = {
     "inject_tamper": "simulator",
 }
 
+__all__ = ["__version__", *_EXPORTS]
+
 
 def __getattr__(name: str) -> object:
     module = _EXPORTS.get(name)
@@ -66,44 +67,3 @@ def __getattr__(name: str) -> object:
 def __dir__() -> list[str]:
     return sorted({*globals(), *_EXPORTS})
 
-
-__all__ = [
-    "__version__",
-    "AppRecord",
-    "AppStatus",
-    "ArtifactCategory",
-    "CloudEvent",
-    "DeviceDump",
-    "Digest256",
-    "EventKind",
-    "EvidenceRecord",
-    "GroundTruth",
-    "Locale",
-    "ReportFormat",
-    "SimParams",
-    "Source",
-    "UtcTimestamp",
-    "build_case_report",
-    "build_identity_graph",
-    "build_timeline",
-    "canonical_encode",
-    "chain_digest",
-    "derive_cloud_usage_findings",
-    "detect_uninstall_evidence",
-    "diff_acquisitions",
-    "estimate_clock_skew",
-    "generate_case",
-    "ingest_cloud_log",
-    "ingest_device_dump",
-    "inject_tamper",
-    "load_geo_table",
-    "match_synced_artifacts",
-    "normalize_timestamp",
-    "parse_app_inventory",
-    "record_digest",
-    "redact",
-    "render_report",
-    "resolve_ip",
-    "seal_dump",
-    "verify_chain",
-]

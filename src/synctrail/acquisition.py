@@ -28,7 +28,6 @@ from .errors import (
 )
 from .evidence import (
     ArtifactCategory,
-    Digest256,
     EvidenceRecord,
     Locale,
     Source,
@@ -36,6 +35,7 @@ from .evidence import (
     _ingested_record,
     _new,
     _set,
+    checked_digest_hex,
     normalize_timestamp,
 )
 
@@ -65,7 +65,6 @@ TIME_FIELDS: dict[ArtifactCategory, str] = {
     ArtifactCategory.CALL_RECORD: "at",
     ArtifactCategory.BROWSER_HISTORY: "visited_at",
     ArtifactCategory.WIFI_HISTORY: "last_connected",
-    ArtifactCategory.CLOUD_EVENT: "ts",
 }
 
 _KNOWN_FILES = {name for name, _ in CATEGORY_FILES}
@@ -127,14 +126,17 @@ class AppRecord:
 
 @dataclass(frozen=True, slots=True)
 class CloudEvent:
-    """One entry of the cloud-side forensic log, on the cloud clock."""
+    """One entry of the cloud-side forensic log, on the cloud clock.
+
+    ``content_digest`` is the SHA-256 of the synced content in lowercase hex.
+    """
 
     event_id: str
     kind: EventKind
     timestamp: UtcTimestamp
     account: str
     package_or_object: str
-    content_digest: Optional[Digest256] = None
+    content_digest: Optional[str] = None
     size_bytes: Optional[int] = None
 
 
@@ -535,10 +537,10 @@ def ingest_cloud_log(path: Path | str, ledger: Optional[list[dict]] = None) -> l
         except (UnparseableTimestamp, ImpossibleDate) as exc:
             note(line_no, f"bad ts: {exc}")
             continue
-        digest: Optional[Digest256] = None
+        digest: Optional[str] = None
         if fields.get("digest") is not None:
             try:
-                digest = Digest256.from_hex(str(fields["digest"]))
+                digest = checked_digest_hex(fields["digest"])
             except ValueError:
                 note(line_no, f"bad content digest {fields['digest']!r}")
                 continue

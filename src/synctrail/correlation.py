@@ -88,7 +88,7 @@ def _shared_digests(
     events_by_digest: dict[str, list[tuple[int, str]]] = {}
     for event in cloud_events:
         if event.content_digest is not None:
-            events_by_digest.setdefault(event.content_digest.hex(), []).append(
+            events_by_digest.setdefault(event.content_digest, []).append(
                 (event.timestamp.seconds_since_epoch, event.event_id)
             )
     if not events_by_digest:
@@ -132,28 +132,11 @@ def estimate_clock_skew(
     Raises InsufficientSupport when there are no pairs or fewer than
     ``min_support``.
     """
-    # Each digest's one time on a side, or None once a second item (or an
-    # undated record) shows the digest repeats there.
-    event_times: dict[str, Optional[int]] = {}
-    for event in cloud_events:
-        if event.content_digest is not None:
-            digest = event.content_digest.hex()
-            event_times[digest] = (
-                None if digest in event_times else event.timestamp.seconds_since_epoch
-            )
-    record_times: dict[str, Optional[int]] = {}
-    for record in device_records:
-        digest = _record_digest_attr(record)
-        if digest in event_times:
-            record_times[digest] = (
-                None
-                if digest in record_times or record.timestamp is None
-                else record.timestamp.seconds_since_epoch
-            )
+    # The exact tier's digest index, read for the digests with one item per side.
     deltas = sorted(
-        event_times[digest] - record_time
-        for digest, record_time in record_times.items()
-        if record_time is not None and event_times[digest] is not None
+        events[0][0] - dated[0][0]
+        for dated, undated, events in _shared_digests(device_records, cloud_events)
+        if len(events) == 1 and len(dated) == 1 and not undated
     )
     if not deltas or len(deltas) < min_support:
         raise InsufficientSupport(

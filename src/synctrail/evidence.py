@@ -65,11 +65,10 @@ class ArtifactCategory(Enum):
     CONTACT = "Contact"
     MESSAGE = "Message"
     CALL_RECORD = "CallRecord"
-    CLOUD_EVENT = "CloudEvent"
 
 
-# Ingest builds records, timestamps, digests and cloud events by setting
-# their slots with these, as the dataclass __init__ would, without the
+# Ingest builds records, timestamps and cloud events by setting their
+# slots with these, as the dataclass __init__ would, without the
 # constructors' layers of calls; see _ingested_record.
 _new = object.__new__
 _set = object.__setattr__
@@ -100,24 +99,6 @@ class UtcTimestamp:
 
 
 @dataclass(frozen=True, slots=True)
-class Digest256:
-    """A 32-byte digest; renders as 64 lowercase hex characters."""
-
-    value: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.value) != 32:
-            raise ValueError(f"digest must be 32 bytes, got {len(self.value)}")
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Digest256":
-        return cls(bytes.fromhex(text))
-
-    def hex(self) -> str:
-        return self.value.hex()
-
-
-@dataclass(frozen=True, slots=True)
 class EvidenceRecord:
     """One typed, timestamped artifact entry with provenance and digest.
 
@@ -132,7 +113,7 @@ class EvidenceRecord:
     timestamp: Optional[UtcTimestamp]
     attributes: Mapping[str, str]
     source: Source
-    digest: Digest256 = field(init=False, compare=True)
+    digest: bytes = field(init=False, compare=True)
     canonical: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -167,7 +148,7 @@ def _encode_and_digest(record: EvidenceRecord) -> None:
         if not canonical:
             raise error
     _set(record, "canonical", canonical)
-    _set(record, "digest", _sha256_digest(canonical))
+    _set(record, "digest", hashlib.sha256(canonical).digest())
 
 
 def _ingested_record(
@@ -190,13 +171,6 @@ def _ingested_record(
     _set(record, "source", source)
     _encode_and_digest(record)
     return record
-
-
-def _sha256_digest(data: bytes) -> Digest256:
-    """The SHA-256 of ``data``; a SHA-256 digest is 32 bytes, so that is not checked again."""
-    digest = _new(Digest256)
-    _set(digest, "value", hashlib.sha256(data).digest())
-    return digest
 
 
 def _check_fields(record_id: str, attributes: Mapping[str, str]) -> None:
@@ -244,9 +218,26 @@ def canonical_encode(record: EvidenceRecord) -> bytes:
         return FIELD_SEP.join(f.encode("utf-8") for f in fields) + RECORD_TERM
 
 
-def record_digest(record: EvidenceRecord) -> Digest256:
-    """SHA-256 over the record's canonical encoding."""
-    return _sha256_digest(record.canonical)
+def record_digest(record: EvidenceRecord) -> bytes:
+    """SHA-256 over the record's canonical encoding, 32 bytes."""
+    return hashlib.sha256(record.canonical).digest()
+
+
+def checked_digest_hex(text: object) -> str:
+    """A SHA-256 digest's hex text in lowercase; ValueError unless it names 32 bytes.
+
+    The text must be a str of exactly 64 hex digits, in either case:
+    ``bytes.fromhex`` alone would also read whitespace between and
+    around them.
+    """
+    if isinstance(text, str) and len(text) == 64:
+        try:
+            value = bytes.fromhex(text)
+        except ValueError:
+            value = b""
+        if len(value) == 32:
+            return value.hex()
+    raise ValueError(f"digest must be 64 hex characters, got {text!r}")
 
 
 def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> UtcTimestamp:

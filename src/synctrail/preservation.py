@@ -8,7 +8,6 @@ of the same device record-by-record.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 from enum import Enum
@@ -30,10 +29,10 @@ from .evidence import (
     DIGEST_ALGORITHM,
     FIELD_SEP,
     RECORD_TERM,
-    Digest256,
     EvidenceRecord,
     Locale,
     canonical_encode,  # noqa: F401  re-exported: the encoding the chain hashes
+    checked_digest_hex,
     normalize_timestamp,
 )
 
@@ -70,20 +69,20 @@ def manifest_header_bytes(manifest: dict) -> bytes:
 
 def chain_digest(
     manifest_header: bytes, records: Sequence[EvidenceRecord]
-) -> tuple[Digest256, list[bytes]]:
+) -> tuple[bytes, list[bytes]]:
     """Linked hash chain over the record sequence.
 
     The anchor is the digest of the header bytes; each link hashes the
     previous link concatenated with the record's canonical encoding,
     taken from ``record.canonical``.
-    Returns the chain head and one 32-byte link per record, in order.
+    Returns the 32-byte chain head and one 32-byte link per record, in order.
     """
     current = hashlib.sha256(manifest_header).digest()
     links: list[bytes] = []
     for record in records:
         current = hashlib.sha256(current + record.canonical).digest()
         links.append(current)
-    return Digest256(current), links
+    return current, links
 
 
 def seal_dump(
@@ -245,16 +244,11 @@ def load_sealed_manifest(bundle_path: Path | str) -> dict:
 
 
 def _sealed_link(text: object, path: Path, name: str, index: Optional[int] = None) -> str:
-    """A sealed digest's hex text in lowercase; MalformedManifest if it names no 32 bytes.
-
-    The text must be exactly 64 hex digits, in either case: ``bytes.fromhex``
-    alone would also read whitespace between and around them.
-    """
-    value = b""
-    if isinstance(text, str) and len(text) == 64:
-        with contextlib.suppress(ValueError):
-            value = bytes.fromhex(text)
-    if len(value) != 32:
+    """A sealed digest's hex text in lowercase; MalformedManifest if it names no 32 bytes."""
+    try:
+        return checked_digest_hex(text)
+    except ValueError:
         where = name if index is None else f"{name}[{index}]"
-        raise MalformedManifest(f"{path} field {where!r} must be 64 hex characters, got {text!r}")
-    return value.hex()
+        raise MalformedManifest(
+            f"{path} field {where!r} must be 64 hex characters, got {text!r}"
+        ) from None

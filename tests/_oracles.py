@@ -46,6 +46,39 @@ def lower_median(values) -> int:
     return ordered[(len(ordered) - 1) // 2]
 
 
+def reference_skew(device_records, cloud_events, min_support):
+    """Clock skew by counting, for each content digest, every item that carries it.
+
+    A digest gives one pair when it has exactly one cloud event, one
+    dated device record and no undated record. Returns the ``skew.json``
+    payload over the pairs' cloud-minus-device deltas, or None when there
+    are no pairs or fewer than ``min_support``.
+    """
+
+    def digest_of(record):
+        raw = record.attributes.get("content_digest")
+        return raw.strip().lower() if raw and raw.strip() else None
+
+    digests = {digest_of(r) for r in device_records} | {e.content_digest for e in cloud_events}
+    deltas = []
+    for digest in digests - {None}:
+        events = [e for e in cloud_events if e.content_digest == digest]
+        dated = [r for r in device_records if digest_of(r) == digest and r.timestamp is not None]
+        undated = [r for r in device_records if digest_of(r) == digest and r.timestamp is None]
+        if (len(events), len(dated), len(undated)) == (1, 1, 0):
+            deltas.append(
+                events[0].timestamp.seconds_since_epoch - dated[0].timestamp.seconds_since_epoch
+            )
+    if not deltas or len(deltas) < min_support:
+        return None
+    return {
+        "offset_seconds": lower_median(deltas),
+        "support_count": len(deltas),
+        "spread_seconds": max(deltas) - min(deltas),
+        "fallback": False,
+    }
+
+
 def brute_force_match(device_records, cloud_events, offset_seconds, window_seconds):
     """Exhaustive greedy assignment under the published matching rules.
 
@@ -80,7 +113,7 @@ def brute_force_match(device_records, cloud_events, offset_seconds, window_secon
             for event in cloud_events:
                 if event.event_id in used_e or event.content_digest is None:
                     continue
-                if digest_of(record) != event.content_digest.hex():
+                if digest_of(record) != event.content_digest:
                     continue
                 delta = delta_of(record, event)
                 rank = (

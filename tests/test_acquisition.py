@@ -16,6 +16,7 @@ from synctrail.errors import DuplicateEventId, DuplicateRecordId, MissingManifes
 from synctrail.evidence import ArtifactCategory, Source
 
 from _oracles import civil_to_epoch
+from test_cli import _PADDED_HEX, _SPACED_HEX
 
 
 def write_bundle(root, files: dict[str, list[dict]], manifest: dict | None = None):
@@ -411,8 +412,39 @@ class TestIngestCloudLog:
             + "\n"
         )
         event = ingest_cloud_log(path)[0]
-        assert event.content_digest.hex() == digest
+        assert event.content_digest == digest
         assert event.size_bytes == 123
+
+    @pytest.mark.parametrize(
+        "digest",
+        [_PADDED_HEX, _SPACED_HEX, int("1" * 64)],
+        ids=["whitespace-padded", "space-separated", "json-integer"],
+    )
+    def test_digest_that_is_not_64_hex_characters_is_ledgered(self, tmp_path, digest):
+        path = tmp_path / "log.jsonl"
+        path.write_text(
+            json.dumps({"id": "e1", "kind": "Upload", "ts": "2016-05-10T16:51:13Z",
+                        "digest": digest})
+            + '\n{"id":"e2","kind":"Upload","ts":"2016-05-10T16:52:13Z"}\n'
+        )
+        ledger: list[dict] = []
+        events = ingest_cloud_log(path, ledger)
+        assert [e.event_id for e in events] == ["e2"]
+        assert [(e["line"], e["message"]) for e in ledger] == [
+            (1, f"bad content digest {digest!r}")
+        ]
+
+    def test_uppercase_digest_accepted_in_lowercase(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text(
+            json.dumps({"id": "e1", "kind": "Upload", "ts": "2016-05-10T16:51:13Z",
+                        "digest": "AB" * 32})
+            + "\n"
+        )
+        ledger: list[dict] = []
+        (event,) = ingest_cloud_log(path, ledger)
+        assert event.content_digest == "ab" * 32
+        assert ledger == []
 
     def test_overflowing_size_ledgered_and_rest_ingested(self, tmp_path):
         path = tmp_path / "log.jsonl"

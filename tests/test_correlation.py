@@ -5,6 +5,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synctrail.acquisition import (
     AppRecord,
@@ -29,7 +31,6 @@ from synctrail.correlation import (
 from synctrail.errors import ImpossibleDate, InsufficientSupport
 from synctrail.evidence import (
     ArtifactCategory,
-    Digest256,
     EvidenceRecord,
     Source,
     UtcTimestamp,
@@ -37,7 +38,7 @@ from synctrail.evidence import (
 )
 from synctrail.simulator import SimParams, generate_case
 
-from _oracles import brute_force_match, lower_median
+from _oracles import brute_force_match, lower_median, reference_skew
 
 BASE = 1462752000  # inside the simulated week
 
@@ -80,7 +81,7 @@ def cloud(eid: str, epoch: int, kind: EventKind = EventKind.UPLOAD,
         timestamp=ts(epoch),
         account=account,
         package_or_object=name,
-        content_digest=Digest256.from_hex(digest) if digest else None,
+        content_digest=digest if digest else None,
         size_bytes=size,
     )
 
@@ -123,6 +124,37 @@ def _tie_heavy_case(rng: random.Random):
         for i in range(rng.randint(0, 8))
     ]
     return records, events, offset
+
+
+_SKEW_DIGESTS = [digest_hex(f"skew{i}") for i in range(8)]
+
+
+@st.composite
+def skew_cases(draw):
+    """Few records and events over a pool of eight digests.
+
+    Digests repeat on either side; some items carry none; a device copy
+    may be undated or carry its digest in uppercase; an event of a
+    content may be its upload or its download.
+    """
+    digest = st.sampled_from([None, *_SKEW_DIGESTS])
+    record_rows = draw(st.lists(
+        st.tuples(digest, st.one_of(st.none(), st.integers(0, 3600)), st.booleans()),
+        max_size=10,
+    ))
+    event_rows = draw(st.lists(
+        st.tuples(digest, st.integers(-600, 4200),
+                  st.sampled_from([EventKind.UPLOAD, EventKind.DOWNLOAD])),
+        max_size=10,
+    ))
+    records = [
+        device_file(f"r{i}", None if at is None else BASE + at, d.upper() if d and upper else d)
+        for i, (d, at, upper) in enumerate(record_rows)
+    ]
+    events = [
+        cloud(f"e{i}", BASE + at, kind=kind, digest=d) for i, (d, at, kind) in enumerate(event_rows)
+    ]
+    return records, events
 
 
 class TestEstimateClockSkew:
@@ -188,7 +220,7 @@ class TestEstimateClockSkew:
             e.timestamp.seconds_since_epoch - r.timestamp.seconds_since_epoch
             for r in records
             for e in events
-            if e.content_digest.hex() == r.attributes["content_digest"]
+            if e.content_digest == r.attributes["content_digest"]
         ]
         assert lower_median(cross_product) - true_skew >= 3600
 
@@ -225,6 +257,17 @@ class TestEstimateClockSkew:
         events = [cloud("e0", BASE + 60, digest=d)]
         with pytest.raises(InsufficientSupport):
             estimate_clock_skew(records, events, min_support=1)
+
+    @given(case=skew_cases(), min_support=st.integers(-1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_counting_the_items_of_each_digest(self, case, min_support):
+        records, events = case
+        expected = reference_skew(records, events, min_support)
+        if expected is None:
+            with pytest.raises(InsufficientSupport):
+                estimate_clock_skew(records, events, min_support)
+        else:
+            assert estimate_clock_skew(records, events, min_support) == expected
 
     @pytest.mark.parametrize("true_skew", [-300, 300])
     def test_simulator_skew_recovered_within_jitter(self, tmp_path, true_skew):

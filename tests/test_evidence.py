@@ -14,13 +14,13 @@ from synctrail.acquisition import ingest_device_dump
 from synctrail.errors import ImpossibleDate, UnparseableTimestamp
 from synctrail.evidence import (
     ArtifactCategory,
-    Digest256,
     EvidenceRecord,
     Locale,
     Source,
     UtcTimestamp,
     EPOCH_MAX,
     canonical_encode,
+    checked_digest_hex,
     civil_from_epoch,
     epoch_to_iso,
     normalize_timestamp,
@@ -177,7 +177,7 @@ class TestCanonicalEncode:
         assert records
         for record in records:
             assert record.canonical == reference_encode(record), record.record_id
-            assert record.digest.value == hashlib.sha256(reference_encode(record)).digest()
+            assert record.digest == hashlib.sha256(reference_encode(record)).digest()
 
     @given(record_id=clean_text, attributes=attribute_maps)
     def test_matches_reference_encoder(self, record_id, attributes):
@@ -249,14 +249,23 @@ class TestRecordDigest:
         assert record_digest(make_record(attributes=mutated)) != record.digest
 
 
-class TestDigest256:
+class TestCheckedDigestHex:
     def test_fixed_length(self):
         with pytest.raises(ValueError):
-            Digest256(b"\x00" * 31)
+            checked_digest_hex((b"\x00" * 31).hex())
 
     def test_hex_round_trip(self):
-        digest = Digest256(bytes(range(32)))
-        assert Digest256.from_hex(digest.hex()) == digest
+        digest = bytes(range(32))
+        assert checked_digest_hex(digest.hex()) == digest.hex()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["zz" * 32, " " + "ab" * 32, "ab" * 32 + "\n", " ".join(["ab"] * 32), int("1" * 64),
+         ("ab" * 32).encode(), None],
+    )
+    def test_anything_but_64_hex_digits_in_a_str_is_refused(self, text):
+        with pytest.raises(ValueError, match="^digest must be 64 hex characters, got "):
+            checked_digest_hex(text)
 
 
 class TestUtcTimestamp:

@@ -69,7 +69,7 @@ class TestChainDigest:
     def test_empty_chain_is_header_digest(self):
         head, links = chain_digest(HEADER, [])
         assert links == []
-        assert head.value == hashlib.sha256(HEADER).digest()
+        assert head == hashlib.sha256(HEADER).digest()
 
     def test_single_record_against_external_tool(self, tmp_path):
         tool = shutil.which("sha256sum")
@@ -91,7 +91,7 @@ class TestChainDigest:
     def test_links_prefix_property(self):
         records = [record(f"r{i}", k=str(i)) for i in range(5)]
         head, links = chain_digest(HEADER, records)
-        assert links[-1] == head.value
+        assert links[-1] == head
         for n in range(5):
             prefix_head, prefix_links = chain_digest(HEADER, records[:n])
             assert prefix_links == links[:n]

@@ -53,7 +53,6 @@ DATACLASSES = [
     "AppRecord",
     "CloudEvent",
     "DeviceDump",
-    "Digest256",
     "EvidenceRecord",
     "GeoTable",
     "UtcTimestamp",
