@@ -13,7 +13,6 @@ import contextlib
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Optional
@@ -32,6 +31,7 @@ from .evidence import (
     Locale,
     Source,
     UtcTimestamp,
+    _Frozen,
     _ingested_record,
     _new,
     _set,
@@ -66,6 +66,9 @@ TIME_FIELDS: dict[ArtifactCategory, str] = {
     ArtifactCategory.BROWSER_HISTORY: "visited_at",
     ArtifactCategory.WIFI_HISTORY: "last_connected",
 }
+
+# TIME_FIELDS by member name: a str key hashes in C, an Enum member in Python.
+_TIME_FIELD_BY_NAME = {category._name_: name for category, name in TIME_FIELDS.items()}
 
 _KNOWN_FILES = {name for name, _ in CATEGORY_FILES}
 
@@ -113,35 +116,71 @@ _PROFILE_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class AppRecord:
+class AppRecord(_Frozen):
     """One installed-app inventory line, typed."""
+
+    __slots__ = _compared = ("app_name", "status", "package", "installed_at", "record_id")
 
     app_name: str
     status: AppStatus
-    package: Optional[str] = None
-    installed_at: Optional[UtcTimestamp] = None
-    record_id: Optional[str] = None
+    package: Optional[str]
+    installed_at: Optional[UtcTimestamp]
+    record_id: Optional[str]
+
+    def __init__(
+        self,
+        app_name: str,
+        status: AppStatus,
+        package: Optional[str] = None,
+        installed_at: Optional[UtcTimestamp] = None,
+        record_id: Optional[str] = None,
+    ) -> None:
+        _set(self, "app_name", app_name)
+        _set(self, "status", status)
+        _set(self, "package", package)
+        _set(self, "installed_at", installed_at)
+        _set(self, "record_id", record_id)
 
 
-@dataclass(frozen=True, slots=True)
-class CloudEvent:
+class CloudEvent(_Frozen):
     """One entry of the cloud-side forensic log, on the cloud clock.
 
     ``content_digest`` is the SHA-256 of the synced content in lowercase hex.
     """
+
+    __slots__ = _compared = (
+        "event_id", "kind", "timestamp", "account", "package_or_object", "content_digest",
+        "size_bytes",
+    )
 
     event_id: str
     kind: EventKind
     timestamp: UtcTimestamp
     account: str
     package_or_object: str
-    content_digest: Optional[str] = None
-    size_bytes: Optional[int] = None
+    content_digest: Optional[str]
+    size_bytes: Optional[int]
+
+    def __init__(
+        self,
+        event_id: str,
+        kind: EventKind,
+        timestamp: UtcTimestamp,
+        account: str,
+        package_or_object: str,
+        content_digest: Optional[str] = None,
+        size_bytes: Optional[int] = None,
+    ) -> None:
+        _set(self, "event_id", event_id)
+        _set(self, "kind", kind)
+        _set(self, "timestamp", timestamp)
+        _set(self, "account", account)
+        _set(self, "package_or_object", package_or_object)
+        _set(self, "content_digest", content_digest)
+        _set(self, "size_bytes", size_bytes)
 
 
-@dataclass(frozen=True)
-class DeviceDump:
+class DeviceDump(_Frozen):
     """A fully ingested bundle: manifest data, records, and error ledger.
 
     ``device`` is the ``device`` section of ``dump.json``: every profile
@@ -150,8 +189,13 @@ class DeviceDump:
     such as an unrecognized category file, that consumes no input line.
     ``line_counts`` holds the raw line count of every recognized category
     file so losslessness (records + ledgered lines = input lines) can be
-    audited per file.
+    audited per file; left out, it is a new empty dict.
     """
+
+    __slots__ = _compared = (
+        "dump_id", "collected_at", "zone_offset_minutes", "tool_name", "tool_version", "device",
+        "records", "ledger", "line_counts",
+    )
 
     dump_id: str
     collected_at: UtcTimestamp
@@ -160,8 +204,30 @@ class DeviceDump:
     tool_version: str
     device: dict
     records: tuple[EvidenceRecord, ...]
-    ledger: tuple[dict, ...] = ()
-    line_counts: Mapping[str, int] = field(default_factory=dict)
+    ledger: tuple[dict, ...]
+    line_counts: Mapping[str, int]
+
+    def __init__(
+        self,
+        dump_id: str,
+        collected_at: UtcTimestamp,
+        zone_offset_minutes: int,
+        tool_name: str,
+        tool_version: str,
+        device: dict,
+        records: tuple[EvidenceRecord, ...],
+        ledger: tuple[dict, ...] = (),
+        line_counts: Optional[Mapping[str, int]] = None,
+    ) -> None:
+        _set(self, "dump_id", dump_id)
+        _set(self, "collected_at", collected_at)
+        _set(self, "zone_offset_minutes", zone_offset_minutes)
+        _set(self, "tool_name", tool_name)
+        _set(self, "tool_version", tool_version)
+        _set(self, "device", device)
+        _set(self, "records", records)
+        _set(self, "ledger", ledger)
+        _set(self, "line_counts", {} if line_counts is None else line_counts)
 
 
 class _LineError(Exception):
@@ -183,6 +249,7 @@ def _finite_float(text: str) -> float:
 # One decoder for every JSON reader, built once: bundle and cloud log
 # lines, manifest.json, manifest.sealed.json and stage files.
 _JSON_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_reject_constant)
+_scan_once = _JSON_DECODER.scan_once
 
 
 def load_json(text: str) -> object:
@@ -210,6 +277,16 @@ def _json_object(line: bytes) -> dict:
         text = line.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _LineError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
+    # A line that is one JSON object and nothing else is what load_json
+    # would return: take the scanner's result. Anything else, such as
+    # padding, a BOM, a non-finite number or an error, goes through
+    # load_json for its exact outcome.
+    try:
+        fields, end = _scan_once(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end == len(text) and type(fields) is dict:
+        return fields
     try:
         fields = load_json(text)
     except json.JSONDecodeError as exc:
@@ -283,7 +360,7 @@ def record_from_fields(
     attributes["_line"] = str(line_no)
 
     timestamp: Optional[UtcTimestamp] = None
-    time_field = TIME_FIELDS.get(category)
+    time_field = _TIME_FIELD_BY_NAME.get(category._name_)
     if time_field is not None:
         raw_time = fields.get(time_field)
         if raw_time is not None and raw_time != "":

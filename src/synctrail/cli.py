@@ -40,6 +40,7 @@ from .correlation import (
     DEFAULT_MIN_SKEW_SUPPORT,
     DEFAULT_WINDOW_SECONDS,
     build_timeline,
+    count_malformed_digests,
     derive_cloud_usage_findings,
     detect_uninstall_evidence,
     estimate_clock_skew,
@@ -221,6 +222,12 @@ def _step_correlate(
 ) -> Stages:
     cloud_ledger: list[dict] = []
     events = ingest_cloud_log(cloud_log, cloud_ledger)
+    malformed = count_malformed_digests(dump.records)
+    if malformed:
+        _say(
+            f"note: {malformed} device record(s) carry a content_digest that is not 64 hex "
+            "characters; such a value gives no skew support and no ExactDigest link"
+        )
 
     try:
         skew = estimate_clock_skew(dump.records, events, min_support)

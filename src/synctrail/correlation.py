@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .acquisition import AppRecord, AppStatus, CloudEvent, EventKind
 from .errors import InsufficientSupport
-from .evidence import EvidenceRecord, Source, check_epoch, epoch_to_iso
+from .evidence import EvidenceRecord, Source, check_epoch, checked_digest_hex, epoch_to_iso
 
 DEFAULT_WINDOW_SECONDS = 300
 DEFAULT_MIN_SKEW_SUPPORT = 3
@@ -60,11 +60,27 @@ def zero_skew() -> dict:
 
 
 def _record_digest_attr(record: EvidenceRecord) -> Optional[str]:
+    """The record's content digest in lowercase hex; None unless it is 64 hex digits."""
     raw = record.attributes.get(CONTENT_DIGEST_ATTR)
     if raw is None:
         return None
-    text = raw.strip().lower()
-    return text or None
+    try:
+        return checked_digest_hex(raw)
+    except ValueError:
+        return None
+
+
+def count_malformed_digests(device_records: Sequence[EvidenceRecord]) -> int:
+    """How many records carry a content digest attribute that is not 64 hex digits.
+
+    Such a value names no content: it gives no skew support and no
+    ExactDigest link, and the record is matched as if it had none.
+    """
+    return sum(
+        1
+        for record in device_records
+        if CONTENT_DIGEST_ATTR in record.attributes and _record_digest_attr(record) is None
+    )
 
 
 def _record_size(record: EvidenceRecord) -> Optional[int]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -68,28 +67,73 @@ class ArtifactCategory(Enum):
 
 
 # Ingest builds records, timestamps and cloud events by setting their
-# slots with these, as the dataclass __init__ would, without the
-# constructors' layers of calls; see _ingested_record.
+# slots with these, as their __init__ would, without the constructors'
+# layers of calls; see _ingested_record.
 _new = object.__new__
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class UtcTimestamp:
+class _Frozen:
+    """An immutable value: fields are slots, set once by ``__init__``.
+
+    Equality, hashing and the text compare and show the fields named in
+    the class's ``_compared``, in that order, as a frozen dataclass
+    would; a value holding a dict is therefore unhashable. Plain classes
+    instead of dataclasses: creating a dataclass compiles its methods,
+    and importing ``dataclasses`` loads ``inspect``, at every start-up.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        # copy and pickle restore the slots here, past __setattr__.
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+
+class UtcTimestamp(_Frozen):
     """A UTC instant plus the exact source text it was read from."""
+
+    __slots__ = ("seconds_since_epoch", "original_text", "_iso")
+    _compared = ("seconds_since_epoch", "original_text")
 
     seconds_since_epoch: int
     original_text: str
     # The ISO rendering, kept once formatted; no part of equality or repr.
     # A timestamp read from ISO-Z text starts with that text, which
     # already is its rendering.
-    _iso: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _iso: Optional[str]
 
-    def __post_init__(self) -> None:
-        check_epoch(self.seconds_since_epoch)
-        if not self.original_text:
+    def __init__(self, seconds_since_epoch: int, original_text: str) -> None:
+        _set(self, "seconds_since_epoch", seconds_since_epoch)
+        _set(self, "original_text", original_text)
+        _set(self, "_iso", None)
+        check_epoch(seconds_since_epoch)
+        if not original_text:
             raise ValueError("original_text must be preserved, got empty string")
-        _check_clean(self.original_text, "timestamp text")
+        _check_clean(original_text, "timestamp text")
 
     def to_iso(self) -> str:
         """Render as YYYY-MM-DDTHH:MM:SSZ, formatting at most once per instance."""
@@ -98,26 +142,42 @@ class UtcTimestamp:
         return self._iso  # type: ignore[return-value]
 
 
-@dataclass(frozen=True, slots=True)
-class EvidenceRecord:
+class EvidenceRecord(_Frozen):
     """One typed, timestamped artifact entry with provenance and digest.
 
-    ``attributes`` preserves source order. The canonical encoding is
-    computed once, at construction, and kept as ``canonical``; the digest
-    and the custody chain both hash those bytes, so neither can drift
-    from the record contents.
+    ``attributes`` preserves source order, in a dict of its own. The
+    canonical encoding is computed once, at construction, and kept as
+    ``canonical``; the digest and the custody chain both hash those
+    bytes, so neither can drift from the record contents. ``canonical``
+    is no part of equality or repr.
     """
+
+    __slots__ = (
+        "record_id", "category", "timestamp", "attributes", "source", "digest", "canonical",
+    )
+    _compared = ("record_id", "category", "timestamp", "attributes", "source", "digest")
 
     record_id: str
     category: ArtifactCategory
     timestamp: Optional[UtcTimestamp]
     attributes: Mapping[str, str]
     source: Source
-    digest: bytes = field(init=False, compare=True)
-    canonical: bytes = field(init=False, compare=False, repr=False)
+    digest: bytes
+    canonical: bytes
 
-    def __post_init__(self) -> None:
-        attributes = self.attributes
+    def __init__(
+        self,
+        record_id: str,
+        category: ArtifactCategory,
+        timestamp: Optional[UtcTimestamp],
+        attributes: Mapping[str, str],
+        source: Source,
+    ) -> None:
+        _set(self, "record_id", record_id)
+        _set(self, "category", category)
+        _set(self, "timestamp", timestamp)
+        _set(self, "attributes", attributes)
+        _set(self, "source", source)
         _encode_and_digest(self)
         _set(self, "attributes", dict(attributes))
 
@@ -251,8 +311,10 @@ def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> U
     """
     m = _ISO_RE.fullmatch(raw)
     if m:
-        *civil, zone = m.groups()
-        epoch = _epoch_from_civil(*map(int, civil))
+        year, month, day, hour, minute, second, zone = m.groups()
+        epoch = _epoch_from_civil(
+            int(year), int(month), int(day), int(hour), int(minute), int(second)
+        )
         if zone == "Z":
             # Text that _ISO_RE matched holds no separator, and a validated
             # year puts a Z time in 1970-2100: UtcTimestamp's checks hold

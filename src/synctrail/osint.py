@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 import ipaddress
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional
@@ -20,7 +19,7 @@ from bisect import bisect_right
 
 from .acquisition import _integer, load_json
 from .errors import MalformedTable
-from .evidence import ArtifactCategory, EvidenceRecord
+from .evidence import ArtifactCategory, EvidenceRecord, _Frozen, _set
 
 
 # Message and call directions, lowercased.
@@ -32,14 +31,27 @@ class IdKind(Enum):
     EMAIL = "Email"
 
 
-@dataclass(frozen=True)
-class GeoTable:
+class GeoTable(_Frozen):
     """Sorted, non-overlapping IPv4 ranges with country and city labels."""
+
+    __slots__ = _compared = ("name", "starts", "ends", "labels")
 
     name: str
     starts: tuple[int, ...]
     ends: tuple[int, ...]
     labels: tuple[tuple[str, str], ...]
+
+    def __init__(
+        self,
+        name: str,
+        starts: tuple[int, ...],
+        ends: tuple[int, ...],
+        labels: tuple[tuple[str, str], ...],
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "starts", starts)
+        _set(self, "ends", ends)
+        _set(self, "labels", labels)
 
 
 def normalize_identifier(raw: str) -> Optional[tuple[str, str]]:

@@ -237,10 +237,25 @@ def load_sealed_manifest(bundle_path: Path | str) -> dict:
         "digest_algorithm": data["digest_algorithm"],
         "record_count": count,
         "chain_head": _sealed_link(data["chain_head"], path, "chain_head"),
-        "record_links": [
-            _sealed_link(text, path, "record_links", i) for i, text in enumerate(links)
-        ],
+        "record_links": _sealed_links(links, path),
     }
+
+
+def _sealed_links(links: list, path: Path) -> list[str]:
+    """Every sealed link's hex text in lowercase, checked in one pass.
+
+    When every link is a 64-character str and their text reads as 32
+    bytes per link, no link holds anything but hex digits. Otherwise each
+    is checked in turn, so the first bad one is named.
+    """
+    try:
+        raw = bytes.fromhex("".join(links))
+    except (TypeError, ValueError):
+        raw = b""
+    if len(raw) == 32 * len(links) and set(map(len, links)) <= {64}:
+        text = raw.hex()
+        return [text[start : start + 64] for start in range(0, len(text), 64)]
+    return [_sealed_link(text, path, "record_links", i) for i, text in enumerate(links)]
 
 
 def _sealed_link(text: object, path: Path, name: str, index: Optional[int] = None) -> str:

@@ -9,7 +9,6 @@ collections.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import re
@@ -134,7 +133,11 @@ def build_case_report(
     """
 
     def stage(name: str) -> Any:
-        return stages[name] if name in stages else copy.deepcopy(STAGE_FILES[name][0])
+        if name in stages:
+            return stages[name]
+        import copy  # loaded only for a stage file that is absent
+
+        return copy.deepcopy(STAGE_FILES[name][0])
 
     dump, verification, cloud_log, timeline = map(
         stage, ("dump.json", "verification.json", "cloud_log.json", "timeline.json")
@@ -300,6 +303,8 @@ def redact(report_json: dict, policy: Sequence[str]) -> dict:
         if isinstance(node, list):
             return [walk(item) for item in node]
         return node
+
+    import copy  # loaded only to redact, which no command runs
 
     result = walk(copy.deepcopy(report_json))
     for key in sorted(wanted - matched):

@@ -7,6 +7,8 @@ shared bug cannot hide on both sides of an assertion.
 
 from __future__ import annotations
 
+import re
+
 
 def civil_to_epoch(y: int, mo: int, d: int, h: int, mi: int, s: int) -> int:
     """Epoch seconds from a UTC civil time, via the days-from-civil algorithm."""
@@ -39,6 +41,16 @@ def reference_encode(record) -> bytes:
     return bytes(out)
 
 
+def device_digest(record):
+    """A device record's content digest in lowercase, or None.
+
+    Only a value of exactly 64 hex digits, in either case, names a
+    content; anything else, padded or short, names none.
+    """
+    raw = record.attributes.get("content_digest")
+    return raw.lower() if raw is not None and re.fullmatch("[0-9a-fA-F]{64}", raw) else None
+
+
 def lower_median(values) -> int:
     ordered = sorted(values)
     if not ordered:
@@ -55,16 +67,13 @@ def reference_skew(device_records, cloud_events, min_support):
     are no pairs or fewer than ``min_support``.
     """
 
-    def digest_of(record):
-        raw = record.attributes.get("content_digest")
-        return raw.strip().lower() if raw and raw.strip() else None
-
-    digests = {digest_of(r) for r in device_records} | {e.content_digest for e in cloud_events}
+    digests = {device_digest(r) for r in device_records} | {e.content_digest for e in cloud_events}
     deltas = []
     for digest in digests - {None}:
         events = [e for e in cloud_events if e.content_digest == digest]
-        dated = [r for r in device_records if digest_of(r) == digest and r.timestamp is not None]
-        undated = [r for r in device_records if digest_of(r) == digest and r.timestamp is None]
+        copies = [r for r in device_records if device_digest(r) == digest]
+        dated = [r for r in copies if r.timestamp is not None]
+        undated = [r for r in copies if r.timestamp is None]
         if (len(events), len(dated), len(undated)) == (1, 1, 0):
             deltas.append(
                 events[0].timestamp.seconds_since_epoch - dated[0].timestamp.seconds_since_epoch
@@ -87,10 +96,6 @@ def brute_force_match(device_records, cloud_events, offset_seconds, window_secon
     (record_id, event_id, tier_name, delta).
     """
 
-    def digest_of(record):
-        raw = record.attributes.get("content_digest")
-        return raw.strip().lower() if raw and raw.strip() else None
-
     def delta_of(record, event):
         if record.timestamp is None:
             return None
@@ -108,12 +113,12 @@ def brute_force_match(device_records, cloud_events, offset_seconds, window_secon
     while True:
         best = None
         for record in device_records:
-            if record.record_id in used_r or digest_of(record) is None:
+            if record.record_id in used_r or device_digest(record) is None:
                 continue
             for event in cloud_events:
                 if event.event_id in used_e or event.content_digest is None:
                     continue
-                if digest_of(record) != event.content_digest:
+                if device_digest(record) != event.content_digest:
                     continue
                 delta = delta_of(record, event)
                 rank = (

@@ -698,6 +698,50 @@ class TestMalformedInputs:
         assert capsys.readouterr().err == line.format(path=path) + "\n"
 
 
+# Device content_digest values: (value, or how to make it from the
+# content's digest; whether it names that content).
+DEVICE_DIGESTS = {
+    "padded": (lambda d: f" {d}\t", False),
+    "non-hex": (lambda d: "not-a-digest", False),
+    "63-digits": (lambda d: d[:63], False),
+    "uppercase": (str.upper, True),
+}
+
+
+class TestDeviceContentDigest:
+    @pytest.mark.parametrize(
+        "form, names_content", DEVICE_DIGESTS.values(), ids=DEVICE_DIGESTS
+    )
+    @pytest.mark.parametrize("command", ["correlate", "run-all"])
+    def test_only_64_hex_digits_name_a_content_and_anything_else_is_noted(
+        self, tmp_path, capsys, golden_bundle, command, form, names_content
+    ):
+        digest = hashlib.sha256(b"photo").hexdigest()
+        line = {"id": "m1", "delivered_at": "2016-05-10T10:00:00Z", "object": "a.jpg",
+                "content_digest": form(digest)}
+        (golden_bundle / "messages.jsonl").write_text(json.dumps(line) + "\n", encoding="utf-8")
+        log = tmp_path / "cloud.jsonl"
+        event = {"id": "e1", "kind": "Upload", "ts": "2016-05-10T10:00:05Z", "account": "a@x",
+                 "object": "b.jpg", "digest": digest}
+        log.write_text(json.dumps(event) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run([command, str(golden_bundle), str(log), "--out", str(out)]) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines() if "content_digest" in line]
+        links = json.loads((out / "links.json").read_text(encoding="utf-8"))
+        if names_content:
+            assert notes == []
+            assert [(link["device_record_id"], link["tier"]) for link in links] == [
+                ("m1", "ExactDigest")
+            ]
+        else:
+            assert notes == [
+                "note: 1 device record(s) carry a content_digest that is not 64 hex "
+                "characters; such a value gives no skew support and no ExactDigest link"
+            ]
+            assert links == []
+
+
 _FIELD_LIMIT = csv.field_size_limit()
 
 

@@ -22,6 +22,7 @@ from synctrail.correlation import (
     FindingKind,
     LinkTier,
     build_timeline,
+    count_malformed_digests,
     derive_cloud_usage_findings,
     detect_uninstall_evidence,
     estimate_clock_skew,
@@ -128,18 +129,30 @@ def _tie_heavy_case(rng: random.Random):
 
 _SKEW_DIGESTS = [digest_hex(f"skew{i}") for i in range(8)]
 
+# Device content_digest values that name no content, each made from a digest.
+NOT_A_DIGEST = {
+    "padded": lambda d: f"\t{d} ",
+    "non-hex": lambda d: "not-a-digest",
+    "63-digits": lambda d: d[:63],
+}
+
+# Ways a device line may write a content digest: only the first two name it.
+_FORMS = {"lower": str, "upper": str.upper, **NOT_A_DIGEST}
+
 
 @st.composite
 def skew_cases(draw):
     """Few records and events over a pool of eight digests.
 
     Digests repeat on either side; some items carry none; a device copy
-    may be undated or carry its digest in uppercase; an event of a
-    content may be its upload or its download.
+    may be undated, or carry its digest in uppercase, padded, cut short
+    or replaced by text that is not hex; an event of a content may be its upload or its download.
     """
     digest = st.sampled_from([None, *_SKEW_DIGESTS])
     record_rows = draw(st.lists(
-        st.tuples(digest, st.one_of(st.none(), st.integers(0, 3600)), st.booleans()),
+        st.tuples(
+            digest, st.one_of(st.none(), st.integers(0, 3600)), st.sampled_from(list(_FORMS))
+        ),
         max_size=10,
     ))
     event_rows = draw(st.lists(
@@ -148,13 +161,26 @@ def skew_cases(draw):
         max_size=10,
     ))
     records = [
-        device_file(f"r{i}", None if at is None else BASE + at, d.upper() if d and upper else d)
-        for i, (d, at, upper) in enumerate(record_rows)
+        device_file(f"r{i}", None if at is None else BASE + at, _FORMS[form](d) if d else d)
+        for i, (d, at, form) in enumerate(record_rows)
     ]
     events = [
         cloud(f"e{i}", BASE + at, kind=kind, digest=d) for i, (d, at, kind) in enumerate(event_rows)
     ]
     return records, events
+
+
+def test_every_device_digest_that_is_not_64_hex_digits_is_counted():
+    d = digest_hex("count")
+    records = [
+        device_file("lower", BASE, d),
+        device_file("upper", BASE, d.upper()),
+        device_file("none", BASE),
+        device_file("empty", BASE, ""),
+        *(device_file(name, None, form(d)) for name, form in NOT_A_DIGEST.items()),
+    ]
+    assert count_malformed_digests(records) == 1 + len(NOT_A_DIGEST)
+    assert count_malformed_digests(records[:3]) == 0
 
 
 class TestEstimateClockSkew:
@@ -258,6 +284,21 @@ class TestEstimateClockSkew:
         with pytest.raises(InsufficientSupport):
             estimate_clock_skew(records, events, min_support=1)
 
+    @pytest.mark.parametrize("form", NOT_A_DIGEST.values(), ids=NOT_A_DIGEST)
+    def test_a_device_value_that_is_not_64_hex_digits_gives_no_support(self, form):
+        d = digest_hex("pair")
+        records = [device_file("r0", BASE, form(d))]
+        events = [cloud("e0", BASE + 60, digest=d)]
+        with pytest.raises(InsufficientSupport):
+            estimate_clock_skew(records, events, min_support=1)
+
+    def test_an_uppercase_device_digest_gives_support(self):
+        d = digest_hex("pair")
+        records = [device_file("r0", BASE, d.upper())]
+        events = [cloud("e0", BASE + 60, digest=d)]
+        skew = estimate_clock_skew(records, events, min_support=1)
+        assert (skew["offset_seconds"], skew["support_count"]) == (60, 1)
+
     @given(case=skew_cases(), min_support=st.integers(-1, 3))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_counting_the_items_of_each_digest(self, case, min_support):
@@ -303,6 +344,20 @@ class TestMatchSyncedArtifacts:
         links = match_synced_artifacts(records, events, zero_skew())
         assert len(links) == 1
         assert links[0]["device_record_id"] == "r0"  # smallest corrected delta wins
+
+    @pytest.mark.parametrize("form", NOT_A_DIGEST.values(), ids=NOT_A_DIGEST)
+    def test_a_device_value_that_is_not_64_hex_digits_is_no_exact_candidate(self, form):
+        d = digest_hex("photo")
+        records = [device_file("r0", BASE, form(d))]
+        events = [cloud("e0", BASE + 1, digest=d)]
+        assert match_synced_artifacts(records, events, zero_skew()) == []
+
+    def test_an_uppercase_device_digest_links_exactly(self):
+        d = digest_hex("photo")
+        records = [device_file("r0", BASE, d.upper())]
+        events = [cloud("e0", BASE + 1, digest=d)]
+        links = match_synced_artifacts(records, events, zero_skew())
+        assert [link_tuple(link) for link in links] == [("r0", "e0", "ExactDigest", 1)]
 
     def test_metadata_window_respects_size_and_window(self):
         records = [device_file("r0", BASE, name="IMG.jpg", size=100)]

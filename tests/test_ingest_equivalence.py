@@ -31,9 +31,11 @@ from synctrail.acquisition import (
     TIME_FIELDS,
     CloudEvent,
     EventKind,
+    _json_object,
     _LineError,
     ingest_cloud_log,
     ingest_device_dump,
+    load_json,
     record_from_fields,
 )
 from synctrail.errors import ImpossibleDate, UnparseableTimestamp
@@ -339,3 +341,111 @@ def test_record_from_fields_equals_the_constructor(fields, raw_time):
         assert built[0] is _LineError
         return
     assert_same_record(built, public_record(ArtifactCategory.MESSAGE, fields, "messages.jsonl", 7, 0))
+
+
+# --- one input line, read as load_json reads it --------------------------------
+
+
+def reference_json_object(line: bytes) -> dict:
+    """One bundle or cloud-log line read by ``load_json`` alone, as a JSON object."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _LineError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
+    try:
+        fields = load_json(text)
+    except json.JSONDecodeError as exc:
+        raise _LineError(f"invalid JSON: {exc.msg}") from None
+    except ValueError as exc:
+        raise _LineError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise _LineError("invalid JSON: nested too deeply") from None
+    if not isinstance(fields, dict):
+        raise _LineError("line is not a JSON object")
+    return fields
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(10**20), 10**20),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=6),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_RAW_TOKENS = st.sampled_from(
+    ["NaN", "-Infinity", "Infinity", "1e400", "-1E999", "1e308", "-0.0", "0", "tru", "'x'", ""]
+)
+_SPACE = st.text(st.sampled_from(" \t\r\n\x0c\ufeff"), max_size=3)
+
+
+@st.composite
+def json_lines(draw) -> bytes:
+    """A line near a JSON object: values of any type, raw tokens, padding and damage."""
+    kind = draw(st.sampled_from(["object", "value", "token", "nested"]))
+    if kind == "object":
+        text = json.dumps(draw(st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=4)),
+                          ensure_ascii=draw(st.booleans()))
+    elif kind == "value":
+        text = json.dumps(draw(_JSON_VALUES), ensure_ascii=draw(st.booleans()))
+    elif kind == "token":
+        text = '{"a": ' + draw(_RAW_TOKENS) + "}"
+    else:
+        depth = draw(st.sampled_from([1, 10, 500, 2000, 100_000]))
+        text = '{"a": ' + "[" * depth + "]" * depth + "}"
+    text = draw(_SPACE) + text + draw(_SPACE)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(["", " x", "{}", "[]", ",", "}", '"', " 1"]))
+    line = text.encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(line)))
+        damage = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80"]))
+        line = line[:at] + damage + line[at:]
+    return line
+
+
+def assert_read_alike(line: bytes) -> None:
+    """``_json_object`` returns what the reference returns, or raises what it raises.
+
+    Objects must also agree in key order and in the sign of a zero.
+    """
+    expected = outcome(lambda: reference_json_object(line))
+    got = outcome(lambda: _json_object(line))
+    assert got == expected
+    if isinstance(expected, dict):
+        assert json.dumps(got) == json.dumps(expected)
+
+
+@given(json_lines())
+@settings(max_examples=500, deadline=None)
+def test_a_line_reads_as_load_json_reads_it(line):
+    assert_read_alike(line)
+
+
+LINES = {
+    "object": b'{"a":1}',
+    "leading-space": b' {"a":1}',
+    "trailing-space": b'{"a":1} ',
+    "trailing-cr": b'{"a":1}\r',
+    "bom": b'\xef\xbb\xbf{"a":1}',
+    "nan": b'{"a":NaN}',
+    "minus-infinity": b'{"a":-Infinity}',
+    "overflow": b'{"a":1e400}',
+    "array": b'[1]',
+    "scalar": b'"x"',
+    "extra-object": b'{"a":1}{}',
+    "extra-text": b'{"a":1} x',
+    "empty": b'',
+    "deep": b'{"a":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    "invalid-utf-8": b'{"a":"\xff"}',
+}
+
+
+@pytest.mark.parametrize("line", LINES.values(), ids=LINES)
+def test_each_kind_of_line_reads_as_load_json_reads_it(line):
+    assert_read_alike(line)

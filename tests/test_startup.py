@@ -4,8 +4,10 @@ Every command starts a fresh interpreter, and everything it imports is
 compiled and run before the command does anything. So importing the
 command-line module must not load the simulator, nor the standard
 modules that only one rarely used path needs: ``csv`` (``--geo-table``),
-``html`` (the HTML report), ``logging`` (one redaction warning) and
-``calendar``.
+``html`` (the HTML report), ``logging`` (one redaction warning),
+``copy`` (redaction, and a report missing a stage file) and
+``calendar``; nor ``dataclasses`` and the ``inspect`` it loads, which
+only the simulator uses.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from synctrail.simulator import SimParams
 
 SRC = Path(synctrail.__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
-ONE_PATH_ONLY = ("synctrail.simulator", "csv", "html", "logging", "calendar")
+ONE_PATH_ONLY = (
+    "synctrail.simulator", "csv", "html", "logging", "calendar", "dataclasses", "inspect", "copy",
+)
 
 
 def python(*args: str) -> subprocess.CompletedProcess:
@@ -47,16 +51,10 @@ def test_importing_the_cli_loads_nothing_a_command_may_not_run():
 
 
 # A frozen dataclass costs start-up time: Python compiles its generated
-# methods when the class is created. These are the types the pipeline
-# keeps; every stage result is the JSON-ready payload of its stage file.
-DATACLASSES = [
-    "AppRecord",
-    "CloudEvent",
-    "DeviceDump",
-    "EvidenceRecord",
-    "GeoTable",
-    "UtcTimestamp",
-]
+# methods when the class is created. The types the pipeline keeps are
+# plain slotted classes; every stage result is the JSON-ready payload of
+# its stage file.
+DATACLASSES: list[str] = []
 
 _DATACLASS_CENSUS = """
 import dataclasses, sys
