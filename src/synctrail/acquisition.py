@@ -33,7 +33,6 @@ from .evidence import (
     UtcTimestamp,
     _Frozen,
     _ingested_record,
-    _new,
     _set,
     checked_digest_hex,
     normalize_timestamp,
@@ -631,17 +630,9 @@ def ingest_cloud_log(path: Path | str, ledger: Optional[list[dict]] = None) -> l
                 f"event id {event_id!r} on line {line_no} already used on line {seen[event_id]}"
             )
         seen[event_id] = line_no
-        # Every field is checked above, and CloudEvent checks nothing more:
-        # set its slots as its __init__ would.
-        event = _new(CloudEvent)
-        _set(event, "event_id", event_id)
-        _set(event, "kind", kind)
-        _set(event, "timestamp", timestamp)
-        _set(event, "account", _optional_text(fields.get("account")))
-        _set(event, "package_or_object", _optional_text(fields.get("object")))
-        _set(event, "content_digest", digest)
-        _set(event, "size_bytes", size)
-        events.append(event)
+        account = _optional_text(fields.get("account"))
+        target = _optional_text(fields.get("object"))
+        events.append(CloudEvent(event_id, kind, timestamp, account, target, digest, size))
     return events
 
 

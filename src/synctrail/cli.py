@@ -61,8 +61,9 @@ from .osint import (
     resolve_ip,
 )
 from .preservation import (
+    INTACT,
+    TAMPERED,
     IsolationMethod,
-    Verdict,
     diff_acquisitions,
     load_sealed_manifest,
     seal_dump,
@@ -83,14 +84,9 @@ EXIT_USAGE = 2
 EXIT_TAMPERED = 3
 EXIT_PARSE_FATAL = 4
 
-_LOCALES = {"day-first": Locale.DAY_FIRST, "month-first": Locale.MONTH_FIRST}
-_FORMATS = {"json": ReportFormat.JSON, "md": ReportFormat.MARKDOWN, "html": ReportFormat.HTML}
 _ISOLATION = {
-    "airplane-mode": IsolationMethod.AIRPLANE_MODE,
-    "powered-off": IsolationMethod.POWERED_OFF,
-    "shielded-container": IsolationMethod.SHIELDED_CONTAINER,
-    "radio-isolation": IsolationMethod.RADIO_ISOLATION,
-    "none": IsolationMethod.NONE,
+    name.lower().replace("_", "-"): method
+    for name, method in IsolationMethod.__members__.items()
 }
 
 # RecordCountMismatch and InsufficientSupport are caught where they are
@@ -148,7 +144,7 @@ def _case_id(text: str) -> str:
 
 
 def _verdict_exit(stages: Stages) -> int:
-    intact = stages["verification.json"]["verdict"] == Verdict.INTACT.value
+    intact = stages["verification.json"]["verdict"] == INTACT
     return EXIT_OK if intact else EXIT_TAMPERED
 
 
@@ -199,7 +195,7 @@ def _step_verify(dump: DeviceDump, bundle: Path, out: Optional[Path]) -> Stages:
         # surfaced with the tampered exit code rather than a parse error.
         _say(f"verification failed: {exc}")
         verification = {
-            "verdict": Verdict.TAMPERED.value,
+            "verdict": TAMPERED,
             "first_divergent_index": 0,
             "expected": None,
             "actual": None,
@@ -292,8 +288,7 @@ def _step_report(out: Path, stages: Stages, case_id: Optional[str], format: Repo
         raise UnsafeCaseId(
             f"dump id {report['case_id']!r} cannot name the report file: it {problem}"
         )
-    suffix = {"json": ".report.json", "md": ".report.md", "html": ".report.html"}[format.value]
-    path = out / f"{report['case_id']}{suffix}"
+    path = out / f"{report['case_id']}.report.{format.value}"
     atomic.write_bytes(path, render_report(report, format))
     _say(f"report written to {path}")
     return path
@@ -334,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_locale(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--locale",
-            choices=sorted(_LOCALES),
+            choices=sorted(m.value for m in Locale),
             default="day-first",
             help="reading order for legacy DD/MM timestamps (default: day-first)",
         )
@@ -407,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="render the case report from prior stage outputs")
     add_out(p)
     p.add_argument("--case-id", type=_case_id, default=None)
-    p.add_argument("--format", choices=sorted(_FORMATS), default="json")
+    p.add_argument("--format", choices=sorted(m.value for m in ReportFormat), default="json")
 
     p = sub.add_parser("run-all", help="ingest, seal, verify, correlate, enrich, report")
     p.add_argument("bundle", type=Path)
@@ -419,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--isolation", choices=sorted(_ISOLATION), default="none")
     p.add_argument("--geo-table", type=Path, default=None)
     p.add_argument("--case-id", type=_case_id, default=None)
-    p.add_argument("--format", choices=sorted(_FORMATS), default="json")
+    p.add_argument("--format", choices=sorted(m.value for m in ReportFormat), default="json")
 
     return parser
 
@@ -455,7 +450,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             _say(f"case written: {case.bundle_dir} and {case.cloud_log}")
             return EXIT_OK
 
-        locale = _LOCALES[getattr(args, "locale", "day-first")]
+        locale = Locale(getattr(args, "locale", "day-first"))
 
         if args.command == "ingest":
             _step_ingest(args.bundle, args.out, locale, args.dump_canonical)
@@ -504,7 +499,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 for name, (_, shape) in STAGE_FILES.items()
                 if (args.out / name).is_file()
             }
-            _step_report(args.out, stages, args.case_id, _FORMATS[args.format])
+            _step_report(args.out, stages, args.case_id, ReportFormat(args.format))
             return EXIT_OK
 
         if args.command == "run-all":
@@ -530,7 +525,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 )
             )
             stages.update(_step_enrich(dump, args.out, args.geo_table))
-            _step_report(args.out, stages, args.case_id, _FORMATS[args.format])
+            _step_report(args.out, stages, args.case_id, ReportFormat(args.format))
             return _verdict_exit(stages)
 
     except _FATAL_ERRORS as exc:

@@ -11,14 +11,13 @@ deterministic down to the byte: all orderings are total, with explicit
 tie rules, so repeated runs and permuted inputs cannot change output.
 The skew estimate, links, the timeline and findings come back as their
 stage-file payloads (``skew.json``, ``links.json``, ``timeline.json``,
-``findings.json``): JSON-ready lists and dicts whose enum-valued fields
-hold the enum values.
+``findings.json``): JSON-ready lists and dicts whose tier, kind and
+confidence fields hold the plain strings that REPORT_SCHEMA.md lists.
 """
 
 from __future__ import annotations
 
 import heapq
-from enum import Enum
 from typing import Optional, Sequence
 
 from .acquisition import AppRecord, AppStatus, CloudEvent, EventKind
@@ -34,24 +33,22 @@ SIZE_ATTR = "size_bytes"
 CONTENT_DIGEST_ATTR = "content_digest"
 
 
-class LinkTier(Enum):
-    EXACT_DIGEST = "ExactDigest"
-    METADATA_WINDOW = "MetadataWindow"
+# Link tiers, finding kinds and confidences, as the stage files hold them.
+EXACT_DIGEST = "ExactDigest"
+PROVEN_UPLOAD = "ProvenUpload"
+PROVEN_DOWNLOAD = "ProvenDownload"
+APP_USED_THEN_UNINSTALLED = "AppUsedThenUninstalled"
+ACCOUNT_ACTIVITY = "AccountActivity"
+HIGH = "High"
+MEDIUM = "Medium"
 
-
-class FindingKind(Enum):
-    PROVEN_UPLOAD = "ProvenUpload"
-    PROVEN_DOWNLOAD = "ProvenDownload"
-    APP_USED_THEN_UNINSTALLED = "AppUsedThenUninstalled"
-    ACCOUNT_ACTIVITY = "AccountActivity"
-
-
-class Confidence(Enum):
-    HIGH = "High"
-    MEDIUM = "Medium"
-
-
-_KIND_ORDER = {kind.value: index for index, kind in enumerate(FindingKind)}
+# Findings sort by kind in this order.
+_KIND_ORDER = {
+    kind: index
+    for index, kind in enumerate(
+        (PROVEN_UPLOAD, PROVEN_DOWNLOAD, APP_USED_THEN_UNINSTALLED, ACCOUNT_ACTIVITY)
+    )
+}
 
 
 def zero_skew() -> dict:
@@ -417,10 +414,10 @@ def match_synced_artifacts(
         {
             "device_record_id": record_id,
             "cloud_event_id": event_id,
-            "tier": tier.value,
+            "tier": tier,
             "time_delta_seconds": delta,
         }
-        for tier, sweep in ((LinkTier.EXACT_DIGEST, exact), (LinkTier.METADATA_WINDOW, window))
+        for tier, sweep in ((EXACT_DIGEST, exact), ("MetadataWindow", window))
         for record_id, event_id, delta in sorted(sweep.links)
     ]
 
@@ -470,13 +467,11 @@ def build_timeline(
     }
 
 
-def _finding(
-    kind: FindingKind, confidence: Confidence, supporting_ids: list[str], narrative: str
-) -> dict:
+def _finding(kind: str, confidence: str, supporting_ids: list[str], narrative: str) -> dict:
     """One ``findings.json`` row, before its id is assigned."""
     return {
-        "kind": kind.value,
-        "confidence": confidence.value,
+        "kind": kind,
+        "confidence": confidence,
         "supporting_ids": supporting_ids,
         "narrative": narrative,
     }
@@ -531,8 +526,8 @@ def detect_uninstall_evidence(
         )
         findings.append(
             _finding(
-                FindingKind.APP_USED_THEN_UNINSTALLED,
-                Confidence.HIGH if cloud_uninstall else Confidence.MEDIUM,
+                APP_USED_THEN_UNINSTALLED,
+                HIGH if cloud_uninstall else MEDIUM,
                 supporting,
                 f"Package {package} produced {len(events)} cloud event(s); "
                 f"{source}, and {closer}.",
@@ -563,7 +558,7 @@ def derive_cloud_usage_findings(
         event = events_by_id.get(event_id)
         if event is None or event.kind not in (EventKind.UPLOAD, EventKind.DOWNLOAD):
             continue
-        exact = link["tier"] == LinkTier.EXACT_DIGEST.value
+        exact = link["tier"] == EXACT_DIGEST
         basis = (
             "an exact content digest match"
             if exact
@@ -571,10 +566,8 @@ def derive_cloud_usage_findings(
         )
         findings.append(
             _finding(
-                FindingKind.PROVEN_UPLOAD
-                if event.kind is EventKind.UPLOAD
-                else FindingKind.PROVEN_DOWNLOAD,
-                Confidence.HIGH if exact else Confidence.MEDIUM,
+                PROVEN_UPLOAD if event.kind is EventKind.UPLOAD else PROVEN_DOWNLOAD,
+                HIGH if exact else MEDIUM,
                 [record_id, event_id],
                 f"Device artifact {record_id} and cloud event {event_id} "
                 f"({event.kind.value}) are the same object, established by {basis}.",
@@ -589,8 +582,8 @@ def derive_cloud_usage_findings(
         event_ids = sorted(logins_by_account[account])
         findings.append(
             _finding(
-                FindingKind.ACCOUNT_ACTIVITY,
-                Confidence.HIGH,
+                ACCOUNT_ACTIVITY,
+                HIGH,
                 event_ids,
                 f"Account {account} authenticated against the cloud service "
                 f"{len(event_ids)} time(s).",

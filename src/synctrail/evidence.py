@@ -66,9 +66,9 @@ class ArtifactCategory(Enum):
     CALL_RECORD = "CallRecord"
 
 
-# Ingest builds records, timestamps and cloud events by setting their
-# slots with these, as their __init__ would, without the constructors'
-# layers of calls; see _ingested_record.
+# Ingest builds records and timestamps by setting their slots with
+# these, as their __init__ would, without the constructors' layers of
+# calls; see _ingested_record.
 _new = object.__new__
 _set = object.__setattr__
 

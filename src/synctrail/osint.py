@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 import ipaddress
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional
 from bisect import bisect_right
@@ -24,11 +23,6 @@ from .evidence import ArtifactCategory, EvidenceRecord, _Frozen, _set
 
 # Message and call directions, lowercased.
 _DIRECTIONS = ("incoming", "outgoing")
-
-
-class IdKind(Enum):
-    PHONE = "Phone"
-    EMAIL = "Email"
 
 
 class GeoTable(_Frozen):
@@ -55,7 +49,7 @@ class GeoTable(_Frozen):
 
 
 def normalize_identifier(raw: str) -> Optional[tuple[str, str]]:
-    """Normalize one identifier to a (kind, value) pair of IdKind value and text.
+    """Normalize one identifier to a (kind, value) pair, kind ``Email`` or ``Phone``.
 
     Emails are lowercased, phones kept digits-only. A leading ``+`` on a
     phone number is kept; no country code is ever inferred. Returns None
@@ -65,13 +59,13 @@ def normalize_identifier(raw: str) -> Optional[tuple[str, str]]:
     if not text:
         return None
     if "@" in text:
-        return (IdKind.EMAIL.value, text.lower())
+        return ("Email", text.lower())
     digits = "".join(ch for ch in text if ch.isdigit())
     if not digits:
         return None
     if text.startswith("+"):
         digits = "+" + digits
-    return (IdKind.PHONE.value, digits)
+    return ("Phone", digits)
 
 
 def build_identity_graph(records: Iterable[EvidenceRecord]) -> dict:

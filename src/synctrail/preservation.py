@@ -47,9 +47,9 @@ class IsolationMethod(Enum):
     NONE = "None"
 
 
-class Verdict(Enum):
-    INTACT = "Intact"
-    TAMPERED = "Tampered"
+# The chain verdicts, as verification.json holds them.
+INTACT = "Intact"
+TAMPERED = "Tampered"
 
 
 def manifest_header_bytes(manifest: dict) -> bytes:
@@ -132,20 +132,20 @@ def verify_chain(manifest: dict, records: Sequence[EvidenceRecord]) -> dict:
 
     head, links = chain_digest(manifest_header_bytes(manifest), records)
     if head.hex() == manifest["chain_head"]:
-        return _verification(Verdict.INTACT, None, None, None)
+        return _verification(INTACT, None, None, None)
     for index, (stored, recomputed) in enumerate(zip(sealed_links, links)):
         if stored != recomputed.hex():
-            return _verification(Verdict.TAMPERED, index, stored, recomputed.hex())
+            return _verification(TAMPERED, index, stored, recomputed.hex())
     # Head mismatch with no divergent link means the sealed head itself
     # was altered; the earliest suspect index is 0.
-    return _verification(Verdict.TAMPERED, 0, manifest["chain_head"], head.hex())
+    return _verification(TAMPERED, 0, manifest["chain_head"], head.hex())
 
 
 def _verification(
-    verdict: Verdict, index: Optional[int], expected: Optional[str], actual: Optional[str]
+    verdict: str, index: Optional[int], expected: Optional[str], actual: Optional[str]
 ) -> dict:
     return {
-        "verdict": verdict.value,
+        "verdict": verdict,
         "first_divergent_index": index,
         "expected": expected,
         "actual": actual,

@@ -304,9 +304,9 @@ def redact(report_json: dict, policy: Sequence[str]) -> dict:
             return [walk(item) for item in node]
         return node
 
-    import copy  # loaded only to redact, which no command runs
-
-    result = walk(copy.deepcopy(report_json))
+    # walk builds every dict and list anew, and JSON leaves are immutable:
+    # the input is never changed.
+    result = walk(report_json)
     for key in sorted(wanted - matched):
         import logging  # loaded only to warn: a policy that matches runs without it
 

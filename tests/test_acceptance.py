@@ -22,9 +22,6 @@ from synctrail.acquisition import (
 )
 from synctrail.cli import run
 from synctrail.correlation import (
-    Confidence,
-    FindingKind,
-    LinkTier,
     derive_cloud_usage_findings,
     detect_uninstall_evidence,
     estimate_clock_skew,
@@ -35,7 +32,6 @@ from synctrail.errors import InsufficientSupport
 from synctrail.evidence import EvidenceRecord
 from synctrail.osint import load_geo_table, resolve_ip
 from synctrail.preservation import (
-    Verdict,
     load_sealed_manifest,
     seal_dump,
     verify_chain,
@@ -124,10 +120,10 @@ def test_criterion_2_uninstall_evidence(golden_bundle, golden_cloud_log):
         uninstall = detect_uninstall_evidence(apps, events)
         findings = derive_cloud_usage_findings(links, uninstall, events)
         flagged = [
-            f for f in findings if f["kind"] == FindingKind.APP_USED_THEN_UNINSTALLED.value
+            f for f in findings if f["kind"] == "AppUsedThenUninstalled"
         ]
         assert len(flagged) == 1
-        assert flagged[0]["confidence"] == Confidence.HIGH.value
+        assert flagged[0]["confidence"] == "High"
         assert "com.example.ccs.osfunctionenable" in flagged[0]["narrative"]
 
 
@@ -142,7 +138,7 @@ def test_criterion_3_tamper_detection(tmp_path):
             dump = ingest_device_dump(case.bundle_dir)
             write_sealed_manifest(seal_dump(dump), case.bundle_dir)
             manifest = load_sealed_manifest(case.bundle_dir)
-            assert verify_chain(manifest, dump.records)["verdict"] == Verdict.INTACT.value
+            assert verify_chain(manifest, dump.records)["verdict"] == "Intact"
             bundles.append((case, dump, manifest))
 
         rng = random.Random(987)
@@ -153,7 +149,7 @@ def test_criterion_3_tamper_detection(tmp_path):
             mutated = list(dump.records)
             mutated[index] = mutate_attribute(dump.records[index], rng)
             report = verify_chain(manifest, mutated)
-            assert report["verdict"] == Verdict.TAMPERED.value
+            assert report["verdict"] == "Tampered"
             assert report["first_divergent_index"] == index
             trials += 1
 
@@ -164,14 +160,14 @@ def test_criterion_3_tamper_detection(tmp_path):
             shutil.copytree(case.bundle_dir, scratch)
             _, index = inject_tamper(scratch, seed=seed)
             report = verify_chain(load_sealed_manifest(scratch), ingest_device_dump(scratch).records)
-            assert report["verdict"] == Verdict.TAMPERED.value
+            assert report["verdict"] == "Tampered"
             assert report["first_divergent_index"] == index
             trials += 1
         assert trials >= 1000
 
         for case, dump, manifest in bundles:
             verification = verify_chain(manifest, ingest_device_dump(case.bundle_dir).records)
-            assert verification["verdict"] == Verdict.INTACT.value
+            assert verification["verdict"] == "Intact"
 
 
 def test_criterion_4_skew_recovery(tmp_path):
@@ -280,14 +276,14 @@ def test_criterion_5_correlation_oracle_equivalence(tmp_path):
                 exact = {
                     (l["device_record_id"], l["cloud_event_id"])
                     for l in links
-                    if l["tier"] == LinkTier.EXACT_DIGEST.value
+                    if l["tier"] == "ExactDigest"
                 }
                 assert exact == truth, f"seed {seed}: precision/recall below 1.0"
             else:
                 window = {
                     (l["device_record_id"], l["cloud_event_id"])
                     for l in links
-                    if l["tier"] == LinkTier.METADATA_WINDOW.value
+                    if l["tier"] == "MetadataWindow"
                 }
                 recall = len(window & truth) / len(truth) if truth else 1.0
                 assert recall >= 1.0, f"seed {seed}: metadata recall {recall}"

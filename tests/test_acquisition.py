@@ -151,6 +151,22 @@ class TestIngestDeviceDump:
         assert len(dump.records) == 1
         assert dump.ledger[0]["line"] == 2
 
+    @pytest.mark.parametrize("value", [1462875600, 12.5, True, ["2016-05-10T10:00:00Z"]])
+    def test_time_field_that_is_not_a_string_is_one_ledger_row(self, tmp_path, value):
+        bundle = write_bundle(
+            tmp_path / "b",
+            {"messages.jsonl": [
+                {"id": "m1", "peer": "+1", "delivered_at": value},
+                {"id": "m2", "peer": "+2", "delivered_at": "2016-05-10T10:00:00Z"},
+            ]},
+        )
+        dump = ingest_device_dump(bundle)
+        assert [r.record_id for r in dump.records] == ["m2"]
+        assert dump.ledger == (
+            {"file": "messages.jsonl", "line": 1,
+             "message": "delivered_at must be a string timestamp"},
+        )
+
     def test_duplicate_record_id_fatal(self, tmp_path):
         bundle = write_bundle(
             tmp_path / "b",
@@ -350,6 +366,21 @@ class TestParseAppInventory:
         assert apps == []
         assert "Sideloaded" in ledger[0]["message"]
 
+    @pytest.mark.parametrize("app", [{"status": "All"}, {"status": "All", "name": ""}])
+    def test_app_without_a_name_ledgered(self, tmp_path, app):
+        bundle = write_bundle(
+            tmp_path / "b",
+            {"installed_apps.jsonl": [
+                {"id": "a1", **app}, {"id": "a2", "name": "Y", "status": "All"}
+            ]},
+        )
+        ledger: list[dict] = []
+        apps = parse_app_inventory(ingest_device_dump(bundle), ledger)
+        assert [a.app_name for a in apps] == ["Y"]
+        assert ledger == [
+            {"file": "installed_apps.jsonl", "line": 1, "message": "app record without a name"}
+        ]
+
     def test_empty_inventory(self, tmp_path):
         bundle = write_bundle(tmp_path / "b", {})
         assert parse_app_inventory(ingest_device_dump(bundle)) == []
@@ -388,6 +419,30 @@ class TestIngestCloudLog:
         events = ingest_cloud_log(path, ledger)
         assert [e.event_id for e in events] == ["e2"]
         assert "Teleport" in ledger[0]["message"]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "Login", "ts": "2016-05-10T16:51:13Z"}, "event without an id"),
+            ({"id": "", "kind": "Login", "ts": "2016-05-10T16:51:13Z"}, "event without an id"),
+            ({"id": 7, "kind": "Login", "ts": "2016-05-10T16:51:13Z"}, "event without an id"),
+            ({"id": "e1", "kind": "Login"}, "event without a ts timestamp"),
+            ({"id": "e1", "kind": "Login", "ts": 1462899073}, "event without a ts timestamp"),
+            ({"id": "e1", "kind": "Login", "ts": "soon"},
+             "bad ts: timestamp 'soon' matches no supported grammar"),
+            ({"id": "e1", "kind": "Login", "ts": "2016-02-30T10:00:00Z"},
+             "bad ts: day 30 does not exist in 2016-02"),
+        ],
+    )
+    def test_event_without_a_usable_id_or_ts_is_one_ledger_row(self, tmp_path, fields, message):
+        path = tmp_path / "log.jsonl"
+        path.write_text(
+            json.dumps(fields) + '\n{"id":"e2","kind":"Login","ts":"2016-05-10T16:52:13Z"}\n'
+        )
+        ledger: list[dict] = []
+        events = ingest_cloud_log(path, ledger)
+        assert [e.event_id for e in events] == ["e2"]
+        assert ledger == [{"file": "log.jsonl", "line": 1, "message": message}]
 
     def test_duplicate_event_id_names_both_lines(self, tmp_path):
         rows = [

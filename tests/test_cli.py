@@ -98,6 +98,21 @@ class TestExitCodes:
             handle.write('{"id":"msg-8888","peer":"+3530","body":"late"}\n')
         assert run(["verify", str(case.bundle_dir)]) == 3
 
+    def test_verify_with_a_link_removed_is_three(self, tmp_path, capsys):
+        case = simulate(tmp_path)
+        assert run(["seal", str(case.bundle_dir)]) == 0
+        sealed = case.bundle_dir / "manifest.sealed.json"
+        data = json.loads(sealed.read_text(encoding="utf-8"))
+        data["record_links"].pop(5)
+        sealed.write_text(json.dumps(data), encoding="utf-8")
+        count = data["record_count"]
+        capsys.readouterr()
+        assert run(["verify", str(case.bundle_dir)]) == 3
+        assert capsys.readouterr().err == (
+            f"verification failed: manifest stores {count - 1} links for {count} records\n"
+            "chain verdict: Tampered\n"
+        )
+
     def test_missing_manifest_is_parse_fatal(self, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()
@@ -602,6 +617,25 @@ MALFORMED_INPUTS = [
     pytest.param("bundle/manifest.sealed.json", _with("record_count", "43"), "verify", 4,
                  "error: {path} field 'record_count' must be a count, got '43'",
                  id="sealed-count-as-string"),
+    pytest.param("bundle/manifest.sealed.json", lambda raw: b"[]", "verify", 4,
+                 "error: {path} must hold a JSON object", id="sealed-not-object"),
+    pytest.param("bundle/manifest.sealed.json", _with("examiner", 7), "verify", 4,
+                 "error: {path} field 'examiner' must be a string",
+                 id="sealed-examiner-not-string"),
+    pytest.param("bundle/manifest.sealed.json", _with("isolation_method", "Faraday"), "verify", 4,
+                 "error: {path} field 'isolation_method' has unknown value 'Faraday'",
+                 id="sealed-unknown-isolation"),
+    pytest.param("bundle/manifest.sealed.json", _with("collected_at", "yesterday"), "verify", 4,
+                 "error: {path} field 'collected_at': "
+                 "timestamp 'yesterday' matches no supported grammar",
+                 id="sealed-unparseable-collected-at"),
+    pytest.param("bundle/manifest.sealed.json", _with("record_links", "none"), "verify", 4,
+                 "error: {path} field 'record_links' must be a list",
+                 id="sealed-record-links-not-list"),
+    pytest.param("bundle/manifest.json", lambda raw: b"[]", "ingest", 4,
+                 "error: {path} must hold a JSON object", id="manifest-not-object"),
+    pytest.param("bundle/manifest.json", _without("dump_id"), "ingest", 4,
+                 "error: {path} missing field 'dump_id'", id="manifest-without-dump-id"),
     pytest.param("bundle/manifest.json", _with("zone_offset_minutes", "abc"), "ingest", 4,
                  "error: {path} field 'zone_offset_minutes' must be an integer, got 'abc'",
                  id="zone-offset-abc"),
@@ -754,8 +788,12 @@ class TestMalformedGeoTable:
             (b"10.0.0.0,10.0.0.255,IE,Dublin\n10.0.1.0,10.0.1.255,IE,"
              + b"x" * (_FIELD_LIMIT + 1) + b"\n",
              f":2: field larger than field limit ({_FIELD_LIMIT})"),
+            (b"# start,end,country,city\n10.0.0.0,10.0.0.255,IE\n", ":2: need 4 columns, got 3"),
+            (b"10.0.0.0,10.0.0.256,IE,Dublin\n",
+             ":1: Octet 256 (> 255) not permitted in '10.0.0.256'"),
+            (b"10.0.1.0,10.0.0.255,IE,Dublin\n", ":1: range end precedes start"),
         ],
-        ids=["not-utf8", "field-over-csv-limit"],
+        ids=["not-utf8", "field-over-csv-limit", "three-columns", "bad-ipv4", "end-before-start"],
     )
     @pytest.mark.parametrize("command", ["enrich", "run-all"])
     def test_exits_4_with_one_line_naming_the_table(

@@ -18,9 +18,6 @@ from synctrail.acquisition import (
     parse_app_inventory,
 )
 from synctrail.correlation import (
-    Confidence,
-    FindingKind,
-    LinkTier,
     build_timeline,
     count_malformed_digests,
     derive_cloud_usage_findings,
@@ -334,7 +331,7 @@ class TestMatchSyncedArtifacts:
         events = [cloud("e0", BASE + 1, digest=d)]
         links = match_synced_artifacts(records, events, zero_skew())
         assert len(links) == 1
-        assert links[0]["tier"] == LinkTier.EXACT_DIGEST.value
+        assert links[0]["tier"] == "ExactDigest"
         assert links[0]["time_delta_seconds"] == 1
 
     def test_each_side_used_at_most_once(self):
@@ -364,18 +361,34 @@ class TestMatchSyncedArtifacts:
         same = [cloud("e0", BASE + 10, name="IMG.jpg", size=100)]
         other_size = [cloud("e1", BASE + 10, name="IMG.jpg", size=999)]
         far = [cloud("e2", BASE + 301, name="IMG.jpg", size=100)]
-        assert match_synced_artifacts(records, same, zero_skew())[0]["tier"] == (
-            LinkTier.METADATA_WINDOW.value
-        )
+        assert match_synced_artifacts(records, same, zero_skew())[0]["tier"] == "MetadataWindow"
         assert match_synced_artifacts(records, other_size, zero_skew()) == []
         assert match_synced_artifacts(records, far, zero_skew(), window_seconds=300) == []
+
+    @pytest.mark.parametrize("size", ["12kb", "1.5", "", "twelve"])
+    def test_a_size_that_is_not_an_integer_is_matched_as_no_size(self, size):
+        unsized = device_file("r0", BASE, name="IMG.jpg")
+        badly_sized = EvidenceRecord(
+            record_id="r0",
+            category=ArtifactCategory.MESSAGE,
+            timestamp=ts(BASE),
+            attributes={**unsized.attributes, "size_bytes": size},
+            source=Source.DEVICE,
+        )
+        events = [cloud("e0", BASE + 10, name="IMG.jpg", size=100),
+                  cloud("e1", BASE + 20, name="IMG.jpg")]
+        links = [link_tuple(l) for l in match_synced_artifacts([badly_sized], events, zero_skew())]
+        assert links == [("r0", "e0", "MetadataWindow", 10)]
+        assert links == [
+            link_tuple(l) for l in match_synced_artifacts([unsized], events, zero_skew())
+        ]
 
     def test_undated_record_still_links_by_digest(self):
         d = digest_hex("undated")
         records = [device_file("r0", None, d)]
         events = [cloud("e0", BASE, digest=d)]
         links = match_synced_artifacts(records, events, zero_skew())
-        assert links[0]["tier"] == LinkTier.EXACT_DIGEST.value
+        assert links[0]["tier"] == "ExactDigest"
         assert links[0]["time_delta_seconds"] is None
 
     def test_matches_brute_force_on_dense_grid(self):
@@ -547,8 +560,8 @@ class TestUninstallEvidence:
         findings = detect_uninstall_evidence(apps, events)
         assert len(findings) == 1
         finding = findings[0]
-        assert finding["kind"] == FindingKind.APP_USED_THEN_UNINSTALLED.value
-        assert finding["confidence"] == Confidence.HIGH.value
+        assert finding["kind"] == "AppUsedThenUninstalled"
+        assert finding["confidence"] == "High"
         assert "com.example.ccs.osfunctionenable" in finding["narrative"]
         assert "app-0007" in finding["supporting_ids"]
         assert {"e1", "e2"} <= set(finding["supporting_ids"])
@@ -562,7 +575,7 @@ class TestUninstallEvidence:
         events = [cloud("e0", BASE, kind=EventKind.INSTALL, name="com.example.gone")]
         findings = detect_uninstall_evidence([], events)
         assert len(findings) == 1
-        assert findings[0]["confidence"] == Confidence.MEDIUM.value
+        assert findings[0]["confidence"] == "Medium"
         assert findings[0]["supporting_ids"] == ["e0"]
 
     def test_device_uninstall_without_cloud_events_is_silent(self):
@@ -585,8 +598,8 @@ class TestDeriveFindings:
         links = match_synced_artifacts(records, events, zero_skew())
         findings = derive_cloud_usage_findings(links, [], events)
         assert len(findings) == 1
-        assert findings[0]["kind"] == FindingKind.PROVEN_UPLOAD.value
-        assert findings[0]["confidence"] == Confidence.HIGH.value
+        assert findings[0]["kind"] == "ProvenUpload"
+        assert findings[0]["confidence"] == "High"
         assert findings[0]["supporting_ids"] == ["r0", "e0"]
         assert findings[0]["finding_id"] == "F001"
 
@@ -595,15 +608,22 @@ class TestDeriveFindings:
         events = [cloud("e0", BASE + 2, kind=EventKind.DOWNLOAD, name="doc.pdf", size=5)]
         links = match_synced_artifacts(records, events, zero_skew())
         findings = derive_cloud_usage_findings(links, [], events)
-        assert findings[0]["kind"] == FindingKind.PROVEN_DOWNLOAD.value
-        assert findings[0]["confidence"] == Confidence.MEDIUM.value
+        assert findings[0]["kind"] == "ProvenDownload"
+        assert findings[0]["confidence"] == "Medium"
+
+    def test_a_window_link_to_a_sync_event_gives_no_finding(self):
+        records = [device_file("r0", BASE, name="doc.pdf", size=5)]
+        events = [cloud("e0", BASE + 2, kind=EventKind.SYNC, name="doc.pdf", size=5)]
+        links = match_synced_artifacts(records, events, zero_skew())
+        assert [link_tuple(l) for l in links] == [("r0", "e0", "MetadataWindow", 2)]
+        assert derive_cloud_usage_findings(links, [], events) == []
 
     def test_empty_case_keeps_only_uninstall_findings(self):
         uninstall = detect_uninstall_evidence(
             [], [cloud("e0", BASE, kind=EventKind.INSTALL, name="com.example.gone")]
         )
         findings = derive_cloud_usage_findings([], uninstall, [])
-        assert [f["kind"] for f in findings] == [FindingKind.APP_USED_THEN_UNINSTALLED.value]
+        assert [f["kind"] for f in findings] == ["AppUsedThenUninstalled"]
 
     def test_account_activity_per_login_account(self):
         events = [
@@ -612,7 +632,7 @@ class TestDeriveFindings:
             cloud("e2", BASE + 9, kind=EventKind.LOGIN, account="a@x"),
         ]
         findings = derive_cloud_usage_findings([], [], events)
-        assert [f["kind"] for f in findings] == [FindingKind.ACCOUNT_ACTIVITY.value] * 2
+        assert [f["kind"] for f in findings] == ["AccountActivity"] * 2
         # Final order is (kind, first supporting id): e0 before e1.
         assert findings[0]["supporting_ids"] == ["e0"]
         assert "b@x" in findings[0]["narrative"]
@@ -633,7 +653,7 @@ class TestDeriveFindings:
         upload_pairs = {
             tuple(f["supporting_ids"])
             for f in findings
-            if f["kind"] in (FindingKind.PROVEN_UPLOAD.value, FindingKind.PROVEN_DOWNLOAD.value)
+            if f["kind"] in ("ProvenUpload", "ProvenDownload")
         }
         assert upload_pairs == set(case.ground_truth.true_links)
 
@@ -649,8 +669,8 @@ class TestDeriveFindings:
         uninstall = detect_uninstall_evidence([], events)
         findings = derive_cloud_usage_findings(links, uninstall, events)
         assert [f["kind"] for f in findings] == [
-            FindingKind.PROVEN_UPLOAD.value,
-            FindingKind.APP_USED_THEN_UNINSTALLED.value,
-            FindingKind.ACCOUNT_ACTIVITY.value,
+            "ProvenUpload",
+            "AppUsedThenUninstalled",
+            "AccountActivity",
         ]
         assert [f["finding_id"] for f in findings] == ["F001", "F002", "F003"]

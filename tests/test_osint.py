@@ -15,7 +15,6 @@ from synctrail.acquisition import ingest_device_dump
 from synctrail.errors import MalformedTable
 from synctrail.evidence import ArtifactCategory, EvidenceRecord, Source, UtcTimestamp
 from synctrail.osint import (
-    IdKind,
     build_identity_graph,
     load_geo_table,
     normalize_identifier,
@@ -56,12 +55,12 @@ def owner(address: str) -> EvidenceRecord:
     return record(ArtifactCategory.CONFIGURED_EMAIL, address_or_number=address)
 
 
-OWNER = (IdKind.EMAIL.value, "owner@x.com")
-PEER = (IdKind.PHONE.value, "+3531")
+OWNER = ("Email", "owner@x.com")
+PEER = ("Phone", "+3531")
 
 
 def phone(number: str) -> tuple[str, str]:
-    return (IdKind.PHONE.value, number)
+    return ("Phone", number)
 
 
 def graph_of(records) -> tuple[set, dict]:
@@ -85,7 +84,7 @@ class TestNormalizeIdentifier:
         assert normalize_identifier("0870000001") == phone("0870000001")
 
     def test_email_lowercased(self):
-        assert normalize_identifier("Alice@X.COM") == (IdKind.EMAIL.value, "alice@x.com")
+        assert normalize_identifier("Alice@X.COM") == ("Email", "alice@x.com")
 
     def test_empty_and_junk(self):
         assert normalize_identifier("") is None

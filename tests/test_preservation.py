@@ -20,7 +20,6 @@ from synctrail.evidence import (
 )
 from synctrail.preservation import (
     IsolationMethod,
-    Verdict,
     chain_digest,
     diff_acquisitions,
     load_sealed_manifest,
@@ -111,7 +110,7 @@ class TestVerifyChain:
     def test_unmodified_is_intact(self):
         records = [record(f"r{i}", k=str(i)) for i in range(8)]
         report = verify_chain(self.make_sealed(records), records)
-        assert report["verdict"] == Verdict.INTACT.value
+        assert report["verdict"] == "Intact"
         assert report["first_divergent_index"] is None
         assert report["expected"] is None and report["actual"] is None
 
@@ -122,9 +121,21 @@ class TestVerifyChain:
         tampered = list(records)
         tampered[k] = mutate_record(records[k], "k", 2)
         report = verify_chain(manifest, tampered)
-        assert report["verdict"] == Verdict.TAMPERED.value
+        assert report["verdict"] == "Tampered"
         assert report["first_divergent_index"] == k
         assert report["expected"] is not None and report["actual"] is not None
+
+    def test_altered_head_with_every_link_intact_is_tampered_at_index_0(self):
+        records = [record(f"r{i}", k=str(i)) for i in range(8)]
+        manifest = self.make_sealed(records)
+        head = manifest["chain_head"]
+        manifest["chain_head"] = "0" * 64
+        assert verify_chain(manifest, records) == {
+            "verdict": "Tampered",
+            "first_divergent_index": 0,
+            "expected": "0" * 64,
+            "actual": head,
+        }
 
     def test_appended_record_is_count_mismatch(self):
         records = [record("r1", k="1")]
@@ -149,7 +160,7 @@ class TestVerifyChain:
         tampered = list(records)
         tampered[k] = mutate_record(records[k], "payload", pos)
         report = verify_chain(manifest, tampered)
-        assert report["verdict"] == Verdict.TAMPERED.value
+        assert report["verdict"] == "Tampered"
         assert report["first_divergent_index"] == k
 
 
@@ -162,7 +173,7 @@ class TestSealAndLoad:
         assert path.name == "manifest.sealed.json"
         loaded = load_sealed_manifest(case.bundle_dir)
         assert loaded == manifest
-        assert verify_chain(loaded, dump.records)["verdict"] == Verdict.INTACT.value
+        assert verify_chain(loaded, dump.records)["verdict"] == "Intact"
 
     def test_sealed_file_carries_hex_fields(self, tmp_path):
         case = generate_case(SimParams(seed=12, n_uploads=1), tmp_path)
@@ -208,7 +219,7 @@ class TestSealedManifestAsWritten:
         out = tmp_path / "out"
         assert run(["verify", str(bundle), "--out", str(out)]) == 3
         verification = json.loads((out / "verification.json").read_text())
-        assert verification["verdict"] == Verdict.TAMPERED.value
+        assert verification["verdict"] == "Tampered"
         assert verification["first_divergent_index"] == index
         assert verification["expected"] == links[index]
         assert verification["expected"] == verification["expected"].lower()

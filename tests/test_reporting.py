@@ -13,6 +13,7 @@ from synctrail.acquisition import (
     ingest_device_dump,
     parse_app_inventory,
 )
+from synctrail.cli import run
 from synctrail.correlation import (
     build_timeline,
     derive_cloud_usage_findings,
@@ -252,3 +253,41 @@ class TestRedact:
         data = self.report_with_bodies()
         redact(data, ["body"])
         assert data["timeline"][0]["attributes"]["body"] == "secret plans"
+
+    def test_a_bulk_report_is_redacted_into_new_containers(self, tmp_path):
+        """A report of perfbench's sync-bulk size: 3,215 records, 2,000 links."""
+        case = tmp_path / "case"
+        argv = ["simulate", "--seed", "1", "--uploads", "2000", "--messages", "800",
+                "--calls", "200", "--apps", "200", "--skew-seconds", "300", "--out", str(case)]
+        assert run(argv) == 0
+        out = tmp_path / "out"
+        log = case / "cloud_events.jsonl"
+        assert run(["run-all", str(case / "bundle"), str(log), "--out", str(out)]) == 0
+        text = (out / "sim-1.report.json").read_text(encoding="utf-8")
+        report, snapshot = json.loads(text), json.loads(text)
+
+        result = redact(report, ["narrative", "id", "supporting_ids", "a", "imei"])
+
+        assert report == snapshot
+        inputs = {id(node) for node in containers(report)}
+        assert [node for node in containers(result) if id(node) in inputs] == []
+        encoded = json.dumps(result, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        assert hashlib.sha256(encoded).hexdigest() == REDACTED_BULK_REPORT
+
+
+# SHA-256 of the redacted sync-bulk report, compact JSON.
+REDACTED_BULK_REPORT = "9beef127d73bedeb1f44f217f3ec34f482c0078f6937d81982bb340709cf9c50"
+
+
+def containers(node: object) -> list:
+    """Every dict and list in a JSON value, the value itself included."""
+    found, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            found.append(node)
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            found.append(node)
+            stack.extend(node)
+    return found

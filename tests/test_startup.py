@@ -5,9 +5,9 @@ compiled and run before the command does anything. So importing the
 command-line module must not load the simulator, nor the standard
 modules that only one rarely used path needs: ``csv`` (``--geo-table``),
 ``html`` (the HTML report), ``logging`` (one redaction warning),
-``copy`` (redaction, and a report missing a stage file) and
-``calendar``; nor ``dataclasses`` and the ``inspect`` it loads, which
-only the simulator uses.
+``copy`` (a report missing a stage file) and ``calendar``; nor
+``dataclasses`` and the ``inspect`` it loads, which only the simulator
+uses.
 """
 
 from __future__ import annotations
@@ -56,20 +56,37 @@ def test_importing_the_cli_loads_nothing_a_command_may_not_run():
 # its stage file.
 DATACLASSES: list[str] = []
 
-_DATACLASS_CENSUS = """
-import dataclasses, sys
+# An enum is kept only where code holds and compares its members: a typed
+# field or parameter. Link tiers, finding kinds, confidences, verdicts and
+# identifier kinds are the plain strings that REPORT_SCHEMA.md lists.
+ENUMS = [
+    "AppStatus", "ArtifactCategory", "EventKind", "IsolationMethod", "Locale", "ReportFormat",
+    "Source",
+]
+
+_CENSUS = """
+import dataclasses, enum, sys
 import synctrail.cli
 for name, module in sorted(sys.modules.items()):
     for value in vars(module).values() if name.partition(".")[0] == "synctrail" else ():
-        if isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == name:
+        if isinstance(value, type) and value.__module__ == name and {test}:
             print(value.__qualname__)
 """
 
 
-def test_importing_the_cli_creates_only_the_kept_dataclasses():
-    result = python("-c", _DATACLASS_CENSUS)
+def classes_created(test: str) -> list[str]:
+    """The classes that ``import synctrail.cli`` creates in synctrail and ``test`` accepts."""
+    result = python("-c", _CENSUS.format(test=test))
     assert result.returncode == 0, result.stderr
-    assert sorted(result.stdout.split()) == DATACLASSES
+    return sorted(result.stdout.split())
+
+
+def test_importing_the_cli_creates_only_the_kept_dataclasses():
+    assert classes_created("dataclasses.is_dataclass(value)") == DATACLASSES
+
+
+def test_importing_the_cli_creates_only_the_kept_enums():
+    assert classes_created("issubclass(value, enum.Enum)") == ENUMS
 
 
 def test_verify_runs_without_them(tmp_path):
