@@ -653,10 +653,11 @@ def dump_to_json_dict(dump: DeviceDump) -> dict:
         "records": [
             {
                 "record_id": r.record_id,
-                "category": r.category.value,
+                # _value_ is what .value returns, without its descriptor call.
+                "category": r.category._value_,
                 "timestamp": r.timestamp.original_text if r.timestamp else None,
                 "timestamp_utc": r.timestamp.to_iso() if r.timestamp else None,
-                "source": r.source.value,
+                "source": r.source._value_,
                 "attributes": dict(r.attributes),
                 "digest": r.digest.hex(),
             }

@@ -13,20 +13,31 @@ from __future__ import annotations
 import contextlib
 import os
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 
-def write_bytes(path: Path, data: bytes) -> None:
-    """Replace ``path`` with ``data``, creating its directory if needed.
+@contextlib.contextmanager
+def replacing(path: Path) -> Iterator[BinaryIO]:
+    """Yield a binary file that replaces ``path`` when the block succeeds.
 
-    The temporary file is removed again when writing or renaming fails.
+    The file is a temporary one in ``path``'s directory, which is
+    created if needed. When the block ends, the file is closed and
+    renamed over ``path``; when the block, the close or the rename
+    fails, the temporary file is removed and ``path`` is left as it was.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "wb") as handle:
-            handle.write(data)
+            yield handle
         os.replace(temp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(temp)
         raise
+
+
+def write_bytes(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data``, creating its directory if needed."""
+    with replacing(path) as handle:
+        handle.write(data)

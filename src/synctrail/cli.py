@@ -43,6 +43,7 @@ from .correlation import (
     count_malformed_digests,
     derive_cloud_usage_findings,
     detect_uninstall_evidence,
+    digest_index,
     estimate_clock_skew,
     match_synced_artifacts,
     zero_skew,
@@ -218,7 +219,9 @@ def _step_correlate(
 ) -> Stages:
     cloud_ledger: list[dict] = []
     events = ingest_cloud_log(cloud_log, cloud_ledger)
-    malformed = count_malformed_digests(dump.records)
+    # One digest index feeds the malformed-digest note, skew and matching.
+    index = digest_index(dump.records, events)
+    malformed = count_malformed_digests(dump.records, index)
     if malformed:
         _say(
             f"note: {malformed} device record(s) carry a content_digest that is not 64 hex "
@@ -226,12 +229,13 @@ def _step_correlate(
         )
 
     try:
-        skew = estimate_clock_skew(dump.records, events, min_support)
+        skew = estimate_clock_skew(dump.records, events, min_support, index)
     except InsufficientSupport as exc:
         _say(f"warning: {exc}; proceeding with offset 0")
         skew = zero_skew()
 
-    links = match_synced_artifacts(dump.records, events, skew, window_seconds)
+    links = match_synced_artifacts(dump.records, events, skew, window_seconds, index)
+    del index  # nothing past matching reads it: free it before the timeline is built
     timeline = build_timeline(dump.records, events, skew)
     uninstall = detect_uninstall_evidence(apps, events)
     findings = derive_cloud_usage_findings(links, uninstall, events)
@@ -289,7 +293,8 @@ def _step_report(out: Path, stages: Stages, case_id: Optional[str], format: Repo
             f"dump id {report['case_id']!r} cannot name the report file: it {problem}"
         )
     path = out / f"{report['case_id']}.report.{format.value}"
-    atomic.write_bytes(path, render_report(report, format))
+    with atomic.replacing(path) as handle:
+        render_report(report, handle, format)
     _say(f"report written to {path}")
     return path
 
@@ -315,7 +320,27 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand's help line, in the order `--help` lists them.
+_COMMANDS = {
+    "simulate": "generate a synthetic case with ground truth",
+    "ingest": "parse a bundle into dump.json",
+    "seal": "compute the custody chain over a bundle",
+    "verify": "verify a sealed bundle (exit 3 when tampered)",
+    "diff": "compare two acquisitions of the same device",
+    "correlate": "estimate skew, match artifacts, derive findings",
+    "enrich": "identity graph and offline IP geolocation",
+    "report": "render the case report from prior stage outputs",
+    "run-all": "ingest, seal, verify, correlate, enrich, report",
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command line's parser.
+
+    Every subcommand is listed, but when ``command`` names one, only it
+    gets its arguments: parsing that command, or its ``--help``, reads
+    no other. Any other ``command``, None included, gets them all.
+    """
     parser = _Parser(
         prog="synctrail",
         description=(
@@ -325,8 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"synctrail {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command == name or command not in _COMMANDS:
+            _add_arguments(name, p)
+    return parser
 
-    def add_locale(p: argparse.ArgumentParser) -> None:
+
+def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
+    """Add the arguments of subcommand ``command`` to its parser ``p``."""
+
+    def add_locale() -> None:
         p.add_argument(
             "--locale",
             choices=sorted(m.value for m in Locale),
@@ -334,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="reading order for legacy DD/MM timestamps (default: day-first)",
         )
 
-    def add_out(p: argparse.ArgumentParser) -> None:
+    def add_out() -> None:
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
-    def add_correlation(p: argparse.ArgumentParser) -> None:
+    def add_correlation() -> None:
         p.add_argument(
             "--window-seconds", type=_int_at_least(0), default=DEFAULT_WINDOW_SECONDS
         )
@@ -345,83 +379,83 @@ def build_parser() -> argparse.ArgumentParser:
             "--min-skew-support", type=_int_at_least(1), default=DEFAULT_MIN_SKEW_SUPPORT
         )
 
-    p = sub.add_parser("simulate", help="generate a synthetic case with ground truth")
-    add_out(p)
-    p.add_argument("--seed", type=int, required=True, help="64-bit generator seed")
-    p.add_argument("--apps", type=int, default=6)
-    p.add_argument("--messages", type=int, default=8)
-    p.add_argument("--calls", type=int, default=4)
-    p.add_argument("--uploads", type=int, default=10)
-    p.add_argument("--skew-seconds", type=int, default=0)
-    p.add_argument("--sync-lag-max", type=int, default=2)
-    p.add_argument("--uninstall-fraction", type=float, default=0.2)
-    p.add_argument("--no-digest-logging", action="store_true")
+    if command == "simulate":
+        add_out()
+        p.add_argument("--seed", type=int, required=True, help="64-bit generator seed")
+        p.add_argument("--apps", type=int, default=6)
+        p.add_argument("--messages", type=int, default=8)
+        p.add_argument("--calls", type=int, default=4)
+        p.add_argument("--uploads", type=int, default=10)
+        p.add_argument("--skew-seconds", type=int, default=0)
+        p.add_argument("--sync-lag-max", type=int, default=2)
+        p.add_argument("--uninstall-fraction", type=float, default=0.2)
+        p.add_argument("--no-digest-logging", action="store_true")
+    elif command == "ingest":
+        p.add_argument("bundle", type=Path)
+        add_out()
+        add_locale()
+        p.add_argument(
+            "--dump-canonical",
+            type=Path,
+            metavar="FILE",
+            help="debug: also write the concatenated canonical record bytes",
+        )
+    elif command == "seal":
+        p.add_argument("bundle", type=Path)
+        add_locale()
+        p.add_argument("--examiner", default="unknown")
+        p.add_argument("--isolation", choices=sorted(_ISOLATION), default="none")
+    elif command == "verify":
+        p.add_argument("bundle", type=Path)
+        add_locale()
+        p.add_argument("--out", type=Path, default=None, help="also write verification.json here")
+    elif command == "diff":
+        p.add_argument("bundle_a", type=Path)
+        p.add_argument("bundle_b", type=Path)
+        add_out()
+        add_locale()
+        p.add_argument("--allow-device-mismatch", action="store_true")
+    elif command == "correlate":
+        p.add_argument("bundle", type=Path)
+        p.add_argument("cloud_log", type=Path)
+        add_out()
+        add_locale()
+        add_correlation()
+    elif command == "enrich":
+        p.add_argument("bundle", type=Path)
+        add_out()
+        add_locale()
+        p.add_argument("--geo-table", type=Path, default=None, help="CSV range table")
+    elif command == "report":
+        add_out()
+        p.add_argument("--case-id", type=_case_id, default=None)
+        p.add_argument("--format", choices=sorted(m.value for m in ReportFormat), default="json")
+    else:  # run-all
+        p.add_argument("bundle", type=Path)
+        p.add_argument("cloud_log", type=Path)
+        add_out()
+        add_locale()
+        add_correlation()
+        p.add_argument("--examiner", default="unknown")
+        p.add_argument("--isolation", choices=sorted(_ISOLATION), default="none")
+        p.add_argument("--geo-table", type=Path, default=None)
+        p.add_argument("--case-id", type=_case_id, default=None)
+        p.add_argument("--format", choices=sorted(m.value for m in ReportFormat), default="json")
 
-    p = sub.add_parser("ingest", help="parse a bundle into dump.json")
-    p.add_argument("bundle", type=Path)
-    add_out(p)
-    add_locale(p)
-    p.add_argument(
-        "--dump-canonical",
-        type=Path,
-        metavar="FILE",
-        help="debug: also write the concatenated canonical record bytes",
-    )
 
-    p = sub.add_parser("seal", help="compute the custody chain over a bundle")
-    p.add_argument("bundle", type=Path)
-    add_locale(p)
-    p.add_argument("--examiner", default="unknown")
-    p.add_argument("--isolation", choices=sorted(_ISOLATION), default="none")
+def _command_named(argv: Sequence[str]) -> Optional[str]:
+    """The subcommand that ``argv`` runs: its first word that is not an option.
 
-    p = sub.add_parser("verify", help="verify a sealed bundle (exit 3 when tampered)")
-    p.add_argument("bundle", type=Path)
-    add_locale(p)
-    p.add_argument("--out", type=Path, default=None, help="also write verification.json here")
-
-    p = sub.add_parser("diff", help="compare two acquisitions of the same device")
-    p.add_argument("bundle_a", type=Path)
-    p.add_argument("bundle_b", type=Path)
-    add_out(p)
-    add_locale(p)
-    p.add_argument("--allow-device-mismatch", action="store_true")
-
-    p = sub.add_parser("correlate", help="estimate skew, match artifacts, derive findings")
-    p.add_argument("bundle", type=Path)
-    p.add_argument("cloud_log", type=Path)
-    add_out(p)
-    add_locale(p)
-    add_correlation(p)
-
-    p = sub.add_parser("enrich", help="identity graph and offline IP geolocation")
-    p.add_argument("bundle", type=Path)
-    add_out(p)
-    add_locale(p)
-    p.add_argument("--geo-table", type=Path, default=None, help="CSV range table")
-
-    p = sub.add_parser("report", help="render the case report from prior stage outputs")
-    add_out(p)
-    p.add_argument("--case-id", type=_case_id, default=None)
-    p.add_argument("--format", choices=sorted(m.value for m in ReportFormat), default="json")
-
-    p = sub.add_parser("run-all", help="ingest, seal, verify, correlate, enrich, report")
-    p.add_argument("bundle", type=Path)
-    p.add_argument("cloud_log", type=Path)
-    add_out(p)
-    add_locale(p)
-    add_correlation(p)
-    p.add_argument("--examiner", default="unknown")
-    p.add_argument("--isolation", choices=sorted(_ISOLATION), default="none")
-    p.add_argument("--geo-table", type=Path, default=None)
-    p.add_argument("--case-id", type=_case_id, default=None)
-    p.add_argument("--format", choices=sorted(m.value for m in ReportFormat), default="json")
-
-    return parser
+    The tool's own options take no value, so that word is the command.
+    """
+    return next((word for word in argv if not word.startswith("-")), None)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments, execute one subcommand, return the exit code."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(_command_named(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

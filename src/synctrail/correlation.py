@@ -56,30 +56,6 @@ def zero_skew() -> dict:
     return {"offset_seconds": 0, "support_count": 0, "spread_seconds": 0, "fallback": True}
 
 
-def _record_digest_attr(record: EvidenceRecord) -> Optional[str]:
-    """The record's content digest in lowercase hex; None unless it is 64 hex digits."""
-    raw = record.attributes.get(CONTENT_DIGEST_ATTR)
-    if raw is None:
-        return None
-    try:
-        return checked_digest_hex(raw)
-    except ValueError:
-        return None
-
-
-def count_malformed_digests(device_records: Sequence[EvidenceRecord]) -> int:
-    """How many records carry a content digest attribute that is not 64 hex digits.
-
-    Such a value names no content: it gives no skew support and no
-    ExactDigest link, and the record is matched as if it had none.
-    """
-    return sum(
-        1
-        for record in device_records
-        if CONTENT_DIGEST_ATTR in record.attributes and _record_digest_attr(record) is None
-    )
-
-
 def _record_size(record: EvidenceRecord) -> Optional[int]:
     raw = record.attributes.get(SIZE_ATTR)
     if raw is None:
@@ -90,13 +66,25 @@ def _record_size(record: EvidenceRecord) -> Optional[int]:
         return None
 
 
-def _shared_digests(
-    device_records: Sequence[EvidenceRecord], cloud_events: Sequence[CloudEvent]
-) -> list[tuple[Sequence[tuple[int, str]], Sequence[str], list[tuple[int, str]]]]:
-    """Each content digest both sides carry, as (dated, undated, events).
+# Each content digest both sides carry, as (dated, undated, events):
+# dated records and events are (time, id) pairs with uncorrected times,
+# undated records are their ids.
+SharedDigest = tuple[Sequence[tuple[int, str]], Sequence[str], list[tuple[int, str]]]
 
-    Dated records and events are (time, id) pairs with uncorrected
-    times; undated records are their ids.
+# What skew, matching and the malformed-digest note read about content
+# digests: the shared digests, and how many device records carry a
+# content digest that is not 64 hex digits.
+DigestIndex = tuple[list[SharedDigest], int]
+
+
+def digest_index(
+    device_records: Sequence[EvidenceRecord], cloud_events: Sequence[CloudEvent]
+) -> DigestIndex:
+    """Index the content digests of both sides in one pass over each.
+
+    ``estimate_clock_skew``, ``match_synced_artifacts`` and
+    ``count_malformed_digests`` each build it when not given one; a
+    caller that runs all three can build it once and pass it to each.
     """
     events_by_digest: dict[str, list[tuple[int, str]]] = {}
     for event in cloud_events:
@@ -104,12 +92,18 @@ def _shared_digests(
             events_by_digest.setdefault(event.content_digest, []).append(
                 (event.timestamp.seconds_since_epoch, event.event_id)
             )
-    if not events_by_digest:
-        return []
     dated: dict[str, list[tuple[int, str]]] = {}
     undated: dict[str, list[str]] = {}
+    malformed = 0
     for record in device_records:
-        digest = _record_digest_attr(record)
+        raw = record.attributes.get(CONTENT_DIGEST_ATTR)
+        if raw is None:
+            continue
+        try:
+            digest = checked_digest_hex(raw)
+        except ValueError:
+            malformed += 1
+            continue
         if digest in events_by_digest:
             if record.timestamp is None:
                 undated.setdefault(digest, []).append(record.record_id)
@@ -117,17 +111,33 @@ def _shared_digests(
                 dated.setdefault(digest, []).append(
                     (record.timestamp.seconds_since_epoch, record.record_id)
                 )
-    return [
+    shared = [
         (dated.get(digest, ()), undated.get(digest, ()), events)
         for digest, events in events_by_digest.items()
         if digest in dated or digest in undated
     ]
+    return shared, malformed
+
+
+def count_malformed_digests(
+    device_records: Sequence[EvidenceRecord], index: Optional[DigestIndex] = None
+) -> int:
+    """How many records carry a content digest attribute that is not 64 hex digits.
+
+    Such a value names no content: it gives no skew support and no
+    ExactDigest link, and the record is matched as if it had none.
+    ``index`` is ``digest_index`` over these records, built here if not given.
+    """
+    if index is None:
+        index = digest_index(device_records, ())
+    return index[1]
 
 
 def estimate_clock_skew(
     device_records: Sequence[EvidenceRecord],
     cloud_events: Sequence[CloudEvent],
     min_support: int = DEFAULT_MIN_SKEW_SUPPORT,
+    index: Optional[DigestIndex] = None,
 ) -> dict:
     """Estimate cloud-minus-device clock offset from one-to-one digest pairs.
 
@@ -143,12 +153,15 @@ def estimate_clock_skew(
     used), ``spread_seconds`` (the largest minus the smallest delta) and
     ``fallback`` false; ``zero_skew`` is the one with ``fallback`` true.
     Raises InsufficientSupport when there are no pairs or fewer than
-    ``min_support``.
+    ``min_support``. ``index`` is ``digest_index`` over both sides,
+    built here if not given.
     """
+    if index is None:
+        index = digest_index(device_records, cloud_events)
     # The exact tier's digest index, read for the digests with one item per side.
     deltas = sorted(
         events[0][0] - dated[0][0]
-        for dated, undated, events in _shared_digests(device_records, cloud_events)
+        for dated, undated, events in index[0]
         if len(events) == 1 and len(dated) == 1 and not undated
     )
     if not deltas or len(deltas) < min_support:
@@ -374,6 +387,7 @@ def match_synced_artifacts(
     cloud_events: Sequence[CloudEvent],
     skew: dict,
     window_seconds: int = DEFAULT_WINDOW_SECONDS,
+    index: Optional[DigestIndex] = None,
 ) -> list[dict]:
     """Match device artifacts to the cloud events that mirror them.
 
@@ -386,12 +400,15 @@ def match_synced_artifacts(
     corrected gap within the window. Each digest and each object is
     swept in time order (see ``_Sweep``), so no pass builds the cross
     product of a repeated key. Output is the ``links.json`` rows, sorted
-    by (tier, device record id).
+    by (tier, device record id). ``index`` is ``digest_index`` over both
+    sides, built here if not given.
     """
     used_records: set[str] = set()
     used_events: set[str] = set()
 
-    shared = _shared_digests(device_records, cloud_events)
+    if index is None:
+        index = digest_index(device_records, cloud_events)
+    shared = index[0]
     exact = _Sweep(used_records, used_events, skew["offset_seconds"], max_gap=None)
     for dated, _, events in shared:
         # An item carries one digest, so it sits in that digest's line only.
@@ -445,7 +462,7 @@ def build_timeline(
         else:
             rows.append(
                 (stamp.seconds_since_epoch, 0, record.record_id, stamp.to_iso(),
-                 record.category.value)
+                 record.category._value_)  # .value, without its descriptor call
             )
     offset = skew["offset_seconds"]
     for event in cloud_events:
@@ -455,7 +472,7 @@ def build_timeline(
             iso = epoch_to_iso(seconds)
         else:
             seconds, iso = stamp.seconds_since_epoch, stamp.to_iso()
-        rows.append((seconds, 1, event.event_id, iso, event.kind.value))
+        rows.append((seconds, 1, event.event_id, iso, event.kind._value_))
     rows.sort()
     sources = (Source.DEVICE.value, Source.CLOUD.value)
     return {

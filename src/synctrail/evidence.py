@@ -300,6 +300,11 @@ def checked_digest_hex(text: object) -> str:
     raise ValueError(f"digest must be 64 hex characters, got {text!r}")
 
 
+# The epoch of 00:00:00 UTC on each ISO date text that has been read
+# and found valid: one entry per day of 1970-2100 at most.
+_DAY_STARTS: dict[str, int] = {}
+
+
 def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> UtcTimestamp:
     """Parse a source timestamp into UTC, preserving the raw text.
 
@@ -312,9 +317,16 @@ def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> U
     m = _ISO_RE.fullmatch(raw)
     if m:
         year, month, day, hour, minute, second, zone = m.groups()
-        epoch = _epoch_from_civil(
-            int(year), int(month), int(day), int(hour), int(minute), int(second)
-        )
+        hour, minute, second = int(hour), int(minute), int(second)
+        date = raw[:10]
+        day_start = _DAY_STARTS.get(date)
+        if day_start is None or hour > 23 or minute > 59 or second > 59:
+            # A date read for the first time, or a time that does not exist:
+            # checked here, raising what it always raised.
+            epoch = _epoch_from_civil(int(year), int(month), int(day), hour, minute, second)
+            _DAY_STARTS[date] = epoch - (hour * 3600 + minute * 60 + second)
+        else:
+            epoch = day_start + hour * 3600 + minute * 60 + second
         if zone == "Z":
             # Text that _ISO_RE matched holds no separator, and a validated
             # year puts a Z time in 1970-2100: UtcTimestamp's checks hold
@@ -381,10 +393,22 @@ def check_epoch(epoch: int) -> int:
     return epoch
 
 
+# The "YYYY-MM-DDT" text of each day number rendered, for days in 1970-2100.
+_ISO_DATES: dict[int, str] = {}
+
+
 def epoch_to_iso(epoch: int) -> str:
     """Render UTC epoch seconds as YYYY-MM-DDTHH:MM:SSZ."""
-    y, mo, d, h, mi, s = civil_from_epoch(epoch)
-    return f"{y:04d}-{mo:02d}-{d:02d}T{h:02d}:{mi:02d}:{s:02d}Z"
+    days, second = divmod(epoch, 86400)
+    date = _ISO_DATES.get(days)
+    if date is None:
+        y, mo, d = civil_from_epoch(days * 86400)[:3]
+        date = f"{y:04d}-{mo:02d}-{d:02d}T"
+        if EPOCH_MIN <= epoch <= EPOCH_MAX:
+            _ISO_DATES[days] = date
+    hour, second = divmod(second, 3600)
+    minute, second = divmod(second, 60)
+    return f"{date}{hour:02d}:{minute:02d}:{second:02d}Z"
 
 
 def civil_from_epoch(epoch: int) -> tuple[int, int, int, int, int, int]:

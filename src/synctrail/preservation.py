@@ -155,8 +155,9 @@ def _verification(
 def diff_acquisitions(a: DeviceDump, b: DeviceDump, allow_device_mismatch: bool = False) -> dict:
     """Compare two acquisitions record-by-record, matched on record id.
 
-    Both dumps must claim the same device (equal IMEI) unless the
-    override flag is set. Returns the ``diff.json`` payload: the ids
+    Both dumps must state the same device IMEI unless the override flag
+    is set: a dump that states none cannot be shown to come from the
+    other's device. Returns the ``diff.json`` payload: the ids
     ``added`` to ``b``, ``removed`` from it and ``changed`` (present in
     both, with different digests), each sorted, and the
     ``identical_count``.
@@ -164,10 +165,15 @@ def diff_acquisitions(a: DeviceDump, b: DeviceDump, allow_device_mismatch: bool 
     imei_a = a.device["imei"]
     imei_b = b.device["imei"]
     if not allow_device_mismatch and (imei_a is None or imei_a != imei_b):
-        raise DeviceMismatch(
-            f"dumps claim different devices (imei {imei_a!r} vs {imei_b!r}); "
-            "pass the override flag to diff anyway"
-        )
+        if imei_a is None or imei_b is None:
+            unstated = (
+                "neither dump states an IMEI" if imei_a is None and imei_b is None
+                else f"the {'first' if imei_a is None else 'second'} dump states no IMEI"
+            )
+            reason = f"{unstated}, so the dumps cannot be shown to come from one device"
+        else:
+            reason = f"dumps claim different devices (imei {imei_a!r} vs {imei_b!r})"
+        raise DeviceMismatch(f"{reason}; pass the override flag to diff anyway")
     by_id_a = {r.record_id: r for r in a.records}
     by_id_b = {r.record_id: r for r in b.records}
     added = sorted(set(by_id_b) - set(by_id_a))

@@ -13,7 +13,9 @@ import hashlib
 import json
 import re
 from enum import Enum
-from typing import Any, Callable, Mapping, Optional, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Any, BinaryIO, Callable, Mapping, Optional, Sequence
 
 from .correlation import DEFAULT_MIN_SKEW_SUPPORT, DEFAULT_WINDOW_SECONDS
 from .evidence import Locale
@@ -183,31 +185,47 @@ def build_case_report(
     }
 
 
-def render_report(report: dict, format: ReportFormat = ReportFormat.JSON) -> bytes:
-    """Render a report; same report in, same bytes out, in every format."""
-    if format is ReportFormat.JSON:
-        return _render_json(report).encode("utf-8")
-    if format is ReportFormat.MARKDOWN:
-        return _render_markdown(report).encode("utf-8")
-    return _render_html(report).encode("utf-8")
+def render_report(
+    report: dict, out: BinaryIO, format: ReportFormat = ReportFormat.JSON
+) -> None:
+    """Write a report to the binary file ``out``; same report in, same bytes out.
 
-
-def _render_json(data: dict) -> str:
-    """Exactly ``json.dumps(data, indent=2, ensure_ascii=False) + "\\n"``.
-
-    Each top-level member is written and joined on its own, so the
-    writer's small strings never outnumber those of the largest
-    section, and the members are joined once into the report.
+    The JSON is written in bounded chunks as it is rendered, so the
+    whole text is never held in memory; the Markdown and HTML are
+    written in one piece. To get the bytes, pass an ``io.BytesIO``.
     """
-    out = ["{"]
-    before = "\n  "
-    for key, value in data.items():
-        parts = [before, _encode_str(key), ": "]
-        _append_json(value, "\n  ", parts)
-        out.append("".join(parts))
-        before = ",\n  "
-    out.append("\n}\n")
-    return "".join(out)
+    if format is ReportFormat.JSON:
+        _write_json(report, out)
+    elif format is ReportFormat.MARKDOWN:
+        out.write(_render_markdown(report).encode("utf-8"))
+    else:
+        out.write(_render_html(report).encode("utf-8"))
+
+
+class _Chunks(list):
+    """Rendered text not yet written: ``flush`` writes it to ``write`` as UTF-8."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, write: Callable[[bytes], object]) -> None:
+        super().__init__()
+        self.write = write
+
+    def flush(self) -> None:
+        self.write("".join(self).encode("utf-8"))
+        self.clear()
+
+
+def _write_json(value: Any, out: BinaryIO) -> None:
+    """Write exactly ``json.dumps(value, indent=2, ensure_ascii=False) + "\\n"``.
+
+    The text goes to ``out`` after each block of every list, so a chunk
+    holds at most one block of a table plus what precedes it.
+    """
+    chunks = _Chunks(out.write)
+    _append_json(value, "\n", chunks)
+    chunks.append("\n")
+    chunks.flush()
 
 
 # How json.dumps(..., ensure_ascii=False) writes each leaf type it
@@ -219,14 +237,27 @@ _LEAVES: dict[type, Callable[[Any], str]] = {
     type(None): lambda value: "null",
 }
 _encode_str = _LEAVES[str]
+_LEAF_TYPES = frozenset(_LEAVES)
+_STR_ONLY, _DICT_ONLY, _LIST_ONLY = {str}, {dict}, {list}
+
+# Rows per block of a list: the table writer makes one encoder call per
+# column of a block, and each block is written out before the next.
+_BLOCK_ROWS = 256
+
+# Leaves on the C encoder, one per line: it writes each leaf as
+# json.dumps does, and an encoded leaf never holds a raw newline.
+_LINES_ENCODER = json.JSONEncoder(
+    ensure_ascii=False, check_circular=False, separators=("\n", ":")
+)
 
 
-def _append_json(value: Any, newline: str, out: list[str]) -> None:
+def _append_json(value: Any, newline: str, out: _Chunks) -> None:
     """Append ``value`` as ``json.dumps(value, indent=2, ensure_ascii=False)``
     does, with ``newline`` (a newline and the current indent) between lines.
 
     Leaves of a ``_LEAVES`` type, and nonempty lists and dicts with
-    string keys, are written here. Any other value, subclasses and empty
+    string keys, are written here; a block of list items that forms a
+    table goes to ``_table``. Any other value, subclasses and empty
     containers included, and any dict with a non-string key, is handed
     whole to json.dumps. Re-indenting its output by replacing newlines is
     exact because an encoded JSON string never holds a raw newline.
@@ -238,24 +269,27 @@ def _append_json(value: Any, newline: str, out: list[str]) -> None:
     elif kind is list and value:
         inner = newline + "  "
         before = "[" + inner
-        for item in value:
-            leaf = _LEAVES.get(type(item))
-            if leaf is not None:
-                out.append(before + leaf(item))
+        for start in range(0, len(value), _BLOCK_ROWS):
+            block = value[start:start + _BLOCK_ROWS]
+            table = _table(block, inner)
+            if table is not None:
+                out.append(before + table)
+                before = "," + inner
             else:
-                out.append(before)
-                _append_json(item, inner, out)
-            before = "," + inner
+                for item in block:
+                    leaf = _LEAVES.get(type(item))
+                    if leaf is not None:
+                        out.append(before + leaf(item))
+                    else:
+                        out.append(before)
+                        _append_json(item, inner, out)
+                    before = "," + inner
+            out.flush()
         out.append(newline + "]")
-    elif kind is dict and value:
-        start = len(out)
+    elif kind is dict and value and set(map(type, value)) == _STR_ONLY:
         inner = newline + "  "
         before = "{" + inner
         for key, item in value.items():
-            if type(key) is not str:
-                del out[start:]
-                out.append(_dumps(value, newline))
-                return
             leaf = _LEAVES.get(type(item))
             if leaf is not None:
                 out.append(before + _encode_str(key) + ": " + leaf(item))
@@ -266,6 +300,59 @@ def _append_json(value: Any, newline: str, out: list[str]) -> None:
         out.append(newline + "}")
     else:
         out.append(_dumps(value, newline))
+
+
+def _table(rows: list, newline: str) -> Optional[str]:
+    """``rows`` rendered as list items at ``newline``'s indent, joined by
+    commas, if they form a table; None if they do not.
+
+    A table is a list of exact dicts that share one tuple of string
+    keys, and whose every column holds only leaves of a ``_LEAVES``
+    type or only lists of them. Each column is encoded at once
+    (``_column``), and one ``%`` format fills the repeated row
+    template, whose keys are encoded already, with the encoded cells:
+    ``%s`` inserts each verbatim.
+    """
+    first = rows[0]
+    if set(map(type, rows)) != _DICT_ONLY or not first:
+        return None
+    keys = tuple(first)
+    if set(map(type, keys)) != _STR_ONLY or list(map(tuple, rows)).count(keys) != len(rows):
+        return None
+    inner = newline + "  "
+    columns = []
+    for key in keys:
+        column = _column(list(map(itemgetter(key), rows)), inner)
+        if column is None:
+            return None
+        columns.append(column)
+    row = "{" + inner + ("," + inner).join(
+        _encode_str(key).replace("%", "%%") + ": %s" for key in keys
+    ) + newline + "}"
+    return ("," + newline).join([row] * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _column(cells: list, newline: str) -> Optional[list[str]]:
+    """Each cell as json.dumps writes it at ``newline``'s indent, if every
+    cell is a ``_LEAVES`` leaf or every cell a list of them; else None.
+
+    Strings go one by one to the C string encoder; other leaves, and
+    list cells, go to the C encoder in one call. In its output a newline
+    only separates two leaves or two list cells, and ``]`` newline ``[``
+    only two list cells: an encoded leaf holds no raw newline, and
+    neither starts with ``[`` nor ends with ``]``.
+    """
+    kinds = set(map(type, cells))
+    if kinds == _STR_ONLY:
+        return list(map(_encode_str, cells))
+    if kinds <= _LEAF_TYPES:
+        return _LINES_ENCODER.encode(cells)[1:-1].split("\n")
+    if kinds != _LIST_ONLY or not set(map(type, chain.from_iterable(cells))) <= _LEAF_TYPES:
+        return None
+    inner = newline + "  "
+    between = "," + inner
+    items = _LINES_ENCODER.encode(cells)[2:-2].replace("\n", between).split("]" + between + "[")
+    return ["[" + inner + text + newline + "]" if text else "[]" for text in items]
 
 
 def _dumps(value: Any, newline: str) -> str:

@@ -254,6 +254,6 @@ def test_diff_of_an_edited_copy_is_pinned(tmp_path, capsys):
     assert stepwise(argv, tmp_path, capsys, "diff.json") == (
         4,
         "",
-        "error: dumps claim different devices (imei None vs None); "
-        "pass the override flag to diff anyway\n",
+        "error: neither dump states an IMEI, so the dumps cannot be shown to come from "
+        "one device; pass the override flag to diff anyway\n",
     )

@@ -25,6 +25,12 @@ def simulate(tmp_path, **kwargs):
     return generate_case(params, tmp_path / "case")
 
 
+def subparsers(parser) -> dict:
+    """The parser of each subcommand, by name."""
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return dict(action.choices)
+
+
 def _forensics_errors() -> list[type]:
     """ForensicsError and every subclass of it, at any depth."""
     found, pending = [], [ForensicsError]
@@ -70,6 +76,40 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert f"argument {flag}:" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_a_parser_built_for_one_command_reads_its_arguments_only(self, command):
+        full, lazy = cli.build_parser(), cli.build_parser(command)
+        assert lazy.format_help() == full.format_help()
+        assert lazy.format_usage() == full.format_usage()
+        for name, parser in subparsers(lazy).items():
+            if name == command:
+                assert parser.format_help() == subparsers(full)[name].format_help()
+            else:
+                assert [action.dest for action in parser._actions] == ["help"]
+
+    @pytest.mark.parametrize("command", [None, "transmogrify", "-h"])
+    def test_no_command_or_an_unknown_one_builds_every_argument(self, command):
+        full, built = subparsers(cli.build_parser()), subparsers(cli.build_parser(command))
+        assert {name: p.format_help() for name, p in built.items()} == {
+            name: p.format_help() for name, p in full.items()
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"], ["ingest", "--help"], ["run-all", "-h"], ["--version", "run-all"],
+            ["-h", "report"], ["run-all", "x"], ["report", "--format", "pdf"], ["verify"],
+            ["correlate", "a", "b", "--window-seconds", "-1"], ["--", "seal", "b"],
+            ["seal", "b", "--isolation", "zz"], ["transmogrify", "a"], [],
+        ],
+    )
+    def test_output_and_exit_equal_the_full_parser(self, argv, capsys, monkeypatch):
+        code = run(argv)
+        lazy = capsys.readouterr()
+        monkeypatch.setattr(cli, "_command_named", lambda argv: None)
+        assert run(argv) == code
+        assert capsys.readouterr() == lazy
 
     def test_run_all_with_no_digests_and_least_support_falls_back(self, tmp_path):
         case = simulate(tmp_path, digest_logging=False)
@@ -539,6 +579,23 @@ class TestStageFiles:
         assert not (unsealed / "manifest.sealed.json").exists()
         leftovers = [p.name for d in (out, unsealed) for p in d.iterdir() if p.name.endswith(".tmp")]
         assert leftovers == []
+
+
+    def test_a_report_that_fails_while_rendering_leaves_the_old_one(self, tmp_path, monkeypatch):
+        case = simulate(tmp_path)
+        out = tmp_path / "out"
+        assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 0
+        report = out / "sim-1000.report.json"
+        before = report.read_bytes()
+
+        def failing_render(report, handle, format):
+            handle.write(b"{\n  partial")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "render_report", failing_render)
+        assert run(["report", "--out", str(out)]) == 4
+        assert report.read_bytes() == before
+        assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
 
 
 def _edit(key, change):

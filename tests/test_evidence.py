@@ -1,7 +1,8 @@
 from __future__ import annotations
 
-import hashlib
 import calendar
+import contextlib
+import hashlib
 import shutil
 import subprocess
 import time
@@ -19,6 +20,7 @@ from synctrail.evidence import (
     Source,
     UtcTimestamp,
     EPOCH_MAX,
+    EPOCH_MIN,
     canonical_encode,
     checked_digest_hex,
     civil_from_epoch,
@@ -389,6 +391,96 @@ class TestEpochFromCivil:
                     for clock in ((0, 0, 0), (23, 59, 59)):
                         civil = (year, month, day, *clock)
                         assert evidence._epoch_from_civil(*civil) == calendar.timegm(civil), civil
+
+
+# Leap days, and the seconds either side of them, across 1972-2096.
+leap_day_instants = st.builds(
+    lambda year, offset: calendar.timegm((year, 2, 29, 0, 0, 0)) + offset,
+    st.sampled_from([year for year in range(1972, 2100, 4) if year != 2100]),
+    st.integers(min_value=-86400, max_value=2 * 86400),
+)
+instants = st.integers(min_value=EPOCH_MIN, max_value=EPOCH_MAX) | leap_day_instants
+# A zone as the ISO text writes it: Z, or a sign, hours 00-23 and minutes 00-59.
+zones = st.just("Z") | st.builds(
+    lambda sign, hours, minutes: f"{sign}{hours:02d}:{minutes:02d}",
+    st.sampled_from("+-"), st.integers(0, 23), st.integers(0, 59),
+)
+
+
+def reference_iso(epoch: int) -> str:
+    """Uncached: the UTC rendering by time.gmtime."""
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(epoch))
+
+
+class TestDayCaches:
+    """Each calendar day is converted once; every result equals an uncached reference."""
+
+    @given(instants, zones)
+    def test_normalize_iso_equals_reference(self, instant, zone):
+        offset = 0 if zone == "Z" else (1 if zone[0] == "+" else -1) * (
+            int(zone[1:3]) * 3600 + int(zone[4:6]) * 60
+        )
+        # The local civil time that, in this zone, names ``instant``.
+        raw = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(instant + offset)) + zone
+        local = time.gmtime(instant + offset)
+        for _ in range(2):  # a first and a second reading of the day
+            if not (1970 <= local.tm_year <= 2100 and EPOCH_MIN <= instant <= EPOCH_MAX):
+                with pytest.raises(ImpossibleDate):
+                    normalize_timestamp(raw, Locale.DAY_FIRST, 0)
+            else:
+                stamp = normalize_timestamp(raw, Locale.DAY_FIRST, 0)
+                assert stamp.seconds_since_epoch == instant
+                assert stamp.to_iso() == reference_iso(instant)
+
+    @given(instants)
+    def test_epoch_to_iso_equals_reference(self, instant):
+        assert epoch_to_iso(instant) == epoch_to_iso(instant) == reference_iso(instant)
+
+    def test_each_day_of_the_range_once(self):
+        evidence._DAY_STARTS.clear()
+        evidence._ISO_DATES.clear()
+        for epoch in range(EPOCH_MIN, EPOCH_MAX + 1, 86400):
+            raw = reference_iso(epoch + 86399)
+            assert normalize_timestamp(raw, Locale.DAY_FIRST, 0).seconds_since_epoch == epoch + 86399
+            assert epoch_to_iso(epoch + 43200) == reference_iso(epoch + 43200)
+        days = (EPOCH_MAX + 1) // 86400
+        assert len(evidence._DAY_STARTS) == len(evidence._ISO_DATES) == days
+
+    def test_out_of_range_epochs_are_rendered_but_not_kept(self):
+        for epoch in (-1, -86400 * 400, EPOCH_MAX + 1):
+            assert epoch_to_iso(epoch) == reference_iso(epoch)
+            assert epoch // 86400 not in evidence._ISO_DATES
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("2015-02-29T01:00:00Z", "day 29 does not exist in 2015-02"),
+            ("2016-04-31T01:00:00Z", "day 31 does not exist in 2016-04"),
+            ("2016-13-01T01:00:00Z", "month 13 does not exist"),
+            ("2016-00-10T01:00:00Z", "month 0 does not exist"),
+            ("1969-12-31T23:59:59Z", "year 1969 outside supported range 1970-2100"),
+            ("2101-01-01T00:00:00Z", "year 2101 outside supported range 1970-2100"),
+            ("2016-04-06T24:00:00Z", "time 24:00:00 out of range"),
+            ("2016-04-06T23:60:00+01:00", "time 23:60:00 out of range"),
+            ("2016-04-06T23:59:60Z", "time 23:59:60 out of range"),
+            ("2016-02-30T25:00:00Z", "day 30 does not exist in 2016-02"),
+            ("2100-12-31T23:59:59-00:01", "timestamp 4133980859 outside supported range 1970-2100"),
+        ],
+    )
+    @pytest.mark.parametrize("day_read_before", [False, True])
+    def test_impossible_times_keep_their_messages_on_every_call(
+        self, raw, message, day_read_before
+    ):
+        evidence._DAY_STARTS.clear()
+        if day_read_before:
+            with contextlib.suppress(ImpossibleDate):
+                normalize_timestamp(raw[:10] + "T12:00:00Z", Locale.DAY_FIRST, 0)
+        for _ in range(2):
+            with pytest.raises(ImpossibleDate) as raised:
+                normalize_timestamp(raw, Locale.DAY_FIRST, 0)
+            assert str(raised.value) == message
+        if message.startswith(("day", "month", "year")):
+            assert raw[:10] not in evidence._DAY_STARTS
 
 
 class TestToIso:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synctrail.acquisition import ingest_device_dump
+from synctrail.acquisition import DeviceDump, ingest_device_dump
 from synctrail.cli import run
 from synctrail.errors import DeviceMismatch, RecordCountMismatch, UnsupportedAlgorithm
 from synctrail.evidence import (
@@ -283,6 +283,30 @@ class TestDiffAcquisitions:
             diff_acquisitions(a, b)
         diff = diff_acquisitions(a, b, allow_device_mismatch=True)
         assert diff["identical_count"] >= 0
+
+    @pytest.mark.parametrize(
+        "imei_a, imei_b, reason",
+        [
+            (None, None, "neither dump states an IMEI, so the dumps cannot be shown to come "
+                         "from one device"),
+            (None, "356938035643809", "the first dump states no IMEI, so the dumps cannot be "
+                                      "shown to come from one device"),
+            ("356938035643809", None, "the second dump states no IMEI, so the dumps cannot be "
+                                      "shown to come from one device"),
+            ("356938035643809", "356938035643810",
+             "dumps claim different devices (imei '356938035643809' vs '356938035643810')"),
+        ],
+    )
+    def test_a_refusal_names_its_reason(self, golden_bundle, imei_a, imei_b, reason):
+        dump = ingest_device_dump(golden_bundle)
+        a, b = (
+            DeviceDump(dump.dump_id, dump.collected_at, dump.zone_offset_minutes, dump.tool_name,
+                       dump.tool_version, {**dump.device, "imei": imei}, dump.records)
+            for imei in (imei_a, imei_b)
+        )
+        with pytest.raises(DeviceMismatch) as raised:
+            diff_acquisitions(a, b)
+        assert str(raised.value) == f"{reason}; pass the override flag to diff anyway"
 
     def test_symmetry_up_to_swapping(self, tmp_path):
         case = generate_case(SimParams(seed=26), tmp_path)

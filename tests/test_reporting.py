@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +16,7 @@ from synctrail.acquisition import (
     ingest_device_dump,
     parse_app_inventory,
 )
+from synctrail import cli, reporting
 from synctrail.cli import run
 from synctrail.correlation import (
     build_timeline,
@@ -23,7 +27,9 @@ from synctrail.correlation import (
 )
 from synctrail.osint import build_identity_graph
 from synctrail.preservation import seal_dump, verify_chain
+from synctrail.simulator import SimParams, generate_case
 from synctrail.reporting import (
+    STAGE_FILES,
     ReportFormat,
     build_case_report,
     redact,
@@ -47,6 +53,12 @@ SECTIONS = [
 ]
 
 PARAMETERS = {"window_seconds": 300, "min_skew_support": 3, "locale": "day-first"}
+
+
+def rendered(report: dict, format: ReportFormat = ReportFormat.JSON) -> bytes:
+    out = io.BytesIO()
+    render_report(report, out, format)
+    return out.getvalue()
 
 
 def empty_case() -> dict:
@@ -85,7 +97,7 @@ def golden_case(golden_bundle, golden_cloud_log) -> dict:
 
 class TestRenderReport:
     def test_empty_case_has_every_section(self):
-        data = json.loads(render_report(empty_case(), ReportFormat.JSON))
+        data = json.loads(rendered(empty_case(), ReportFormat.JSON))
         assert list(data) == SECTIONS
         assert data["links"] == []
         assert data["findings"] == []
@@ -98,10 +110,10 @@ class TestRenderReport:
     def test_rendering_is_byte_deterministic(self, golden_bundle, golden_cloud_log):
         case = golden_case(golden_bundle, golden_cloud_log)
         for fmt in ReportFormat:
-            assert render_report(case, fmt) == render_report(case, fmt)
+            assert rendered(case, fmt) == rendered(case, fmt)
 
     def test_golden_case_contents(self, golden_bundle, golden_cloud_log):
-        data = json.loads(render_report(golden_case(golden_bundle, golden_cloud_log)))
+        data = json.loads(rendered(golden_case(golden_bundle, golden_cloud_log)))
         assert data["device"]["model"] == "LG-D802"
         assert data["device"]["installed_app_count"] == 6
         assert data["device"]["uninstalled_app_count"] == 1
@@ -114,15 +126,15 @@ class TestRenderReport:
         self, golden_bundle, golden_cloud_log
     ):
         case = golden_case(golden_bundle, golden_cloud_log)
-        data = json.loads(render_report(case, ReportFormat.JSON))
-        markdown = render_report(case, ReportFormat.MARKDOWN).decode("utf-8")
+        data = json.loads(rendered(case, ReportFormat.JSON))
+        markdown = rendered(case, ReportFormat.MARKDOWN).decode("utf-8")
         for finding in data["findings"]:
             assert finding["finding_id"] in markdown
             for supporting in finding["supporting_ids"]:
                 assert supporting in markdown
 
     def test_html_static_and_self_contained(self, golden_bundle, golden_cloud_log):
-        page = render_report(
+        page = rendered(
             golden_case(golden_bundle, golden_cloud_log), ReportFormat.HTML
         ).decode("utf-8")
         assert page.startswith("<!DOCTYPE html>")
@@ -174,16 +186,16 @@ class TestSectionBySectionJson:
             "geo": [],
             "error_ledger": [{"message": text} for text in TRICKY],
         }
-        assert render_report(case, ReportFormat.JSON) == whole_document_json(case)
+        assert rendered(case, ReportFormat.JSON) == whole_document_json(case)
 
     def test_empty_case(self):
         case = empty_case()
         assert case["skew"] is None
-        assert render_report(case, ReportFormat.JSON) == whole_document_json(case)
+        assert rendered(case, ReportFormat.JSON) == whole_document_json(case)
 
     def test_golden_case(self, golden_bundle, golden_cloud_log):
         case = golden_case(golden_bundle, golden_cloud_log)
-        assert render_report(case, ReportFormat.JSON) == whole_document_json(case)
+        assert rendered(case, ReportFormat.JSON) == whole_document_json(case)
 
     @settings(deadline=None)
     @given(
@@ -209,7 +221,107 @@ class TestSectionBySectionJson:
             "geo": lists[3],
             "error_ledger": lists[4],
         }
-        assert render_report(case, ReportFormat.JSON) == whole_document_json(case)
+        assert rendered(case, ReportFormat.JSON) == whole_document_json(case)
+
+
+class Text(str):
+    """A str subclass: json.dumps writes it as a string, the table writer hands it over."""
+
+
+# Text that a table writer filling a %-template, or splitting encoded
+# cells on newlines and brackets, could mistake for its own structure.
+TABLE_STRINGS = [*TRICKY, "%", "%s", "%%s", "%(x)s", "]\n[", "[", "]", "],\n  [", "\x00"]
+table_leaves = (
+    st.none() | st.booleans() | st.integers() | st.text() | st.sampled_from(TABLE_STRINGS)
+)
+table_keys = st.text(max_size=4) | st.sampled_from(TABLE_STRINGS)
+
+# Each way a row can stop a block from being a table, and so send it to
+# the recursive writer.
+BREAKERS = {
+    "missing key": lambda row, key: {k: v for k, v in row.items() if k != key},
+    "extra key": lambda row, key: {**row, key + "+": 1},
+    "reordered keys": lambda row, key: dict(reversed(row.items())),
+    "float cell": lambda row, key: {**row, key: 1.5},
+    "str subclass cell": lambda row, key: {**row, key: Text("t")},
+    "nested dict cell": lambda row, key: {**row, key: {"a": [1, {"b": None}]}},
+    "dict in a list cell": lambda row, key: {**row, key: ["x", {"y": 1}]},
+    "tuple cell": lambda row, key: {**row, key: ("x", 2)},
+    "non-str key": lambda row, key: {**row, 7: "seven"},
+    "empty dict": lambda row, key: {},
+    "not a dict": lambda row, key: [row],
+}
+
+
+@st.composite
+def tables(draw) -> list:
+    """Rows sharing one key tuple, cycled past one block, maybe with one row broken."""
+    keys = draw(st.lists(table_keys, min_size=1, max_size=4, unique=True))
+    list_columns = draw(st.sets(st.sampled_from(keys)))
+    cell = {key: st.lists(table_leaves, max_size=3) if key in list_columns else table_leaves
+            for key in keys}
+    distinct = [{key: draw(cell[key]) for key in keys}
+                for _ in range(draw(st.integers(1, 4)))]
+    size = draw(st.sampled_from([1, 2, 3, reporting._BLOCK_ROWS, reporting._BLOCK_ROWS + 1, 700]))
+    rows = [distinct[index % len(distinct)] for index in range(size)]
+    breaker = draw(st.sampled_from([None, *BREAKERS]))
+    if breaker is not None:
+        at = draw(st.integers(0, size - 1))
+        rows[at] = BREAKERS[breaker](rows[at], draw(st.sampled_from(keys)))
+    return rows
+
+
+class TestTableWriter:
+    """Lists of same-keyed dicts go through the table writer: still json.dumps's bytes."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(rows=tables())
+    def test_equals_json_dumps(self, rows):
+        case = {"table": rows, "nested": {"rows": rows, "after": [rows, "%s"]}}
+        assert rendered(case) == whole_document_json(case)
+
+    def test_true_is_not_one(self):
+        rows = [{"flag": True, "n": 1}, {"flag": 1, "n": True}, {"flag": False, "n": 0}]
+        assert rendered({"t": rows}) == whole_document_json({"t": rows})
+
+    @pytest.mark.parametrize("cells", [[[]], [["only"]], [[], ["a", 1, None, True]], [["x"], []]])
+    def test_empty_and_one_item_list_cells(self, cells):
+        rows = [{"ids": cell, "n": index} for index, cell in enumerate(cells)]
+        assert rendered({"t": rows}) == whole_document_json({"t": rows})
+
+    def test_a_report_is_written_a_block_at_a_time(self):
+        rows = [{"id": f"r{index}", "at": index} for index in range(3 * reporting._BLOCK_ROWS)]
+        case = {"links": rows}
+        writes: list[bytes] = []
+        out = io.BytesIO()
+        out.write = lambda data: writes.append(data) or len(data)  # type: ignore[method-assign]
+        render_report(case, out)
+        assert b"".join(writes) == whole_document_json(case)
+        assert len(writes) == 4
+        assert max(map(len, writes)) < len(b"".join(writes)) / 2
+
+
+class TestReportStepMemory:
+    def test_peak_stays_below_the_report_size(self, tmp_path, capsys):
+        """tracemalloc's peak over the report step, on a case of the benchmark's
+        sync-bulk size: the report is written as it renders, never held whole."""
+        params = SimParams(seed=1, n_uploads=2000, n_messages=800, n_calls=200, n_apps=200,
+                           skew_seconds=300)
+        case = generate_case(params, tmp_path / "case")
+        out = tmp_path / "out"
+        argv = ["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]
+        assert run(argv) == 0
+        stages = {name: cli._read_stage(out / name, shape)
+                  for name, (_, shape) in STAGE_FILES.items() if (out / name).is_file()}
+        tracemalloc.start()
+        try:
+            path = cli._step_report(out, stages, None, ReportFormat.JSON)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 1_000_000
+        assert peak < size
 
 
 class TestRedact:
