@@ -34,7 +34,6 @@ _EXPORTS = {
     "UtcTimestamp": "evidence",
     "canonical_encode": "evidence",
     "normalize_timestamp": "evidence",
-    "record_digest": "evidence",
     "build_identity_graph": "osint",
     "load_geo_table": "osint",
     "resolve_ip": "osint",
@@ -44,7 +43,6 @@ _EXPORTS = {
     "verify_chain": "preservation",
     "ReportFormat": "reporting",
     "build_case_report": "reporting",
-    "redact": "reporting",
     "render_report": "reporting",
     "GroundTruth": "simulator",
     "SimParams": "simulator",

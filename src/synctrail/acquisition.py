@@ -9,9 +9,9 @@ fatal, because those would corrupt custody.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
+import os
 import re
 from enum import Enum
 from pathlib import Path
@@ -70,6 +70,9 @@ TIME_FIELDS: dict[ArtifactCategory, str] = {
 _TIME_FIELD_BY_NAME = {category._name_: name for category, name in TIME_FIELDS.items()}
 
 _KNOWN_FILES = {name for name, _ in CATEGORY_FILES}
+
+# Why a text field that ``lone_surrogate`` finds is refused.
+LONE_SURROGATE = "holds a lone surrogate, which UTF-8 cannot encode"
 
 _PHONE_STATE_BOOLS = (
     "screen_lock_enabled",
@@ -265,6 +268,28 @@ def load_json(text: str) -> object:
     return _JSON_DECODER.decode(text)
 
 
+def lone_surrogate(text: str) -> bool:
+    """Whether ``text`` holds a lone surrogate, which UTF-8 cannot encode.
+
+    Decoded JSON holds one only where the text had an escape such as
+    ``\\udc00``, and a name from the OS only where it had a byte that
+    is not UTF-8. Such text can be neither written nor hashed.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+def os_name(name: str) -> str:
+    """A file name or argument as the OS gave it, as text that UTF-8 can encode.
+
+    Each byte that is not UTF-8 is written as ``\\xNN``.
+    """
+    return os.fsencode(name).decode("utf-8", "backslashreplace")
+
+
 def _json_object(line: bytes) -> dict:
     """One input line as a JSON object, or _LineError saying why it is not.
 
@@ -317,9 +342,11 @@ def _integer(value: object) -> Optional[int]:
     A float or a bool is refused, never truncated to an int.
     """
     if isinstance(value, str):
-        with contextlib.suppress(ValueError):
+        try:
             return int(value)
-    elif isinstance(value, int) and not isinstance(value, bool):
+        except ValueError:
+            return None
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     return None
 
@@ -451,6 +478,9 @@ def _load_manifest(bundle: Path) -> dict:
     for required in ("dump_id", "collected_at", "zone_offset_minutes"):
         if required not in data:
             raise MissingManifest(f"{manifest_path} missing field {required!r}")
+    for key in ("dump_id", "tool_name", "tool_version"):
+        if isinstance(data.get(key), str) and lone_surrogate(data[key]):
+            raise MalformedManifest(f"{manifest_path} field {key!r} {LONE_SURROGATE}")
     data["zone_offset_minutes"] = _zone_offset(data["zone_offset_minutes"], manifest_path)
     return data
 
@@ -518,7 +548,9 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
 
     for path in sorted(bundle.glob("*.jsonl")):
         if path.name not in _KNOWN_FILES:
-            ledger.append({"file": path.name, "line": 0, "message": "unrecognized category file"})
+            ledger.append(
+                {"file": os_name(path.name), "line": 0, "message": "unrecognized category file"}
+            )
 
     return DeviceDump(
         dump_id=str(manifest["dump_id"]),
@@ -581,7 +613,7 @@ def ingest_cloud_log(path: Path | str, ledger: Optional[list[dict]] = None) -> l
     given; a duplicated event id is fatal.
     """
     log_path = Path(path)
-    file_name = log_path.name
+    file_name = os_name(log_path.name)
     events: list[CloudEvent] = []
     seen: dict[str, int] = {}
 
@@ -625,13 +657,19 @@ def ingest_cloud_log(path: Path | str, ledger: Optional[list[dict]] = None) -> l
         if size is None and raw_size is not None:
             note(line_no, f"bad size {raw_size!r}")
             continue
+        account = _optional_text(fields.get("account"))
+        target = _optional_text(fields.get("object"))
+        if b"\\u" in line:  # only a \u escape puts a lone surrogate in decoded text
+            texts = {"id": event_id, "account": account, "object": target}
+            bad = [name for name, text in texts.items() if lone_surrogate(text)]
+            if bad:
+                note(line_no, f"field {bad[0]!r} {LONE_SURROGATE}")
+                continue
         if event_id in seen:
             raise DuplicateEventId(
                 f"event id {event_id!r} on line {line_no} already used on line {seen[event_id]}"
             )
         seen[event_id] = line_no
-        account = _optional_text(fields.get("account"))
-        target = _optional_text(fields.get("object"))
         events.append(CloudEvent(event_id, kind, timestamp, account, target, digest, size))
     return events
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, Sequence
@@ -33,6 +34,8 @@ from .acquisition import (
     ingest_cloud_log,
     ingest_device_dump,
     load_json,
+    lone_surrogate,
+    os_name,
     parse_app_inventory,
     profile_format_warnings,
 )
@@ -78,6 +81,7 @@ from .reporting import (
     parameters_to_dict,
     render_report,
     shape_problem,
+    surrogate_problem,
 )
 
 EXIT_OK = 0
@@ -114,6 +118,10 @@ def _write_stages(out: Path, stages: Stages) -> Stages:
     return stages
 
 
+# A JSON escape of a surrogate: the only way decoded text holds a lone one.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def _read_stage(path: Path, shape: object) -> Any:
     """Load a stage file and check that it holds what the report reads.
 
@@ -121,10 +129,13 @@ def _read_stage(path: Path, shape: object) -> Any:
     naming the file.
     """
     try:
-        data = load_json(path.read_bytes().decode("utf-8"))
+        text = path.read_bytes().decode("utf-8")
+        data = load_json(text)
     except (ValueError, RecursionError) as exc:
         raise MalformedStageFile(f"stage file {path} is not valid JSON: {exc}") from None
     problem = shape_problem(data, shape)
+    if not problem and _SURROGATE_ESCAPE.search(text):
+        problem = surrogate_problem(data)
     if problem:
         raise MalformedStageFile(f"stage file {path} {problem}")
     return data
@@ -137,7 +148,19 @@ def _case_id_problem(case_id: str) -> Optional[str]:
     return None
 
 
+def _utf8(what: str, text: str) -> str:
+    """``text`` as given; ArgumentTypeError if it holds a byte that is not UTF-8."""
+    if lone_surrogate(text):
+        raise argparse.ArgumentTypeError(f"{what} '{os_name(text)}' is not UTF-8")
+    return text
+
+
+def _examiner(text: str) -> str:
+    return _utf8("examiner", text)
+
+
 def _case_id(text: str) -> str:
+    _utf8("case id", text)
     problem = _case_id_problem(text)
     if problem:
         raise argparse.ArgumentTypeError(f"case id {text!r} {problem}")
@@ -245,7 +268,7 @@ def _step_correlate(
         "timeline.json": timeline,
         "findings.json": findings,
         "cloud_log.json": {
-            "name": cloud_log.name,
+            "name": os_name(cloud_log.name),
             "event_count": len(events),
             "ledger": cloud_ledger,
         },
@@ -403,7 +426,7 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
     elif command == "seal":
         p.add_argument("bundle", type=Path)
         add_locale()
-        p.add_argument("--examiner", default="unknown")
+        p.add_argument("--examiner", type=_examiner, default="unknown")
         p.add_argument("--isolation", choices=sorted(_ISOLATION), default="none")
     elif command == "verify":
         p.add_argument("bundle", type=Path)
@@ -436,7 +459,7 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
         add_out()
         add_locale()
         add_correlation()
-        p.add_argument("--examiner", default="unknown")
+        p.add_argument("--examiner", type=_examiner, default="unknown")
         p.add_argument("--isolation", choices=sorted(_ISOLATION), default="none")
         p.add_argument("--geo-table", type=Path, default=None)
         p.add_argument("--case-id", type=_case_id, default=None)

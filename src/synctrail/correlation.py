@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from typing import Optional, Sequence
 
-from .acquisition import AppRecord, AppStatus, CloudEvent, EventKind
+from .acquisition import AppRecord, AppStatus, CloudEvent, EventKind, _integer
 from .errors import InsufficientSupport
 from .evidence import EvidenceRecord, Source, check_epoch, checked_digest_hex, epoch_to_iso
 
@@ -54,16 +54,6 @@ _KIND_ORDER = {
 def zero_skew() -> dict:
     """The fallback ``skew.json`` payload, for when skew cannot be measured."""
     return {"offset_seconds": 0, "support_count": 0, "spread_seconds": 0, "fallback": True}
-
-
-def _record_size(record: EvidenceRecord) -> Optional[int]:
-    raw = record.attributes.get(SIZE_ATTR)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
 
 
 # Each content digest both sides carry, as (dated, undated, events):
@@ -350,7 +340,8 @@ def _window_lines(
     for record in device_records:
         name = record.attributes.get(OBJECT_ATTR)
         if name and record.timestamp is not None and record.record_id not in used_records:
-            classes.setdefault((name, _record_size(record)), ([], []))[0].append(
+            size = _integer(record.attributes.get(SIZE_ATTR))
+            classes.setdefault((name, size), ([], []))[0].append(
                 (record.timestamp.seconds_since_epoch, record.record_id)
             )
     names = {name for name, _ in classes}

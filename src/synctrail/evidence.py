@@ -278,11 +278,6 @@ def canonical_encode(record: EvidenceRecord) -> bytes:
         return FIELD_SEP.join(f.encode("utf-8") for f in fields) + RECORD_TERM
 
 
-def record_digest(record: EvidenceRecord) -> bytes:
-    """SHA-256 over the record's canonical encoding, 32 bytes."""
-    return hashlib.sha256(record.canonical).digest()
-
-
 def checked_digest_hex(text: object) -> str:
     """A SHA-256 digest's hex text in lowercase; ValueError unless it names 32 bytes.
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 from bisect import bisect_right
 
-from .acquisition import _integer, load_json
+from .acquisition import _integer, load_json, os_name
 from .errors import MalformedTable
 from .evidence import ArtifactCategory, EvidenceRecord, _Frozen, _set
 
@@ -197,7 +197,7 @@ def load_geo_table(path: Path | str) -> GeoTable:
         except csv.Error as exc:
             raise MalformedTable(f"{table_path}:{reader.line_num}: {exc}") from None
     return GeoTable(
-        name=table_path.name, starts=tuple(starts), ends=tuple(ends), labels=tuple(labels)
+        name=os_name(table_path.name), starts=tuple(starts), ends=tuple(ends), labels=tuple(labels)
     )
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import atomic
-from .acquisition import DeviceDump, load_json
+from .acquisition import LONE_SURROGATE, DeviceDump, load_json, lone_surrogate
 from .errors import (
     DeviceMismatch,
     ImpossibleDate,
@@ -219,6 +219,8 @@ def load_sealed_manifest(bundle_path: Path | str) -> dict:
     for key in _SEALED_STRINGS:
         if not isinstance(data[key], str):
             raise MalformedManifest(f"{path} field {key!r} must be a string")
+        if lone_surrogate(data[key]):
+            raise MalformedManifest(f"{path} field {key!r} {LONE_SURROGATE}")
     count = data["record_count"]
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise MalformedManifest(f"{path} field 'record_count' must be a count, got {count!r}")

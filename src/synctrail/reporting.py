@@ -1,7 +1,8 @@
 """Deterministic case reports.
 
 The JSON rendering is the source of truth; Markdown and HTML are pure
-re-renderings of the same data with nothing added. Identical inputs
+re-renderings of the same data with nothing added, with each value
+escaped so that it stays on its line and in its cell. Identical inputs
 produce byte-identical output in every format, which is why no report
 ever contains a wall-clock time, an absolute path, or unordered
 collections.
@@ -9,18 +10,16 @@ collections.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
-from typing import Any, BinaryIO, Callable, Mapping, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Mapping, Optional
 
+from .acquisition import LONE_SURROGATE, lone_surrogate
 from .correlation import DEFAULT_MIN_SKEW_SUPPORT, DEFAULT_WINDOW_SECONDS
 from .evidence import Locale
-
-_REDACTED_RE = re.compile(r"^\[REDACTED:[0-9a-f]{8}\]$")
 
 
 class ReportFormat(Enum):
@@ -116,6 +115,27 @@ def shape_problem(value: Any, shape: Any, where: str = "") -> Optional[str]:
             problem = shape_problem(item, shape[0], f"{where}[{index}]")
             if problem:
                 return problem
+    return None
+
+
+def surrogate_problem(value: Any) -> Optional[str]:
+    """Which text in ``value``, a decoded stage file, holds a lone surrogate; None if none does.
+
+    Any key or string counts, named as ``shape_problem`` names a field:
+    no stage file this tool writes holds one, and no report can.
+    """
+    pending = [("", value)]
+    while pending:
+        where, item = pending.pop()
+        if isinstance(item, str):
+            if lone_surrogate(item):
+                return f"field {where!r} {LONE_SURROGATE}"
+        elif isinstance(item, dict):
+            for key, inner in reversed(item.items()):
+                at = f"{where}.{key}" if where else key
+                pending += ((at, inner), (at, key))
+        elif isinstance(item, list):
+            pending += ((f"{where}[{i}]", item[i]) for i in reversed(range(len(item))))
     return None
 
 
@@ -359,75 +379,52 @@ def _dumps(value: Any, newline: str) -> str:
     return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline)
 
 
-def redact(report_json: dict, policy: Sequence[str]) -> dict:
-    """Replace the values of policy-named keys, keeping them linkable.
-
-    A redacted value becomes ``[REDACTED:<first 8 hex of its SHA-256>]``
-    so two occurrences of the same value stay correlatable without
-    disclosure. Applying the same policy again changes nothing. Policy
-    keys that matched nothing are logged and skipped.
-    """
-    matched: set[str] = set()
-    wanted = set(policy)
-
-    def mask(value: object) -> str:
-        text = value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
-        if _REDACTED_RE.match(text):
-            return text
-        prefix = hashlib.sha256(text.encode("utf-8")).hexdigest()[:8]
-        return f"[REDACTED:{prefix}]"
-
-    def walk(node: object) -> object:
-        if isinstance(node, dict):
-            replaced = {}
-            for key, value in node.items():
-                if key in wanted:
-                    matched.add(key)
-                    replaced[key] = mask(value)
-                else:
-                    replaced[key] = walk(value)
-            return replaced
-        if isinstance(node, list):
-            return [walk(item) for item in node]
-        return node
-
-    # walk builds every dict and list anew, and JSON leaves are immutable:
-    # the input is never changed.
-    result = walk(report_json)
-    for key in sorted(wanted - matched):
-        import logging  # loaded only to warn: a policy that matches runs without it
-
-        logging.getLogger(__name__).warning("redaction policy key %r matched no attribute", key)
-    return result
+# Each character str.splitlines ends a line at, in its JSON escape form,
+# and the backslash doubled: no value can end a Markdown line, so none
+# can start a heading, row or item of its own.
+_ESCAPES = {
+    "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\x0b": "\\u000b", "\x0c": "\\f",
+    "\x1c": "\\u001c", "\x1d": "\\u001d", "\x1e": "\\u001e", "\x85": "\\u0085",
+    "\u2028": "\\u2028", "\u2029": "\\u2029",
+}
+_TEXT = str.maketrans(_ESCAPES)
+# A table cell also escapes "|", so it cannot split its row.
+_CELL = str.maketrans({**_ESCAPES, "|": "\\|"})
+# A "|" that splits a table row: one no backslash escapes.
+_CELL_SPLIT = re.compile(r"(?<!\\)\|")
 
 
 def _fmt(value: object) -> str:
-    # Render scalars the way the JSON does; the Markdown adds nothing.
+    # Render scalars the way the JSON does, escaped; the Markdown adds nothing.
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    return str(value).translate(_TEXT)
+
+
+def _cell(value: object) -> str:
+    return str(value).translate(_CELL)
 
 
 def _render_markdown(data: dict) -> str:
     out: list[str] = []
-    out.append(f"# Case report: {data['case_id']}")
+    out.append(f"# Case report: {_fmt(data['case_id'])}")
     out.append("")
-    out.append(f"Produced by synctrail {data['tool_version']}.")
+    out.append(f"Produced by synctrail {_fmt(data['tool_version'])}.")
     out.append("")
     out.append("## Parameters")
     out.append("")
     for key in sorted(data["parameters"]):
-        out.append(f"- {key}: {_fmt(data['parameters'][key])}")
+        out.append(f"- {_fmt(key)}: {_fmt(data['parameters'][key])}")
     out.append("")
     out.append("## Inputs")
     out.append("")
     for dump in data["inputs"]["dumps"]:
         out.append(
-            f"- Dump `{dump['dump_id']}` collected {dump['collected_at']}, "
-            f"{dump['record_count']} records, chain verdict {dump['chain_verdict']}"
+            f"- Dump `{_fmt(dump['dump_id'])}` collected {_fmt(dump['collected_at'])}, "
+            f"{_fmt(dump['record_count'])} records, chain verdict {_fmt(dump['chain_verdict'])}"
         )
     for log in data["inputs"]["cloud_logs"]:
-        out.append(f"- Cloud log `{log['name']}`, {log['event_count']} events")
+        out.append(f"- Cloud log `{_fmt(log['name'])}`, {_fmt(log['event_count'])} events")
     if not data["inputs"]["dumps"] and not data["inputs"]["cloud_logs"]:
         out.append("- none")
     out.append("")
@@ -437,7 +434,7 @@ def _render_markdown(data: dict) -> str:
         for key in sorted(data["device"]):
             value = data["device"][key]
             if value is not None:
-                out.append(f"- {key}: {_fmt(value)}")
+                out.append(f"- {_fmt(key)}: {_fmt(value)}")
     else:
         out.append("- no device profile")
     out.append("")
@@ -448,8 +445,8 @@ def _render_markdown(data: dict) -> str:
     else:
         skew = data["skew"]
         out.append(
-            f"- offset {skew['offset_seconds']} s from {skew['support_count']} matched "
-            f"pairs, spread {skew['spread_seconds']} s"
+            f"- offset {_fmt(skew['offset_seconds'])} s from {_fmt(skew['support_count'])} "
+            f"matched pairs, spread {_fmt(skew['spread_seconds'])} s"
         )
         if skew["fallback"]:
             out.append("- WARNING: insufficient support, fell back to offset 0")
@@ -458,9 +455,9 @@ def _render_markdown(data: dict) -> str:
     out.append("")
     for finding in data["findings"]:
         out.append(
-            f"- **{finding['finding_id']}** {finding['kind']} "
-            f"[{finding['confidence']}]: {finding['narrative']} "
-            f"(supporting: {', '.join(finding['supporting_ids'])})"
+            f"- **{_fmt(finding['finding_id'])}** {_fmt(finding['kind'])} "
+            f"[{_fmt(finding['confidence'])}]: {_fmt(finding['narrative'])} "
+            f"(supporting: {', '.join(map(_fmt, finding['supporting_ids']))})"
         )
     if not data["findings"]:
         out.append("- none")
@@ -469,10 +466,10 @@ def _render_markdown(data: dict) -> str:
     out.append("")
     for link in data["links"]:
         delta = link["time_delta_seconds"]
-        delta_text = "n/a" if delta is None else f"{delta} s"
+        delta_text = "n/a" if delta is None else f"{_fmt(delta)} s"
         out.append(
-            f"- {link['device_record_id']} <-> {link['cloud_event_id']} "
-            f"({link['tier']}, delta {delta_text})"
+            f"- {_fmt(link['device_record_id'])} <-> {_fmt(link['cloud_event_id'])} "
+            f"({_fmt(link['tier'])}, delta {delta_text})"
         )
     if not data["links"]:
         out.append("- none")
@@ -484,14 +481,16 @@ def _render_markdown(data: dict) -> str:
         out.append("| --- | --- | --- | --- |")
         for entry in data["timeline"]:
             out.append(
-                f"| {entry['timestamp_utc']} | {entry['source']} | {entry['id']} "
-                f"| {entry['label']} |"
+                f"| {_cell(entry['timestamp_utc'])} | {_cell(entry['source'])} "
+                f"| {_cell(entry['id'])} | {_cell(entry['label'])} |"
             )
     else:
         out.append("(empty)")
     if data["excluded_undated"]:
         out.append("")
-        out.append(f"{data['excluded_undated']} undated record(s) excluded from the timeline.")
+        out.append(
+            f"{_fmt(data['excluded_undated'])} undated record(s) excluded from the timeline."
+        )
     out.append("")
     graph = data["identity_graph"]
     out.append(
@@ -501,8 +500,9 @@ def _render_markdown(data: dict) -> str:
     out.append("")
     for edge in graph.get("edges", []):
         out.append(
-            f"- {edge['a']['value']} ({edge['a']['kind']}) -- "
-            f"{edge['b']['value']} ({edge['b']['kind']}): seen together {edge['count']}x"
+            f"- {_fmt(edge['a']['value'])} ({_fmt(edge['a']['kind'])}) -- "
+            f"{_fmt(edge['b']['value'])} ({_fmt(edge['b']['kind'])}): "
+            f"seen together {_fmt(edge['count'])}x"
         )
     if not graph.get("edges"):
         out.append("- none")
@@ -510,14 +510,17 @@ def _render_markdown(data: dict) -> str:
     out.append(f"## Geolocation ({len(data['geo'])})")
     out.append("")
     for geo in data["geo"]:
-        out.append(f"- {geo['ip']}: {geo['city']}, {geo['country']} ({geo['source_table']})")
+        out.append(
+            f"- {_fmt(geo['ip'])}: {_fmt(geo['city'])}, {_fmt(geo['country'])} "
+            f"({_fmt(geo['source_table'])})"
+        )
     if not data["geo"]:
         out.append("- none")
     out.append("")
     out.append(f"## Error ledger ({len(data['error_ledger'])})")
     out.append("")
     for entry in data["error_ledger"]:
-        out.append(f"- {entry['file']}:{entry['line']}: {entry['message']}")
+        out.append(f"- {_fmt(entry['file'])}:{_fmt(entry['line'])}: {_fmt(entry['message'])}")
     if not data["error_ledger"]:
         out.append("- none")
     out.append("")
@@ -536,7 +539,7 @@ def _render_html(data: dict) -> str:
         elif line.startswith("## "):
             rows.append(f"<h2>{html.escape(line[3:])}</h2>")
         elif line.startswith("| "):
-            cells = [html.escape(c.strip()) for c in line.strip("|").split("|")]
+            cells = [html.escape(c.strip()) for c in _CELL_SPLIT.split(line.strip("|"))]
             if set(cells) <= {"---"}:
                 continue
             tag = "td"

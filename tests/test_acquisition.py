@@ -514,6 +514,35 @@ class TestIngestCloudLog:
             (1, "invalid JSON: non-finite number 1e400 is not allowed")
         ]
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"id": "e\ud800x"}, "id"),
+            ({"account": "a\udc00"}, "account"),
+            ({"object": "\udfff.jpg"}, "object"),
+            ({"account": {"k": ["\udc00"]}}, "account"),
+            ({"id": "e\ud800x", "account": "a\udc00"}, "id"),
+        ],
+        ids=["id", "account", "object", "nested-account", "id-and-account"],
+    )
+    def test_a_lone_surrogate_in_a_kept_field_is_ledgered(self, tmp_path, fields, name):
+        path = tmp_path / "log.jsonl"
+        line = {"id": "e1", "kind": "Login", "ts": "2016-05-10T10:00:00Z", **fields}
+        path.write_text(
+            json.dumps(line)
+            # Not kept, so not refused: a valid pair and a lone surrogate in an unread field.
+            + '\n{"id":"e2 \\ud83d\\ude00","kind":"Login","ts":"2016-05-10T10:00:01Z",'
+            + '"note":"\\udc00"}\n'
+        )
+        ledger: list[dict] = []
+        events = ingest_cloud_log(path, ledger)
+        assert [e.event_id for e in events] == ["e2 \U0001f600"]
+        assert ledger == [{
+            "file": "log.jsonl",
+            "line": 1,
+            "message": f"field {name!r} holds a lone surrogate, which UTF-8 cannot encode",
+        }]
+
     @pytest.mark.parametrize("size", [1.5, 12.0, True, False, "1.5", "twelve", [12], {"n": 1}])
     def test_size_that_is_not_an_integer_is_ledgered(self, tmp_path, size):
         path = tmp_path / "log.jsonl"

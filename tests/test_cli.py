@@ -627,6 +627,7 @@ _NOT_HEX = "zz" * 32
 _SPACED_HEX = " ".join(["AB"] * 32)
 _PADDED_HEX = "\t" + "ab" * 32 + "\n"
 _TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+_LONE = "holds a lone surrogate, which UTF-8 cannot encode"
 
 # One row per malformed input: (file damaged, damage, command, exit code, stderr line).
 # The command runs on a case that `run-all` has sealed and analysed into `out/`.
@@ -765,6 +766,26 @@ MALFORMED_INPUTS = [
                  lambda raw: raw.replace(b"{", b'{"pad": 1E999,', 1), "verify", 4,
                  "error: {path} is not valid JSON: non-finite number 1E999 is not allowed",
                  id="sealed-overflowing-float"),
+    # A JSON escape of a lone surrogate decodes to text that UTF-8 cannot
+    # encode, so it can be neither written nor hashed.
+    pytest.param("bundle/manifest.json", _with("dump_id", "a\udc00"), "run-all", 4,
+                 "error: {path} field 'dump_id' " + _LONE,
+                 id="manifest-dump-id-lone-surrogate"),
+    pytest.param("bundle/manifest.json", _with("tool_name", "a\udc00"), "run-all", 4,
+                 "error: {path} field 'tool_name' " + _LONE,
+                 id="manifest-tool-name-lone-surrogate"),
+    pytest.param("bundle/manifest.sealed.json", _with("examiner", "x\udc00"), "verify", 4,
+                 "error: {path} field 'examiner' " + _LONE,
+                 id="sealed-examiner-lone-surrogate"),
+    pytest.param("out/geo.json",
+                 lambda raw: b'[{"ip":"1.2.3.4","country":"\\udc00","city":"x",'
+                             b'"source_table":"t"}]',
+                 "report", 4,
+                 "error: stage file {path} field '[0].country' " + _LONE,
+                 id="geo-country-lone-surrogate"),
+    pytest.param("out/dump.json", lambda raw: raw.replace(b"{", b'{"\\uD800x":1,', 1), "report", 4,
+                 "error: stage file {path} field '\\ud800x' " + _LONE,
+                 id="stage-key-lone-surrogate"),
 ]
 
 
@@ -784,9 +805,122 @@ class TestMalformedInputs:
             "report-md": ["report", "--out", str(out), "--format", "md"],
             "verify": ["verify", str(bundle)],
             "ingest": ["ingest", str(bundle), "--out", str(out)],
+            "run-all": ["run-all", str(bundle), str(case.cloud_log), "--out", str(out)],
         }[command]
         assert run(argv) == code
         assert capsys.readouterr().err == line.format(path=path) + "\n"
+
+
+def synctrail_process(*argv: str | bytes) -> subprocess.CompletedProcess:
+    """Run the tool in a fresh interpreter; a bytes argument reaches it as those bytes."""
+    src = str(Path(synctrail.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "synctrail", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        timeout=120,
+    )
+
+
+def non_utf8_path(directory: Path, name: bytes, content: bytes) -> Path:
+    """Write ``content`` to the file ``name`` in ``directory``; skip where the
+    file system refuses a name that is not UTF-8."""
+    path = Path(os.fsdecode(os.fsencode(directory) + b"/" + name))
+    try:
+        path.write_bytes(content)
+    except OSError as exc:
+        pytest.skip(f"the file system refuses a name that is not UTF-8: {exc}")
+    return path
+
+
+class TestTextThatIsNotUtf8:
+    """A lone surrogate from a JSON escape, or a name or argument holding a
+    byte that is not UTF-8, ends in a ledger entry, a name shown with
+    ``\\xNN`` escapes, or exit 2 or 4 with one stderr line."""
+
+    def test_a_lone_surrogate_in_a_cloud_event_is_one_ledger_entry(
+        self, golden_bundle, golden_cloud_log, tmp_path
+    ):
+        log = tmp_path / "cloud_events.jsonl"
+        log.write_bytes(
+            golden_cloud_log.read_bytes()
+            + b'{"id":"e\\ud800x","kind":"Login","ts":"2016-05-10T10:00:00Z",'
+            + b'"account":"a\\udc00"}\n'
+        )
+        out = tmp_path / "out"
+        assert run(["run-all", str(golden_bundle), str(log), "--out", str(out)]) == 0
+        stage = json.loads((out / "cloud_log.json").read_text(encoding="utf-8"))
+        assert stage["event_count"] == len(golden_cloud_log.read_bytes().splitlines())
+        assert stage["ledger"] == [
+            {"file": "cloud_events.jsonl", "line": 3, "message": f"field 'id' {_LONE}"}
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["seal", "{bundle}", "--examiner", b"ex\xff"],
+             "synctrail seal: error: argument --examiner: examiner 'ex\\xff' is not UTF-8 "
+             "(run 'synctrail seal --help' for usage)"),
+            (["run-all", "{bundle}", "{log}", "--out", "{out}", "--case-id", b"c\xff"],
+             "synctrail run-all: error: argument --case-id: case id 'c\\xff' is not UTF-8 "
+             "(run 'synctrail run-all --help' for usage)"),
+            (["run-all", "{bundle}", "{log}", "--out", "{out}", "--examiner", b"\xffex"],
+             "synctrail run-all: error: argument --examiner: examiner '\\xffex' is not UTF-8 "
+             "(run 'synctrail run-all --help' for usage)"),
+        ],
+        ids=["seal-examiner", "run-all-case-id", "run-all-examiner"],
+    )
+    def test_an_argument_that_is_not_utf8_is_a_usage_error(
+        self, golden_bundle, golden_cloud_log, tmp_path, argv, line
+    ):
+        out = tmp_path / "out"
+        paths = {"bundle": golden_bundle, "log": golden_cloud_log, "out": out}
+        argv = [arg if isinstance(arg, bytes) else arg.format(**paths) for arg in argv]
+        result = synctrail_process(*argv)
+        assert result.returncode == 2
+        assert result.stderr.decode("utf-8") == line + "\n"
+        assert not out.exists()
+        assert not (golden_bundle / "manifest.sealed.json").exists()
+
+    def test_a_bundle_file_name_that_is_not_utf8_is_shown_with_hex_escapes(
+        self, golden_bundle, golden_cloud_log, tmp_path
+    ):
+        non_utf8_path(golden_bundle, b"extra\xff.jsonl", b"{}\n")
+        out = tmp_path / "out"
+        result = synctrail_process("run-all", golden_bundle, golden_cloud_log, "--out", out)
+        assert result.returncode == 0, result.stderr
+        stage = json.loads((out / "dump.json").read_text(encoding="utf-8"))
+        assert stage["ledger"] == [
+            {"file": "extra\\xff.jsonl", "line": 0, "message": "unrecognized category file"}
+        ]
+
+    def test_a_cloud_log_name_that_is_not_utf8_is_shown_with_hex_escapes(
+        self, golden_bundle, golden_cloud_log, tmp_path
+    ):
+        log = non_utf8_path(
+            tmp_path, b"cloud\xff.jsonl", golden_cloud_log.read_bytes() + b"not json\n"
+        )
+        out = tmp_path / "out"
+        result = synctrail_process("run-all", golden_bundle, log, "--out", out)
+        assert result.returncode == 0, result.stderr
+        stage = json.loads((out / "cloud_log.json").read_text(encoding="utf-8"))
+        assert stage["name"] == "cloud\\xff.jsonl"
+        assert [entry["file"] for entry in stage["ledger"]] == ["cloud\\xff.jsonl"]
+        report = json.loads((out / "golden-lgd802.report.json").read_text(encoding="utf-8"))
+        assert report["inputs"]["cloud_logs"][0]["name"] == "cloud\\xff.jsonl"
+
+    def test_a_geo_table_name_that_is_not_utf8_is_shown_with_hex_escapes(self, tmp_path):
+        shapes = Path(__file__).parent / "data" / "comm_shapes"
+        bundle = tmp_path / "bundle"
+        shutil.copytree(shapes / "bundle", bundle)
+        table = non_utf8_path(tmp_path, b"geo\xff.csv", (shapes / "geo.csv").read_bytes())
+        out = tmp_path / "out"
+        result = synctrail_process(
+            "run-all", bundle, shapes / "cloud_events.jsonl", "--out", out, "--geo-table", table
+        )
+        assert result.returncode == 0, result.stderr
+        geo = json.loads((out / "geo.json").read_text(encoding="utf-8"))
+        assert geo and {row["source_table"] for row in geo} == {"geo\\xff.csv"}
 
 
 # Device content_digest values: (value, or how to make it from the

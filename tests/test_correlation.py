@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import time
 
@@ -365,8 +366,10 @@ class TestMatchSyncedArtifacts:
         assert match_synced_artifacts(records, other_size, zero_skew()) == []
         assert match_synced_artifacts(records, far, zero_skew(), window_seconds=300) == []
 
-    @pytest.mark.parametrize("size", ["12kb", "1.5", "", "twelve"])
-    def test_a_size_that_is_not_an_integer_is_matched_as_no_size(self, size):
+    @pytest.mark.parametrize(
+        "size", ["12kb", "1.5", "", "twelve", " 12 ", "+12", "1_000", "12.0", "0x10"]
+    )
+    def test_a_size_that_is_not_an_integer_is_matched_as_no_size(self, size, tmp_path):
         unsized = device_file("r0", BASE, name="IMG.jpg")
         badly_sized = EvidenceRecord(
             record_id="r0",
@@ -377,10 +380,25 @@ class TestMatchSyncedArtifacts:
         )
         events = [cloud("e0", BASE + 10, name="IMG.jpg", size=100),
                   cloud("e1", BASE + 20, name="IMG.jpg")]
+        # The same text as a cloud size: read as an integer, or ledgered.
+        log = tmp_path / "log.jsonl"
+        line = {"id": "c", "kind": "Upload", "ts": "2016-05-10T10:00:00Z", "size": size}
+        log.write_text(json.dumps(line) + "\n")
+        ledger: list[dict] = []
+        cloud_sizes = [event.size_bytes for event in ingest_cloud_log(log, ledger)]
+        if ledger:
+            assert cloud_sizes == []
+            as_read = unsized
+            expected = [("r0", "e0", "MetadataWindow", 10)]
+        else:
+            (value,) = cloud_sizes
+            as_read = device_file("r0", BASE, name="IMG.jpg", size=value)
+            events.append(cloud("e2", BASE + 15, name="IMG.jpg", size=value))
+            expected = [("r0", "e2", "MetadataWindow", 15)]
         links = [link_tuple(l) for l in match_synced_artifacts([badly_sized], events, zero_skew())]
-        assert links == [("r0", "e0", "MetadataWindow", 10)]
+        assert links == expected
         assert links == [
-            link_tuple(l) for l in match_synced_artifacts([unsized], events, zero_skew())
+            link_tuple(l) for l in match_synced_artifacts([as_read], events, zero_skew())
         ]
 
     def test_undated_record_still_links_by_digest(self):

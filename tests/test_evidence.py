@@ -26,7 +26,6 @@ from synctrail.evidence import (
     civil_from_epoch,
     epoch_to_iso,
     normalize_timestamp,
-    record_digest,
 )
 from synctrail import evidence
 
@@ -217,11 +216,11 @@ class TestRecordDigest:
     def test_deterministic(self):
         a = make_record(attributes={"k": "v"})
         b = make_record(attributes={"k": "v"})
-        assert record_digest(a) == record_digest(b) == a.digest
+        assert a.digest == b.digest == hashlib.sha256(reference_encode(a)).digest()
 
     def test_digest_set_at_construction(self):
         record = make_record(attributes={"k": "v"})
-        assert record.digest == record_digest(record)
+        assert record.digest == hashlib.sha256(reference_encode(record)).digest()
         assert len(record.digest.hex()) == 64
         assert record.digest.hex() == record.digest.hex().lower()
 
@@ -248,7 +247,9 @@ class TestRecordDigest:
         replacement = "x" if value[pos] != "x" else "y"
         mutated = dict(attributes)
         mutated[key] = value[:pos] + replacement + value[pos + 1 :]
-        assert record_digest(make_record(attributes=mutated)) != record.digest
+        flipped = make_record(attributes=mutated)
+        assert flipped.digest == hashlib.sha256(reference_encode(flipped)).digest()
+        assert flipped.digest != record.digest
 
 
 class TestCheckedDigestHex:

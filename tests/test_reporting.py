@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-import hashlib
 import io
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -32,7 +32,6 @@ from synctrail.reporting import (
     STAGE_FILES,
     ReportFormat,
     build_case_report,
-    redact,
     render_report,
 )
 
@@ -141,6 +140,104 @@ class TestRenderReport:
         assert "<script" not in page
         assert "<style>" in page
         assert "LG-D802" in page
+
+
+# Each character, or pair, that str.splitlines ends a line at.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029"]
+FORGERIES = [f"x{mark}## Forged | cell" for mark in LINE_BREAKS] + [
+    "a|b", "\\|", "x\\", "\\", "\\n", "| --- |", "# h1", "## h2", "- item",
+]
+
+
+def case_of(text: str) -> dict:
+    """A report whose every text the Markdown prints is ``text``."""
+    node = {"kind": text, "value": text}
+    return {
+        "case_id": text,
+        "tool_version": text,
+        "parameters": {text: text},
+        "inputs": {
+            "dumps": [{"dump_id": text, "collected_at": text, "record_count": 1,
+                       "chain_verdict": text}],
+            "cloud_logs": [{"name": text, "event_count": 1}],
+        },
+        "device": {text: text},
+        "skew": {"offset_seconds": 0, "support_count": 3, "spread_seconds": 0, "fallback": False},
+        "links": [{"device_record_id": text, "cloud_event_id": text, "tier": text,
+                   "time_delta_seconds": 1}],
+        "findings": [{"finding_id": text, "kind": text, "confidence": text, "narrative": text,
+                      "supporting_ids": [text, text]}],
+        "timeline": [{"timestamp_utc": text, "source": text, "id": text, "label": text}],
+        "excluded_undated": 1,
+        "identity_graph": {"nodes": [node], "edges": [{"a": node, "b": node, "count": 2}]},
+        "geo": [{"ip": text, "country": text, "city": text, "source_table": text}],
+        "error_ledger": [{"file": text, "line": 1, "message": text}],
+    }
+
+
+def line_kinds(markdown: bytes) -> list[str]:
+    """What each Markdown line is to the HTML renderer: its first word."""
+    return [line.split(" ", 1)[0] for line in markdown.decode("utf-8").splitlines()]
+
+
+def html_structure(page: bytes) -> list[str]:
+    """The HTML report's elements, with the text of each heading and the cells of each row."""
+    text = page.decode("utf-8")
+    return re.findall(r"<h[12]>.*?</h[12]>|<li>|<p>|<tr>|<td>", text)
+
+
+class TestMarkdownStructure:
+    """Evidence text cannot add a line, a heading or a table cell to the
+    Markdown or HTML report."""
+
+    @pytest.mark.parametrize("text", FORGERIES)
+    def test_no_text_changes_the_structure(self, text):
+        plain = case_of("x")
+        forged = case_of(text)
+        markdown = rendered(forged, ReportFormat.MARKDOWN)
+        assert line_kinds(markdown) == line_kinds(rendered(plain, ReportFormat.MARKDOWN))
+        page = rendered(forged, ReportFormat.HTML)
+        headings = [part for part in html_structure(page) if part.startswith("<h")]
+        structure = [part if not part.startswith("<h") else "<h>" for part in html_structure(page)]
+        plain_page = rendered(plain, ReportFormat.HTML)
+        plain_structure = [
+            part if not part.startswith("<h") else "<h>" for part in html_structure(plain_page)
+        ]
+        assert structure == plain_structure
+        # Only the case id's heading shows a value.
+        assert headings[1:] == [
+            part for part in html_structure(plain_page) if part.startswith("<h")
+        ][1:]
+
+    def test_escapes_are_the_json_forms(self):
+        markdown = rendered(case_of("x\n## Forged | cell"), ReportFormat.MARKDOWN)
+        lines = markdown.decode("utf-8").splitlines()
+        row = "| x\\n## Forged \\| cell | x\\n## Forged \\| cell " * 2 + "|"
+        assert row in lines
+        assert "- x\\n## Forged | cell: x\\n## Forged | cell" in lines
+        escaped = rendered(case_of("".join(LINE_BREAKS) + "\\"), ReportFormat.MARKDOWN)
+        assert (
+            "- \\n\\r\\r\\n\\u000b\\f\\u001c\\u001d\\u001e\\u0085\\u2028\\u2029\\\\: "
+            in escaped.decode("utf-8")
+        )
+
+    def test_a_forged_record_id_adds_no_heading(self, golden_bundle, golden_cloud_log, tmp_path):
+        pages = []
+        for record_id in ("x", "x\n## Forged | cell"):
+            (golden_bundle / "messages.jsonl").write_text(json.dumps(
+                {"id": record_id, "delivered_at": "2016-05-10T10:00:00Z", "body": "hi"}
+            ) + "\n")
+            (golden_bundle / "manifest.sealed.json").unlink(missing_ok=True)
+            out = tmp_path / f"out{len(pages)}"
+            argv = ["run-all", str(golden_bundle), str(golden_cloud_log), "--out", str(out),
+                    "--format", "html"]
+            assert run(argv) == 0
+            pages.append((out / "golden-lgd802.report.html").read_bytes())
+        plain, forged = map(html_structure, pages)
+        assert forged == plain
+        assert "<h2>Timeline (10 entries)</h2>" in forged
+        assert b"<td>x\\n## Forged \\| cell</td>" in pages[1]
 
 
 def whole_document_json(case: dict) -> bytes:
@@ -322,84 +419,3 @@ class TestReportStepMemory:
         size = path.stat().st_size
         assert size > 1_000_000
         assert peak < size
-
-
-class TestRedact:
-    def report_with_bodies(self) -> dict:
-        data = empty_case()
-        data["device"] = {"model": "X"}
-        data["timeline"] = [
-            {"id": "m1", "attributes": {"body": "secret plans", "peer": "+1"}},
-            {"id": "m2", "attributes": {"body": "secret plans", "peer": "+2"}},
-            {"id": "m3", "attributes": {"body": "other text", "peer": "+1"}},
-        ]
-        return data
-
-    def test_empty_policy_is_identity(self):
-        data = self.report_with_bodies()
-        assert redact(data, []) == data
-
-    def test_bodies_replaced_with_stable_prefixes(self):
-        data = redact(self.report_with_bodies(), ["body"])
-        bodies = [entry["attributes"]["body"] for entry in data["timeline"]]
-        expected_secret = "[REDACTED:" + hashlib.sha256(b"secret plans").hexdigest()[:8] + "]"
-        expected_other = "[REDACTED:" + hashlib.sha256(b"other text").hexdigest()[:8] + "]"
-        assert bodies == [expected_secret, expected_secret, expected_other]
-        # Equal plaintexts stay linkable, distinct ones stay distinct.
-        assert bodies[0] == bodies[1] != bodies[2]
-        # Unrelated keys untouched.
-        assert data["timeline"][0]["attributes"]["peer"] == "+1"
-
-    def test_idempotent(self):
-        once = redact(self.report_with_bodies(), ["body"])
-        twice = redact(once, ["body"])
-        assert once == twice
-
-    def test_unknown_policy_key_warns_and_continues(self, caplog):
-        with caplog.at_level("WARNING"):
-            result = redact(self.report_with_bodies(), ["no_such_key"])
-        assert "no_such_key" in caplog.text
-        assert result == self.report_with_bodies()
-
-    def test_original_not_mutated(self):
-        data = self.report_with_bodies()
-        redact(data, ["body"])
-        assert data["timeline"][0]["attributes"]["body"] == "secret plans"
-
-    def test_a_bulk_report_is_redacted_into_new_containers(self, tmp_path):
-        """A report of perfbench's sync-bulk size: 3,215 records, 2,000 links."""
-        case = tmp_path / "case"
-        argv = ["simulate", "--seed", "1", "--uploads", "2000", "--messages", "800",
-                "--calls", "200", "--apps", "200", "--skew-seconds", "300", "--out", str(case)]
-        assert run(argv) == 0
-        out = tmp_path / "out"
-        log = case / "cloud_events.jsonl"
-        assert run(["run-all", str(case / "bundle"), str(log), "--out", str(out)]) == 0
-        text = (out / "sim-1.report.json").read_text(encoding="utf-8")
-        report, snapshot = json.loads(text), json.loads(text)
-
-        result = redact(report, ["narrative", "id", "supporting_ids", "a", "imei"])
-
-        assert report == snapshot
-        inputs = {id(node) for node in containers(report)}
-        assert [node for node in containers(result) if id(node) in inputs] == []
-        encoded = json.dumps(result, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-        assert hashlib.sha256(encoded).hexdigest() == REDACTED_BULK_REPORT
-
-
-# SHA-256 of the redacted sync-bulk report, compact JSON.
-REDACTED_BULK_REPORT = "9beef127d73bedeb1f44f217f3ec34f482c0078f6937d81982bb340709cf9c50"
-
-
-def containers(node: object) -> list:
-    """Every dict and list in a JSON value, the value itself included."""
-    found, stack = [], [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, dict):
-            found.append(node)
-            stack.extend(node.values())
-        elif isinstance(node, list):
-            found.append(node)
-            stack.extend(node)
-    return found

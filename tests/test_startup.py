@@ -4,8 +4,8 @@ Every command starts a fresh interpreter, and everything it imports is
 compiled and run before the command does anything. So importing the
 command-line module must not load the simulator, nor the standard
 modules that only one rarely used path needs: ``csv`` (``--geo-table``),
-``html`` (the HTML report), ``logging`` (one redaction warning),
-``copy`` (a report missing a stage file) and ``calendar``; nor
+``html`` (the HTML report), ``copy`` (a report missing a stage file)
+and ``calendar``; nor ``logging``, which no command uses; nor
 ``dataclasses`` and the ``inspect`` it loads, which only the simulator
 uses.
 """
