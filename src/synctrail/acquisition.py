@@ -9,6 +9,7 @@ fatal, because those would corrupt custody.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -192,11 +193,17 @@ class DeviceDump(_Frozen):
     ``line_counts`` holds the raw line count of every recognized category
     file so losslessness (records + ledgered lines = input lines) can be
     audited per file; left out, it is a new empty dict.
+
+    ``locale``, ``files`` and ``unrecognized_files`` are what a seal
+    records of how the bundle was read: the locale, the
+    ``{"name", "bytes", "sha256"}`` row of each file ingest read, as
+    ``file_table`` gives them, and the names of the ``*.jsonl`` files it
+    did not recognize.
     """
 
     __slots__ = _compared = (
         "dump_id", "collected_at", "zone_offset_minutes", "tool_name", "tool_version", "device",
-        "records", "ledger", "line_counts",
+        "records", "ledger", "line_counts", "locale", "files", "unrecognized_files",
     )
 
     dump_id: str
@@ -208,6 +215,9 @@ class DeviceDump(_Frozen):
     records: tuple[EvidenceRecord, ...]
     ledger: tuple[dict, ...]
     line_counts: Mapping[str, int]
+    locale: Locale
+    files: tuple[dict, ...]
+    unrecognized_files: tuple[str, ...]
 
     def __init__(
         self,
@@ -220,6 +230,9 @@ class DeviceDump(_Frozen):
         records: tuple[EvidenceRecord, ...],
         ledger: tuple[dict, ...] = (),
         line_counts: Optional[Mapping[str, int]] = None,
+        locale: Locale = Locale.DAY_FIRST,
+        files: tuple[dict, ...] = (),
+        unrecognized_files: tuple[str, ...] = (),
     ) -> None:
         _set(self, "dump_id", dump_id)
         _set(self, "collected_at", collected_at)
@@ -230,6 +243,9 @@ class DeviceDump(_Frozen):
         _set(self, "records", records)
         _set(self, "ledger", ledger)
         _set(self, "line_counts", {} if line_counts is None else line_counts)
+        _set(self, "locale", locale)
+        _set(self, "files", files)
+        _set(self, "unrecognized_files", unrecognized_files)
 
 
 class _LineError(Exception):
@@ -465,12 +481,14 @@ def profile_format_warnings(profile: Mapping[str, object]) -> list[str]:
     return warnings
 
 
-def _load_manifest(bundle: Path) -> dict:
+def _load_manifest(bundle: Path) -> tuple[dict, bytes]:
+    """The checked ``manifest.json`` of ``bundle``, and the bytes it was read from."""
     manifest_path = bundle / BUNDLE_MANIFEST
     if not manifest_path.is_file():
         raise MissingManifest(f"no {BUNDLE_MANIFEST} in {bundle}")
     try:
-        data = load_json(manifest_path.read_text(encoding="utf-8"))
+        raw = manifest_path.read_bytes()
+        data = load_json(raw.decode("utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         raise MissingManifest(f"{manifest_path} unreadable: {exc}") from exc
     if not isinstance(data, dict):
@@ -482,7 +500,7 @@ def _load_manifest(bundle: Path) -> dict:
         if isinstance(data.get(key), str) and lone_surrogate(data[key]):
             raise MalformedManifest(f"{manifest_path} field {key!r} {LONE_SURROGATE}")
     data["zone_offset_minutes"] = _zone_offset(data["zone_offset_minutes"], manifest_path)
-    return data
+    return data, raw
 
 
 def _zone_offset(value: object, manifest_path: Path) -> int:
@@ -494,6 +512,46 @@ def _zone_offset(value: object, manifest_path: Path) -> int:
     return offset
 
 
+def _bundle_files(bundle: Path) -> tuple[list[tuple[str, ArtifactCategory]], list[str]]:
+    """Which files of ``bundle`` ingest reads, besides ``manifest.json``, and which it only names.
+
+    Returns each category file that is present, with its category, in
+    record order, and the sorted names of the other ``*.jsonl`` entries,
+    written as ``os_name`` writes them.
+    """
+    names = os.listdir(bundle)
+    present = set(names)
+    read = [
+        (name, category)
+        for name, category in CATEGORY_FILES
+        if name in present and (bundle / name).is_file()
+    ]
+    unrecognized = sorted(n for n in names if n.endswith(".jsonl") and n not in _KNOWN_FILES)
+    return read, [os_name(name) for name in unrecognized]
+
+
+def _file_row(name: str, data: bytes) -> dict:
+    """A file table row: the file's name, byte length and SHA-256 in lowercase hex."""
+    return {"name": name, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def file_table(bundle_path: Path | str) -> tuple[list[dict], list[str]]:
+    """The file table that ingest would record of a bundle, from hashing alone.
+
+    Returns the ``{"name", "bytes", "sha256"}`` row of ``manifest.json``
+    and of each category file ingest reads, in that order, and the names
+    of the unrecognized ``*.jsonl`` files; no line is parsed. A bundle
+    without ``manifest.json`` has an empty table, and ingest then says
+    why it cannot be read.
+    """
+    bundle = Path(bundle_path)
+    if not (bundle / BUNDLE_MANIFEST).is_file():
+        return [], []
+    read, unrecognized = _bundle_files(bundle)
+    names = [BUNDLE_MANIFEST, *(name for name, _ in read)]
+    return [_file_row(name, (bundle / name).read_bytes()) for name in names], unrecognized
+
+
 def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRST) -> DeviceDump:
     """Parse a bundle directory into a DeviceDump.
 
@@ -501,24 +559,27 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
     and carry their source file and line number as provenance
     attributes. Malformed lines land in the ledger and ingestion
     continues; a duplicated record id aborts with DuplicateRecordId.
+    The dump's file table hashes the very bytes that were parsed.
     """
     bundle = Path(bundle_path)
-    manifest = _load_manifest(bundle)
+    manifest, manifest_bytes = _load_manifest(bundle)
     zone_offset = manifest["zone_offset_minutes"]
     collected_at = normalize_timestamp(str(manifest["collected_at"]), locale, 0)
 
     records: list[EvidenceRecord] = []
     ledger: list[dict] = []
     line_counts: dict[str, int] = {}
+    files = [_file_row(BUNDLE_MANIFEST, manifest_bytes)]
     seen_ids: dict[str, EvidenceRecord] = {}
     first_info: Optional[EvidenceRecord] = None
     first_state: Optional[EvidenceRecord] = None
 
-    for file_name, category in CATEGORY_FILES:
-        path = bundle / file_name
-        if not path.is_file():
-            continue
-        lines = path.read_bytes().splitlines()
+    read, unrecognized = _bundle_files(bundle)
+    for file_name, category in read:
+        data = (bundle / file_name).read_bytes()
+        lines = data.splitlines()
+        files.append(_file_row(file_name, data))
+        del data  # hold each line once, not the file's bytes as well
         line_counts[file_name] = len(lines)
         for line_no, line in enumerate(lines, start=1):
             try:
@@ -546,11 +607,8 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
             if category is ArtifactCategory.PHONE_STATE and first_state is None:
                 first_state = record
 
-    for path in sorted(bundle.glob("*.jsonl")):
-        if path.name not in _KNOWN_FILES:
-            ledger.append(
-                {"file": os_name(path.name), "line": 0, "message": "unrecognized category file"}
-            )
+    for name in unrecognized:
+        ledger.append({"file": name, "line": 0, "message": "unrecognized category file"})
 
     return DeviceDump(
         dump_id=str(manifest["dump_id"]),
@@ -562,6 +620,9 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
         records=tuple(records),
         ledger=tuple(ledger),
         line_counts=line_counts,
+        locale=locale,
+        files=tuple(files),
+        unrecognized_files=tuple(unrecognized),
     )
 
 

@@ -31,6 +31,7 @@ from .acquisition import (
     AppStatus,
     DeviceDump,
     dump_to_json_dict,
+    file_table,
     ingest_cloud_log,
     ingest_device_dump,
     load_json,
@@ -52,6 +53,7 @@ from .correlation import (
     zero_skew,
 )
 from .errors import (
+    FileTableMismatch,
     ForensicsError,
     InsufficientSupport,
     MalformedStageFile,
@@ -66,9 +68,13 @@ from .osint import (
 )
 from .preservation import (
     INTACT,
+    SEALED_MANIFEST,
     TAMPERED,
     IsolationMethod,
+    check_file_table,
     diff_acquisitions,
+    files_hold,
+    head_follows,
     load_sealed_manifest,
     seal_dump,
     verify_chain,
@@ -210,25 +216,70 @@ def _step_seal(
     )
 
 
-def _step_verify(dump: DeviceDump, bundle: Path, out: Optional[Path]) -> Stages:
+def _step_verify(
+    bundle: Path, out: Optional[Path], locale: Locale, dump: Optional[DeviceDump] = None
+) -> Stages:
+    """Check the bundle against its sealed manifest; ``dump`` is the bundle as run-all read it.
+
+    When the manifest seals a file table, the bundle's table (the
+    dump's, or else one hashing pass) and the manifest's own head decide
+    an intact bundle with no line parsed and no chain walk. Otherwise the
+    bundle is read with the sealed locale, unless ``dump`` already was,
+    and the chain is walked to name what differs.
+    """
     manifest = load_sealed_manifest(bundle)
-    try:
-        verification = verify_chain(manifest, dump.records)
-    except RecordCountMismatch as exc:
-        # A record added or removed after sealing is custody violation,
-        # surfaced with the tampered exit code rather than a parse error.
-        _say(f"verification failed: {exc}")
-        verification = {
-            "verdict": TAMPERED,
-            "first_divergent_index": 0,
-            "expected": None,
-            "actual": None,
-        }
+    if "files" not in manifest:
+        _say(
+            f"note: {SEALED_MANIFEST} seals no file table, so only the bundle's records are "
+            "verified"
+        )
+        if dump is None:
+            dump = ingest_device_dump(bundle, locale)
+        verification = _walk_chain(manifest, dump)
+    else:
+        sealed_locale = Locale(manifest["locale"])
+        if sealed_locale is not locale:
+            _say(
+                f"note: the bundle was sealed reading --locale {sealed_locale.value}; "
+                f"its custody is verified with that locale, not {locale.value}"
+            )
+        files = file_table(bundle) if dump is None else (dump.files, dump.unrecognized_files)
+        if files_hold(manifest, *files):
+            verification = {
+                "verdict": INTACT,
+                "first_divergent_index": None,
+                "expected": None,
+                "actual": None,
+            }
+        else:
+            if dump is None or dump.locale is not sealed_locale:
+                dump = ingest_device_dump(bundle, sealed_locale)
+            verification = _walk_chain(manifest, dump)
     stages = {"verification.json": verification}
     if out is not None:
         _write_stages(out, stages)
     _say(f"chain verdict: {verification['verdict']}")
     return stages
+
+
+def _walk_chain(manifest: dict, dump: DeviceDump) -> dict:
+    """The verification.json payload of a chain walk over ``dump``, and of its file table."""
+    try:
+        verification = verify_chain(manifest, dump.records)
+        if verification["verdict"] == INTACT:
+            check_file_table(manifest, dump.files, dump.unrecognized_files)
+    except (RecordCountMismatch, FileTableMismatch) as exc:
+        # A record, line or file added, removed or changed after sealing
+        # while every remaining link holds is custody violation, surfaced
+        # with the tampered exit code rather than a parse error.
+        _say(f"verification failed: {exc}")
+        return {"verdict": TAMPERED, "first_divergent_index": 0, "expected": None, "actual": None}
+    if verification["verdict"] == TAMPERED and "files" in manifest and not head_follows(manifest):
+        _say(
+            f"verification failed: {SEALED_MANIFEST} was edited: its chain head does not follow "
+            "from its header and record links"
+        )
+    return verification
 
 
 def _step_correlate(
@@ -519,8 +570,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "verify":
-            dump = ingest_device_dump(args.bundle, locale)
-            return _verdict_exit(_step_verify(dump, args.bundle, args.out))
+            return _verdict_exit(_step_verify(args.bundle, args.out, locale))
 
         if args.command == "diff":
             a = ingest_device_dump(args.bundle_a, locale)
@@ -565,11 +615,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             dump, apps, stages = _step_ingest(args.bundle, args.out, locale)
             # Never re-seal an already sealed bundle: that would launder
             # any modification made since the original seal.
-            if (args.bundle / "manifest.sealed.json").is_file():
+            if (args.bundle / SEALED_MANIFEST).is_file():
                 _say("bundle already sealed, keeping the existing manifest")
             else:
                 _step_seal(dump, args.bundle, args.examiner, _ISOLATION[args.isolation])
-            stages.update(_step_verify(dump, args.bundle, args.out))
+            stages.update(_step_verify(args.bundle, args.out, locale, dump))
             stages.update(
                 _step_correlate(
                     dump,

@@ -1,9 +1,12 @@
-"""Chain of custody over ingested records.
+"""Chain of custody over ingested records and the bundle files they came from.
 
 Sealing computes a linked SHA-256 chain across the record sequence so
 later verification can not only detect a modified dump but point at the
-first record index where it diverges. Diffing compares two acquisitions
-of the same device record-by-record.
+first record index where it diverges. The seal also records a file
+table, the length and SHA-256 of every file ingest read, and a chain
+head over the header and every link, so an intact bundle is verified by
+hashing its files, without parsing a line. Diffing compares two
+acquisitions of the same device record-by-record.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from . import atomic
 from .acquisition import LONE_SURROGATE, DeviceDump, load_json, lone_surrogate
 from .errors import (
     DeviceMismatch,
+    FileTableMismatch,
     ImpossibleDate,
     MalformedManifest,
     MissingManifest,
@@ -55,8 +59,9 @@ TAMPERED = "Tampered"
 def manifest_header_bytes(manifest: dict) -> bytes:
     """Fixed header encoding that anchors the chain, same field rules as records.
 
-    Reads the header fields of a ``manifest.sealed.json`` payload,
-    ``collected_at`` in its ISO-Z form.
+    Reads the anchor fields of a ``manifest.sealed.json`` payload,
+    ``collected_at`` in its ISO-Z form. The anchor leaves out the file
+    table, so a changed file moves no link but those of its own records.
     """
     fields = (
         manifest["dump_id"],
@@ -85,16 +90,56 @@ def chain_digest(
     return current, links
 
 
+_HEADER_FIELDS = (
+    "dump_id", "collected_at", "examiner", "isolation_method", "digest_algorithm", "locale",
+)
+
+
+def sealed_header_bytes(manifest: dict) -> bytes:
+    """Every header field of a manifest that seals a file table, encoded injectively.
+
+    The compact JSON array, every character outside ASCII escaped, of
+    ``dump_id``, ``collected_at`` (ISO), ``examiner``,
+    ``isolation_method``, ``digest_algorithm``, ``locale``, the file
+    table as ``[name, bytes, sha256]`` triples, and the unrecognized
+    file names. JSON escapes 0x1f and 0x1e, so no name can shift bytes
+    from one field into another.
+    """
+    files = [[row["name"], row["bytes"], row["sha256"]] for row in manifest["files"]]
+    header = [*(manifest[key] for key in _HEADER_FIELDS), files, manifest["unrecognized_files"]]
+    return json.dumps(header, separators=(",", ":")).encode("ascii")
+
+
+def head_digest(manifest: dict, links: bytes) -> bytes:
+    """The chain head that a manifest's header and ``links``, 32 bytes each in order, give.
+
+    For a manifest that seals a file table it is SHA-256 over
+    ``sealed_header_bytes`` followed by the links, so it commits to the
+    header, the file table and every link. For one that does not, it is
+    the last link, or with no records the anchor's digest.
+    """
+    if "files" in manifest:
+        return hashlib.sha256(sealed_header_bytes(manifest) + links).digest()
+    return links[-32:] if links else hashlib.sha256(manifest_header_bytes(manifest)).digest()
+
+
+def head_follows(manifest: dict) -> bool:
+    """Whether a manifest's chain head is the one its own header and stored links give."""
+    links = bytes.fromhex("".join(manifest["record_links"]))
+    return head_digest(manifest, links).hex() == manifest["chain_head"]
+
+
 def seal_dump(
     dump: DeviceDump,
     examiner: str = "unknown",
     isolation_method: IsolationMethod = IsolationMethod.NONE,
 ) -> dict:
-    """Compute the chain over a dump's records.
+    """Compute the chain over a dump's records and seal its file table.
 
-    Returns the ``manifest.sealed.json`` payload: the header fields, then
-    the chain head and the running chain value after each record (so
-    tampering can be localized to an index), as lowercase hex.
+    Returns the ``manifest.sealed.json`` payload: the header fields, the
+    locale and file table the dump was read with, then the chain head
+    and the running chain value after each record (so tampering can be
+    localized to an index), as lowercase hex.
     """
     manifest = {
         "dump_id": dump.dump_id,
@@ -102,10 +147,13 @@ def seal_dump(
         "examiner": examiner,
         "isolation_method": isolation_method.value,
         "digest_algorithm": DIGEST_ALGORITHM,
+        "locale": dump.locale.value,
         "record_count": len(dump.records),
+        "files": [dict(row) for row in dump.files],
+        "unrecognized_files": list(dump.unrecognized_files),
     }
-    head, links = chain_digest(manifest_header_bytes(manifest), dump.records)
-    manifest["chain_head"] = head.hex()
+    _, links = chain_digest(manifest_header_bytes(manifest), dump.records)
+    manifest["chain_head"] = head_digest(manifest, b"".join(links)).hex()
     manifest["record_links"] = [link.hex() for link in links]
     return manifest
 
@@ -117,9 +165,11 @@ def verify_chain(manifest: dict, records: Sequence[EvidenceRecord]) -> dict:
     it, digests in lowercase hex. Returns the ``verification.json``
     payload: the verdict's value, and when tampered the smallest record
     index whose recomputed link differs from the stored one, with the
-    expected and actual digests at that index in hex. Intact means the
-    recomputed head equals the sealed head, and leaves the other three
-    fields null.
+    expected and actual digests at that index in hex. Intact means every
+    stored link equals the recomputed one and the sealed head equals
+    ``head_digest`` of the recomputed links, and leaves the other three
+    fields null. The file table is not read here: ``check_file_table``
+    compares it.
     """
     algorithm, count = manifest["digest_algorithm"], manifest["record_count"]
     sealed_links = manifest["record_links"]
@@ -130,15 +180,68 @@ def verify_chain(manifest: dict, records: Sequence[EvidenceRecord]) -> dict:
     if len(sealed_links) != count:
         raise RecordCountMismatch(f"manifest stores {len(sealed_links)} links for {count} records")
 
-    head, links = chain_digest(manifest_header_bytes(manifest), records)
-    if head.hex() == manifest["chain_head"]:
+    _, links = chain_digest(manifest_header_bytes(manifest), records)
+    joined = b"".join(links)
+    head = head_digest(manifest, joined)
+    if head.hex() == manifest["chain_head"] and joined == bytes.fromhex("".join(sealed_links)):
         return _verification(INTACT, None, None, None)
     for index, (stored, recomputed) in enumerate(zip(sealed_links, links)):
         if stored != recomputed.hex():
             return _verification(TAMPERED, index, stored, recomputed.hex())
-    # Head mismatch with no divergent link means the sealed head itself
-    # was altered; the earliest suspect index is 0.
+    # Head mismatch with no divergent link means the sealed head itself,
+    # or a header field it commits to, was altered; the earliest suspect
+    # index is 0.
     return _verification(TAMPERED, 0, manifest["chain_head"], head.hex())
+
+
+def files_hold(manifest: dict, files: Sequence[dict], unrecognized: Sequence[str]) -> bool:
+    """Whether a manifest vouches for a bundle with this file table, with no chain walk.
+
+    True when the manifest seals a file table equal to ``files`` and
+    ``unrecognized``, names the supported algorithm, stores one link per
+    sealed record, and its head follows from its header and links. The
+    bundle's records are then read, with the sealed locale, from the
+    very bytes that were sealed, so a walk would recompute every stored
+    link.
+    """
+    return (
+        "files" in manifest
+        and manifest["files"] == list(files)
+        and manifest["unrecognized_files"] == list(unrecognized)
+        and manifest["digest_algorithm"] == DIGEST_ALGORITHM
+        and len(manifest["record_links"]) == manifest["record_count"]
+        and head_follows(manifest)
+    )
+
+
+def check_file_table(manifest: dict, files: Sequence[dict], unrecognized: Sequence[str]) -> None:
+    """Raise FileTableMismatch naming the first bundle file that differs from the sealed table.
+
+    Read files are taken in the order ingest reads them, then added
+    unrecognized names, then sealed names the bundle no longer holds. A
+    manifest that seals no file table passes.
+    """
+    if "files" not in manifest:
+        return
+    sealed = {row["name"]: row for row in manifest["files"]}
+    for row in files:
+        was = sealed.pop(row["name"], None)
+        if was is None:
+            raise FileTableMismatch(f"{row['name']} was not in the bundle when it was sealed")
+        if was != row:
+            raise FileTableMismatch(
+                f"{row['name']} is {row['bytes']} bytes with SHA-256 {row['sha256']}; "
+                f"sealed {was['bytes']} bytes with SHA-256 {was['sha256']}"
+            )
+    sealed_names = manifest["unrecognized_files"]
+    added = [name for name in unrecognized if name not in sealed_names]
+    missing = [*sealed, *(name for name in sealed_names if name not in unrecognized)]
+    if added:
+        raise FileTableMismatch(f"{added[0]} was not in the bundle when it was sealed")
+    if missing:
+        raise FileTableMismatch(f"{missing[0]} was sealed but is missing from the bundle")
+    if manifest["files"] != list(files) or sealed_names != list(unrecognized):
+        raise FileTableMismatch("the sealed file table lists the bundle's files in another order")
 
 
 def _verification(
@@ -202,7 +305,9 @@ def load_sealed_manifest(bundle_path: Path | str) -> dict:
 
     Returns the payload in the form ``seal_dump`` gives it: digests in
     lowercase hex, ``collected_at`` in its ISO-Z rendering, and only the
-    fields the format defines.
+    fields the format defines. A manifest without ``files``, as written
+    before seals held a file table, is read without ``locale``, ``files``
+    and ``unrecognized_files``.
     """
     path = Path(bundle_path) / SEALED_MANIFEST
     if not path.is_file():
@@ -237,16 +342,61 @@ def load_sealed_manifest(bundle_path: Path | str) -> dict:
     links = data["record_links"]
     if not isinstance(links, list):
         raise MalformedManifest(f"{path} field 'record_links' must be a list")
-    return {
+    manifest = {
         "dump_id": data["dump_id"],
         "collected_at": collected_at.to_iso(),
         "examiner": data["examiner"],
         "isolation_method": data["isolation_method"],
         "digest_algorithm": data["digest_algorithm"],
         "record_count": count,
-        "chain_head": _sealed_link(data["chain_head"], path, "chain_head"),
-        "record_links": _sealed_links(links, path),
     }
+    if "files" in data:
+        manifest.update(_sealed_table(data, path))
+    manifest["chain_head"] = _sealed_link(data["chain_head"], path, "chain_head")
+    manifest["record_links"] = _sealed_links(links, path)
+    return manifest
+
+
+_LOCALES = {locale.value for locale in Locale}
+
+
+def _sealed_table(data: dict, path: Path) -> dict:
+    """The checked ``locale``, ``files`` and ``unrecognized_files`` of a sealed manifest."""
+    for key in ("locale", "unrecognized_files"):
+        if key not in data:
+            raise MalformedManifest(f"{path} missing field {key!r}")
+    if not isinstance(data["locale"], str) or data["locale"] not in _LOCALES:
+        raise MalformedManifest(f"{path} field 'locale' has unknown value {data['locale']!r}")
+    rows, names = data["files"], data["unrecognized_files"]
+    if not isinstance(rows, list):
+        raise MalformedManifest(f"{path} field 'files' must be a list")
+    if not isinstance(names, list):
+        raise MalformedManifest(f"{path} field 'unrecognized_files' must be a list")
+    files = []
+    for index, row in enumerate(rows):
+        where = f"files[{index}]"
+        if not isinstance(row, dict):
+            raise MalformedManifest(f"{path} field {where!r} must be a JSON object")
+        for key in ("name", "bytes", "sha256"):
+            if key not in row:
+                raise MalformedManifest(f"{path} field {where!r} missing field {key!r}")
+        _sealed_name(row["name"], path, f"{where}.name")
+        size = row["bytes"]
+        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+            raise MalformedManifest(f"{path} field '{where}.bytes' must be a count, got {size!r}")
+        digest = _sealed_link(row["sha256"], path, f"{where}.sha256")
+        files.append({"name": row["name"], "bytes": size, "sha256": digest})
+    for index, name in enumerate(names):
+        _sealed_name(name, path, f"unrecognized_files[{index}]")
+    return {"locale": data["locale"], "files": files, "unrecognized_files": list(names)}
+
+
+def _sealed_name(name: object, path: Path, where: str) -> None:
+    """MalformedManifest unless ``name`` is text that UTF-8 can encode."""
+    if not isinstance(name, str):
+        raise MalformedManifest(f"{path} field {where!r} must be a string")
+    if lone_surrogate(name):
+        raise MalformedManifest(f"{path} field {where!r} {LONE_SURROGATE}")
 
 
 def _sealed_links(links: list, path: Path) -> list[str]:

@@ -50,7 +50,8 @@ def parameters_to_dict(
 # The shape of what the report reads from a stage file: a dict is a
 # JSON object with at least those keys, each of the shape given; a
 # one-item list is a JSON list whose items all have that item's shape;
-# ``str`` is a string and ``None`` any value.
+# ``str`` is a string, ``int`` a non-negative integer (not a boolean)
+# and ``None`` any value.
 _LEDGER = [{"file": None, "line": None, "message": None}]
 _IDENTIFIER = {"kind": None, "value": None}
 
@@ -82,7 +83,7 @@ STAGE_FILES: dict[str, tuple[object, object]] = {
     }]),
     "timeline.json": ({"entries": [], "excluded_undated": 0}, {
         "entries": [{"timestamp_utc": None, "source": None, "id": None, "label": None}],
-        "excluded_undated": None,
+        "excluded_undated": int,
     }),
     "identity_graph.json": ({"nodes": [], "edges": []}, {
         "nodes": [None],
@@ -91,15 +92,17 @@ STAGE_FILES: dict[str, tuple[object, object]] = {
     "geo.json": ([], [{"ip": None, "country": None, "city": None, "source_table": None}]),
 }
 
-_KIND_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
+_KIND_NAMES = {
+    dict: "a JSON object", list: "a JSON list", str: "a string", int: "a non-negative integer",
+}
 
 
 def shape_problem(value: Any, shape: Any, where: str = "") -> Optional[str]:
     """Why ``value`` does not have ``shape`` (see STAGE_FILES), or None if it does."""
     if shape is None:
         return None
-    kind = str if shape is str else type(shape)
-    if not isinstance(value, kind):
+    kind = shape if shape is str or shape is int else type(shape)
+    if not isinstance(value, kind) or kind is int and (type(value) is bool or value < 0):
         at = f"field {where!r} " if where else ""
         return f"{at}must hold {_KIND_NAMES[kind]}"
     if kind is dict:

@@ -96,8 +96,8 @@ PINS = {
         "skew.json": "38885eb8176156bf1fa0fadb06c592ffc0bfae277c6780abcebf25ab5540c4e8",
         "timeline.json": "2333851e0fe78205a52f1e9b1aaae6675114c5c6dca8170c4ab354495d8f0443",
         "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
-        "manifest.sealed.json": "9789db559dc09921ab4ebf913aff2d7ff4ef4185e5d50bd625c3a7d1bf2a039e",
-        "stderr": "33b980b1d7cf2001db7ba2e3a532986245902b664eeae0056068996aa45a839b",
+        "manifest.sealed.json": "9d3897c3e851e0afd2fe6ce7d4da046ed251165af6b7bdec732c6e3e5b1f959a",
+        "stderr": "f71e04677b36d426ef5914149bdac6ae79be9788d16b4c0bf04ca2326a153a6e",
     }),
     "simulated": (simulated, {
         "cloud_log.json": "897ab55886061313e5dfb9200c3fc3f21235c42acee26d301b247a6798a0da2f",
@@ -113,8 +113,8 @@ PINS = {
         "skew.json": "44aedde6aa676ae66094b5577475e6761e5402f570385861dfc3c5c2de262480",
         "timeline.json": "46c23acf11796607c2fbbeac3db0de144426dc636e7e320b1362d5f5c763d5e4",
         "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
-        "manifest.sealed.json": "65f202005437913d099f71fe278f63b49acd1b79549d492cfde2a05d56a0c847",
-        "stderr": "1cef506a4af1cde6e2256817ee0b832bc190ec142ebc849e9dd5dc72acf1e024",
+        "manifest.sealed.json": "8f29cd01fc84680e150c938fc5a9595b6b179ba003cfbb08b9eaa522c8b6b2a1",
+        "stderr": "2400c833c967be037750237c7f46a0cfbab1adc74dc3b6a57911cfb68b1c54d9",
     }),
     "simulated_metadata_only": (simulated_metadata_only, {
         "cloud_log.json": "897ab55886061313e5dfb9200c3fc3f21235c42acee26d301b247a6798a0da2f",
@@ -130,8 +130,8 @@ PINS = {
         "skew.json": "38885eb8176156bf1fa0fadb06c592ffc0bfae277c6780abcebf25ab5540c4e8",
         "timeline.json": "32c68c0545ec1f3da600b512705afb8bf72e4218cac1391da579344268aca39d",
         "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
-        "manifest.sealed.json": "948082c31a38cba778c023130e741aac556ed7b990ab9f9445a1a0ff825a06be",
-        "stderr": "f443bf547664ab7779111d49c127bb541d3a1d9a558c9435fdaae5f2c8113019",
+        "manifest.sealed.json": "94f42d7b5bb8d3b1a983a3b119aa7815c1e4e2cc9bf9bdf2f6cfa11b2738211e",
+        "stderr": "d04dc122c5543a4f7d9e655b9e4b8d0728666aa08e6d1b78ea78558f951e90e1",
     }),
     "sync_shapes": (sync_shapes, {
         "cloud_log.json": "ffb98959d6cd2bd9e91fb7f10cca350c2a6d8cd89afc23e16cf9718fc1372669",
@@ -147,8 +147,8 @@ PINS = {
         "sync-shapes.report.md": "548fef50e877c9f4c51a4f236719514c3129bf4eab8f64def9db5367d51e016e",
         "timeline.json": "7b44cd4de3a3a95cd0d03c0a34236381979fa878a1cdb551801854ebd46e2ce2",
         "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
-        "manifest.sealed.json": "6a51a914c4f0e56c22a934edcf6d643e6f6f116b606bfa34e0566b2e4c14692d",
-        "stderr": "cce2b4f01b1da38f792aa52aa5b983edbbad5fefe80948670d718397a0a74f84",
+        "manifest.sealed.json": "d0ad7069e76157a7c1fa1cf63453ec8d4bf8f776c30c0d445f5d6cca77534016",
+        "stderr": "1f5bf338aae4860965ea7e586b75460c044549a9d01fe7a7dbd75afbc2295338",
     }),
     "comm_shapes": (comm_shapes, {
         "cloud_log.json": "a535418085b9fe419abad0bcb4ebff342b3a49b0dc30fac4c43c6e67f22b7e8e",
@@ -164,8 +164,8 @@ PINS = {
         "skew.json": "38885eb8176156bf1fa0fadb06c592ffc0bfae277c6780abcebf25ab5540c4e8",
         "timeline.json": "5f099499fc47cb4cd054da5ac31d2d81f077c6ed92bc8c712bc8b46a8b547efa",
         "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
-        "manifest.sealed.json": "540938fb3220219b355da29c9b92a81c8fe235b8a93f2cb6a827becdaeea86f2",
-        "stderr": "2dbf3e3f777fd8dd25b9c31b34dffe443299ef549bef441f1d283113407b536e",
+        "manifest.sealed.json": "2a86d7a37d08ff4bc8d71649949183c5592953716dadc7713c0a15f43b937b4d",
+        "stderr": "6a8b0eebbee684f0d633a3362d88609515315448e5827eb963f8211378d35bf7",
     }),
 }
 

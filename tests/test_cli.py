@@ -786,6 +786,50 @@ MALFORMED_INPUTS = [
     pytest.param("out/dump.json", lambda raw: raw.replace(b"{", b'{"\\uD800x":1,', 1), "report", 4,
                  "error: stage file {path} field '\\ud800x' " + _LONE,
                  id="stage-key-lone-surrogate"),
+    # excluded_undated starts a line of the Markdown report, which the HTML
+    # renderer classifies by its prefix: only a count may stand there.
+    pytest.param("out/timeline.json", _with("excluded_undated", "## Forged"), "report-md", 4,
+                 "error: stage file {path} field 'excluded_undated' must hold a non-negative "
+                 "integer",
+                 id="excluded-undated-heading-md"),
+    pytest.param("out/timeline.json", _with("excluded_undated", "## Forged"), "report-html", 4,
+                 "error: stage file {path} field 'excluded_undated' must hold a non-negative "
+                 "integer",
+                 id="excluded-undated-heading-html"),
+    pytest.param("out/timeline.json", _with("excluded_undated", True), "report", 4,
+                 "error: stage file {path} field 'excluded_undated' must hold a non-negative "
+                 "integer",
+                 id="excluded-undated-bool"),
+    pytest.param("out/timeline.json", _with("excluded_undated", -1), "report", 4,
+                 "error: stage file {path} field 'excluded_undated' must hold a non-negative "
+                 "integer",
+                 id="excluded-undated-negative"),
+    # The sealed file table, locale and unrecognized names.
+    pytest.param("bundle/manifest.sealed.json", _without("locale"), "verify", 4,
+                 "error: {path} missing field 'locale'", id="sealed-table-without-locale"),
+    pytest.param("bundle/manifest.sealed.json", _with("locale", "year-first"), "verify", 4,
+                 "error: {path} field 'locale' has unknown value 'year-first'",
+                 id="sealed-unknown-locale"),
+    pytest.param("bundle/manifest.sealed.json", _with("files", {}), "verify", 4,
+                 "error: {path} field 'files' must be a list", id="sealed-files-not-list"),
+    pytest.param("bundle/manifest.sealed.json", _with(("files", 1), "messages.jsonl"), "verify",
+                 4, "error: {path} field 'files[1]' must be a JSON object",
+                 id="sealed-file-row-not-object"),
+    pytest.param("bundle/manifest.sealed.json", _without(("files", 0, "bytes")), "verify", 4,
+                 "error: {path} field 'files[0]' missing field 'bytes'",
+                 id="sealed-file-row-without-bytes"),
+    pytest.param("bundle/manifest.sealed.json", _with(("files", 2, "bytes"), "12"), "verify", 4,
+                 "error: {path} field 'files[2].bytes' must be a count, got '12'",
+                 id="sealed-file-bytes-as-string"),
+    pytest.param("bundle/manifest.sealed.json", _with(("files", 0, "sha256"), "abc"), "verify", 4,
+                 "error: {path} field 'files[0].sha256' must be 64 hex characters, got 'abc'",
+                 id="sealed-file-short-digest"),
+    pytest.param("bundle/manifest.sealed.json", _with(("files", 0, "name"), "x\udc00"), "verify",
+                 4, "error: {path} field 'files[0].name' " + _LONE,
+                 id="sealed-file-name-lone-surrogate"),
+    pytest.param("bundle/manifest.sealed.json", _with("unrecognized_files", [7]), "verify", 4,
+                 "error: {path} field 'unrecognized_files[0]' must be a string",
+                 id="sealed-unrecognized-name-not-string"),
 ]
 
 
@@ -803,6 +847,7 @@ class TestMalformedInputs:
         argv = {
             "report": ["report", "--out", str(out)],
             "report-md": ["report", "--out", str(out), "--format", "md"],
+            "report-html": ["report", "--out", str(out), "--format", "html"],
             "verify": ["verify", str(bundle)],
             "ingest": ["ingest", str(bundle), "--out", str(out)],
             "run-all": ["run-all", str(bundle), str(case.cloud_log), "--out", str(out)],

@@ -137,6 +137,18 @@ class TestVerifyChain:
             "actual": head,
         }
 
+    def test_an_edited_stored_link_is_tampered_at_its_index(self):
+        records = [record(f"r{i}", k=str(i)) for i in range(8)]
+        manifest = self.make_sealed(records)
+        stored = manifest["record_links"][3]
+        manifest["record_links"][3] = "0" * 64
+        assert verify_chain(manifest, records) == {
+            "verdict": "Tampered",
+            "first_divergent_index": 3,
+            "expected": "0" * 64,
+            "actual": stored,
+        }
+
     def test_appended_record_is_count_mismatch(self):
         records = [record("r1", k="1")]
         manifest = self.make_sealed(records)

@@ -19,7 +19,7 @@ import pytest
 
 from synctrail.acquisition import AppRecord, AppStatus, CloudEvent, DeviceDump, EventKind
 from synctrail.errors import ImpossibleDate
-from synctrail.evidence import ArtifactCategory, EvidenceRecord, Source, UtcTimestamp
+from synctrail.evidence import ArtifactCategory, EvidenceRecord, Locale, Source, UtcTimestamp
 from synctrail.osint import GeoTable
 
 STAMP = UtcTimestamp(1462752000, "2016-05-09T00:00:00Z")
@@ -63,6 +63,7 @@ def dump(**changes) -> DeviceDump:
         "records": (record(),),
         "ledger": ({"file": "calls.jsonl", "line": 2, "message": "bad"},),
         "line_counts": {"messages.jsonl": 1},
+        "files": ({"name": "manifest.json", "bytes": 2, "sha256": "ab" * 32},),
         **changes,
     }
     return DeviceDump(**fields)
@@ -128,6 +129,9 @@ CHANGES = {
         "records": (),
         "ledger": (),
         "line_counts": {},
+        "locale": Locale.MONTH_FIRST,
+        "files": (),
+        "unrecognized_files": ("notes.jsonl",),
     }),
     "AppRecord": (app, {
         "app_name": "Mail",
@@ -220,7 +224,9 @@ def test_repr_text():
         f"tool_name='t', tool_version='1', device={{'imei': '356938035643809'}}, "
         f"records=({record()!r},), "
         f"ledger=({{'file': 'calls.jsonl', 'line': 2, 'message': 'bad'}},), "
-        f"line_counts={{'messages.jsonl': 1}})"
+        f"line_counts={{'messages.jsonl': 1}}, locale=<Locale.DAY_FIRST: 'day-first'>, "
+        f"files=({{'name': 'manifest.json', 'bytes': 2, 'sha256': '{'ab' * 32}'}},), "
+        f"unrecognized_files=())"
     )
     assert repr(app()) == (
         f"AppRecord(app_name='Drive', status=<AppStatus.THIRD_PARTY: 'ThirdParty'>, "
@@ -289,7 +295,8 @@ def test_constructor_parameters_and_defaults():
     assert parameters(DeviceDump) == [
         ("dump_id", empty), ("collected_at", empty), ("zone_offset_minutes", empty),
         ("tool_name", empty), ("tool_version", empty), ("device", empty), ("records", empty),
-        ("ledger", ()), ("line_counts", "fresh"),
+        ("ledger", ()), ("line_counts", "fresh"), ("locale", Locale.DAY_FIRST), ("files", ()),
+        ("unrecognized_files", ()),
     ]
     assert parameters(AppRecord) == [
         ("app_name", empty), ("status", empty), ("package", None), ("installed_at", None),
@@ -317,6 +324,7 @@ def test_defaults():
     first = DeviceDump("d1", STAMP, 0, "t", "1", {}, ())
     second = DeviceDump("d1", STAMP, 0, "t", "1", {}, ())
     assert first.ledger == () and first.line_counts == {}
+    assert (first.locale, first.files, first.unrecognized_files) == (Locale.DAY_FIRST, (), ())
     assert first.line_counts is not second.line_counts
 
 
