@@ -16,7 +16,7 @@ import os
 import re
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     DuplicateEventId,
@@ -367,6 +367,17 @@ def _integer(value: object) -> Optional[int]:
     return None
 
 
+def _check_keys(keys: tuple) -> None:
+    """Raise _LineError for the first key, other than ``id``, that no attribute may have."""
+    for key in keys:
+        if key == "id":
+            continue
+        if not isinstance(key, str) or not key:
+            raise _LineError("attribute keys must be nonempty strings")
+        if key.startswith("_"):
+            raise _LineError(f"attribute key {key!r} uses the reserved '_' prefix")
+
+
 def record_from_fields(
     category: ArtifactCategory,
     fields: Mapping[str, object],
@@ -374,6 +385,7 @@ def record_from_fields(
     line_no: int,
     locale: Locale,
     zone_offset_minutes: int,
+    checked_keys: Optional[dict[tuple, tuple]] = None,
 ) -> EvidenceRecord:
     """Build one evidence record from a parsed JSON Lines object.
 
@@ -381,21 +393,27 @@ def record_from_fields(
     line when absent); every other field is stringified into the
     attribute map, plus ``_file``/``_line`` provenance. Raises
     ``_LineError`` on anything that should be ledgered instead.
+
+    ``checked_keys`` maps each tuple of keys already found valid to
+    itself. A line with such keys skips their checks, and its record
+    keeps the table's key strings instead of the line's own copies.
+    A tuple that passes is added to the table.
     """
     raw_id = fields.get("id")
     if raw_id is not None and not isinstance(raw_id, str):
         raise _LineError(f"id must be a string, got {type(raw_id).__name__}")
     record_id = raw_id if raw_id else f"{Path(file_name).stem}:{line_no}"
 
+    if checked_keys is None:
+        checked_keys = {}
+    keys = tuple(fields)
+    known = checked_keys.get(keys)
+    if known is None:
+        _check_keys(keys)
+        known = checked_keys[keys] = keys
     attributes: dict[str, str] = {}
-    for key, value in fields.items():
-        if key == "id":
-            continue
-        if not isinstance(key, str) or not key:
-            raise _LineError("attribute keys must be nonempty strings")
-        if key.startswith("_"):
-            raise _LineError(f"attribute key {key!r} uses the reserved '_' prefix")
-        if value is None:
+    for key, value in zip(known, fields.values()):
+        if value is None or key == "id":
             continue
         attributes[key] = value if type(value) is str else _stringify(value)
     attributes["_file"] = file_name
@@ -571,6 +589,9 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
     line_counts: dict[str, int] = {}
     files = [_file_row(BUNDLE_MANIFEST, manifest_bytes)]
     seen_ids: dict[str, EvidenceRecord] = {}
+    # Bundle lines repeat a few key tuples: each is checked once, and its
+    # key strings are shared by every record that has them.
+    checked_keys: dict[tuple, tuple] = {}
     first_info: Optional[EvidenceRecord] = None
     first_state: Optional[EvidenceRecord] = None
 
@@ -589,7 +610,7 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
                 continue
             try:
                 record = record_from_fields(
-                    category, fields, file_name, line_no, locale, zone_offset
+                    category, fields, file_name, line_no, locale, zone_offset, checked_keys
                 )
             except _LineError as exc:
                 ledger.append({"file": file_name, "line": line_no, "message": str(exc)})
@@ -740,8 +761,33 @@ def _optional_text(value: object) -> str:
     return "" if value is None else _stringify(value)
 
 
-def dump_to_json_dict(dump: DeviceDump) -> dict:
-    """Stable JSON form of an ingested dump, byte-deterministic once encoded."""
+def record_rows(records: Sequence[EvidenceRecord], copy: bool = True) -> list[dict]:
+    """The ``dump.json`` rows of ``records``, in their order.
+
+    Each row holds a copy of its record's attributes, or with ``copy``
+    false the record's own dict, for a writer that only encodes the row.
+    """
+    return [
+        {
+            "record_id": r.record_id,
+            # _value_ is what .value returns, without its descriptor call.
+            "category": r.category._value_,
+            "timestamp": r.timestamp.original_text if r.timestamp else None,
+            "timestamp_utc": r.timestamp.to_iso() if r.timestamp else None,
+            "source": r.source._value_,
+            "attributes": dict(r.attributes) if copy else r.attributes,
+            "digest": r.digest.hex(),
+        }
+        for r in records
+    ]
+
+
+def dump_to_json_dict(dump: DeviceDump, records: object = None) -> dict:
+    """Stable JSON form of an ingested dump, byte-deterministic once encoded.
+
+    ``records`` stands in for the list of record rows (``record_rows``)
+    when given, so a writer can build the rows as it writes them.
+    """
     return {
         "dump_id": dump.dump_id,
         "collected_at": dump.collected_at.original_text,
@@ -749,19 +795,7 @@ def dump_to_json_dict(dump: DeviceDump) -> dict:
         "tool_name": dump.tool_name,
         "tool_version": dump.tool_version,
         "device": dump.device,
-        "records": [
-            {
-                "record_id": r.record_id,
-                # _value_ is what .value returns, without its descriptor call.
-                "category": r.category._value_,
-                "timestamp": r.timestamp.original_text if r.timestamp else None,
-                "timestamp_utc": r.timestamp.to_iso() if r.timestamp else None,
-                "source": r.source._value_,
-                "attributes": dict(r.attributes),
-                "digest": r.digest.hex(),
-            }
-            for r in dump.records
-        ],
+        "records": record_rows(dump.records) if records is None else records,
         "ledger": list(dump.ledger),
         "line_counts": dict(dump.line_counts),
     }

@@ -436,8 +436,8 @@ class TestRunAll:
             out = str(tmp_path / f"combined-{fmt}")
             assert run(["run-all", bundle, log, "--out", out, "--format", fmt]) == 0
 
-        # Bundle was sealed by run-all already; sealing twice would rewrite
-        # the same manifest, so verify directly against it.
+        # Bundle was sealed by run-all already, and seal refuses a sealed
+        # bundle, so verify directly against its manifest.
         stepwise_out = tmp_path / "stepwise"
         verify_rc = stepwise(case, stepwise_out, *(["--format", fmt] for fmt in formats))
         assert verify_rc == 0

@@ -125,6 +125,23 @@ class TestEachHoleTheTableCloses:
         }
 
 
+def test_seal_refuses_a_sealed_bundle(tmp_path, capsys):
+    """Sealing again would launder an edit made since the first seal."""
+    bundle = sealed_copy(tmp_path)
+    manifest = bundle / "manifest.sealed.json"
+    sealed = manifest.read_bytes()
+    with open(bundle / "running_apps.jsonl", "ab") as handle:
+        handle.write(b'{"id":"run-0009","name":"Late"}\n')
+    capsys.readouterr()
+    assert run(["seal", str(bundle)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {manifest} already exists; remove it before sealing again"
+    ]
+    assert manifest.read_bytes() == sealed
+    code, stderr = verify(bundle, capsys)
+    assert (code, stderr[-1]) == (3, TAMPERED)
+
+
 class TestSealedLocale:
     def test_verify_with_another_locale_is_intact_with_one_note(self, tmp_path, capsys):
         bundle = sealed_copy(tmp_path)

@@ -188,6 +188,44 @@ def test_hand_written_inputs(tmp_path, name):
     assert assert_same_events(DATA / name / "cloud_events.jsonl") > 0
 
 
+def test_lines_that_repeat_one_key_tuple(tmp_path):
+    """Ingest checks each key tuple once per bundle, and a record keeps the
+    key strings of the first line that had them; a tuple that fails is
+    ledgered on every line, with the message it always had."""
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    shutil.copyfile(DATA / "golden" / "bundle" / "manifest.json", bundle / "manifest.json")
+    lines = [
+        '{"id":"m1","peer":"a","n":null,"body":"x"}',
+        '{"id":"m2","peer":1,"n":true,"body":[1,"b",null]}',
+        '{"id":"m3","peer":{"k":null,"v":[false]},"n":false,"body":null}',
+        '{"id":"m4","peer":"a","n":2,"body":"y","":"empty"}',
+        '{"id":"m5","peer":"a","n":2,"body":"y","_x":"reserved"}',
+        '{"id":"m6","peer":"b","n":3,"body":"z","":"empty"}',
+        '{"id":"m7","peer":"b","n":-4,"body":"w","_x":null}',
+        '{"id":"m8","peer":"a","n":2.5,"body":"v"}',
+        '{"peer":"c","id":"m9","n":null,"body":"u"}',
+        '{"peer":"c","n":null,"body":"t"}',
+        '{"id":7,"peer":"a","n":2,"body":"y","":"empty"}',
+    ]
+    (bundle / "messages.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert assert_same_records(bundle) == 6
+    dump = ingest_device_dump(bundle)
+    assert [row["line"] for row in dump.ledger] == [4, 5, 6, 7, 11]
+    assert [row["message"] for row in dump.ledger] == [
+        "attribute keys must be nonempty strings",
+        "attribute key '_x' uses the reserved '_' prefix",
+        "attribute keys must be nonempty strings",
+        "attribute key '_x' uses the reserved '_' prefix",
+        "id must be a string, got int",
+    ]
+    same_tuple = [r.attributes for r in dump.records if r.record_id in ("m1", "m2", "m3", "m8")]
+    first, *others = same_tuple
+    for attributes in others:
+        for key in attributes.keys() & first.keys():
+            assert next(k for k in attributes if k == key) is next(k for k in first if k == key)
+
+
 # --- what ingest does not check again -------------------------------------
 
 

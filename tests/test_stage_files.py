@@ -5,6 +5,9 @@ The analysis functions return their stage files' payloads, so what
 layer sits between them. And no stage file, report or stderr line may
 depend on set or dict iteration order, which changes with
 ``PYTHONHASHSEED`` from one process to the next.
+
+Each stage file is written as it is encoded, with the bytes that one
+``json.dumps`` call gives, and without ever holding its whole text.
 """
 
 from __future__ import annotations
@@ -13,11 +16,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synctrail
+from synctrail import cli
 from synctrail.acquisition import ingest_cloud_log, ingest_device_dump, parse_app_inventory
 from synctrail.cli import run
 from synctrail.correlation import (
@@ -30,6 +38,7 @@ from synctrail.correlation import (
 )
 from synctrail.errors import InsufficientSupport
 from synctrail.osint import build_identity_graph
+from synctrail.simulator import SimParams, generate_case
 
 from test_byte_pin import comm_shapes, simulated, simulated_metadata_only, sync_shapes
 
@@ -84,3 +93,113 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path, make_input):
     second = run_all_in_child(make_input, tmp_path / "seed1", "1")
     assert sorted(first) == sorted(second)
     assert [name for name in first if first[name] != second[name]] == []
+
+
+# --- one stage file, written as it is encoded ------------------------------
+
+
+def compact(value: object) -> bytes:
+    return (json.dumps(value, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+class Items(list):
+    pass
+
+
+class Fields(dict):
+    pass
+
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.floats(),
+    st.text(st.sampled_from('a%\u2028\u2029"\\\n\x00é😀'), max_size=4),
+)
+_KEYS = st.text(st.sampled_from("k%\u2028é"), max_size=3)
+_OTHER_KEYS = st.one_of(st.integers(-5, 5), st.floats(), st.booleans(), st.none(), _KEYS)
+_SMALL = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.lists(inner, max_size=3).map(Items),
+        st.dictionaries(_KEYS, inner, max_size=3),
+        st.dictionaries(_OTHER_KEYS, inner, max_size=3),
+        st.dictionaries(_KEYS, inner, max_size=3).map(Fields),
+    ),
+    max_leaves=8,
+)
+# Lengths on both sides of a block of the stage writer (64) and of the report writer (256).
+_LONG = st.builds(
+    lambda n, pattern: (pattern * n)[:n],
+    st.sampled_from([0, 1, 64, 65, 256, 257, 700]),
+    st.lists(_SMALL, min_size=1, max_size=3),
+)
+_LISTS = st.one_of(_LONG, _LONG.map(Items))
+_VALUES = st.one_of(
+    _SMALL,
+    _LISTS,
+    st.dictionaries(_KEYS, st.one_of(_SMALL, _LISTS), max_size=4),
+    st.lists(_LONG, max_size=2),
+)
+
+
+@given(_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_a_stage_file_holds_what_json_dumps_writes(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stage.json"
+        cli._write_json(path, value)
+        assert path.read_bytes() == compact(value)
+        # A value that fails to encode after blocks were written out
+        # leaves the previous file, and no temporary beside it.
+        with pytest.raises(TypeError):
+            cli._write_json(path, {"value": value, "rows": list(range(700)), "bad": object()})
+        assert path.read_bytes() == compact(value)
+        assert os.listdir(tmp) == ["stage.json"]
+
+
+@pytest.mark.parametrize("count", [0, 1, 64, 65, 700])
+def test_a_generator_of_blocks_is_written_as_one_list(tmp_path, count):
+    rows = [{"n": n, "text": f"row {n}"} for n in range(count)]
+    blocks = (rows[i:i + 64] for i in range(0, count, 64))
+    cli._write_json(tmp_path / "rows.json", {"rows": blocks, "after": True})
+    assert (tmp_path / "rows.json").read_bytes() == compact({"rows": rows, "after": True})
+
+
+@pytest.fixture(scope="module")
+def write_peaks(tmp_path_factory):
+    """tracemalloc's peak over each stage file write of one `run-all` on a case
+    of the benchmark's sync-bulk size, above what was held just before it,
+    with each file's size."""
+    tmp = tmp_path_factory.mktemp("write_peaks")
+    params = SimParams(seed=1, n_uploads=2000, n_messages=800, n_calls=200, n_apps=200,
+                       skew_seconds=300)
+    case = generate_case(params, tmp / "case")
+    out = tmp / "out"
+    write = cli._write_json
+    peaks = {}
+
+    def measured(path, payload):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        write(path, payload)
+        peaks[path.name] = tracemalloc.get_traced_memory()[1] - held
+
+    cli._write_json = measured
+    tracemalloc.start()
+    try:
+        assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 0
+    finally:
+        tracemalloc.stop()
+        cli._write_json = write
+    return {name: (peak, (out / name).stat().st_size) for name, peak in peaks.items()}
+
+
+@pytest.mark.parametrize("name", ["dump.json", "timeline.json"])
+def test_a_stage_file_is_never_held_whole(write_peaks, name):
+    peak, size = write_peaks[name]
+    assert size > 400_000
+    assert peak < size / 4
