@@ -14,12 +14,10 @@ in the tool lives in the simulator behind an explicit seed.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
-from types import GeneratorType
-from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence
+from typing import Any, Callable, NoReturn, Optional, Sequence
 
 # Every layer function that run-all calls is imported here, at module
 # level, and called through this module's globals: the benchmark's
@@ -84,13 +82,14 @@ from .preservation import (
 )
 from .reporting import (
     STAGE_FILES,
+    STAGE_JSON,
     ReportFormat,
     build_case_report,
     parameters_to_dict,
     render_report,
     shape_problem,
     surrogate_problem,
-    _Chunks,
+    write_json,
 )
 
 EXIT_OK = 0
@@ -115,64 +114,15 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-# Stage files are compact JSON, as json.dumps(value, ensure_ascii=False,
-# separators=(",", ":")) writes it: this encoder is the one it builds.
-_COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
-_encode_str = json.encoder.encode_basestring
-
-# Items per block of a list in a stage file. Python 3.11's C encoder holds
-# every piece of one call until it returns, about six times the text it
-# makes: 64 dump.json rows at a time keep the write's peak near 15 % of
-# that file's size on the benchmark's sync-bulk case, 256 near 60 %.
-_STAGE_BLOCK = 64
-
-
 def _write_json(path: Path, payload: object) -> None:
     """Write a stage file: ``json.dumps(payload, ensure_ascii=False,
-    separators=(",", ":")) + "\\n"`` in UTF-8, one line, on the C encoder.
+    separators=(",", ":")) + "\\n"`` in UTF-8, one line, as it is encoded.
 
-    The file is written as it is encoded (``_append_compact``), a block
-    of a list at a time, so its whole text is never held; a generator in
-    ``payload`` stands for the one list that the lists it yields make.
-    When the encoding fails, the file is left as it was.
+    A generator in ``payload`` stands for the one list that the lists it
+    yields make. When the encoding fails, the file is left as it was.
     """
     with atomic.replacing(path) as handle:
-        chunks = _Chunks(handle.write)
-        _append_compact(payload, chunks)
-        chunks.append("\n")
-        chunks.flush()
-
-
-def _append_compact(value: object, out: _Chunks) -> None:
-    """Append ``value`` as compact JSON: an exact dict whose keys are all
-    exact ``str`` member by member, an exact list longer than one block
-    and a generator of nonempty lists block by block, anything else whole.
-    """
-    kind = type(value)
-    if kind is dict and set(map(type, value)) == {str}:
-        before = "{"
-        for key, item in value.items():
-            out.append(before + _encode_str(key) + ":")
-            _append_compact(item, out)
-            before = ","
-        out.append("}")
-    elif kind is list and len(value) > _STAGE_BLOCK:
-        blocks = (value[i:i + _STAGE_BLOCK] for i in range(0, len(value), _STAGE_BLOCK))
-        _append_blocks(blocks, out)
-    elif kind is GeneratorType:
-        _append_blocks(value, out)
-    else:
-        out.append(_COMPACT.encode(value))
-
-
-def _append_blocks(blocks: Iterator[list], out: _Chunks) -> None:
-    """Append one JSON array of the items of nonempty ``blocks``, writing out each block."""
-    before = "["
-    for block in blocks:
-        out.append(before + _COMPACT.encode(block)[1:-1])
-        out.flush()
-        before = ","
-    out.append("]" if before == "," else "[]")
+        write_json(payload, handle, STAGE_JSON)
 
 
 def _write_stages(out: Path, stages: Stages) -> Stages:
@@ -245,8 +195,8 @@ def _step_ingest(
     apps = parse_app_inventory(dump, parse_ledger)
     # The record rows are built a block at a time as the file is written.
     rows = (
-        record_rows(dump.records[i:i + _STAGE_BLOCK], copy=False)
-        for i in range(0, len(dump.records), _STAGE_BLOCK)
+        record_rows(dump.records[i:i + STAGE_JSON.block], copy=False)
+        for i in range(0, len(dump.records), STAGE_JSON.block)
     )
     payload = dump_to_json_dict(dump, rows)
     payload["app_counts"] = {

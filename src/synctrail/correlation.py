@@ -555,11 +555,21 @@ def derive_cloud_usage_findings(
     (digest matches are High confidence, window matches Medium), every
     account with a login event becomes an account-activity finding, and
     the uninstall findings are folded in. Order is (kind, first
-    supporting id), and ids ``F001``, ``F002``, ... follow that order.
+    supporting id, then input order), and ids ``F001``, ``F002``, ...
+    follow that order.
     Narratives are templated, never free text.
     """
     events_by_id = {event.event_id: event for event in cloud_events}
-    findings: list[dict] = []
+    # Each finding as (kind rank, first supporting id, input position,
+    # kind, confidence, supporting ids, narrative): sorted as tuples, each
+    # row is then built once, already numbered.
+    pending: list[tuple] = []
+
+    def add(kind: str, confidence: str, supporting_ids: list[str], narrative: str) -> None:
+        pending.append((
+            _KIND_ORDER[kind], supporting_ids[0], len(pending),
+            kind, confidence, supporting_ids, narrative,
+        ))
 
     for link in links:
         record_id, event_id = link["device_record_id"], link["cloud_event_id"]
@@ -572,15 +582,14 @@ def derive_cloud_usage_findings(
             if exact
             else "matching object metadata inside the sync window"
         )
-        findings.append(
-            _finding(
-                PROVEN_UPLOAD if event.kind is EventKind.UPLOAD else PROVEN_DOWNLOAD,
-                HIGH if exact else MEDIUM,
-                [record_id, event_id],
-                f"Device artifact {record_id} and cloud event {event_id} "
-                f"({event.kind.value}) are the same object, established by {basis}.",
-            )
+        add(
+            PROVEN_UPLOAD if event.kind is EventKind.UPLOAD else PROVEN_DOWNLOAD,
+            HIGH if exact else MEDIUM,
+            [record_id, event_id],
+            f"Device artifact {record_id} and cloud event {event_id} "
+            f"({event.kind.value}) are the same object, established by {basis}.",
         )
+    del events_by_id  # not held while the rows are built
 
     logins_by_account: dict[str, list[str]] = {}
     for event in cloud_events:
@@ -588,19 +597,25 @@ def derive_cloud_usage_findings(
             logins_by_account.setdefault(event.account, []).append(event.event_id)
     for account in sorted(logins_by_account):
         event_ids = sorted(logins_by_account[account])
-        findings.append(
-            _finding(
-                ACCOUNT_ACTIVITY,
-                HIGH,
-                event_ids,
-                f"Account {account} authenticated against the cloud service "
-                f"{len(event_ids)} time(s).",
-            )
+        add(
+            ACCOUNT_ACTIVITY,
+            HIGH,
+            event_ids,
+            f"Account {account} authenticated against the cloud service "
+            f"{len(event_ids)} time(s).",
         )
 
-    findings.extend(uninstall_findings)
-    findings.sort(key=lambda f: (_KIND_ORDER[f["kind"]], f["supporting_ids"][0]))
+    for f in uninstall_findings:
+        add(f["kind"], f["confidence"], f["supporting_ids"], f["narrative"])
+    pending.sort()
     return [
-        {"finding_id": f"F{number:03d}", **finding}
-        for number, finding in enumerate(findings, start=1)
+        {
+            "finding_id": f"F{number:03d}",
+            "kind": kind,
+            "confidence": confidence,
+            "supporting_ids": supporting_ids,
+            "narrative": narrative,
+        }
+        for number, (_, _, _, kind, confidence, supporting_ids, narrative)
+        in enumerate(pending, start=1)
     ]

@@ -15,7 +15,8 @@ import re
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
-from typing import Any, BinaryIO, Callable, Mapping, Optional
+from types import GeneratorType
+from typing import Any, BinaryIO, Callable, Mapping, NamedTuple, Optional
 
 from .acquisition import LONE_SURROGATE, lone_surrogate
 from .correlation import DEFAULT_MIN_SKEW_SUPPORT, DEFAULT_WINDOW_SECONDS
@@ -218,11 +219,33 @@ def render_report(
     written in one piece. To get the bytes, pass an ``io.BytesIO``.
     """
     if format is ReportFormat.JSON:
-        _write_json(report, out)
+        write_json(report, out, REPORT_JSON)
     elif format is ReportFormat.MARKDOWN:
         out.write(_render_markdown(report).encode("utf-8"))
     else:
         out.write(_render_html(report).encode("utf-8"))
+
+
+class Layout(NamedTuple):
+    """How ``write_json`` lays out JSON text: ``REPORT_JSON`` or ``STAGE_JSON``."""
+
+    newline: str  # starts each list item and object member, followed by the indent
+    indent: str  # added to the newline at each level of nesting
+    colon: str  # between a member's key and its value
+    block: int  # list items per block; each block is written out before the next
+    encode: Callable[[Any], str]  # a whole value, as json.dumps writes it in this layout
+
+
+# The report is json.dumps(value, indent=2, ensure_ascii=False), stage
+# files json.dumps(value, ensure_ascii=False, separators=(",", ":")) on one
+# line. Python 3.11's C encoder holds every piece of one call until it
+# returns, about six times the text it makes: blocks of 64 dump.json rows
+# keep its write's peak near 15 % of the file's size on the benchmark's
+# sync-bulk case, 256 near 60 %.
+REPORT_JSON = Layout("\n", "  ", ": ", 256, json.JSONEncoder(ensure_ascii=False, indent=2).encode)
+STAGE_JSON = Layout(
+    "", "", ":", 64, json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+)
 
 
 class _Chunks(list):
@@ -239,20 +262,22 @@ class _Chunks(list):
         self.clear()
 
 
-def _write_json(value: Any, out: BinaryIO) -> None:
-    """Write exactly ``json.dumps(value, indent=2, ensure_ascii=False) + "\\n"``.
+def write_json(value: Any, out: BinaryIO, layout: Layout) -> None:
+    """Write exactly ``layout.encode(value) + "\\n"`` to the binary file ``out``, in UTF-8.
 
     The text goes to ``out`` after each block of every list, so a chunk
-    holds at most one block of a table plus what precedes it.
+    holds at most one block plus what precedes it. A generator in
+    ``value`` stands for the one list that the nonempty lists it yields
+    make, so that list's items can be built a block at a time.
     """
     chunks = _Chunks(out.write)
-    _append_json(value, "\n", chunks)
+    _append_json(value, layout.newline, chunks, layout)
     chunks.append("\n")
     chunks.flush()
 
 
-# How json.dumps(..., ensure_ascii=False) writes each leaf type it
-# meets in a report, strings on the C encoder; a subclass is no key here.
+# How json.dumps(..., ensure_ascii=False) writes each leaf type, in
+# either layout, strings on the C encoder; a subclass is no key here.
 _LEAVES: dict[type, Callable[[Any], str]] = {
     str: json.encoder.encode_basestring,
     int: int.__repr__,
@@ -261,11 +286,8 @@ _LEAVES: dict[type, Callable[[Any], str]] = {
 }
 _encode_str = _LEAVES[str]
 _LEAF_TYPES = frozenset(_LEAVES)
+_CELL_TYPES = _LEAF_TYPES | {list}
 _STR_ONLY, _DICT_ONLY, _LIST_ONLY = {str}, {dict}, {list}
-
-# Rows per block of a list: the table writer makes one encoder call per
-# column of a block, and each block is written out before the next.
-_BLOCK_ROWS = 256
 
 # Leaves on the C encoder, one per line: it writes each leaf as
 # json.dumps does, and an encoded leaf never holds a raw newline.
@@ -274,58 +296,48 @@ _LINES_ENCODER = json.JSONEncoder(
 )
 
 
-def _append_json(value: Any, newline: str, out: _Chunks) -> None:
-    """Append ``value`` as ``json.dumps(value, indent=2, ensure_ascii=False)``
-    does, with ``newline`` (a newline and the current indent) between lines.
+def _append_json(value: Any, newline: str, out: _Chunks, layout: Layout) -> None:
+    """Append ``value`` as ``layout.encode`` writes it, with ``newline``
+    (the layout's newline and the current indent) between lines.
 
-    Leaves of a ``_LEAVES`` type, and nonempty lists and dicts with
-    string keys, are written here; a block of list items that forms a
-    table goes to ``_table``. Any other value, subclasses and empty
-    containers included, and any dict with a non-string key, is handed
-    whole to json.dumps. Re-indenting its output by replacing newlines is
-    exact because an encoded JSON string never holds a raw newline.
+    Leaves of a ``_LEAVES`` type, nonempty lists, generators of lists and
+    nonempty dicts with string keys are written here. Each block of a
+    list goes to ``_table`` if it forms a table; any other block, and
+    any other value, is encoded whole by the layout and spliced in.
+    Re-indenting that text by replacing newlines is exact because an
+    encoded JSON string never holds a raw newline.
     """
     kind = type(value)
     leaf = _LEAVES.get(kind)
     if leaf is not None:
         out.append(leaf(value))
-    elif kind is list and value:
-        inner = newline + "  "
-        before = "[" + inner
-        for start in range(0, len(value), _BLOCK_ROWS):
-            block = value[start:start + _BLOCK_ROWS]
-            table = _table(block, inner)
-            if table is not None:
-                out.append(before + table)
-                before = "," + inner
-            else:
-                for item in block:
-                    leaf = _LEAVES.get(type(item))
-                    if leaf is not None:
-                        out.append(before + leaf(item))
-                    else:
-                        out.append(before)
-                        _append_json(item, inner, out)
-                    before = "," + inner
+    elif kind is list and value or kind is GeneratorType:
+        blocks, size = value, layout.block
+        if kind is list:
+            blocks = (value[start:start + size] for start in range(0, len(value), size))
+        inner = newline + layout.indent
+        before = first = "[" + inner
+        for block in blocks:
+            text = _table(block, inner, layout)
+            if text is None:
+                text = layout.encode(block)[1:-1].strip().replace("\n", newline)
+            out.append(before + text)
             out.flush()
-        out.append(newline + "]")
+            before = "," + inner
+        out.append("[]" if before == first else newline + "]")
     elif kind is dict and value and set(map(type, value)) == _STR_ONLY:
-        inner = newline + "  "
+        inner = newline + layout.indent
         before = "{" + inner
         for key, item in value.items():
-            leaf = _LEAVES.get(type(item))
-            if leaf is not None:
-                out.append(before + _encode_str(key) + ": " + leaf(item))
-            else:
-                out.append(before + _encode_str(key) + ": ")
-                _append_json(item, inner, out)
+            out.append(before + _encode_str(key) + layout.colon)
+            _append_json(item, inner, out, layout)
             before = "," + inner
         out.append(newline + "}")
     else:
-        out.append(_dumps(value, newline))
+        out.append(layout.encode(value).replace("\n", newline))
 
 
-def _table(rows: list, newline: str) -> Optional[str]:
+def _table(rows: list, newline: str, layout: Layout) -> Optional[str]:
     """``rows`` rendered as list items at ``newline``'s indent, joined by
     commas, if they form a table; None if they do not.
 
@@ -337,33 +349,35 @@ def _table(rows: list, newline: str) -> Optional[str]:
     ``%s`` inserts each verbatim.
     """
     first = rows[0]
-    if set(map(type, rows)) != _DICT_ONLY or not first:
+    # A first row with a cell of another type rules the table out before any work.
+    if set(map(type, rows)) != _DICT_ONLY or not set(map(type, first.values())) <= _CELL_TYPES:
         return None
     keys = tuple(first)
     if set(map(type, keys)) != _STR_ONLY or list(map(tuple, rows)).count(keys) != len(rows):
         return None
-    inner = newline + "  "
+    inner = newline + layout.indent
     columns = []
     for key in keys:
-        column = _column(list(map(itemgetter(key), rows)), inner)
+        column = _column(list(map(itemgetter(key), rows)), inner, layout)
         if column is None:
             return None
         columns.append(column)
     row = "{" + inner + ("," + inner).join(
-        _encode_str(key).replace("%", "%%") + ": %s" for key in keys
+        _encode_str(key).replace("%", "%%") + layout.colon + "%s" for key in keys
     ) + newline + "}"
     return ("," + newline).join([row] * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
 
 
-def _column(cells: list, newline: str) -> Optional[list[str]]:
-    """Each cell as json.dumps writes it at ``newline``'s indent, if every
-    cell is a ``_LEAVES`` leaf or every cell a list of them; else None.
+def _column(cells: list, newline: str, layout: Layout) -> Optional[list[str]]:
+    """Each cell as ``layout.encode`` writes it at ``newline``'s indent, if
+    every cell is a ``_LEAVES`` leaf or every cell a list of them; else None.
 
     Strings go one by one to the C string encoder; other leaves, and
     list cells, go to the C encoder in one call. In its output a newline
     only separates two leaves or two list cells, and ``]`` newline ``[``
     only two list cells: an encoded leaf holds no raw newline, and
-    neither starts with ``[`` nor ends with ``]``.
+    neither starts with ``[`` nor ends with ``]``. So list cells are split
+    there first: once newlines are commas, a string may hold ``],[``.
     """
     kinds = set(map(type, cells))
     if kinds == _STR_ONLY:
@@ -372,14 +386,10 @@ def _column(cells: list, newline: str) -> Optional[list[str]]:
         return _LINES_ENCODER.encode(cells)[1:-1].split("\n")
     if kinds != _LIST_ONLY or not set(map(type, chain.from_iterable(cells))) <= _LEAF_TYPES:
         return None
-    inner = newline + "  "
-    between = "," + inner
-    items = _LINES_ENCODER.encode(cells)[2:-2].replace("\n", between).split("]" + between + "[")
-    return ["[" + inner + text + newline + "]" if text else "[]" for text in items]
-
-
-def _dumps(value: Any, newline: str) -> str:
-    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline)
+    inner = newline + layout.indent
+    start, between, end = "[" + inner, "," + inner, newline + "]"
+    items = _LINES_ENCODER.encode(cells)[2:-2].split("]\n[")
+    return [start + text.replace("\n", between) + end if text else "[]" for text in items]
 
 
 # Each character str.splitlines ends a line at, in its JSON escape form,

@@ -58,6 +58,9 @@ _APP_NAMES = (
 )
 _TAMPER_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
+# One JSON Lines line: json.dumps(row, ensure_ascii=False, separators=(",", ":")).
+_LINE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
 
 class Lcg64:
     """64-bit linear congruential generator.
@@ -135,6 +138,11 @@ def _legacy_text(epoch: int) -> str:
     meridiem = "AM" if h < 12 else "PM"
     h12 = h % 12 or 12
     return f"{d:02d}/{mo:02d}/{y:04d} {h12:02d}:{mi:02d}:{s:02d} {meridiem}"
+
+
+def _json_lines(rows: list[dict]) -> str:
+    """``rows`` as JSON Lines text: one compact line per row, each ending in a newline."""
+    return "".join([_LINE.encode(row) + "\n" for row in rows])
 
 
 def generate_case(params: SimParams, out_dir: Path | str) -> SimCase:
@@ -365,19 +373,9 @@ def generate_case(params: SimParams, out_dir: Path | str) -> SimCase:
             rows = lines[file_name]
             if not rows:
                 continue
-            body = "".join(
-                json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n"
-                for row in rows
-            )
-            (bundle / file_name).write_text(body, encoding="utf-8")
+            (bundle / file_name).write_text(_json_lines(rows), encoding="utf-8")
         cloud_log = out / CLOUD_LOG_NAME
-        cloud_log.write_text(
-            "".join(
-                json.dumps(e, ensure_ascii=False, separators=(",", ":")) + "\n"
-                for e in events
-            ),
-            encoding="utf-8",
-        )
+        cloud_log.write_text(_json_lines(events), encoding="utf-8")
         (out / GROUND_TRUTH_NAME).write_text(
             json.dumps(
                 {
@@ -434,7 +432,7 @@ def inject_tamper(bundle_path: Path | str, seed: int) -> tuple[Path, int]:
         position = rng.randrange(len(value))
         alphabet = _TAMPER_ALPHABET.replace(value[position], "")
         fields[target] = value[:position] + alphabet[rng.randrange(len(alphabet))] + value[position + 1 :]
-        raw_lines[line_no - 1] = json.dumps(fields, ensure_ascii=False, separators=(",", ":"))
+        raw_lines[line_no - 1] = _LINE.encode(fields)
         path.write_text("\n".join(raw_lines) + "\n", encoding="utf-8")
         return bundle, index
     raise EmptyBundle(f"{bundle} has no mutable attribute values")

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -692,3 +693,24 @@ class TestDeriveFindings:
             "AccountActivity",
         ]
         assert [f["finding_id"] for f in findings] == ["F001", "F002", "F003"]
+
+    def test_each_finding_is_built_once(self, tmp_path):
+        """tracemalloc's peak over the call, on a case of the benchmark's
+        sync-bulk size, above what is still held when it returns: the
+        findings, and the tuples CPython keeps for reuse."""
+        params = SimParams(seed=1, n_uploads=2000, n_messages=800, n_calls=200, n_apps=200,
+                           skew_seconds=300)
+        case = generate_case(params, tmp_path)
+        dump = ingest_device_dump(case.bundle_dir)
+        events = ingest_cloud_log(case.cloud_log)
+        skew = estimate_clock_skew(dump.records, events)
+        links = match_synced_artifacts(dump.records, events, skew)
+        uninstall = detect_uninstall_evidence(parse_app_inventory(dump), events)
+        tracemalloc.start()
+        try:
+            findings = derive_cloud_usage_findings(links, uninstall, events)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(findings) > 2000
+        assert peak - held < 0.15 * held

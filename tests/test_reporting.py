@@ -327,7 +327,8 @@ class Text(str):
 
 # Text that a table writer filling a %-template, or splitting encoded
 # cells on newlines and brackets, could mistake for its own structure.
-TABLE_STRINGS = [*TRICKY, "%", "%s", "%%s", "%(x)s", "]\n[", "[", "]", "],\n  [", "\x00"]
+TABLE_STRINGS = [*TRICKY, "%", "%s", "%%s", "%(x)s", "]\n[", "[", "]", "],\n  [", "\x00",
+                 "],[", "x],[y", "\u2028"]
 table_leaves = (
     st.none() | st.booleans() | st.integers() | st.text() | st.sampled_from(TABLE_STRINGS)
 )
@@ -350,6 +351,23 @@ BREAKERS = {
 }
 
 
+# Each layout of the one JSON writer, with the json.dumps options it equals.
+LAYOUTS = {
+    "report": (reporting.REPORT_JSON, {"indent": 2}),
+    "stage file": (reporting.STAGE_JSON, {"separators": (",", ":")}),
+}
+
+
+def written(value: object, layout: str) -> bytes:
+    out = io.BytesIO()
+    reporting.write_json(value, out, LAYOUTS[layout][0])
+    return out.getvalue()
+
+
+def dumped(value: object, layout: str) -> bytes:
+    return (json.dumps(value, ensure_ascii=False, **LAYOUTS[layout][1]) + "\n").encode("utf-8")
+
+
 @st.composite
 def tables(draw) -> list:
     """Rows sharing one key tuple, cycled past one block, maybe with one row broken."""
@@ -359,7 +377,8 @@ def tables(draw) -> list:
             for key in keys}
     distinct = [{key: draw(cell[key]) for key in keys}
                 for _ in range(draw(st.integers(1, 4)))]
-    size = draw(st.sampled_from([1, 2, 3, reporting._BLOCK_ROWS, reporting._BLOCK_ROWS + 1, 700]))
+    blocks = [reporting.STAGE_JSON.block, reporting.REPORT_JSON.block]
+    size = draw(st.sampled_from([1, 2, 3, *blocks, *(block + 1 for block in blocks), 700]))
     rows = [distinct[index % len(distinct)] for index in range(size)]
     breaker = draw(st.sampled_from([None, *BREAKERS]))
     if breaker is not None:
@@ -369,13 +388,14 @@ def tables(draw) -> list:
 
 
 class TestTableWriter:
-    """Lists of same-keyed dicts go through the table writer: still json.dumps's bytes."""
+    """Lists of same-keyed dicts go through the table writer: still json.dumps's bytes,
+    in the report's layout and in the stage files'."""
 
     @settings(deadline=None, max_examples=300)
-    @given(rows=tables())
-    def test_equals_json_dumps(self, rows):
-        case = {"table": rows, "nested": {"rows": rows, "after": [rows, "%s"]}}
-        assert rendered(case) == whole_document_json(case)
+    @given(rows=tables(), layout=st.sampled_from(sorted(LAYOUTS)), other=json_values)
+    def test_equals_json_dumps(self, rows, layout, other):
+        case = {"table": rows, "nested": {"rows": rows, "after": [rows, "%s", other]}}
+        assert written(case, layout) == dumped(case, layout)
 
     def test_true_is_not_one(self):
         rows = [{"flag": True, "n": 1}, {"flag": 1, "n": True}, {"flag": False, "n": 0}]
@@ -387,7 +407,7 @@ class TestTableWriter:
         assert rendered({"t": rows}) == whole_document_json({"t": rows})
 
     def test_a_report_is_written_a_block_at_a_time(self):
-        rows = [{"id": f"r{index}", "at": index} for index in range(3 * reporting._BLOCK_ROWS)]
+        rows = [{"id": f"r{i}", "at": i} for i in range(3 * reporting.REPORT_JSON.block)]
         case = {"links": rows}
         writes: list[bytes] = []
         out = io.BytesIO()
@@ -396,6 +416,27 @@ class TestTableWriter:
         assert b"".join(writes) == whole_document_json(case)
         assert len(writes) == 4
         assert max(map(len, writes)) < len(b"".join(writes)) / 2
+
+
+class TestOneWriterTwoLayouts:
+    """The report and every stage file go through one writer, ``write_json``."""
+
+    def test_list_cells_split_before_they_are_joined(self):
+        # Compact list cells joined by commas hold "],[" between two cells
+        # and inside the string "x],[y" alike.
+        rows = [{"id": "a", "ids": ["x],[y"]}, {"id": "b", "ids": ["z", "%", "\u2028"]}]
+        for layout in LAYOUTS:
+            assert written(rows, layout) == dumped(rows, layout)
+        assert written(rows, "stage file") == (
+            '[{"id":"a","ids":["x],[y"]},{"id":"b","ids":["z","%","\u2028"]}]\n'.encode()
+        )
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("count", [0, 1, 64, 65, 256, 257, 700])
+    def test_a_generator_of_blocks_stands_for_one_list(self, layout, count):
+        rows = [{"n": n, "ids": [str(n)] * (n % 3), "at": None} for n in range(count)]
+        blocks = (rows[i:i + 50] for i in range(0, count, 50))
+        assert written({"rows": blocks}, layout) == dumped({"rows": rows}, layout)
 
 
 class TestReportStepMemory:
