@@ -322,16 +322,27 @@ def _step_correlate(
 
     links = match_synced_artifacts(dump.records, events, skew, window_seconds, index)
     del index  # nothing past matching reads it: free it before the timeline is built
-    timeline = build_timeline(dump.records, events, skew)
+    out_of_range: list[str] = []
+    timeline = build_timeline(dump.records, events, skew, out_of_range)
+    log_name = os_name(cloud_log.name)
+    cloud_ledger += (
+        {
+            "file": log_name,
+            "line": 0,
+            "message": f"event {event_id!r}: the skew correction moves its time out of "
+            "1970-2100, so it is left off the timeline",
+        }
+        for event_id in out_of_range
+    )
     uninstall = detect_uninstall_evidence(apps, events)
-    findings = derive_cloud_usage_findings(links, uninstall, events)
+    findings = derive_cloud_usage_findings(links, uninstall, events, skew)
     stages = _write_stages(out, {
         "skew.json": skew,
         "links.json": links,
         "timeline.json": timeline,
         "findings.json": findings,
         "cloud_log.json": {
-            "name": os_name(cloud_log.name),
+            "name": log_name,
             "event_count": len(events),
             "ledger": cloud_ledger,
         },

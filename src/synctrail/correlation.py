@@ -3,8 +3,9 @@
 Estimates the constant offset between the device clock and the cloud
 logger's clock, matches synchronized artifacts across the two sides,
 merges everything onto one skew-corrected timeline, and derives
-evidence-backed findings (proven uploads and downloads, app use
-followed by uninstall, account activity).
+evidence-backed findings (proven uploads and downloads, one per
+account, event kind and link tier; app use followed by uninstall;
+account activity).
 
 Every operation here is a pure function over immutable inputs and is
 deterministic down to the byte: all orderings are total, with explicit
@@ -22,7 +23,14 @@ from typing import Optional, Sequence
 
 from .acquisition import AppRecord, AppStatus, CloudEvent, EventKind, _integer
 from .errors import InsufficientSupport
-from .evidence import EvidenceRecord, Source, check_epoch, checked_digest_hex, epoch_to_iso
+from .evidence import (
+    EPOCH_MAX,
+    EPOCH_MIN,
+    EvidenceRecord,
+    Source,
+    checked_digest_hex,
+    epoch_to_iso,
+)
 
 DEFAULT_WINDOW_SECONDS = 300
 DEFAULT_MIN_SKEW_SUPPORT = 3
@@ -41,6 +49,9 @@ APP_USED_THEN_UNINSTALLED = "AppUsedThenUninstalled"
 ACCOUNT_ACTIVITY = "AccountActivity"
 HIGH = "High"
 MEDIUM = "Medium"
+
+# The finding kind that a link proves, by the linked event's kind.
+_PROVEN = {EventKind.UPLOAD.value: PROVEN_UPLOAD, EventKind.DOWNLOAD.value: PROVEN_DOWNLOAD}
 
 # Findings sort by kind in this order.
 _KIND_ORDER = {
@@ -391,7 +402,8 @@ def match_synced_artifacts(
     corrected gap within the window. Each digest and each object is
     swept in time order (see ``_Sweep``), so no pass builds the cross
     product of a repeated key. Output is the ``links.json`` rows, sorted
-    by (tier, device record id). ``index`` is ``digest_index`` over both
+    by (tier, device record id); each names the linked event's
+    ``account`` and ``kind``. ``index`` is ``digest_index`` over both
     sides, built here if not given.
     """
     used_records: set[str] = set()
@@ -418,30 +430,36 @@ def match_synced_artifacts(
         window.add_line(records, events, disjoint)
     window.run()
 
-    return [
-        {
-            "device_record_id": record_id,
-            "cloud_event_id": event_id,
-            "tier": tier,
-            "time_delta_seconds": delta,
-        }
-        for tier, sweep in ((EXACT_DIGEST, exact), ("MetadataWindow", window))
-        for record_id, event_id, delta in sorted(sweep.links)
-    ]
+    events_by_id = {event.event_id: event for event in cloud_events}
+    rows = []
+    for tier, sweep in ((EXACT_DIGEST, exact), ("MetadataWindow", window)):
+        for record_id, event_id, delta in sorted(sweep.links):
+            event = events_by_id[event_id]
+            rows.append({
+                "device_record_id": record_id,
+                "cloud_event_id": event_id,
+                "tier": tier,
+                "time_delta_seconds": delta,
+                "account": event.account,
+                "kind": event.kind._value_,  # .value, without its descriptor call
+            })
+    return rows
 
 
 def build_timeline(
     device_records: Sequence[EvidenceRecord],
     cloud_events: Sequence[CloudEvent],
     skew: dict,
+    out_of_range: Optional[list[str]] = None,
 ) -> dict:
     """Merge both sides onto the device clock, as the ``timeline.json`` payload.
 
-    Cloud timestamps are shifted by minus the estimated offset; a shift
-    out of 1970-2100 raises ImpossibleDate. The sort is total: time,
-    then Device before Cloud, then id, so the result is byte-stable
-    across runs and input orderings. Each time is formatted once.
-    Undated records are excluded and counted.
+    Cloud timestamps are shifted by minus the estimated offset. An event
+    that the shift moves out of 1970-2100 is left off, and its id is
+    appended to ``out_of_range`` when one is given. The sort is total:
+    time, then Device before Cloud, then id, so the result is
+    byte-stable across runs and input orderings. Each time is formatted
+    once. Undated records are excluded and counted.
     """
     # (time, side, id, ISO time, label); side 0 is the device, 1 the cloud.
     rows = []
@@ -459,7 +477,11 @@ def build_timeline(
     for event in cloud_events:
         stamp = event.timestamp
         if offset:
-            seconds = check_epoch(stamp.seconds_since_epoch - offset)
+            seconds = stamp.seconds_since_epoch - offset
+            if not EPOCH_MIN <= seconds <= EPOCH_MAX:
+                if out_of_range is not None:
+                    out_of_range.append(event.event_id)
+                continue
             iso = epoch_to_iso(seconds)
         else:
             seconds, iso = stamp.seconds_since_epoch, stamp.to_iso()
@@ -548,48 +570,87 @@ def derive_cloud_usage_findings(
     links: Sequence[dict],
     uninstall_findings: Sequence[dict],
     cloud_events: Sequence[CloudEvent],
+    skew: dict,
 ) -> list[dict]:
     """Assemble the final ordered finding list, as the ``findings.json`` rows.
 
-    Each upload or download link becomes a proven-transfer finding
-    (digest matches are High confidence, window matches Medium), every
-    account with a login event becomes an account-activity finding, and
-    the uninstall findings are folded in. Order is (kind, first
-    supporting id, then input order), and ids ``F001``, ``F002``, ...
-    follow that order.
+    The upload and download links become one proven-transfer finding
+    per (link ``account``, link ``kind``, tier), built in one pass over
+    the links: digest matches are High confidence, window matches
+    Medium. Each names the record and event ids of its group's first
+    link, and counts the group's links in ``link_count``; ``first_utc``
+    and ``last_utc`` are the group's earliest and latest corrected cloud
+    times, as the timeline writes them, or null when the skew moves
+    every one out of 1970-2100. Every account with a login event becomes
+    an account-activity finding, and the uninstall findings are folded
+    in. Order is (kind, first supporting id, then input order), and ids
+    ``F001``, ``F002``, ... follow that order.
     Narratives are templated, never free text.
     """
-    events_by_id = {event.event_id: event for event in cloud_events}
+    offset = skew["offset_seconds"]
+    # Per group: its first link, its link count, and its earliest and
+    # latest corrected time in range (none in range while low > high).
+    groups: dict[tuple[Optional[str], str, str], list] = {}
+    seconds_of = {
+        event.event_id: event.timestamp.seconds_since_epoch
+        for event in cloud_events
+        if event.kind._value_ in _PROVEN
+    }
+    for link in links:
+        kind = link["kind"]
+        if kind not in _PROVEN:
+            continue
+        key = (link["account"], kind, link["tier"])
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = [link, 0, EPOCH_MAX + 1, EPOCH_MIN - 1]
+        group[1] += 1
+        seconds = seconds_of[link["cloud_event_id"]] - offset
+        if EPOCH_MIN <= seconds <= EPOCH_MAX:
+            if seconds < group[2]:
+                group[2] = seconds
+            if seconds > group[3]:
+                group[3] = seconds
+
     # Each finding as (kind rank, first supporting id, input position,
-    # kind, confidence, supporting ids, narrative): sorted as tuples, each
-    # row is then built once, already numbered.
+    # kind, confidence, supporting ids, narrative, further fields):
+    # sorted as tuples, each row is then built once, already numbered.
     pending: list[tuple] = []
 
-    def add(kind: str, confidence: str, supporting_ids: list[str], narrative: str) -> None:
+    def add(
+        kind: str, confidence: str, supporting_ids: list[str], narrative: str, **fields: object
+    ) -> None:
         pending.append((
             _KIND_ORDER[kind], supporting_ids[0], len(pending),
-            kind, confidence, supporting_ids, narrative,
+            kind, confidence, supporting_ids, narrative, fields,
         ))
 
-    for link in links:
-        record_id, event_id = link["device_record_id"], link["cloud_event_id"]
-        event = events_by_id.get(event_id)
-        if event is None or event.kind not in (EventKind.UPLOAD, EventKind.DOWNLOAD):
-            continue
-        exact = link["tier"] == EXACT_DIGEST
+    for (account, kind, tier), (link, count, low, high) in groups.items():
+        exact = tier == EXACT_DIGEST
         basis = (
             "an exact content digest match"
             if exact
             else "matching object metadata inside the sync window"
         )
-        add(
-            PROVEN_UPLOAD if event.kind is EventKind.UPLOAD else PROVEN_DOWNLOAD,
-            HIGH if exact else MEDIUM,
-            [record_id, event_id],
-            f"Device artifact {record_id} and cloud event {event_id} "
-            f"({event.kind.value}) are the same object, established by {basis}.",
+        first, last = (epoch_to_iso(low), epoch_to_iso(high)) if low <= high else (None, None)
+        span = (
+            f"corrected cloud times {first} to {last}"
+            if first is not None
+            else "no corrected cloud time in 1970-2100"
         )
-    del events_by_id  # not held while the rows are built
+        owner = "no account" if account is None else f"account {account}"
+        add(
+            _PROVEN[kind],
+            HIGH if exact else MEDIUM,
+            [link["device_record_id"], link["cloud_event_id"]],
+            f"{count} device artifact(s) are the same object(s) as {kind} cloud "
+            f"event(s) of {owner}, each established by {basis}; {span}.",
+            account=account,
+            tier=tier,
+            link_count=count,
+            first_utc=first,
+            last_utc=last,
+        )
 
     logins_by_account: dict[str, list[str]] = {}
     for event in cloud_events:
@@ -615,7 +676,8 @@ def derive_cloud_usage_findings(
             "confidence": confidence,
             "supporting_ids": supporting_ids,
             "narrative": narrative,
+            **fields,
         }
-        for number, (_, _, _, kind, confidence, supporting_ids, narrative)
+        for number, (_, _, _, kind, confidence, supporting_ids, narrative, fields)
         in enumerate(pending, start=1)
     ]

@@ -29,6 +29,10 @@ class ReportFormat(Enum):
     HTML = "html"
 
 
+# The report's layout, as REPORT_SCHEMA.md describes it; a change to the
+# report's fields or their meaning takes the next number.
+SCHEMA_VERSION = 2
+
 TIMESTAMP_ASSUMPTION = (
     "All times normalized to UTC; legacy device timestamps read per the locale "
     "flag; sources without zone data are assumed UTC"
@@ -76,7 +80,7 @@ STAGE_FILES: dict[str, tuple[object, object]] = {
     }),
     "links.json": ([], [{
         "device_record_id": None, "cloud_event_id": None, "tier": None,
-        "time_delta_seconds": None,
+        "time_delta_seconds": None, "account": None, "kind": None,
     }]),
     "findings.json": ([], [{
         "finding_id": None, "kind": None, "confidence": None, "narrative": None,
@@ -195,6 +199,7 @@ def build_case_report(
     return {
         "case_id": case_id or (dump["dump_id"] if dump is not None else "") or "case",
         "tool_version": tool_version,
+        "schema_version": SCHEMA_VERSION,
         "parameters": stage("parameters.json"),
         "inputs": inputs,
         "device": device,
@@ -411,6 +416,8 @@ def _fmt(value: object) -> str:
     # Render scalars the way the JSON does, escaped; the Markdown adds nothing.
     if isinstance(value, bool):
         return "true" if value else "false"
+    if value is None:
+        return "null"
     return str(value).translate(_TEXT)
 
 
@@ -418,11 +425,18 @@ def _cell(value: object) -> str:
     return str(value).translate(_CELL)
 
 
+# The fields that a proven-transfer finding adds to the common ones.
+_TRANSFER_FIELDS = ("account", "tier", "link_count", "first_utc", "last_utc")
+
+
 def _render_markdown(data: dict) -> str:
     out: list[str] = []
     out.append(f"# Case report: {_fmt(data['case_id'])}")
     out.append("")
-    out.append(f"Produced by synctrail {_fmt(data['tool_version'])}.")
+    out.append(
+        f"Produced by synctrail {_fmt(data['tool_version'])}, "
+        f"report schema {_fmt(data['schema_version'])}."
+    )
     out.append("")
     out.append("## Parameters")
     out.append("")
@@ -467,10 +481,14 @@ def _render_markdown(data: dict) -> str:
     out.append(f"## Findings ({len(data['findings'])})")
     out.append("")
     for finding in data["findings"]:
+        # A proven transfer's group fields, those the row holds, before its ids.
+        group = "".join(
+            f"{key} {_fmt(finding[key])}; " for key in _TRANSFER_FIELDS if key in finding
+        )
         out.append(
             f"- **{_fmt(finding['finding_id'])}** {_fmt(finding['kind'])} "
             f"[{_fmt(finding['confidence'])}]: {_fmt(finding['narrative'])} "
-            f"(supporting: {', '.join(map(_fmt, finding['supporting_ids']))})"
+            f"({group}supporting: {', '.join(map(_fmt, finding['supporting_ids']))})"
         )
     if not data["findings"]:
         out.append("- none")
@@ -482,7 +500,8 @@ def _render_markdown(data: dict) -> str:
         delta_text = "n/a" if delta is None else f"{_fmt(delta)} s"
         out.append(
             f"- {_fmt(link['device_record_id'])} <-> {_fmt(link['cloud_event_id'])} "
-            f"({_fmt(link['tier'])}, delta {delta_text})"
+            f"({_fmt(link['kind'])} of account {_fmt(link['account'])}, "
+            f"{_fmt(link['tier'])}, delta {delta_text})"
         )
     if not data["links"]:
         out.append("- none")

@@ -7,6 +7,7 @@ shared bug cannot hide on both sides of an assertion.
 
 from __future__ import annotations
 
+import datetime
 import re
 
 
@@ -169,6 +170,41 @@ def brute_force_match(device_records, cloud_events, offset_seconds, window_secon
 
     links.sort(key=lambda l: (0 if l[2] == "ExactDigest" else 1, l[0]))
     return links
+
+
+def brute_force_transfer_groups(links, cloud_events, offset_seconds):
+    """Proven-transfer groups by scanning every link and event, the long way.
+
+    Each link to an Upload or Download event belongs to the group of its
+    event's (account, kind value) and its tier. Returns a dict of group
+    key to (link count, first link's (record id, event id), earliest and
+    latest corrected cloud time as ISO-Z text, or None for both when the
+    offset moves every one of the group's times out of 1970-2100).
+    """
+    latest = civil_to_epoch(2100, 12, 31, 23, 59, 59)
+    keyed = []
+    for link in links:
+        (event,) = [e for e in cloud_events if e.event_id == link["cloud_event_id"]]
+        if event.kind.value in ("Upload", "Download"):
+            key = (event.account, event.kind.value, link["tier"])
+            keyed.append((key, link, event.timestamp.seconds_since_epoch - offset_seconds))
+    found = {}
+    for key in dict.fromkeys(key for key, _, _ in keyed):
+        members = [(link, time) for other, link, time in keyed if other == key]
+        times = [time for _, time in members if 0 <= time <= latest]
+        first = members[0][0]
+        found[key] = (
+            len(members),
+            (first["device_record_id"], first["cloud_event_id"]),
+            _iso(min(times)) if times else None,
+            _iso(max(times)) if times else None,
+        )
+    return found
+
+
+def _iso(epoch: int) -> str:
+    moment = datetime.datetime(1970, 1, 1) + datetime.timedelta(seconds=epoch)
+    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def linear_scan_geo(rows, ip_value: int):

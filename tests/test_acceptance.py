@@ -118,7 +118,7 @@ def test_criterion_2_uninstall_evidence(golden_bundle, golden_cloud_log):
         apps = parse_app_inventory(dump)
         links = match_synced_artifacts(dump.records, events, zero_skew())
         uninstall = detect_uninstall_evidence(apps, events)
-        findings = derive_cloud_usage_findings(links, uninstall, events)
+        findings = derive_cloud_usage_findings(links, uninstall, events, zero_skew())
         flagged = [
             f for f in findings if f["kind"] == "AppUsedThenUninstalled"
         ]

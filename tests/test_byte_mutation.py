@@ -1,10 +1,13 @@
 """Damaged input bytes end in a documented outcome, never in a traceback.
 
 Bytes of the cloud log, and of each stage file that `report` reads, are
-flipped, inserted or deleted. Every run must then exit 0, 3 or 4; an
-exit of 3 or 4 writes exactly one stderr line. Every cloud log line
-becomes one event or one ledger entry, so `cloud_log.json`'s event
-count plus its ledger entries equal the log's lines.
+flipped, inserted or deleted. Lone-surrogate escapes are written into
+the string fields and keys of cloud log and bundle lines, which byte
+flips rarely form. Every run must then exit 0, 3 or 4; an exit of 3 or
+4 writes exactly one stderr line. Every cloud log line becomes one
+event or one ledger entry, so `cloud_log.json`'s event count plus its
+ledger entries equal the log's lines; every bundle line becomes one
+record or one ledger entry of its file.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import io
 import json
 import shutil
 import tempfile
+from itertools import count
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -44,6 +49,60 @@ def mutations(draw, data: bytes) -> bytes:
         else:
             del out[at]
     return bytes(out)
+
+
+def _texts(value) -> list[str]:
+    """Every string and object key in ``value``, a decoded JSON value, in
+    the order ``_with_surrogate`` visits them."""
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, list):
+        return [text for item in value for text in _texts(item)]
+    if isinstance(value, dict):
+        return [text for key, item in value.items() for text in [key, *_texts(item)]]
+    return []
+
+
+def _with_surrogate(value, slots: dict[int, tuple[int, str]], visits: Iterator[int]):
+    """``value`` with each text whose visiting index (drawn from ``visits``)
+    is in ``slots`` given that slot's lone surrogate at that slot's position."""
+    if isinstance(value, str):
+        index = next(visits)
+        if index in slots:
+            at, surrogate = slots[index]
+            value = value[:at] + surrogate + value[at:]
+        return value
+    if isinstance(value, list):
+        return [_with_surrogate(item, slots, visits) for item in value]
+    if isinstance(value, dict):
+        return {
+            _with_surrogate(key, slots, visits): _with_surrogate(item, slots, visits)
+            for key, item in value.items()
+        }
+    return value
+
+
+@st.composite
+def surrogate_escapes(draw, data: bytes) -> bytes:
+    """``data``, JSON Lines, with one to three of its object lines rewritten
+    so that one or two of their strings or keys hold a ``\\udXXX`` escape
+    of a lone surrogate."""
+    lines = data.splitlines()
+    for at in draw(st.sets(st.integers(0, len(lines) - 1), min_size=1, max_size=3)):
+        value = json.loads(lines[at])
+        texts = _texts(value)
+        if not isinstance(value, dict) or not texts:
+            continue
+        chosen = draw(st.sets(st.integers(0, len(texts) - 1), min_size=1, max_size=2))
+        slots = {
+            index: (
+                draw(st.integers(0, len(texts[index]))),
+                chr(draw(st.integers(0xD800, 0xDFFF))),
+            )
+            for index in sorted(chosen)
+        }
+        lines[at] = json.dumps(_with_surrogate(value, slots, count())).encode("ascii")
+    return b"".join(line + b"\n" for line in lines)
 
 
 def run_quietly(argv: list[str]) -> tuple[int, list[str]]:
@@ -109,3 +168,42 @@ def test_damaged_stage_file(cases, data):
             shutil.copyfile(pristine / stage, out / stage)
         (out / name).write_bytes(data.draw(mutations((pristine / name).read_bytes())))
         assert_documented(*run_quietly(["report", "--out", str(out), "--format", format]))
+
+
+@examples(150)
+@given(data=st.data())
+def test_surrogate_escapes_in_the_cloud_log(cases, data):
+    bundle, cloud_log, _ = cases["simulated"]
+    damaged = data.draw(surrogate_escapes(cloud_log.read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "bundle"
+        shutil.copytree(bundle, copy)
+        log = Path(tmp) / cloud_log.name
+        log.write_bytes(damaged)
+        out = Path(tmp) / "out"
+        code, stderr = run_quietly(["run-all", str(copy), str(log), "--out", str(out)])
+        assert_documented(code, stderr)
+        if code == 0:
+            written = json.loads((out / "cloud_log.json").read_text(encoding="utf-8"))
+            assert written["event_count"] + len(written["ledger"]) == len(damaged.splitlines())
+
+
+@examples(150)
+@given(data=st.data())
+def test_surrogate_escapes_in_bundle_lines(cases, data):
+    bundle, cloud_log, _ = cases["simulated"]
+    name = data.draw(st.sampled_from(sorted(path.name for path in bundle.glob("*.jsonl"))))
+    damaged = data.draw(surrogate_escapes((bundle / name).read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "bundle"
+        shutil.copytree(bundle, copy)
+        (copy / "manifest.sealed.json").unlink()
+        (copy / name).write_bytes(damaged)
+        out = Path(tmp) / "out"
+        code, stderr = run_quietly(["run-all", str(copy), str(cloud_log), "--out", str(out)])
+        assert_documented(code, stderr)
+        if code == 0:
+            dump = json.loads((out / "dump.json").read_text(encoding="utf-8"))
+            records = sum(1 for r in dump["records"] if r["attributes"].get("_file") == name)
+            ledgered = sum(1 for row in dump["ledger"] if row["file"] == name and row["line"])
+            assert records + ledgered == len(damaged.splitlines())

@@ -87,9 +87,9 @@ PINS = {
         "dump.json": "41cb36cacf8f9ddd9d574a1cb683bac2b636187905e8091a07523c3b769d1154",
         "findings.json": "e612f9a9311c85175b2afe385ae757e1057f4d88ba46c82ed33d2068f5aa8ede",
         "geo.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
-        "golden-lgd802.report.html": "8cdd425e25a96455567796de4903d2a42cf492a2aea584fd0785b227d5fd0622",
-        "golden-lgd802.report.json": "6067c6966fdaced13f8d61bbe1e6e7d595c2a6f81e717f6812e30871561f54e4",
-        "golden-lgd802.report.md": "efc277c4634602cebeef4ca2fc2de94f63ef9f0563b15ac51145e5cd387899cf",
+        "golden-lgd802.report.html": "3da8227a52535b4fbe06fa5fc78e145db0bdc289cc92b52befcd4fae988e82f0",
+        "golden-lgd802.report.json": "5d55b34f194f0f63d0b2d20a78e51df4d7f1784c304041185d5bb715a1423e3f",
+        "golden-lgd802.report.md": "3fd192374a53913e565b897b643025a8efd28f81ecbbf62027c6991c19dd5594",
         "identity_graph.json": "abbbfb47098474bd0d478558b8155778186e01016ee5127395ad1c5a2d3dbfb3",
         "links.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
@@ -102,64 +102,64 @@ PINS = {
     "simulated": (simulated, {
         "cloud_log.json": "897ab55886061313e5dfb9200c3fc3f21235c42acee26d301b247a6798a0da2f",
         "dump.json": "53478d135a81def40b6614ef12e8fedd580cb0dc9904ad9ff345b63a7dade1f0",
-        "findings.json": "cbc46df9a52610c0094f5185394387fdee81ea726937ad83b7735eb6deb485e4",
+        "findings.json": "3df4313480e8797f1e25131c8bf502d4d19feb33c10ef06a09e711d18e786710",
         "geo.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "identity_graph.json": "526eb0999ac9b3ddbee586deefbb5892252d601d2f0b3e3535cf65e47c9a8c86",
-        "links.json": "767270c8a6221664cf820554528c01a96c8a5cc6b9d6854c21f50bcdf11511c5",
+        "links.json": "abbb4cd6d3bbaa6fa751f3cab840bf67c00515186110a96e987b248e1f39997a",
         "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
-        "sim-21.report.html": "aef4c33f50835824b9be7d8b94b8d91ada0b9d733a510b02785a2b6406395059",
-        "sim-21.report.json": "c291b2812563c4685d2c0cf780bfb000fac7cb8ba2a46467f078c40d890c6e89",
-        "sim-21.report.md": "decfb50e6c5d8e55f3c7feeb0eea096ad135fa9309e5d543ceb2ff36f4fab32e",
+        "sim-21.report.html": "05f45dfbab6332a585f79d8a3d9c6bd0ecb829261dd18bbabf325dc1b0a8166c",
+        "sim-21.report.json": "762248d9d857fa0868e5af0d34a66d0e7f3cd9294771674c3b3cff35dd57e2fc",
+        "sim-21.report.md": "6bca750b74ba7be54ffce48ba2b9cc038c56ed6b438466487ad9ad6a9f6b6151",
         "skew.json": "44aedde6aa676ae66094b5577475e6761e5402f570385861dfc3c5c2de262480",
         "timeline.json": "46c23acf11796607c2fbbeac3db0de144426dc636e7e320b1362d5f5c763d5e4",
         "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
         "manifest.sealed.json": "8f29cd01fc84680e150c938fc5a9595b6b179ba003cfbb08b9eaa522c8b6b2a1",
-        "stderr": "2400c833c967be037750237c7f46a0cfbab1adc74dc3b6a57911cfb68b1c54d9",
+        "stderr": "227d26a394cdb34cb7662d5aa92e86c122e9ef95afd75f1f8b61e3e772493314",
     }),
     "simulated_metadata_only": (simulated_metadata_only, {
         "cloud_log.json": "897ab55886061313e5dfb9200c3fc3f21235c42acee26d301b247a6798a0da2f",
         "dump.json": "5f8d45f87a81e1e3dab1fb11ff62b79e871e83f78cdb1392afd5ae911382f1b3",
-        "findings.json": "43c5dec3a7d1ecb6e7793a8b0a353dd94d1930c347f07afc1766136423cde56f",
+        "findings.json": "c8e7fb4ed965aa356245d6fd82b19caeceda45b6cbd4568efe7c3273fc8a0750",
         "geo.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "identity_graph.json": "7b9f06ec6ccfac5bde792204d5fa5125e382d732411898926517132ee56d3772",
-        "links.json": "c0b4ae142b3438671b92d45fc89e65479127719068bb4a4f32ac3c346c30d3c6",
+        "links.json": "dbd507a19e87119d5f409bcd7a002c26391f218208796c854838c4a0c36982ed",
         "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
-        "sim-22.report.html": "9400e8ab43bdb8a56c92ebf0c57895ccfe6d3978781fd39e343818971aaabec9",
-        "sim-22.report.json": "c38dba59d3ec4cadaa31d4e9504cfc29907e66da9fcab128cf2e6f7124ec70f8",
-        "sim-22.report.md": "079f0de08a3ef7ea026edc5c3cfdf66a86f9f82565aff29772a2b52457e2401c",
+        "sim-22.report.html": "16d36f722e9a06714e445ebbc4e933a33d0d2983fb682b08c69d84ccdf7f9c62",
+        "sim-22.report.json": "62093a6fe5373f99c52ae9d990aa0f2618cde4efb5a75b45674fd7324ede8994",
+        "sim-22.report.md": "fe7ac58d89e09813daeeca0a1e4e221a3592ed4e585219523920790eb669253d",
         "skew.json": "38885eb8176156bf1fa0fadb06c592ffc0bfae277c6780abcebf25ab5540c4e8",
         "timeline.json": "32c68c0545ec1f3da600b512705afb8bf72e4218cac1391da579344268aca39d",
         "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
         "manifest.sealed.json": "94f42d7b5bb8d3b1a983a3b119aa7815c1e4e2cc9bf9bdf2f6cfa11b2738211e",
-        "stderr": "d04dc122c5543a4f7d9e655b9e4b8d0728666aa08e6d1b78ea78558f951e90e1",
+        "stderr": "e215ea83b15095ac539c0202782ed81ad8dc95f071ce9cad2e28bf8179608847",
     }),
     "sync_shapes": (sync_shapes, {
         "cloud_log.json": "ffb98959d6cd2bd9e91fb7f10cca350c2a6d8cd89afc23e16cf9718fc1372669",
         "dump.json": "997a27a7cd9051c1a14539d7fb92ed53f55b9b547c7e9dc58200b59c57fd3f46",
-        "findings.json": "86e1bc54bbc82de428fba759074508da1b26e6723b13817188609ed5b234de0f",
+        "findings.json": "6b93bc9e4d8db4fd30b311d66c58be864081cc3bb02c51bf9e047f3d34cb27c5",
         "geo.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "identity_graph.json": "14b86e0eb3ef51348f860b5b6e37b8b38785e6153b1fa15734ead4718d1cc352",
-        "links.json": "42da26d0ea53a34279988f864095ee5010cf7e8d691a7cfea0bd2c7ac72d545e",
+        "links.json": "23a3368e80f98c3e7e0a0885ed7ad1403585adb0d9bd7a57757884a33555af06",
         "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
         "skew.json": "8474a3058d54ac52769fe8c55a0835762a01c296355ca63454ce0121f2e05a00",
-        "sync-shapes.report.html": "372ead2f63140bf4091208873bfc288c33f5bec848a6c5f510ad9d0056032776",
-        "sync-shapes.report.json": "f79dcaf5d74d0a3f9cb5e041b82b2f6e16ba42119c1a869cf0e8b3e6805e8c44",
-        "sync-shapes.report.md": "548fef50e877c9f4c51a4f236719514c3129bf4eab8f64def9db5367d51e016e",
+        "sync-shapes.report.html": "afef98d2c660639941155037943c7d556cbf82d0122ee734e13ae787e146ce83",
+        "sync-shapes.report.json": "42d1afffa9144c56a6aa2e1762a9256de1be2033d42da012586eb6fe22b32b21",
+        "sync-shapes.report.md": "b97c8b9aed9944396fdb1560a477cb0effce418d84e2a42a13c8a190dc9851d2",
         "timeline.json": "7b44cd4de3a3a95cd0d03c0a34236381979fa878a1cdb551801854ebd46e2ce2",
         "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
         "manifest.sealed.json": "d0ad7069e76157a7c1fa1cf63453ec8d4bf8f776c30c0d445f5d6cca77534016",
-        "stderr": "1f5bf338aae4860965ea7e586b75460c044549a9d01fe7a7dbd75afbc2295338",
+        "stderr": "f5507f0acaa19a2532f1f2e8f9d817fcd2ee6d7233a5ea9b28c3a36fdc54bcbf",
     }),
     "comm_shapes": (comm_shapes, {
         "cloud_log.json": "a535418085b9fe419abad0bcb4ebff342b3a49b0dc30fac4c43c6e67f22b7e8e",
-        "comm-shapes.report.html": "4cf2523d4ecbd118726ea14fcf7f7f1d7c6544c14a45dc5e048aebbba3023675",
-        "comm-shapes.report.json": "8f8f7432d8197df3db33a3367eabfe17c99b29151bc6031daf41c682ec1e538d",
-        "comm-shapes.report.md": "aa1593cc95e97082eeb4de88281f9d11f70261cbbb559ad3ac99ba5763575e13",
+        "comm-shapes.report.html": "c07ce5062b9ab896f65b0a1b095333ed01791b98569cdf723cc0294dfb341bc3",
+        "comm-shapes.report.json": "7bfe769fde8f32fb572fcc8027c616c4058b0d8294951e85a212b0d5a89b937c",
+        "comm-shapes.report.md": "dd8a3d44417bc7044df94bb3f4516551f53595ae55a180a426b10b84338e620a",
         "dump.json": "7d2747bf434ec07c7e9bb221ecc55ae7607a7a97fabecdcf4ccded105fbb953a",
-        "findings.json": "0e912041b6e5aba5a11b5be9fb30b9d546cf90baf8f60f546e7dba70f00cd31d",
+        "findings.json": "0be33ab2a7989aa941943ce08bc543f15d3fa25c14413e8778b52ba6180574da",
         "geo.json": "6cb537435364bcecaebc1ff278492daa4a90aa77792f1ae58fd4d966eb56d998",
         "identity_graph.json": "243f543da9d5ba2b0e93fa77af69ac432173cacd932aea3538f9afd4601ab20f",
-        "links.json": "9c16bffce7e7baa557ba4298832c6b2f6aa38fd606ca6330d639a0606cde9e10",
+        "links.json": "d008bb8fc5a75f8d8abbe6e26f64ea7260e2385d48eea3463635a72aa3681752",
         "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
         "skew.json": "38885eb8176156bf1fa0fadb06c592ffc0bfae277c6780abcebf25ab5540c4e8",
         "timeline.json": "5f099499fc47cb4cd054da5ac31d2d81f077c6ed92bc8c712bc8b46a8b547efa",

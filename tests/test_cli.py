@@ -479,6 +479,29 @@ class TestRunAll:
         assert stepwise(case, tmp_path / "stepwise", []) == 0
         assert (out / name).read_bytes() == (tmp_path / "stepwise" / name).read_bytes()
 
+    def test_a_cloud_time_corrected_out_of_range_is_one_ledger_note(self, tmp_path, capsys):
+        case = simulate(tmp_path, skew_seconds=300)
+        lines = case.cloud_log.read_text(encoding="utf-8").splitlines()
+        with open(case.cloud_log, "a", encoding="utf-8") as handle:
+            handle.write('{"id":"early","kind":"Login","ts":"1970-01-01T00:01:00Z","account":"a@x"}\n')
+        out = tmp_path / "out"
+        assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 0
+        assert "error" not in capsys.readouterr().err
+        for name in STAGE_FILES:
+            assert (out / name).is_file(), name
+        cloud_log = json.loads((out / "cloud_log.json").read_text(encoding="utf-8"))
+        assert cloud_log["event_count"] == len(lines) + 1
+        assert cloud_log["ledger"] == [{
+            "file": case.cloud_log.name,
+            "line": 0,
+            "message": "event 'early': the skew correction moves its time out of 1970-2100, "
+                       "so it is left off the timeline",
+        }]
+        report = json.loads((out / "sim-1000.report.json").read_text(encoding="utf-8"))
+        assert report["skew"]["offset_seconds"] > 60
+        assert "early" not in {entry["id"] for entry in report["timeline"]}
+        assert report["error_ledger"] == cloud_log["ledger"]
+
     def test_run_all_ingests_each_input_once(self, tmp_path, monkeypatch):
         case = simulate(tmp_path, n_uploads=6, skew_seconds=300)
         calls = {"ingest_device_dump": 0, "ingest_cloud_log": 0}

@@ -28,7 +28,7 @@ from synctrail.correlation import (
     match_synced_artifacts,
     zero_skew,
 )
-from synctrail.errors import ImpossibleDate, InsufficientSupport
+from synctrail.errors import InsufficientSupport
 from synctrail.evidence import (
     ArtifactCategory,
     EvidenceRecord,
@@ -38,7 +38,12 @@ from synctrail.evidence import (
 )
 from synctrail.simulator import SimParams, generate_case
 
-from _oracles import brute_force_match, lower_median, reference_skew
+from _oracles import (
+    brute_force_match,
+    brute_force_transfer_groups,
+    lower_median,
+    reference_skew,
+)
 
 BASE = 1462752000  # inside the simulated week
 
@@ -537,12 +542,20 @@ class TestBuildTimeline:
         timeline = build_timeline(records, [], zero_skew())
         assert [e["id"] for e in timeline["entries"]] == ["ra", "rb"]
 
-    def test_cloud_time_shifted_out_of_range_is_impossible(self):
+    def test_cloud_time_shifted_out_of_range_is_left_off(self):
         skew = {"offset_seconds": 200, "support_count": 3, "spread_seconds": 0, "fallback": False}
-        shifted = build_timeline([], [cloud("e0", 200, kind=EventKind.LOGIN)], skew)
+        out_of_range: list[str] = []
+        shifted = build_timeline([], [cloud("e0", 200, kind=EventKind.LOGIN)], skew, out_of_range)
         assert shifted["entries"][0]["timestamp_utc"] == "1970-01-01T00:00:00Z"
-        with pytest.raises(ImpossibleDate, match="timestamp -1 outside supported range"):
-            build_timeline([], [cloud("e0", 199, kind=EventKind.LOGIN)], skew)
+        assert out_of_range == []
+        events = [cloud("e0", 199, kind=EventKind.LOGIN), cloud("e1", 201, kind=EventKind.LOGIN)]
+        shifted = build_timeline([device_file("r0", 5)], events, skew, out_of_range)
+        assert [e["id"] for e in shifted["entries"]] == ["e1", "r0"]
+        assert out_of_range == ["e0"]
+        # Past 2100 too, and without a list to name it in.
+        late = {**skew, "offset_seconds": -200}
+        events = [cloud("e2", 4133980600, kind=EventKind.LOGIN)]
+        assert build_timeline([], events, late) == {"entries": [], "excluded_undated": 0}
 
     def test_total_order_oracle(self, tmp_path):
         case = generate_case(SimParams(seed=88, skew_seconds=60), tmp_path)
@@ -609,39 +622,82 @@ class TestUninstallEvidence:
         assert detect_uninstall_evidence(apps, []) == []
 
 
+def transfer_links(links: list[dict], finding: dict) -> list[dict]:
+    """The links that a proven-transfer finding's key selects."""
+    kind = {"ProvenUpload": "Upload", "ProvenDownload": "Download"}[finding["kind"]]
+    return [
+        link for link in links
+        if (link["account"], link["kind"], link["tier"]) == (finding["account"], kind,
+                                                            finding["tier"])
+    ]
+
+
+def assert_transfers_match_oracle(links, events, skew, findings) -> None:
+    """Every Upload/Download link is counted in exactly one proven finding,
+    whose count, first link and times equal the brute-force grouping."""
+    proven = [f for f in findings if f["kind"] in ("ProvenUpload", "ProvenDownload")]
+    kinds = {"ProvenUpload": "Upload", "ProvenDownload": "Download"}
+    got = {
+        (f["account"], kinds[f["kind"]], f["tier"]):
+            (f["link_count"], tuple(f["supporting_ids"]), f["first_utc"], f["last_utc"])
+        for f in proven
+    }
+    assert len(got) == len(proven)
+    assert got == brute_force_transfer_groups(links, events, skew["offset_seconds"])
+    transfers = [link for link in links if link["kind"] in ("Upload", "Download")]
+    selected = [link for f in proven for link in transfer_links(links, f)]
+    assert sorted(map(link_tuple, selected)) == sorted(map(link_tuple, transfers))
+    for f in proven:
+        assert f["confidence"] == ("High" if f["tier"] == "ExactDigest" else "Medium")
+        assert f["link_count"] == len(transfer_links(links, f))
+
+
 class TestDeriveFindings:
     def test_exact_upload_link_becomes_high_proven_upload(self):
         d = digest_hex("img")
         records = [device_file("r0", BASE, d)]
         events = [cloud("e0", BASE + 1, kind=EventKind.UPLOAD, digest=d)]
         links = match_synced_artifacts(records, events, zero_skew())
-        findings = derive_cloud_usage_findings(links, [], events)
-        assert len(findings) == 1
-        assert findings[0]["kind"] == "ProvenUpload"
-        assert findings[0]["confidence"] == "High"
-        assert findings[0]["supporting_ids"] == ["r0", "e0"]
-        assert findings[0]["finding_id"] == "F001"
+        assert [(link["account"], link["kind"]) for link in links] == [("a@x", "Upload")]
+        findings = derive_cloud_usage_findings(links, [], events, zero_skew())
+        assert findings == [{
+            "finding_id": "F001",
+            "kind": "ProvenUpload",
+            "confidence": "High",
+            "supporting_ids": ["r0", "e0"],
+            "narrative": "1 device artifact(s) are the same object(s) as Upload cloud event(s) "
+                         "of account a@x, each established by an exact content digest match; "
+                         f"corrected cloud times {epoch_to_iso(BASE + 1)} to "
+                         f"{epoch_to_iso(BASE + 1)}.",
+            "account": "a@x",
+            "tier": "ExactDigest",
+            "link_count": 1,
+            "first_utc": epoch_to_iso(BASE + 1),
+            "last_utc": epoch_to_iso(BASE + 1),
+        }]
 
     def test_download_and_metadata_confidence(self):
         records = [device_file("r0", BASE, name="doc.pdf", size=5)]
         events = [cloud("e0", BASE + 2, kind=EventKind.DOWNLOAD, name="doc.pdf", size=5)]
         links = match_synced_artifacts(records, events, zero_skew())
-        findings = derive_cloud_usage_findings(links, [], events)
+        findings = derive_cloud_usage_findings(links, [], events, zero_skew())
         assert findings[0]["kind"] == "ProvenDownload"
         assert findings[0]["confidence"] == "Medium"
+        assert findings[0]["tier"] == "MetadataWindow"
 
     def test_a_window_link_to_a_sync_event_gives_no_finding(self):
         records = [device_file("r0", BASE, name="doc.pdf", size=5)]
         events = [cloud("e0", BASE + 2, kind=EventKind.SYNC, name="doc.pdf", size=5)]
         links = match_synced_artifacts(records, events, zero_skew())
         assert [link_tuple(l) for l in links] == [("r0", "e0", "MetadataWindow", 2)]
-        assert derive_cloud_usage_findings(links, [], events) == []
+        assert links[0]["kind"] == "Sync"
+        assert derive_cloud_usage_findings(links, [], events, zero_skew()) == []
 
     def test_empty_case_keeps_only_uninstall_findings(self):
         uninstall = detect_uninstall_evidence(
             [], [cloud("e0", BASE, kind=EventKind.INSTALL, name="com.example.gone")]
         )
-        findings = derive_cloud_usage_findings([], uninstall, [])
+        findings = derive_cloud_usage_findings([], uninstall, [], zero_skew())
         assert [f["kind"] for f in findings] == ["AppUsedThenUninstalled"]
 
     def test_account_activity_per_login_account(self):
@@ -650,7 +706,7 @@ class TestDeriveFindings:
             cloud("e1", BASE + 5, kind=EventKind.LOGIN, account="a@x"),
             cloud("e2", BASE + 9, kind=EventKind.LOGIN, account="a@x"),
         ]
-        findings = derive_cloud_usage_findings([], [], events)
+        findings = derive_cloud_usage_findings([], [], events, zero_skew())
         assert [f["kind"] for f in findings] == ["AccountActivity"] * 2
         # Final order is (kind, first supporting id): e0 before e1.
         assert findings[0]["supporting_ids"] == ["e0"]
@@ -659,7 +715,7 @@ class TestDeriveFindings:
         assert "a@x" in findings[1]["narrative"]
         assert [f["finding_id"] for f in findings] == ["F001", "F002"]
 
-    def test_supporting_ids_cover_ground_truth_links(self, tmp_path):
+    def test_findings_select_the_ground_truth_links(self, tmp_path):
         case = generate_case(SimParams(seed=90, n_uploads=7, skew_seconds=200), tmp_path)
         dump = ingest_device_dump(case.bundle_dir)
         events = ingest_cloud_log(case.cloud_log)
@@ -667,14 +723,93 @@ class TestDeriveFindings:
         links = match_synced_artifacts(dump.records, events, skew)
         apps = parse_app_inventory(dump)
         uninstall = detect_uninstall_evidence(apps, events)
-        findings = derive_cloud_usage_findings(links, uninstall, events)
+        findings = derive_cloud_usage_findings(links, uninstall, events, skew)
 
-        upload_pairs = {
-            tuple(f["supporting_ids"])
-            for f in findings
-            if f["kind"] in ("ProvenUpload", "ProvenDownload")
+        proven = [f for f in findings if f["kind"] in ("ProvenUpload", "ProvenDownload")]
+        selected = {
+            (link["device_record_id"], link["cloud_event_id"])
+            for f in proven
+            for link in transfer_links(links, f)
         }
-        assert upload_pairs == set(case.ground_truth.true_links)
+        assert selected == set(case.ground_truth.true_links)
+        assert sum(f["link_count"] for f in proven) == len(case.ground_truth.true_links)
+
+    @pytest.mark.parametrize("digest_logging", [True, False])
+    @pytest.mark.parametrize("seed", [91, 92, 93])
+    def test_grouping_matches_brute_force_oracle(self, tmp_path, seed, digest_logging):
+        params = SimParams(seed=seed, n_uploads=40, skew_seconds=150,
+                           digest_logging=digest_logging)
+        case = generate_case(params, tmp_path)
+        dump = ingest_device_dump(case.bundle_dir)
+        events = ingest_cloud_log(case.cloud_log)
+        try:
+            skew = estimate_clock_skew(dump.records, events)
+        except InsufficientSupport:
+            skew = zero_skew()
+        links = match_synced_artifacts(dump.records, events, skew)
+        findings = derive_cloud_usage_findings(links, [], events, skew)
+        tiers = {link["tier"] for link in links}
+        assert tiers == ({"ExactDigest"} if digest_logging else {"MetadataWindow"})
+        assert_transfers_match_oracle(links, events, skew, findings)
+
+    def test_downloads_two_accounts_and_out_of_range_times(self):
+        """Both kinds, both tiers, two accounts and an account-less event;
+        the skew moves one group's every time, and one time of another
+        group, before 1970."""
+        d = [digest_hex(f"x{i}") for i in range(7)]
+        early = 100
+        records = [
+            device_file("r0", BASE, d[0]),
+            device_file("r1", BASE + 50, d[1]),
+            device_file("r2", BASE + 10, d[2]),
+            device_file("r3", BASE + 20, name="n.txt", size=3),
+            device_file("r4", BASE + 30, name="m.txt"),
+            device_file("r5", None, d[3]),
+            device_file("r6", early, d[4]),
+            device_file("r7", BASE + 40, d[5]),
+            device_file("r8", early + 5, name="q.txt"),
+            device_file("r9", early, d[6]),
+        ]
+        events = [
+            cloud("e0", BASE + 200, digest=d[0], account="a@x"),
+            cloud("e1", BASE + 260, digest=d[1], account="a@x"),
+            cloud("e2", BASE + 205, kind=EventKind.DOWNLOAD, digest=d[2], account="b@x"),
+            cloud("e3", BASE + 230, kind=EventKind.DOWNLOAD, name="n.txt", size=3,
+                  account="b@x"),
+            cloud("e4", BASE + 240, name="m.txt", account="b@x"),
+            cloud("e5", BASE + 300, digest=d[3], account="a@x"),
+            cloud("e6", early + 50, kind=EventKind.DOWNLOAD, digest=d[4], account=None),
+            cloud("e7", BASE + 250, digest=d[5], account="b@x"),
+            cloud("e8", early + 210, name="q.txt", account="a@x"),
+            cloud("e9", BASE, kind=EventKind.LOGIN, account="a@x"),
+            cloud("e10", early + 20, digest=d[6], account="a@x"),
+        ]
+        skew = {"offset_seconds": 200, "support_count": 3, "spread_seconds": 0, "fallback": False}
+        links = match_synced_artifacts(records, events, skew)
+        findings = derive_cloud_usage_findings(links, [], events, skew)
+        assert_transfers_match_oracle(links, events, skew, findings)
+        groups = {
+            (f["kind"], f["account"], f["tier"]): (f["link_count"], f["first_utc"], f["last_utc"])
+            for f in findings if f["kind"] != "AccountActivity"
+        }
+        assert groups == {
+            ("ProvenUpload", "a@x", "ExactDigest"):
+                (4, epoch_to_iso(BASE), epoch_to_iso(BASE + 100)),
+            ("ProvenUpload", "b@x", "ExactDigest"):
+                (1, epoch_to_iso(BASE + 50), epoch_to_iso(BASE + 50)),
+            ("ProvenDownload", "b@x", "ExactDigest"):
+                (1, epoch_to_iso(BASE + 5), epoch_to_iso(BASE + 5)),
+            ("ProvenDownload", "b@x", "MetadataWindow"):
+                (1, epoch_to_iso(BASE + 30), epoch_to_iso(BASE + 30)),
+            ("ProvenUpload", "b@x", "MetadataWindow"):
+                (1, epoch_to_iso(BASE + 40), epoch_to_iso(BASE + 40)),
+            ("ProvenDownload", None, "ExactDigest"): (1, None, None),
+            ("ProvenUpload", "a@x", "MetadataWindow"):
+                (1, epoch_to_iso(early + 10), epoch_to_iso(early + 10)),
+        }
+        none = next(f for f in findings if f["account"] is None)
+        assert "of no account" in none["narrative"]
+        assert "no corrected cloud time in 1970-2100" in none["narrative"]
 
     def test_order_is_kind_then_first_supporting_id(self):
         d = digest_hex("z")
@@ -686,7 +821,7 @@ class TestDeriveFindings:
         ]
         links = match_synced_artifacts(records, events, zero_skew())
         uninstall = detect_uninstall_evidence([], events)
-        findings = derive_cloud_usage_findings(links, uninstall, events)
+        findings = derive_cloud_usage_findings(links, uninstall, events, zero_skew())
         assert [f["kind"] for f in findings] == [
             "ProvenUpload",
             "AppUsedThenUninstalled",
@@ -696,21 +831,29 @@ class TestDeriveFindings:
 
     def test_each_finding_is_built_once(self, tmp_path):
         """tracemalloc's peak over the call, on a case of the benchmark's
-        sync-bulk size, above what is still held when it returns: the
-        findings, and the tuples CPython keeps for reuse."""
+        sync-bulk size, above what is still held when it returns, stays
+        under 0.15x of what the links it groups hold: the call builds
+        nothing per link, where one finding per link held about as much
+        as the links."""
         params = SimParams(seed=1, n_uploads=2000, n_messages=800, n_calls=200, n_apps=200,
                            skew_seconds=300)
         case = generate_case(params, tmp_path)
         dump = ingest_device_dump(case.bundle_dir)
         events = ingest_cloud_log(case.cloud_log)
         skew = estimate_clock_skew(dump.records, events)
-        links = match_synced_artifacts(dump.records, events, skew)
         uninstall = detect_uninstall_evidence(parse_app_inventory(dump), events)
         tracemalloc.start()
         try:
-            findings = derive_cloud_usage_findings(links, uninstall, events)
+            links = match_synced_artifacts(dump.records, events, skew)
+            links_size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            findings = derive_cloud_usage_findings(links, uninstall, events, skew)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(findings) > 2000
-        assert peak - held < 0.15 * held
+        assert len(links) == 2000
+        assert sum(f.get("link_count", 0) for f in findings) == 2000
+        assert len(findings) == len(uninstall) + 2
+        assert peak - held < 0.15 * links_size
+        assert held - before < 0.15 * links_size

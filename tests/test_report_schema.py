@@ -1,7 +1,7 @@
 """Closed-set report fields hold only the values REPORT_SCHEMA.md lists.
 
-Tiers, finding kinds, confidences, chain verdicts and identifier kinds
-are plain strings in the code, each written where it is produced. This
+Tiers, link and finding kinds, confidences, chain verdicts and
+identifier kinds are plain strings in the code, each written where it is produced. This
 test reads the allowed values from the schema text and checks every
 such field of the JSON reports of the byte-pinned inputs, so a
 misspelled value fails here whether or not a pin covers it.
@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from synctrail import reporting
 from synctrail.cli import run
 
 from test_byte_pin import PINS
@@ -35,8 +36,10 @@ def schema_values(section: str, field: str) -> set[str]:
 FIELDS = {
     ("inputs", "chain_verdict"): lambda r: [d["chain_verdict"] for d in r["inputs"]["dumps"]],
     ("links", "tier"): lambda r: [link["tier"] for link in r["links"]],
+    ("links", "kind"): lambda r: [link["kind"] for link in r["links"]],
     ("findings", "kind"): lambda r: [f["kind"] for f in r["findings"]],
     ("findings", "confidence"): lambda r: [f["confidence"] for f in r["findings"]],
+    ("findings", "tier"): lambda r: [f["tier"] for f in r["findings"] if "tier" in f],
     ("identity_graph", "kind"): lambda r: [n["kind"] for n in r["identity_graph"]["nodes"]],
 }
 
@@ -45,10 +48,12 @@ def test_the_schema_lists_each_closed_set():
     assert {key: schema_values(*key) for key in FIELDS} == {
         ("inputs", "chain_verdict"): {"Intact", "Tampered", "Unverified"},
         ("links", "tier"): {"ExactDigest", "MetadataWindow"},
+        ("links", "kind"): {"Install", "Uninstall", "Upload", "Download", "Login", "Sync"},
         ("findings", "kind"): {
             "ProvenUpload", "ProvenDownload", "AppUsedThenUninstalled", "AccountActivity",
         },
         ("findings", "confidence"): {"High", "Medium"},
+        ("findings", "tier"): {"ExactDigest", "MetadataWindow"},
         ("identity_graph", "kind"): {"Phone", "Email"},
     }
 
@@ -75,3 +80,11 @@ def test_every_value_is_one_the_schema_lists(reports, key):
         name: [] for name in seen
     }
     assert any(seen.values()), f"no input gives a value of {key}"
+
+
+def test_every_report_carries_the_schema_version(reports):
+    version = int(re.search(r'"schema_version": (\d+),', SCHEMA).group(1))
+    assert version == reporting.SCHEMA_VERSION
+    for report in reports.values():
+        assert list(report)[:3] == ["case_id", "tool_version", "schema_version"]
+        assert report["schema_version"] == version

@@ -3,7 +3,9 @@ from __future__ import annotations
 import io
 import json
 import re
+import shutil
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,7 @@ from synctrail.reporting import (
 SECTIONS = [
     "case_id",
     "tool_version",
+    "schema_version",
     "parameters",
     "inputs",
     "device",
@@ -72,7 +75,7 @@ def golden_case(golden_bundle, golden_cloud_log) -> dict:
     links = match_synced_artifacts(dump.records, events, skew)
     timeline = build_timeline(dump.records, events, skew)
     uninstall = detect_uninstall_evidence(apps, events)
-    findings = derive_cloud_usage_findings(links, uninstall, events)
+    findings = derive_cloud_usage_findings(links, uninstall, events, skew)
     graph = build_identity_graph(dump.records)
     verification = verify_chain(seal_dump(dump), dump.records)
     uninstalled = sum(1 for a in apps if a.status is AppStatus.UNINSTALLED)
@@ -156,6 +159,7 @@ def case_of(text: str) -> dict:
     return {
         "case_id": text,
         "tool_version": text,
+        "schema_version": 2,
         "parameters": {text: text},
         "inputs": {
             "dumps": [{"dump_id": text, "collected_at": text, "record_count": 1,
@@ -165,9 +169,14 @@ def case_of(text: str) -> dict:
         "device": {text: text},
         "skew": {"offset_seconds": 0, "support_count": 3, "spread_seconds": 0, "fallback": False},
         "links": [{"device_record_id": text, "cloud_event_id": text, "tier": text,
-                   "time_delta_seconds": 1}],
-        "findings": [{"finding_id": text, "kind": text, "confidence": text, "narrative": text,
-                      "supporting_ids": [text, text]}],
+                   "time_delta_seconds": 1, "account": text, "kind": text}],
+        "findings": [
+            {"finding_id": text, "kind": text, "confidence": text, "narrative": text,
+             "supporting_ids": [text, text]},
+            {"finding_id": text, "kind": text, "confidence": text, "narrative": text,
+             "supporting_ids": [text, text], "account": text, "tier": text, "link_count": 2,
+             "first_utc": text, "last_utc": text},
+        ],
         "timeline": [{"timestamp_utc": text, "source": text, "id": text, "label": text}],
         "excluded_undated": 1,
         "identity_graph": {"nodes": [node], "edges": [{"a": node, "b": node, "count": 2}]},
@@ -238,6 +247,28 @@ class TestMarkdownStructure:
         assert forged == plain
         assert "<h2>Timeline (10 entries)</h2>" in forged
         assert b"<td>x\\n## Forged \\| cell</td>" in pages[1]
+
+    def test_a_forged_account_adds_no_heading(self, tmp_path):
+        """The cloud log names each event's account; a proven transfer's
+        finding and each of its links print it."""
+        source = Path(__file__).parent / "data" / "sync_shapes"
+        pages = []
+        for account in ("x", "x\n## Forged | cell"):
+            case = tmp_path / f"case{len(pages)}"
+            shutil.copytree(source / "bundle", case / "bundle")
+            log = case / "cloud_events.jsonl"
+            log.write_text((source / "cloud_events.jsonl").read_text(encoding="utf-8").replace(
+                '"owner@example.com"', json.dumps(account)
+            ), encoding="utf-8")
+            out = case / "out"
+            argv = ["run-all", str(case / "bundle"), str(log), "--out", str(out),
+                    "--format", "html"]
+            assert run(argv) == 0
+            pages.append((out / "sync-shapes.report.html").read_bytes())
+        plain, forged = map(html_structure, pages)
+        assert forged == plain
+        assert b"(Download of account x\\n## Forged | cell, ExactDigest, delta 1 s)" in pages[1]
+        assert b"(account x\\n## Forged | cell; tier ExactDigest; link_count 3;" in pages[1]
 
 
 def whole_document_json(case: dict) -> bytes:

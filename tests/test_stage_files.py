@@ -62,7 +62,7 @@ def test_library_results_equal_their_stage_files(tmp_path, make_input):
     results = {
         "links.json": links,
         "timeline.json": build_timeline(dump.records, events, skew),
-        "findings.json": derive_cloud_usage_findings(links, uninstall, events),
+        "findings.json": derive_cloud_usage_findings(links, uninstall, events, skew),
         "identity_graph.json": build_identity_graph(dump.records),
     }
     for name, result in results.items():
