@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, Sequence
 
@@ -357,7 +358,15 @@ def _step_correlate(
 
 
 def _step_enrich(dump: DeviceDump, out: Path, geo_table: Optional[Path]) -> Stages:
-    graph = build_identity_graph(dump.records)
+    left_out: list[tuple[str, str]] = []
+    graph = build_identity_graph(dump.records, left_out)
+    if left_out:
+        reasons = Counter(reason for _, reason in left_out)
+        _say(
+            f"note: {len(left_out)} comm record(s) left out of the identity graph ("
+            + ", ".join(f"{reason}: {count}" for reason, count in sorted(reasons.items()))
+            + ")"
+        )
 
     geo_hits = []
     if geo_table is not None:
@@ -634,6 +643,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 for name, (_, shape) in STAGE_FILES.items()
                 if (args.out / name).is_file()
             }
+            if not stages:
+                # A mistyped --out would otherwise give a report of empty sections.
+                _say(f"error: {args.out} holds no stage file to report on")
+                return EXIT_PARSE_FATAL
             _step_report(args.out, stages, args.case_id, ReportFormat(args.format))
             return EXIT_OK
 

@@ -23,6 +23,7 @@ from .evidence import ArtifactCategory, EvidenceRecord, _Frozen, _set
 
 # Message and call directions, lowercased.
 _DIRECTIONS = ("incoming", "outgoing")
+_BAD_DIRECTION = "direction not Incoming or Outgoing"
 
 
 class GeoTable(_Frozen):
@@ -68,7 +69,9 @@ def normalize_identifier(raw: str) -> Optional[tuple[str, str]]:
     return ("Phone", digits)
 
 
-def build_identity_graph(records: Iterable[EvidenceRecord]) -> dict:
+def build_identity_graph(
+    records: Iterable[EvidenceRecord], left_out: Optional[list[tuple[str, str]]] = None
+) -> dict:
     """Connect identifiers that co-occur in one artifact of a dump.
 
     A contact ties its own numbers together; each message or call ties
@@ -80,6 +83,11 @@ def build_identity_graph(records: Iterable[EvidenceRecord]) -> dict:
     - a message whose ``direction``, when present, is Incoming or Outgoing;
     - a dated call whose ``direction`` is Incoming or Outgoing, and whose
       ``duration_s``, when present, ``int()`` reads.
+
+    Each record left out is appended to ``left_out``, when one is given,
+    as its id and the first rule above it breaks: ``direction not
+    Incoming or Outgoing``, ``undated call``, ``duration_s not an
+    integer`` or ``numbers not a JSON list of strings``.
 
     Directions match case-insensitively. The result is the
     ``identity_graph.json`` payload: nodes in (kind, value) order, and
@@ -101,26 +109,35 @@ def build_identity_graph(records: Iterable[EvidenceRecord]) -> dict:
     peers: Counter[str] = Counter()
     for record in records:
         category, attrs = record.category, record.attributes
+        reason = None
         if category is ArtifactCategory.MESSAGE:
             direction = attrs.get("direction")
             if direction is None or direction.lower() in _DIRECTIONS:
                 peers[attrs.get("peer", "")] += 1
+            else:
+                reason = _BAD_DIRECTION
         elif category is ArtifactCategory.CALL_RECORD:
-            if (
-                attrs.get("direction", "").lower() in _DIRECTIONS
-                and record.timestamp is not None
-                and ("duration_s" not in attrs or _integer(attrs["duration_s"]) is not None)
-            ):
+            if attrs.get("direction", "").lower() not in _DIRECTIONS:
+                reason = _BAD_DIRECTION
+            elif record.timestamp is None:
+                reason = "undated call"
+            elif "duration_s" in attrs and _integer(attrs["duration_s"]) is None:
+                reason = "duration_s not an integer"
+            else:
                 peers[attrs.get("peer", "")] += 1
         elif category is ArtifactCategory.CONTACT:
             numbers = _string_list(attrs["numbers"]) if "numbers" in attrs else []
-            if numbers is not None:
+            if numbers is None:
+                reason = "numbers not a JSON list of strings"
+            else:
                 found = [normalize_identifier(number) for number in numbers]
                 add_artifact(i for i in found if i is not None)
         elif category is ArtifactCategory.CONFIGURED_EMAIL:
             owner = normalize_identifier(attrs.get("address_or_number", ""))
             if owner is not None:
                 owners.append(owner)
+        if reason is not None and left_out is not None:
+            left_out.append((record.record_id, reason))
 
     nodes.update(owners)
     # Every message or call with one normalized peer adds the same edges,

@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import chain
 from operator import itemgetter
 from types import GeneratorType
-from typing import Any, BinaryIO, Callable, Mapping, NamedTuple, Optional
+from typing import Any, BinaryIO, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .acquisition import LONE_SURROGATE, lone_surrogate
 from .correlation import DEFAULT_MIN_SKEW_SUPPORT, DEFAULT_WINDOW_SECONDS
@@ -232,24 +232,32 @@ def render_report(
 
 
 class Layout(NamedTuple):
-    """How ``write_json`` lays out JSON text: ``REPORT_JSON`` or ``STAGE_JSON``."""
+    """How ``write_json`` lays out JSON text: ``REPORT_JSON`` or ``STAGE_JSON``.
+
+    Each object member and each list item starts a line of its own; a
+    list item is written whole on that line, as ``encode`` writes it.
+    """
 
     newline: str  # starts each list item and object member, followed by the indent
     indent: str  # added to the newline at each level of nesting
     colon: str  # between a member's key and its value
+    comma: str  # between two items or members of a value written on one line
     block: int  # list items per block; each block is written out before the next
-    encode: Callable[[Any], str]  # a whole value, as json.dumps writes it in this layout
+    encode: Callable[[Any], str]  # a whole value on one line, with this colon and comma
 
 
-# The report is json.dumps(value, indent=2, ensure_ascii=False), stage
-# files json.dumps(value, ensure_ascii=False, separators=(",", ":")) on one
-# line. Python 3.11's C encoder holds every piece of one call until it
-# returns, about six times the text it makes: blocks of 64 dump.json rows
-# keep its write's peak near 15 % of the file's size on the benchmark's
-# sync-bulk case, 256 near 60 %.
-REPORT_JSON = Layout("\n", "  ", ": ", 256, json.JSONEncoder(ensure_ascii=False, indent=2).encode)
+# The report expands every object and list: each member and each item on
+# a line of its own, two spaces deeper per level, and each item as
+# json.dumps(item, ensure_ascii=False) writes it, so a link, timeline,
+# finding or ledger row is one line. Stage files are json.dumps(value,
+# ensure_ascii=False, separators=(",", ":")), which is the same rule with
+# no newline and no indent. Python 3.11's C encoder holds every piece of
+# one call until it returns, about six times the text it makes: blocks of
+# 64 dump.json rows keep its write's peak near 15 % of the file's size on
+# the benchmark's sync-bulk case, 256 near 60 %.
+REPORT_JSON = Layout("\n", "  ", ": ", ", ", 256, json.JSONEncoder(ensure_ascii=False).encode)
 STAGE_JSON = Layout(
-    "", "", ":", 64, json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+    "", "", ":", ",", 64, json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 )
 
 
@@ -268,7 +276,7 @@ class _Chunks(list):
 
 
 def write_json(value: Any, out: BinaryIO, layout: Layout) -> None:
-    """Write exactly ``layout.encode(value) + "\\n"`` to the binary file ``out``, in UTF-8.
+    """Write ``value`` in ``layout``, followed by one newline, to the binary file ``out`` in UTF-8.
 
     The text goes to ``out`` after each block of every list, so a chunk
     holds at most one block plus what precedes it. A generator in
@@ -302,49 +310,61 @@ _LINES_ENCODER = json.JSONEncoder(
 
 
 def _append_json(value: Any, newline: str, out: _Chunks, layout: Layout) -> None:
-    """Append ``value`` as ``layout.encode`` writes it, with ``newline``
-    (the layout's newline and the current indent) between lines.
+    """Append ``value`` in ``layout``, with ``newline`` (the layout's
+    newline and the current indent) before its closing bracket.
 
-    Leaves of a ``_LEAVES`` type, nonempty lists, generators of lists and
-    nonempty dicts with string keys are written here. Each block of a
-    list goes to ``_table`` if it forms a table; any other block, and
-    any other value, is encoded whole by the layout and spliced in.
-    Re-indenting that text by replacing newlines is exact because an
-    encoded JSON string never holds a raw newline.
+    Nonempty dicts, nonempty lists and tuples, and generators of lists
+    are expanded here; any other value is written whole by the layout's
+    encoder. A list is written a block at a time. Where its items are
+    joined by the layout's comma (no newline, no indent), one encode
+    writes the whole block; otherwise a block that forms a table goes
+    to ``_table``, and each item of any other block is encoded on its
+    own line.
     """
     kind = type(value)
     leaf = _LEAVES.get(kind)
     if leaf is not None:
         out.append(leaf(value))
-    elif kind is list and value or kind is GeneratorType:
+    elif isinstance(value, (list, tuple)) and value or kind is GeneratorType:
         blocks, size = value, layout.block
-        if kind is list:
+        if kind is not GeneratorType:
             blocks = (value[start:start + size] for start in range(0, len(value), size))
         inner = newline + layout.indent
+        between = "," + inner
         before = first = "[" + inner
         for block in blocks:
-            text = _table(block, inner, layout)
-            if text is None:
-                text = layout.encode(block)[1:-1].strip().replace("\n", newline)
+            if between == layout.comma:
+                # Faster than the table path here, list cells or not.
+                text = layout.encode(block)[1:-1]
+            else:
+                text = _table(block, between, layout) or between.join(map(layout.encode, block))
             out.append(before + text)
             out.flush()
-            before = "," + inner
+            before = between
         out.append("[]" if before == first else newline + "]")
-    elif kind is dict and value and set(map(type, value)) == _STR_ONLY:
+    elif isinstance(value, dict) and value:
         inner = newline + layout.indent
         before = "{" + inner
         for key, item in value.items():
-            out.append(before + _encode_str(key) + layout.colon)
+            out.append(before + _key(key, layout) + layout.colon)
             _append_json(item, inner, out, layout)
             before = "," + inner
         out.append(newline + "}")
     else:
-        out.append(layout.encode(value).replace("\n", newline))
+        out.append(layout.encode(value))
 
 
-def _table(rows: list, newline: str, layout: Layout) -> Optional[str]:
-    """``rows`` rendered as list items at ``newline``'s indent, joined by
-    commas, if they form a table; None if they do not.
+def _key(key: Any, layout: Layout) -> str:
+    """An object key as json.dumps writes it: a string, or a scalar's JSON text in quotes."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    # The encoder refuses any other key, as json.dumps does.
+    return layout.encode({key: None})[1:-5 - len(layout.colon)]
+
+
+def _table(rows: Sequence, between: str, layout: Layout) -> Optional[str]:
+    """``rows`` as one-line list items joined by ``between``, if they form
+    a table; None if they do not.
 
     A table is a list of exact dicts that share one tuple of string
     keys, and whose every column holds only leaves of a ``_LEAVES``
@@ -360,22 +380,22 @@ def _table(rows: list, newline: str, layout: Layout) -> Optional[str]:
     keys = tuple(first)
     if set(map(type, keys)) != _STR_ONLY or list(map(tuple, rows)).count(keys) != len(rows):
         return None
-    inner = newline + layout.indent
     columns = []
     for key in keys:
-        column = _column(list(map(itemgetter(key), rows)), inner, layout)
+        column = _column(list(map(itemgetter(key), rows)), layout.comma)
         if column is None:
             return None
         columns.append(column)
-    row = "{" + inner + ("," + inner).join(
+    row = "{" + layout.comma.join(
         _encode_str(key).replace("%", "%%") + layout.colon + "%s" for key in keys
-    ) + newline + "}"
-    return ("," + newline).join([row] * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
+    ) + "}"
+    return between.join([row] * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
 
 
-def _column(cells: list, newline: str, layout: Layout) -> Optional[list[str]]:
-    """Each cell as ``layout.encode`` writes it at ``newline``'s indent, if
-    every cell is a ``_LEAVES`` leaf or every cell a list of them; else None.
+def _column(cells: list, comma: str) -> Optional[list[str]]:
+    """Each cell as json.dumps writes it on one line, with ``comma``
+    between list items, if every cell is a ``_LEAVES`` leaf or every
+    cell a list of them; else None.
 
     Strings go one by one to the C string encoder; other leaves, and
     list cells, go to the C encoder in one call. In its output a newline
@@ -391,10 +411,8 @@ def _column(cells: list, newline: str, layout: Layout) -> Optional[list[str]]:
         return _LINES_ENCODER.encode(cells)[1:-1].split("\n")
     if kinds != _LIST_ONLY or not set(map(type, chain.from_iterable(cells))) <= _LEAF_TYPES:
         return None
-    inner = newline + layout.indent
-    start, between, end = "[" + inner, "," + inner, newline + "]"
     items = _LINES_ENCODER.encode(cells)[2:-2].split("]\n[")
-    return [start + text.replace("\n", between) + end if text else "[]" for text in items]
+    return ["[" + text.replace("\n", comma) + "]" for text in items]
 
 
 # Each character str.splitlines ends a line at, in its JSON escape form,

@@ -8,6 +8,7 @@ shared bug cannot hide on both sides of an assertion.
 from __future__ import annotations
 
 import datetime
+import json
 import re
 
 
@@ -245,3 +246,32 @@ def reference_checked_encode(record_id, category_text, timestamp_text, attribute
     for key in sorted(attributes):
         fields += [key, attributes[key]]
     return b"\x1f".join(field.encode("utf-8") for field in fields) + b"\x1e"
+
+
+def report_layout(value) -> str:
+    """The JSON report's text for ``value``, by its layout rule applied directly.
+
+    A nonempty object or list is expanded: each member or item on a line
+    of its own, two spaces deeper than the line that opens it, and the
+    closing bracket back at that line's depth. A member is its key as
+    json.dumps writes it, ``": "`` and its value laid out by this rule;
+    an item is ``json.dumps(item, ensure_ascii=False)``, on one line.
+    Anything else is json.dumps of it. The text ends in one newline.
+    """
+
+    def lay_out(value, depth: int) -> str:
+        pad = "\n" + "  " * depth
+        inner = pad + "  "
+        if isinstance(value, dict) and value:
+            members = []
+            for key, item in value.items():
+                # json.dumps of a one-member object shows how it writes the key.
+                key_text = json.dumps({key: 0}, ensure_ascii=False)[1:-len(": 0}")]
+                members.append(inner + key_text + ": " + lay_out(item, depth + 1))
+            return "{" + ",".join(members) + pad + "}"
+        if isinstance(value, (list, tuple)) and value:
+            items = [inner + json.dumps(item, ensure_ascii=False) for item in value]
+            return "[" + ",".join(items) + pad + "]"
+        return json.dumps(value, ensure_ascii=False)
+
+    return lay_out(value, 0) + "\n"

@@ -88,7 +88,7 @@ PINS = {
         "findings.json": "e612f9a9311c85175b2afe385ae757e1057f4d88ba46c82ed33d2068f5aa8ede",
         "geo.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "golden-lgd802.report.html": "3da8227a52535b4fbe06fa5fc78e145db0bdc289cc92b52befcd4fae988e82f0",
-        "golden-lgd802.report.json": "5d55b34f194f0f63d0b2d20a78e51df4d7f1784c304041185d5bb715a1423e3f",
+        "golden-lgd802.report.json": "27d84a8820e07474b1289a9f4888eb80fbdfdbc054f6ab3e449d98ec64fc4413",
         "golden-lgd802.report.md": "3fd192374a53913e565b897b643025a8efd28f81ecbbf62027c6991c19dd5594",
         "identity_graph.json": "abbbfb47098474bd0d478558b8155778186e01016ee5127395ad1c5a2d3dbfb3",
         "links.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
@@ -108,7 +108,7 @@ PINS = {
         "links.json": "abbb4cd6d3bbaa6fa751f3cab840bf67c00515186110a96e987b248e1f39997a",
         "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
         "sim-21.report.html": "05f45dfbab6332a585f79d8a3d9c6bd0ecb829261dd18bbabf325dc1b0a8166c",
-        "sim-21.report.json": "762248d9d857fa0868e5af0d34a66d0e7f3cd9294771674c3b3cff35dd57e2fc",
+        "sim-21.report.json": "d6089e2fec5c4012741905213af5a86199140a196926a3b0b76fdf8908eabd3f",
         "sim-21.report.md": "6bca750b74ba7be54ffce48ba2b9cc038c56ed6b438466487ad9ad6a9f6b6151",
         "skew.json": "44aedde6aa676ae66094b5577475e6761e5402f570385861dfc3c5c2de262480",
         "timeline.json": "46c23acf11796607c2fbbeac3db0de144426dc636e7e320b1362d5f5c763d5e4",
@@ -125,7 +125,7 @@ PINS = {
         "links.json": "dbd507a19e87119d5f409bcd7a002c26391f218208796c854838c4a0c36982ed",
         "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
         "sim-22.report.html": "16d36f722e9a06714e445ebbc4e933a33d0d2983fb682b08c69d84ccdf7f9c62",
-        "sim-22.report.json": "62093a6fe5373f99c52ae9d990aa0f2618cde4efb5a75b45674fd7324ede8994",
+        "sim-22.report.json": "2e30ac9590db53b288efc8e9e3196ddbf22e3f93f46c79a4b7ea14aa67fb8ace",
         "sim-22.report.md": "fe7ac58d89e09813daeeca0a1e4e221a3592ed4e585219523920790eb669253d",
         "skew.json": "38885eb8176156bf1fa0fadb06c592ffc0bfae277c6780abcebf25ab5540c4e8",
         "timeline.json": "32c68c0545ec1f3da600b512705afb8bf72e4218cac1391da579344268aca39d",
@@ -143,7 +143,7 @@ PINS = {
         "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
         "skew.json": "8474a3058d54ac52769fe8c55a0835762a01c296355ca63454ce0121f2e05a00",
         "sync-shapes.report.html": "afef98d2c660639941155037943c7d556cbf82d0122ee734e13ae787e146ce83",
-        "sync-shapes.report.json": "42d1afffa9144c56a6aa2e1762a9256de1be2033d42da012586eb6fe22b32b21",
+        "sync-shapes.report.json": "7810bca7575bc8e5017f310ea3f6a754b8a1026bf5692fe242b0f68d5398a81d",
         "sync-shapes.report.md": "b97c8b9aed9944396fdb1560a477cb0effce418d84e2a42a13c8a190dc9851d2",
         "timeline.json": "7b44cd4de3a3a95cd0d03c0a34236381979fa878a1cdb551801854ebd46e2ce2",
         "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
@@ -153,7 +153,7 @@ PINS = {
     "comm_shapes": (comm_shapes, {
         "cloud_log.json": "a535418085b9fe419abad0bcb4ebff342b3a49b0dc30fac4c43c6e67f22b7e8e",
         "comm-shapes.report.html": "c07ce5062b9ab896f65b0a1b095333ed01791b98569cdf723cc0294dfb341bc3",
-        "comm-shapes.report.json": "7bfe769fde8f32fb572fcc8027c616c4058b0d8294951e85a212b0d5a89b937c",
+        "comm-shapes.report.json": "0ee6ed95ca4403d409dcd9618b882b1797cb8839a37818a1f61f29982278b439",
         "comm-shapes.report.md": "dd8a3d44417bc7044df94bb3f4516551f53595ae55a180a426b10b84338e620a",
         "dump.json": "7d2747bf434ec07c7e9bb221ecc55ae7607a7a97fabecdcf4ccded105fbb953a",
         "findings.json": "0be33ab2a7989aa941943ce08bc543f15d3fa25c14413e8778b52ba6180574da",
@@ -165,7 +165,7 @@ PINS = {
         "timeline.json": "5f099499fc47cb4cd054da5ac31d2d81f077c6ed92bc8c712bc8b46a8b547efa",
         "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
         "manifest.sealed.json": "2a86d7a37d08ff4bc8d71649949183c5592953716dadc7713c0a15f43b937b4d",
-        "stderr": "6a8b0eebbee684f0d633a3362d88609515315448e5827eb963f8211378d35bf7",
+        "stderr": "6ae4e916fb528db970898c339c7429a0361ccab7547d85ac3e7c7c6891521994",
     }),
 }
 

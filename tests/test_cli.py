@@ -192,6 +192,10 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, stage, fail)
         out = tmp_path / "out"
+        if command == "report":
+            # report renders only from a directory that holds a stage file.
+            out.mkdir()
+            (out / "parameters.json").write_text("{}\n")
         argv = {
             "run-all": ["run-all", str(golden_bundle), str(golden_cloud_log), "--out", str(out)],
             "enrich": ["enrich", str(golden_bundle), "--out", str(out)],
@@ -384,6 +388,41 @@ class TestSubcommandOutputs:
         assert report["excluded_undated"] == 0
         assert report["identity_graph"] == {"nodes": [], "edges": []}
         assert report["error_ledger"] == []
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["absent", "no stage file in it"])
+    def test_report_on_a_directory_with_no_stage_file_exits_4(self, tmp_path, capsys, exists):
+        out = tmp_path / "typo" / "out"
+        if exists:
+            out.mkdir(parents=True)
+            (out / "diff.json").write_text("{}\n")  # a stage file the report does not read
+        before = sorted(tmp_path.rglob("*"))
+        assert run(["report", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {out} holds no stage file to report on\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["enrich", "run-all"])
+    def test_comm_records_left_out_of_the_graph_are_one_note(self, tmp_path, capsys, command):
+        shapes = Path(__file__).parent / "data" / "comm_shapes"
+        bundle = tmp_path / "bundle"
+        shutil.copytree(shapes / "bundle", bundle)
+        out = tmp_path / "out"
+        argv = {
+            "enrich": ["enrich", str(bundle), "--out", str(out)],
+            "run-all": ["run-all", str(bundle), str(shapes / "cloud_events.jsonl"),
+                        "--out", str(out)],
+        }[command]
+        assert run(argv) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines() if "left out" in line]
+        assert notes == [
+            "note: 23 comm record(s) left out of the identity graph (direction not Incoming "
+            "or Outgoing: 7, duration_s not an integer: 6, numbers not a JSON list of "
+            "strings: 8, undated call: 2)"
+        ]
+
+    def test_a_graph_that_leaves_nothing_out_prints_no_note(self, tmp_path, capsys):
+        case = simulate(tmp_path)
+        assert run(["enrich", str(case.bundle_dir), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err.startswith("enriched: ")
 
 
 class TestCaseId:

@@ -57,6 +57,7 @@ def owner(address: str) -> EvidenceRecord:
 
 OWNER = ("Email", "owner@x.com")
 PEER = ("Phone", "+3531")
+DIRECTION = "direction not Incoming or Outgoing"
 
 
 def phone(number: str) -> tuple[str, str]:
@@ -170,29 +171,36 @@ class TestIdentityGraph:
         assert nodes == {OWNER}
 
     @pytest.mark.parametrize(
-        "artifact, counts",
+        "artifact, left_out_as",
         [
-            (message("+3531"), True),
-            (message("+3531", direction="OUTGOING"), True),
-            (record(ArtifactCategory.MESSAGE, peer="+3531"), True),
-            (message("+3531", direction="Sideways"), False),
-            (message("+3531", direction=""), False),
-            (message("+3531", direction=" Incoming "), False),
-            (call("+3531"), True),
-            (call("+3531", direction="incoming", duration_s=" 7 "), True),
-            (call("+3531", duration_s="-3"), True),
-            (call("+3531", duration_s="1.5"), False),
-            (call("+3531", duration_s="true"), False),
-            (call("+3531", duration_s=""), False),
-            (call("+3531", timestamp=None), False),
-            (record(ArtifactCategory.CALL_RECORD, AT, peer="+3531"), False),
-            (call("+3531", direction="Sideways"), False),
+            (message("+3531"), None),
+            (message("+3531", direction="OUTGOING"), None),
+            (record(ArtifactCategory.MESSAGE, peer="+3531"), None),
+            (message("+3531", direction="Sideways"), DIRECTION),
+            (message("+3531", direction=""), DIRECTION),
+            (message("+3531", direction=" Incoming "), DIRECTION),
+            (call("+3531"), None),
+            (call("+3531", direction="incoming", duration_s=" 7 "), None),
+            (call("+3531", duration_s="-3"), None),
+            (call("+3531", duration_s="1.5"), "duration_s not an integer"),
+            (call("+3531", duration_s="true"), "duration_s not an integer"),
+            (call("+3531", duration_s=""), "duration_s not an integer"),
+            (call("+3531", timestamp=None), "undated call"),
+            (call("+3531", timestamp=None, duration_s="x"), "undated call"),
+            (record(ArtifactCategory.CALL_RECORD, AT, peer="+3531"), DIRECTION),
+            (call("+3531", direction="Sideways"), DIRECTION),
+            (call("+3531", direction="Sideways", timestamp=None), DIRECTION),
         ],
     )
-    def test_which_messages_and_calls_count(self, artifact, counts):
+    def test_which_messages_and_calls_count(self, artifact, left_out_as):
+        left_out: list = []
+        graph = build_identity_graph([artifact, owner("owner@x.com")], left_out)
+        assert graph == build_identity_graph([artifact, owner("owner@x.com")])
         nodes, edges = graph_of([artifact, owner("owner@x.com")])
+        counts = left_out_as is None
         assert edges == ({(OWNER, PEER): 1} if counts else {})
         assert nodes == ({OWNER, PEER} if counts else {OWNER})
+        assert left_out == ([] if counts else [(artifact.record_id, left_out_as)])
 
     @pytest.mark.parametrize(
         "numbers, nodes",
@@ -213,8 +221,14 @@ class TestIdentityGraph:
         ],
     )
     def test_contact_numbers_must_be_a_json_list_of_strings(self, numbers, nodes):
-        graph = build_identity_graph([record(ArtifactCategory.CONTACT, numbers=numbers)])
+        artifact = record(ArtifactCategory.CONTACT, numbers=numbers)
+        left_out: list = []
+        graph = build_identity_graph([artifact], left_out)
         assert len(graph["nodes"]) == nodes
+        listed = numbers in ('["+1","+2"]', "[]")
+        assert left_out == (
+            [] if listed else [(artifact.record_id, "numbers not a JSON list of strings")]
+        )
 
     def test_other_categories_take_no_part(self):
         records = [
@@ -228,6 +242,24 @@ class TestIdentityGraph:
             )
         ]
         assert build_identity_graph(records) == {"nodes": [], "edges": []}
+
+    def test_each_comm_record_left_out_is_named_with_its_reason(self):
+        """Every malformed messages, calls and contacts shape: each record the
+        graph leaves out is named once, with the first rule it breaks."""
+        bundle = Path(__file__).parent / "data" / "comm_shapes" / "bundle"
+        records = ingest_device_dump(bundle).records
+        left_out: list = []
+        graph = build_identity_graph(records, left_out)
+        assert graph == build_identity_graph(records)
+        duration, numbers = "duration_s not an integer", "numbers not a JSON list of strings"
+        assert left_out == [
+            *((f"m{n}", DIRECTION) for n in (4, 5, 6, 12, 13)),
+            *((f"c{n}", duration) for n in (3, 4, 5, 6)),
+            ("c8", "undated call"), ("c9", "undated call"),
+            ("c10", DIRECTION), ("c11", DIRECTION),
+            ("c17", duration), ("c18", duration),
+            *((f"k{n}", numbers) for n in (3, 4, 5, 9, 10, 13, 14, 15)),
+        ]
 
     def test_ingested_bundle(self, tmp_path):
         bundle = write_bundle(

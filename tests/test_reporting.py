@@ -37,6 +37,8 @@ from synctrail.reporting import (
     render_report,
 )
 
+from _oracles import report_layout
+
 SECTIONS = [
     "case_id",
     "tool_version",
@@ -271,14 +273,53 @@ class TestMarkdownStructure:
         assert b"(account x\\n## Forged | cell; tier ExactDigest; link_count 3;" in pages[1]
 
 
-def whole_document_json(case: dict) -> bytes:
-    """The JSON report as one json.dumps call over the whole document renders it."""
-    return (json.dumps(case, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+def expanded_list_items(value):
+    """Each item of every list that the report's layout expands: the lists
+    reached from the top through objects alone."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from expanded_list_items(item)
+    elif isinstance(value, list):
+        yield from value
 
 
-# Strings that an indenting renderer could mistake for structure.
+def assert_report_json(data: bytes, case) -> None:
+    """``data`` is ``case`` in the report's layout: the oracle's text, the same
+    JSON value, and each item of an expanded list on exactly one line."""
+    text = data.decode("utf-8")
+    assert text == report_layout(case)
+    parsed = json.loads(text)
+    # Dumped again, NaN equals itself and keys that json.dumps converts compare equal.
+    assert json.dumps(parsed) == json.dumps(json.loads(json.dumps(case)))
+    lines = {line.strip().rstrip(",") for line in text.split("\n")}
+    for item in expanded_list_items(parsed):
+        assert json.dumps(item, ensure_ascii=False) in lines
+
+
+def test_the_layout_puts_each_row_on_one_line():
+    case = {"links": [{"id": "a", "ids": ["x", "y"]}, {"id": "b", "ids": []}],
+            "graph": {"nodes": [], "edges": [[1, {"a": None}]]}, "skew": None}
+    assert rendered(case) == (
+        '{\n'
+        '  "links": [\n'
+        '    {"id": "a", "ids": ["x", "y"]},\n'
+        '    {"id": "b", "ids": []}\n'
+        '  ],\n'
+        '  "graph": {\n'
+        '    "nodes": [],\n'
+        '    "edges": [\n'
+        '      [1, {"a": null}]\n'
+        '    ]\n'
+        '  },\n'
+        '  "skew": null\n'
+        '}\n'
+    ).encode()
+
+
+# Strings that a renderer could mistake for structure: indentation, and
+# the separators of a one-line row.
 TRICKY = ["a\nb", "back\\slash", 'say "hi"', "{", "]", "line\u2028sep", "\x00\x07\x1b\t\r",
-          "Zoë – 東京 🙂", "", "  : , "]
+          "Zoë – 東京 🙂", "", "  : , ", "}, {", "], [", '", "', "],["]
 
 json_scalars = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.sampled_from(TRICKY)
@@ -314,16 +355,16 @@ class TestSectionBySectionJson:
             "geo": [],
             "error_ledger": [{"message": text} for text in TRICKY],
         }
-        assert rendered(case, ReportFormat.JSON) == whole_document_json(case)
+        assert_report_json(rendered(case, ReportFormat.JSON), case)
 
     def test_empty_case(self):
         case = empty_case()
         assert case["skew"] is None
-        assert rendered(case, ReportFormat.JSON) == whole_document_json(case)
+        assert_report_json(rendered(case, ReportFormat.JSON), case)
 
     def test_golden_case(self, golden_bundle, golden_cloud_log):
         case = golden_case(golden_bundle, golden_cloud_log)
-        assert rendered(case, ReportFormat.JSON) == whole_document_json(case)
+        assert_report_json(rendered(case, ReportFormat.JSON), case)
 
     @settings(deadline=None)
     @given(
@@ -349,7 +390,7 @@ class TestSectionBySectionJson:
             "geo": lists[3],
             "error_ledger": lists[4],
         }
-        assert rendered(case, ReportFormat.JSON) == whole_document_json(case)
+        assert_report_json(rendered(case, ReportFormat.JSON), case)
 
 
 class Text(str):
@@ -365,8 +406,8 @@ table_leaves = (
 )
 table_keys = st.text(max_size=4) | st.sampled_from(TABLE_STRINGS)
 
-# Each way a row can stop a block from being a table, and so send it to
-# the recursive writer.
+# Each way a row can stop a block from being a table, and so send each of
+# its items to the encoder on its own.
 BREAKERS = {
     "missing key": lambda row, key: {k: v for k, v in row.items() if k != key},
     "extra key": lambda row, key: {**row, key + "+": 1},
@@ -382,10 +423,13 @@ BREAKERS = {
 }
 
 
-# Each layout of the one JSON writer, with the json.dumps options it equals.
+# Each layout of the one JSON writer, with the reference text it equals.
 LAYOUTS = {
-    "report": (reporting.REPORT_JSON, {"indent": 2}),
-    "stage file": (reporting.STAGE_JSON, {"separators": (",", ":")}),
+    "report": (reporting.REPORT_JSON, report_layout),
+    "stage file": (
+        reporting.STAGE_JSON,
+        lambda value: json.dumps(value, ensure_ascii=False, separators=(",", ":")) + "\n",
+    ),
 }
 
 
@@ -396,7 +440,7 @@ def written(value: object, layout: str) -> bytes:
 
 
 def dumped(value: object, layout: str) -> bytes:
-    return (json.dumps(value, ensure_ascii=False, **LAYOUTS[layout][1]) + "\n").encode("utf-8")
+    return LAYOUTS[layout][1](value).encode("utf-8")
 
 
 @st.composite
@@ -419,23 +463,25 @@ def tables(draw) -> list:
 
 
 class TestTableWriter:
-    """Lists of same-keyed dicts go through the table writer: still json.dumps's bytes,
-    in the report's layout and in the stage files'."""
+    """Lists of same-keyed dicts: through the table writer in the report, one
+    encode per block in a stage file, and the reference text in both."""
 
     @settings(deadline=None, max_examples=300)
     @given(rows=tables(), layout=st.sampled_from(sorted(LAYOUTS)), other=json_values)
-    def test_equals_json_dumps(self, rows, layout, other):
+    def test_equals_the_reference(self, rows, layout, other):
         case = {"table": rows, "nested": {"rows": rows, "after": [rows, "%s", other]}}
         assert written(case, layout) == dumped(case, layout)
+        if layout == "report":
+            assert_report_json(written(case, layout), case)
 
     def test_true_is_not_one(self):
         rows = [{"flag": True, "n": 1}, {"flag": 1, "n": True}, {"flag": False, "n": 0}]
-        assert rendered({"t": rows}) == whole_document_json({"t": rows})
+        assert_report_json(rendered({"t": rows}), {"t": rows})
 
     @pytest.mark.parametrize("cells", [[[]], [["only"]], [[], ["a", 1, None, True]], [["x"], []]])
     def test_empty_and_one_item_list_cells(self, cells):
         rows = [{"ids": cell, "n": index} for index, cell in enumerate(cells)]
-        assert rendered({"t": rows}) == whole_document_json({"t": rows})
+        assert_report_json(rendered({"t": rows}), {"t": rows})
 
     def test_a_report_is_written_a_block_at_a_time(self):
         rows = [{"id": f"r{i}", "at": i} for i in range(3 * reporting.REPORT_JSON.block)]
@@ -444,7 +490,7 @@ class TestTableWriter:
         out = io.BytesIO()
         out.write = lambda data: writes.append(data) or len(data)  # type: ignore[method-assign]
         render_report(case, out)
-        assert b"".join(writes) == whole_document_json(case)
+        assert_report_json(b"".join(writes), case)
         assert len(writes) == 4
         assert max(map(len, writes)) < len(b"".join(writes)) / 2
 
@@ -453,13 +499,17 @@ class TestOneWriterTwoLayouts:
     """The report and every stage file go through one writer, ``write_json``."""
 
     def test_list_cells_split_before_they_are_joined(self):
-        # Compact list cells joined by commas hold "],[" between two cells
-        # and inside the string "x],[y" alike.
-        rows = [{"id": "a", "ids": ["x],[y"]}, {"id": "b", "ids": ["z", "%", "\u2028"]}]
+        # List cells joined by commas hold "],[" (", " in the report) between
+        # two cells and inside the strings "x],[y" and "x], [y" alike.
+        rows = [{"id": "a", "ids": ["x],[y", "x], [y"]}, {"id": "b", "ids": ["z", "%", "\u2028"]}]
         for layout in LAYOUTS:
             assert written(rows, layout) == dumped(rows, layout)
         assert written(rows, "stage file") == (
-            '[{"id":"a","ids":["x],[y"]},{"id":"b","ids":["z","%","\u2028"]}]\n'.encode()
+            '[{"id":"a","ids":["x],[y","x], [y"]},{"id":"b","ids":["z","%","\u2028"]}]\n'.encode()
+        )
+        assert written(rows, "report") == (
+            '[\n  {"id": "a", "ids": ["x],[y", "x], [y"]},\n'
+            '  {"id": "b", "ids": ["z", "%", "\u2028"]}\n]\n'.encode()
         )
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -489,5 +539,5 @@ class TestReportStepMemory:
         finally:
             tracemalloc.stop()
         size = path.stat().st_size
-        assert size > 1_000_000
+        assert size > 800_000
         assert peak < size
