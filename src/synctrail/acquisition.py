@@ -16,7 +16,7 @@ import os
 import re
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from .errors import (
     DuplicateEventId,
@@ -296,6 +296,86 @@ def lone_surrogate(text: str) -> bool:
     except UnicodeEncodeError:
         return True
     return False
+
+
+# A JSON escape of a surrogate: the only way decoded text holds a lone one.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def load_json_file(path: Path, shape: object) -> Any:
+    """Read a JSON file this tool wrote back, and check that it holds ``shape``.
+
+    ValueError names the first problem: text that is not UTF-8 JSON
+    (see ``load_json``), a value not of ``shape`` (see ``shape_problem``)
+    or, in a file of that shape, a key or string with a lone surrogate.
+    """
+    try:
+        text = path.read_bytes().decode("utf-8")
+        data = load_json(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"is not valid JSON: {exc}") from None
+    problem = shape_problem(data, shape)
+    if not problem and _SURROGATE_ESCAPE.search(text):
+        problem = surrogate_problem(data)
+    if problem:
+        raise ValueError(problem)
+    return data
+
+
+_KIND_NAMES = {
+    dict: "a JSON object", list: "a JSON list", str: "a string", int: "a non-negative integer",
+}
+
+
+def shape_problem(value: Any, shape: Any, where: str = "") -> Optional[str]:
+    """Why ``value`` does not have ``shape``, or None if it does.
+
+    A dict shape is a JSON object with at least those keys, each of the
+    shape given; a one-item list is a JSON list whose items all have
+    that item's shape; ``str`` is a string, ``int`` a non-negative
+    integer (not a boolean) and ``None`` any value.
+    """
+    if shape is None:
+        return None
+    kind = shape if shape is str or shape is int else type(shape)
+    if not isinstance(value, kind) or kind is int and (type(value) is bool or value < 0):
+        at = f"field {where!r} " if where else ""
+        return f"{at}must hold {_KIND_NAMES[kind]}"
+    if kind is dict:
+        for key, inner in shape.items():
+            at = f"{where}.{key}" if where else key
+            if key not in value:
+                return f"missing field {at!r}"
+            problem = shape_problem(value[key], inner, at)
+            if problem:
+                return problem
+    elif kind is list and shape[0] is not None:
+        for index, item in enumerate(value):
+            problem = shape_problem(item, shape[0], f"{where}[{index}]")
+            if problem:
+                return problem
+    return None
+
+
+def surrogate_problem(value: Any) -> Optional[str]:
+    """Which text in ``value``, decoded JSON, holds a lone surrogate; None if none does.
+
+    Any key or string counts, named as ``shape_problem`` names a field:
+    no file this tool writes holds one, and no report can.
+    """
+    pending = [("", value)]
+    while pending:
+        where, item = pending.pop()
+        if isinstance(item, str):
+            if lone_surrogate(item):
+                return f"field {where!r} {LONE_SURROGATE}"
+        elif isinstance(item, dict):
+            for key, inner in reversed(item.items()):
+                at = f"{where}.{key}" if where else key
+                pending += ((at, inner), (at, key))
+        elif isinstance(item, list):
+            pending += ((f"{where}[{i}]", item[i]) for i in reversed(range(len(item))))
+    return None
 
 
 def os_name(name: str) -> str:

@@ -14,7 +14,6 @@ in the tool lives in the simulator behind an explicit seed.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -34,7 +33,7 @@ from .acquisition import (
     file_table,
     ingest_cloud_log,
     ingest_device_dump,
-    load_json,
+    load_json_file,
     lone_surrogate,
     os_name,
     parse_app_inventory,
@@ -88,8 +87,6 @@ from .reporting import (
     build_case_report,
     parameters_to_dict,
     render_report,
-    shape_problem,
-    surrogate_problem,
     write_json,
 )
 
@@ -132,27 +129,12 @@ def _write_stages(out: Path, stages: Stages) -> Stages:
     return stages
 
 
-# A JSON escape of a surrogate: the only way decoded text holds a lone one.
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-
-
 def _read_stage(path: Path, shape: object) -> Any:
-    """Load a stage file and check that it holds what the report reads.
-
-    Anything else, including a truncated file, raises MalformedStageFile
-    naming the file.
-    """
+    """Load a stage file of ``shape``; anything else raises MalformedStageFile naming it."""
     try:
-        text = path.read_bytes().decode("utf-8")
-        data = load_json(text)
-    except (ValueError, RecursionError) as exc:
-        raise MalformedStageFile(f"stage file {path} is not valid JSON: {exc}") from None
-    problem = shape_problem(data, shape)
-    if not problem and _SURROGATE_ESCAPE.search(text):
-        problem = surrogate_problem(data)
-    if problem:
-        raise MalformedStageFile(f"stage file {path} {problem}")
-    return data
+        return load_json_file(path, shape)
+    except ValueError as exc:
+        raise MalformedStageFile(f"stage file {path} {exc}") from None
 
 
 def _case_id_problem(case_id: str) -> Optional[str]:

@@ -638,7 +638,7 @@ def derive_cloud_usage_findings(
             if first is not None
             else "no corrected cloud time in 1970-2100"
         )
-        owner = "no account" if account is None else f"account {account}"
+        owner = f"account {account}" if account else "no account"
         add(
             _PROVEN[kind],
             HIGH if exact else MEDIUM,

@@ -11,6 +11,7 @@ one ``geo.json`` row).
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 import ipaddress
 from pathlib import Path
 from typing import Iterable, Optional
@@ -78,16 +79,20 @@ def build_identity_graph(
     its peer to every account configured on the device. Of the comm
     records, these take part, and the rest are left out:
 
-    - a configured account, by its ``address_or_number``;
+    - a configured account whose ``address_or_number`` normalizes to an
+      identifier;
     - a contact whose ``numbers``, when present, is a JSON list of strings;
     - a message whose ``direction``, when present, is Incoming or Outgoing;
     - a dated call whose ``direction`` is Incoming or Outgoing, and whose
-      ``duration_s``, when present, ``int()`` reads.
+      ``duration_s``, when present, ``int()`` reads;
+    - of those messages and calls, one whose ``peer`` normalizes to an
+      identifier.
 
     Each record left out is appended to ``left_out``, when one is given,
     as its id and the first rule above it breaks: ``direction not
     Incoming or Outgoing``, ``undated call``, ``duration_s not an
-    integer`` or ``numbers not a JSON list of strings``.
+    integer``, ``numbers not a JSON list of strings`` or ``no phone
+    number or email``. Each distinct peer text is normalized once.
 
     Directions match case-insensitively. The result is the
     ``identity_graph.json`` payload: nodes in (kind, value) order, and
@@ -106,14 +111,18 @@ def build_identity_graph(
                 edges[first, second] = edges.get((first, second), 0) + count
 
     owners: list[tuple[str, str]] = []
-    peers: Counter[str] = Counter()
+    # Every message or call with one normalized peer adds the same edges,
+    # so each distinct peer adds them once, weighted by its artifacts.
+    by_peer: Counter[tuple[str, str]] = Counter()
+    normalized = cache(normalize_identifier)
     for record in records:
         category, attrs = record.category, record.attributes
-        reason = None
+        # The peer or owner text of a record that takes part, else None.
+        reason = text = None
         if category is ArtifactCategory.MESSAGE:
             direction = attrs.get("direction")
             if direction is None or direction.lower() in _DIRECTIONS:
-                peers[attrs.get("peer", "")] += 1
+                text = attrs.get("peer", "")
             else:
                 reason = _BAD_DIRECTION
         elif category is ArtifactCategory.CALL_RECORD:
@@ -124,7 +133,7 @@ def build_identity_graph(
             elif "duration_s" in attrs and _integer(attrs["duration_s"]) is None:
                 reason = "duration_s not an integer"
             else:
-                peers[attrs.get("peer", "")] += 1
+                text = attrs.get("peer", "")
         elif category is ArtifactCategory.CONTACT:
             numbers = _string_list(attrs["numbers"]) if "numbers" in attrs else []
             if numbers is None:
@@ -133,20 +142,19 @@ def build_identity_graph(
                 found = [normalize_identifier(number) for number in numbers]
                 add_artifact(i for i in found if i is not None)
         elif category is ArtifactCategory.CONFIGURED_EMAIL:
-            owner = normalize_identifier(attrs.get("address_or_number", ""))
-            if owner is not None:
-                owners.append(owner)
+            text = attrs.get("address_or_number", "")
+        if text is not None:
+            identifier = normalized(text)
+            if identifier is None:
+                reason = "no phone number or email"
+            elif category is ArtifactCategory.CONFIGURED_EMAIL:
+                owners.append(identifier)
+            else:
+                by_peer[identifier] += 1
         if reason is not None and left_out is not None:
             left_out.append((record.record_id, reason))
 
     nodes.update(owners)
-    # Every message or call with one normalized peer adds the same edges,
-    # so each distinct peer adds them once, weighted by its artifacts.
-    by_peer: Counter[tuple[str, str]] = Counter()
-    for raw, count in peers.items():
-        peer = normalize_identifier(raw)
-        if peer is not None:
-            by_peer[peer] += count
     for peer, count in by_peer.items():
         add_artifact([peer, *owners], count)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import atomic
-from .acquisition import LONE_SURROGATE, DeviceDump, load_json, lone_surrogate
+from .acquisition import DeviceDump, load_json_file, shape_problem
 from .errors import (
     DeviceMismatch,
     FileTableMismatch,
@@ -297,11 +297,22 @@ def write_sealed_manifest(manifest: dict, bundle_path: Path | str) -> Path:
     return path
 
 
-_SEALED_STRINGS = ("dump_id", "collected_at", "examiner", "isolation_method", "digest_algorithm")
+# What a sealed manifest holds, as shapes (see acquisition.shape_problem):
+# every manifest _SEALED, and one that seals a file table _SEALED_TABLE too.
+_SEALED = {
+    "dump_id": str, "collected_at": str, "examiner": str, "isolation_method": str,
+    "digest_algorithm": str, "record_count": int, "chain_head": None, "record_links": [None],
+}
+_SEALED_TABLE = {
+    "locale": str, "unrecognized_files": [str],
+    "files": [{"name": str, "bytes": int, "sha256": None}],
+}
+_ISOLATION_METHODS = {method.value for method in IsolationMethod}
+_LOCALES = {locale.value for locale in Locale}
 
 
 def load_sealed_manifest(bundle_path: Path | str) -> dict:
-    """Read manifest.sealed.json; any malformed content raises MalformedManifest.
+    """Read manifest.sealed.json, checked as a stage file is; raise MalformedManifest if malformed.
 
     Returns the payload in the form ``seal_dump`` gives it: digests in
     lowercase hex, ``collected_at`` in its ISO-Z rendering, and only the
@@ -313,90 +324,33 @@ def load_sealed_manifest(bundle_path: Path | str) -> dict:
     if not path.is_file():
         raise MissingManifest(f"no {SEALED_MANIFEST} in {bundle_path}; seal the bundle first")
     try:
-        data = load_json(path.read_bytes().decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise MalformedManifest(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise MalformedManifest(f"{path} must hold a JSON object")
-    for key in (*_SEALED_STRINGS, "record_count", "chain_head", "record_links"):
-        if key not in data:
-            raise MalformedManifest(f"{path} missing field {key!r}")
-    for key in _SEALED_STRINGS:
-        if not isinstance(data[key], str):
-            raise MalformedManifest(f"{path} field {key!r} must be a string")
-        if lone_surrogate(data[key]):
-            raise MalformedManifest(f"{path} field {key!r} {LONE_SURROGATE}")
-    count = data["record_count"]
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise MalformedManifest(f"{path} field 'record_count' must be a count, got {count!r}")
-    try:
-        IsolationMethod(data["isolation_method"])
-    except ValueError:
-        raise MalformedManifest(
-            f"{path} field 'isolation_method' has unknown value {data['isolation_method']!r}"
-        ) from None
+        data = load_json_file(path, _SEALED)
+    except ValueError as exc:
+        raise MalformedManifest(f"{path} {exc}") from None
+    table = "files" in data
+    problem = table and shape_problem(data, _SEALED_TABLE)
+    if problem:
+        raise MalformedManifest(f"{path} {problem}")
+    if data["isolation_method"] not in _ISOLATION_METHODS:
+        method = data["isolation_method"]
+        raise MalformedManifest(f"{path} field 'isolation_method' has unknown value {method!r}")
+    if table and data["locale"] not in _LOCALES:
+        raise MalformedManifest(f"{path} field 'locale' has unknown value {data['locale']!r}")
     try:
         collected_at = normalize_timestamp(data["collected_at"], Locale.DAY_FIRST, 0)
     except (UnparseableTimestamp, ImpossibleDate) as exc:
         raise MalformedManifest(f"{path} field 'collected_at': {exc}") from None
-    links = data["record_links"]
-    if not isinstance(links, list):
-        raise MalformedManifest(f"{path} field 'record_links' must be a list")
-    manifest = {
-        "dump_id": data["dump_id"],
-        "collected_at": collected_at.to_iso(),
-        "examiner": data["examiner"],
-        "isolation_method": data["isolation_method"],
-        "digest_algorithm": data["digest_algorithm"],
-        "record_count": count,
-    }
-    if "files" in data:
-        manifest.update(_sealed_table(data, path))
+    manifest = {key: data[key] for key in (*_SEALED, *(_SEALED_TABLE if table else ()))}
+    manifest["collected_at"] = collected_at.to_iso()
+    if table:
+        manifest["files"] = [
+            {"name": row["name"], "bytes": row["bytes"],
+             "sha256": _sealed_link(row["sha256"], path, f"files[{index}].sha256")}
+            for index, row in enumerate(data["files"])
+        ]
     manifest["chain_head"] = _sealed_link(data["chain_head"], path, "chain_head")
-    manifest["record_links"] = _sealed_links(links, path)
+    manifest["record_links"] = _sealed_links(data["record_links"], path)
     return manifest
-
-
-_LOCALES = {locale.value for locale in Locale}
-
-
-def _sealed_table(data: dict, path: Path) -> dict:
-    """The checked ``locale``, ``files`` and ``unrecognized_files`` of a sealed manifest."""
-    for key in ("locale", "unrecognized_files"):
-        if key not in data:
-            raise MalformedManifest(f"{path} missing field {key!r}")
-    if not isinstance(data["locale"], str) or data["locale"] not in _LOCALES:
-        raise MalformedManifest(f"{path} field 'locale' has unknown value {data['locale']!r}")
-    rows, names = data["files"], data["unrecognized_files"]
-    if not isinstance(rows, list):
-        raise MalformedManifest(f"{path} field 'files' must be a list")
-    if not isinstance(names, list):
-        raise MalformedManifest(f"{path} field 'unrecognized_files' must be a list")
-    files = []
-    for index, row in enumerate(rows):
-        where = f"files[{index}]"
-        if not isinstance(row, dict):
-            raise MalformedManifest(f"{path} field {where!r} must be a JSON object")
-        for key in ("name", "bytes", "sha256"):
-            if key not in row:
-                raise MalformedManifest(f"{path} field {where!r} missing field {key!r}")
-        _sealed_name(row["name"], path, f"{where}.name")
-        size = row["bytes"]
-        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-            raise MalformedManifest(f"{path} field '{where}.bytes' must be a count, got {size!r}")
-        digest = _sealed_link(row["sha256"], path, f"{where}.sha256")
-        files.append({"name": row["name"], "bytes": size, "sha256": digest})
-    for index, name in enumerate(names):
-        _sealed_name(name, path, f"unrecognized_files[{index}]")
-    return {"locale": data["locale"], "files": files, "unrecognized_files": list(names)}
-
-
-def _sealed_name(name: object, path: Path, where: str) -> None:
-    """MalformedManifest unless ``name`` is text that UTF-8 can encode."""
-    if not isinstance(name, str):
-        raise MalformedManifest(f"{path} field {where!r} must be a string")
-    if lone_surrogate(name):
-        raise MalformedManifest(f"{path} field {where!r} {LONE_SURROGATE}")
 
 
 def _sealed_links(links: list, path: Path) -> list[str]:
@@ -413,15 +367,14 @@ def _sealed_links(links: list, path: Path) -> list[str]:
     if len(raw) == 32 * len(links) and set(map(len, links)) <= {64}:
         text = raw.hex()
         return [text[start : start + 64] for start in range(0, len(text), 64)]
-    return [_sealed_link(text, path, "record_links", i) for i, text in enumerate(links)]
+    return [_sealed_link(text, path, f"record_links[{i}]") for i, text in enumerate(links)]
 
 
-def _sealed_link(text: object, path: Path, name: str, index: Optional[int] = None) -> str:
+def _sealed_link(text: object, path: Path, where: str) -> str:
     """A sealed digest's hex text in lowercase; MalformedManifest if it names no 32 bytes."""
     try:
         return checked_digest_hex(text)
     except ValueError:
-        where = name if index is None else f"{name}[{index}]"
         raise MalformedManifest(
             f"{path} field {where!r} must be 64 hex characters, got {text!r}"
         ) from None

@@ -18,7 +18,6 @@ from operator import itemgetter
 from types import GeneratorType
 from typing import Any, BinaryIO, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .acquisition import LONE_SURROGATE, lone_surrogate
 from .correlation import DEFAULT_MIN_SKEW_SUPPORT, DEFAULT_WINDOW_SECONDS
 from .evidence import Locale
 
@@ -52,16 +51,12 @@ def parameters_to_dict(
     }
 
 
-# The shape of what the report reads from a stage file: a dict is a
-# JSON object with at least those keys, each of the shape given; a
-# one-item list is a JSON list whose items all have that item's shape;
-# ``str`` is a string, ``int`` a non-negative integer (not a boolean)
-# and ``None`` any value.
 _LEDGER = [{"file": None, "line": None, "message": None}]
 _IDENTIFIER = {"kind": None, "value": None}
 
 # Each stage file's (absent, shape): what the report takes the file to
-# hold when it is absent, and the shape of what the report reads from it.
+# hold when it is absent, and the shape of what the report reads from it
+# (see acquisition.shape_problem).
 STAGE_FILES: dict[str, tuple[object, object]] = {
     "dump.json": (None, {
         "dump_id": str,
@@ -96,55 +91,6 @@ STAGE_FILES: dict[str, tuple[object, object]] = {
     }),
     "geo.json": ([], [{"ip": None, "country": None, "city": None, "source_table": None}]),
 }
-
-_KIND_NAMES = {
-    dict: "a JSON object", list: "a JSON list", str: "a string", int: "a non-negative integer",
-}
-
-
-def shape_problem(value: Any, shape: Any, where: str = "") -> Optional[str]:
-    """Why ``value`` does not have ``shape`` (see STAGE_FILES), or None if it does."""
-    if shape is None:
-        return None
-    kind = shape if shape is str or shape is int else type(shape)
-    if not isinstance(value, kind) or kind is int and (type(value) is bool or value < 0):
-        at = f"field {where!r} " if where else ""
-        return f"{at}must hold {_KIND_NAMES[kind]}"
-    if kind is dict:
-        for key, inner in shape.items():
-            at = f"{where}.{key}" if where else key
-            if key not in value:
-                return f"missing field {at!r}"
-            problem = shape_problem(value[key], inner, at)
-            if problem:
-                return problem
-    elif kind is list and shape[0] is not None:
-        for index, item in enumerate(value):
-            problem = shape_problem(item, shape[0], f"{where}[{index}]")
-            if problem:
-                return problem
-    return None
-
-
-def surrogate_problem(value: Any) -> Optional[str]:
-    """Which text in ``value``, a decoded stage file, holds a lone surrogate; None if none does.
-
-    Any key or string counts, named as ``shape_problem`` names a field:
-    no stage file this tool writes holds one, and no report can.
-    """
-    pending = [("", value)]
-    while pending:
-        where, item = pending.pop()
-        if isinstance(item, str):
-            if lone_surrogate(item):
-                return f"field {where!r} {LONE_SURROGATE}"
-        elif isinstance(item, dict):
-            for key, inner in reversed(item.items()):
-                at = f"{where}.{key}" if where else key
-                pending += ((at, inner), (at, key))
-        elif isinstance(item, list):
-            pending += ((f"{where}[{i}]", item[i]) for i in reversed(range(len(item))))
-    return None
 
 
 def build_case_report(
@@ -516,9 +462,10 @@ def _render_markdown(data: dict) -> str:
     for link in data["links"]:
         delta = link["time_delta_seconds"]
         delta_text = "n/a" if delta is None else f"{_fmt(delta)} s"
+        owner = f"account {_fmt(link['account'])}" if link["account"] else "no account"
         out.append(
             f"- {_fmt(link['device_record_id'])} <-> {_fmt(link['cloud_event_id'])} "
-            f"({_fmt(link['kind'])} of account {_fmt(link['account'])}, "
+            f"({_fmt(link['kind'])} of {owner}, "
             f"{_fmt(link['tier'])}, delta {delta_text})"
         )
     if not data["links"]:

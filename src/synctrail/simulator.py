@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .acquisition import CATEGORY_FILES, TIME_FIELDS, ingest_device_dump
 from .errors import EmptyBundle, IoFailure
@@ -120,7 +120,6 @@ class GroundTruth:
     true_links: tuple[tuple[str, str], ...]
     true_skew_seconds: int
     uninstalled_packages: tuple[str, ...]
-    tamper_index: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -382,7 +381,6 @@ def generate_case(params: SimParams, out_dir: Path | str) -> SimCase:
                     "true_links": [list(pair) for pair in truth.true_links],
                     "true_skew_seconds": truth.true_skew_seconds,
                     "uninstalled_packages": list(truth.uninstalled_packages),
-                    "tamper_index": truth.tamper_index,
                 },
                 indent=2,
             )

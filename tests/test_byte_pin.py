@@ -165,7 +165,7 @@ PINS = {
         "timeline.json": "5f099499fc47cb4cd054da5ac31d2d81f077c6ed92bc8c712bc8b46a8b547efa",
         "verification.json": "4c36a75241e2520dd0641c22b49657c435e46bc1e682330c0ef784db99dd3360",
         "manifest.sealed.json": "2a86d7a37d08ff4bc8d71649949183c5592953716dadc7713c0a15f43b937b4d",
-        "stderr": "6ae4e916fb528db970898c339c7429a0361ccab7547d85ac3e7c7c6891521994",
+        "stderr": "1498dfe756e3a75bf46021d2ec642b5e5ce93195cad68ea251c21ceab6e612ad",
     }),
 }
 

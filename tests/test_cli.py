@@ -414,9 +414,9 @@ class TestSubcommandOutputs:
         assert run(argv) == 0
         notes = [line for line in capsys.readouterr().err.splitlines() if "left out" in line]
         assert notes == [
-            "note: 23 comm record(s) left out of the identity graph (direction not Incoming "
-            "or Outgoing: 7, duration_s not an integer: 6, numbers not a JSON list of "
-            "strings: 8, undated call: 2)"
+            "note: 29 comm record(s) left out of the identity graph (direction not Incoming "
+            "or Outgoing: 7, duration_s not an integer: 6, no phone number or email: 6, "
+            "numbers not a JSON list of strings: 8, undated call: 2)"
         ]
 
     def test_a_graph_that_leaves_nothing_out_prints_no_note(self, tmp_path, capsys):
@@ -735,12 +735,12 @@ MALFORMED_INPUTS = [
                  "got '\\t" + "ab" * 32 + "\\n'",
                  id="sealed-whitespace-padded-link"),
     pytest.param("bundle/manifest.sealed.json", _with("record_count", "43"), "verify", 4,
-                 "error: {path} field 'record_count' must be a count, got '43'",
+                 "error: {path} field 'record_count' must hold a non-negative integer",
                  id="sealed-count-as-string"),
     pytest.param("bundle/manifest.sealed.json", lambda raw: b"[]", "verify", 4,
                  "error: {path} must hold a JSON object", id="sealed-not-object"),
     pytest.param("bundle/manifest.sealed.json", _with("examiner", 7), "verify", 4,
-                 "error: {path} field 'examiner' must be a string",
+                 "error: {path} field 'examiner' must hold a string",
                  id="sealed-examiner-not-string"),
     pytest.param("bundle/manifest.sealed.json", _with("isolation_method", "Faraday"), "verify", 4,
                  "error: {path} field 'isolation_method' has unknown value 'Faraday'",
@@ -750,7 +750,7 @@ MALFORMED_INPUTS = [
                  "timestamp 'yesterday' matches no supported grammar",
                  id="sealed-unparseable-collected-at"),
     pytest.param("bundle/manifest.sealed.json", _with("record_links", "none"), "verify", 4,
-                 "error: {path} field 'record_links' must be a list",
+                 "error: {path} field 'record_links' must hold a JSON list",
                  id="sealed-record-links-not-list"),
     pytest.param("bundle/manifest.json", lambda raw: b"[]", "ingest", 4,
                  "error: {path} must hold a JSON object", id="manifest-not-object"),
@@ -839,6 +839,15 @@ MALFORMED_INPUTS = [
     pytest.param("bundle/manifest.sealed.json", _with("examiner", "x\udc00"), "verify", 4,
                  "error: {path} field 'examiner' " + _LONE,
                  id="sealed-examiner-lone-surrogate"),
+    # The sealed manifest is read as a stage file is: a member the
+    # verifier never uses, or a digest, is checked for one too.
+    pytest.param("bundle/manifest.sealed.json",
+                 lambda raw: raw.replace(b"{", b'{"note": "\\udc00",', 1), "verify", 4,
+                 "error: {path} field 'note' " + _LONE,
+                 id="sealed-extra-member-lone-surrogate"),
+    pytest.param("bundle/manifest.sealed.json", _with(("record_links", 2), "\udc00"), "verify",
+                 4, "error: {path} field 'record_links[2]' " + _LONE,
+                 id="sealed-record-link-lone-surrogate"),
     pytest.param("out/geo.json",
                  lambda raw: b'[{"ip":"1.2.3.4","country":"\\udc00","city":"x",'
                              b'"source_table":"t"}]',
@@ -873,15 +882,15 @@ MALFORMED_INPUTS = [
                  "error: {path} field 'locale' has unknown value 'year-first'",
                  id="sealed-unknown-locale"),
     pytest.param("bundle/manifest.sealed.json", _with("files", {}), "verify", 4,
-                 "error: {path} field 'files' must be a list", id="sealed-files-not-list"),
+                 "error: {path} field 'files' must hold a JSON list", id="sealed-files-not-list"),
     pytest.param("bundle/manifest.sealed.json", _with(("files", 1), "messages.jsonl"), "verify",
-                 4, "error: {path} field 'files[1]' must be a JSON object",
+                 4, "error: {path} field 'files[1]' must hold a JSON object",
                  id="sealed-file-row-not-object"),
     pytest.param("bundle/manifest.sealed.json", _without(("files", 0, "bytes")), "verify", 4,
-                 "error: {path} field 'files[0]' missing field 'bytes'",
+                 "error: {path} missing field 'files[0].bytes'",
                  id="sealed-file-row-without-bytes"),
     pytest.param("bundle/manifest.sealed.json", _with(("files", 2, "bytes"), "12"), "verify", 4,
-                 "error: {path} field 'files[2].bytes' must be a count, got '12'",
+                 "error: {path} field 'files[2].bytes' must hold a non-negative integer",
                  id="sealed-file-bytes-as-string"),
     pytest.param("bundle/manifest.sealed.json", _with(("files", 0, "sha256"), "abc"), "verify", 4,
                  "error: {path} field 'files[0].sha256' must be 64 hex characters, got 'abc'",
@@ -890,7 +899,7 @@ MALFORMED_INPUTS = [
                  4, "error: {path} field 'files[0].name' " + _LONE,
                  id="sealed-file-name-lone-surrogate"),
     pytest.param("bundle/manifest.sealed.json", _with("unrecognized_files", [7]), "verify", 4,
-                 "error: {path} field 'unrecognized_files[0]' must be a string",
+                 "error: {path} field 'unrecognized_files[0]' must hold a string",
                  id="sealed-unrecognized-name-not-string"),
 ]
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synctrail import osint
 from synctrail.acquisition import ingest_device_dump
 from synctrail.errors import MalformedTable
 from synctrail.evidence import ArtifactCategory, EvidenceRecord, Source, UtcTimestamp
@@ -58,6 +59,7 @@ def owner(address: str) -> EvidenceRecord:
 OWNER = ("Email", "owner@x.com")
 PEER = ("Phone", "+3531")
 DIRECTION = "direction not Incoming or Outgoing"
+NO_IDENTIFIER = "no phone number or email"
 
 
 def phone(number: str) -> tuple[str, str]:
@@ -167,8 +169,27 @@ class TestIdentityGraph:
         assert build_identity_graph(records) == build_identity_graph(reversed(records))
 
     def test_owners_are_nodes_without_any_artifact(self):
-        nodes, _ = graph_of([owner("Owner@X.com"), owner(""), owner("---")])
+        owners = [owner("Owner@X.com"), owner(""), owner("---")]
+        nodes, _ = graph_of(owners)
         assert nodes == {OWNER}
+        left_out: list = []
+        build_identity_graph(owners, left_out)
+        assert left_out == [(o.record_id, NO_IDENTIFIER) for o in owners[1:]]
+
+    def test_each_distinct_peer_is_normalized_once(self, monkeypatch):
+        seen = []
+
+        def counting(raw):
+            seen.append(raw)
+            return normalize_identifier(raw)
+
+        monkeypatch.setattr(osint, "normalize_identifier", counting)
+        records = [message("+3531"), call("+3531"), message(""), call(""), owner("owner@x.com")]
+        left_out: list = []
+        graph = build_identity_graph(records, left_out)
+        assert sorted(seen) == ["", "+3531", "owner@x.com"]
+        assert graph["edges"][0]["count"] == 2
+        assert left_out == [(r.record_id, NO_IDENTIFIER) for r in records[2:4]]
 
     @pytest.mark.parametrize(
         "artifact, left_out_as",
@@ -190,6 +211,11 @@ class TestIdentityGraph:
             (record(ArtifactCategory.CALL_RECORD, AT, peer="+3531"), DIRECTION),
             (call("+3531", direction="Sideways"), DIRECTION),
             (call("+3531", direction="Sideways", timestamp=None), DIRECTION),
+            (message(""), NO_IDENTIFIER),
+            (record(ArtifactCategory.MESSAGE, direction="Incoming"), NO_IDENTIFIER),
+            (call("---"), NO_IDENTIFIER),
+            (call("---", timestamp=None), "undated call"),
+            (message("---", direction="Sideways"), DIRECTION),
         ],
     )
     def test_which_messages_and_calls_count(self, artifact, left_out_as):
@@ -253,12 +279,16 @@ class TestIdentityGraph:
         assert graph == build_identity_graph(records)
         duration, numbers = "duration_s not an integer", "numbers not a JSON list of strings"
         assert left_out == [
-            *((f"m{n}", DIRECTION) for n in (4, 5, 6, 12, 13)),
+            *((f"m{n}", DIRECTION) for n in (4, 5, 6)),
+            ("m8", NO_IDENTIFIER), ("m9", NO_IDENTIFIER),
+            ("m12", DIRECTION), ("m13", DIRECTION),
             *((f"c{n}", duration) for n in (3, 4, 5, 6)),
             ("c8", "undated call"), ("c9", "undated call"),
             ("c10", DIRECTION), ("c11", DIRECTION),
+            ("c15", NO_IDENTIFIER),
             ("c17", duration), ("c18", duration),
             *((f"k{n}", numbers) for n in (3, 4, 5, 9, 10, 13, 14, 15)),
+            *((f"e{n}", NO_IDENTIFIER) for n in (3, 4, 5)),
         ]
 
     def test_ingested_bundle(self, tmp_path):

@@ -272,6 +272,29 @@ class TestMarkdownStructure:
         assert b"(Download of account x\\n## Forged | cell, ExactDigest, delta 1 s)" in pages[1]
         assert b"(account x\\n## Forged | cell; tier ExactDigest; link_count 3;" in pages[1]
 
+    def test_a_cloud_line_without_an_account_names_no_account(self, tmp_path):
+        source = Path(__file__).parent / "data" / "sync_shapes"
+        shutil.copytree(source / "bundle", tmp_path / "bundle")
+        log = tmp_path / "cloud_events.jsonl"
+        lines = []
+        for line in (source / "cloud_events.jsonl").read_text(encoding="utf-8").splitlines():
+            event = json.loads(line)
+            if event["kind"] == "Upload":
+                del event["account"]
+            lines.append(json.dumps(event) + "\n")
+        log.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["run-all", str(tmp_path / "bundle"), str(log), "--out", str(out),
+                "--format", "md"]
+        assert run(argv) == 0
+        findings = json.loads((out / "findings.json").read_text(encoding="utf-8"))
+        uploads = [f for f in findings if f["kind"] == "ProvenUpload"]
+        assert uploads and all(f["account"] == "" for f in uploads)
+        assert all(" Upload cloud event(s) of no account, " in f["narrative"] for f in uploads)
+        markdown = (out / "sync-shapes.report.md").read_text(encoding="utf-8")
+        assert "(Upload of no account, ExactDigest, " in markdown
+        assert "of account ," not in markdown
+
 
 def expanded_list_items(value):
     """Each item of every list that the report's layout expands: the lists

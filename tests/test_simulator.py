@@ -109,6 +109,7 @@ class TestGenerateCase:
     def test_ground_truth_file_matches_object(self, tmp_path):
         case = generate_case(SimParams(seed=61, n_uploads=3), tmp_path)
         data = json.loads((tmp_path / "ground_truth.json").read_text())
+        assert list(data) == ["true_links", "true_skew_seconds", "uninstalled_packages"]
         assert [tuple(x) for x in data["true_links"]] == list(case.ground_truth.true_links)
         assert data["true_skew_seconds"] == case.ground_truth.true_skew_seconds
         assert data["uninstalled_packages"] == list(case.ground_truth.uninstalled_packages)
