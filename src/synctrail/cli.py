@@ -30,7 +30,6 @@ from .acquisition import (
     AppStatus,
     DeviceDump,
     dump_to_json_dict,
-    file_table,
     ingest_cloud_log,
     ingest_device_dump,
     load_json_file,
@@ -53,11 +52,9 @@ from .correlation import (
     zero_skew,
 )
 from .errors import (
-    FileTableMismatch,
     ForensicsError,
     InsufficientSupport,
     MalformedStageFile,
-    RecordCountMismatch,
     UnsafeCaseId,
 )
 from .evidence import Locale
@@ -69,15 +66,11 @@ from .osint import (
 from .preservation import (
     INTACT,
     SEALED_MANIFEST,
-    TAMPERED,
     IsolationMethod,
-    check_file_table,
     diff_acquisitions,
-    files_hold,
-    head_follows,
     load_sealed_manifest,
     seal_dump,
-    verify_chain,
+    verify_bundle,
     write_sealed_manifest,
 )
 from .reporting import (
@@ -100,8 +93,9 @@ _ISOLATION = {
     for name, method in IsolationMethod.__members__.items()
 }
 
-# RecordCountMismatch and InsufficientSupport are caught where they are
-# raised; any ForensicsError that escapes a stage is fatal.
+# verify_bundle makes a RecordCountMismatch a Tampered verdict, and
+# correlate catches InsufficientSupport; any other ForensicsError that
+# escapes a stage is fatal.
 _FATAL_ERRORS = (ForensicsError, OSError)
 
 # Stage payloads by stage-file name, as written to --out.
@@ -216,11 +210,9 @@ def _step_verify(
 ) -> Stages:
     """Check the bundle against its sealed manifest; ``dump`` is the bundle as run-all read it.
 
-    When the manifest seals a file table, the bundle's table (the
-    dump's, or else one hashing pass) and the manifest's own head decide
-    an intact bundle with no line parsed and no chain walk. Otherwise the
-    bundle is read with the sealed locale, unless ``dump`` already was,
-    and the chain is walked to name what differs.
+    ``verify_bundle`` decides the verdict; this step notes what the
+    manifest leaves out or reads differently, and says why a bundle is
+    tampered.
     """
     manifest = load_sealed_manifest(bundle)
     if "files" not in manifest:
@@ -228,53 +220,19 @@ def _step_verify(
             f"note: {SEALED_MANIFEST} seals no file table, so only the bundle's records are "
             "verified"
         )
-        if dump is None:
-            dump = ingest_device_dump(bundle, locale)
-        verification = _walk_chain(manifest, dump)
-    else:
-        sealed_locale = Locale(manifest["locale"])
-        if sealed_locale is not locale:
-            _say(
-                f"note: the bundle was sealed reading --locale {sealed_locale.value}; "
-                f"its custody is verified with that locale, not {locale.value}"
-            )
-        files = file_table(bundle) if dump is None else (dump.files, dump.unrecognized_files)
-        if files_hold(manifest, *files):
-            verification = {
-                "verdict": INTACT,
-                "first_divergent_index": None,
-                "expected": None,
-                "actual": None,
-            }
-        else:
-            if dump is None or dump.locale is not sealed_locale:
-                dump = ingest_device_dump(bundle, sealed_locale)
-            verification = _walk_chain(manifest, dump)
+    elif manifest["locale"] != locale.value:
+        _say(
+            f"note: the bundle was sealed reading --locale {manifest['locale']}; "
+            f"its custody is verified with that locale, not {locale.value}"
+        )
+    verification, reasons = verify_bundle(bundle, manifest, locale, dump)
+    for reason in reasons:
+        _say(reason)
     stages = {"verification.json": verification}
     if out is not None:
         _write_stages(out, stages)
     _say(f"chain verdict: {verification['verdict']}")
     return stages
-
-
-def _walk_chain(manifest: dict, dump: DeviceDump) -> dict:
-    """The verification.json payload of a chain walk over ``dump``, and of its file table."""
-    try:
-        verification = verify_chain(manifest, dump.records)
-        if verification["verdict"] == INTACT:
-            check_file_table(manifest, dump.files, dump.unrecognized_files)
-    except (RecordCountMismatch, FileTableMismatch) as exc:
-        # A record, line or file added, removed or changed after sealing
-        # while every remaining link holds is custody violation, surfaced
-        # with the tampered exit code rather than a parse error.
-        _say(f"verification failed: {exc}")
-        return {"verdict": TAMPERED, "first_divergent_index": 0, "expected": None, "actual": None}
-    if verification["verdict"] == TAMPERED and "files" in manifest and not head_follows(manifest):
-        _say(
-            f"verification failed: {SEALED_MANIFEST} was edited: its chain head does not follow "
-            "from its header and record links"
-        )
-    return verification
 
 
 def _step_correlate(

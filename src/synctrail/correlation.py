@@ -612,19 +612,7 @@ def derive_cloud_usage_findings(
             if seconds > group[3]:
                 group[3] = seconds
 
-    # Each finding as (kind rank, first supporting id, input position,
-    # kind, confidence, supporting ids, narrative, further fields):
-    # sorted as tuples, each row is then built once, already numbered.
-    pending: list[tuple] = []
-
-    def add(
-        kind: str, confidence: str, supporting_ids: list[str], narrative: str, **fields: object
-    ) -> None:
-        pending.append((
-            _KIND_ORDER[kind], supporting_ids[0], len(pending),
-            kind, confidence, supporting_ids, narrative, fields,
-        ))
-
+    findings: list[dict] = []
     for (account, kind, tier), (link, count, low, high) in groups.items():
         exact = tier == EXACT_DIGEST
         basis = (
@@ -639,18 +627,15 @@ def derive_cloud_usage_findings(
             else "no corrected cloud time in 1970-2100"
         )
         owner = f"account {account}" if account else "no account"
-        add(
+        finding = _finding(
             _PROVEN[kind],
             HIGH if exact else MEDIUM,
             [link["device_record_id"], link["cloud_event_id"]],
             f"{count} device artifact(s) are the same object(s) as {kind} cloud "
             f"event(s) of {owner}, each established by {basis}; {span}.",
-            account=account,
-            tier=tier,
-            link_count=count,
-            first_utc=first,
-            last_utc=last,
         )
+        finding.update(account=account, tier=tier, link_count=count, first_utc=first, last_utc=last)
+        findings.append(finding)
 
     logins_by_account: dict[str, list[str]] = {}
     for event in cloud_events:
@@ -658,26 +643,14 @@ def derive_cloud_usage_findings(
             logins_by_account.setdefault(event.account, []).append(event.event_id)
     for account in sorted(logins_by_account):
         event_ids = sorted(logins_by_account[account])
-        add(
+        findings.append(_finding(
             ACCOUNT_ACTIVITY,
             HIGH,
             event_ids,
             f"Account {account} authenticated against the cloud service "
             f"{len(event_ids)} time(s).",
-        )
+        ))
 
-    for f in uninstall_findings:
-        add(f["kind"], f["confidence"], f["supporting_ids"], f["narrative"])
-    pending.sort()
-    return [
-        {
-            "finding_id": f"F{number:03d}",
-            "kind": kind,
-            "confidence": confidence,
-            "supporting_ids": supporting_ids,
-            "narrative": narrative,
-            **fields,
-        }
-        for number, (_, _, _, kind, confidence, supporting_ids, narrative, fields)
-        in enumerate(pending, start=1)
-    ]
+    findings += uninstall_findings
+    findings.sort(key=lambda f: (_KIND_ORDER[f["kind"]], f["supporting_ids"][0]))
+    return [{"finding_id": f"F{number:03d}", **f} for number, f in enumerate(findings, start=1)]

@@ -48,10 +48,6 @@ class RecordCountMismatch(ForensicsError):
     """Sealed record count disagrees with the records presented."""
 
 
-class FileTableMismatch(ForensicsError):
-    """A bundle file differs from the file table its sealed manifest holds."""
-
-
 class UnsupportedAlgorithm(ForensicsError):
     """Sealed manifest names a digest algorithm this tool cannot verify."""
 

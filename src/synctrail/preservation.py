@@ -18,10 +18,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import atomic
-from .acquisition import DeviceDump, load_json_file, shape_problem
+from .acquisition import DeviceDump, file_table, ingest_device_dump, load_json_file, shape_problem
 from .errors import (
     DeviceMismatch,
-    FileTableMismatch,
     ImpossibleDate,
     MalformedManifest,
     MissingManifest,
@@ -168,7 +167,7 @@ def verify_chain(manifest: dict, records: Sequence[EvidenceRecord]) -> dict:
     expected and actual digests at that index in hex. Intact means every
     stored link equals the recomputed one and the sealed head equals
     ``head_digest`` of the recomputed links, and leaves the other three
-    fields null. The file table is not read here: ``check_file_table``
+    fields null. The file table is not read here: ``table_problem``
     compares it.
     """
     algorithm, count = manifest["digest_algorithm"], manifest["record_count"]
@@ -194,54 +193,83 @@ def verify_chain(manifest: dict, records: Sequence[EvidenceRecord]) -> dict:
     return _verification(TAMPERED, 0, manifest["chain_head"], head.hex())
 
 
-def files_hold(manifest: dict, files: Sequence[dict], unrecognized: Sequence[str]) -> bool:
-    """Whether a manifest vouches for a bundle with this file table, with no chain walk.
+def table_problem(
+    manifest: dict, files: Sequence[dict], unrecognized: Sequence[str]
+) -> Optional[str]:
+    """How a bundle's file table differs from the sealed one, naming the first differing file.
 
-    True when the manifest seals a file table equal to ``files`` and
-    ``unrecognized``, names the supported algorithm, stores one link per
-    sealed record, and its head follows from its header and links. The
-    bundle's records are then read, with the sealed locale, from the
-    very bytes that were sealed, so a walk would recompute every stored
-    link.
+    None when the manifest seals exactly ``files`` and ``unrecognized``,
+    or seals no file table. Read files are taken in the order ingest
+    reads them, then added unrecognized names, then sealed names the
+    bundle no longer holds.
     """
-    return (
-        "files" in manifest
-        and manifest["files"] == list(files)
-        and manifest["unrecognized_files"] == list(unrecognized)
-        and manifest["digest_algorithm"] == DIGEST_ALGORITHM
-        and len(manifest["record_links"]) == manifest["record_count"]
-        and head_follows(manifest)
-    )
-
-
-def check_file_table(manifest: dict, files: Sequence[dict], unrecognized: Sequence[str]) -> None:
-    """Raise FileTableMismatch naming the first bundle file that differs from the sealed table.
-
-    Read files are taken in the order ingest reads them, then added
-    unrecognized names, then sealed names the bundle no longer holds. A
-    manifest that seals no file table passes.
-    """
-    if "files" not in manifest:
-        return
+    if "files" not in manifest or (
+        manifest["files"] == list(files) and manifest["unrecognized_files"] == list(unrecognized)
+    ):
+        return None
     sealed = {row["name"]: row for row in manifest["files"]}
     for row in files:
         was = sealed.pop(row["name"], None)
         if was is None:
-            raise FileTableMismatch(f"{row['name']} was not in the bundle when it was sealed")
+            return f"{row['name']} was not in the bundle when it was sealed"
         if was != row:
-            raise FileTableMismatch(
+            return (
                 f"{row['name']} is {row['bytes']} bytes with SHA-256 {row['sha256']}; "
                 f"sealed {was['bytes']} bytes with SHA-256 {was['sha256']}"
             )
     sealed_names = manifest["unrecognized_files"]
     added = [name for name in unrecognized if name not in sealed_names]
-    missing = [*sealed, *(name for name in sealed_names if name not in unrecognized)]
     if added:
-        raise FileTableMismatch(f"{added[0]} was not in the bundle when it was sealed")
+        return f"{added[0]} was not in the bundle when it was sealed"
+    missing = [*sealed, *(name for name in sealed_names if name not in unrecognized)]
     if missing:
-        raise FileTableMismatch(f"{missing[0]} was sealed but is missing from the bundle")
-    if manifest["files"] != list(files) or sealed_names != list(unrecognized):
-        raise FileTableMismatch("the sealed file table lists the bundle's files in another order")
+        return f"{missing[0]} was sealed but is missing from the bundle"
+    return "the sealed file table lists the bundle's files in another order"
+
+
+def verify_bundle(
+    bundle: Path | str, manifest: dict, locale: Locale, dump: Optional[DeviceDump] = None
+) -> tuple[dict, list[str]]:
+    """Decide a bundle's custody against its sealed manifest.
+
+    Returns the ``verification.json`` payload and the reasons a Tampered
+    verdict gives, one stderr line each. ``dump`` is the bundle as
+    already read, if it was. When the manifest seals a file table equal
+    to the bundle's (the dump's, or else one hashing pass), names the
+    supported algorithm, stores one link per sealed record and its head
+    follows from its header and links, the bundle is Intact with no line
+    parsed: its records would be read, with the sealed locale, from the
+    very bytes that were sealed. Otherwise the bundle is read with the
+    sealed locale (``locale`` for a manifest without a table) and the
+    chain walked. A record added or removed, or a file that differs
+    while every link holds, is Tampered at index 0 with no digests.
+    """
+    if "files" in manifest:
+        locale = Locale(manifest["locale"])
+        files = file_table(bundle) if dump is None else (dump.files, dump.unrecognized_files)
+        if (
+            table_problem(manifest, *files) is None
+            and manifest["digest_algorithm"] == DIGEST_ALGORITHM
+            and len(manifest["record_links"]) == manifest["record_count"]
+            and head_follows(manifest)
+        ):
+            return _verification(INTACT, None, None, None), []
+    if dump is None or dump.locale is not locale:
+        dump = ingest_device_dump(bundle, locale)
+    try:
+        verification = verify_chain(manifest, dump.records)
+    except RecordCountMismatch as exc:
+        return _verification(TAMPERED, 0, None, None), [f"verification failed: {exc}"]
+    if verification["verdict"] == INTACT:
+        problem = table_problem(manifest, dump.files, dump.unrecognized_files)
+        if problem:
+            return _verification(TAMPERED, 0, None, None), [f"verification failed: {problem}"]
+    elif "files" in manifest and not head_follows(manifest):
+        return verification, [
+            f"verification failed: {SEALED_MANIFEST} was edited: its chain head does not follow "
+            "from its header and record links"
+        ]
+    return verification, []
 
 
 def _verification(
@@ -293,7 +321,9 @@ def diff_acquisitions(a: DeviceDump, b: DeviceDump, allow_device_mismatch: bool 
 def write_sealed_manifest(manifest: dict, bundle_path: Path | str) -> Path:
     """Write the payload as manifest.sealed.json beside the bundle's category files, atomically."""
     path = Path(bundle_path) / SEALED_MANIFEST
-    atomic.write_bytes(path, (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+    atomic.write_bytes(
+        path, (json.dumps(manifest, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    )
     return path
 
 

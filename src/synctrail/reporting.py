@@ -447,7 +447,9 @@ def _render_markdown(data: dict) -> str:
     for finding in data["findings"]:
         # A proven transfer's group fields, those the row holds, before its ids.
         group = "".join(
-            f"{key} {_fmt(finding[key])}; " for key in _TRANSFER_FIELDS if key in finding
+            "no account; " if key == "account" and not finding[key]
+            else f"{key} {_fmt(finding[key])}; "
+            for key in _TRANSFER_FIELDS if key in finding
         )
         out.append(
             f"- **{_fmt(finding['finding_id'])}** {_fmt(finding['kind'])} "

@@ -19,17 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synctrail import cli, preservation
+from synctrail import acquisition, cli, preservation
 from synctrail.acquisition import file_table, ingest_device_dump
 from synctrail.cli import run
-from synctrail.errors import FileTableMismatch
 from synctrail.evidence import Locale
 from synctrail.preservation import (
-    check_file_table,
     head_digest,
     load_sealed_manifest,
     seal_dump,
     sealed_header_bytes,
+    table_problem,
     verify_chain,
 )
 from synctrail.simulator import inject_tamper
@@ -228,14 +227,19 @@ class TestLegacyManifest:
 
 
 class CountingCalls:
+    """Counts the bundle reads, chain walks and chain computations of a run.
+
+    A read counts whether run-all's ingest or verify makes it.
+    """
+
     def __init__(self, monkeypatch):
         self.calls: dict[str, int] = {}
-        for module, name in ((cli, "ingest_device_dump"), (cli, "verify_chain"),
-                             (preservation, "chain_digest")):
+        for module, name in ((cli, "ingest_device_dump"), (preservation, "ingest_device_dump"),
+                             (preservation, "verify_chain"), (preservation, "chain_digest")):
             monkeypatch.setattr(module, name, self.counted(name, getattr(module, name)))
 
     def counted(self, name, fn):
-        self.calls[name] = 0
+        self.calls.setdefault(name, 0)
 
         def wrapper(*args, **kwargs):
             self.calls[name] += 1
@@ -308,23 +312,70 @@ class TestHeadAndTable:
         assert len(encodings) == 3
         assert all(separator.encode() not in encoded for encoded in encodings)
 
-    def test_check_file_table_names_the_first_differing_file(self, golden_bundle):
+    def test_table_problem_names_the_first_differing_file(self, golden_bundle):
         manifest = seal_dump(ingest_device_dump(golden_bundle))
+        dump = ingest_device_dump(golden_bundle)
+        assert table_problem(manifest, dump.files, dump.unrecognized_files) is None
         (golden_bundle / "sim.jsonl").write_text("")
         (golden_bundle / "running_apps.jsonl").unlink()
         dump = ingest_device_dump(golden_bundle)
-        with pytest.raises(FileTableMismatch) as raised:
-            check_file_table(manifest, dump.files, dump.unrecognized_files)
-        assert str(raised.value) == "sim.jsonl was not in the bundle when it was sealed"
+        assert table_problem(manifest, dump.files, dump.unrecognized_files) == (
+            "sim.jsonl was not in the bundle when it was sealed"
+        )
         (golden_bundle / "sim.jsonl").unlink()
         dump = ingest_device_dump(golden_bundle)
-        with pytest.raises(FileTableMismatch) as raised:
-            check_file_table(manifest, dump.files, dump.unrecognized_files)
-        assert str(raised.value) == "running_apps.jsonl was sealed but is missing from the bundle"
+        assert table_problem(manifest, dump.files, dump.unrecognized_files) == (
+            "running_apps.jsonl was sealed but is missing from the bundle"
+        )
 
     def test_the_seal_records_the_locale_it_read_with(self, golden_bundle):
         dump = ingest_device_dump(golden_bundle, Locale.MONTH_FIRST)
         assert seal_dump(dump)["locale"] == "month-first"
+
+
+class TestSealedManifestText:
+    """The sealed manifest is UTF-8: a character outside the BMP is written as itself."""
+
+    EXAMINER = "J\U0001f600"
+
+    def sealed(self, tmp_path: Path, monkeypatch) -> tuple[Path, list]:
+        """A golden copy sealed by EXAMINER, and the list each surrogate walk appends to."""
+        bundle = tmp_path / "golden"
+        shutil.copytree(DATA_DIR / "golden" / "bundle", bundle)
+        assert run(["seal", str(bundle), "--examiner", self.EXAMINER]) == 0
+        walks: list = []
+        walk = acquisition.surrogate_problem
+        monkeypatch.setattr(
+            acquisition, "surrogate_problem", lambda value: walks.append(value) or walk(value)
+        )
+        return bundle, walks
+
+    def test_a_non_bmp_examiner_is_written_raw(self, tmp_path, monkeypatch):
+        bundle, _ = self.sealed(tmp_path, monkeypatch)
+        text = (bundle / "manifest.sealed.json").read_text(encoding="utf-8")
+        assert f'"examiner": "{self.EXAMINER}",' in text
+        assert "\\u" not in text
+
+    def test_loading_it_walks_no_string_for_a_lone_surrogate(self, tmp_path, monkeypatch):
+        bundle, walks = self.sealed(tmp_path, monkeypatch)
+        assert load_sealed_manifest(bundle)["examiner"] == self.EXAMINER
+        assert walks == []
+
+    def test_it_verifies_intact(self, tmp_path, monkeypatch, capsys):
+        bundle, _ = self.sealed(tmp_path, monkeypatch)
+        assert verify(bundle, capsys) == (0, ["chain verdict: Intact"])
+
+    def test_the_escaped_form_earlier_seals_wrote_verifies_intact(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        bundle, walks = self.sealed(tmp_path, monkeypatch)
+        manifest = load_sealed_manifest(bundle)
+        rewrite_sealed(bundle, lambda data: None)
+        text = (bundle / "manifest.sealed.json").read_text(encoding="utf-8")
+        assert '"examiner": "J\\ud83d\\ude00",' in text
+        assert load_sealed_manifest(bundle) == manifest
+        assert len(walks) == 1
+        assert verify(bundle, capsys) == (0, ["chain verdict: Intact"])
 
 
 # A sealed copy of comm_shapes (six category files, a ledgered line in

@@ -272,7 +272,9 @@ class TestMarkdownStructure:
         assert b"(Download of account x\\n## Forged | cell, ExactDigest, delta 1 s)" in pages[1]
         assert b"(account x\\n## Forged | cell; tier ExactDigest; link_count 3;" in pages[1]
 
-    def test_a_cloud_line_without_an_account_names_no_account(self, tmp_path):
+    @staticmethod
+    def run_without_upload_accounts(tmp_path: Path, fmt: str) -> Path:
+        """run-all on sync_shapes with ``account`` left off every Upload line; the out dir."""
         source = Path(__file__).parent / "data" / "sync_shapes"
         shutil.copytree(source / "bundle", tmp_path / "bundle")
         log = tmp_path / "cloud_events.jsonl"
@@ -285,8 +287,12 @@ class TestMarkdownStructure:
         log.write_text("".join(lines), encoding="utf-8")
         out = tmp_path / "out"
         argv = ["run-all", str(tmp_path / "bundle"), str(log), "--out", str(out),
-                "--format", "md"]
+                "--format", fmt]
         assert run(argv) == 0
+        return out
+
+    def test_a_cloud_line_without_an_account_names_no_account(self, tmp_path):
+        out = self.run_without_upload_accounts(tmp_path, "md")
         findings = json.loads((out / "findings.json").read_text(encoding="utf-8"))
         uploads = [f for f in findings if f["kind"] == "ProvenUpload"]
         assert uploads and all(f["account"] == "" for f in uploads)
@@ -294,6 +300,14 @@ class TestMarkdownStructure:
         markdown = (out / "sync-shapes.report.md").read_text(encoding="utf-8")
         assert "(Upload of no account, ExactDigest, " in markdown
         assert "of account ," not in markdown
+
+    @pytest.mark.parametrize("fmt", ["md", "html"])
+    def test_a_finding_without_an_account_names_no_account(self, tmp_path, fmt):
+        out = self.run_without_upload_accounts(tmp_path, fmt)
+        report = (out / f"sync-shapes.report.{fmt}").read_text(encoding="utf-8")
+        assert "ProvenUpload" in report
+        assert "(no account; tier ExactDigest; link_count " in report
+        assert "account ;" not in report
 
 
 def expanded_list_items(value):
