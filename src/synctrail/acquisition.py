@@ -841,11 +841,11 @@ def _optional_text(value: object) -> str:
     return "" if value is None else _stringify(value)
 
 
-def record_rows(records: Sequence[EvidenceRecord], copy: bool = True) -> list[dict]:
-    """The ``dump.json`` rows of ``records``, in their order.
+def record_rows(records: Sequence[EvidenceRecord]) -> list[dict]:
+    """The ``records.jsonl`` rows of ``records``, in their order.
 
-    Each row holds a copy of its record's attributes, or with ``copy``
-    false the record's own dict, for a writer that only encodes the row.
+    Each row holds a copy of its record's attributes: records are
+    immutable, and a caller may change its rows.
     """
     return [
         {
@@ -855,19 +855,15 @@ def record_rows(records: Sequence[EvidenceRecord], copy: bool = True) -> list[di
             "timestamp": r.timestamp.original_text if r.timestamp else None,
             "timestamp_utc": r.timestamp.to_iso() if r.timestamp else None,
             "source": r.source._value_,
-            "attributes": dict(r.attributes) if copy else r.attributes,
+            "attributes": dict(r.attributes),
             "digest": r.digest.hex(),
         }
         for r in records
     ]
 
 
-def dump_to_json_dict(dump: DeviceDump, records: object = None) -> dict:
-    """Stable JSON form of an ingested dump, byte-deterministic once encoded.
-
-    ``records`` stands in for the list of record rows (``record_rows``)
-    when given, so a writer can build the rows as it writes them.
-    """
+def dump_to_json_dict(dump: DeviceDump) -> dict:
+    """Stable JSON summary of an ingested dump: it counts the records that ``record_rows`` lists."""
     return {
         "dump_id": dump.dump_id,
         "collected_at": dump.collected_at.original_text,
@@ -875,7 +871,7 @@ def dump_to_json_dict(dump: DeviceDump, records: object = None) -> dict:
         "tool_name": dump.tool_name,
         "tool_version": dump.tool_version,
         "device": dump.device,
-        "records": record_rows(dump.records) if records is None else records,
+        "record_count": len(dump.records),
         "ledger": list(dump.ledger),
         "line_counts": dict(dump.line_counts),
     }

@@ -57,7 +57,7 @@ from .errors import (
     MalformedStageFile,
     UnsafeCaseId,
 )
-from .evidence import Locale
+from .evidence import EvidenceRecord, Locale
 from .osint import (
     build_identity_graph,
     load_geo_table,
@@ -110,8 +110,7 @@ def _write_json(path: Path, payload: object) -> None:
     """Write a stage file: ``json.dumps(payload, ensure_ascii=False,
     separators=(",", ":")) + "\\n"`` in UTF-8, one line, as it is encoded.
 
-    A generator in ``payload`` stands for the one list that the lists it
-    yields make. When the encoding fails, the file is left as it was.
+    When the encoding fails, the file is left as it was.
     """
     with atomic.replacing(path) as handle:
         write_json(payload, handle, STAGE_JSON)
@@ -162,31 +161,29 @@ def _verdict_exit(stages: Stages) -> int:
     return EXIT_OK if intact else EXIT_TAMPERED
 
 
+def _write_records(path: Path, records: Sequence[EvidenceRecord]) -> None:
+    """Write ``records.jsonl``: one compact ``record_rows`` row a line, a block at a time."""
+    with atomic.replacing(path) as handle:
+        for start in range(0, len(records), STAGE_JSON.block):
+            rows = record_rows(records[start:start + STAGE_JSON.block])
+            handle.write("".join(STAGE_JSON.encode(row) + "\n" for row in rows).encode("utf-8"))
+
+
 def _step_ingest(
-    bundle: Path, out: Path, locale: Locale, dump_canonical: Optional[Path] = None
+    bundle: Path, out: Path, locale: Locale
 ) -> tuple[DeviceDump, list[AppRecord], Stages]:
     dump = ingest_device_dump(bundle, locale)
     for warning in profile_format_warnings(dump.device):
         _say(f"note: {warning}")
     parse_ledger: list[dict] = []
     apps = parse_app_inventory(dump, parse_ledger)
-    # The record rows are built a block at a time as the file is written.
-    rows = (
-        record_rows(dump.records[i:i + STAGE_JSON.block], copy=False)
-        for i in range(0, len(dump.records), STAGE_JSON.block)
-    )
-    payload = dump_to_json_dict(dump, rows)
+    payload = dump_to_json_dict(dump)
     payload["app_counts"] = {
         "installed": sum(1 for a in apps if a.status is not AppStatus.UNINSTALLED),
         "uninstalled": sum(1 for a in apps if a.status is AppStatus.UNINSTALLED),
     }
     payload["parse_ledger"] = parse_ledger
     _write_json(out / "dump.json", payload)
-    # The report reads only how many records there are: keep none of their JSON.
-    payload["records"] = dump.records
-    if dump_canonical is not None:
-        atomic.write_bytes(dump_canonical, b"".join(r.canonical for r in dump.records))
-        _say(f"canonical record bytes written to {dump_canonical}")
     _say(
         f"ingested {len(dump.records)} records from {bundle.name} "
         f"({len(dump.ledger)} ledger entries)"
@@ -369,7 +366,7 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 # Each subcommand's help line, in the order `--help` lists them.
 _COMMANDS = {
     "simulate": "generate a synthetic case with ground truth",
-    "ingest": "parse a bundle into dump.json",
+    "ingest": "parse a bundle into dump.json and records.jsonl",
     "seal": "compute the custody chain over a bundle",
     "verify": "verify a sealed bundle (exit 3 when tampered)",
     "diff": "compare two acquisitions of the same device",
@@ -533,7 +530,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         locale = Locale(getattr(args, "locale", "day-first"))
 
         if args.command == "ingest":
-            _step_ingest(args.bundle, args.out, locale, args.dump_canonical)
+            dump = _step_ingest(args.bundle, args.out, locale)[0]
+            _write_records(args.out / "records.jsonl", dump.records)
+            if args.dump_canonical is not None:
+                atomic.write_bytes(args.dump_canonical, b"".join(r.canonical for r in dump.records))
+                _say(f"canonical record bytes written to {args.dump_canonical}")
             return EXIT_OK
 
         if args.command == "seal":

@@ -13,9 +13,8 @@ from __future__ import annotations
 import json
 import re
 from enum import Enum
-from itertools import chain
+from itertools import chain, groupby
 from operator import itemgetter
-from types import GeneratorType
 from typing import Any, BinaryIO, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .correlation import DEFAULT_MIN_SKEW_SUPPORT, DEFAULT_WINDOW_SECONDS
@@ -63,7 +62,7 @@ STAGE_FILES: dict[str, tuple[object, object]] = {
         "collected_at": None,
         "device": {},
         "app_counts": {"installed": None, "uninstalled": None},
-        "records": [None],
+        "record_count": int,
         "ledger": _LEDGER,
         "parse_ledger": _LEDGER,
     }),
@@ -131,7 +130,7 @@ def build_case_report(
             {
                 "dump_id": dump["dump_id"],
                 "collected_at": dump["collected_at"],
-                "record_count": len(dump["records"]),
+                "record_count": dump["record_count"],
                 "chain_verdict": "Unverified" if verification is None else verification["verdict"],
             }
         )
@@ -199,8 +198,8 @@ class Layout(NamedTuple):
 # ensure_ascii=False, separators=(",", ":")), which is the same rule with
 # no newline and no indent. Python 3.11's C encoder holds every piece of
 # one call until it returns, about six times the text it makes: blocks of
-# 64 dump.json rows keep its write's peak near 15 % of the file's size on
-# the benchmark's sync-bulk case, 256 near 60 %.
+# 64 timeline.json entries keep its write's peak near 12 % of the file's
+# size on the benchmark's sync-bulk case, 256 near 44 %.
 REPORT_JSON = Layout("\n", "  ", ": ", ", ", 256, json.JSONEncoder(ensure_ascii=False).encode)
 STAGE_JSON = Layout(
     "", "", ":", ",", 64, json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
@@ -225,9 +224,7 @@ def write_json(value: Any, out: BinaryIO, layout: Layout) -> None:
     """Write ``value`` in ``layout``, followed by one newline, to the binary file ``out`` in UTF-8.
 
     The text goes to ``out`` after each block of every list, so a chunk
-    holds at most one block plus what precedes it. A generator in
-    ``value`` stands for the one list that the nonempty lists it yields
-    make, so that list's items can be built a block at a time.
+    holds at most one block plus what precedes it.
     """
     chunks = _Chunks(out.write)
     _append_json(value, layout.newline, chunks, layout)
@@ -259,26 +256,22 @@ def _append_json(value: Any, newline: str, out: _Chunks, layout: Layout) -> None
     """Append ``value`` in ``layout``, with ``newline`` (the layout's
     newline and the current indent) before its closing bracket.
 
-    Nonempty dicts, nonempty lists and tuples, and generators of lists
-    are expanded here; any other value is written whole by the layout's
-    encoder. A list is written a block at a time. Where its items are
-    joined by the layout's comma (no newline, no indent), one encode
-    writes the whole block; otherwise a block that forms a table goes
-    to ``_table``, and each item of any other block is encoded on its
-    own line.
+    Nonempty dicts, lists and tuples are expanded here; any other value
+    is written whole by the layout's encoder. A list is written a block
+    at a time. Where its items are joined by the layout's comma (no
+    newline, no indent), one encode writes the whole block; otherwise a
+    block that forms a table goes to ``_table``, and each item of any
+    other block is encoded on its own line.
     """
-    kind = type(value)
-    leaf = _LEAVES.get(kind)
+    leaf = _LEAVES.get(type(value))
     if leaf is not None:
         out.append(leaf(value))
-    elif isinstance(value, (list, tuple)) and value or kind is GeneratorType:
-        blocks, size = value, layout.block
-        if kind is not GeneratorType:
-            blocks = (value[start:start + size] for start in range(0, len(value), size))
-        inner = newline + layout.indent
+    elif isinstance(value, (list, tuple)) and value:
+        inner, size = newline + layout.indent, layout.block
         between = "," + inner
-        before = first = "[" + inner
-        for block in blocks:
+        before = "[" + inner
+        for start in range(0, len(value), size):
+            block = value[start:start + size]
             if between == layout.comma:
                 # Faster than the table path here, list cells or not.
                 text = layout.encode(block)[1:-1]
@@ -287,7 +280,7 @@ def _append_json(value: Any, newline: str, out: _Chunks, layout: Layout) -> None
             out.append(before + text)
             out.flush()
             before = between
-        out.append("[]" if before == first else newline + "]")
+        out.append(newline + "]")
     elif isinstance(value, dict) and value:
         inner = newline + layout.indent
         before = "{" + inner
@@ -526,13 +519,16 @@ def _render_markdown(data: dict) -> str:
     return "\n".join(out)
 
 
+# The element that holds each run of HTML rows that start with the key.
+_HTML_GROUPS = {"<li>": "ul", "<tr>": "table"}
+
+
 def _render_html(data: dict) -> str:
     # Self-contained static page: inline styles, no scripts, opens anywhere.
     import html  # only the HTML format needs it
 
-    markdown_body = _render_markdown(data)
     rows = []
-    for line in markdown_body.splitlines():
+    for line in _render_markdown(data).splitlines():
         if line.startswith("# "):
             rows.append(f"<h1>{html.escape(line[2:])}</h1>")
         elif line.startswith("## "):
@@ -541,13 +537,18 @@ def _render_html(data: dict) -> str:
             cells = [html.escape(c.strip()) for c in _CELL_SPLIT.split(line.strip("|"))]
             if set(cells) <= {"---"}:
                 continue
-            tag = "td"
-            rows.append("<tr>" + "".join(f"<{tag}>{c}</{tag}>" for c in cells) + "</tr>")
+            # A table's first row is its header.
+            cell = "td" if rows[-1].startswith("<tr>") else "th"
+            rows.append("<tr>" + "".join(f"<{cell}>{c}</{cell}>" for c in cells) + "</tr>")
         elif line.startswith("- "):
             rows.append(f"<li>{html.escape(line[2:])}</li>")
         elif line:
             rows.append(f"<p>{html.escape(line)}</p>")
-    body = "\n".join(rows)
+    # Each run of list items is one list, and each run of table rows one table.
+    lines: list[str] = []
+    for tag, run in groupby(rows, lambda row: _HTML_GROUPS.get(row[:4])):
+        lines += [f"<{tag}>", *run, f"</{tag}>"] if tag else run
+    body = "\n".join(lines)
     return (
         "<!DOCTYPE html>\n"
         "<html><head><meta charset=\"utf-8\">"
@@ -555,6 +556,6 @@ def _render_html(data: dict) -> str:
         "<style>body{font-family:sans-serif;margin:2em;color:#222}"
         "h1{border-bottom:2px solid #444}h2{margin-top:1.5em;color:#345}"
         "li{margin:0.2em 0}tr:nth-child(even){background:#f4f4f4}"
-        "td{padding:2px 8px;border:1px solid #ddd}</style></head>\n"
+        "th,td{padding:2px 8px;border:1px solid #ddd}</style></head>\n"
         f"<body>\n{body}\n</body></html>\n"
     )

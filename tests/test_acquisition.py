@@ -11,6 +11,7 @@ from synctrail.acquisition import (
     ingest_cloud_log,
     ingest_device_dump,
     parse_app_inventory,
+    record_rows,
 )
 from synctrail.errors import DuplicateEventId, DuplicateRecordId, MissingManifest
 from synctrail.evidence import ArtifactCategory, Source
@@ -276,9 +277,10 @@ class TestIngestDeviceDump:
         )
 
     def test_ingestion_deterministic(self, golden_bundle):
-        first = dump_to_json_dict(ingest_device_dump(golden_bundle))
-        second = dump_to_json_dict(ingest_device_dump(golden_bundle))
-        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+        first, second = ingest_device_dump(golden_bundle), ingest_device_dump(golden_bundle)
+        for form in (dump_to_json_dict, lambda dump: record_rows(dump.records)):
+            text = [json.dumps(form(dump), sort_keys=True) for dump in (first, second)]
+            assert text[0] == text[1]
 
     def test_every_profile_field_is_read(self, tmp_path):
         strings = ["model", "device_name", "android_version", "sdk_level", "brand",

@@ -204,6 +204,6 @@ def test_surrogate_escapes_in_bundle_lines(cases, data):
         assert_documented(code, stderr)
         if code == 0:
             dump = json.loads((out / "dump.json").read_text(encoding="utf-8"))
-            records = sum(1 for r in dump["records"] if r["attributes"].get("_file") == name)
-            ledgered = sum(1 for row in dump["ledger"] if row["file"] == name and row["line"])
-            assert records + ledgered == len(damaged.splitlines())
+            assert dump["line_counts"][name] == len(damaged.splitlines())
+            ledgered = sum(1 for row in dump["ledger"] if row["line"] > 0)
+            assert dump["record_count"] + ledgered == sum(dump["line_counts"].values())

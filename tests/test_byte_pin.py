@@ -84,10 +84,10 @@ def run_all_hashes(make_input, tmp: Path, capsys) -> dict[str, str]:
 PINS = {
     "golden": (golden, {
         "cloud_log.json": "2c69f6ab903e9e5833624f569b2f9c3f5a7ae79c8f0708095c4359a9a1fa782f",
-        "dump.json": "41cb36cacf8f9ddd9d574a1cb683bac2b636187905e8091a07523c3b769d1154",
+        "dump.json": "b0056b586a2d247a2f52e21c3c6309c7c2e6aa66879a551415268d59601abda6",
         "findings.json": "e612f9a9311c85175b2afe385ae757e1057f4d88ba46c82ed33d2068f5aa8ede",
         "geo.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
-        "golden-lgd802.report.html": "3da8227a52535b4fbe06fa5fc78e145db0bdc289cc92b52befcd4fae988e82f0",
+        "golden-lgd802.report.html": "5e8055fb35da78a93e1bd95ea5c4838803b7be0348cdc85d2a9906cc1d16b0c8",
         "golden-lgd802.report.json": "27d84a8820e07474b1289a9f4888eb80fbdfdbc054f6ab3e449d98ec64fc4413",
         "golden-lgd802.report.md": "3fd192374a53913e565b897b643025a8efd28f81ecbbf62027c6991c19dd5594",
         "identity_graph.json": "abbbfb47098474bd0d478558b8155778186e01016ee5127395ad1c5a2d3dbfb3",
@@ -101,13 +101,13 @@ PINS = {
     }),
     "simulated": (simulated, {
         "cloud_log.json": "897ab55886061313e5dfb9200c3fc3f21235c42acee26d301b247a6798a0da2f",
-        "dump.json": "53478d135a81def40b6614ef12e8fedd580cb0dc9904ad9ff345b63a7dade1f0",
+        "dump.json": "75fd8e1b6c39f311903e5dfffbb57cb29b8ee132e214fe1c90d6468956a5a1c0",
         "findings.json": "3df4313480e8797f1e25131c8bf502d4d19feb33c10ef06a09e711d18e786710",
         "geo.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "identity_graph.json": "526eb0999ac9b3ddbee586deefbb5892252d601d2f0b3e3535cf65e47c9a8c86",
         "links.json": "abbb4cd6d3bbaa6fa751f3cab840bf67c00515186110a96e987b248e1f39997a",
         "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
-        "sim-21.report.html": "05f45dfbab6332a585f79d8a3d9c6bd0ecb829261dd18bbabf325dc1b0a8166c",
+        "sim-21.report.html": "0ef4f59ab1f247a86144e60a6dcf46367bcf91dacc0af6d814d1135179d81ff5",
         "sim-21.report.json": "d6089e2fec5c4012741905213af5a86199140a196926a3b0b76fdf8908eabd3f",
         "sim-21.report.md": "6bca750b74ba7be54ffce48ba2b9cc038c56ed6b438466487ad9ad6a9f6b6151",
         "skew.json": "44aedde6aa676ae66094b5577475e6761e5402f570385861dfc3c5c2de262480",
@@ -118,13 +118,13 @@ PINS = {
     }),
     "simulated_metadata_only": (simulated_metadata_only, {
         "cloud_log.json": "897ab55886061313e5dfb9200c3fc3f21235c42acee26d301b247a6798a0da2f",
-        "dump.json": "5f8d45f87a81e1e3dab1fb11ff62b79e871e83f78cdb1392afd5ae911382f1b3",
+        "dump.json": "5ba5dff58b3f1fe4a4d8547765409bb93b818b0c2863fc5be88bd7d2e094fda2",
         "findings.json": "c8e7fb4ed965aa356245d6fd82b19caeceda45b6cbd4568efe7c3273fc8a0750",
         "geo.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "identity_graph.json": "7b9f06ec6ccfac5bde792204d5fa5125e382d732411898926517132ee56d3772",
         "links.json": "dbd507a19e87119d5f409bcd7a002c26391f218208796c854838c4a0c36982ed",
         "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
-        "sim-22.report.html": "16d36f722e9a06714e445ebbc4e933a33d0d2983fb682b08c69d84ccdf7f9c62",
+        "sim-22.report.html": "20c72b00d9aae6a362756bf6b5e44fcba465fa032753dbd9315654f2ac745a27",
         "sim-22.report.json": "2e30ac9590db53b288efc8e9e3196ddbf22e3f93f46c79a4b7ea14aa67fb8ace",
         "sim-22.report.md": "fe7ac58d89e09813daeeca0a1e4e221a3592ed4e585219523920790eb669253d",
         "skew.json": "38885eb8176156bf1fa0fadb06c592ffc0bfae277c6780abcebf25ab5540c4e8",
@@ -135,14 +135,14 @@ PINS = {
     }),
     "sync_shapes": (sync_shapes, {
         "cloud_log.json": "ffb98959d6cd2bd9e91fb7f10cca350c2a6d8cd89afc23e16cf9718fc1372669",
-        "dump.json": "997a27a7cd9051c1a14539d7fb92ed53f55b9b547c7e9dc58200b59c57fd3f46",
+        "dump.json": "4f3d382dd86de2b03b8d779537e6250f608af5093f27f7a3613f78d7b0c5b2ca",
         "findings.json": "6b93bc9e4d8db4fd30b311d66c58be864081cc3bb02c51bf9e047f3d34cb27c5",
         "geo.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "identity_graph.json": "14b86e0eb3ef51348f860b5b6e37b8b38785e6153b1fa15734ead4718d1cc352",
         "links.json": "23a3368e80f98c3e7e0a0885ed7ad1403585adb0d9bd7a57757884a33555af06",
         "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
         "skew.json": "8474a3058d54ac52769fe8c55a0835762a01c296355ca63454ce0121f2e05a00",
-        "sync-shapes.report.html": "afef98d2c660639941155037943c7d556cbf82d0122ee734e13ae787e146ce83",
+        "sync-shapes.report.html": "311f2564f082a0f2254be15c3627103f2419a4a64fc782d1e67bc708c99c64b3",
         "sync-shapes.report.json": "7810bca7575bc8e5017f310ea3f6a754b8a1026bf5692fe242b0f68d5398a81d",
         "sync-shapes.report.md": "b97c8b9aed9944396fdb1560a477cb0effce418d84e2a42a13c8a190dc9851d2",
         "timeline.json": "7b44cd4de3a3a95cd0d03c0a34236381979fa878a1cdb551801854ebd46e2ce2",
@@ -152,10 +152,10 @@ PINS = {
     }),
     "comm_shapes": (comm_shapes, {
         "cloud_log.json": "a535418085b9fe419abad0bcb4ebff342b3a49b0dc30fac4c43c6e67f22b7e8e",
-        "comm-shapes.report.html": "c07ce5062b9ab896f65b0a1b095333ed01791b98569cdf723cc0294dfb341bc3",
+        "comm-shapes.report.html": "7c18f9c347b5615f8660d0d78dafc01cfa0dab910afa9bd29c5869f304361bac",
         "comm-shapes.report.json": "0ee6ed95ca4403d409dcd9618b882b1797cb8839a37818a1f61f29982278b439",
         "comm-shapes.report.md": "dd8a3d44417bc7044df94bb3f4516551f53595ae55a180a426b10b84338e620a",
-        "dump.json": "7d2747bf434ec07c7e9bb221ecc55ae7607a7a97fabecdcf4ccded105fbb953a",
+        "dump.json": "8d781c4273471c2a9ada515055c9a3beb7937897b974cd18b7904e6237915285",
         "findings.json": "0be33ab2a7989aa941943ce08bc543f15d3fa25c14413e8778b52ba6180574da",
         "geo.json": "6cb537435364bcecaebc1ff278492daa4a90aa77792f1ae58fd4d966eb56d998",
         "identity_graph.json": "243f543da9d5ba2b0e93fa77af69ac432173cacd932aea3538f9afd4601ab20f",

@@ -13,11 +13,13 @@ import pytest
 
 import synctrail
 from synctrail import cli, evidence, preservation, reporting
-from synctrail.acquisition import ingest_device_dump
+from synctrail.acquisition import ingest_device_dump, record_rows
 from synctrail.cli import run
 from synctrail.errors import ForensicsError
 from synctrail.evidence import canonical_encode
 from synctrail.simulator import SimParams, generate_case, inject_tamper
+
+from test_byte_pin import comm_shapes, golden, simulated, simulated_metadata_only, sync_shapes
 
 
 def simulate(tmp_path, **kwargs):
@@ -219,7 +221,29 @@ class TestSubcommandOutputs:
         assert run(["ingest", str(case.bundle_dir), "--out", str(out)]) == 0
         data = json.loads((out / "dump.json").read_text())
         assert data["dump_id"] == "sim-1000"
-        assert len(data["records"]) == len(ingest_device_dump(case.bundle_dir).records)
+        assert "records" not in data
+        rows = record_rows(ingest_device_dump(case.bundle_dir).records)
+        assert data["record_count"] == len(rows)
+        lines = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == rows
+        compact = [json.dumps(row, ensure_ascii=False, separators=(",", ":")) for row in rows]
+        assert lines == compact
+
+    @pytest.mark.parametrize(
+        "make_input", [golden, simulated, simulated_metadata_only, sync_shapes, comm_shapes]
+    )
+    def test_ingest_rows_and_ledger_cover_every_line(self, tmp_path, make_input):
+        bundle, _, _ = make_input(tmp_path)
+        out = tmp_path / "out"
+        assert run(["ingest", str(bundle), "--out", str(out)]) == 0
+        dump = json.loads((out / "dump.json").read_text(encoding="utf-8"))
+        lines = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        rows = [json.loads(line) for line in lines]
+        assert len(rows) == dump["record_count"]
+        for name, total in dump["line_counts"].items():
+            parsed = sum(1 for row in rows if row["attributes"]["_file"] == name)
+            ledgered = sum(1 for row in dump["ledger"] if row["file"] == name and row["line"] > 0)
+            assert parsed + ledgered == total, name
 
     def test_dump_canonical_debug_flag_feeds_digest_oracle(self, tmp_path):
         bundle = tmp_path / "tiny"
@@ -345,10 +369,12 @@ class TestSubcommandOutputs:
         )
         run(["ingest", str(bundle), "--out", str(tmp_path / "df"), "--locale", "day-first"])
         run(["ingest", str(bundle), "--out", str(tmp_path / "mf"), "--locale", "month-first"])
-        df = json.loads((tmp_path / "df" / "dump.json").read_text())
-        mf = json.loads((tmp_path / "mf" / "dump.json").read_text())
-        assert df["records"][0]["timestamp_utc"] == "2016-04-06T14:33:53Z"
-        assert mf["records"][0]["timestamp_utc"] == "2016-06-04T14:33:53Z"
+        for out in ("df", "mf"):
+            assert json.loads((tmp_path / out / "dump.json").read_text())["record_count"] == 1
+        df = json.loads((tmp_path / "df" / "records.jsonl").read_text())
+        mf = json.loads((tmp_path / "mf" / "records.jsonl").read_text())
+        assert df["timestamp_utc"] == "2016-04-06T14:33:53Z"
+        assert mf["timestamp_utc"] == "2016-06-04T14:33:53Z"
 
     def test_report_formats(self, tmp_path):
         case = simulate(tmp_path, n_uploads=4)
@@ -683,6 +709,13 @@ def _with(key, value):
     return _edit(key, lambda parent, last: parent.__setitem__(last, value))
 
 
+def _old_form_dump(raw: bytes) -> bytes:
+    """dump.json as versions that wrote every record's row wrote it: ``records``, no count."""
+    dump = json.loads(raw)
+    dump["records"] = [{"record_id": f"r{n}"} for n in range(dump.pop("record_count"))]
+    return json.dumps(dump).encode()
+
+
 _TRUNCATED_SEALED = b'{\n  "dump_id": "sim-1000",\n  "coll'
 _NOT_HEX = "zz" * 32
 # 32 bytes that bytes.fromhex reads, but not as 64 hex characters.
@@ -795,6 +828,15 @@ MALFORMED_INPUTS = [
     pytest.param("out/dump.json", _with("dump_id", 7), "report", 4,
                  "error: stage file {path} field 'dump_id' must hold a string",
                  id="dump-id-not-string"),
+    # dump.json counts its records; one that lists them is read no other way.
+    pytest.param("out/dump.json", _old_form_dump, "report", 4,
+                 "error: stage file {path} missing field 'record_count'", id="dump-old-form"),
+    pytest.param("out/dump.json", _with("record_count", -1), "report", 4,
+                 "error: stage file {path} field 'record_count' must hold a non-negative integer",
+                 id="record-count-negative"),
+    pytest.param("out/dump.json", _with("record_count", True), "report", 4,
+                 "error: stage file {path} field 'record_count' must hold a non-negative integer",
+                 id="record-count-bool"),
     pytest.param("out/skew.json", _without("fallback"), "report-md", 4,
                  "error: stage file {path} missing field 'fallback'", id="skew-without-fallback"),
     pytest.param("out/timeline.json", lambda raw: b"[" * 100_000, "report", 4,

@@ -5,6 +5,7 @@ import json
 import re
 import shutil
 import tracemalloc
+from html.parser import HTMLParser
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ from synctrail.reporting import (
 )
 
 from _oracles import report_layout
+from test_byte_pin import comm_shapes, golden, simulated, simulated_metadata_only, sync_shapes
 
 SECTIONS = [
     "case_id",
@@ -195,7 +197,54 @@ def line_kinds(markdown: bytes) -> list[str]:
 def html_structure(page: bytes) -> list[str]:
     """The HTML report's elements, with the text of each heading and the cells of each row."""
     text = page.decode("utf-8")
-    return re.findall(r"<h[12]>.*?</h[12]>|<li>|<p>|<tr>|<td>", text)
+    return re.findall(r"<h[12]>.*?</h[12]>|</?ul>|</?table>|<li>|<p>|<tr>|<t[hd]>", text)
+
+
+class _Parents(HTMLParser):
+    """Each element of a page as (its parent's tag, its tag), checking that
+    every element is closed, innermost first."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.open: list[str] = []
+        self.elements: list[tuple[str, str]] = []
+
+    def handle_starttag(self, tag, attrs):
+        self.elements.append((self.open[-1] if self.open else "", tag))
+        if tag != "meta":  # the page's one element with no end tag
+            self.open.append(tag)
+
+    def handle_endtag(self, tag):
+        assert self.open[-1:] == [tag], f"</{tag}> closes {self.open}"
+        self.open.pop()
+
+
+# The one parent that each list and table element may have.
+PARENTS = {"ul": "body", "li": "ul", "table": "body", "tr": "table", "th": "tr", "td": "tr"}
+
+
+def assert_lists_and_tables(page: bytes) -> None:
+    """Every ``li`` of ``page`` sits in a ``ul``, every ``tr`` in a ``table``."""
+    parser = _Parents()
+    parser.feed(page.decode("utf-8"))
+    parser.close()
+    assert parser.open == []
+    misplaced = [(parent, tag) for parent, tag in parser.elements
+                 if PARENTS.get(tag, parent) != parent]
+    assert misplaced == []
+    assert {"ul", "li"} <= {tag for _, tag in parser.elements}
+
+
+@pytest.mark.parametrize(
+    "make_input", [golden, simulated, simulated_metadata_only, sync_shapes, comm_shapes]
+)
+def test_html_lists_and_tables_are_well_formed(tmp_path, make_input):
+    bundle, cloud_log, extra = make_input(tmp_path)
+    out = tmp_path / "out"
+    argv = ["run-all", str(bundle), str(cloud_log), "--out", str(out), "--format", "html", *extra]
+    assert run(argv) == 0
+    (page,) = out.glob("*.report.html")
+    assert_lists_and_tables(page.read_bytes())
 
 
 class TestMarkdownStructure:
@@ -216,6 +265,7 @@ class TestMarkdownStructure:
             part if not part.startswith("<h") else "<h>" for part in html_structure(plain_page)
         ]
         assert structure == plain_structure
+        assert_lists_and_tables(page)
         # Only the case id's heading shows a value.
         assert headings[1:] == [
             part for part in html_structure(plain_page) if part.startswith("<h")
@@ -247,6 +297,7 @@ class TestMarkdownStructure:
             pages.append((out / "golden-lgd802.report.html").read_bytes())
         plain, forged = map(html_structure, pages)
         assert forged == plain
+        assert_lists_and_tables(pages[1])
         assert "<h2>Timeline (10 entries)</h2>" in forged
         assert b"<td>x\\n## Forged \\| cell</td>" in pages[1]
 
@@ -269,6 +320,7 @@ class TestMarkdownStructure:
             pages.append((out / "sync-shapes.report.html").read_bytes())
         plain, forged = map(html_structure, pages)
         assert forged == plain
+        assert_lists_and_tables(pages[1])
         assert b"(Download of account x\\n## Forged | cell, ExactDigest, delta 1 s)" in pages[1]
         assert b"(account x\\n## Forged | cell; tier ExactDigest; link_count 3;" in pages[1]
 
@@ -551,10 +603,10 @@ class TestOneWriterTwoLayouts:
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("count", [0, 1, 64, 65, 256, 257, 700])
-    def test_a_generator_of_blocks_stands_for_one_list(self, layout, count):
+    def test_lists_and_tuples_across_block_boundaries(self, layout, count):
         rows = [{"n": n, "ids": [str(n)] * (n % 3), "at": None} for n in range(count)]
-        blocks = (rows[i:i + 50] for i in range(0, count, 50))
-        assert written({"rows": blocks}, layout) == dumped({"rows": rows}, layout)
+        value = {"list": rows, "tuple": tuple(rows), "nested": [tuple(rows), rows]}
+        assert written(value, layout) == dumped(value, layout)
 
 
 class TestReportStepMemory:

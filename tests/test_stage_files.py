@@ -7,7 +7,8 @@ depend on set or dict iteration order, which changes with
 ``PYTHONHASHSEED`` from one process to the next.
 
 Each stage file is written as it is encoded, with the bytes that one
-``json.dumps`` call gives, and without ever holding its whole text.
+``json.dumps`` call gives, and without ever holding its whole text; so
+are the record rows that `ingest` writes.
 """
 
 from __future__ import annotations
@@ -161,44 +162,43 @@ def test_a_stage_file_holds_what_json_dumps_writes(value):
         assert os.listdir(tmp) == ["stage.json"]
 
 
-@pytest.mark.parametrize("count", [0, 1, 64, 65, 700])
-def test_a_generator_of_blocks_is_written_as_one_list(tmp_path, count):
-    rows = [{"n": n, "text": f"row {n}"} for n in range(count)]
-    blocks = (rows[i:i + 64] for i in range(0, count, 64))
-    cli._write_json(tmp_path / "rows.json", {"rows": blocks, "after": True})
-    assert (tmp_path / "rows.json").read_bytes() == compact({"rows": rows, "after": True})
-
-
 @pytest.fixture(scope="module")
 def write_peaks(tmp_path_factory):
-    """tracemalloc's peak over each stage file write of one `run-all` on a case
-    of the benchmark's sync-bulk size, above what was held just before it,
-    with each file's size."""
+    """tracemalloc's peak over each stage file write of one `run-all`, and over
+    the `records.jsonl` write of one `ingest`, on a case of the benchmark's
+    sync-bulk size, above what was held just before it, with each file's
+    size."""
     tmp = tmp_path_factory.mktemp("write_peaks")
     params = SimParams(seed=1, n_uploads=2000, n_messages=800, n_calls=200, n_apps=200,
                        skew_seconds=300)
     case = generate_case(params, tmp / "case")
-    out = tmp / "out"
-    write = cli._write_json
+    writers = {"_write_json": cli._write_json, "_write_records": cli._write_records}
     peaks = {}
 
-    def measured(path, payload):
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        write(path, payload)
-        peaks[path.name] = tracemalloc.get_traced_memory()[1] - held
+    def measured(write):
+        def measured_write(path, payload):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            write(path, payload)
+            peaks[path.name] = (tracemalloc.get_traced_memory()[1] - held, path.stat().st_size)
 
-    cli._write_json = measured
+        return measured_write
+
+    for name, write in writers.items():
+        setattr(cli, name, measured(write))
     tracemalloc.start()
     try:
-        assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 0
+        bundle, log = str(case.bundle_dir), str(case.cloud_log)
+        assert run(["run-all", bundle, log, "--out", str(tmp / "run-all")]) == 0
+        assert run(["ingest", bundle, "--out", str(tmp / "ingest")]) == 0
     finally:
         tracemalloc.stop()
-        cli._write_json = write
-    return {name: (peak, (out / name).stat().st_size) for name, peak in peaks.items()}
+        for name, write in writers.items():
+            setattr(cli, name, write)
+    return peaks
 
 
-@pytest.mark.parametrize("name", ["dump.json", "timeline.json"])
+@pytest.mark.parametrize("name", ["records.jsonl", "timeline.json"])
 def test_a_stage_file_is_never_held_whole(write_peaks, name):
     peak, size = write_peaks[name]
     assert size > 400_000
