@@ -11,11 +11,10 @@ collections.
 from __future__ import annotations
 
 import json
-import re
 from enum import Enum
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Any, BinaryIO, Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .correlation import DEFAULT_MIN_SKEW_SUPPORT, DEFAULT_WINDOW_SECONDS
 from .evidence import Locale
@@ -171,9 +170,10 @@ def render_report(
     if format is ReportFormat.JSON:
         write_json(report, out, REPORT_JSON)
     elif format is ReportFormat.MARKDOWN:
-        out.write(_render_markdown(report).encode("utf-8"))
+        _write_lines(_report_lines(report), out, _MARKDOWN_LINES,
+                     lambda part: _MARKDOWN_PIECES[part.__class__] % part, str)
     else:
-        out.write(_render_html(report).encode("utf-8"))
+        _write_html(report, out)
 
 
 class Layout(NamedTuple):
@@ -365,8 +365,6 @@ _ESCAPES = {
 _TEXT = str.maketrans(_ESCAPES)
 # A table cell also escapes "|", so it cannot split its row.
 _CELL = str.maketrans({**_ESCAPES, "|": "\\|"})
-# A "|" that splits a table row: one no backslash escapes.
-_CELL_SPLIT = re.compile(r"(?<!\\)\|")
 
 
 def _fmt(value: object) -> str:
@@ -386,57 +384,65 @@ def _cell(value: object) -> str:
 _TRANSFER_FIELDS = ("account", "tier", "link_count", "first_utc", "last_utc")
 
 
-def _render_markdown(data: dict) -> str:
-    out: list[str] = []
-    out.append(f"# Case report: {_fmt(data['case_id'])}")
-    out.append("")
-    out.append(
+class _Strong(str):
+    """Text that the report sets off in bold: a finding's id."""
+
+
+class _Code(str):
+    """Text that the report sets off as code: an input's name."""
+
+
+# The kinds of line a report is made of, as _report_lines yields them;
+# the last two are a table's rows.
+H1, H2, PARAGRAPH, ITEM, BLANK, HEADER, ROW = range(7)
+
+
+def _heading(title: str, rows: object = True, empty: str = "none") -> tuple:
+    """A section's blank line, heading and blank line, then ``empty`` if it has no ``rows``."""
+    lines = (BLANK, ()), (H2, (title,)), (BLANK, ())
+    return lines if rows else (*lines, (ITEM, (empty,)))
+
+
+def _report_lines(data: dict) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """The report's lines in order, each as its kind and its parts.
+
+    A table row's parts are its cells, ``_cell`` escaped; any other
+    line's are the pieces of its text, ``_fmt`` escaped, of which a
+    ``_Strong`` or ``_Code`` piece is set off. A blank line has none.
+    """
+    yield H1, (f"Case report: {_fmt(data['case_id'])}",)
+    yield BLANK, ()
+    yield PARAGRAPH, (
         f"Produced by synctrail {_fmt(data['tool_version'])}, "
-        f"report schema {_fmt(data['schema_version'])}."
+        f"report schema {_fmt(data['schema_version'])}.",
     )
-    out.append("")
-    out.append("## Parameters")
-    out.append("")
+    yield from _heading("Parameters")
     for key in sorted(data["parameters"]):
-        out.append(f"- {_fmt(key)}: {_fmt(data['parameters'][key])}")
-    out.append("")
-    out.append("## Inputs")
-    out.append("")
+        yield ITEM, (f"{_fmt(key)}: {_fmt(data['parameters'][key])}",)
+    yield from _heading("Inputs", data["inputs"]["dumps"] or data["inputs"]["cloud_logs"])
     for dump in data["inputs"]["dumps"]:
-        out.append(
-            f"- Dump `{_fmt(dump['dump_id'])}` collected {_fmt(dump['collected_at'])}, "
-            f"{_fmt(dump['record_count'])} records, chain verdict {_fmt(dump['chain_verdict'])}"
+        yield ITEM, (
+            "Dump ", _Code(_fmt(dump["dump_id"])),
+            f" collected {_fmt(dump['collected_at'])}, {_fmt(dump['record_count'])} records, "
+            f"chain verdict {_fmt(dump['chain_verdict'])}",
         )
     for log in data["inputs"]["cloud_logs"]:
-        out.append(f"- Cloud log `{_fmt(log['name'])}`, {_fmt(log['event_count'])} events")
-    if not data["inputs"]["dumps"] and not data["inputs"]["cloud_logs"]:
-        out.append("- none")
-    out.append("")
-    out.append("## Device")
-    out.append("")
-    if data["device"]:
-        for key in sorted(data["device"]):
-            value = data["device"][key]
-            if value is not None:
-                out.append(f"- {_fmt(key)}: {_fmt(value)}")
-    else:
-        out.append("- no device profile")
-    out.append("")
-    out.append("## Clock skew")
-    out.append("")
-    if data["skew"] is None:
-        out.append("- not estimated")
-    else:
-        skew = data["skew"]
-        out.append(
-            f"- offset {_fmt(skew['offset_seconds'])} s from {_fmt(skew['support_count'])} "
-            f"matched pairs, spread {_fmt(skew['spread_seconds'])} s"
+        yield ITEM, ("Cloud log ", _Code(_fmt(log["name"])), f", {_fmt(log['event_count'])} events")
+    device = data["device"]
+    yield from _heading("Device", device, "no device profile")
+    for key in sorted(device):
+        if device[key] is not None:
+            yield ITEM, (f"{_fmt(key)}: {_fmt(device[key])}",)
+    skew = data["skew"]
+    yield from _heading("Clock skew", skew is not None, "not estimated")
+    if skew is not None:
+        yield ITEM, (
+            f"offset {_fmt(skew['offset_seconds'])} s from {_fmt(skew['support_count'])} "
+            f"matched pairs, spread {_fmt(skew['spread_seconds'])} s",
         )
         if skew["fallback"]:
-            out.append("- WARNING: insufficient support, fell back to offset 0")
-    out.append("")
-    out.append(f"## Findings ({len(data['findings'])})")
-    out.append("")
+            yield ITEM, ("WARNING: insufficient support, fell back to offset 0",)
+    yield from _heading(f"Findings ({len(data['findings'])})", data["findings"])
     for finding in data["findings"]:
         # A proven transfer's group fields, those the row holds, before its ids.
         group = "".join(
@@ -444,118 +450,111 @@ def _render_markdown(data: dict) -> str:
             else f"{key} {_fmt(finding[key])}; "
             for key in _TRANSFER_FIELDS if key in finding
         )
-        out.append(
-            f"- **{_fmt(finding['finding_id'])}** {_fmt(finding['kind'])} "
-            f"[{_fmt(finding['confidence'])}]: {_fmt(finding['narrative'])} "
-            f"({group}supporting: {', '.join(map(_fmt, finding['supporting_ids']))})"
+        yield ITEM, (
+            _Strong(_fmt(finding["finding_id"])),
+            f" {_fmt(finding['kind'])} [{_fmt(finding['confidence'])}]: "
+            f"{_fmt(finding['narrative'])} "
+            f"({group}supporting: {', '.join(map(_fmt, finding['supporting_ids']))})",
         )
-    if not data["findings"]:
-        out.append("- none")
-    out.append("")
-    out.append(f"## Sync links ({len(data['links'])})")
-    out.append("")
+    yield from _heading(f"Sync links ({len(data['links'])})", data["links"])
     for link in data["links"]:
         delta = link["time_delta_seconds"]
         delta_text = "n/a" if delta is None else f"{_fmt(delta)} s"
         owner = f"account {_fmt(link['account'])}" if link["account"] else "no account"
-        out.append(
-            f"- {_fmt(link['device_record_id'])} <-> {_fmt(link['cloud_event_id'])} "
-            f"({_fmt(link['kind'])} of {owner}, "
-            f"{_fmt(link['tier'])}, delta {delta_text})"
+        yield ITEM, (
+            f"{_fmt(link['device_record_id'])} <-> {_fmt(link['cloud_event_id'])} "
+            f"({_fmt(link['kind'])} of {owner}, {_fmt(link['tier'])}, delta {delta_text})",
         )
-    if not data["links"]:
-        out.append("- none")
-    out.append("")
-    out.append(f"## Timeline ({len(data['timeline'])} entries)")
-    out.append("")
+    yield from _heading(f"Timeline ({len(data['timeline'])} entries)")
     if data["timeline"]:
-        out.append("| Time (UTC) | Side | Id | Kind |")
-        out.append("| --- | --- | --- | --- |")
+        yield HEADER, ("Time (UTC)", "Side", "Id", "Kind")
         for entry in data["timeline"]:
-            out.append(
-                f"| {_cell(entry['timestamp_utc'])} | {_cell(entry['source'])} "
-                f"| {_cell(entry['id'])} | {_cell(entry['label'])} |"
-            )
+            yield ROW, (_cell(entry["timestamp_utc"]), _cell(entry["source"]),
+                        _cell(entry["id"]), _cell(entry["label"]))
     else:
-        out.append("(empty)")
+        yield PARAGRAPH, ("(empty)",)
     if data["excluded_undated"]:
-        out.append("")
-        out.append(
-            f"{_fmt(data['excluded_undated'])} undated record(s) excluded from the timeline."
+        yield BLANK, ()
+        yield PARAGRAPH, (
+            f"{_fmt(data['excluded_undated'])} undated record(s) excluded from the timeline.",
         )
-    out.append("")
     graph = data["identity_graph"]
-    out.append(
-        f"## Identity graph ({len(graph.get('nodes', []))} identifiers, "
-        f"{len(graph.get('edges', []))} links)"
+    edges = graph.get("edges", [])
+    yield from _heading(
+        f"Identity graph ({len(graph.get('nodes', []))} identifiers, {len(edges)} links)", edges
     )
-    out.append("")
-    for edge in graph.get("edges", []):
-        out.append(
-            f"- {_fmt(edge['a']['value'])} ({_fmt(edge['a']['kind'])}) -- "
+    for edge in edges:
+        yield ITEM, (
+            f"{_fmt(edge['a']['value'])} ({_fmt(edge['a']['kind'])}) -- "
             f"{_fmt(edge['b']['value'])} ({_fmt(edge['b']['kind'])}): "
-            f"seen together {_fmt(edge['count'])}x"
+            f"seen together {_fmt(edge['count'])}x",
         )
-    if not graph.get("edges"):
-        out.append("- none")
-    out.append("")
-    out.append(f"## Geolocation ({len(data['geo'])})")
-    out.append("")
+    yield from _heading(f"Geolocation ({len(data['geo'])})", data["geo"])
     for geo in data["geo"]:
-        out.append(
-            f"- {_fmt(geo['ip'])}: {_fmt(geo['city'])}, {_fmt(geo['country'])} "
-            f"({_fmt(geo['source_table'])})"
+        yield ITEM, (
+            f"{_fmt(geo['ip'])}: {_fmt(geo['city'])}, {_fmt(geo['country'])} "
+            f"({_fmt(geo['source_table'])})",
         )
-    if not data["geo"]:
-        out.append("- none")
-    out.append("")
-    out.append(f"## Error ledger ({len(data['error_ledger'])})")
-    out.append("")
+    yield from _heading(f"Error ledger ({len(data['error_ledger'])})", data["error_ledger"])
     for entry in data["error_ledger"]:
-        out.append(f"- {_fmt(entry['file'])}:{_fmt(entry['line'])}: {_fmt(entry['message'])}")
-    if not data["error_ledger"]:
-        out.append("- none")
-    out.append("")
-    return "\n".join(out)
+        yield ITEM, (f"{_fmt(entry['file'])}:{_fmt(entry['line'])}: {_fmt(entry['message'])}",)
 
 
-# The element that holds each run of HTML rows that start with the key.
-_HTML_GROUPS = {"<li>": "ul", "<tr>": "table"}
+# Each kind of line in Markdown and in HTML: the text before its parts,
+# between two parts, and after them. The timeline is the one table, of
+# four columns; in HTML its first row is its header, and a blank line
+# writes nothing.
+_MARKDOWN_LINES = {
+    H1: ("# ", "", "\n"), H2: ("## ", "", "\n"), PARAGRAPH: ("", "", "\n"),
+    ITEM: ("- ", "", "\n"), HEADER: ("| ", " | ", " |\n| --- | --- | --- | --- |\n"),
+    ROW: ("| ", " | ", " |\n"), BLANK: ("", "", "\n"),
+}
+_HTML_LINES = {
+    H1: ("<h1>", "", "</h1>\n"), H2: ("<h2>", "", "</h2>\n"), PARAGRAPH: ("<p>", "", "</p>\n"),
+    ITEM: ("<li>", "", "</li>\n"), HEADER: ("<tr><th>", "</th><th>", "</th></tr>\n"),
+    ROW: ("<tr><td>", "</td><td>", "</td></tr>\n"), BLANK: ("", "", ""),
+}
+# Each class of part, once escaped, in Markdown and in HTML.
+_MARKDOWN_PIECES = {str: "%s", _Strong: "**%s**", _Code: "`%s`"}
+_HTML_PIECES = _MARKDOWN_PIECES
+# The element that holds each run of HTML lines of the kind.
+_HTML_GROUPS = {ITEM: "ul", HEADER: "table", ROW: "table"}
+# Self-contained static page: inline styles, no scripts, opens anywhere.
+_HTML_HEAD = (
+    '<!DOCTYPE html>\n<html><head><meta charset="utf-8"><title>%s</title>'
+    "<style>body{font-family:sans-serif;margin:2em;color:#222}h1{border-bottom:2px solid #444}"
+    "h2{margin-top:1.5em;color:#345}li{margin:0.2em 0}tr:nth-child(even){background:#f4f4f4}"
+    "th,td{padding:2px 8px;border:1px solid #ddd}</style></head>\n<body>\n"
+)
 
 
-def _render_html(data: dict) -> str:
-    # Self-contained static page: inline styles, no scripts, opens anywhere.
+def _write_lines(
+    lines: Iterator, out: BinaryIO, templates: dict, piece: Callable[[str], str],
+    cell: Callable[[str], str], start: str = "", end: str = "",
+) -> None:
+    """Write ``start``, each line in its kind's template, then ``end``, ``REPORT_JSON.block``
+    lines a write: ``cell`` writes each part of a table row, ``piece`` any other part."""
+    chunks = _Chunks(out.write)
+    chunks.append(start)
+    for count, (kind, parts) in enumerate(lines, 1):
+        before, between, after = templates[kind]
+        chunks.append(before + between.join(map(cell if kind >= HEADER else piece, parts)) + after)
+        if not count % REPORT_JSON.block:
+            chunks.flush()
+    chunks.append(end)
+    chunks.flush()
+
+
+def _write_html(data: dict, out: BinaryIO) -> None:
     import html  # only the HTML format needs it
 
-    rows = []
-    for line in _render_markdown(data).splitlines():
-        if line.startswith("# "):
-            rows.append(f"<h1>{html.escape(line[2:])}</h1>")
-        elif line.startswith("## "):
-            rows.append(f"<h2>{html.escape(line[3:])}</h2>")
-        elif line.startswith("| "):
-            cells = [html.escape(c.strip()) for c in _CELL_SPLIT.split(line.strip("|"))]
-            if set(cells) <= {"---"}:
-                continue
-            # A table's first row is its header.
-            cell = "td" if rows[-1].startswith("<tr>") else "th"
-            rows.append("<tr>" + "".join(f"<{cell}>{c}</{cell}>" for c in cells) + "</tr>")
-        elif line.startswith("- "):
-            rows.append(f"<li>{html.escape(line[2:])}</li>")
-        elif line:
-            rows.append(f"<p>{html.escape(line)}</p>")
-    # Each run of list items is one list, and each run of table rows one table.
-    lines: list[str] = []
-    for tag, run in groupby(rows, lambda row: _HTML_GROUPS.get(row[:4])):
-        lines += [f"<{tag}>", *run, f"</{tag}>"] if tag else run
-    body = "\n".join(lines)
-    return (
-        "<!DOCTYPE html>\n"
-        "<html><head><meta charset=\"utf-8\">"
-        f"<title>Case report: {html.escape(data['case_id'])}</title>"
-        "<style>body{font-family:sans-serif;margin:2em;color:#222}"
-        "h1{border-bottom:2px solid #444}h2{margin-top:1.5em;color:#345}"
-        "li{margin:0.2em 0}tr:nth-child(even){background:#f4f4f4}"
-        "th,td{padding:2px 8px;border:1px solid #ddd}</style></head>\n"
-        f"<body>\n{body}\n</body></html>\n"
-    )
+    def piece(part: str) -> str:
+        return _HTML_PIECES[part.__class__] % html.escape(part)
+
+    out.write((_HTML_HEAD % ("Case report: " + html.escape(data["case_id"]))).encode("utf-8"))
+    # Each run of list items is one list, and each run of table rows one
+    # table; a cell shows without the spaces around it, as in Markdown.
+    for tag, run in groupby(_report_lines(data), lambda line: _HTML_GROUPS.get(line[0])):
+        group = (f"<{tag}>\n", f"</{tag}>\n") if tag else ()
+        _write_lines(run, out, _HTML_LINES, piece, lambda cell: html.escape(cell.strip()), *group)
+    out.write(b"</body></html>\n")
