@@ -516,12 +516,12 @@ _HTML_LINES = {
 }
 # Each class of part, once escaped, in Markdown and in HTML.
 _MARKDOWN_PIECES = {str: "%s", _Strong: "**%s**", _Code: "`%s`"}
-_HTML_PIECES = _MARKDOWN_PIECES
+_HTML_PIECES = {str: "%s", _Strong: "<strong>%s</strong>", _Code: "<code>%s</code>"}
 # The element that holds each run of HTML lines of the kind.
 _HTML_GROUPS = {ITEM: "ul", HEADER: "table", ROW: "table"}
 # Self-contained static page: inline styles, no scripts, opens anywhere.
 _HTML_HEAD = (
-    '<!DOCTYPE html>\n<html><head><meta charset="utf-8"><title>%s</title>'
+    '<!DOCTYPE html>\n<html><head><meta charset="utf-8"><title>Case report: %s</title>'
     "<style>body{font-family:sans-serif;margin:2em;color:#222}h1{border-bottom:2px solid #444}"
     "h2{margin-top:1.5em;color:#345}li{margin:0.2em 0}tr:nth-child(even){background:#f4f4f4}"
     "th,td{padding:2px 8px;border:1px solid #ddd}</style></head>\n<body>\n"
@@ -551,7 +551,7 @@ def _write_html(data: dict, out: BinaryIO) -> None:
     def piece(part: str) -> str:
         return _HTML_PIECES[part.__class__] % html.escape(part)
 
-    out.write((_HTML_HEAD % ("Case report: " + html.escape(data["case_id"]))).encode("utf-8"))
+    out.write((_HTML_HEAD % html.escape(_fmt(data["case_id"]))).encode("utf-8"))
     # Each run of list items is one list, and each run of table rows one
     # table; a cell shows without the spaces around it, as in Markdown.
     for tag, run in groupby(_report_lines(data), lambda line: _HTML_GROUPS.get(line[0])):

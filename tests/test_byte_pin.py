@@ -87,7 +87,7 @@ PINS = {
         "dump.json": "b0056b586a2d247a2f52e21c3c6309c7c2e6aa66879a551415268d59601abda6",
         "findings.json": "e612f9a9311c85175b2afe385ae757e1057f4d88ba46c82ed33d2068f5aa8ede",
         "geo.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
-        "golden-lgd802.report.html": "5e8055fb35da78a93e1bd95ea5c4838803b7be0348cdc85d2a9906cc1d16b0c8",
+        "golden-lgd802.report.html": "17cbf247e8e224f7086ab0ca49299aa340b923ef736ce65c920084e069d3e986",
         "golden-lgd802.report.json": "27d84a8820e07474b1289a9f4888eb80fbdfdbc054f6ab3e449d98ec64fc4413",
         "golden-lgd802.report.md": "3fd192374a53913e565b897b643025a8efd28f81ecbbf62027c6991c19dd5594",
         "identity_graph.json": "abbbfb47098474bd0d478558b8155778186e01016ee5127395ad1c5a2d3dbfb3",
@@ -107,7 +107,7 @@ PINS = {
         "identity_graph.json": "526eb0999ac9b3ddbee586deefbb5892252d601d2f0b3e3535cf65e47c9a8c86",
         "links.json": "abbb4cd6d3bbaa6fa751f3cab840bf67c00515186110a96e987b248e1f39997a",
         "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
-        "sim-21.report.html": "0ef4f59ab1f247a86144e60a6dcf46367bcf91dacc0af6d814d1135179d81ff5",
+        "sim-21.report.html": "677f432509d0484765fd71b18b56afceac5568bea9f94662e10e94255ef65989",
         "sim-21.report.json": "d6089e2fec5c4012741905213af5a86199140a196926a3b0b76fdf8908eabd3f",
         "sim-21.report.md": "6bca750b74ba7be54ffce48ba2b9cc038c56ed6b438466487ad9ad6a9f6b6151",
         "skew.json": "44aedde6aa676ae66094b5577475e6761e5402f570385861dfc3c5c2de262480",
@@ -124,7 +124,7 @@ PINS = {
         "identity_graph.json": "7b9f06ec6ccfac5bde792204d5fa5125e382d732411898926517132ee56d3772",
         "links.json": "dbd507a19e87119d5f409bcd7a002c26391f218208796c854838c4a0c36982ed",
         "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
-        "sim-22.report.html": "20c72b00d9aae6a362756bf6b5e44fcba465fa032753dbd9315654f2ac745a27",
+        "sim-22.report.html": "3baad38a688fae1f1df3bed5a39ac50d767748f4de5bc3fe097ca60200d1d2b6",
         "sim-22.report.json": "2e30ac9590db53b288efc8e9e3196ddbf22e3f93f46c79a4b7ea14aa67fb8ace",
         "sim-22.report.md": "fe7ac58d89e09813daeeca0a1e4e221a3592ed4e585219523920790eb669253d",
         "skew.json": "38885eb8176156bf1fa0fadb06c592ffc0bfae277c6780abcebf25ab5540c4e8",
@@ -142,7 +142,7 @@ PINS = {
         "links.json": "23a3368e80f98c3e7e0a0885ed7ad1403585adb0d9bd7a57757884a33555af06",
         "parameters.json": "461c7b80fdc33af167e13dceef0b955b95abba32c1a1b8da0c6df9144b50bc76",
         "skew.json": "8474a3058d54ac52769fe8c55a0835762a01c296355ca63454ce0121f2e05a00",
-        "sync-shapes.report.html": "311f2564f082a0f2254be15c3627103f2419a4a64fc782d1e67bc708c99c64b3",
+        "sync-shapes.report.html": "5a7a3f7b41d660cad8f8fc2c7c9425ed36ca7402bf5802ac583a7287f4899e99",
         "sync-shapes.report.json": "7810bca7575bc8e5017f310ea3f6a754b8a1026bf5692fe242b0f68d5398a81d",
         "sync-shapes.report.md": "b97c8b9aed9944396fdb1560a477cb0effce418d84e2a42a13c8a190dc9851d2",
         "timeline.json": "7b44cd4de3a3a95cd0d03c0a34236381979fa878a1cdb551801854ebd46e2ce2",
@@ -152,7 +152,7 @@ PINS = {
     }),
     "comm_shapes": (comm_shapes, {
         "cloud_log.json": "a535418085b9fe419abad0bcb4ebff342b3a49b0dc30fac4c43c6e67f22b7e8e",
-        "comm-shapes.report.html": "7c18f9c347b5615f8660d0d78dafc01cfa0dab910afa9bd29c5869f304361bac",
+        "comm-shapes.report.html": "b266997512f7f52a5068addb2713158a7be888efd3698e73215c55766bf1d726",
         "comm-shapes.report.json": "0ee6ed95ca4403d409dcd9618b882b1797cb8839a37818a1f61f29982278b439",
         "comm-shapes.report.md": "dd8a3d44417bc7044df94bb3f4516551f53595ae55a180a426b10b84338e620a",
         "dump.json": "8d781c4273471c2a9ada515055c9a3beb7937897b974cd18b7904e6237915285",

@@ -148,6 +148,37 @@ class TestRenderReport:
         assert "<style>" in page
         assert "LG-D802" in page
 
+    def test_html_marks_ids_and_names_as_elements(self, tmp_path):
+        bundle, cloud_log, _ = golden(tmp_path)
+        out = tmp_path / "out"
+        argv = ["run-all", str(bundle), str(cloud_log), "--out", str(out), "--format", "html"]
+        assert run(argv) == 0
+        page = (out / "golden-lgd802.report.html").read_text(encoding="utf-8")
+        assert "<li><strong>F001</strong> AppUsedThenUninstalled [High]: " in page
+        assert "<li>Dump <code>golden-lgd802</code> collected " in page
+        assert "<li>Cloud log <code>cloud_events.jsonl</code>, 2 events</li>" in page
+        assert "**" not in page and "`" not in page
+        markdown = rendered(self.forged_spans(), ReportFormat.MARKDOWN).decode("utf-8")
+        assert "- **<b>&x** x [x]: " in markdown and "- Dump `<b>&x` collected " in markdown
+        forged = rendered(self.forged_spans(), ReportFormat.HTML).decode("utf-8")
+        assert "<li><strong>&lt;b&gt;&amp;x</strong> x [x]: " in forged
+        assert "<li>Dump <code>&lt;b&gt;&amp;x</code> collected " in forged
+        assert "<li>Cloud log <code>&lt;b&gt;&amp;x</code>, 1 events</li>" in forged
+
+    @staticmethod
+    def forged_spans() -> dict:
+        case = case_of("x")
+        case["findings"][0]["finding_id"] = case["inputs"]["dumps"][0]["dump_id"] = "<b>&x"
+        case["inputs"]["cloud_logs"][0]["name"] = "<b>&x"
+        return case
+
+    def test_a_timeline_row_of_dashes_is_a_row(self):
+        case = case_of("x")
+        case["timeline"].append(dict.fromkeys(case["timeline"][0], "---"))
+        page = rendered(case, ReportFormat.HTML).decode("utf-8")
+        assert "<tr><td>---</td><td>---</td><td>---</td><td>---</td></tr>" in page
+        assert page.count("<tr>") == 3
+
 
 # Each character, or pair, that str.splitlines ends a line at.
 LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
@@ -266,10 +297,12 @@ class TestMarkdownStructure:
         ]
         assert structure == plain_structure
         assert_lists_and_tables(page)
-        # Only the case id's heading shows a value.
+        # Only the case id's heading shows a value, and the title shows the same text.
         assert headings[1:] == [
             part for part in html_structure(plain_page) if part.startswith("<h")
         ][1:]
+        (title,) = re.findall(r"<title>(.*?)</title>", page.decode("utf-8"), re.DOTALL)
+        assert f"<h1>{title}</h1>" == headings[0]
 
     def test_escapes_are_the_json_forms(self):
         markdown = rendered(case_of("x\n## Forged | cell"), ReportFormat.MARKDOWN)
@@ -610,9 +643,15 @@ class TestOneWriterTwoLayouts:
 
 
 class TestReportStepMemory:
-    def test_peak_stays_below_the_report_size(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "format, floor",
+        [(ReportFormat.JSON, 800_000), (ReportFormat.MARKDOWN, 400_000), (ReportFormat.HTML, 600_000)],
+        ids=["json", "md", "html"],
+    )
+    def test_peak_stays_below_the_report_size(self, tmp_path, capsys, format, floor):
         """tracemalloc's peak over the report step, on a case of the benchmark's
-        sync-bulk size: the report is written as it renders, never held whole."""
+        sync-bulk size: the report is written as it renders, never held whole,
+        in every format."""
         params = SimParams(seed=1, n_uploads=2000, n_messages=800, n_calls=200, n_apps=200,
                            skew_seconds=300)
         case = generate_case(params, tmp_path / "case")
@@ -623,10 +662,10 @@ class TestReportStepMemory:
                   for name, (_, shape) in STAGE_FILES.items() if (out / name).is_file()}
         tracemalloc.start()
         try:
-            path = cli._step_report(out, stages, None, ReportFormat.JSON)
+            path = cli._step_report(out, stages, None, format)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         size = path.stat().st_size
-        assert size > 800_000
+        assert size > floor
         assert peak < size
