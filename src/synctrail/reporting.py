@@ -163,9 +163,9 @@ def render_report(
 ) -> None:
     """Write a report to the binary file ``out``; same report in, same bytes out.
 
-    The JSON is written in bounded chunks as it is rendered, so the
-    whole text is never held in memory; the Markdown and HTML are
-    written in one piece. To get the bytes, pass an ``io.BytesIO``.
+    Every format is written in bounded chunks as it is rendered, the
+    Markdown and HTML from one walk over the report (``_report_lines``),
+    so no text is held whole. To get the bytes, pass an ``io.BytesIO``.
     """
     if format is ReportFormat.JSON:
         write_json(report, out, REPORT_JSON)
