@@ -14,8 +14,6 @@ __version__ = "0.1.0"
 # the code it runs: `python -m synctrail verify` never loads the
 # simulator or the report renderers' dependencies it does not call.
 _EXPORTS = {
-    "AppRecord": "acquisition",
-    "AppStatus": "acquisition",
     "CloudEvent": "acquisition",
     "DeviceDump": "acquisition",
     "EventKind": "acquisition",

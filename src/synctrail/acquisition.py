@@ -83,11 +83,11 @@ _PHONE_STATE_BOOLS = (
 )
 
 
-class AppStatus(Enum):
-    ALL = "All"
-    THIRD_PARTY = "ThirdParty"
-    DISABLED = "Disabled"
-    UNINSTALLED = "Uninstalled"
+# The installed-app statuses that FORMAT.md lists, as a status is
+# compared: lowercased. dump.json's app counts and uninstall detection
+# both read UNINSTALLED.
+UNINSTALLED = "uninstalled"
+_APP_STATUSES = frozenset({"all", "thirdparty", "disabled", UNINSTALLED})
 
 
 class EventKind(Enum):
@@ -99,7 +99,6 @@ class EventKind(Enum):
     SYNC = "Sync"
 
 
-_STATUS_BY_KEY = {s.value.lower(): s for s in AppStatus}
 _KIND_BY_KEY = {k.value.lower(): k for k in EventKind}
 
 
@@ -117,32 +116,6 @@ _PROFILE_BOOL_FIELDS = (
 _PROFILE_FIELDS = (
     *_PROFILE_STR_FIELDS, *_PROFILE_BOOL_FIELDS, "battery_percent", "device_clock_at_acquisition",
 )
-
-
-class AppRecord(_Frozen):
-    """One installed-app inventory line, typed."""
-
-    __slots__ = _compared = ("app_name", "status", "package", "installed_at", "record_id")
-
-    app_name: str
-    status: AppStatus
-    package: Optional[str]
-    installed_at: Optional[UtcTimestamp]
-    record_id: Optional[str]
-
-    def __init__(
-        self,
-        app_name: str,
-        status: AppStatus,
-        package: Optional[str] = None,
-        installed_at: Optional[UtcTimestamp] = None,
-        record_id: Optional[str] = None,
-    ) -> None:
-        _set(self, "app_name", app_name)
-        _set(self, "status", status)
-        _set(self, "package", package)
-        _set(self, "installed_at", installed_at)
-        _set(self, "record_id", record_id)
 
 
 class CloudEvent(_Frozen):
@@ -731,39 +704,29 @@ def _provenance(record: EvidenceRecord) -> tuple[str, int]:
     return record.attributes.get("_file", "?"), int(record.attributes.get("_line", "0"))
 
 
-def parse_app_inventory(dump: DeviceDump, ledger: Optional[list[dict]] = None) -> list[AppRecord]:
-    """Type the installed-app records, one AppRecord per inventory line.
+def parse_app_inventory(
+    records: Sequence[EvidenceRecord], ledger: Optional[list[dict]] = None
+) -> list[EvidenceRecord]:
+    """The installed-app records with a known status and a name, in record order.
 
     Lines with an unknown status value or without a name are skipped,
     each with a ledger row appended to ``ledger`` when one is given.
     """
-    apps: list[AppRecord] = []
-    for record in dump.records:
+    apps: list[EvidenceRecord] = []
+    for record in records:
         if record.category is not ArtifactCategory.INSTALLED_APP:
             continue
-        file_name, line_no = _provenance(record)
-        status_text = record.attributes.get("status", "")
-        status = _STATUS_BY_KEY.get(status_text.lower())
-        if status is None:
-            if ledger is not None:
-                message = f"unknown app status {status_text!r}"
-                ledger.append({"file": file_name, "line": line_no, "message": message})
+        status = record.attributes.get("status", "")
+        if status.lower() not in _APP_STATUSES:
+            message = f"unknown app status {status!r}"
+        elif not record.attributes.get("name"):
+            message = "app record without a name"
+        else:
+            apps.append(record)
             continue
-        name = record.attributes.get("name", "")
-        if not name:
-            if ledger is not None:
-                message = "app record without a name"
-                ledger.append({"file": file_name, "line": line_no, "message": message})
-            continue
-        apps.append(
-            AppRecord(
-                app_name=name,
-                status=status,
-                package=record.attributes.get("package"),
-                installed_at=record.timestamp,
-                record_id=record.record_id,
-            )
-        )
+        if ledger is not None:
+            file_name, line_no = _provenance(record)
+            ledger.append({"file": file_name, "line": line_no, "message": message})
     return apps
 
 

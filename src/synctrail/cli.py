@@ -26,8 +26,7 @@ from typing import Any, Callable, NoReturn, Optional, Sequence
 # load it.
 from . import __version__, atomic
 from .acquisition import (
-    AppRecord,
-    AppStatus,
+    UNINSTALLED,
     DeviceDump,
     dump_to_json_dict,
     ingest_cloud_log,
@@ -169,26 +168,22 @@ def _write_records(path: Path, records: Sequence[EvidenceRecord]) -> None:
             handle.write("".join(STAGE_JSON.encode(row) + "\n" for row in rows).encode("utf-8"))
 
 
-def _step_ingest(
-    bundle: Path, out: Path, locale: Locale
-) -> tuple[DeviceDump, list[AppRecord], Stages]:
+def _step_ingest(bundle: Path, out: Path, locale: Locale) -> tuple[DeviceDump, Stages]:
     dump = ingest_device_dump(bundle, locale)
     for warning in profile_format_warnings(dump.device):
         _say(f"note: {warning}")
     parse_ledger: list[dict] = []
-    apps = parse_app_inventory(dump, parse_ledger)
+    apps = parse_app_inventory(dump.records, parse_ledger)
+    uninstalled = sum(1 for app in apps if app.attributes["status"].lower() == UNINSTALLED)
     payload = dump_to_json_dict(dump)
-    payload["app_counts"] = {
-        "installed": sum(1 for a in apps if a.status is not AppStatus.UNINSTALLED),
-        "uninstalled": sum(1 for a in apps if a.status is AppStatus.UNINSTALLED),
-    }
+    payload["app_counts"] = {"installed": len(apps) - uninstalled, "uninstalled": uninstalled}
     payload["parse_ledger"] = parse_ledger
     _write_json(out / "dump.json", payload)
     _say(
         f"ingested {len(dump.records)} records from {bundle.name} "
         f"({len(dump.ledger)} ledger entries)"
     )
-    return dump, apps, {"dump.json": payload}
+    return dump, {"dump.json": payload}
 
 
 def _step_seal(
@@ -234,7 +229,6 @@ def _step_verify(
 
 def _step_correlate(
     dump: DeviceDump,
-    apps: Sequence[AppRecord],
     cloud_log: Path,
     out: Path,
     locale: Locale,
@@ -272,7 +266,7 @@ def _step_correlate(
         }
         for event_id in out_of_range
     )
-    uninstall = detect_uninstall_evidence(apps, events)
+    uninstall = detect_uninstall_evidence(dump.records, events)
     findings = derive_cloud_usage_findings(links, uninstall, events, skew)
     stages = _write_stages(out, {
         "skew.json": skew,
@@ -562,10 +556,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "correlate":
-            dump = ingest_device_dump(args.bundle, locale)
             _step_correlate(
-                dump,
-                parse_app_inventory(dump),
+                ingest_device_dump(args.bundle, locale),
                 args.cloud_log,
                 args.out,
                 locale,
@@ -594,7 +586,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "run-all":
             # One ingest feeds every stage, so the chain verdict covers
             # exactly the records that are correlated and reported.
-            dump, apps, stages = _step_ingest(args.bundle, args.out, locale)
+            dump, stages = _step_ingest(args.bundle, args.out, locale)
             # Never re-seal an already sealed bundle: that would launder
             # any modification made since the original seal.
             if (args.bundle / SEALED_MANIFEST).is_file():
@@ -605,7 +597,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             stages.update(
                 _step_correlate(
                     dump,
-                    apps,
                     args.cloud_log,
                     args.out,
                     locale,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from typing import Optional, Sequence
 
-from .acquisition import AppRecord, AppStatus, CloudEvent, EventKind, _integer
+from .acquisition import UNINSTALLED, CloudEvent, EventKind, _integer, parse_app_inventory
 from .errors import InsufficientSupport
 from .evidence import (
     EPOCH_MAX,
@@ -508,11 +508,13 @@ def _finding(kind: str, confidence: str, supporting_ids: list[str], narrative: s
 
 
 def detect_uninstall_evidence(
-    apps: Sequence[AppRecord], cloud_events: Sequence[CloudEvent]
+    device_records: Sequence[EvidenceRecord], cloud_events: Sequence[CloudEvent]
 ) -> list[dict]:
     """Flag packages that were used against the cloud and then removed.
 
-    A package qualifies when the device inventory lists it as
+    The device inventory is the lines ``parse_app_inventory`` keeps,
+    each keyed by its ``package``, or by its ``name`` when ``package`` is
+    missing or empty. A package qualifies when the inventory lists it as
     uninstalled, or the cloud logged its install while the device has no
     trace of it, provided the cloud saw at least one event for it.
     Confidence is High when the cloud also logged the uninstall. Each
@@ -523,12 +525,14 @@ def detect_uninstall_evidence(
         if event.package_or_object:
             events_by_package.setdefault(event.package_or_object, []).append(event)
 
-    device_packages = {app.package or app.app_name for app in apps}
-    uninstalled = {
-        app.package or app.app_name: app
-        for app in apps
-        if app.status is AppStatus.UNINSTALLED
-    }
+    device_packages: set[str] = set()
+    # The record id of each uninstalled package's last inventory line.
+    uninstalled: dict[str, str] = {}
+    for app in parse_app_inventory(device_records):
+        package = app.attributes.get("package") or app.attributes["name"]
+        device_packages.add(package)
+        if app.attributes["status"].lower() == UNINSTALLED:
+            uninstalled[package] = app.record_id
 
     findings = []
     for package in sorted(events_by_package):
@@ -541,8 +545,8 @@ def detect_uninstall_evidence(
             continue
         cloud_uninstall = any(e.kind is EventKind.UNINSTALL for e in events)
         supporting: list[str] = []
-        if package in uninstalled and uninstalled[package].record_id:
-            supporting.append(uninstalled[package].record_id)
+        if package in uninstalled:
+            supporting.append(uninstalled[package])
         supporting.extend(sorted(e.event_id for e in events))
         source = (
             "the device inventory lists it as uninstalled"

@@ -14,12 +14,7 @@ import shutil
 import time
 from contextlib import contextmanager
 
-from synctrail.acquisition import (
-    AppStatus,
-    ingest_cloud_log,
-    ingest_device_dump,
-    parse_app_inventory,
-)
+from synctrail.acquisition import ingest_cloud_log, ingest_device_dump, parse_app_inventory
 from synctrail.cli import run
 from synctrail.correlation import (
     derive_cloud_usage_findings,
@@ -87,9 +82,11 @@ def test_criterion_1_golden_fixture_parses_exactly(golden_bundle):
         assert profile["brand"] == "lge"
         assert profile["manufacturer"] == "LGE"
 
-        apps = parse_app_inventory(dump)
+        apps = parse_app_inventory(dump.records)
         inventory = {
-            (a.app_name, a.package, a.status.value, a.installed_at.to_iso()) for a in apps
+            (a.attributes["name"], a.attributes.get("package"), a.attributes["status"],
+             a.timestamp.to_iso())
+            for a in apps
         }
         assert inventory == {
             ("AirDroid", None, "All", "2015-12-05T22:29:41Z"),
@@ -105,8 +102,8 @@ def test_criterion_1_golden_fixture_parses_exactly(golden_bundle):
                 "2016-05-10T17:51:13Z",
             ),
         }
-        installed = [a for a in apps if a.status is not AppStatus.UNINSTALLED]
-        assert sorted(a.app_name for a in installed) == [
+        installed = [a for a in apps if a.attributes["status"] != "Uninstalled"]
+        assert sorted(a.attributes["name"] for a in installed) == [
             "AirDroid", "ButtonTest", "Instagram", "LinkedIn", "Sheets", "TestTest",
         ]
 
@@ -115,9 +112,8 @@ def test_criterion_2_uninstall_evidence(golden_bundle, golden_cloud_log):
     with criterion(2, "golden fixture yields one High uninstall finding", 1.0):
         dump = ingest_device_dump(golden_bundle)
         events = ingest_cloud_log(golden_cloud_log)
-        apps = parse_app_inventory(dump)
         links = match_synced_artifacts(dump.records, events, zero_skew())
-        uninstall = detect_uninstall_evidence(apps, events)
+        uninstall = detect_uninstall_evidence(dump.records, events)
         findings = derive_cloud_usage_findings(links, uninstall, events, zero_skew())
         flagged = [
             f for f in findings if f["kind"] == "AppUsedThenUninstalled"

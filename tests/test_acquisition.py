@@ -5,7 +5,6 @@ import json
 import pytest
 
 from synctrail.acquisition import (
-    AppStatus,
     EventKind,
     dump_to_json_dict,
     ingest_cloud_log,
@@ -348,15 +347,26 @@ class TestIngestDeviceDump:
 class TestParseAppInventory:
     def test_golden_inventory(self, golden_bundle):
         dump = ingest_device_dump(golden_bundle)
-        apps = parse_app_inventory(dump)
-        by_name = {a.app_name: a for a in apps}
-        assert len(apps) == 7
-        assert by_name["Instagram"].status is AppStatus.ALL
-        assert by_name["Instagram"].installed_at.to_iso() == "2016-04-06T14:33:53Z"
+        apps = parse_app_inventory(dump.records)
+        assert apps == [r for r in dump.records if r.category is ArtifactCategory.INSTALLED_APP]
+        by_name = {a.attributes["name"]: a for a in apps}
+        assert len(by_name) == 7
+        assert by_name["Instagram"].attributes["status"] == "All"
+        assert by_name["Instagram"].timestamp.to_iso() == "2016-04-06T14:33:53Z"
         bad = by_name["OSFunctionEnable"]
-        assert bad.status is AppStatus.UNINSTALLED
-        assert bad.package == "com.example.ccs.osfunctionenable"
-        assert bad.installed_at.to_iso() == "2016-05-10T17:51:13Z"
+        assert bad.attributes["status"] == "Uninstalled"
+        assert bad.attributes["package"] == "com.example.ccs.osfunctionenable"
+        assert bad.timestamp.to_iso() == "2016-05-10T17:51:13Z"
+
+    def test_status_is_compared_lowercased(self, tmp_path):
+        statuses = ["all", "THIRDPARTY", "Disabled", "uNINSTALLED"]
+        bundle = write_bundle(tmp_path / "b", {"installed_apps.jsonl": [
+            {"id": f"a{n}", "name": "X", "status": status} for n, status in enumerate(statuses)
+        ]})
+        ledger: list[dict] = []
+        apps = parse_app_inventory(ingest_device_dump(bundle).records, ledger)
+        assert [a.attributes["status"] for a in apps] == statuses
+        assert ledger == []
 
     def test_unknown_status_ledgered(self, tmp_path):
         bundle = write_bundle(
@@ -364,9 +374,11 @@ class TestParseAppInventory:
             {"installed_apps.jsonl": [{"id": "a1", "name": "X", "status": "Sideloaded"}]},
         )
         ledger: list[dict] = []
-        apps = parse_app_inventory(ingest_device_dump(bundle), ledger)
+        apps = parse_app_inventory(ingest_device_dump(bundle).records, ledger)
         assert apps == []
-        assert "Sideloaded" in ledger[0]["message"]
+        assert ledger == [
+            {"file": "installed_apps.jsonl", "line": 1, "message": "unknown app status 'Sideloaded'"}
+        ]
 
     @pytest.mark.parametrize("app", [{"status": "All"}, {"status": "All", "name": ""}])
     def test_app_without_a_name_ledgered(self, tmp_path, app):
@@ -377,15 +389,15 @@ class TestParseAppInventory:
             ]},
         )
         ledger: list[dict] = []
-        apps = parse_app_inventory(ingest_device_dump(bundle), ledger)
-        assert [a.app_name for a in apps] == ["Y"]
+        apps = parse_app_inventory(ingest_device_dump(bundle).records, ledger)
+        assert [a.record_id for a in apps] == ["a2"]
         assert ledger == [
             {"file": "installed_apps.jsonl", "line": 1, "message": "app record without a name"}
         ]
 
     def test_empty_inventory(self, tmp_path):
         bundle = write_bundle(tmp_path / "b", {})
-        assert parse_app_inventory(ingest_device_dump(bundle)) == []
+        assert parse_app_inventory(ingest_device_dump(bundle).records) == []
 
 
 class TestIngestCloudLog:

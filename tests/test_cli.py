@@ -544,6 +544,37 @@ class TestRunAll:
         assert stepwise(case, tmp_path / "stepwise", []) == 0
         assert (out / name).read_bytes() == (tmp_path / "stepwise" / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["correlate", "run-all"])
+    def test_app_counts_and_uninstall_findings_share_one_status_rule(
+        self, tmp_path, golden_bundle, golden_cloud_log, command
+    ):
+        """A status is compared lowercased, and a line that ingest ledgers is no trace."""
+        lines = [
+            {"id": "app-x1", "name": "X1", "package": "com.example.x1", "status": "UNINSTALLED"},
+            {"id": "app-x2", "name": "X2", "status": "thirdparty"},
+            {"id": "app-x3", "name": "X3", "package": "com.example.x3", "status": "Sideloaded"},
+            {"id": "app-x4", "package": "com.example.x4", "status": "Uninstalled"},
+        ]
+        with open(golden_bundle / "installed_apps.jsonl", "a", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(line) + "\n" for line in lines)
+        log = tmp_path / "cloud.jsonl"
+        events = [{"id": f"x{n}", "kind": "Install", "ts": "2016-05-10T15:40:00Z",
+                   "account": "a@x", "object": f"com.example.x{n}"} for n in (1, 3, 4)]
+        log.write_text(golden_cloud_log.read_text(encoding="utf-8")
+                       + "".join(json.dumps(event) + "\n" for event in events), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run([command, str(golden_bundle), str(log), "--out", str(out)]) == 0
+        findings = json.loads((out / "findings.json").read_text(encoding="utf-8"))
+        assert [f["supporting_ids"] for f in findings if f["kind"] == "AppUsedThenUninstalled"] == [
+            ["app-0007", "e1", "e2"], ["app-x1", "x1"], ["x3"], ["x4"],
+        ]
+        if command == "run-all":
+            dump = json.loads((out / "dump.json").read_text(encoding="utf-8"))
+            assert dump["app_counts"] == {"installed": 7, "uninstalled": 2}
+            assert [(row["line"], row["message"]) for row in dump["parse_ledger"]] == [
+                (10, "unknown app status 'Sideloaded'"), (11, "app record without a name"),
+            ]
+
     def test_a_cloud_time_corrected_out_of_range_is_one_ledger_note(self, tmp_path, capsys):
         case = simulate(tmp_path, skew_seconds=300)
         lines = case.cloud_log.read_text(encoding="utf-8").splitlines()

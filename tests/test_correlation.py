@@ -10,15 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synctrail.acquisition import (
-    AppRecord,
-    AppStatus,
-    CloudEvent,
-    EventKind,
-    ingest_cloud_log,
-    ingest_device_dump,
-    parse_app_inventory,
-)
+from synctrail.acquisition import CloudEvent, EventKind, ingest_cloud_log, ingest_device_dump
 from synctrail.correlation import (
     build_timeline,
     count_malformed_digests,
@@ -75,6 +67,14 @@ def device_file(rid: str, epoch: int | None, digest: str | None = None,
         attributes=attrs,
         source=Source.DEVICE,
     )
+
+
+def app(rid: str, status: str, name: str = "App", package: str | None = None) -> EvidenceRecord:
+    """An installed-app inventory line."""
+    attrs = {"_file": "installed_apps.jsonl", "_line": "1", "name": name, "status": status}
+    if package is not None:
+        attrs["package"] = package
+    return EvidenceRecord(rid, ArtifactCategory.INSTALLED_APP, None, attrs, Source.DEVICE)
 
 
 def cloud(eid: str, epoch: int, kind: EventKind = EventKind.UPLOAD,
@@ -587,9 +587,8 @@ class TestBuildTimeline:
 class TestUninstallEvidence:
     def test_device_and_cloud_agree_high_confidence(self, golden_bundle, golden_cloud_log):
         dump = ingest_device_dump(golden_bundle)
-        apps = parse_app_inventory(dump)
         events = ingest_cloud_log(golden_cloud_log)
-        findings = detect_uninstall_evidence(apps, events)
+        findings = detect_uninstall_evidence(dump.records, events)
         assert len(findings) == 1
         finding = findings[0]
         assert finding["kind"] == "AppUsedThenUninstalled"
@@ -600,8 +599,7 @@ class TestUninstallEvidence:
         assert "finding_id" not in finding
 
     def test_no_evidence_no_findings(self):
-        apps = [AppRecord(app_name="Fine", status=AppStatus.ALL, record_id="a1")]
-        assert detect_uninstall_evidence(apps, []) == []
+        assert detect_uninstall_evidence([app("a1", "All", name="Fine")], []) == []
 
     def test_orphan_cloud_install_is_medium(self):
         events = [cloud("e0", BASE, kind=EventKind.INSTALL, name="com.example.gone")]
@@ -611,15 +609,41 @@ class TestUninstallEvidence:
         assert findings[0]["supporting_ids"] == ["e0"]
 
     def test_device_uninstall_without_cloud_events_is_silent(self):
-        apps = [
-            AppRecord(
-                app_name="Gone",
-                package="com.example.gone",
-                status=AppStatus.UNINSTALLED,
-                record_id="a1",
-            )
-        ]
+        apps = [app("a1", "Uninstalled", name="Gone", package="com.example.gone")]
         assert detect_uninstall_evidence(apps, []) == []
+
+    @pytest.mark.parametrize("package", [None, ""])
+    def test_a_line_without_a_package_is_keyed_by_its_name(self, package):
+        apps = [app("a1", "uninstalled", name="com.example.gone", package=package)]
+        events = [cloud("e0", BASE, kind=EventKind.LOGIN, name="com.example.gone")]
+        findings = detect_uninstall_evidence(apps, events)
+        assert [f["supporting_ids"] for f in findings] == [["a1", "e0"]]
+        assert findings[0]["confidence"] == "Medium"
+
+    def test_the_last_uninstalled_line_supplies_the_record_id(self):
+        apps = [
+            app("a1", "Uninstalled", package="com.example.gone"),
+            app("a2", "UNINSTALLED", package="com.example.gone"),
+            app("a3", "All", package="com.example.gone"),
+        ]
+        events = [cloud("e0", BASE, kind=EventKind.UNINSTALL, name="com.example.gone")]
+        findings = detect_uninstall_evidence(apps, events)
+        assert [f["supporting_ids"] for f in findings] == [["a2", "e0"]]
+        assert findings[0]["confidence"] == "High"
+
+    def test_lines_the_inventory_skips_leave_no_trace(self):
+        """Nor does a record of another category that has an app's attributes."""
+        records = [
+            app("a1", "Sideloaded", package="com.example.gone"),
+            app("a2", "Uninstalled", name="", package="com.example.gone"),
+            EvidenceRecord("m1", ArtifactCategory.MESSAGE, None,
+                           {"name": "X", "package": "com.example.gone", "status": "Uninstalled"},
+                           Source.DEVICE),
+        ]
+        events = [cloud("e0", BASE, kind=EventKind.INSTALL, name="com.example.gone")]
+        findings = detect_uninstall_evidence(records, events)
+        assert [f["supporting_ids"] for f in findings] == [["e0"]]
+        assert "the device has no trace of it" in findings[0]["narrative"]
 
 
 def transfer_links(links: list[dict], finding: dict) -> list[dict]:
@@ -721,8 +745,7 @@ class TestDeriveFindings:
         events = ingest_cloud_log(case.cloud_log)
         skew = estimate_clock_skew(dump.records, events)
         links = match_synced_artifacts(dump.records, events, skew)
-        apps = parse_app_inventory(dump)
-        uninstall = detect_uninstall_evidence(apps, events)
+        uninstall = detect_uninstall_evidence(dump.records, events)
         findings = derive_cloud_usage_findings(links, uninstall, events, skew)
 
         proven = [f for f in findings if f["kind"] in ("ProvenUpload", "ProvenDownload")]
@@ -841,7 +864,7 @@ class TestDeriveFindings:
         dump = ingest_device_dump(case.bundle_dir)
         events = ingest_cloud_log(case.cloud_log)
         skew = estimate_clock_skew(dump.records, events)
-        uninstall = detect_uninstall_evidence(parse_app_inventory(dump), events)
+        uninstall = detect_uninstall_evidence(dump.records, events)
         tracemalloc.start()
         try:
             links = match_synced_artifacts(dump.records, events, skew)

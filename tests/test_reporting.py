@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synctrail.acquisition import (
-    AppStatus,
     dump_to_json_dict,
     ingest_cloud_log,
     ingest_device_dump,
@@ -74,15 +73,15 @@ def empty_case() -> dict:
 def golden_case(golden_bundle, golden_cloud_log) -> dict:
     dump = ingest_device_dump(golden_bundle)
     events = ingest_cloud_log(golden_cloud_log)
-    apps = parse_app_inventory(dump)
+    apps = parse_app_inventory(dump.records)
     skew = zero_skew()
     links = match_synced_artifacts(dump.records, events, skew)
     timeline = build_timeline(dump.records, events, skew)
-    uninstall = detect_uninstall_evidence(apps, events)
+    uninstall = detect_uninstall_evidence(dump.records, events)
     findings = derive_cloud_usage_findings(links, uninstall, events, skew)
     graph = build_identity_graph(dump.records)
     verification = verify_chain(seal_dump(dump), dump.records)
-    uninstalled = sum(1 for a in apps if a.status is AppStatus.UNINSTALLED)
+    uninstalled = sum(1 for a in apps if a.attributes["status"] == "Uninstalled")
     stages = {
         "parameters.json": PARAMETERS,
         "dump.json": {
@@ -178,6 +177,15 @@ class TestRenderReport:
         page = rendered(case, ReportFormat.HTML).decode("utf-8")
         assert "<tr><td>---</td><td>---</td><td>---</td><td>---</td></tr>" in page
         assert page.count("<tr>") == 3
+
+    @pytest.mark.parametrize("text", ["\u00a0\u3000\u001fr1", " r1 ", "r1\u2003"])
+    def test_a_timeline_cell_shows_the_markdown_cell_s_text(self, text):
+        case = case_of("x")
+        case["timeline"][0]["id"] = text
+        markdown = rendered(case, ReportFormat.MARKDOWN).decode("utf-8")
+        page = rendered(case, ReportFormat.HTML).decode("utf-8")
+        assert f"\n| x | x | {text} | x |\n" in markdown
+        assert f"<tr><td>x</td><td>x</td><td>{text}</td><td>x</td></tr>\n" in page
 
 
 # Each character, or pair, that str.splitlines ends a line at.

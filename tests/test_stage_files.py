@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import synctrail
 from synctrail import cli
-from synctrail.acquisition import ingest_cloud_log, ingest_device_dump, parse_app_inventory
+from synctrail.acquisition import ingest_cloud_log, ingest_device_dump
 from synctrail.cli import run
 from synctrail.correlation import (
     build_timeline,
@@ -59,7 +59,7 @@ def test_library_results_equal_their_stage_files(tmp_path, make_input):
     except InsufficientSupport:
         skew = zero_skew()
     links = match_synced_artifacts(dump.records, events, skew)
-    uninstall = detect_uninstall_evidence(parse_app_inventory(dump), events)
+    uninstall = detect_uninstall_evidence(dump.records, events)
     results = {
         "links.json": links,
         "timeline.json": build_timeline(dump.records, events, skew),

@@ -59,10 +59,7 @@ DATACLASSES: list[str] = []
 # An enum is kept only where code holds and compares its members: a typed
 # field or parameter. Link tiers, finding kinds, confidences, verdicts and
 # identifier kinds are the plain strings that REPORT_SCHEMA.md lists.
-ENUMS = [
-    "AppStatus", "ArtifactCategory", "EventKind", "IsolationMethod", "Locale", "ReportFormat",
-    "Source",
-]
+ENUMS = ["ArtifactCategory", "EventKind", "IsolationMethod", "Locale", "ReportFormat", "Source"]
 
 _CENSUS = """
 import dataclasses, enum, sys

@@ -1,7 +1,7 @@
-"""The six value types behave as immutable values.
+"""The five value types behave as immutable values.
 
-``UtcTimestamp``, ``EvidenceRecord``, ``CloudEvent``, ``DeviceDump``,
-``AppRecord`` and ``GeoTable`` compare by their fields, hash where
+``UtcTimestamp``, ``EvidenceRecord``, ``CloudEvent``, ``DeviceDump``
+and ``GeoTable`` compare by their fields, hash where
 every compared field is hashable, print as ``Type(field=value, ...)``
 and refuse assignment and deletion. Their constructors take the same
 arguments with the same defaults and make the same checks. Two fields
@@ -17,7 +17,7 @@ import pickle
 
 import pytest
 
-from synctrail.acquisition import AppRecord, AppStatus, CloudEvent, DeviceDump, EventKind
+from synctrail.acquisition import CloudEvent, DeviceDump, EventKind
 from synctrail.errors import ImpossibleDate
 from synctrail.evidence import ArtifactCategory, EvidenceRecord, Locale, Source, UtcTimestamp
 from synctrail.osint import GeoTable
@@ -67,18 +67,6 @@ def dump(**changes) -> DeviceDump:
         **changes,
     }
     return DeviceDump(**fields)
-
-
-def app(**changes) -> AppRecord:
-    fields = {
-        "app_name": "Drive",
-        "status": AppStatus.THIRD_PARTY,
-        "package": "com.example.drive",
-        "installed_at": STAMP,
-        "record_id": "installed_apps:1",
-        **changes,
-    }
-    return AppRecord(**fields)
 
 
 def table(**changes) -> GeoTable:
@@ -133,13 +121,6 @@ CHANGES = {
         "files": (),
         "unrecognized_files": ("notes.jsonl",),
     }),
-    "AppRecord": (app, {
-        "app_name": "Mail",
-        "status": AppStatus.UNINSTALLED,
-        "package": None,
-        "installed_at": None,
-        "record_id": None,
-    }),
     "GeoTable": (table, {
         "name": "other.csv",
         "starts": (),
@@ -177,7 +158,7 @@ def test_unequal_to_another_type_with_the_same_fields(build):
 
 
 @pytest.mark.parametrize(
-    "build", [stamp, event, app, table], ids=["UtcTimestamp", "CloudEvent", "AppRecord", "GeoTable"]
+    "build", [stamp, event, table], ids=["UtcTimestamp", "CloudEvent", "GeoTable"]
 )
 def test_equal_values_hash_alike(build):
     assert hash(build()) == hash(build())
@@ -228,10 +209,6 @@ def test_repr_text():
         f"files=({{'name': 'manifest.json', 'bytes': 2, 'sha256': '{'ab' * 32}'}},), "
         f"unrecognized_files=())"
     )
-    assert repr(app()) == (
-        f"AppRecord(app_name='Drive', status=<AppStatus.THIRD_PARTY: 'ThirdParty'>, "
-        f"package='com.example.drive', installed_at={STAMP!r}, record_id='installed_apps:1')"
-    )
     assert repr(table()) == (
         "GeoTable(name='geo.csv', starts=(167772160,), ends=(167772415,), "
         "labels=(('NL', 'Amsterdam'),))"
@@ -246,7 +223,6 @@ STORED = {
     ),
     "CloudEvent": tuple(CHANGES["CloudEvent"][1]),
     "DeviceDump": tuple(CHANGES["DeviceDump"][1]),
-    "AppRecord": tuple(CHANGES["AppRecord"][1]),
     "GeoTable": tuple(CHANGES["GeoTable"][1]),
 }
 
@@ -298,10 +274,6 @@ def test_constructor_parameters_and_defaults():
         ("ledger", ()), ("line_counts", "fresh"), ("locale", Locale.DAY_FIRST), ("files", ()),
         ("unrecognized_files", ()),
     ]
-    assert parameters(AppRecord) == [
-        ("app_name", empty), ("status", empty), ("package", None), ("installed_at", None),
-        ("record_id", None),
-    ]
     assert parameters(GeoTable) == [
         ("name", empty), ("starts", empty), ("ends", empty), ("labels", empty),
     ]
@@ -310,17 +282,12 @@ def test_constructor_parameters_and_defaults():
 def test_positional_arguments_fill_fields_in_order():
     assert UtcTimestamp(1462752000, "2016-05-09T00:00:00Z") == STAMP
     assert CloudEvent("e1", EventKind.UPLOAD, STAMP, "a@x", "IMG_1.jpg", "ab" * 32, 2048) == event()
-    assert AppRecord("Drive", AppStatus.THIRD_PARTY, "com.example.drive", STAMP,
-                     "installed_apps:1") == app()
     assert GeoTable("geo.csv", (167772160,), (167772415,), (("NL", "Amsterdam"),)) == table()
 
 
 def test_defaults():
     bare = CloudEvent("e1", EventKind.LOGIN, STAMP, "a@x", "")
     assert (bare.content_digest, bare.size_bytes) == (None, None)
-    assert AppRecord("Drive", AppStatus.ALL) == app(
-        status=AppStatus.ALL, package=None, installed_at=None, record_id=None
-    )
     first = DeviceDump("d1", STAMP, 0, "t", "1", {}, ())
     second = DeviceDump("d1", STAMP, 0, "t", "1", {}, ())
     assert first.ledger == () and first.line_counts == {}
