@@ -242,8 +242,7 @@ _LEAVES: dict[type, Callable[[Any], str]] = {
 }
 _encode_str = _LEAVES[str]
 _LEAF_TYPES = frozenset(_LEAVES)
-_CELL_TYPES = _LEAF_TYPES | {list}
-_STR_ONLY, _DICT_ONLY, _LIST_ONLY = {str}, {dict}, {list}
+_STR_ONLY, _DICT_ONLY = {str}, {dict}
 
 # Leaves on the C encoder, one per line: it writes each leaf as
 # json.dumps does, and an encoded leaf never holds a raw newline.
@@ -273,7 +272,7 @@ def _append_json(value: Any, newline: str, out: _Chunks, layout: Layout) -> None
         for start in range(0, len(value), size):
             block = value[start:start + size]
             if between == layout.comma:
-                # Faster than the table path here, list cells or not.
+                # Faster than the table path here.
                 text = layout.encode(block)[1:-1]
             else:
                 text = _table(block, between, layout) or between.join(map(layout.encode, block))
@@ -306,22 +305,21 @@ def _table(rows: Sequence, between: str, layout: Layout) -> Optional[str]:
     a table; None if they do not.
 
     A table is a list of exact dicts that share one tuple of string
-    keys, and whose every column holds only leaves of a ``_LEAVES``
-    type or only lists of them. Each column is encoded at once
-    (``_column``), and one ``%`` format fills the repeated row
-    template, whose keys are encoded already, with the encoded cells:
-    ``%s`` inserts each verbatim.
+    keys, and whose every cell is a leaf of a ``_LEAVES`` type. Each
+    column is encoded at once (``_column``), and one ``%`` format fills
+    the repeated row template, whose keys are encoded already, with the
+    encoded cells: ``%s`` inserts each verbatim.
     """
     first = rows[0]
     # A first row with a cell of another type rules the table out before any work.
-    if set(map(type, rows)) != _DICT_ONLY or not set(map(type, first.values())) <= _CELL_TYPES:
+    if set(map(type, rows)) != _DICT_ONLY or not set(map(type, first.values())) <= _LEAF_TYPES:
         return None
     keys = tuple(first)
     if set(map(type, keys)) != _STR_ONLY or list(map(tuple, rows)).count(keys) != len(rows):
         return None
     columns = []
     for key in keys:
-        column = _column(list(map(itemgetter(key), rows)), layout.comma)
+        column = _column(list(map(itemgetter(key), rows)))
         if column is None:
             return None
         columns.append(column)
@@ -331,27 +329,20 @@ def _table(rows: Sequence, between: str, layout: Layout) -> Optional[str]:
     return between.join([row] * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
 
 
-def _column(cells: list, comma: str) -> Optional[list[str]]:
-    """Each cell as json.dumps writes it on one line, with ``comma``
-    between list items, if every cell is a ``_LEAVES`` leaf or every
-    cell a list of them; else None.
+def _column(cells: list) -> Optional[list[str]]:
+    """Each cell as json.dumps writes it, if every cell is a ``_LEAVES``
+    leaf; else None.
 
-    Strings go one by one to the C string encoder; other leaves, and
-    list cells, go to the C encoder in one call. In its output a newline
-    only separates two leaves or two list cells, and ``]`` newline ``[``
-    only two list cells: an encoded leaf holds no raw newline, and
-    neither starts with ``[`` nor ends with ``]``. So list cells are split
-    there first: once newlines are commas, a string may hold ``],[``.
+    Strings go one by one to the C string encoder; other leaves go to
+    the C encoder in one call, in whose output a newline only separates
+    two leaves: an encoded leaf holds no raw newline.
     """
     kinds = set(map(type, cells))
     if kinds == _STR_ONLY:
         return list(map(_encode_str, cells))
     if kinds <= _LEAF_TYPES:
         return _LINES_ENCODER.encode(cells)[1:-1].split("\n")
-    if kinds != _LIST_ONLY or not set(map(type, chain.from_iterable(cells))) <= _LEAF_TYPES:
-        return None
-    items = _LINES_ENCODER.encode(cells)[2:-2].split("]\n[")
-    return ["[" + text.replace("\n", comma) + "]" for text in items]
+    return None
 
 
 # Each character str.splitlines ends a line at, in its JSON escape form,
@@ -552,9 +543,8 @@ def _write_html(data: dict, out: BinaryIO) -> None:
         return _HTML_PIECES[part.__class__] % html.escape(part)
 
     out.write((_HTML_HEAD % html.escape(_fmt(data["case_id"]))).encode("utf-8"))
-    # Each run of list items is one list, and each run of table rows one
-    # table; a cell shows without the spaces around it, as in Markdown.
+    # Each run of list items is one list, and each run of table rows one table.
     for tag, run in groupby(_report_lines(data), lambda line: _HTML_GROUPS.get(line[0])):
         group = (f"<{tag}>\n", f"</{tag}>\n") if tag else ()
-        _write_lines(run, out, _HTML_LINES, piece, lambda cell: html.escape(cell.strip()), *group)
+        _write_lines(run, out, _HTML_LINES, piece, html.escape, *group)
     out.write(b"</body></html>\n")
