@@ -1,13 +1,17 @@
-"""The package's public names: every name in ``synctrail.__all__`` is there, and
-every name README's library section uses exists."""
+"""The package's public names: every name in ``synctrail.__all__`` is there,
+every name README's library section uses exists, and its example gives
+the stage files that ``run-all`` writes."""
 
 from __future__ import annotations
 
 import importlib
+import json
 import re
 from pathlib import Path
 
 import synctrail
+from synctrail.cli import run
+from synctrail.simulator import SimParams, generate_case
 
 
 def test_every_name_in_all_resolves():
@@ -43,3 +47,19 @@ def test_every_name_readme_uses_resolves():
         if not hasattr(importlib.import_module(f"synctrail.{module}"), name)
     ]
     assert missing == []
+
+
+def test_readme_example_equals_the_run_all_stage_files(tmp_path, monkeypatch):
+    """The example's code block, run as written on a simulated case at ``case/``."""
+    code = _library_use().split("\n```python\n", 1)[1].split("\n```\n", 1)[0]
+    case = generate_case(SimParams(seed=11, n_apps=10, skew_seconds=120), tmp_path / "case")
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(code, namespace)
+    out = tmp_path / "out"
+    assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 0
+    for name in ("links", "timeline", "findings"):
+        stage = json.loads((out / f"{name}.json").read_text(encoding="utf-8"))
+        assert namespace[name] == stage, name
+    kinds = {finding["kind"] for finding in namespace["findings"]}
+    assert {"ProvenUpload", "AppUsedThenUninstalled"} <= kinds
