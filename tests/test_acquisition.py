@@ -13,7 +13,7 @@ from synctrail.acquisition import (
     record_rows,
 )
 from synctrail.errors import DuplicateEventId, DuplicateRecordId, MissingManifest
-from synctrail.evidence import ArtifactCategory, Source
+from synctrail.evidence import ArtifactCategory, EvidenceRecord, Source
 
 from _oracles import civil_to_epoch
 from test_cli import _PADDED_HEX, _SPACED_HEX
@@ -398,6 +398,35 @@ class TestParseAppInventory:
     def test_empty_inventory(self, tmp_path):
         bundle = write_bundle(tmp_path / "b", {})
         assert parse_app_inventory(ingest_device_dump(bundle).records) == []
+
+    def test_ledger_rows_follow_record_order_and_status_is_checked_first(self, tmp_path):
+        bundle = write_bundle(tmp_path / "b", {"installed_apps.jsonl": [
+            {"id": "a1", "name": "X", "status": " All"},
+            {"id": "a2", "name": "Y", "status": "All"},
+            {"id": "a3", "status": "Disabled"},
+            {"id": "a4", "status": "Sideloaded"},
+            {"id": "a5", "name": "Z"},
+        ]})
+        ledger: list[dict] = []
+        apps = parse_app_inventory(ingest_device_dump(bundle).records, ledger)
+        assert [a.record_id for a in apps] == ["a2"]
+        assert [(row["line"], row["message"]) for row in ledger] == [
+            (1, "unknown app status ' All'"),
+            (3, "app record without a name"),
+            (4, "unknown app status 'Sideloaded'"),
+            (5, "unknown app status ''"),
+        ]
+
+    def test_returns_the_given_records_and_ignores_other_categories(self):
+        attrs = {"name": "X", "package": "com.example.x", "status": "Uninstalled"}
+        line = EvidenceRecord("a1", ArtifactCategory.INSTALLED_APP, None, dict(attrs),
+                              Source.DEVICE)
+        message = EvidenceRecord("m1", ArtifactCategory.MESSAGE, None, dict(attrs),
+                                 Source.DEVICE)
+        ledger: list[dict] = []
+        apps = parse_app_inventory((message, line), ledger)
+        assert len(apps) == 1 and apps[0] is line
+        assert ledger == []
 
 
 class TestIngestCloudLog:

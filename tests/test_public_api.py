@@ -9,6 +9,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 import synctrail
 from synctrail.cli import run
 from synctrail.simulator import SimParams, generate_case
@@ -16,6 +18,15 @@ from synctrail.simulator import SimParams, generate_case
 
 def test_every_name_in_all_resolves():
     assert [name for name in synctrail.__all__ if not hasattr(synctrail, name)] == []
+
+
+@pytest.mark.parametrize("name", ["AppRecord", "AppStatus"])
+def test_the_app_inventory_has_no_typed_copy(name):
+    """``parse_app_inventory`` returns the evidence records themselves."""
+    assert name not in synctrail.__all__
+    with pytest.raises(AttributeError):
+        getattr(synctrail, name)
+    assert not hasattr(importlib.import_module("synctrail.acquisition"), name)
 
 
 def test_all_lists_each_name_once():
