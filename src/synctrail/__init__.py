@@ -28,7 +28,6 @@ _EXPORTS = {
     "ArtifactCategory": "evidence",
     "EvidenceRecord": "evidence",
     "Locale": "evidence",
-    "Source": "evidence",
     "UtcTimestamp": "evidence",
     "canonical_encode": "evidence",
     "normalize_timestamp": "evidence",

@@ -27,13 +27,12 @@ from .errors import (
     UnparseableTimestamp,
 )
 from .evidence import (
+    DEVICE,
     ArtifactCategory,
     EvidenceRecord,
     Locale,
-    Source,
     UtcTimestamp,
     _Frozen,
-    _ingested_record,
     _set,
     checked_digest_hex,
     normalize_timestamp,
@@ -485,7 +484,7 @@ def record_from_fields(
                 raise _LineError(f"bad {time_field}: {exc}") from exc
 
     try:
-        return _ingested_record(record_id, category, timestamp, attributes, Source.DEVICE)
+        return EvidenceRecord(record_id, category, timestamp, attributes)
     except ValueError as exc:
         raise _LineError(str(exc)) from exc
 
@@ -817,9 +816,9 @@ def record_rows(records: Sequence[EvidenceRecord]) -> list[dict]:
             "category": r.category._value_,
             "timestamp": r.timestamp.original_text if r.timestamp else None,
             "timestamp_utc": r.timestamp.to_iso() if r.timestamp else None,
-            "source": r.source._value_,
+            "source": DEVICE,
             "attributes": dict(r.attributes),
-            "digest": r.digest.hex(),
+            "digest": hashlib.sha256(r.canonical).hexdigest(),
         }
         for r in records
     ]

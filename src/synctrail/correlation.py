@@ -24,10 +24,10 @@ from typing import Optional, Sequence
 from .acquisition import UNINSTALLED, CloudEvent, EventKind, _integer, parse_app_inventory
 from .errors import InsufficientSupport
 from .evidence import (
+    DEVICE,
     EPOCH_MAX,
     EPOCH_MIN,
     EvidenceRecord,
-    Source,
     checked_digest_hex,
     epoch_to_iso,
 )
@@ -487,7 +487,7 @@ def build_timeline(
             seconds, iso = stamp.seconds_since_epoch, stamp.to_iso()
         rows.append((seconds, 1, event.event_id, iso, event.kind._value_))
     rows.sort()
-    sources = (Source.DEVICE.value, Source.CLOUD.value)
+    sources = (DEVICE, "Cloud")
     return {
         "entries": [
             {"timestamp_utc": iso, "source": sources[side], "id": ref_id, "label": label}

@@ -7,7 +7,6 @@ over. All types here are immutable; operations are pure functions.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from enum import Enum
 from typing import Mapping, Optional
@@ -26,6 +25,10 @@ EPOCH_MIN = 0
 EPOCH_MAX = 4133980799
 
 DIGEST_ALGORITHM = "sha-256"
+
+# The source field of every record's canonical encoding: every record
+# is read from the device.
+DEVICE = "Device"
 
 # ASCII digits only, and the whole text: both grammars are matched with
 # fullmatch, so a trailing newline is refused.
@@ -47,11 +50,6 @@ class Locale(Enum):
     MONTH_FIRST = "month-first"
 
 
-class Source(Enum):
-    DEVICE = "Device"
-    CLOUD = "Cloud"
-
-
 class ArtifactCategory(Enum):
     DEVICE_INFO = "DeviceInfo"
     PHONE_STATE = "PhoneState"
@@ -66,9 +64,10 @@ class ArtifactCategory(Enum):
     CALL_RECORD = "CallRecord"
 
 
-# Ingest builds records and timestamps by setting their slots with
-# these, as their __init__ would, without the constructors' layers of
-# calls; see _ingested_record.
+# Each __init__ sets its slots with _set, past _Frozen.__setattr__.
+# normalize_timestamp's ISO-Z fast path also builds a timestamp with
+# _new and _set alone, without UtcTimestamp.__init__'s checks, which
+# that text has passed already.
 _new = object.__new__
 _set = object.__setattr__
 
@@ -143,26 +142,23 @@ class UtcTimestamp(_Frozen):
 
 
 class EvidenceRecord(_Frozen):
-    """One typed, timestamped artifact entry with provenance and digest.
+    """One typed, timestamped artifact entry read from the device.
 
     ``attributes`` preserves source order, in a dict of its own. The
     canonical encoding is computed once, at construction, and kept as
-    ``canonical``; the digest and the custody chain both hash those
-    bytes, so neither can drift from the record contents. ``canonical``
-    is no part of equality or repr.
+    ``canonical``; the custody chain and ``records.jsonl``'s digest
+    hash those bytes, so neither can drift from the record contents.
+    ``canonical`` is no part of equality or repr: equal fields encode
+    to equal bytes.
     """
 
-    __slots__ = (
-        "record_id", "category", "timestamp", "attributes", "source", "digest", "canonical",
-    )
-    _compared = ("record_id", "category", "timestamp", "attributes", "source", "digest")
+    __slots__ = ("record_id", "category", "timestamp", "attributes", "canonical")
+    _compared = ("record_id", "category", "timestamp", "attributes")
 
     record_id: str
     category: ArtifactCategory
     timestamp: Optional[UtcTimestamp]
     attributes: Mapping[str, str]
-    source: Source
-    digest: bytes
     canonical: bytes
 
     def __init__(
@@ -171,19 +167,17 @@ class EvidenceRecord(_Frozen):
         category: ArtifactCategory,
         timestamp: Optional[UtcTimestamp],
         attributes: Mapping[str, str],
-        source: Source,
     ) -> None:
         _set(self, "record_id", record_id)
         _set(self, "category", category)
         _set(self, "timestamp", timestamp)
         _set(self, "attributes", attributes)
-        _set(self, "source", source)
-        _encode_and_digest(self)
+        _encode(self)
         _set(self, "attributes", dict(attributes))
 
 
-def _encode_and_digest(record: EvidenceRecord) -> None:
-    """Check a record's fields, then set its canonical bytes and digest.
+def _encode(record: EvidenceRecord) -> None:
+    """Check a record's fields, then set its canonical bytes.
 
     Validation reads the encoded bytes: the fields are clean exactly
     when the encoding holds one separator between each pair of its
@@ -208,29 +202,6 @@ def _encode_and_digest(record: EvidenceRecord) -> None:
         if not canonical:
             raise error
     _set(record, "canonical", canonical)
-    _set(record, "digest", hashlib.sha256(canonical).digest())
-
-
-def _ingested_record(
-    record_id: str,
-    category: ArtifactCategory,
-    timestamp: Optional[UtcTimestamp],
-    attributes: dict[str, str],
-    source: Source,
-) -> EvidenceRecord:
-    """The record ``EvidenceRecord(...)`` builds from these fields, with every check.
-
-    For ingest, which passes an attribute dict it has just built and
-    holds nowhere else, so the dict is kept instead of copied.
-    """
-    record = _new(EvidenceRecord)
-    _set(record, "record_id", record_id)
-    _set(record, "category", category)
-    _set(record, "timestamp", timestamp)
-    _set(record, "attributes", attributes)
-    _set(record, "source", source)
-    _encode_and_digest(record)
-    return record
 
 
 def _check_fields(record_id: str, attributes: Mapping[str, str]) -> None:
@@ -257,7 +228,7 @@ def canonical_encode(record: EvidenceRecord) -> bytes:
     """Deterministic UTF-8 encoding of a record.
 
     Field order is fixed: record id, category, timestamp source text
-    (empty when undated), source, then attributes as key/value fields
+    (empty when undated), ``DEVICE``, then attributes as key/value fields
     sorted by key. Fields are joined with 0x1f and the record ends with
     0x1e. Attribute insertion order therefore never affects the bytes.
     """
@@ -266,7 +237,7 @@ def canonical_encode(record: EvidenceRecord) -> bytes:
         record.record_id,
         record.category._value_,  # what .value returns, without its descriptor call
         record.timestamp.original_text if record.timestamp else "",
-        record.source._value_,
+        DEVICE,
     ]
     for key in sorted(attributes):
         fields += (key, attributes[key])

@@ -34,7 +34,9 @@ from .evidence import (
     RECORD_TERM,
     EvidenceRecord,
     Locale,
-    canonical_encode,  # noqa: F401  re-exported: the encoding the chain hashes
+    # Unused here: perfbench/tracing.py wraps preservation.canonical_encode
+    # by name, so a traced run fails without it (ROADMAP item 1).
+    canonical_encode,  # noqa: F401
     checked_digest_hex,
     normalize_timestamp,
 )
@@ -290,8 +292,8 @@ def diff_acquisitions(a: DeviceDump, b: DeviceDump, allow_device_mismatch: bool 
     is set: a dump that states none cannot be shown to come from the
     other's device. Returns the ``diff.json`` payload: the ids
     ``added`` to ``b``, ``removed`` from it and ``changed`` (present in
-    both, with different digests), each sorted, and the
-    ``identical_count``.
+    both, with different canonical bytes, so with different digests),
+    each sorted, and the ``identical_count``.
     """
     imei_a = a.device["imei"]
     imei_b = b.device["imei"]
@@ -309,12 +311,9 @@ def diff_acquisitions(a: DeviceDump, b: DeviceDump, allow_device_mismatch: bool 
     by_id_b = {r.record_id: r for r in b.records}
     added = sorted(set(by_id_b) - set(by_id_a))
     removed = sorted(set(by_id_a) - set(by_id_b))
-    changed = sorted(
-        rid
-        for rid in set(by_id_a) & set(by_id_b)
-        if by_id_a[rid].digest != by_id_b[rid].digest
-    )
-    identical = len(set(by_id_a) & set(by_id_b)) - len(changed)
+    shared = by_id_a.keys() & by_id_b.keys()
+    changed = sorted(rid for rid in shared if by_id_a[rid].canonical != by_id_b[rid].canonical)
+    identical = len(shared) - len(changed)
     return {"added": added, "removed": removed, "changed": changed, "identical_count": identical}
 
 

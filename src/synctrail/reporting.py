@@ -470,9 +470,9 @@ def _report_lines(data: dict) -> Iterator[tuple[int, tuple[str, ...]]]:
             f"{_fmt(data['excluded_undated'])} undated record(s) excluded from the timeline.",
         )
     graph = data["identity_graph"]
-    edges = graph.get("edges", [])
+    edges = graph["edges"]
     yield from _heading(
-        f"Identity graph ({len(graph.get('nodes', []))} identifiers, {len(edges)} links)", edges
+        f"Identity graph ({len(graph['nodes'])} identifiers, {len(edges)} links)", edges
     )
     for edge in edges:
         yield ITEM, (

@@ -33,7 +33,7 @@ def reference_encode(record) -> bytes:
     if record.timestamp is not None:
         out += record.timestamp.original_text.encode("utf-8")
     out += b"\x1f"
-    out += record.source.value.encode("utf-8")
+    out += b"Device"  # every record is read from the device
     for key in sorted(record.attributes.keys()):
         out += b"\x1f"
         out += key.encode("utf-8")

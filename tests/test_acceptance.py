@@ -68,7 +68,6 @@ def mutate_attribute(record: EvidenceRecord, rng: random.Random) -> EvidenceReco
         category=record.category,
         timestamp=record.timestamp,
         attributes=attrs,
-        source=record.source,
     )
 
 

@@ -13,7 +13,7 @@ from synctrail.acquisition import (
     record_rows,
 )
 from synctrail.errors import DuplicateEventId, DuplicateRecordId, MissingManifest
-from synctrail.evidence import ArtifactCategory, EvidenceRecord, Source
+from synctrail.evidence import ArtifactCategory, EvidenceRecord
 
 from _oracles import civil_to_epoch
 from test_cli import _PADDED_HEX, _SPACED_HEX
@@ -110,7 +110,7 @@ class TestIngestDeviceDump:
         apps = [r for r in dump.records if r.category is ArtifactCategory.INSTALLED_APP]
         assert [r.attributes["_line"] for r in apps] == [str(n) for n in range(1, 8)]
         assert all(r.attributes["_file"] == "installed_apps.jsonl" for r in apps)
-        assert all(r.source is Source.DEVICE for r in dump.records)
+        assert all(row["source"] == "Device" for row in record_rows(dump.records))
 
     def test_manifest_only_bundle(self, tmp_path):
         bundle = write_bundle(tmp_path / "b", {})
@@ -419,10 +419,8 @@ class TestParseAppInventory:
 
     def test_returns_the_given_records_and_ignores_other_categories(self):
         attrs = {"name": "X", "package": "com.example.x", "status": "Uninstalled"}
-        line = EvidenceRecord("a1", ArtifactCategory.INSTALLED_APP, None, dict(attrs),
-                              Source.DEVICE)
-        message = EvidenceRecord("m1", ArtifactCategory.MESSAGE, None, dict(attrs),
-                                 Source.DEVICE)
+        line = EvidenceRecord("a1", ArtifactCategory.INSTALLED_APP, None, dict(attrs))
+        message = EvidenceRecord("m1", ArtifactCategory.MESSAGE, None, dict(attrs))
         ledger: list[dict] = []
         apps = parse_app_inventory((message, line), ledger)
         assert len(apps) == 1 and apps[0] is line

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -245,23 +246,25 @@ class TestSubcommandOutputs:
             ledgered = sum(1 for row in dump["ledger"] if row["file"] == name and row["line"] > 0)
             assert parsed + ledgered == total, name
 
-    def test_dump_canonical_debug_flag_feeds_digest_oracle(self, tmp_path):
-        bundle = tmp_path / "tiny"
-        bundle.mkdir()
-        (bundle / "manifest.json").write_text(
-            json.dumps(
-                {"dump_id": "tiny", "collected_at": "2016-05-12T10:00:00Z", "zone_offset_minutes": 0}
-            )
-        )
-        (bundle / "messages.jsonl").write_text('{"id":"m1","peer":"+1","body":"hi"}\n')
-        blob = tmp_path / "canonical.bin"
-        rc = run(
-            ["ingest", str(bundle), "--out", str(tmp_path / "o"), "--dump-canonical", str(blob)]
-        )
-        assert rc == 0
-        dump = ingest_device_dump(bundle)
-        assert blob.read_bytes() == canonical_encode(dump.records[0])
-        assert hashlib.sha256(blob.read_bytes()).hexdigest() == dump.records[0].digest.hex()
+    @pytest.mark.parametrize("build", [golden, sync_shapes, comm_shapes],
+                             ids=["golden", "sync_shapes", "comm_shapes"])
+    def test_dump_canonical_debug_flag_feeds_digest_oracle(self, tmp_path, build):
+        """The --dump-canonical blob is each record's canonical bytes, each
+        ending at its 0x1e terminator, and row i of records.jsonl names the
+        SHA-256 of the blob's i-th record."""
+        bundle, _, _ = build(tmp_path)
+        out, blob = tmp_path / "out", tmp_path / "canonical.bin"
+        assert run(["ingest", str(bundle), "--out", str(out), "--dump-canonical", str(blob)]) == 0
+        data = blob.read_bytes()
+        slices = [piece + b"\x1e" for piece in data.split(b"\x1e")[:-1]]
+        assert b"".join(slices) == data
+        assert slices == [canonical_encode(r) for r in ingest_device_dump(bundle).records]
+        lines = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        rows = [json.loads(line) for line in lines]
+        assert len(rows) == len(slices) > 1
+        for row, piece in zip(rows, slices):
+            assert row["source"] == "Device"
+            assert row["digest"] == hashlib.sha256(piece).hexdigest(), row["record_id"]
 
     def test_correlate_writes_intermediates(self, tmp_path):
         case = simulate(tmp_path, n_uploads=5, skew_seconds=120)
@@ -1209,6 +1212,44 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == f"synctrail {synctrail.__version__}"
+
+
+def _readme_synopsis() -> str:
+    """The code block under README's "Command line" heading."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    return section.split("\n```\n", 1)[1].split("\n```\n", 1)[0]
+
+
+def _option_strings(name: str) -> list[str]:
+    """Every option string of subcommand ``name``, but ``-h`` and ``--help``."""
+    parser = subparsers(cli.build_parser(name))[name]
+    return [
+        option
+        for action in parser._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    ]
+
+
+def _names_option(text: str, option: str) -> bool:
+    return re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text) is not None
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_readme_synopsis_lists_every_option(name):
+    """A subcommand's synopsis lines, its own and the indented lines after
+    it, name each of its options; ``run-all``'s may be anywhere in the block."""
+    block = _readme_synopsis()
+    if name == "run-all":
+        text = block
+    else:
+        own = re.search(rf"^synctrail {name} .*\n(?:[ \t].*\n)*", block + "\n", re.MULTILINE)
+        assert own is not None, name
+        text = own.group(0)
+    options = _option_strings(name)
+    assert options
+    assert [option for option in options if not _names_option(text, option)] == []
 
 
 class TestGoldenThroughCli:

@@ -24,7 +24,6 @@ from synctrail.errors import InsufficientSupport
 from synctrail.evidence import (
     ArtifactCategory,
     EvidenceRecord,
-    Source,
     UtcTimestamp,
     epoch_to_iso,
 )
@@ -65,7 +64,6 @@ def device_file(rid: str, epoch: int | None, digest: str | None = None,
         category=ArtifactCategory.MESSAGE,
         timestamp=ts(epoch) if epoch is not None else None,
         attributes=attrs,
-        source=Source.DEVICE,
     )
 
 
@@ -74,7 +72,7 @@ def app(rid: str, status: str, name: str = "App", package: str | None = None) ->
     attrs = {"_file": "installed_apps.jsonl", "_line": "1", "name": name, "status": status}
     if package is not None:
         attrs["package"] = package
-    return EvidenceRecord(rid, ArtifactCategory.INSTALLED_APP, None, attrs, Source.DEVICE)
+    return EvidenceRecord(rid, ArtifactCategory.INSTALLED_APP, None, attrs)
 
 
 def cloud(eid: str, epoch: int, kind: EventKind = EventKind.UPLOAD,
@@ -382,7 +380,6 @@ class TestMatchSyncedArtifacts:
             category=ArtifactCategory.MESSAGE,
             timestamp=ts(BASE),
             attributes={**unsized.attributes, "size_bytes": size},
-            source=Source.DEVICE,
         )
         events = [cloud("e0", BASE + 10, name="IMG.jpg", size=100),
                   cloud("e1", BASE + 20, name="IMG.jpg")]
@@ -566,7 +563,7 @@ class TestBuildTimeline:
 
         # ISO-Z text of one format sorts as its instant does.
         keys = [
-            (e["timestamp_utc"], 0 if e["source"] == Source.DEVICE.value else 1, e["id"])
+            (e["timestamp_utc"], 0 if e["source"] == "Device" else 1, e["id"])
             for e in timeline["entries"]
         ]
         assert keys == sorted(keys)
@@ -637,8 +634,7 @@ class TestUninstallEvidence:
             app("a1", "Sideloaded", package="com.example.gone"),
             app("a2", "Uninstalled", name="", package="com.example.gone"),
             EvidenceRecord("m1", ArtifactCategory.MESSAGE, None,
-                           {"name": "X", "package": "com.example.gone", "status": "Uninstalled"},
-                           Source.DEVICE),
+                           {"name": "X", "package": "com.example.gone", "status": "Uninstalled"}),
         ]
         events = [cloud("e0", BASE, kind=EventKind.INSTALL, name="com.example.gone")]
         findings = detect_uninstall_evidence(records, events)

@@ -11,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synctrail.acquisition import ingest_device_dump
+from synctrail.acquisition import ingest_device_dump, record_rows
 from synctrail.errors import ImpossibleDate, UnparseableTimestamp
 from synctrail.evidence import (
     ArtifactCategory,
     EvidenceRecord,
     Locale,
-    Source,
     UtcTimestamp,
     EPOCH_MAX,
     EPOCH_MIN,
@@ -44,14 +43,19 @@ attribute_maps = st.dictionaries(clean_text, clean_text, max_size=5)
 
 
 def make_record(record_id="r1", category=ArtifactCategory.MESSAGE, timestamp=None,
-                attributes=None, source=Source.DEVICE) -> EvidenceRecord:
+                attributes=None) -> EvidenceRecord:
     return EvidenceRecord(
         record_id=record_id,
         category=category,
         timestamp=timestamp,
         attributes=attributes if attributes is not None else {},
-        source=source,
     )
+
+
+def row_digest(record: EvidenceRecord) -> str:
+    """The ``digest`` that ``records.jsonl`` writes for ``record``."""
+    (row,) = record_rows([record])
+    return row["digest"]
 
 
 class TestNormalizeTimestamp:
@@ -178,7 +182,7 @@ class TestCanonicalEncode:
         assert records
         for record in records:
             assert record.canonical == reference_encode(record), record.record_id
-            assert record.digest == hashlib.sha256(reference_encode(record)).digest()
+            assert row_digest(record) == hashlib.sha256(reference_encode(record)).hexdigest()
 
     @given(record_id=clean_text, attributes=attribute_maps)
     def test_matches_reference_encoder(self, record_id, attributes):
@@ -216,13 +220,13 @@ class TestRecordDigest:
     def test_deterministic(self):
         a = make_record(attributes={"k": "v"})
         b = make_record(attributes={"k": "v"})
-        assert a.digest == b.digest == hashlib.sha256(reference_encode(a)).digest()
+        assert row_digest(a) == row_digest(b) == hashlib.sha256(reference_encode(a)).hexdigest()
 
-    def test_digest_set_at_construction(self):
+    def test_digest_is_lowercase_hex_of_the_canonical_bytes(self):
         record = make_record(attributes={"k": "v"})
-        assert record.digest == hashlib.sha256(reference_encode(record)).digest()
-        assert len(record.digest.hex()) == 64
-        assert record.digest.hex() == record.digest.hex().lower()
+        assert row_digest(record) == hashlib.sha256(reference_encode(record)).hexdigest()
+        assert len(row_digest(record)) == 64
+        assert row_digest(record) == row_digest(record).lower()
 
     def test_against_external_sha256_tool(self, tmp_path):
         tool = shutil.which("sha256sum")
@@ -236,7 +240,7 @@ class TestRecordDigest:
         blob = tmp_path / "record.bin"
         blob.write_bytes(canonical_encode(record))
         out = subprocess.run([tool, str(blob)], capture_output=True, text=True, check=True)
-        assert out.stdout.split()[0] == record.digest.hex()
+        assert out.stdout.split()[0] == row_digest(record)
 
     @given(attributes=st.dictionaries(clean_text, clean_text, min_size=1, max_size=4), data=st.data())
     def test_avalanche_on_single_byte_flip(self, attributes, data):
@@ -248,8 +252,8 @@ class TestRecordDigest:
         mutated = dict(attributes)
         mutated[key] = value[:pos] + replacement + value[pos + 1 :]
         flipped = make_record(attributes=mutated)
-        assert flipped.digest == hashlib.sha256(reference_encode(flipped)).digest()
-        assert flipped.digest != record.digest
+        assert row_digest(flipped) == hashlib.sha256(reference_encode(flipped)).hexdigest()
+        assert row_digest(flipped) != row_digest(record)
 
 
 class TestCheckedDigestHex:

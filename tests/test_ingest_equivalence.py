@@ -1,7 +1,7 @@
 """Ingest builds exactly the records and events the public constructors build.
 
-Ingest sets the slots of its records, timestamps and cloud events
-itself, and skips two checks that its own parsing has already made.
+Ingest sets the slots of its ISO-Z timestamps itself, and skips two
+checks that its own parsing has already made.
 Here every record and event ingested from the benchmark's three
 generators, the golden bundle, ``comm_shapes`` and ``sync_shapes`` is
 compared with one built from its input line by ``EvidenceRecord``,
@@ -37,6 +37,7 @@ from synctrail.acquisition import (
     ingest_device_dump,
     load_json,
     record_from_fields,
+    record_rows,
 )
 from synctrail.errors import ImpossibleDate, UnparseableTimestamp
 from synctrail.evidence import (
@@ -45,7 +46,6 @@ from synctrail.evidence import (
     ArtifactCategory,
     EvidenceRecord,
     Locale,
-    Source,
     UtcTimestamp,
     epoch_to_iso,
     normalize_timestamp,
@@ -89,7 +89,6 @@ def public_record(category, fields: dict, file_name: str, line_no: int, zone: in
         category=category,
         timestamp=UtcTimestamp(reference_epoch(raw_time, zone), raw_time) if raw_time else None,
         attributes=attributes,
-        source=Source.DEVICE,
     )
 
 
@@ -98,8 +97,9 @@ def assert_same_record(built: EvidenceRecord, public: EvidenceRecord) -> None:
     assert built == public
     assert repr(built) == repr(public)
     assert built.canonical == public.canonical == reference_encode(public)
-    assert built.digest == public.digest
-    assert built.digest == hashlib.sha256(built.canonical).digest()
+    (row,) = record_rows([built])
+    assert record_rows([public]) == [row]
+    assert row["digest"] == hashlib.sha256(reference_encode(public)).hexdigest()
     assert type(built.attributes) is dict and built.attributes == public.attributes
     if public.timestamp is not None:
         assert built.timestamp.to_iso() == public.timestamp.to_iso()
@@ -288,11 +288,11 @@ def test_leap_days_are_the_calendar_modules():
 @settings(max_examples=200, deadline=None)
 def test_a_sha256_digest_is_32_bytes(value):
     assert hashlib.sha256(value.encode("utf-8")).digest_size == 32
-    record = evidence._ingested_record(
-        "r", ArtifactCategory.MESSAGE, None, {"body": value}, Source.DEVICE
-    )
-    assert type(record.digest) is bytes and len(record.digest) == 32
-    assert record.digest == hashlib.sha256(record.canonical).digest()
+    record = EvidenceRecord("r", ArtifactCategory.MESSAGE, None, {"body": value})
+    (row,) = record_rows([record])
+    assert row["source"] == "Device"
+    assert re.fullmatch("[0-9a-f]{64}", row["digest"])
+    assert bytes.fromhex(row["digest"]) == hashlib.sha256(reference_encode(record)).digest()
 
 
 # --- the same outcome for any input ------------------------------------------
@@ -306,24 +306,6 @@ def outcome(build):
 
 
 _TEXT = st.text(st.sampled_from("ab_\x1f\x1e\ud800é 0"), max_size=4)
-
-
-@given(_TEXT, st.dictionaries(_TEXT, _TEXT, max_size=4))
-@settings(max_examples=400, deadline=None)
-def test_ingest_builder_equals_the_constructor(record_id, attributes):
-    def public():
-        return EvidenceRecord(record_id, ArtifactCategory.CONTACT, None, dict(attributes), Source.DEVICE)
-
-    def built():
-        return evidence._ingested_record(
-            record_id, ArtifactCategory.CONTACT, None, dict(attributes), Source.DEVICE
-        )
-
-    expected, got = outcome(public), outcome(built)
-    if isinstance(expected, EvidenceRecord):
-        assert_same_record(got, expected)
-    else:
-        assert got == expected
 
 
 _DIGITS = st.integers(0, 99).map("{:02d}".format)

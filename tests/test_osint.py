@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from synctrail import osint
 from synctrail.acquisition import ingest_device_dump
 from synctrail.errors import MalformedTable
-from synctrail.evidence import ArtifactCategory, EvidenceRecord, Source, UtcTimestamp
+from synctrail.evidence import ArtifactCategory, EvidenceRecord, UtcTimestamp
 from synctrail.osint import (
     build_identity_graph,
     load_geo_table,
@@ -34,7 +34,6 @@ def record(category: ArtifactCategory, timestamp=None, **attributes: str) -> Evi
         category=category,
         timestamp=timestamp,
         attributes=attributes,
-        source=Source.DEVICE,
     )
 
 

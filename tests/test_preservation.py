@@ -15,7 +15,6 @@ from synctrail.errors import DeviceMismatch, RecordCountMismatch, UnsupportedAlg
 from synctrail.evidence import (
     ArtifactCategory,
     EvidenceRecord,
-    Source,
     canonical_encode,
 )
 from synctrail.preservation import (
@@ -37,7 +36,6 @@ def record(rid: str, **attrs: str) -> EvidenceRecord:
         category=ArtifactCategory.MESSAGE,
         timestamp=None,
         attributes=attrs,
-        source=Source.DEVICE,
     )
 
 
@@ -60,7 +58,6 @@ def mutate_record(original: EvidenceRecord, key: str, position: int) -> Evidence
         category=original.category,
         timestamp=original.timestamp,
         attributes=attrs,
-        source=original.source,
     )
 
 

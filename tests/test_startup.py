@@ -57,9 +57,10 @@ def test_importing_the_cli_loads_nothing_a_command_may_not_run():
 DATACLASSES: list[str] = []
 
 # An enum is kept only where code holds and compares its members: a typed
-# field or parameter. Link tiers, finding kinds, confidences, verdicts and
-# identifier kinds are the plain strings that REPORT_SCHEMA.md lists.
-ENUMS = ["ArtifactCategory", "EventKind", "IsolationMethod", "Locale", "ReportFormat", "Source"]
+# field or parameter. Link tiers, finding kinds, confidences, verdicts,
+# identifier kinds and timeline sources are the plain strings that
+# REPORT_SCHEMA.md lists.
+ENUMS = ["ArtifactCategory", "EventKind", "IsolationMethod", "Locale", "ReportFormat"]
 
 _CENSUS = """
 import dataclasses, enum, sys

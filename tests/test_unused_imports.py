@@ -2,8 +2,9 @@
 
 An import nothing reads still costs start-up time in every command, and
 hides which layers a module really depends on. One name is exempt:
-``preservation`` re-exports ``canonical_encode``, the encoding its chain
-hashes, so that a tracer can wrap it there. A module-level private
+``preservation`` imports ``canonical_encode`` and never calls it, because
+``perfbench/tracing.py`` wraps it there by name and a traced run fails
+without it. A module-level private
 function, class or constant that nothing in the package reads is left
 over from code that is gone.
 """

@@ -19,7 +19,7 @@ import pytest
 
 from synctrail.acquisition import CloudEvent, DeviceDump, EventKind
 from synctrail.errors import ImpossibleDate
-from synctrail.evidence import ArtifactCategory, EvidenceRecord, Locale, Source, UtcTimestamp
+from synctrail.evidence import ArtifactCategory, EvidenceRecord, Locale, UtcTimestamp
 from synctrail.osint import GeoTable
 
 STAMP = UtcTimestamp(1462752000, "2016-05-09T00:00:00Z")
@@ -32,7 +32,6 @@ def record(**changes) -> EvidenceRecord:
         "category": ArtifactCategory.MESSAGE,
         "timestamp": STAMP,
         "attributes": {"peer": "+15550001", "_file": "messages.jsonl"},
-        "source": Source.DEVICE,
         **changes,
     }
     return EvidenceRecord(**fields)
@@ -96,7 +95,6 @@ CHANGES = {
         "category": ArtifactCategory.CALL_RECORD,
         "timestamp": LATER,
         "attributes": {"peer": "+15550002", "_file": "messages.jsonl"},
-        "source": Source.CLOUD,
     }),
     "CloudEvent": (event, {
         "event_id": "e2",
@@ -189,11 +187,9 @@ def test_repr_text():
     assert repr(STAMP) == (
         "UtcTimestamp(seconds_since_epoch=1462752000, original_text='2016-05-09T00:00:00Z')"
     )
-    r = record()
-    assert repr(r) == (
+    assert repr(record()) == (
         f"EvidenceRecord(record_id='r1', category=<ArtifactCategory.MESSAGE: 'Message'>, "
-        f"timestamp={STAMP!r}, attributes={{'peer': '+15550001', '_file': 'messages.jsonl'}}, "
-        f"source=<Source.DEVICE: 'Device'>, digest={r.digest!r})"
+        f"timestamp={STAMP!r}, attributes={{'peer': '+15550001', '_file': 'messages.jsonl'}})"
     )
     assert repr(event()) == (
         f"CloudEvent(event_id='e1', kind=<EventKind.UPLOAD: 'Upload'>, timestamp={STAMP!r}, "
@@ -218,9 +214,7 @@ def test_repr_text():
 # Every stored field, including the two kept out of equality.
 STORED = {
     "UtcTimestamp": ("seconds_since_epoch", "original_text", "_iso"),
-    "EvidenceRecord": (
-        "record_id", "category", "timestamp", "attributes", "source", "digest", "canonical",
-    ),
+    "EvidenceRecord": ("record_id", "category", "timestamp", "attributes", "canonical"),
     "CloudEvent": tuple(CHANGES["CloudEvent"][1]),
     "DeviceDump": tuple(CHANGES["DeviceDump"][1]),
     "GeoTable": tuple(CHANGES["GeoTable"][1]),
@@ -262,7 +256,7 @@ def test_constructor_parameters_and_defaults():
     assert parameters(UtcTimestamp) == [("seconds_since_epoch", empty), ("original_text", empty)]
     assert parameters(EvidenceRecord) == [
         ("record_id", empty), ("category", empty), ("timestamp", empty),
-        ("attributes", empty), ("source", empty),
+        ("attributes", empty),
     ]
     assert parameters(CloudEvent) == [
         ("event_id", empty), ("kind", empty), ("timestamp", empty), ("account", empty),
@@ -315,7 +309,9 @@ def test_a_record_checks_its_fields_and_keeps_a_copy_of_its_attributes():
     attributes["c"] = "3"
     assert built.attributes == {"b": "2", "a": "1"} and type(built.attributes) is dict
     assert list(built.attributes) == ["b", "a"]
-    assert len(built.digest) == 32 and built.canonical.endswith(b"\x1e")
+    assert built.canonical == (
+        b"r1\x1fMessage\x1f2016-05-09T00:00:00Z\x1fDevice\x1fa\x1f1\x1fb\x1f2\x1e"
+    )
     with pytest.raises(ValueError, match="^record_id must be nonempty$"):
         record(record_id="")
     with pytest.raises(ValueError, match="^attribute 'k' value must be a string$"):
