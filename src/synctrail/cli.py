@@ -42,20 +42,13 @@ from .correlation import (
     DEFAULT_MIN_SKEW_SUPPORT,
     DEFAULT_WINDOW_SECONDS,
     build_timeline,
-    count_malformed_digests,
     derive_cloud_usage_findings,
     detect_uninstall_evidence,
     digest_index,
     estimate_clock_skew,
     match_synced_artifacts,
-    zero_skew,
 )
-from .errors import (
-    ForensicsError,
-    InsufficientSupport,
-    MalformedStageFile,
-    UnsafeCaseId,
-)
+from .errors import ForensicsError, MalformedStageFile, UnsafeCaseId
 from .evidence import EvidenceRecord, Locale
 from .osint import (
     build_identity_graph,
@@ -92,9 +85,8 @@ _ISOLATION = {
     for name, method in IsolationMethod.__members__.items()
 }
 
-# verify_bundle makes a RecordCountMismatch a Tampered verdict, and
-# correlate catches InsufficientSupport; any other ForensicsError that
-# escapes a stage is fatal.
+# Only verify_bundle turns a ForensicsError, RecordCountMismatch, into
+# a verdict (Tampered); any other that escapes a stage is fatal.
 _FATAL_ERRORS = (ForensicsError, OSError)
 
 # Stage payloads by stage-file name, as written to --out.
@@ -239,18 +231,15 @@ def _step_correlate(
     events = ingest_cloud_log(cloud_log, cloud_ledger)
     # One digest index feeds the malformed-digest note, skew and matching.
     index = digest_index(dump.records, events)
-    malformed = count_malformed_digests(dump.records, index)
-    if malformed:
+    if index[1]:
         _say(
-            f"note: {malformed} device record(s) carry a content_digest that is not 64 hex "
+            f"note: {index[1]} device record(s) carry a content_digest that is not 64 hex "
             "characters; such a value gives no skew support and no ExactDigest link"
         )
 
-    try:
-        skew = estimate_clock_skew(dump.records, events, min_support, index)
-    except InsufficientSupport as exc:
-        _say(f"warning: {exc}; proceeding with offset 0")
-        skew = zero_skew()
+    skew, short = estimate_clock_skew(index, min_support)
+    if short is not None:
+        _say(f"warning: {short}; proceeding with offset 0")
 
     links = match_synced_artifacts(dump.records, events, skew, window_seconds, index)
     del index  # nothing past matching reads it: free it before the timeline is built

@@ -22,7 +22,6 @@ import heapq
 from typing import Optional, Sequence
 
 from .acquisition import UNINSTALLED, CloudEvent, EventKind, _integer, parse_app_inventory
-from .errors import InsufficientSupport
 from .evidence import (
     DEVICE,
     EPOCH_MAX,
@@ -74,7 +73,9 @@ SharedDigest = tuple[Sequence[tuple[int, str]], Sequence[str], list[tuple[int, s
 
 # What skew, matching and the malformed-digest note read about content
 # digests: the shared digests, and how many device records carry a
-# content digest that is not 64 hex digits.
+# content digest that is not 64 hex digits. Such a value names no
+# content: it gives no skew support and no ExactDigest link, and the
+# record is matched as if it had none.
 DigestIndex = tuple[list[SharedDigest], int]
 
 
@@ -83,9 +84,8 @@ def digest_index(
 ) -> DigestIndex:
     """Index the content digests of both sides in one pass over each.
 
-    ``estimate_clock_skew``, ``match_synced_artifacts`` and
-    ``count_malformed_digests`` each build it when not given one; a
-    caller that runs all three can build it once and pass it to each.
+    ``estimate_clock_skew`` reads it, and so does ``match_synced_artifacts``,
+    which builds it when not given one.
     """
     events_by_digest: dict[str, list[tuple[int, str]]] = {}
     for event in cloud_events:
@@ -120,26 +120,9 @@ def digest_index(
     return shared, malformed
 
 
-def count_malformed_digests(
-    device_records: Sequence[EvidenceRecord], index: Optional[DigestIndex] = None
-) -> int:
-    """How many records carry a content digest attribute that is not 64 hex digits.
-
-    Such a value names no content: it gives no skew support and no
-    ExactDigest link, and the record is matched as if it had none.
-    ``index`` is ``digest_index`` over these records, built here if not given.
-    """
-    if index is None:
-        index = digest_index(device_records, ())
-    return index[1]
-
-
 def estimate_clock_skew(
-    device_records: Sequence[EvidenceRecord],
-    cloud_events: Sequence[CloudEvent],
-    min_support: int = DEFAULT_MIN_SKEW_SUPPORT,
-    index: Optional[DigestIndex] = None,
-) -> dict:
+    index: DigestIndex, min_support: int = DEFAULT_MIN_SKEW_SUPPORT
+) -> tuple[dict, Optional[str]]:
     """Estimate cloud-minus-device clock offset from one-to-one digest pairs.
 
     A pair counts only when its content digest is carried by exactly one
@@ -149,16 +132,14 @@ def estimate_clock_skew(
     kinds, so an upload and a later download of one content leave it
     out too. The offset is the median of (cloud time - device time) over
     those pairs; an even count takes the lower median so the result is
-    always an observed delta. Returns the ``skew.json`` payload: the
-    offset in whole seconds, ``support_count`` (the number of pairs
-    used), ``spread_seconds`` (the largest minus the smallest delta) and
-    ``fallback`` false; ``zero_skew`` is the one with ``fallback`` true.
-    Raises InsufficientSupport when there are no pairs or fewer than
-    ``min_support``. ``index`` is ``digest_index`` over both sides,
-    built here if not given.
+    always an observed delta. ``index`` is ``digest_index`` over both
+    sides. Returns ``(skew, short)``: the ``skew.json`` payload (the
+    offset in whole seconds, ``support_count``, the number of pairs
+    used, ``spread_seconds``, the largest minus the smallest delta, and
+    ``fallback`` false) and None; or, with no pairs or fewer than
+    ``min_support``, ``zero_skew()`` and how many pairs there were and
+    how many were needed.
     """
-    if index is None:
-        index = digest_index(device_records, cloud_events)
     # The exact tier's digest index, read for the digests with one item per side.
     deltas = sorted(
         events[0][0] - dated[0][0]
@@ -166,7 +147,7 @@ def estimate_clock_skew(
         if len(events) == 1 and len(dated) == 1 and not undated
     )
     if not deltas or len(deltas) < min_support:
-        raise InsufficientSupport(
+        return zero_skew(), (
             f"{len(deltas)} one-to-one digest pairs, need at least {max(min_support, 1)}"
         )
     return {
@@ -174,7 +155,7 @@ def estimate_clock_skew(
         "support_count": len(deltas),
         "spread_seconds": deltas[-1] - deltas[0],
         "fallback": False,
-    }
+    }, None
 
 
 _RECORD, _EVENT = 0, 1

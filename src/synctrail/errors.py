@@ -2,7 +2,10 @@
 
 Fatal errors are reserved for conditions that would corrupt custody
 (identity collisions, missing manifests, unverifiable chains). Anything
-recoverable is recorded in an error ledger instead of raised.
+recoverable is recorded in an error ledger or returned as a value
+instead of raised. Only ``preservation.verify_bundle`` turns one of
+these, RecordCountMismatch, into an outcome: a Tampered verdict. Any
+other that escapes a stage ends the run with exit 4.
 """
 
 from __future__ import annotations
@@ -54,10 +57,6 @@ class UnsupportedAlgorithm(ForensicsError):
 
 class DeviceMismatch(ForensicsError):
     """Two acquisitions do not claim the same device and no override was given."""
-
-
-class InsufficientSupport(ForensicsError):
-    """Too few one-to-one digest pairs to estimate clock skew."""
 
 
 class MalformedTable(ForensicsError):

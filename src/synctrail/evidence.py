@@ -8,6 +8,7 @@ over. All types here are immutable; operations are pure functions.
 from __future__ import annotations
 
 import re
+import time
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -328,7 +329,7 @@ def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> U
 def _epoch_from_civil(
     year: int, month: int, day: int, hour: int, minute: int, second: int
 ) -> int:
-    """UTC epoch seconds of a civil time; the inverse of ``civil_from_epoch``.
+    """UTC epoch seconds of a civil time; the inverse of ``time.gmtime``.
 
     A time that does not exist, or whose year is outside 1970-2100,
     raises ImpossibleDate. Closed-form days-from-civil on the proleptic
@@ -368,32 +369,10 @@ def epoch_to_iso(epoch: int) -> str:
     days, second = divmod(epoch, 86400)
     date = _ISO_DATES.get(days)
     if date is None:
-        y, mo, d = civil_from_epoch(days * 86400)[:3]
+        y, mo, d = time.gmtime(days * 86400)[:3]
         date = f"{y:04d}-{mo:02d}-{d:02d}T"
         if EPOCH_MIN <= epoch <= EPOCH_MAX:
             _ISO_DATES[days] = date
     hour, second = divmod(second, 3600)
     minute, second = divmod(second, 60)
     return f"{date}{hour:02d}:{minute:02d}:{second:02d}Z"
-
-
-def civil_from_epoch(epoch: int) -> tuple[int, int, int, int, int, int]:
-    """UTC epoch seconds to (year, month, day, hour, minute, second).
-
-    Closed-form days-to-civil conversion on the proleptic Gregorian
-    calendar, with years starting in March so the leap day falls last
-    (H. Hinnant, "chrono-Compatible Low-Level Date Algorithms").
-    """
-    days, rem = divmod(epoch, 86400)
-    hour, rem = divmod(rem, 3600)
-    minute, second = divmod(rem, 60)
-    era, day_of_era = divmod(days + 719468, 146097)  # 0000-03-01 to 1970-01-01
-    year_of_era = (
-        day_of_era - day_of_era // 1460 + day_of_era // 36524 - day_of_era // 146096
-    ) // 365
-    day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
-    shifted_month = (5 * day_of_year + 2) // 153  # 0 = March .. 11 = February
-    day = day_of_year - (153 * shifted_month + 2) // 5 + 1
-    month = shifted_month + 3 if shifted_month < 10 else shifted_month - 9
-    year = era * 400 + year_of_era + (1 if month <= 2 else 0)
-    return year, month, day, hour, minute, second

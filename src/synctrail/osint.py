@@ -110,7 +110,7 @@ def build_identity_graph(
             for second in group[index + 1 :]:
                 edges[first, second] = edges.get((first, second), 0) + count
 
-    owners: list[tuple[str, str]] = []
+    owners: set[tuple[str, str]] = set()
     # Every message or call with one normalized peer adds the same edges,
     # so each distinct peer adds them once, weighted by its artifacts.
     by_peer: Counter[tuple[str, str]] = Counter()
@@ -148,15 +148,24 @@ def build_identity_graph(
             if identifier is None:
                 reason = "no phone number or email"
             elif category is ArtifactCategory.CONFIGURED_EMAIL:
-                owners.append(identifier)
+                owners.add(identifier)
             else:
                 by_peer[identifier] += 1
         if reason is not None and left_out is not None:
             left_out.append((record.record_id, reason))
 
+    # Each peer's artifacts tie it to every owner and the owners to each
+    # other: a peer adds its own edges, and the owners' pairs are added
+    # once, with the count of every peer's artifacts.
     nodes.update(owners)
+    nodes.update(by_peer)
     for peer, count in by_peer.items():
-        add_artifact([peer, *owners], count)
+        if peer not in owners:
+            for owner in owners:
+                pair = (peer, owner) if peer < owner else (owner, peer)
+                edges[pair] = edges.get(pair, 0) + count
+    if by_peer:
+        add_artifact(owners, sum(by_peer.values()))
 
     node = {(kind, value): {"kind": kind, "value": value} for kind, value in sorted(nodes)}
     return {

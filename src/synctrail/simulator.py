@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .acquisition import CATEGORY_FILES, TIME_FIELDS, ingest_device_dump
 from .errors import EmptyBundle, IoFailure
-from .evidence import civil_from_epoch, epoch_to_iso
+from .evidence import epoch_to_iso
 
 CLOUD_LOG_NAME = "cloud_events.jsonl"
 GROUND_TRUTH_NAME = "ground_truth.json"
@@ -133,7 +134,7 @@ class SimCase:
 
 def _legacy_text(epoch: int) -> str:
     """Day-first DD/MM/YYYY hh:mm:ss AM/PM rendering."""
-    y, mo, d, h, mi, s = civil_from_epoch(epoch)
+    y, mo, d, h, mi, s = time.gmtime(epoch)[:6]
     meridiem = "AM" if h < 12 else "PM"
     h12 = h % 12 or 12
     return f"{d:02d}/{mo:02d}/{y:04d} {h12:02d}:{mi:02d}:{s:02d} {meridiem}"
@@ -397,7 +398,9 @@ def inject_tamper(bundle_path: Path | str, seed: int) -> tuple[Path, int]:
 
     Picks a record (uniformly, then scanning forward to one with a
     mutable string field), swaps a single character of one attribute
-    value for a different one, and rewrites that line in place. The line
+    value for a different one, and rewrites that line in place. The file
+    is split at CR and LF only, as ingest splits it, and every byte
+    outside that line, its line ending included, is kept. The line
     stays valid JSON so verification fails on the hash, not the parse.
     Returns the bundle path and the chain index of the mutated record.
     """
@@ -416,8 +419,10 @@ def inject_tamper(bundle_path: Path | str, seed: int) -> tuple[Path, int]:
         time_field = TIME_FIELDS.get(category)
 
         path = bundle / file_name
-        raw_lines = path.read_text(encoding="utf-8").splitlines()
-        fields = json.loads(raw_lines[line_no - 1])
+        lines = path.read_bytes().splitlines(keepends=True)
+        line = lines[line_no - 1]
+        body = line.rstrip(b"\r\n")
+        fields = json.loads(body.decode("utf-8"))
         mutable = sorted(
             key
             for key, value in fields.items()
@@ -430,7 +435,7 @@ def inject_tamper(bundle_path: Path | str, seed: int) -> tuple[Path, int]:
         position = rng.randrange(len(value))
         alphabet = _TAMPER_ALPHABET.replace(value[position], "")
         fields[target] = value[:position] + alphabet[rng.randrange(len(alphabet))] + value[position + 1 :]
-        raw_lines[line_no - 1] = _LINE.encode(fields)
-        path.write_text("\n".join(raw_lines) + "\n", encoding="utf-8")
+        lines[line_no - 1] = _LINE.encode(fields).encode("utf-8") + line[len(body):]
+        path.write_bytes(b"".join(lines))
         return bundle, index
     raise EmptyBundle(f"{bundle} has no mutable attribute values")

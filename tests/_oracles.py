@@ -64,9 +64,10 @@ def reference_skew(device_records, cloud_events, min_support):
     """Clock skew by counting, for each content digest, every item that carries it.
 
     A digest gives one pair when it has exactly one cloud event, one
-    dated device record and no undated record. Returns the ``skew.json``
-    payload over the pairs' cloud-minus-device deltas, or None when there
-    are no pairs or fewer than ``min_support``.
+    dated device record and no undated record. Returns ``(skew, short)``:
+    the ``skew.json`` payload over the pairs' cloud-minus-device deltas and
+    None, or, when there are no pairs or fewer than ``min_support``, the
+    offset-0 fallback payload and how many pairs there were and were needed.
     """
 
     digests = {device_digest(r) for r in device_records} | {e.content_digest for e in cloud_events}
@@ -81,13 +82,15 @@ def reference_skew(device_records, cloud_events, min_support):
                 events[0].timestamp.seconds_since_epoch - dated[0].timestamp.seconds_since_epoch
             )
     if not deltas or len(deltas) < min_support:
-        return None
+        fallback = {"offset_seconds": 0, "support_count": 0, "spread_seconds": 0, "fallback": True}
+        need = max(min_support, 1)
+        return fallback, f"{len(deltas)} one-to-one digest pairs, need at least {need}"
     return {
         "offset_seconds": lower_median(deltas),
         "support_count": len(deltas),
         "spread_seconds": max(deltas) - min(deltas),
         "fallback": False,
-    }
+    }, None
 
 
 def brute_force_match(device_records, cloud_events, offset_seconds, window_seconds):
@@ -275,3 +278,45 @@ def report_layout(value) -> str:
         return json.dumps(value, ensure_ascii=False)
 
     return lay_out(value, 0) + "\n"
+
+
+def _identifier(raw: str):
+    """An identifier as (kind, value): emails lowercased, phones digits with a leading +."""
+    text = raw.strip()
+    if "@" in text:
+        return ("Email", text.lower())
+    digits = re.sub(r"\D", "", text)
+    if not digits:
+        return None
+    return ("Phone", ("+" if text.startswith("+") else "") + digits)
+
+
+def brute_force_identity_graph(records, left_out_ids):
+    """The identity graph as (nodes, {(a, b): count}), by counting every pair of every artifact.
+
+    ``left_out_ids`` names the comm records that take no part. Each
+    contact is the set of its numbers; each message or call is its peer
+    together with every configured account.
+    """
+    owners = set()
+    contacts, peers = [], []
+    for record in records:
+        if record.record_id in left_out_ids:
+            continue
+        kind, attrs = record.category.value, record.attributes
+        if kind == "ConfiguredEmail":
+            owners.add(_identifier(attrs["address_or_number"]))
+        elif kind == "Contact":
+            numbers = json.loads(attrs.get("numbers", "[]"))
+            contacts.append({_identifier(n) for n in numbers} - {None})
+        elif kind in ("Message", "CallRecord"):
+            peers.append(_identifier(attrs["peer"]))
+    artifacts = contacts + [{peer} | owners for peer in peers]
+    nodes = owners.union(*artifacts)
+    edges: dict = {}
+    for artifact in artifacts:
+        for a in artifact:
+            for b in artifact:
+                if a < b:
+                    edges[a, b] = edges.get((a, b), 0) + 1
+    return nodes, edges

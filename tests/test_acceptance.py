@@ -19,11 +19,11 @@ from synctrail.cli import run
 from synctrail.correlation import (
     derive_cloud_usage_findings,
     detect_uninstall_evidence,
+    digest_index,
     estimate_clock_skew,
     match_synced_artifacts,
     zero_skew,
 )
-from synctrail.errors import InsufficientSupport
 from synctrail.evidence import EvidenceRecord
 from synctrail.osint import load_geo_table, resolve_ip
 from synctrail.preservation import (
@@ -185,7 +185,10 @@ def test_criterion_4_skew_recovery(tmp_path):
                 )
                 dump = ingest_device_dump(case.bundle_dir)
                 events = ingest_cloud_log(case.cloud_log)
-                estimate = estimate_clock_skew(dump.records, events, min_support=5)
+                estimate, short = estimate_clock_skew(
+                    digest_index(dump.records, events), min_support=5
+                )
+                assert short is None
                 truth = case.ground_truth.true_skew_seconds
                 assert truth - 2 <= estimate["offset_seconds"] <= truth + 2, (
                     f"seed {seed}: estimated {estimate['offset_seconds']}, truth {truth}"
@@ -250,10 +253,7 @@ def test_criterion_5_correlation_oracle_equivalence(tmp_path):
             events = ingest_cloud_log(case.cloud_log)
             assert len(events) <= 50
 
-            try:
-                skew = estimate_clock_skew(dump.records, events)
-            except InsufficientSupport:
-                skew = zero_skew()
+            skew, _ = estimate_clock_skew(digest_index(dump.records, events))
             links = match_synced_artifacts(dump.records, events, skew)
 
             mine = [

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import builtins
 import csv
 import hashlib
 import json
@@ -206,6 +208,20 @@ class TestExitCodes:
         }[command]
         assert run(argv) == 4
         assert capsys.readouterr().err == f"error: {error.__name__} escaped {stage}\n"
+
+
+    def test_no_except_in_cli_names_a_subclass_of_forensics_error(self):
+        # Every ForensicsError that reaches run is fatal; none is caught on the way.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        caught = []
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                for name in ast.walk(handler.type):
+                    if isinstance(name, ast.Name):
+                        value = vars(cli).get(name.id, getattr(builtins, name.id, None))
+                        caught += value if isinstance(value, tuple) else [value]
+        assert ForensicsError in caught
+        assert [e for e in caught if issubclass(e, ForensicsError) and e is not ForensicsError] == []
 
 
 class TestSubcommandOutputs:

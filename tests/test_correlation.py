@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 
 from synctrail.acquisition import CloudEvent, EventKind, ingest_cloud_log, ingest_device_dump
 from synctrail.correlation import (
+    DEFAULT_MIN_SKEW_SUPPORT,
     build_timeline,
-    count_malformed_digests,
     derive_cloud_usage_findings,
     detect_uninstall_evidence,
+    digest_index,
     estimate_clock_skew,
     match_synced_artifacts,
     zero_skew,
 )
-from synctrail.errors import InsufficientSupport
 from synctrail.evidence import (
     ArtifactCategory,
     EvidenceRecord,
@@ -181,15 +181,21 @@ def test_every_device_digest_that_is_not_64_hex_digits_is_counted():
         device_file("empty", BASE, ""),
         *(device_file(name, None, form(d)) for name, form in NOT_A_DIGEST.items()),
     ]
-    assert count_malformed_digests(records) == 1 + len(NOT_A_DIGEST)
-    assert count_malformed_digests(records[:3]) == 0
+    assert digest_index(records, ())[1] == 1 + len(NOT_A_DIGEST)
+    assert digest_index(records[:3], ())[1] == 0
+
+
+def skew_of(records, events, min_support=DEFAULT_MIN_SKEW_SUPPORT):
+    """``estimate_clock_skew`` over the digest index of ``records`` and ``events``."""
+    return estimate_clock_skew(digest_index(records, events), min_support)
 
 
 class TestEstimateClockSkew:
     def test_identical_clocks(self):
         records = [device_file(f"r{i}", BASE + i, digest_hex(f"d{i}")) for i in range(5)]
         events = [cloud(f"e{i}", BASE + i, digest=digest_hex(f"d{i}")) for i in range(5)]
-        skew = estimate_clock_skew(records, events, min_support=3)
+        skew, short = skew_of(records, events, min_support=3)
+        assert short is None
         assert skew["offset_seconds"] == 0
         assert skew["spread_seconds"] == 0
         assert skew["support_count"] == 5
@@ -202,7 +208,8 @@ class TestEstimateClockSkew:
             cloud(f"e{i}", BASE + 10 * i + deltas[i], digest=digest_hex(f"d{i}"))
             for i in range(3)
         ]
-        skew = estimate_clock_skew(records, events, min_support=3)
+        skew, short = skew_of(records, events, min_support=3)
+        assert short is None
         assert skew["offset_seconds"] == lower_median(deltas) == 120
         assert skew["spread_seconds"] == 125 - 118
 
@@ -210,22 +217,38 @@ class TestEstimateClockSkew:
         deltas = [100, 200]
         records = [device_file(f"r{i}", BASE, digest_hex(f"d{i}")) for i in range(2)]
         events = [cloud(f"e{i}", BASE + deltas[i], digest=digest_hex(f"d{i}")) for i in range(2)]
-        skew = estimate_clock_skew(records, events, min_support=2)
+        skew, short = skew_of(records, events, min_support=2)
+        assert short is None
         assert skew["offset_seconds"] == 100
 
     def test_insufficient_support(self):
         records = [device_file("r0", BASE, digest_hex("d0"))]
         events = [cloud("e0", BASE, digest=digest_hex("d0"))]
-        with pytest.raises(InsufficientSupport):
-            estimate_clock_skew(records, events, min_support=3)
+        assert skew_of(records, events, min_support=3) == (
+            zero_skew(), "1 one-to-one digest pairs, need at least 3"
+        )
         assert zero_skew()["fallback"]
 
     @pytest.mark.parametrize("min_support", [0, -1])
     def test_no_pairs_is_insufficient_whatever_the_minimum(self, min_support):
         records = [device_file("r0", BASE, name="x.jpg")]
         events = [cloud("e0", BASE, name="x.jpg")]
-        with pytest.raises(InsufficientSupport):
-            estimate_clock_skew(records, events, min_support=min_support)
+        assert skew_of(records, events, min_support=min_support) == (
+            zero_skew(), "0 one-to-one digest pairs, need at least 1"
+        )
+
+    def test_falls_back_below_the_minimum_and_estimates_at_it(self):
+        pairs = DEFAULT_MIN_SKEW_SUPPORT
+        records = [device_file(f"r{i}", BASE + i, digest_hex(f"d{i}")) for i in range(pairs)]
+        events = [cloud(f"e{i}", BASE + 60 + i, digest=digest_hex(f"d{i}")) for i in range(pairs)]
+        for count in (0, pairs - 1):
+            assert skew_of(records[:count], events[:count]) == (
+                zero_skew(), f"{count} one-to-one digest pairs, need at least {pairs}"
+            )
+        payload = {
+            "offset_seconds": 60, "support_count": pairs, "spread_seconds": 0, "fallback": False
+        }
+        assert skew_of(records, events) == (payload, None)
 
     def test_repeated_content_gives_no_support(self):
         # Three one-to-one pairs carry the truth. One content was saved k
@@ -252,7 +275,8 @@ class TestEstimateClockSkew:
         ]
         assert lower_median(cross_product) - true_skew >= 3600
 
-        skew = estimate_clock_skew(records, events, min_support=3)
+        skew, short = skew_of(records, events, min_support=3)
+        assert short is None
         assert true_skew <= skew["offset_seconds"] <= true_skew + 2
         assert skew["support_count"] == 3
         assert skew["spread_seconds"] == 2
@@ -261,8 +285,9 @@ class TestEstimateClockSkew:
         d = digest_hex("again")
         records = [device_file(f"r{i}", BASE + i, d) for i in range(4)]
         events = [cloud(f"e{i}", BASE + i, digest=d) for i in range(4)]
-        with pytest.raises(InsufficientSupport):
-            estimate_clock_skew(records, events, min_support=1)
+        assert skew_of(records, events, min_support=1) == (
+            zero_skew(), "0 one-to-one digest pairs, need at least 1"
+        )
 
     def test_upload_then_download_of_one_content_is_not_counted(self):
         # Any two events make a digest repeat, whatever their kinds: the
@@ -275,7 +300,8 @@ class TestEstimateClockSkew:
             u = digest_hex(f"once{i}")
             records.append(device_file(f"u{i}", BASE + 5000 * (i + 1), u))
             events.append(cloud(f"ue{i}", BASE + 5000 * (i + 1) + 301, digest=u))
-        skew = estimate_clock_skew(records, events, min_support=1)
+        skew, short = skew_of(records, events, min_support=1)
+        assert short is None
         assert (skew["offset_seconds"], skew["support_count"]) == (301, 2)
 
     @pytest.mark.parametrize("copy_epoch", [None, BASE + 30])
@@ -283,34 +309,32 @@ class TestEstimateClockSkew:
         d = digest_hex("copy")
         records = [device_file("r0", BASE, d), device_file("r1", copy_epoch, d)]
         events = [cloud("e0", BASE + 60, digest=d)]
-        with pytest.raises(InsufficientSupport):
-            estimate_clock_skew(records, events, min_support=1)
+        assert skew_of(records, events, min_support=1) == (
+            zero_skew(), "0 one-to-one digest pairs, need at least 1"
+        )
 
     @pytest.mark.parametrize("form", NOT_A_DIGEST.values(), ids=NOT_A_DIGEST)
     def test_a_device_value_that_is_not_64_hex_digits_gives_no_support(self, form):
         d = digest_hex("pair")
         records = [device_file("r0", BASE, form(d))]
         events = [cloud("e0", BASE + 60, digest=d)]
-        with pytest.raises(InsufficientSupport):
-            estimate_clock_skew(records, events, min_support=1)
+        assert skew_of(records, events, min_support=1) == (
+            zero_skew(), "0 one-to-one digest pairs, need at least 1"
+        )
 
     def test_an_uppercase_device_digest_gives_support(self):
         d = digest_hex("pair")
         records = [device_file("r0", BASE, d.upper())]
         events = [cloud("e0", BASE + 60, digest=d)]
-        skew = estimate_clock_skew(records, events, min_support=1)
+        skew, short = skew_of(records, events, min_support=1)
+        assert short is None
         assert (skew["offset_seconds"], skew["support_count"]) == (60, 1)
 
     @given(case=skew_cases(), min_support=st.integers(-1, 3))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_counting_the_items_of_each_digest(self, case, min_support):
         records, events = case
-        expected = reference_skew(records, events, min_support)
-        if expected is None:
-            with pytest.raises(InsufficientSupport):
-                estimate_clock_skew(records, events, min_support)
-        else:
-            assert estimate_clock_skew(records, events, min_support) == expected
+        assert skew_of(records, events, min_support) == reference_skew(records, events, min_support)
 
     @pytest.mark.parametrize("true_skew", [-300, 300])
     def test_simulator_skew_recovered_within_jitter(self, tmp_path, true_skew):
@@ -320,7 +344,8 @@ class TestEstimateClockSkew:
         )
         dump = ingest_device_dump(case.bundle_dir)
         events = ingest_cloud_log(case.cloud_log)
-        skew = estimate_clock_skew(dump.records, events)
+        skew, short = skew_of(dump.records, events)
+        assert short is None
         assert true_skew - 2 <= skew["offset_seconds"] <= true_skew + 2
 
 
@@ -496,7 +521,8 @@ class TestMatchSyncedArtifacts:
         case = generate_case(SimParams(seed=77, n_uploads=9, skew_seconds=120), tmp_path)
         dump = ingest_device_dump(case.bundle_dir)
         events = ingest_cloud_log(case.cloud_log)
-        skew = estimate_clock_skew(dump.records, events)
+        skew, short = skew_of(dump.records, events)
+        assert short is None
         baseline = match_synced_artifacts(dump.records, events, skew)
 
         shift = 5000
@@ -512,7 +538,8 @@ class TestMatchSyncedArtifacts:
             )
             for e in events
         ]
-        shifted_skew = estimate_clock_skew(dump.records, shifted_events)
+        shifted_skew, short = skew_of(dump.records, shifted_events)
+        assert short is None
         assert shifted_skew["offset_seconds"] == skew["offset_seconds"] + shift
         shifted = match_synced_artifacts(dump.records, shifted_events, shifted_skew)
         assert [link_tuple(l)[:3] for l in shifted] == [link_tuple(l)[:3] for l in baseline]
@@ -558,7 +585,8 @@ class TestBuildTimeline:
         case = generate_case(SimParams(seed=88, skew_seconds=60), tmp_path)
         dump = ingest_device_dump(case.bundle_dir)
         events = ingest_cloud_log(case.cloud_log)
-        skew = estimate_clock_skew(dump.records, events)
+        skew, short = skew_of(dump.records, events)
+        assert short is None
         timeline = build_timeline(dump.records, events, skew)
 
         # ISO-Z text of one format sorts as its instant does.
@@ -575,7 +603,8 @@ class TestBuildTimeline:
         case = generate_case(SimParams(seed=89), tmp_path)
         dump = ingest_device_dump(case.bundle_dir)
         events = ingest_cloud_log(case.cloud_log)
-        skew = estimate_clock_skew(dump.records, events)
+        skew, short = skew_of(dump.records, events)
+        assert short is None
         assert build_timeline(dump.records, events, skew) == build_timeline(
             dump.records, events, skew
         )
@@ -739,7 +768,8 @@ class TestDeriveFindings:
         case = generate_case(SimParams(seed=90, n_uploads=7, skew_seconds=200), tmp_path)
         dump = ingest_device_dump(case.bundle_dir)
         events = ingest_cloud_log(case.cloud_log)
-        skew = estimate_clock_skew(dump.records, events)
+        skew, short = skew_of(dump.records, events)
+        assert short is None
         links = match_synced_artifacts(dump.records, events, skew)
         uninstall = detect_uninstall_evidence(dump.records, events)
         findings = derive_cloud_usage_findings(links, uninstall, events, skew)
@@ -761,10 +791,7 @@ class TestDeriveFindings:
         case = generate_case(params, tmp_path)
         dump = ingest_device_dump(case.bundle_dir)
         events = ingest_cloud_log(case.cloud_log)
-        try:
-            skew = estimate_clock_skew(dump.records, events)
-        except InsufficientSupport:
-            skew = zero_skew()
+        skew, _ = skew_of(dump.records, events)
         links = match_synced_artifacts(dump.records, events, skew)
         findings = derive_cloud_usage_findings(links, [], events, skew)
         tiers = {link["tier"] for link in links}
@@ -859,7 +886,8 @@ class TestDeriveFindings:
         case = generate_case(params, tmp_path)
         dump = ingest_device_dump(case.bundle_dir)
         events = ingest_cloud_log(case.cloud_log)
-        skew = estimate_clock_skew(dump.records, events)
+        skew, short = skew_of(dump.records, events)
+        assert short is None
         uninstall = detect_uninstall_evidence(dump.records, events)
         tracemalloc.start()
         try:

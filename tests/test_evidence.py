@@ -22,7 +22,6 @@ from synctrail.evidence import (
     EPOCH_MIN,
     canonical_encode,
     checked_digest_hex,
-    civil_from_epoch,
     epoch_to_iso,
     normalize_timestamp,
 )
@@ -137,24 +136,6 @@ class TestNormalizeTimestamp:
         iso = ts.to_iso()
         parts = [int(x) for x in (iso[0:4], iso[5:7], iso[8:10], iso[11:13], iso[14:16], iso[17:19])]
         assert civil_to_epoch(*parts) == epoch
-
-
-class TestCivilFromEpoch:
-    def test_every_day_matches_gmtime(self):
-        for epoch in range(0, EPOCH_MAX + 1, 86400):
-            assert civil_from_epoch(epoch) == time.gmtime(epoch)[:6], epoch
-
-    def test_last_supported_second(self):
-        assert civil_from_epoch(EPOCH_MAX) == (2100, 12, 31, 23, 59, 59)
-
-    def test_each_second_around_leap_days_matches_gmtime(self):
-        leap_years = [year for year in range(1970, 2101) if calendar.isleap(year)]
-        assert 2100 not in leap_years
-        for year in leap_years:
-            leap_day = calendar.timegm((year, 2, 29, 0, 0, 0))
-            for boundary in (leap_day, leap_day + 86400):
-                for epoch in range(boundary - 600, boundary + 601):
-                    assert civil_from_epoch(epoch) == time.gmtime(epoch)[:6], epoch
 
 
 class TestCanonicalEncode:

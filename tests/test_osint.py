@@ -4,6 +4,7 @@ import csv
 import functools
 import json
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from synctrail.osint import (
     resolve_ip,
 )
 
-from _oracles import linear_scan_geo
+from _oracles import brute_force_identity_graph, linear_scan_geo
 from test_acquisition import write_bundle
 
 AT = UtcTimestamp(1462752000, "2016-05-09T00:00:00Z")
@@ -65,9 +66,9 @@ def phone(number: str) -> tuple[str, str]:
     return ("Phone", number)
 
 
-def graph_of(records) -> tuple[set, dict]:
+def graph_of(records, left_out=None) -> tuple[set, dict]:
     """The identity_graph.json payload as (node pairs, {(a, b): count})."""
-    graph = build_identity_graph(records)
+    graph = build_identity_graph(records, left_out)
 
     def pair(node: dict) -> tuple[str, str]:
         return (node["kind"], node["value"])
@@ -76,6 +77,51 @@ def graph_of(records) -> tuple[set, dict]:
         {pair(node) for node in graph["nodes"]},
         {(pair(edge["a"]), pair(edge["b"])): edge["count"] for edge in graph["edges"]},
     )
+
+
+def lines_run(records) -> int:
+    """How many lines of osint.py run while ``build_identity_graph`` reads ``records``."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return trace if frame.f_code.co_filename == osint.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        build_identity_graph(records)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def random_comm_records(rng: random.Random, index: int) -> list[EvidenceRecord]:
+    """A small random mix of accounts, messages, calls and contacts with unique ids.
+
+    Accounts repeat, differ only in case, and appear as peers; some
+    messages and calls break a rule and are left out.
+    """
+    pool = ["Owner@X.com", "owner@x.com", "b@y.org", "+3531", "+353 1", "3531", "+3532",
+            "0870", "---", ""]
+    records = []
+    for n in range(rng.randrange(12)):
+        rid = f"{index}-{n}"
+        shape = rng.randrange(4)
+        if shape == 0:
+            records.append(EvidenceRecord(rid, ArtifactCategory.CONFIGURED_EMAIL, None,
+                                          {"address_or_number": rng.choice(pool)}))
+        elif shape == 1:
+            numbers = json.dumps(rng.sample(pool, rng.randrange(4)))
+            records.append(EvidenceRecord(rid, ArtifactCategory.CONTACT, None,
+                                          {"name": "c", "numbers": numbers}))
+        else:
+            category = ArtifactCategory.MESSAGE if shape == 2 else ArtifactCategory.CALL_RECORD
+            direction = rng.choice(["Incoming", "outgoing", "Sideways"])
+            records.append(EvidenceRecord(rid, category, AT,
+                                          {"peer": rng.choice(pool), "direction": direction}))
+    return records
 
 
 class TestNormalizeIdentifier:
@@ -138,6 +184,25 @@ class TestIdentityGraph:
     def test_peer_that_is_an_owner_ties_only_the_owners(self):
         _, edges = graph_of([message("Owner@X.com"), owner("owner@x.com"), owner("+3539")])
         assert edges == {(OWNER, phone("+3539")): 1}
+
+    def test_equals_counting_every_pair_of_every_artifact(self):
+        rng = random.Random(6)
+        for index in range(300):
+            records = random_comm_records(rng, index)
+            left_out: list = []
+            graph = graph_of(records, left_out)
+            ids = {record_id for record_id, _ in left_out}
+            assert graph == brute_force_identity_graph(records, ids), records
+
+    @pytest.mark.parametrize("owners, peers", [(10, 40), (40, 160)])
+    def test_work_is_linear_in_accounts_times_peers(self, owners, peers):
+        # Each peer's edges to the owners are output; the owners' own
+        # pairs are added once, not once per peer.
+        records = [owner(f"o{i}@x.com") for i in range(owners)]
+        records += [message(f"+{i}") for i in range(peers)]
+        edges = owners * peers + owners * (owners - 1) // 2
+        assert len(build_identity_graph(records)["edges"]) == edges
+        assert lines_run(records) <= 10 * (len(records) + edges)
 
     def test_nodes_and_edges_sort_by_kind_then_value(self):
         graph = build_identity_graph(

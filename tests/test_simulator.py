@@ -6,7 +6,12 @@ import shutil
 import pytest
 
 from synctrail.acquisition import ingest_cloud_log, ingest_device_dump
-from synctrail.correlation import estimate_clock_skew, match_synced_artifacts, zero_skew
+from synctrail.correlation import (
+    digest_index,
+    estimate_clock_skew,
+    match_synced_artifacts,
+    zero_skew,
+)
 from synctrail.errors import EmptyBundle
 from synctrail.preservation import load_sealed_manifest, seal_dump, verify_chain, write_sealed_manifest
 from synctrail.simulator import Lcg64, SimParams, generate_case, inject_tamper
@@ -88,7 +93,8 @@ class TestGenerateCase:
         case = generate_case(SimParams(seed=42, n_uploads=10, skew_seconds=300), tmp_path)
         dump = ingest_device_dump(case.bundle_dir)
         events = ingest_cloud_log(case.cloud_log)
-        skew = estimate_clock_skew(dump.records, events)
+        skew, short = estimate_clock_skew(digest_index(dump.records, events))
+        assert short is None
         links = match_synced_artifacts(dump.records, events, skew)
         exact = {
             (l["device_record_id"], l["cloud_event_id"])
@@ -159,6 +165,50 @@ class TestInjectTamper:
         case = generate_case(params, tmp_path)
         with pytest.raises(EmptyBundle):
             inject_tamper(case.bundle_dir, seed=2)
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_lines_are_split_as_ingest_splits_them(self, tmp_path, ending):
+        # str.splitlines also breaks at U+2028, U+0085 and U+2029, which
+        # ingest keeps inside a line; a CRLF file must keep its endings.
+        params = SimParams(seed=74, n_apps=1, n_messages=6, n_calls=1, n_uploads=1)
+        case = generate_case(params, tmp_path / "case")
+        messages = case.bundle_dir / "messages.jsonl"
+        rows = [json.loads(line) for line in messages.read_bytes().splitlines()]
+        rows[0]["body"] = "one\u2028two\u0085three\u2029four"
+        messages.write_bytes(b"".join(
+            json.dumps(row, ensure_ascii=False).encode("utf-8") + b"\n" for row in rows
+        ))
+        for path in case.bundle_dir.glob("*.jsonl"):
+            path.write_bytes(path.read_bytes().replace(b"\n", ending))
+        before = ingest_device_dump(case.bundle_dir)
+        original = bundle_bytes(case.bundle_dir)
+        hit_messages = 0
+        for seed in range(12):
+            copy = tmp_path / str(seed)
+            shutil.copytree(case.bundle_dir, copy)
+            _, index = inject_tamper(copy, seed=seed)
+            tampered = bundle_bytes(copy)
+            changed = [name for name in original if tampered[name] != original[name]]
+            assert len(changed) == 1, seed
+            old_lines = original[changed[0]].splitlines(keepends=True)
+            new_lines = tampered[changed[0]].splitlines(keepends=True)
+            assert len(new_lines) == len(old_lines)
+            differ = [i for i, (a, b) in enumerate(zip(old_lines, new_lines)) if a != b]
+            assert len(differ) == 1 and new_lines[differ[0]].endswith(ending), seed
+            after = ingest_device_dump(copy)
+            assert after.ledger == before.ledger == ()
+            assert [r.record_id for r in after.records] == [r.record_id for r in before.records]
+            for i, (old, new) in enumerate(zip(before.records, after.records)):
+                if i != index:
+                    assert new == old, (seed, i)
+            old_attrs, new_attrs = before.records[index].attributes, after.records[index].attributes
+            keys = [key for key in old_attrs if old_attrs[key] != new_attrs[key]]
+            assert len(keys) == 1 and old_attrs.keys() == new_attrs.keys(), seed
+            old_value, new_value = old_attrs[keys[0]], new_attrs[keys[0]]
+            assert len(old_value) == len(new_value)
+            assert sum(a != b for a, b in zip(old_value, new_value)) == 1, seed
+            hit_messages += changed[0] == "messages.jsonl"
+        assert hit_messages >= 3
 
     def test_tampered_bundle_still_ingests_cleanly(self, tmp_path):
         case = generate_case(SimParams(seed=73), tmp_path)

@@ -33,11 +33,10 @@ from synctrail.correlation import (
     build_timeline,
     derive_cloud_usage_findings,
     detect_uninstall_evidence,
+    digest_index,
     estimate_clock_skew,
     match_synced_artifacts,
-    zero_skew,
 )
-from synctrail.errors import InsufficientSupport
 from synctrail.osint import build_identity_graph
 from synctrail.simulator import SimParams, generate_case
 
@@ -54,10 +53,7 @@ def test_library_results_equal_their_stage_files(tmp_path, make_input):
 
     dump = ingest_device_dump(bundle)
     events = ingest_cloud_log(cloud_log)
-    try:
-        skew = estimate_clock_skew(dump.records, events)
-    except InsufficientSupport:
-        skew = zero_skew()
+    skew, _ = estimate_clock_skew(digest_index(dump.records, events))
     links = match_synced_artifacts(dump.records, events, skew)
     uninstall = detect_uninstall_evidence(dump.records, events)
     results = {
