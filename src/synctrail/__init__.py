@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "CloudEvent": "acquisition",
     "DeviceDump": "acquisition",
-    "EventKind": "acquisition",
     "ingest_cloud_log": "acquisition",
     "ingest_device_dump": "acquisition",
     "parse_app_inventory": "acquisition",
@@ -25,7 +24,6 @@ _EXPORTS = {
     "detect_uninstall_evidence": "correlation",
     "estimate_clock_skew": "correlation",
     "match_synced_artifacts": "correlation",
-    "ArtifactCategory": "evidence",
     "EvidenceRecord": "evidence",
     "Locale": "evidence",
     "UtcTimestamp": "evidence",

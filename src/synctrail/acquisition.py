@@ -14,7 +14,6 @@ import json
 import math
 import os
 import re
-from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
@@ -28,7 +27,6 @@ from .errors import (
 )
 from .evidence import (
     DEVICE,
-    ArtifactCategory,
     EvidenceRecord,
     Locale,
     UtcTimestamp,
@@ -40,34 +38,32 @@ from .evidence import (
 
 BUNDLE_MANIFEST = "manifest.json"
 
-# Category files in canonical order; record order in a dump is file order
+# Category files in canonical order, each with the category its records
+# hold, as the outputs write it; record order in a dump is file order
 # within this sequence. The per-category timestamp field, when present,
 # becomes the record's normalized timestamp.
-CATEGORY_FILES: tuple[tuple[str, ArtifactCategory], ...] = (
-    ("device_info.jsonl", ArtifactCategory.DEVICE_INFO),
-    ("installed_apps.jsonl", ArtifactCategory.INSTALLED_APP),
-    ("messages.jsonl", ArtifactCategory.MESSAGE),
-    ("calls.jsonl", ArtifactCategory.CALL_RECORD),
-    ("contacts.jsonl", ArtifactCategory.CONTACT),
-    ("wifi_history.jsonl", ArtifactCategory.WIFI_HISTORY),
-    ("browser_history.jsonl", ArtifactCategory.BROWSER_HISTORY),
-    ("sim.jsonl", ArtifactCategory.SIM_CARD),
-    ("configured_emails.jsonl", ArtifactCategory.CONFIGURED_EMAIL),
-    ("running_apps.jsonl", ArtifactCategory.RUNNING_APP),
-    ("phone_state.jsonl", ArtifactCategory.PHONE_STATE),
+CATEGORY_FILES: tuple[tuple[str, str], ...] = (
+    ("device_info.jsonl", "DeviceInfo"),
+    ("installed_apps.jsonl", "InstalledApp"),
+    ("messages.jsonl", "Message"),
+    ("calls.jsonl", "CallRecord"),
+    ("contacts.jsonl", "Contact"),
+    ("wifi_history.jsonl", "WifiHistory"),
+    ("browser_history.jsonl", "BrowserHistory"),
+    ("sim.jsonl", "SimCard"),
+    ("configured_emails.jsonl", "ConfiguredEmail"),
+    ("running_apps.jsonl", "RunningApp"),
+    ("phone_state.jsonl", "PhoneState"),
 )
 
-TIME_FIELDS: dict[ArtifactCategory, str] = {
-    ArtifactCategory.DEVICE_INFO: "device_clock",
-    ArtifactCategory.INSTALLED_APP: "installed",
-    ArtifactCategory.MESSAGE: "delivered_at",
-    ArtifactCategory.CALL_RECORD: "at",
-    ArtifactCategory.BROWSER_HISTORY: "visited_at",
-    ArtifactCategory.WIFI_HISTORY: "last_connected",
+TIME_FIELDS: dict[str, str] = {
+    "DeviceInfo": "device_clock",
+    "InstalledApp": "installed",
+    "Message": "delivered_at",
+    "CallRecord": "at",
+    "BrowserHistory": "visited_at",
+    "WifiHistory": "last_connected",
 }
-
-# TIME_FIELDS by member name: a str key hashes in C, an Enum member in Python.
-_TIME_FIELD_BY_NAME = {category._name_: name for category, name in TIME_FIELDS.items()}
 
 _KNOWN_FILES = {name for name, _ in CATEGORY_FILES}
 
@@ -89,16 +85,10 @@ UNINSTALLED = "uninstalled"
 _APP_STATUSES = frozenset({"all", "thirdparty", "disabled", UNINSTALLED})
 
 
-class EventKind(Enum):
-    INSTALL = "Install"
-    UNINSTALL = "Uninstall"
-    UPLOAD = "Upload"
-    DOWNLOAD = "Download"
-    LOGIN = "Login"
-    SYNC = "Sync"
-
-
-_KIND_BY_KEY = {k.value.lower(): k for k in EventKind}
+# Each event kind FORMAT.md lists, by its lowercased text.
+_KIND_BY_KEY = {
+    kind.lower(): kind for kind in ("Install", "Uninstall", "Upload", "Download", "Login", "Sync")
+}
 
 
 # The device section of dump.json, in its key order: the text, flag and
@@ -129,7 +119,7 @@ class CloudEvent(_Frozen):
     )
 
     event_id: str
-    kind: EventKind
+    kind: str
     timestamp: UtcTimestamp
     account: str
     package_or_object: str
@@ -139,7 +129,7 @@ class CloudEvent(_Frozen):
     def __init__(
         self,
         event_id: str,
-        kind: EventKind,
+        kind: str,
         timestamp: UtcTimestamp,
         account: str,
         package_or_object: str,
@@ -431,7 +421,7 @@ def _check_keys(keys: tuple) -> None:
 
 
 def record_from_fields(
-    category: ArtifactCategory,
+    category: str,
     fields: Mapping[str, object],
     file_name: str,
     line_no: int,
@@ -472,7 +462,7 @@ def record_from_fields(
     attributes["_line"] = str(line_no)
 
     timestamp: Optional[UtcTimestamp] = None
-    time_field = _TIME_FIELD_BY_NAME.get(category._name_)
+    time_field = TIME_FIELDS.get(category)
     if time_field is not None:
         raw_time = fields.get(time_field)
         if raw_time is not None and raw_time != "":
@@ -582,7 +572,7 @@ def _zone_offset(value: object, manifest_path: Path) -> int:
     return offset
 
 
-def _bundle_files(bundle: Path) -> tuple[list[tuple[str, ArtifactCategory]], list[str]]:
+def _bundle_files(bundle: Path) -> tuple[list[tuple[str, str]], list[str]]:
     """Which files of ``bundle`` ingest reads, besides ``manifest.json``, and which it only names.
 
     Returns each category file that is present, with its category, in
@@ -675,9 +665,9 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
                 )
             seen_ids[record.record_id] = record
             records.append(record)
-            if category is ArtifactCategory.DEVICE_INFO and first_info is None:
+            if category == "DeviceInfo" and first_info is None:
                 first_info = record
-            if category is ArtifactCategory.PHONE_STATE and first_state is None:
+            if category == "PhoneState" and first_state is None:
                 first_state = record
 
     for name in unrecognized:
@@ -713,7 +703,7 @@ def parse_app_inventory(
     """
     apps: list[EvidenceRecord] = []
     for record in records:
-        if record.category is not ArtifactCategory.INSTALLED_APP:
+        if record.category != "InstalledApp":
             continue
         status = record.attributes.get("status", "")
         if status.lower() not in _APP_STATUSES:
@@ -812,8 +802,7 @@ def record_rows(records: Sequence[EvidenceRecord]) -> list[dict]:
     return [
         {
             "record_id": r.record_id,
-            # _value_ is what .value returns, without its descriptor call.
-            "category": r.category._value_,
+            "category": r.category,
             "timestamp": r.timestamp.original_text if r.timestamp else None,
             "timestamp_utc": r.timestamp.to_iso() if r.timestamp else None,
             "source": DEVICE,

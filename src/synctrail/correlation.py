@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from typing import Optional, Sequence
 
-from .acquisition import UNINSTALLED, CloudEvent, EventKind, _integer, parse_app_inventory
+from .acquisition import UNINSTALLED, CloudEvent, _integer, parse_app_inventory
 from .evidence import (
     DEVICE,
     EPOCH_MAX,
@@ -50,7 +50,7 @@ HIGH = "High"
 MEDIUM = "Medium"
 
 # The finding kind that a link proves, by the linked event's kind.
-_PROVEN = {EventKind.UPLOAD.value: PROVEN_UPLOAD, EventKind.DOWNLOAD.value: PROVEN_DOWNLOAD}
+_PROVEN = {"Upload": PROVEN_UPLOAD, "Download": PROVEN_DOWNLOAD}
 
 # Findings sort by kind in this order.
 _KIND_ORDER = {
@@ -422,7 +422,7 @@ def match_synced_artifacts(
                 "tier": tier,
                 "time_delta_seconds": delta,
                 "account": event.account,
-                "kind": event.kind._value_,  # .value, without its descriptor call
+                "kind": event.kind,
             })
     return rows
 
@@ -451,8 +451,7 @@ def build_timeline(
             excluded += 1
         else:
             rows.append(
-                (stamp.seconds_since_epoch, 0, record.record_id, stamp.to_iso(),
-                 record.category._value_)  # .value, without its descriptor call
+                (stamp.seconds_since_epoch, 0, record.record_id, stamp.to_iso(), record.category)
             )
     offset = skew["offset_seconds"]
     for event in cloud_events:
@@ -466,7 +465,7 @@ def build_timeline(
             iso = epoch_to_iso(seconds)
         else:
             seconds, iso = stamp.seconds_since_epoch, stamp.to_iso()
-        rows.append((seconds, 1, event.event_id, iso, event.kind._value_))
+        rows.append((seconds, 1, event.event_id, iso, event.kind))
     rows.sort()
     sources = (DEVICE, "Cloud")
     return {
@@ -519,12 +518,12 @@ def detect_uninstall_evidence(
     for package in sorted(events_by_package):
         events = events_by_package[package]
         orphan_install = (
-            any(e.kind is EventKind.INSTALL for e in events)
+            any(e.kind == "Install" for e in events)
             and package not in device_packages
         )
         if package not in uninstalled and not orphan_install:
             continue
-        cloud_uninstall = any(e.kind is EventKind.UNINSTALL for e in events)
+        cloud_uninstall = any(e.kind == "Uninstall" for e in events)
         supporting: list[str] = []
         if package in uninstalled:
             supporting.append(uninstalled[package])
@@ -575,11 +574,11 @@ def derive_cloud_usage_findings(
     offset = skew["offset_seconds"]
     # Per group: its first link, its link count, and its earliest and
     # latest corrected time in range (none in range while low > high).
-    groups: dict[tuple[Optional[str], str, str], list] = {}
+    groups: dict[tuple[str, str, str], list] = {}
     seconds_of = {
         event.event_id: event.timestamp.seconds_since_epoch
         for event in cloud_events
-        if event.kind._value_ in _PROVEN
+        if event.kind in _PROVEN
     }
     for link in links:
         kind = link["kind"]
@@ -624,7 +623,7 @@ def derive_cloud_usage_findings(
 
     logins_by_account: dict[str, list[str]] = {}
     for event in cloud_events:
-        if event.kind is EventKind.LOGIN and event.account:
+        if event.kind == "Login" and event.account:
             logins_by_account.setdefault(event.account, []).append(event.event_id)
     for account in sorted(logins_by_account):
         event_ids = sorted(logins_by_account[account])

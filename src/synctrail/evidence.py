@@ -51,20 +51,6 @@ class Locale(Enum):
     MONTH_FIRST = "month-first"
 
 
-class ArtifactCategory(Enum):
-    DEVICE_INFO = "DeviceInfo"
-    PHONE_STATE = "PhoneState"
-    CONFIGURED_EMAIL = "ConfiguredEmail"
-    INSTALLED_APP = "InstalledApp"
-    BROWSER_HISTORY = "BrowserHistory"
-    RUNNING_APP = "RunningApp"
-    WIFI_HISTORY = "WifiHistory"
-    SIM_CARD = "SimCard"
-    CONTACT = "Contact"
-    MESSAGE = "Message"
-    CALL_RECORD = "CallRecord"
-
-
 # Each __init__ sets its slots with _set, past _Frozen.__setattr__.
 # normalize_timestamp's ISO-Z fast path also builds a timestamp with
 # _new and _set alone, without UtcTimestamp.__init__'s checks, which
@@ -157,7 +143,7 @@ class EvidenceRecord(_Frozen):
     _compared = ("record_id", "category", "timestamp", "attributes")
 
     record_id: str
-    category: ArtifactCategory
+    category: str
     timestamp: Optional[UtcTimestamp]
     attributes: Mapping[str, str]
     canonical: bytes
@@ -165,7 +151,7 @@ class EvidenceRecord(_Frozen):
     def __init__(
         self,
         record_id: str,
-        category: ArtifactCategory,
+        category: str,
         timestamp: Optional[UtcTimestamp],
         attributes: Mapping[str, str],
     ) -> None:
@@ -185,7 +171,8 @@ def _encode(record: EvidenceRecord) -> None:
     4 + 2n fields, one terminator, and no empty id or key. Anything
     else, a failed encode included, replays the per-field checks, which
     raise what they always raised; an encode error is raised only when
-    every check passes, as if the checks had run first.
+    every check passes, as if the checks had run first. Bytes that
+    encode but still miscount hold a separator in the category.
     """
     attributes = record.attributes
     try:
@@ -202,6 +189,7 @@ def _encode(record: EvidenceRecord) -> None:
         _check_fields(record.record_id, attributes)
         if not canonical:
             raise error
+        _check_clean(record.category, "category")
     _set(record, "canonical", canonical)
 
 
@@ -236,7 +224,7 @@ def canonical_encode(record: EvidenceRecord) -> bytes:
     attributes = record.attributes
     fields = [
         record.record_id,
-        record.category._value_,  # what .value returns, without its descriptor call
+        record.category,
         record.timestamp.original_text if record.timestamp else "",
         DEVICE,
     ]

@@ -19,12 +19,15 @@ from bisect import bisect_right
 
 from .acquisition import _integer, load_json, os_name
 from .errors import MalformedTable
-from .evidence import ArtifactCategory, EvidenceRecord, _Frozen, _set
+from .evidence import EvidenceRecord, _Frozen, _set
 
 
 # Message and call directions, lowercased.
 _DIRECTIONS = ("incoming", "outgoing")
 _BAD_DIRECTION = "direction not Incoming or Outgoing"
+
+# The category of the device's own configured addresses: the graph's owners.
+_OWNER_CATEGORY = "ConfiguredEmail"
 
 
 class GeoTable(_Frozen):
@@ -119,13 +122,13 @@ def build_identity_graph(
         category, attrs = record.category, record.attributes
         # The peer or owner text of a record that takes part, else None.
         reason = text = None
-        if category is ArtifactCategory.MESSAGE:
+        if category == "Message":
             direction = attrs.get("direction")
             if direction is None or direction.lower() in _DIRECTIONS:
                 text = attrs.get("peer", "")
             else:
                 reason = _BAD_DIRECTION
-        elif category is ArtifactCategory.CALL_RECORD:
+        elif category == "CallRecord":
             if attrs.get("direction", "").lower() not in _DIRECTIONS:
                 reason = _BAD_DIRECTION
             elif record.timestamp is None:
@@ -134,20 +137,20 @@ def build_identity_graph(
                 reason = "duration_s not an integer"
             else:
                 text = attrs.get("peer", "")
-        elif category is ArtifactCategory.CONTACT:
+        elif category == "Contact":
             numbers = _string_list(attrs["numbers"]) if "numbers" in attrs else []
             if numbers is None:
                 reason = "numbers not a JSON list of strings"
             else:
                 found = [normalize_identifier(number) for number in numbers]
                 add_artifact(i for i in found if i is not None)
-        elif category is ArtifactCategory.CONFIGURED_EMAIL:
+        elif category == _OWNER_CATEGORY:
             text = attrs.get("address_or_number", "")
         if text is not None:
             identifier = normalized(text)
             if identifier is None:
                 reason = "no phone number or email"
-            elif category is ArtifactCategory.CONFIGURED_EMAIL:
+            elif category == _OWNER_CATEGORY:
                 owners.add(identifier)
             else:
                 by_peer[identifier] += 1

@@ -28,7 +28,7 @@ def reference_encode(record) -> bytes:
     out = bytearray()
     out += record.record_id.encode("utf-8")
     out += b"\x1f"
-    out += record.category.value.encode("utf-8")
+    out += record.category.encode("utf-8")
     out += b"\x1f"
     if record.timestamp is not None:
         out += record.timestamp.original_text.encode("utf-8")
@@ -189,8 +189,8 @@ def brute_force_transfer_groups(links, cloud_events, offset_seconds):
     keyed = []
     for link in links:
         (event,) = [e for e in cloud_events if e.event_id == link["cloud_event_id"]]
-        if event.kind.value in ("Upload", "Download"):
-            key = (event.account, event.kind.value, link["tier"])
+        if event.kind in ("Upload", "Download"):
+            key = (event.account, event.kind, link["tier"])
             keyed.append((key, link, event.timestamp.seconds_since_epoch - offset_seconds))
     found = {}
     for key in dict.fromkeys(key for key, _, _ in keyed):
@@ -303,7 +303,7 @@ def brute_force_identity_graph(records, left_out_ids):
     for record in records:
         if record.record_id in left_out_ids:
             continue
-        kind, attrs = record.category.value, record.attributes
+        kind, attrs = record.category, record.attributes
         if kind == "ConfiguredEmail":
             owners.add(_identifier(attrs["address_or_number"]))
         elif kind == "Contact":

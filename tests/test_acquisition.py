@@ -5,7 +5,6 @@ import json
 import pytest
 
 from synctrail.acquisition import (
-    EventKind,
     dump_to_json_dict,
     ingest_cloud_log,
     ingest_device_dump,
@@ -13,7 +12,7 @@ from synctrail.acquisition import (
     record_rows,
 )
 from synctrail.errors import DuplicateEventId, DuplicateRecordId, MissingManifest
-from synctrail.evidence import ArtifactCategory, EvidenceRecord
+from synctrail.evidence import EvidenceRecord
 
 from _oracles import civil_to_epoch
 from test_cli import _PADDED_HEX, _SPACED_HEX
@@ -107,7 +106,7 @@ class TestIngestDeviceDump:
     def test_golden_record_order_and_provenance(self, golden_bundle):
         dump = ingest_device_dump(golden_bundle)
         assert len(dump.records) == 1 + 7 + 8
-        apps = [r for r in dump.records if r.category is ArtifactCategory.INSTALLED_APP]
+        apps = [r for r in dump.records if r.category == "InstalledApp"]
         assert [r.attributes["_line"] for r in apps] == [str(n) for n in range(1, 8)]
         assert all(r.attributes["_file"] == "installed_apps.jsonl" for r in apps)
         assert all(row["source"] == "Device" for row in record_rows(dump.records))
@@ -134,7 +133,7 @@ class TestIngestDeviceDump:
         path.write_text("\n".join(lines) + "\n")
 
         dump = ingest_device_dump(bundle)
-        assert len([r for r in dump.records if r.category is ArtifactCategory.MESSAGE]) == 4
+        assert len([r for r in dump.records if r.category == "Message"]) == 4
         assert len(dump.ledger) == 1
         assert dump.ledger[0]["file"] == "messages.jsonl"
         assert dump.ledger[0]["line"] == 3
@@ -348,7 +347,7 @@ class TestParseAppInventory:
     def test_golden_inventory(self, golden_bundle):
         dump = ingest_device_dump(golden_bundle)
         apps = parse_app_inventory(dump.records)
-        assert apps == [r for r in dump.records if r.category is ArtifactCategory.INSTALLED_APP]
+        assert apps == [r for r in dump.records if r.category == "InstalledApp"]
         by_name = {a.attributes["name"]: a for a in apps}
         assert len(by_name) == 7
         assert by_name["Instagram"].attributes["status"] == "All"
@@ -419,8 +418,8 @@ class TestParseAppInventory:
 
     def test_returns_the_given_records_and_ignores_other_categories(self):
         attrs = {"name": "X", "package": "com.example.x", "status": "Uninstalled"}
-        line = EvidenceRecord("a1", ArtifactCategory.INSTALLED_APP, None, dict(attrs))
-        message = EvidenceRecord("m1", ArtifactCategory.MESSAGE, None, dict(attrs))
+        line = EvidenceRecord("a1", "InstalledApp", None, dict(attrs))
+        message = EvidenceRecord("m1", "Message", None, dict(attrs))
         ledger: list[dict] = []
         apps = parse_app_inventory((message, line), ledger)
         assert len(apps) == 1 and apps[0] is line
@@ -436,7 +435,7 @@ class TestIngestCloudLog:
         )
         events = ingest_cloud_log(path)
         assert len(events) == 1
-        assert events[0].kind is EventKind.UNINSTALL
+        assert events[0].kind == "Uninstall"
         assert events[0].account == "a@x"
         assert events[0].timestamp.seconds_since_epoch == civil_to_epoch(2016, 5, 10, 16, 51, 13)
 
@@ -448,7 +447,7 @@ class TestIngestCloudLog:
     def test_kind_mapping_case_insensitive(self, tmp_path):
         path = tmp_path / "log.jsonl"
         path.write_text('{"id":"e1","kind":"UPLOAD","ts":"2016-05-10T16:51:13Z"}\n')
-        assert ingest_cloud_log(path)[0].kind is EventKind.UPLOAD
+        assert ingest_cloud_log(path)[0].kind == "Upload"
 
     def test_unknown_kind_ledgered_and_skipped(self, tmp_path):
         path = tmp_path / "log.jsonl"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synctrail.acquisition import CloudEvent, EventKind, ingest_cloud_log, ingest_device_dump
+from synctrail.acquisition import CloudEvent, ingest_cloud_log, ingest_device_dump
 from synctrail.correlation import (
     DEFAULT_MIN_SKEW_SUPPORT,
     build_timeline,
@@ -22,7 +22,6 @@ from synctrail.correlation import (
     zero_skew,
 )
 from synctrail.evidence import (
-    ArtifactCategory,
     EvidenceRecord,
     UtcTimestamp,
     epoch_to_iso,
@@ -61,7 +60,7 @@ def device_file(rid: str, epoch: int | None, digest: str | None = None,
         attrs["size_bytes"] = str(size)
     return EvidenceRecord(
         record_id=rid,
-        category=ArtifactCategory.MESSAGE,
+        category="Message",
         timestamp=ts(epoch) if epoch is not None else None,
         attributes=attrs,
     )
@@ -72,10 +71,10 @@ def app(rid: str, status: str, name: str = "App", package: str | None = None) ->
     attrs = {"_file": "installed_apps.jsonl", "_line": "1", "name": name, "status": status}
     if package is not None:
         attrs["package"] = package
-    return EvidenceRecord(rid, ArtifactCategory.INSTALLED_APP, None, attrs)
+    return EvidenceRecord(rid, "InstalledApp", None, attrs)
 
 
-def cloud(eid: str, epoch: int, kind: EventKind = EventKind.UPLOAD,
+def cloud(eid: str, epoch: int, kind: str = "Upload",
           digest: str | None = None, name: str = "", size: int | None = None,
           account: str = "a@x") -> CloudEvent:
     return CloudEvent(
@@ -159,7 +158,7 @@ def skew_cases(draw):
     ))
     event_rows = draw(st.lists(
         st.tuples(digest, st.integers(-600, 4200),
-                  st.sampled_from([EventKind.UPLOAD, EventKind.DOWNLOAD])),
+                  st.sampled_from(["Upload", "Download"])),
         max_size=10,
     ))
     records = [
@@ -295,7 +294,7 @@ class TestEstimateClockSkew:
         d = digest_hex("round trip")
         records = [device_file("r0", BASE, d)]
         events = [cloud("e0", BASE + 300, digest=d),
-                  cloud("e1", BASE + 900, kind=EventKind.DOWNLOAD, digest=d)]
+                  cloud("e1", BASE + 900, kind="Download", digest=d)]
         for i in range(2):
             u = digest_hex(f"once{i}")
             records.append(device_file(f"u{i}", BASE + 5000 * (i + 1), u))
@@ -402,7 +401,7 @@ class TestMatchSyncedArtifacts:
         unsized = device_file("r0", BASE, name="IMG.jpg")
         badly_sized = EvidenceRecord(
             record_id="r0",
-            category=ArtifactCategory.MESSAGE,
+            category="Message",
             timestamp=ts(BASE),
             attributes={**unsized.attributes, "size_bytes": size},
         )
@@ -448,7 +447,7 @@ class TestMatchSyncedArtifacts:
                             name=f"obj{i % 4}.bin", size=10 + i % 3)
             )
             events.append(
-                cloud(f"e{i:02d}", BASE + 7 * i + (i % 5), kind=EventKind.UPLOAD,
+                cloud(f"e{i:02d}", BASE + 7 * i + (i % 5), kind="Upload",
                       digest=shared if i % 3 == 0 else None,
                       name=f"obj{i % 4}.bin", size=10 + i % 3)
             )
@@ -553,7 +552,7 @@ class TestBuildTimeline:
     def test_tie_rule_device_before_cloud(self):
         offset = 300
         records = [device_file("r0", BASE)]
-        events = [cloud("e0", BASE + offset, kind=EventKind.LOGIN)]
+        events = [cloud("e0", BASE + offset, kind="Login")]
         skew = {
             "offset_seconds": offset, "support_count": 5, "spread_seconds": 0, "fallback": False,
         }
@@ -569,16 +568,16 @@ class TestBuildTimeline:
     def test_cloud_time_shifted_out_of_range_is_left_off(self):
         skew = {"offset_seconds": 200, "support_count": 3, "spread_seconds": 0, "fallback": False}
         out_of_range: list[str] = []
-        shifted = build_timeline([], [cloud("e0", 200, kind=EventKind.LOGIN)], skew, out_of_range)
+        shifted = build_timeline([], [cloud("e0", 200, kind="Login")], skew, out_of_range)
         assert shifted["entries"][0]["timestamp_utc"] == "1970-01-01T00:00:00Z"
         assert out_of_range == []
-        events = [cloud("e0", 199, kind=EventKind.LOGIN), cloud("e1", 201, kind=EventKind.LOGIN)]
+        events = [cloud("e0", 199, kind="Login"), cloud("e1", 201, kind="Login")]
         shifted = build_timeline([device_file("r0", 5)], events, skew, out_of_range)
         assert [e["id"] for e in shifted["entries"]] == ["e1", "r0"]
         assert out_of_range == ["e0"]
         # Past 2100 too, and without a list to name it in.
         late = {**skew, "offset_seconds": -200}
-        events = [cloud("e2", 4133980600, kind=EventKind.LOGIN)]
+        events = [cloud("e2", 4133980600, kind="Login")]
         assert build_timeline([], events, late) == {"entries": [], "excluded_undated": 0}
 
     def test_total_order_oracle(self, tmp_path):
@@ -628,7 +627,7 @@ class TestUninstallEvidence:
         assert detect_uninstall_evidence([app("a1", "All", name="Fine")], []) == []
 
     def test_orphan_cloud_install_is_medium(self):
-        events = [cloud("e0", BASE, kind=EventKind.INSTALL, name="com.example.gone")]
+        events = [cloud("e0", BASE, kind="Install", name="com.example.gone")]
         findings = detect_uninstall_evidence([], events)
         assert len(findings) == 1
         assert findings[0]["confidence"] == "Medium"
@@ -641,7 +640,7 @@ class TestUninstallEvidence:
     @pytest.mark.parametrize("package", [None, ""])
     def test_a_line_without_a_package_is_keyed_by_its_name(self, package):
         apps = [app("a1", "uninstalled", name="com.example.gone", package=package)]
-        events = [cloud("e0", BASE, kind=EventKind.LOGIN, name="com.example.gone")]
+        events = [cloud("e0", BASE, kind="Login", name="com.example.gone")]
         findings = detect_uninstall_evidence(apps, events)
         assert [f["supporting_ids"] for f in findings] == [["a1", "e0"]]
         assert findings[0]["confidence"] == "Medium"
@@ -652,7 +651,7 @@ class TestUninstallEvidence:
             app("a2", "UNINSTALLED", package="com.example.gone"),
             app("a3", "All", package="com.example.gone"),
         ]
-        events = [cloud("e0", BASE, kind=EventKind.UNINSTALL, name="com.example.gone")]
+        events = [cloud("e0", BASE, kind="Uninstall", name="com.example.gone")]
         findings = detect_uninstall_evidence(apps, events)
         assert [f["supporting_ids"] for f in findings] == [["a2", "e0"]]
         assert findings[0]["confidence"] == "High"
@@ -662,10 +661,10 @@ class TestUninstallEvidence:
         records = [
             app("a1", "Sideloaded", package="com.example.gone"),
             app("a2", "Uninstalled", name="", package="com.example.gone"),
-            EvidenceRecord("m1", ArtifactCategory.MESSAGE, None,
+            EvidenceRecord("m1", "Message", None,
                            {"name": "X", "package": "com.example.gone", "status": "Uninstalled"}),
         ]
-        events = [cloud("e0", BASE, kind=EventKind.INSTALL, name="com.example.gone")]
+        events = [cloud("e0", BASE, kind="Install", name="com.example.gone")]
         findings = detect_uninstall_evidence(records, events)
         assert [f["supporting_ids"] for f in findings] == [["e0"]]
         assert "the device has no trace of it" in findings[0]["narrative"]
@@ -705,7 +704,7 @@ class TestDeriveFindings:
     def test_exact_upload_link_becomes_high_proven_upload(self):
         d = digest_hex("img")
         records = [device_file("r0", BASE, d)]
-        events = [cloud("e0", BASE + 1, kind=EventKind.UPLOAD, digest=d)]
+        events = [cloud("e0", BASE + 1, kind="Upload", digest=d)]
         links = match_synced_artifacts(records, events, zero_skew())
         assert [(link["account"], link["kind"]) for link in links] == [("a@x", "Upload")]
         findings = derive_cloud_usage_findings(links, [], events, zero_skew())
@@ -727,7 +726,7 @@ class TestDeriveFindings:
 
     def test_download_and_metadata_confidence(self):
         records = [device_file("r0", BASE, name="doc.pdf", size=5)]
-        events = [cloud("e0", BASE + 2, kind=EventKind.DOWNLOAD, name="doc.pdf", size=5)]
+        events = [cloud("e0", BASE + 2, kind="Download", name="doc.pdf", size=5)]
         links = match_synced_artifacts(records, events, zero_skew())
         findings = derive_cloud_usage_findings(links, [], events, zero_skew())
         assert findings[0]["kind"] == "ProvenDownload"
@@ -736,7 +735,7 @@ class TestDeriveFindings:
 
     def test_a_window_link_to_a_sync_event_gives_no_finding(self):
         records = [device_file("r0", BASE, name="doc.pdf", size=5)]
-        events = [cloud("e0", BASE + 2, kind=EventKind.SYNC, name="doc.pdf", size=5)]
+        events = [cloud("e0", BASE + 2, kind="Sync", name="doc.pdf", size=5)]
         links = match_synced_artifacts(records, events, zero_skew())
         assert [link_tuple(l) for l in links] == [("r0", "e0", "MetadataWindow", 2)]
         assert links[0]["kind"] == "Sync"
@@ -744,16 +743,16 @@ class TestDeriveFindings:
 
     def test_empty_case_keeps_only_uninstall_findings(self):
         uninstall = detect_uninstall_evidence(
-            [], [cloud("e0", BASE, kind=EventKind.INSTALL, name="com.example.gone")]
+            [], [cloud("e0", BASE, kind="Install", name="com.example.gone")]
         )
         findings = derive_cloud_usage_findings([], uninstall, [], zero_skew())
         assert [f["kind"] for f in findings] == ["AppUsedThenUninstalled"]
 
     def test_account_activity_per_login_account(self):
         events = [
-            cloud("e0", BASE, kind=EventKind.LOGIN, account="b@x"),
-            cloud("e1", BASE + 5, kind=EventKind.LOGIN, account="a@x"),
-            cloud("e2", BASE + 9, kind=EventKind.LOGIN, account="a@x"),
+            cloud("e0", BASE, kind="Login", account="b@x"),
+            cloud("e1", BASE + 5, kind="Login", account="a@x"),
+            cloud("e2", BASE + 9, kind="Login", account="a@x"),
         ]
         findings = derive_cloud_usage_findings([], [], events, zero_skew())
         assert [f["kind"] for f in findings] == ["AccountActivity"] * 2
@@ -819,15 +818,15 @@ class TestDeriveFindings:
         events = [
             cloud("e0", BASE + 200, digest=d[0], account="a@x"),
             cloud("e1", BASE + 260, digest=d[1], account="a@x"),
-            cloud("e2", BASE + 205, kind=EventKind.DOWNLOAD, digest=d[2], account="b@x"),
-            cloud("e3", BASE + 230, kind=EventKind.DOWNLOAD, name="n.txt", size=3,
+            cloud("e2", BASE + 205, kind="Download", digest=d[2], account="b@x"),
+            cloud("e3", BASE + 230, kind="Download", name="n.txt", size=3,
                   account="b@x"),
             cloud("e4", BASE + 240, name="m.txt", account="b@x"),
             cloud("e5", BASE + 300, digest=d[3], account="a@x"),
-            cloud("e6", early + 50, kind=EventKind.DOWNLOAD, digest=d[4], account=None),
+            cloud("e6", early + 50, kind="Download", digest=d[4], account=None),
             cloud("e7", BASE + 250, digest=d[5], account="b@x"),
             cloud("e8", early + 210, name="q.txt", account="a@x"),
-            cloud("e9", BASE, kind=EventKind.LOGIN, account="a@x"),
+            cloud("e9", BASE, kind="Login", account="a@x"),
             cloud("e10", early + 20, digest=d[6], account="a@x"),
         ]
         skew = {"offset_seconds": 200, "support_count": 3, "spread_seconds": 0, "fallback": False}
@@ -861,9 +860,9 @@ class TestDeriveFindings:
         d = digest_hex("z")
         records = [device_file("r0", BASE, d)]
         events = [
-            cloud("e0", BASE + 1, kind=EventKind.UPLOAD, digest=d),
-            cloud("e1", BASE + 2, kind=EventKind.LOGIN, account="a@x"),
-            cloud("e2", BASE + 3, kind=EventKind.INSTALL, name="com.example.gone"),
+            cloud("e0", BASE + 1, kind="Upload", digest=d),
+            cloud("e1", BASE + 2, kind="Login", account="a@x"),
+            cloud("e2", BASE + 3, kind="Install", name="com.example.gone"),
         ]
         links = match_synced_artifacts(records, events, zero_skew())
         uninstall = detect_uninstall_evidence([], events)

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synctrail.acquisition import ingest_device_dump, record_rows
+from synctrail.acquisition import CATEGORY_FILES, ingest_device_dump, record_rows
 from synctrail.errors import ImpossibleDate, UnparseableTimestamp
 from synctrail.evidence import (
-    ArtifactCategory,
     EvidenceRecord,
     Locale,
     UtcTimestamp,
@@ -41,7 +40,7 @@ clean_text = st.text(
 attribute_maps = st.dictionaries(clean_text, clean_text, max_size=5)
 
 
-def make_record(record_id="r1", category=ArtifactCategory.MESSAGE, timestamp=None,
+def make_record(record_id="r1", category="Message", timestamp=None,
                 attributes=None) -> EvidenceRecord:
     return EvidenceRecord(
         record_id=record_id,
@@ -145,14 +144,14 @@ class TestCanonicalEncode:
         assert canonical_encode(a) == canonical_encode(b)
 
     def test_empty_attributes_is_header_plus_terminator(self):
-        record = make_record(record_id="x", category=ArtifactCategory.SIM_CARD)
+        record = make_record(record_id="x", category="SimCard")
         assert canonical_encode(record) == b"x\x1fSimCard\x1f\x1fDevice\x1e"
 
     def test_matches_reference_encoder_on_fixture(self):
         ts = normalize_timestamp("16/12/2015 11:58:23 PM", Locale.DAY_FIRST, 0)
         record = make_record(
             record_id="app-0002",
-            category=ArtifactCategory.INSTALLED_APP,
+            category="InstalledApp",
             timestamp=ts,
             attributes={"name": "Sheets", "status": "All", "_line": "2"},
         )
@@ -175,8 +174,8 @@ class TestCanonicalEncode:
         id_b=clean_text,
         attrs_a=attribute_maps,
         attrs_b=attribute_maps,
-        cat_a=st.sampled_from(ArtifactCategory),
-        cat_b=st.sampled_from(ArtifactCategory),
+        cat_a=st.sampled_from([category for _, category in CATEGORY_FILES]),
+        cat_b=st.sampled_from([category for _, category in CATEGORY_FILES]),
     )
     @settings(max_examples=200)
     def test_injective_over_distinct_records(self, id_a, id_b, attrs_a, attrs_b, cat_a, cat_b):
@@ -192,6 +191,9 @@ class TestCanonicalEncode:
             make_record(attributes={"k": "bad\x1fvalue"})
         with pytest.raises(ValueError):
             make_record(record_id="bad\x1eid")
+        for category in ("Mes\x1fsage", "Mes\x1esage"):
+            with pytest.raises(ValueError, match="category"):
+                make_record(category=category)
 
 
 class TestRecordDigest:
@@ -214,7 +216,7 @@ class TestRecordDigest:
         assert tool, "coreutils sha256sum expected on the test host"
         record = make_record(
             record_id="app-0005",
-            category=ArtifactCategory.INSTALLED_APP,
+            category="InstalledApp",
             timestamp=normalize_timestamp("06/04/2016 02:33:53 PM", Locale.DAY_FIRST, 0),
             attributes={"name": "Instagram", "status": "All"},
         )

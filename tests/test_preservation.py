@@ -13,7 +13,6 @@ from synctrail.acquisition import DeviceDump, ingest_device_dump
 from synctrail.cli import run
 from synctrail.errors import DeviceMismatch, RecordCountMismatch, UnsupportedAlgorithm
 from synctrail.evidence import (
-    ArtifactCategory,
     EvidenceRecord,
     canonical_encode,
 )
@@ -33,7 +32,7 @@ from synctrail.simulator import SimParams, generate_case, inject_tamper
 def record(rid: str, **attrs: str) -> EvidenceRecord:
     return EvidenceRecord(
         record_id=rid,
-        category=ArtifactCategory.MESSAGE,
+        category="Message",
         timestamp=None,
         attributes=attrs,
     )

@@ -20,13 +20,16 @@ def test_every_name_in_all_resolves():
     assert [name for name in synctrail.__all__ if not hasattr(synctrail, name)] == []
 
 
-@pytest.mark.parametrize("name", ["AppRecord", "AppStatus"])
-def test_the_app_inventory_has_no_typed_copy(name):
-    """``parse_app_inventory`` returns the evidence records themselves."""
+@pytest.mark.parametrize("name", ["AppRecord", "AppStatus", "ArtifactCategory", "EventKind"])
+def test_no_module_has_a_type_that_only_wrapped_strings(name):
+    """``parse_app_inventory`` returns the evidence records themselves, and
+    a record's category and an event's kind are the strings the outputs hold."""
     assert name not in synctrail.__all__
     with pytest.raises(AttributeError):
         getattr(synctrail, name)
-    assert not hasattr(importlib.import_module("synctrail.acquisition"), name)
+    package = Path(synctrail.__file__).parent
+    modules = [f"synctrail.{path.stem}" for path in sorted(package.glob("*.py"))]
+    assert [m for m in modules if hasattr(importlib.import_module(m), name)] == []
 
 
 def test_all_lists_each_name_once():

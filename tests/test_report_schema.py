@@ -1,10 +1,14 @@
 """Closed-set report fields hold only the values REPORT_SCHEMA.md lists.
 
-Tiers, link and finding kinds, confidences, chain verdicts and
-identifier kinds are plain strings in the code, each written where it is produced. This
-test reads the allowed values from the schema text and checks every
-such field of the JSON reports of the byte-pinned inputs, so a
-misspelled value fails here whether or not a pin covers it.
+Tiers, link and finding kinds, confidences, chain verdicts, identifier
+kinds, timeline labels and sources are plain strings in the code, each
+written where it is produced. This test reads the allowed values from
+the schema text and checks every such field of the JSON reports of the
+byte-pinned inputs, so a misspelled value fails here whether or not a
+pin covers it. A timeline label is a dated record's category or an
+event's kind, so the schema's labels are also checked against the
+categories that ``acquisition.TIME_FIELDS`` dates and the kinds that
+ingest accepts.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from synctrail import reporting
+from synctrail import acquisition, reporting
 from synctrail.cli import run
 
 from test_byte_pin import PINS
@@ -41,6 +45,8 @@ FIELDS = {
     ("findings", "confidence"): lambda r: [f["confidence"] for f in r["findings"]],
     ("findings", "tier"): lambda r: [f["tier"] for f in r["findings"] if "tier" in f],
     ("identity_graph", "kind"): lambda r: [n["kind"] for n in r["identity_graph"]["nodes"]],
+    ("timeline", "label"): lambda r: [entry["label"] for entry in r["timeline"]],
+    ("timeline", "source"): lambda r: [entry["source"] for entry in r["timeline"]],
 }
 
 
@@ -55,7 +61,18 @@ def test_the_schema_lists_each_closed_set():
         ("findings", "confidence"): {"High", "Medium"},
         ("findings", "tier"): {"ExactDigest", "MetadataWindow"},
         ("identity_graph", "kind"): {"Phone", "Email"},
+        ("timeline", "label"): {
+            "DeviceInfo", "InstalledApp", "Message", "CallRecord", "BrowserHistory",
+            "WifiHistory", "Install", "Uninstall", "Upload", "Download", "Login", "Sync",
+        },
+        ("timeline", "source"): {"Device", "Cloud"},
     }
+
+
+def test_the_timeline_labels_are_the_dated_categories_and_the_event_kinds():
+    kinds = set(acquisition._KIND_BY_KEY.values())
+    assert schema_values("timeline", "label") == set(acquisition.TIME_FIELDS) | kinds
+    assert schema_values("links", "kind") == kinds
 
 
 @pytest.fixture(scope="module")

@@ -109,7 +109,7 @@ class TestGenerateCase:
         assert len(case.ground_truth.uninstalled_packages) == 4
         events = ingest_cloud_log(case.cloud_log)
         for package in case.ground_truth.uninstalled_packages:
-            kinds = {e.kind.value for e in events if e.package_or_object == package}
+            kinds = {e.kind for e in events if e.package_or_object == package}
             assert kinds == {"Install", "Uninstall"}
 
     def test_ground_truth_file_matches_object(self, tmp_path):

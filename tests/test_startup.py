@@ -56,11 +56,12 @@ def test_importing_the_cli_loads_nothing_a_command_may_not_run():
 # its stage file.
 DATACLASSES: list[str] = []
 
-# An enum is kept only where code holds and compares its members: a typed
-# field or parameter. Link tiers, finding kinds, confidences, verdicts,
-# identifier kinds and timeline sources are the plain strings that
-# REPORT_SCHEMA.md lists.
-ENUMS = ["ArtifactCategory", "EventKind", "IsolationMethod", "Locale", "ReportFormat"]
+# An enum is kept only as the value set of a command-line option:
+# `choices=`, `Locale(value)` and the sealed-manifest checks read it.
+# Record categories, event kinds, link tiers, finding kinds, confidences,
+# verdicts, identifier kinds and timeline sources are the plain strings
+# that the outputs hold and REPORT_SCHEMA.md lists.
+ENUMS = ["IsolationMethod", "Locale", "ReportFormat"]
 
 _CENSUS = """
 import dataclasses, enum, sys

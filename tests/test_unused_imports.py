@@ -7,11 +7,17 @@ hides which layers a module really depends on. One name is exempt:
 without it. A module-level private
 function, class or constant that nothing in the package reads is left
 over from code that is gone.
+
+Every source file of the package and its tests also compiles with
+warnings as errors: an ``is`` against a literal, such as
+``category is "Message"``, is a SyntaxWarning, and compares identity
+where a string's value is meant.
 """
 
 from __future__ import annotations
 
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,6 +25,7 @@ import pytest
 import synctrail
 
 PACKAGE = Path(synctrail.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 RE_EXPORTED = {("preservation", "canonical_encode")}
 
 
@@ -90,3 +97,24 @@ def test_the_scan_sees_an_unread_private_name():
         "b": "from a import _C\n_t: int = 0\nprint(_C, _t)\n",
     }
     assert unread_private_names(sources) == ["a._unused", "a._also", "a._f"]
+
+
+def compile_strictly(source: str, filename: str) -> None:
+    """Compile ``source``; a warning the compiler gives is raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(source, filename, "exec")
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_every_file_compiles_without_a_warning(path):
+    compile_strictly(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_the_compile_check_sees_is_against_a_literal():
+    with pytest.raises(SyntaxError, match="literal"):
+        compile_strictly('category is "Message"\n', "probe.py")

@@ -17,9 +17,9 @@ import pickle
 
 import pytest
 
-from synctrail.acquisition import CloudEvent, DeviceDump, EventKind
+from synctrail.acquisition import CloudEvent, DeviceDump
 from synctrail.errors import ImpossibleDate
-from synctrail.evidence import ArtifactCategory, EvidenceRecord, Locale, UtcTimestamp
+from synctrail.evidence import EvidenceRecord, Locale, UtcTimestamp
 from synctrail.osint import GeoTable
 
 STAMP = UtcTimestamp(1462752000, "2016-05-09T00:00:00Z")
@@ -29,7 +29,7 @@ LATER = UtcTimestamp(1462752060, "2016-05-09T00:01:00Z")
 def record(**changes) -> EvidenceRecord:
     fields = {
         "record_id": "r1",
-        "category": ArtifactCategory.MESSAGE,
+        "category": "Message",
         "timestamp": STAMP,
         "attributes": {"peer": "+15550001", "_file": "messages.jsonl"},
         **changes,
@@ -40,7 +40,7 @@ def record(**changes) -> EvidenceRecord:
 def event(**changes) -> CloudEvent:
     fields = {
         "event_id": "e1",
-        "kind": EventKind.UPLOAD,
+        "kind": "Upload",
         "timestamp": STAMP,
         "account": "a@x",
         "package_or_object": "IMG_1.jpg",
@@ -92,13 +92,13 @@ CHANGES = {
     }),
     "EvidenceRecord": (record, {
         "record_id": "r2",
-        "category": ArtifactCategory.CALL_RECORD,
+        "category": "CallRecord",
         "timestamp": LATER,
         "attributes": {"peer": "+15550002", "_file": "messages.jsonl"},
     }),
     "CloudEvent": (event, {
         "event_id": "e2",
-        "kind": EventKind.DOWNLOAD,
+        "kind": "Download",
         "timestamp": LATER,
         "account": "b@x",
         "package_or_object": "IMG_2.jpg",
@@ -188,11 +188,11 @@ def test_repr_text():
         "UtcTimestamp(seconds_since_epoch=1462752000, original_text='2016-05-09T00:00:00Z')"
     )
     assert repr(record()) == (
-        f"EvidenceRecord(record_id='r1', category=<ArtifactCategory.MESSAGE: 'Message'>, "
+        f"EvidenceRecord(record_id='r1', category='Message', "
         f"timestamp={STAMP!r}, attributes={{'peer': '+15550001', '_file': 'messages.jsonl'}})"
     )
     assert repr(event()) == (
-        f"CloudEvent(event_id='e1', kind=<EventKind.UPLOAD: 'Upload'>, timestamp={STAMP!r}, "
+        f"CloudEvent(event_id='e1', kind='Upload', timestamp={STAMP!r}, "
         f"account='a@x', package_or_object='IMG_1.jpg', content_digest='{'ab' * 32}', "
         f"size_bytes=2048)"
     )
@@ -275,12 +275,12 @@ def test_constructor_parameters_and_defaults():
 
 def test_positional_arguments_fill_fields_in_order():
     assert UtcTimestamp(1462752000, "2016-05-09T00:00:00Z") == STAMP
-    assert CloudEvent("e1", EventKind.UPLOAD, STAMP, "a@x", "IMG_1.jpg", "ab" * 32, 2048) == event()
+    assert CloudEvent("e1", "Upload", STAMP, "a@x", "IMG_1.jpg", "ab" * 32, 2048) == event()
     assert GeoTable("geo.csv", (167772160,), (167772415,), (("NL", "Amsterdam"),)) == table()
 
 
 def test_defaults():
-    bare = CloudEvent("e1", EventKind.LOGIN, STAMP, "a@x", "")
+    bare = CloudEvent("e1", "Login", STAMP, "a@x", "")
     assert (bare.content_digest, bare.size_bytes) == (None, None)
     first = DeviceDump("d1", STAMP, 0, "t", "1", {}, ())
     second = DeviceDump("d1", STAMP, 0, "t", "1", {}, ())
