@@ -25,7 +25,6 @@ _EXPORTS = {
     "estimate_clock_skew": "correlation",
     "match_synced_artifacts": "correlation",
     "EvidenceRecord": "evidence",
-    "Locale": "evidence",
     "UtcTimestamp": "evidence",
     "canonical_encode": "evidence",
     "normalize_timestamp": "evidence",
@@ -36,7 +35,6 @@ _EXPORTS = {
     "diff_acquisitions": "preservation",
     "seal_dump": "preservation",
     "verify_chain": "preservation",
-    "ReportFormat": "reporting",
     "build_case_report": "reporting",
     "render_report": "reporting",
     "GroundTruth": "simulator",

@@ -27,8 +27,8 @@ from .errors import (
 )
 from .evidence import (
     DEVICE,
+    LOCALES,
     EvidenceRecord,
-    Locale,
     UtcTimestamp,
     _Frozen,
     _set,
@@ -177,7 +177,7 @@ class DeviceDump(_Frozen):
     records: tuple[EvidenceRecord, ...]
     ledger: tuple[dict, ...]
     line_counts: Mapping[str, int]
-    locale: Locale
+    locale: str
     files: tuple[dict, ...]
     unrecognized_files: tuple[str, ...]
 
@@ -192,7 +192,7 @@ class DeviceDump(_Frozen):
         records: tuple[EvidenceRecord, ...],
         ledger: tuple[dict, ...] = (),
         line_counts: Optional[Mapping[str, int]] = None,
-        locale: Locale = Locale.DAY_FIRST,
+        locale: str = "day-first",
         files: tuple[dict, ...] = (),
         unrecognized_files: tuple[str, ...] = (),
     ) -> None:
@@ -425,7 +425,7 @@ def record_from_fields(
     fields: Mapping[str, object],
     file_name: str,
     line_no: int,
-    locale: Locale,
+    locale: str,
     zone_offset_minutes: int,
     checked_keys: Optional[dict[tuple, tuple]] = None,
 ) -> EvidenceRecord:
@@ -612,7 +612,7 @@ def file_table(bundle_path: Path | str) -> tuple[list[dict], list[str]]:
     return [_file_row(name, (bundle / name).read_bytes()) for name in names], unrecognized
 
 
-def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRST) -> DeviceDump:
+def ingest_device_dump(bundle_path: Path | str, locale: str = "day-first") -> DeviceDump:
     """Parse a bundle directory into a DeviceDump.
 
     Records preserve file order across the canonical category sequence
@@ -620,7 +620,10 @@ def ingest_device_dump(bundle_path: Path | str, locale: Locale = Locale.DAY_FIRS
     attributes. Malformed lines land in the ledger and ingestion
     continues; a duplicated record id aborts with DuplicateRecordId.
     The dump's file table hashes the very bytes that were parsed.
+    ``locale`` is one of ``LOCALES``; any other value is refused.
     """
+    if locale not in LOCALES:
+        raise ValueError(f"locale must be one of {', '.join(LOCALES)}, got {locale!r}")
     bundle = Path(bundle_path)
     manifest, manifest_bytes = _load_manifest(bundle)
     zone_offset = manifest["zone_offset_minutes"]
@@ -755,7 +758,7 @@ def ingest_cloud_log(path: Path | str, ledger: Optional[list[dict]] = None) -> l
             note(line_no, "event without a ts timestamp")
             continue
         try:
-            timestamp = normalize_timestamp(raw_ts, Locale.DAY_FIRST, 0)
+            timestamp = normalize_timestamp(raw_ts, "day-first", 0)
         except (UnparseableTimestamp, ImpossibleDate) as exc:
             note(line_no, f"bad ts: {exc}")
             continue

@@ -49,7 +49,7 @@ from .correlation import (
     match_synced_artifacts,
 )
 from .errors import ForensicsError, MalformedStageFile, UnsafeCaseId
-from .evidence import EvidenceRecord, Locale
+from .evidence import LOCALES, EvidenceRecord
 from .osint import (
     build_identity_graph,
     load_geo_table,
@@ -57,8 +57,8 @@ from .osint import (
 )
 from .preservation import (
     INTACT,
+    ISOLATION_METHODS,
     SEALED_MANIFEST,
-    IsolationMethod,
     diff_acquisitions,
     load_sealed_manifest,
     seal_dump,
@@ -66,9 +66,9 @@ from .preservation import (
     write_sealed_manifest,
 )
 from .reporting import (
+    REPORT_FORMATS,
     STAGE_FILES,
     STAGE_JSON,
-    ReportFormat,
     build_case_report,
     parameters_to_dict,
     render_report,
@@ -79,11 +79,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_TAMPERED = 3
 EXIT_PARSE_FATAL = 4
-
-_ISOLATION = {
-    name.lower().replace("_", "-"): method
-    for name, method in IsolationMethod.__members__.items()
-}
 
 # Only verify_bundle turns a ForensicsError, RecordCountMismatch, into
 # a verdict (Tampered); any other that escapes a stage is fatal.
@@ -160,7 +155,7 @@ def _write_records(path: Path, records: Sequence[EvidenceRecord]) -> None:
             handle.write("".join(STAGE_JSON.encode(row) + "\n" for row in rows).encode("utf-8"))
 
 
-def _step_ingest(bundle: Path, out: Path, locale: Locale) -> tuple[DeviceDump, Stages]:
+def _step_ingest(bundle: Path, out: Path, locale: str) -> tuple[DeviceDump, Stages]:
     dump = ingest_device_dump(bundle, locale)
     for warning in profile_format_warnings(dump.device):
         _say(f"note: {warning}")
@@ -178,9 +173,7 @@ def _step_ingest(bundle: Path, out: Path, locale: Locale) -> tuple[DeviceDump, S
     return dump, {"dump.json": payload}
 
 
-def _step_seal(
-    dump: DeviceDump, bundle: Path, examiner: str, isolation: IsolationMethod
-) -> None:
+def _step_seal(dump: DeviceDump, bundle: Path, examiner: str, isolation: str) -> None:
     manifest = seal_dump(dump, examiner=examiner, isolation_method=isolation)
     path = write_sealed_manifest(manifest, bundle)
     _say(
@@ -190,7 +183,7 @@ def _step_seal(
 
 
 def _step_verify(
-    bundle: Path, out: Optional[Path], locale: Locale, dump: Optional[DeviceDump] = None
+    bundle: Path, out: Optional[Path], locale: str, dump: Optional[DeviceDump] = None
 ) -> Stages:
     """Check the bundle against its sealed manifest; ``dump`` is the bundle as run-all read it.
 
@@ -204,10 +197,10 @@ def _step_verify(
             f"note: {SEALED_MANIFEST} seals no file table, so only the bundle's records are "
             "verified"
         )
-    elif manifest["locale"] != locale.value:
+    elif manifest["locale"] != locale:
         _say(
             f"note: the bundle was sealed reading --locale {manifest['locale']}; "
-            f"its custody is verified with that locale, not {locale.value}"
+            f"its custody is verified with that locale, not {locale}"
         )
     verification, reasons = verify_bundle(bundle, manifest, locale, dump)
     for reason in reasons:
@@ -223,7 +216,7 @@ def _step_correlate(
     dump: DeviceDump,
     cloud_log: Path,
     out: Path,
-    locale: Locale,
+    locale: str,
     window_seconds: int,
     min_support: int,
 ) -> Stages:
@@ -311,14 +304,14 @@ def _step_enrich(dump: DeviceDump, out: Path, geo_table: Optional[Path]) -> Stag
     return stages
 
 
-def _step_report(out: Path, stages: Stages, case_id: Optional[str], format: ReportFormat) -> Path:
+def _step_report(out: Path, stages: Stages, case_id: Optional[str], format: str) -> Path:
     report = build_case_report(stages, __version__, case_id)
     problem = _case_id_problem(report["case_id"])
     if problem:
         raise UnsafeCaseId(
             f"dump id {report['case_id']!r} cannot name the report file: it {problem}"
         )
-    path = out / f"{report['case_id']}.report.{format.value}"
+    path = out / f"{report['case_id']}.report.{format}"
     with atomic.replacing(path) as handle:
         render_report(report, handle, format)
     _say(f"report written to {path}")
@@ -389,7 +382,7 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
     def add_locale() -> None:
         p.add_argument(
             "--locale",
-            choices=sorted(m.value for m in Locale),
+            choices=LOCALES,
             default="day-first",
             help="reading order for legacy DD/MM timestamps (default: day-first)",
         )
@@ -430,7 +423,7 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
         p.add_argument("bundle", type=Path)
         add_locale()
         p.add_argument("--examiner", type=_examiner, default="unknown")
-        p.add_argument("--isolation", choices=sorted(_ISOLATION), default="none")
+        p.add_argument("--isolation", choices=ISOLATION_METHODS, default="none")
     elif command == "verify":
         p.add_argument("bundle", type=Path)
         add_locale()
@@ -455,7 +448,7 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
     elif command == "report":
         add_out()
         p.add_argument("--case-id", type=_case_id, default=None)
-        p.add_argument("--format", choices=sorted(m.value for m in ReportFormat), default="json")
+        p.add_argument("--format", choices=REPORT_FORMATS, default="json")
     else:  # run-all
         p.add_argument("bundle", type=Path)
         p.add_argument("cloud_log", type=Path)
@@ -463,10 +456,10 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
         add_locale()
         add_correlation()
         p.add_argument("--examiner", type=_examiner, default="unknown")
-        p.add_argument("--isolation", choices=sorted(_ISOLATION), default="none")
+        p.add_argument("--isolation", choices=ISOLATION_METHODS, default="none")
         p.add_argument("--geo-table", type=Path, default=None)
         p.add_argument("--case-id", type=_case_id, default=None)
-        p.add_argument("--format", choices=sorted(m.value for m in ReportFormat), default="json")
+        p.add_argument("--format", choices=REPORT_FORMATS, default="json")
 
 
 def _command_named(argv: Sequence[str]) -> Optional[str]:
@@ -510,7 +503,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             _say(f"case written: {case.bundle_dir} and {case.cloud_log}")
             return EXIT_OK
 
-        locale = Locale(getattr(args, "locale", "day-first"))
+        locale = getattr(args, "locale", "day-first")
 
         if args.command == "ingest":
             dump = _step_ingest(args.bundle, args.out, locale)[0]
@@ -527,7 +520,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 _say(f"error: {sealed} already exists; remove it before sealing again")
                 return EXIT_PARSE_FATAL
             dump = ingest_device_dump(args.bundle, locale)
-            _step_seal(dump, args.bundle, args.examiner, _ISOLATION[args.isolation])
+            _step_seal(dump, args.bundle, args.examiner, ISOLATION_METHODS[args.isolation])
             return EXIT_OK
 
         if args.command == "verify":
@@ -569,7 +562,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 # A mistyped --out would otherwise give a report of empty sections.
                 _say(f"error: {args.out} holds no stage file to report on")
                 return EXIT_PARSE_FATAL
-            _step_report(args.out, stages, args.case_id, ReportFormat(args.format))
+            _step_report(args.out, stages, args.case_id, args.format)
             return EXIT_OK
 
         if args.command == "run-all":
@@ -578,10 +571,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             dump, stages = _step_ingest(args.bundle, args.out, locale)
             # Never re-seal an already sealed bundle: that would launder
             # any modification made since the original seal.
-            if (args.bundle / SEALED_MANIFEST).is_file():
+            if (args.bundle / SEALED_MANIFEST).exists():
                 _say("bundle already sealed, keeping the existing manifest")
             else:
-                _step_seal(dump, args.bundle, args.examiner, _ISOLATION[args.isolation])
+                _step_seal(dump, args.bundle, args.examiner, ISOLATION_METHODS[args.isolation])
             stages.update(_step_verify(args.bundle, args.out, locale, dump))
             stages.update(
                 _step_correlate(
@@ -594,7 +587,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 )
             )
             stages.update(_step_enrich(dump, args.out, args.geo_table))
-            _step_report(args.out, stages, args.case_id, ReportFormat(args.format))
+            _step_report(args.out, stages, args.case_id, args.format)
             return _verdict_exit(stages)
 
     except _FATAL_ERRORS as exc:

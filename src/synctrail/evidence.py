@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 import time
-from enum import Enum
 from typing import Mapping, Optional
 
 from .errors import ImpossibleDate, UnparseableTimestamp
@@ -44,11 +43,8 @@ _LEGACY_RE = re.compile(
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
-class Locale(Enum):
-    """Reading order for legacy DD/MM vs MM/DD timestamps."""
-
-    DAY_FIRST = "day-first"
-    MONTH_FIRST = "month-first"
+# Reading orders for legacy DD/MM vs MM/DD timestamps.
+LOCALES = ("day-first", "month-first")
 
 
 # Each __init__ sets its slots with _set, past _Frozen.__setattr__.
@@ -260,7 +256,7 @@ def checked_digest_hex(text: object) -> str:
 _DAY_STARTS: dict[str, int] = {}
 
 
-def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> UtcTimestamp:
+def normalize_timestamp(raw: str, locale: str, zone_offset_minutes: int) -> UtcTimestamp:
     """Parse a source timestamp into UTC, preserving the raw text.
 
     Two grammars are accepted: ISO-8601 with an explicit zone
@@ -300,7 +296,7 @@ def normalize_timestamp(raw: str, locale: Locale, zone_offset_minutes: int) -> U
         first, second_field, year = int(m.group(1)), int(m.group(2)), int(m.group(3))
         hour12, minute, second = int(m.group(4)), int(m.group(5)), int(m.group(6))
         meridiem = m.group(7)
-        if locale is Locale.DAY_FIRST:
+        if locale == "day-first":
             day, month = first, second_field
         else:
             month, day = first, second_field

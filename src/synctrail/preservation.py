@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,9 +30,9 @@ from .errors import (
 from .evidence import (
     DIGEST_ALGORITHM,
     FIELD_SEP,
+    LOCALES,
     RECORD_TERM,
     EvidenceRecord,
-    Locale,
     # Unused here: perfbench/tracing.py wraps preservation.canonical_encode
     # by name, so a traced run fails without it (ROADMAP item 1).
     canonical_encode,  # noqa: F401
@@ -44,12 +43,15 @@ from .evidence import (
 SEALED_MANIFEST = "manifest.sealed.json"
 
 
-class IsolationMethod(Enum):
-    AIRPLANE_MODE = "AirplaneMode"
-    POWERED_OFF = "PoweredOff"
-    SHIELDED_CONTAINER = "ShieldedContainer"
-    RADIO_ISOLATION = "RadioIsolation"
-    NONE = "None"
+# Each way a device can be isolated, as seal --isolation spells it, and
+# the isolation_method value the sealed manifest holds for it.
+ISOLATION_METHODS = {
+    "airplane-mode": "AirplaneMode",
+    "none": "None",
+    "powered-off": "PoweredOff",
+    "radio-isolation": "RadioIsolation",
+    "shielded-container": "ShieldedContainer",
+}
 
 
 # The chain verdicts, as verification.json holds them.
@@ -133,22 +135,25 @@ def head_follows(manifest: dict) -> bool:
 def seal_dump(
     dump: DeviceDump,
     examiner: str = "unknown",
-    isolation_method: IsolationMethod = IsolationMethod.NONE,
+    isolation_method: str = "None",
 ) -> dict:
     """Compute the chain over a dump's records and seal its file table.
 
     Returns the ``manifest.sealed.json`` payload: the header fields, the
     locale and file table the dump was read with, then the chain head
     and the running chain value after each record (so tampering can be
-    localized to an index), as lowercase hex.
+    localized to an index), as lowercase hex. ``isolation_method`` is
+    one of ``ISOLATION_METHODS``' values; any other value is refused.
     """
+    if isolation_method not in ISOLATION_METHODS.values():
+        raise ValueError(f"unknown isolation method {isolation_method!r}")
     manifest = {
         "dump_id": dump.dump_id,
         "collected_at": dump.collected_at.to_iso(),
         "examiner": examiner,
-        "isolation_method": isolation_method.value,
+        "isolation_method": isolation_method,
         "digest_algorithm": DIGEST_ALGORITHM,
-        "locale": dump.locale.value,
+        "locale": dump.locale,
         "record_count": len(dump.records),
         "files": [dict(row) for row in dump.files],
         "unrecognized_files": list(dump.unrecognized_files),
@@ -230,7 +235,7 @@ def table_problem(
 
 
 def verify_bundle(
-    bundle: Path | str, manifest: dict, locale: Locale, dump: Optional[DeviceDump] = None
+    bundle: Path | str, manifest: dict, locale: str, dump: Optional[DeviceDump] = None
 ) -> tuple[dict, list[str]]:
     """Decide a bundle's custody against its sealed manifest.
 
@@ -247,7 +252,7 @@ def verify_bundle(
     while every link holds, is Tampered at index 0 with no digests.
     """
     if "files" in manifest:
-        locale = Locale(manifest["locale"])
+        locale = manifest["locale"]
         files = file_table(bundle) if dump is None else (dump.files, dump.unrecognized_files)
         if (
             table_problem(manifest, *files) is None
@@ -256,7 +261,7 @@ def verify_bundle(
             and head_follows(manifest)
         ):
             return _verification(INTACT, None, None, None), []
-    if dump is None or dump.locale is not locale:
+    if dump is None or dump.locale != locale:
         dump = ingest_device_dump(bundle, locale)
     try:
         verification = verify_chain(manifest, dump.records)
@@ -336,8 +341,6 @@ _SEALED_TABLE = {
     "locale": str, "unrecognized_files": [str],
     "files": [{"name": str, "bytes": int, "sha256": None}],
 }
-_ISOLATION_METHODS = {method.value for method in IsolationMethod}
-_LOCALES = {locale.value for locale in Locale}
 
 
 def load_sealed_manifest(bundle_path: Path | str) -> dict:
@@ -351,6 +354,8 @@ def load_sealed_manifest(bundle_path: Path | str) -> dict:
     """
     path = Path(bundle_path) / SEALED_MANIFEST
     if not path.is_file():
+        if path.exists():
+            raise MalformedManifest(f"{path} is not a file")
         raise MissingManifest(f"no {SEALED_MANIFEST} in {bundle_path}; seal the bundle first")
     try:
         data = load_json_file(path, _SEALED)
@@ -360,13 +365,13 @@ def load_sealed_manifest(bundle_path: Path | str) -> dict:
     problem = table and shape_problem(data, _SEALED_TABLE)
     if problem:
         raise MalformedManifest(f"{path} {problem}")
-    if data["isolation_method"] not in _ISOLATION_METHODS:
+    if data["isolation_method"] not in ISOLATION_METHODS.values():
         method = data["isolation_method"]
         raise MalformedManifest(f"{path} field 'isolation_method' has unknown value {method!r}")
-    if table and data["locale"] not in _LOCALES:
+    if table and data["locale"] not in LOCALES:
         raise MalformedManifest(f"{path} field 'locale' has unknown value {data['locale']!r}")
     try:
-        collected_at = normalize_timestamp(data["collected_at"], Locale.DAY_FIRST, 0)
+        collected_at = normalize_timestamp(data["collected_at"], "day-first", 0)
     except (UnparseableTimestamp, ImpossibleDate) as exc:
         raise MalformedManifest(f"{path} field 'collected_at': {exc}") from None
     manifest = {key: data[key] for key in (*_SEALED, *(_SEALED_TABLE if table else ()))}

@@ -11,19 +11,14 @@ collections.
 from __future__ import annotations
 
 import json
-from enum import Enum
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Any, BinaryIO, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .correlation import DEFAULT_MIN_SKEW_SUPPORT, DEFAULT_WINDOW_SECONDS
-from .evidence import Locale
 
-
-class ReportFormat(Enum):
-    JSON = "json"
-    MARKDOWN = "md"
-    HTML = "html"
+# The report formats, each the report file's suffix.
+REPORT_FORMATS = ("html", "json", "md")
 
 
 # The report's layout, as REPORT_SCHEMA.md describes it; a change to the
@@ -39,12 +34,12 @@ TIMESTAMP_ASSUMPTION = (
 def parameters_to_dict(
     window_seconds: int = DEFAULT_WINDOW_SECONDS,
     min_skew_support: int = DEFAULT_MIN_SKEW_SUPPORT,
-    locale: Locale = Locale.DAY_FIRST,
+    locale: str = "day-first",
 ) -> dict:
     return {
         "window_seconds": window_seconds,
         "min_skew_support": min_skew_support,
-        "locale": locale.value,
+        "locale": locale,
         "timestamp_assumption": TIMESTAMP_ASSUMPTION,
     }
 
@@ -158,22 +153,23 @@ def build_case_report(
     }
 
 
-def render_report(
-    report: dict, out: BinaryIO, format: ReportFormat = ReportFormat.JSON
-) -> None:
+def render_report(report: dict, out: BinaryIO, format: str = "json") -> None:
     """Write a report to the binary file ``out``; same report in, same bytes out.
 
     Every format is written in bounded chunks as it is rendered, the
     Markdown and HTML from one walk over the report (``_report_lines``),
     so no text is held whole. To get the bytes, pass an ``io.BytesIO``.
+    ``format`` is one of ``REPORT_FORMATS``; any other value is refused.
     """
-    if format is ReportFormat.JSON:
+    if format == "json":
         write_json(report, out, REPORT_JSON)
-    elif format is ReportFormat.MARKDOWN:
+    elif format == "md":
         _write_lines(_report_lines(report), out, _MARKDOWN_LINES,
                      lambda part: _MARKDOWN_PIECES[part.__class__] % part, str)
-    else:
+    elif format == "html":
         _write_html(report, out)
+    else:
+        raise ValueError(f"format must be one of {', '.join(REPORT_FORMATS)}, got {format!r}")
 
 
 class Layout(NamedTuple):

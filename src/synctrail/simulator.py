@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .acquisition import CATEGORY_FILES, TIME_FIELDS, ingest_device_dump
 from .errors import EmptyBundle, IoFailure
-from .evidence import epoch_to_iso
+from .evidence import EPOCH_MAX, EPOCH_MIN, epoch_to_iso
 
 CLOUD_LOG_NAME = "cloud_events.jsonl"
 GROUND_TRUTH_NAME = "ground_truth.json"
@@ -114,6 +114,12 @@ class SimParams:
             raise ValueError("sync_lag_max_s must be positive")
         if not 0.0 <= self.uninstall_fraction <= 1.0:
             raise ValueError("uninstall_fraction must be within [0, 1]")
+        # The earliest cloud time is a device time shifted by the skew; the
+        # latest, an uninstall 2 days past its install, by skew and lag too.
+        earliest = WEEK_START_EPOCH + self.skew_seconds
+        latest = earliest + WEEK_SECONDS + 2 * 86400 + self.sync_lag_max_s
+        if earliest < EPOCH_MIN or latest > EPOCH_MAX:
+            raise ValueError("skew_seconds and sync_lag_max_s put cloud times outside 1970-2100")
 
 
 @dataclass(frozen=True)

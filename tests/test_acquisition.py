@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from synctrail.acquisition import (
     record_rows,
 )
 from synctrail.errors import DuplicateEventId, DuplicateRecordId, MissingManifest
-from synctrail.evidence import EvidenceRecord
+from synctrail.evidence import LOCALES, EvidenceRecord
 
 from _oracles import civil_to_epoch
 from test_cli import _PADDED_HEX, _SPACED_HEX
@@ -37,6 +38,23 @@ def write_bundle(root, files: dict[str, list[dict]], manifest: dict | None = Non
 
 
 class TestIngestDeviceDump:
+    def test_the_locale_is_the_string_the_command_line_takes(self, tmp_path):
+        bundle = write_bundle(
+            tmp_path / "b",
+            {"installed_apps.jsonl": [
+                {"id": "a1", "name": "X", "status": "All", "installed": "06/04/2016 02:33:53 PM"}
+            ]},
+        )
+        dumps = {locale: ingest_device_dump(bundle, locale) for locale in LOCALES}
+        assert dumps["day-first"].records[0].timestamp.to_iso() == "2016-04-06T14:33:53Z"
+        assert dumps["month-first"].records[0].timestamp.to_iso() == "2016-06-04T14:33:53Z"
+        assert [dump.locale for dump in dumps.values()] == list(LOCALES)
+
+    @pytest.mark.parametrize("locale", ["year-first", "DAY_FIRST", "Day-First", ""])
+    def test_a_locale_outside_the_set_is_refused(self, golden_bundle, locale):
+        with pytest.raises(ValueError, match=re.escape(repr(locale))):
+            ingest_device_dump(golden_bundle, locale)
+
     def test_golden_device_profile(self, golden_bundle):
         dump = ingest_device_dump(golden_bundle)
         profile = dump.device

@@ -58,9 +58,29 @@ class TestExitCodes:
         assert run(["--version"]) == 0
         assert "synctrail" in capsys.readouterr().out
 
-    def test_bad_simulate_params_usage_error(self, tmp_path):
-        rc = run(["simulate", "--out", str(tmp_path), "--seed", "1", "--uploads", "-3"])
-        assert rc == 2
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--uploads", "-3"),
+            # Every cloud time must lie in 1970-2100: one this far out overflows
+            # time.gmtime, and one that does not is no date the tool reads.
+            ("--skew-seconds", "1000000000000000000000000000000"),
+            ("--skew-seconds", "100000000000000"),
+            ("--skew-seconds", "-1462752001"),
+            ("--skew-seconds", "2670537598"),
+            ("--sync-lag-max", "4000000000"),
+        ],
+    )
+    def test_bad_simulate_params_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert run(["simulate", "--out", str(out), "--seed", "1", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("skew", ["-1462752000", "2670537597"])
+    def test_simulate_takes_a_skew_that_keeps_every_cloud_time_in_range(self, tmp_path, skew):
+        assert run(["simulate", "--out", str(tmp_path), "--seed", "1", "--skew-seconds", skew]) == 0
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -115,6 +135,27 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_command_named", lambda argv: None)
         assert run(argv) == code
         assert capsys.readouterr() == lazy
+
+    def test_the_value_set_options_take_their_documented_choices(self):
+        locales = ["day-first", "month-first"]
+        isolations = ["airplane-mode", "none", "powered-off", "radio-isolation",
+                      "shielded-container"]
+        formats = ["html", "json", "md"]
+        choices = {
+            (name, option): list(action.choices)
+            for name, parser in subparsers(cli.build_parser()).items()
+            for action in parser._actions
+            for option in action.option_strings
+            if option in ("--locale", "--isolation", "--format")
+        }
+        assert choices == {
+            **{(name, "--locale"): locales for name in
+               ("ingest", "seal", "verify", "diff", "correlate", "enrich", "run-all")},
+            ("seal", "--isolation"): isolations,
+            ("run-all", "--isolation"): isolations,
+            ("report", "--format"): formats,
+            ("run-all", "--format"): formats,
+        }
 
     def test_run_all_with_no_digests_and_least_support_falls_back(self, tmp_path):
         case = simulate(tmp_path, digest_logging=False)
@@ -766,6 +807,8 @@ def _old_form_dump(raw: bytes) -> bytes:
     return json.dumps(dump).encode()
 
 
+# Damage that puts a directory where the file was.
+_A_DIRECTORY = object()
 _TRUNCATED_SEALED = b'{\n  "dump_id": "sim-1000",\n  "coll'
 _NOT_HEX = "zz" * 32
 # 32 bytes that bytes.fromhex reads, but not as 64 hex characters.
@@ -993,6 +1036,19 @@ MALFORMED_INPUTS = [
     pytest.param("bundle/manifest.sealed.json", _with("unrecognized_files", [7]), "verify", 4,
                  "error: {path} field 'unrecognized_files[0]' must hold a string",
                  id="sealed-unrecognized-name-not-string"),
+    # A sealed manifest that is a directory: the bundle is sealed, and the
+    # manifest is no file. run-all prints its ingest line and keeps the
+    # manifest before it reads it.
+    pytest.param("bundle/manifest.sealed.json", _A_DIRECTORY, "seal", 4,
+                 "error: {path} already exists; remove it before sealing again",
+                 id="sealed-directory-seal"),
+    pytest.param("bundle/manifest.sealed.json", _A_DIRECTORY, "verify", 4,
+                 "error: {path} is not a file", id="sealed-directory-verify"),
+    pytest.param("bundle/manifest.sealed.json", _A_DIRECTORY, "run-all", 4,
+                 "ingested 43 records from bundle (0 ledger entries)\n"
+                 "bundle already sealed, keeping the existing manifest\n"
+                 "error: {path} is not a file",
+                 id="sealed-directory-run-all"),
 ]
 
 
@@ -1005,13 +1061,18 @@ class TestMalformedInputs:
         bundle, out = case.bundle_dir, tmp_path / "out"
         assert run(["run-all", str(bundle), str(case.cloud_log), "--out", str(out)]) == 0
         path = {"out": out, "bundle": bundle}[target.split("/")[0]] / target.split("/")[1]
-        path.write_bytes(damage(path.read_bytes()))
+        if damage is _A_DIRECTORY:
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_bytes(damage(path.read_bytes()))
         capsys.readouterr()
         argv = {
             "report": ["report", "--out", str(out)],
             "report-md": ["report", "--out", str(out), "--format", "md"],
             "report-html": ["report", "--out", str(out), "--format", "html"],
             "verify": ["verify", str(bundle)],
+            "seal": ["seal", str(bundle)],
             "ingest": ["ingest", str(bundle), "--out", str(out)],
             "run-all": ["run-all", str(bundle), str(case.cloud_log), "--out", str(out)],
         }[command]

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from synctrail import acquisition, cli, preservation
 from synctrail.acquisition import file_table, ingest_device_dump
 from synctrail.cli import run
-from synctrail.evidence import Locale
 from synctrail.preservation import (
     head_digest,
     load_sealed_manifest,
@@ -329,7 +328,7 @@ class TestHeadAndTable:
         )
 
     def test_the_seal_records_the_locale_it_read_with(self, golden_bundle):
-        dump = ingest_device_dump(golden_bundle, Locale.MONTH_FIRST)
+        dump = ingest_device_dump(golden_bundle, "month-first")
         assert seal_dump(dump)["locale"] == "month-first"
 
 

@@ -15,7 +15,6 @@ from synctrail.acquisition import CATEGORY_FILES, ingest_device_dump, record_row
 from synctrail.errors import ImpossibleDate, UnparseableTimestamp
 from synctrail.evidence import (
     EvidenceRecord,
-    Locale,
     UtcTimestamp,
     EPOCH_MAX,
     EPOCH_MIN,
@@ -58,45 +57,45 @@ def row_digest(record: EvidenceRecord) -> str:
 
 class TestNormalizeTimestamp:
     def test_figure_day_first_sheets(self):
-        ts = normalize_timestamp("16/12/2015 11:58:23 PM", Locale.DAY_FIRST, 0)
+        ts = normalize_timestamp("16/12/2015 11:58:23 PM", "day-first", 0)
         assert ts.to_iso() == "2015-12-16T23:58:23Z"
         assert ts.seconds_since_epoch == civil_to_epoch(2015, 12, 16, 23, 58, 23)
         assert ts.original_text == "16/12/2015 11:58:23 PM"
 
     def test_epoch_identity(self):
-        ts = normalize_timestamp("1970-01-01T00:00:00Z", Locale.DAY_FIRST, 0)
+        ts = normalize_timestamp("1970-01-01T00:00:00Z", "day-first", 0)
         assert ts.seconds_since_epoch == 0
 
     def test_figure_day_first_instagram(self):
-        ts = normalize_timestamp("06/04/2016 02:33:53 PM", Locale.DAY_FIRST, 0)
+        ts = normalize_timestamp("06/04/2016 02:33:53 PM", "day-first", 0)
         assert ts.to_iso() == "2016-04-06T14:33:53Z"
         assert ts.seconds_since_epoch == civil_to_epoch(2016, 4, 6, 14, 33, 53)
 
     def test_month_first_flips_fields(self):
-        ts = normalize_timestamp("06/04/2016 02:33:53 PM", Locale.MONTH_FIRST, 0)
+        ts = normalize_timestamp("06/04/2016 02:33:53 PM", "month-first", 0)
         assert ts.to_iso() == "2016-06-04T14:33:53Z"
 
     def test_day_16_impossible_month_first(self):
         with pytest.raises(ImpossibleDate):
-            normalize_timestamp("16/12/2015 11:58:23 PM", Locale.MONTH_FIRST, 0)
+            normalize_timestamp("16/12/2015 11:58:23 PM", "month-first", 0)
 
     def test_iso_ignores_locale(self):
-        a = normalize_timestamp("2016-04-06T14:33:53Z", Locale.DAY_FIRST, 0)
-        b = normalize_timestamp("2016-04-06T14:33:53Z", Locale.MONTH_FIRST, 0)
+        a = normalize_timestamp("2016-04-06T14:33:53Z", "day-first", 0)
+        b = normalize_timestamp("2016-04-06T14:33:53Z", "month-first", 0)
         assert a.seconds_since_epoch == b.seconds_since_epoch
 
     def test_iso_with_offset(self):
-        ts = normalize_timestamp("2016-04-06T15:33:53+01:00", Locale.DAY_FIRST, 0)
+        ts = normalize_timestamp("2016-04-06T15:33:53+01:00", "day-first", 0)
         assert ts.to_iso() == "2016-04-06T14:33:53Z"
 
     def test_legacy_applies_zone_offset(self):
-        utc = normalize_timestamp("06/04/2016 02:33:53 PM", Locale.DAY_FIRST, 0)
-        shifted = normalize_timestamp("06/04/2016 02:33:53 PM", Locale.DAY_FIRST, 60)
+        utc = normalize_timestamp("06/04/2016 02:33:53 PM", "day-first", 0)
+        shifted = normalize_timestamp("06/04/2016 02:33:53 PM", "day-first", 60)
         assert shifted.seconds_since_epoch == utc.seconds_since_epoch - 3600
 
     def test_noon_and_midnight(self):
-        noon = normalize_timestamp("01/01/2016 12:00:00 PM", Locale.DAY_FIRST, 0)
-        midnight = normalize_timestamp("01/01/2016 12:00:00 AM", Locale.DAY_FIRST, 0)
+        noon = normalize_timestamp("01/01/2016 12:00:00 PM", "day-first", 0)
+        midnight = normalize_timestamp("01/01/2016 12:00:00 AM", "day-first", 0)
         assert noon.to_iso() == "2016-01-01T12:00:00Z"
         assert midnight.to_iso() == "2016-01-01T00:00:00Z"
 
@@ -114,21 +113,21 @@ class TestNormalizeTimestamp:
     )
     def test_impossible_dates(self, raw):
         with pytest.raises(ImpossibleDate):
-            normalize_timestamp(raw, Locale.DAY_FIRST, 0)
+            normalize_timestamp(raw, "day-first", 0)
 
     @pytest.mark.parametrize("raw", ["", "yesterday", "2016-04-06 14:33:53", "06-04-2016 02:33:53 PM"])
     def test_unparseable(self, raw):
         with pytest.raises(UnparseableTimestamp):
-            normalize_timestamp(raw, Locale.DAY_FIRST, 0)
+            normalize_timestamp(raw, "day-first", 0)
 
     @given(st.integers(min_value=0, max_value=4133980799))
     def test_iso_round_trip(self, epoch):
         rendered = epoch_to_iso(epoch)
-        assert normalize_timestamp(rendered, Locale.DAY_FIRST, 0).seconds_since_epoch == epoch
+        assert normalize_timestamp(rendered, "day-first", 0).seconds_since_epoch == epoch
 
     @given(
         st.integers(min_value=0, max_value=4133980799),
-        st.sampled_from([Locale.DAY_FIRST, Locale.MONTH_FIRST]),
+        st.sampled_from(["day-first", "month-first"]),
     )
     def test_iso_rendering_matches_civil_oracle(self, epoch, locale):
         ts = normalize_timestamp(epoch_to_iso(epoch), locale, 0)
@@ -148,7 +147,7 @@ class TestCanonicalEncode:
         assert canonical_encode(record) == b"x\x1fSimCard\x1f\x1fDevice\x1e"
 
     def test_matches_reference_encoder_on_fixture(self):
-        ts = normalize_timestamp("16/12/2015 11:58:23 PM", Locale.DAY_FIRST, 0)
+        ts = normalize_timestamp("16/12/2015 11:58:23 PM", "day-first", 0)
         record = make_record(
             record_id="app-0002",
             category="InstalledApp",
@@ -217,7 +216,7 @@ class TestRecordDigest:
         record = make_record(
             record_id="app-0005",
             category="InstalledApp",
-            timestamp=normalize_timestamp("06/04/2016 02:33:53 PM", Locale.DAY_FIRST, 0),
+            timestamp=normalize_timestamp("06/04/2016 02:33:53 PM", "day-first", 0),
             attributes={"name": "Instagram", "status": "All"},
         )
         blob = tmp_path / "record.bin"
@@ -414,9 +413,9 @@ class TestDayCaches:
         for _ in range(2):  # a first and a second reading of the day
             if not (1970 <= local.tm_year <= 2100 and EPOCH_MIN <= instant <= EPOCH_MAX):
                 with pytest.raises(ImpossibleDate):
-                    normalize_timestamp(raw, Locale.DAY_FIRST, 0)
+                    normalize_timestamp(raw, "day-first", 0)
             else:
-                stamp = normalize_timestamp(raw, Locale.DAY_FIRST, 0)
+                stamp = normalize_timestamp(raw, "day-first", 0)
                 assert stamp.seconds_since_epoch == instant
                 assert stamp.to_iso() == reference_iso(instant)
 
@@ -429,7 +428,7 @@ class TestDayCaches:
         evidence._ISO_DATES.clear()
         for epoch in range(EPOCH_MIN, EPOCH_MAX + 1, 86400):
             raw = reference_iso(epoch + 86399)
-            assert normalize_timestamp(raw, Locale.DAY_FIRST, 0).seconds_since_epoch == epoch + 86399
+            assert normalize_timestamp(raw, "day-first", 0).seconds_since_epoch == epoch + 86399
             assert epoch_to_iso(epoch + 43200) == reference_iso(epoch + 43200)
         days = (EPOCH_MAX + 1) // 86400
         assert len(evidence._DAY_STARTS) == len(evidence._ISO_DATES) == days
@@ -462,10 +461,10 @@ class TestDayCaches:
         evidence._DAY_STARTS.clear()
         if day_read_before:
             with contextlib.suppress(ImpossibleDate):
-                normalize_timestamp(raw[:10] + "T12:00:00Z", Locale.DAY_FIRST, 0)
+                normalize_timestamp(raw[:10] + "T12:00:00Z", "day-first", 0)
         for _ in range(2):
             with pytest.raises(ImpossibleDate) as raised:
-                normalize_timestamp(raw, Locale.DAY_FIRST, 0)
+                normalize_timestamp(raw, "day-first", 0)
             assert str(raised.value) == message
         if message.startswith(("day", "month", "year")):
             assert raw[:10] not in evidence._DAY_STARTS
@@ -486,7 +485,7 @@ class TestToIso:
     )
     @pytest.mark.parametrize("zone_offset_minutes", [0, 90])
     def test_equals_epoch_to_iso(self, raw, zone_offset_minutes):
-        stamp = normalize_timestamp(raw, Locale.DAY_FIRST, zone_offset_minutes)
+        stamp = normalize_timestamp(raw, "day-first", zone_offset_minutes)
         assert stamp.to_iso() == epoch_to_iso(stamp.seconds_since_epoch)
         assert stamp.to_iso() is stamp.to_iso()
 
@@ -502,7 +501,7 @@ class TestToIso:
     )
     def test_only_ascii_digits_and_the_whole_text(self, tmp_path, raw):
         with pytest.raises(UnparseableTimestamp):
-            normalize_timestamp(raw, Locale.DAY_FIRST, 0)
+            normalize_timestamp(raw, "day-first", 0)
         row = {"id": "w1", "ssid": "x", "last_connected": raw}
         dump = ingest_device_dump(write_bundle(tmp_path / "b", {"wifi_history.jsonl": [row]}))
         assert dump.records == ()
@@ -516,7 +515,7 @@ class TestToIso:
 
     def test_iso_z_text_is_its_own_rendering(self):
         raw = "2016-04-06T14:33:53Z"
-        assert normalize_timestamp(raw, Locale.DAY_FIRST, 0).to_iso() is raw
+        assert normalize_timestamp(raw, "day-first", 0).to_iso() is raw
 
     @pytest.mark.parametrize("text", ["not a timestamp", "2016-04-06T14:33:53Z", "x"])
     def test_directly_built(self, text):
@@ -524,7 +523,7 @@ class TestToIso:
         assert stamp.to_iso() == epoch_to_iso(1459953240) == "2016-04-06T14:34:00Z"
 
     def test_rendering_is_not_part_of_equality(self):
-        a = normalize_timestamp("2016-04-06T14:33:53Z", Locale.DAY_FIRST, 0)
+        a = normalize_timestamp("2016-04-06T14:33:53Z", "day-first", 0)
         b = UtcTimestamp(a.seconds_since_epoch, a.original_text)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         b.to_iso()

@@ -17,7 +17,7 @@ from synctrail.evidence import (
     canonical_encode,
 )
 from synctrail.preservation import (
-    IsolationMethod,
+    ISOLATION_METHODS,
     chain_digest,
     diff_acquisitions,
     load_sealed_manifest,
@@ -97,7 +97,7 @@ class TestVerifyChain:
         head, links = chain_digest(HEADER, records)
         return {
             **HEADER_FIELDS,
-            "isolation_method": IsolationMethod.AIRPLANE_MODE.value,
+            "isolation_method": "AirplaneMode",
             "record_count": len(records),
             "chain_head": head.hex(),
             "record_links": [link.hex() for link in links],
@@ -176,12 +176,27 @@ class TestSealAndLoad:
     def test_round_trip_through_sealed_file(self, tmp_path):
         case = generate_case(SimParams(seed=11, n_uploads=3), tmp_path)
         dump = ingest_device_dump(case.bundle_dir)
-        manifest = seal_dump(dump, examiner="jdoe", isolation_method=IsolationMethod.POWERED_OFF)
+        manifest = seal_dump(dump, examiner="jdoe", isolation_method="PoweredOff")
         path = write_sealed_manifest(manifest, case.bundle_dir)
         assert path.name == "manifest.sealed.json"
         loaded = load_sealed_manifest(case.bundle_dir)
         assert loaded == manifest
         assert verify_chain(loaded, dump.records)["verdict"] == "Intact"
+
+    def test_each_isolation_method_is_sealed_as_given(self, tmp_path):
+        case = generate_case(SimParams(seed=12, n_uploads=1), tmp_path)
+        dump = ingest_device_dump(case.bundle_dir, "month-first")
+        for method in ISOLATION_METHODS.values():
+            manifest = seal_dump(dump, isolation_method=method)
+            assert (manifest["isolation_method"], manifest["locale"]) == (method, "month-first")
+
+    @pytest.mark.parametrize("method", ["airplane-mode", "AIRPLANE_MODE", "Faraday", "none"])
+    def test_an_isolation_method_outside_the_sealed_values_is_refused(self, tmp_path, method):
+        """A library caller cannot write a seal that load_sealed_manifest would refuse."""
+        case = generate_case(SimParams(seed=12, n_uploads=1), tmp_path)
+        dump = ingest_device_dump(case.bundle_dir)
+        with pytest.raises(ValueError, match=repr(method)):
+            seal_dump(dump, isolation_method=method)
 
     def test_sealed_file_carries_hex_fields(self, tmp_path):
         case = generate_case(SimParams(seed=12, n_uploads=1), tmp_path)

@@ -20,10 +20,18 @@ def test_every_name_in_all_resolves():
     assert [name for name in synctrail.__all__ if not hasattr(synctrail, name)] == []
 
 
-@pytest.mark.parametrize("name", ["AppRecord", "AppStatus", "ArtifactCategory", "EventKind"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "AppRecord", "AppStatus", "ArtifactCategory", "EventKind",
+        "IsolationMethod", "Locale", "ReportFormat",
+    ],
+)
 def test_no_module_has_a_type_that_only_wrapped_strings(name):
-    """``parse_app_inventory`` returns the evidence records themselves, and
-    a record's category and an event's kind are the strings the outputs hold."""
+    """``parse_app_inventory`` returns the evidence records themselves; a
+    record's category, an event's kind, a locale, an isolation method and
+    a report format are the strings the command line takes and the
+    outputs hold."""
     assert name not in synctrail.__all__
     with pytest.raises(AttributeError):
         getattr(synctrail, name)

@@ -18,6 +18,7 @@ from synctrail.acquisition import (
     ingest_device_dump,
     parse_app_inventory,
 )
+import synctrail
 from synctrail import cli, reporting
 from synctrail.cli import run
 from synctrail.correlation import (
@@ -31,8 +32,8 @@ from synctrail.osint import build_identity_graph
 from synctrail.preservation import seal_dump, verify_chain
 from synctrail.simulator import SimParams, generate_case
 from synctrail.reporting import (
+    REPORT_FORMATS,
     STAGE_FILES,
-    ReportFormat,
     build_case_report,
     render_report,
 )
@@ -60,7 +61,7 @@ SECTIONS = [
 PARAMETERS = {"window_seconds": 300, "min_skew_support": 3, "locale": "day-first"}
 
 
-def rendered(report: dict, format: ReportFormat = ReportFormat.JSON) -> bytes:
+def rendered(report: dict, format: str = "json") -> bytes:
     out = io.BytesIO()
     render_report(report, out, format)
     return out.getvalue()
@@ -102,7 +103,7 @@ def golden_case(golden_bundle, golden_cloud_log) -> dict:
 
 class TestRenderReport:
     def test_empty_case_has_every_section(self):
-        data = json.loads(rendered(empty_case(), ReportFormat.JSON))
+        data = json.loads(rendered(empty_case(), "json"))
         assert list(data) == SECTIONS
         assert data["links"] == []
         assert data["findings"] == []
@@ -114,8 +115,27 @@ class TestRenderReport:
 
     def test_rendering_is_byte_deterministic(self, golden_bundle, golden_cloud_log):
         case = golden_case(golden_bundle, golden_cloud_log)
-        for fmt in ReportFormat:
+        for fmt in REPORT_FORMATS:
             assert rendered(case, fmt) == rendered(case, fmt)
+
+    def test_each_format_gives_the_bytes_that_report_writes(self, tmp_path):
+        case = generate_case(SimParams(seed=3, n_uploads=6, skew_seconds=60), tmp_path / "case")
+        out = tmp_path / "out"
+        assert run(["run-all", str(case.bundle_dir), str(case.cloud_log), "--out", str(out)]) == 0
+        stages = {name: cli._read_stage(out / name, shape)
+                  for name, (_, shape) in STAGE_FILES.items() if (out / name).is_file()}
+        report = build_case_report(stages, synctrail.__version__)
+        for fmt in REPORT_FORMATS:
+            assert run(["report", "--out", str(out), "--format", fmt]) == 0
+            on_disk = (out / f"{report['case_id']}.report.{fmt}").read_bytes()
+            assert rendered(report, fmt) == on_disk, fmt
+
+    @pytest.mark.parametrize("format", ["pdf", "markdown", "JSON", ""])
+    def test_a_format_outside_the_set_is_refused_before_a_byte_is_written(self, format):
+        out = io.BytesIO()
+        with pytest.raises(ValueError, match=repr(format)):
+            render_report(empty_case(), out, format)
+        assert out.getvalue() == b""
 
     def test_golden_case_contents(self, golden_bundle, golden_cloud_log):
         data = json.loads(rendered(golden_case(golden_bundle, golden_cloud_log)))
@@ -131,8 +151,8 @@ class TestRenderReport:
         self, golden_bundle, golden_cloud_log
     ):
         case = golden_case(golden_bundle, golden_cloud_log)
-        data = json.loads(rendered(case, ReportFormat.JSON))
-        markdown = rendered(case, ReportFormat.MARKDOWN).decode("utf-8")
+        data = json.loads(rendered(case, "json"))
+        markdown = rendered(case, "md").decode("utf-8")
         for finding in data["findings"]:
             assert finding["finding_id"] in markdown
             for supporting in finding["supporting_ids"]:
@@ -140,7 +160,7 @@ class TestRenderReport:
 
     def test_html_static_and_self_contained(self, golden_bundle, golden_cloud_log):
         page = rendered(
-            golden_case(golden_bundle, golden_cloud_log), ReportFormat.HTML
+            golden_case(golden_bundle, golden_cloud_log), "html"
         ).decode("utf-8")
         assert page.startswith("<!DOCTYPE html>")
         assert "<script" not in page
@@ -157,9 +177,9 @@ class TestRenderReport:
         assert "<li>Dump <code>golden-lgd802</code> collected " in page
         assert "<li>Cloud log <code>cloud_events.jsonl</code>, 2 events</li>" in page
         assert "**" not in page and "`" not in page
-        markdown = rendered(self.forged_spans(), ReportFormat.MARKDOWN).decode("utf-8")
+        markdown = rendered(self.forged_spans(), "md").decode("utf-8")
         assert "- **<b>&x** x [x]: " in markdown and "- Dump `<b>&x` collected " in markdown
-        forged = rendered(self.forged_spans(), ReportFormat.HTML).decode("utf-8")
+        forged = rendered(self.forged_spans(), "html").decode("utf-8")
         assert "<li><strong>&lt;b&gt;&amp;x</strong> x [x]: " in forged
         assert "<li>Dump <code>&lt;b&gt;&amp;x</code> collected " in forged
         assert "<li>Cloud log <code>&lt;b&gt;&amp;x</code>, 1 events</li>" in forged
@@ -174,7 +194,7 @@ class TestRenderReport:
     def test_a_timeline_row_of_dashes_is_a_row(self):
         case = case_of("x")
         case["timeline"].append(dict.fromkeys(case["timeline"][0], "---"))
-        page = rendered(case, ReportFormat.HTML).decode("utf-8")
+        page = rendered(case, "html").decode("utf-8")
         assert "<tr><td>---</td><td>---</td><td>---</td><td>---</td></tr>" in page
         assert page.count("<tr>") == 3
 
@@ -182,8 +202,8 @@ class TestRenderReport:
     def test_a_timeline_cell_shows_the_markdown_cell_s_text(self, text):
         case = case_of("x")
         case["timeline"][0]["id"] = text
-        markdown = rendered(case, ReportFormat.MARKDOWN).decode("utf-8")
-        page = rendered(case, ReportFormat.HTML).decode("utf-8")
+        markdown = rendered(case, "md").decode("utf-8")
+        page = rendered(case, "html").decode("utf-8")
         assert f"\n| x | x | {text} | x |\n" in markdown
         assert f"<tr><td>x</td><td>x</td><td>{text}</td><td>x</td></tr>\n" in page
 
@@ -294,12 +314,12 @@ class TestMarkdownStructure:
     def test_no_text_changes_the_structure(self, text):
         plain = case_of("x")
         forged = case_of(text)
-        markdown = rendered(forged, ReportFormat.MARKDOWN)
-        assert line_kinds(markdown) == line_kinds(rendered(plain, ReportFormat.MARKDOWN))
-        page = rendered(forged, ReportFormat.HTML)
+        markdown = rendered(forged, "md")
+        assert line_kinds(markdown) == line_kinds(rendered(plain, "md"))
+        page = rendered(forged, "html")
         headings = [part for part in html_structure(page) if part.startswith("<h")]
         structure = [part if not part.startswith("<h") else "<h>" for part in html_structure(page)]
-        plain_page = rendered(plain, ReportFormat.HTML)
+        plain_page = rendered(plain, "html")
         plain_structure = [
             part if not part.startswith("<h") else "<h>" for part in html_structure(plain_page)
         ]
@@ -313,12 +333,12 @@ class TestMarkdownStructure:
         assert f"<h1>{title}</h1>" == headings[0]
 
     def test_escapes_are_the_json_forms(self):
-        markdown = rendered(case_of("x\n## Forged | cell"), ReportFormat.MARKDOWN)
+        markdown = rendered(case_of("x\n## Forged | cell"), "md")
         lines = markdown.decode("utf-8").splitlines()
         row = "| x\\n## Forged \\| cell | x\\n## Forged \\| cell " * 2 + "|"
         assert row in lines
         assert "- x\\n## Forged | cell: x\\n## Forged | cell" in lines
-        escaped = rendered(case_of("".join(LINE_BREAKS) + "\\"), ReportFormat.MARKDOWN)
+        escaped = rendered(case_of("".join(LINE_BREAKS) + "\\"), "md")
         assert (
             "- \\n\\r\\r\\n\\u000b\\f\\u001c\\u001d\\u001e\\u0085\\u2028\\u2029\\\\: "
             in escaped.decode("utf-8")
@@ -485,16 +505,16 @@ class TestSectionBySectionJson:
             "geo": [],
             "error_ledger": [{"message": text} for text in TRICKY],
         }
-        assert_report_json(rendered(case, ReportFormat.JSON), case)
+        assert_report_json(rendered(case, "json"), case)
 
     def test_empty_case(self):
         case = empty_case()
         assert case["skew"] is None
-        assert_report_json(rendered(case, ReportFormat.JSON), case)
+        assert_report_json(rendered(case, "json"), case)
 
     def test_golden_case(self, golden_bundle, golden_cloud_log):
         case = golden_case(golden_bundle, golden_cloud_log)
-        assert_report_json(rendered(case, ReportFormat.JSON), case)
+        assert_report_json(rendered(case, "json"), case)
 
     @settings(deadline=None)
     @given(
@@ -520,7 +540,7 @@ class TestSectionBySectionJson:
             "geo": lists[3],
             "error_ledger": lists[4],
         }
-        assert_report_json(rendered(case, ReportFormat.JSON), case)
+        assert_report_json(rendered(case, "json"), case)
 
 
 class Text(str):
@@ -653,7 +673,7 @@ class TestOneWriterTwoLayouts:
 class TestReportStepMemory:
     @pytest.mark.parametrize(
         "format, floor",
-        [(ReportFormat.JSON, 800_000), (ReportFormat.MARKDOWN, 400_000), (ReportFormat.HTML, 600_000)],
+        [("json", 800_000), ("md", 400_000), ("html", 600_000)],
         ids=["json", "md", "html"],
     )
     def test_peak_stays_below_the_report_size(self, tmp_path, capsys, format, floor):

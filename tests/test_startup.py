@@ -56,12 +56,14 @@ def test_importing_the_cli_loads_nothing_a_command_may_not_run():
 # its stage file.
 DATACLASSES: list[str] = []
 
-# An enum is kept only as the value set of a command-line option:
-# `choices=`, `Locale(value)` and the sealed-manifest checks read it.
-# Record categories, event kinds, link tiers, finding kinds, confidences,
-# verdicts, identifier kinds and timeline sources are the plain strings
-# that the outputs hold and REPORT_SCHEMA.md lists.
-ENUMS = ["IsolationMethod", "Locale", "ReportFormat"]
+# No enum is left: every value set is the plain strings that the command
+# line takes and the outputs hold. Record categories, event kinds, link
+# tiers, finding kinds, confidences, verdicts, identifier kinds and
+# timeline sources are listed in REPORT_SCHEMA.md; the locales, isolation
+# methods and report formats are the tuples and dict that `choices=` and
+# the sealed-manifest checks read (evidence.LOCALES,
+# preservation.ISOLATION_METHODS, reporting.REPORT_FORMATS).
+ENUMS: list[str] = []
 
 _CENSUS = """
 import dataclasses, enum, sys

@@ -6,7 +6,9 @@ hides which layers a module really depends on. One name is exempt:
 ``perfbench/tracing.py`` wraps it there by name and a traced run fails
 without it. A module-level private
 function, class or constant that nothing in the package reads is left
-over from code that is gone.
+over from code that is gone. No module imports ``enum``: every value
+set of the package is the plain strings that the command line takes and
+the outputs hold.
 
 Every source file of the package and its tests also compiles with
 warnings as errors: an ``is`` against a literal, such as
@@ -51,6 +53,31 @@ def test_every_imported_name_is_used(path):
 def test_the_scan_sees_an_unused_name():
     source = "import os, json as j\nfrom typing import Any, Optional\nx: Optional[int] = j.loads('1')\n"
     assert unused_imports(source) == ["os", "Any"]
+
+
+def enum_imports(source: str) -> list[int]:
+    """The lines of ``source`` that import ``enum``, as ``import enum`` or ``from enum import``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.partition(".")[0] == "enum" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_imports_enum(path):
+    assert enum_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_sees_an_enum_import():
+    source = "import os, enum as e\nfrom enum import Enum\nimport enumerate_me\nfrom . import enum\n"
+    assert enum_imports(source) == [1, 2]
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:

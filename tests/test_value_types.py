@@ -19,7 +19,7 @@ import pytest
 
 from synctrail.acquisition import CloudEvent, DeviceDump
 from synctrail.errors import ImpossibleDate
-from synctrail.evidence import EvidenceRecord, Locale, UtcTimestamp
+from synctrail.evidence import EvidenceRecord, UtcTimestamp
 from synctrail.osint import GeoTable
 
 STAMP = UtcTimestamp(1462752000, "2016-05-09T00:00:00Z")
@@ -115,7 +115,7 @@ CHANGES = {
         "records": (),
         "ledger": (),
         "line_counts": {},
-        "locale": Locale.MONTH_FIRST,
+        "locale": "month-first",
         "files": (),
         "unrecognized_files": ("notes.jsonl",),
     }),
@@ -201,7 +201,7 @@ def test_repr_text():
         f"tool_name='t', tool_version='1', device={{'imei': '356938035643809'}}, "
         f"records=({record()!r},), "
         f"ledger=({{'file': 'calls.jsonl', 'line': 2, 'message': 'bad'}},), "
-        f"line_counts={{'messages.jsonl': 1}}, locale=<Locale.DAY_FIRST: 'day-first'>, "
+        f"line_counts={{'messages.jsonl': 1}}, locale='day-first', "
         f"files=({{'name': 'manifest.json', 'bytes': 2, 'sha256': '{'ab' * 32}'}},), "
         f"unrecognized_files=())"
     )
@@ -265,7 +265,7 @@ def test_constructor_parameters_and_defaults():
     assert parameters(DeviceDump) == [
         ("dump_id", empty), ("collected_at", empty), ("zone_offset_minutes", empty),
         ("tool_name", empty), ("tool_version", empty), ("device", empty), ("records", empty),
-        ("ledger", ()), ("line_counts", "fresh"), ("locale", Locale.DAY_FIRST), ("files", ()),
+        ("ledger", ()), ("line_counts", "fresh"), ("locale", "day-first"), ("files", ()),
         ("unrecognized_files", ()),
     ]
     assert parameters(GeoTable) == [
@@ -285,7 +285,7 @@ def test_defaults():
     first = DeviceDump("d1", STAMP, 0, "t", "1", {}, ())
     second = DeviceDump("d1", STAMP, 0, "t", "1", {}, ())
     assert first.ledger == () and first.line_counts == {}
-    assert (first.locale, first.files, first.unrecognized_files) == (Locale.DAY_FIRST, (), ())
+    assert (first.locale, first.files, first.unrecognized_files) == ("day-first", (), ())
     assert first.line_counts is not second.line_counts
 
 
