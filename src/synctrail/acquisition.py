@@ -17,14 +17,7 @@ import re
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
-from .errors import (
-    DuplicateEventId,
-    DuplicateRecordId,
-    ImpossibleDate,
-    MalformedManifest,
-    MissingManifest,
-    UnparseableTimestamp,
-)
+from .errors import ForensicsError, ImpossibleDate, UnparseableTimestamp
 from .evidence import (
     DEVICE,
     LOCALES,
@@ -545,20 +538,20 @@ def _load_manifest(bundle: Path) -> tuple[dict, bytes]:
     """The checked ``manifest.json`` of ``bundle``, and the bytes it was read from."""
     manifest_path = bundle / BUNDLE_MANIFEST
     if not manifest_path.is_file():
-        raise MissingManifest(f"no {BUNDLE_MANIFEST} in {bundle}")
+        raise ForensicsError(f"no {BUNDLE_MANIFEST} in {bundle}")
     try:
         raw = manifest_path.read_bytes()
         data = load_json(raw.decode("utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
-        raise MissingManifest(f"{manifest_path} unreadable: {exc}") from exc
+        raise ForensicsError(f"{manifest_path} unreadable: {exc}") from exc
     if not isinstance(data, dict):
-        raise MissingManifest(f"{manifest_path} must hold a JSON object")
+        raise ForensicsError(f"{manifest_path} must hold a JSON object")
     for required in ("dump_id", "collected_at", "zone_offset_minutes"):
         if required not in data:
-            raise MissingManifest(f"{manifest_path} missing field {required!r}")
+            raise ForensicsError(f"{manifest_path} missing field {required!r}")
     for key in ("dump_id", "tool_name", "tool_version"):
         if isinstance(data.get(key), str) and lone_surrogate(data[key]):
-            raise MalformedManifest(f"{manifest_path} field {key!r} {LONE_SURROGATE}")
+            raise ForensicsError(f"{manifest_path} field {key!r} {LONE_SURROGATE}")
     data["zone_offset_minutes"] = _zone_offset(data["zone_offset_minutes"], manifest_path)
     return data, raw
 
@@ -566,7 +559,7 @@ def _load_manifest(bundle: Path) -> tuple[dict, bytes]:
 def _zone_offset(value: object, manifest_path: Path) -> int:
     offset = _integer(value)
     if offset is None:
-        raise MalformedManifest(
+        raise ForensicsError(
             f"{manifest_path} field 'zone_offset_minutes' must be an integer, got {value!r}"
         )
     return offset
@@ -618,7 +611,7 @@ def ingest_device_dump(bundle_path: Path | str, locale: str = "day-first") -> De
     Records preserve file order across the canonical category sequence
     and carry their source file and line number as provenance
     attributes. Malformed lines land in the ledger and ingestion
-    continues; a duplicated record id aborts with DuplicateRecordId.
+    continues; a duplicated record id aborts with ForensicsError.
     The dump's file table hashes the very bytes that were parsed.
     ``locale`` is one of ``LOCALES``; any other value is refused.
     """
@@ -627,7 +620,10 @@ def ingest_device_dump(bundle_path: Path | str, locale: str = "day-first") -> De
     bundle = Path(bundle_path)
     manifest, manifest_bytes = _load_manifest(bundle)
     zone_offset = manifest["zone_offset_minutes"]
-    collected_at = normalize_timestamp(str(manifest["collected_at"]), locale, 0)
+    try:
+        collected_at = normalize_timestamp(str(manifest["collected_at"]), locale, 0)
+    except (UnparseableTimestamp, ImpossibleDate) as exc:
+        raise ForensicsError(f"{bundle / BUNDLE_MANIFEST} field 'collected_at': {exc}") from None
 
     records: list[EvidenceRecord] = []
     ledger: list[dict] = []
@@ -662,7 +658,7 @@ def ingest_device_dump(bundle_path: Path | str, locale: str = "day-first") -> De
                 continue
             if record.record_id in seen_ids:
                 first_file, first_line = _provenance(seen_ids[record.record_id])
-                raise DuplicateRecordId(
+                raise ForensicsError(
                     f"record id {record.record_id!r} at {file_name}:{line_no} already used "
                     f"at {first_file}:{first_line}"
                 )
@@ -783,7 +779,7 @@ def ingest_cloud_log(path: Path | str, ledger: Optional[list[dict]] = None) -> l
                 note(line_no, f"field {bad[0]!r} {LONE_SURROGATE}")
                 continue
         if event_id in seen:
-            raise DuplicateEventId(
+            raise ForensicsError(
                 f"event id {event_id!r} on line {line_no} already used on line {seen[event_id]}"
             )
         seen[event_id] = line_no

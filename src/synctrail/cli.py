@@ -48,7 +48,7 @@ from .correlation import (
     estimate_clock_skew,
     match_synced_artifacts,
 )
-from .errors import ForensicsError, MalformedStageFile, UnsafeCaseId
+from .errors import ForensicsError
 from .evidence import LOCALES, EvidenceRecord
 from .osint import (
     build_identity_graph,
@@ -109,11 +109,11 @@ def _write_stages(out: Path, stages: Stages) -> Stages:
 
 
 def _read_stage(path: Path, shape: object) -> Any:
-    """Load a stage file of ``shape``; anything else raises MalformedStageFile naming it."""
+    """Load a stage file of ``shape``; anything else raises ForensicsError naming it."""
     try:
         return load_json_file(path, shape)
     except ValueError as exc:
-        raise MalformedStageFile(f"stage file {path} {exc}") from None
+        raise ForensicsError(f"stage file {path} {exc}") from None
 
 
 def _case_id_problem(case_id: str) -> Optional[str]:
@@ -308,7 +308,7 @@ def _step_report(out: Path, stages: Stages, case_id: Optional[str], format: str)
     report = build_case_report(stages, __version__, case_id)
     problem = _case_id_problem(report["case_id"])
     if problem:
-        raise UnsafeCaseId(
+        raise ForensicsError(
             f"dump id {report['case_id']!r} cannot name the report file: it {problem}"
         )
     path = out / f"{report['case_id']}.report.{format}"

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 from bisect import bisect_right
 
 from .acquisition import _integer, load_json, os_name
-from .errors import MalformedTable
+from .errors import ForensicsError
 from .evidence import EvidenceRecord, _Frozen, _set
 
 
@@ -195,7 +195,7 @@ def load_geo_table(path: Path | str) -> GeoTable:
     """Load a CSV of (range_start_ip, range_end_ip, country, city) rows.
 
     Rows must already be sorted by range start and must not overlap;
-    violations raise MalformedTable at load so later lookups can trust
+    violations raise ForensicsError at load so later lookups can trust
     binary search. So does a file that is not UTF-8 or that csv cannot
     read, such as one with a field over csv's size limit.
     """
@@ -212,27 +212,25 @@ def load_geo_table(path: Path | str) -> GeoTable:
                 if not row or row[0].lstrip().startswith("#"):
                     continue
                 if len(row) < 4:
-                    raise MalformedTable(
-                        f"{table_path}:{row_no}: need 4 columns, got {len(row)}"
-                    )
+                    raise ForensicsError(f"{table_path}:{row_no}: need 4 columns, got {len(row)}")
                 try:
                     start = int(ipaddress.IPv4Address(row[0].strip()))
                     end = int(ipaddress.IPv4Address(row[1].strip()))
                 except ipaddress.AddressValueError as exc:
-                    raise MalformedTable(f"{table_path}:{row_no}: {exc}") from exc
+                    raise ForensicsError(f"{table_path}:{row_no}: {exc}") from exc
                 if end < start:
-                    raise MalformedTable(f"{table_path}:{row_no}: range end precedes start")
+                    raise ForensicsError(f"{table_path}:{row_no}: range end precedes start")
                 if starts and start <= ends[-1]:
-                    raise MalformedTable(
+                    raise ForensicsError(
                         f"{table_path}:{row_no}: ranges must be sorted and non-overlapping"
                     )
                 starts.append(start)
                 ends.append(end)
                 labels.append((row[2].strip(), row[3].strip()))
         except UnicodeDecodeError as exc:
-            raise MalformedTable(f"{table_path}: not UTF-8 text ({exc.reason})") from None
+            raise ForensicsError(f"{table_path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
-            raise MalformedTable(f"{table_path}:{reader.line_num}: {exc}") from None
+            raise ForensicsError(f"{table_path}:{reader.line_num}: {exc}") from None
     return GeoTable(
         name=os_name(table_path.name), starts=tuple(starts), ends=tuple(ends), labels=tuple(labels)
     )

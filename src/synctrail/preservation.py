@@ -18,15 +18,7 @@ from typing import Optional, Sequence
 
 from . import atomic
 from .acquisition import DeviceDump, file_table, ingest_device_dump, load_json_file, shape_problem
-from .errors import (
-    DeviceMismatch,
-    ImpossibleDate,
-    MalformedManifest,
-    MissingManifest,
-    RecordCountMismatch,
-    UnparseableTimestamp,
-    UnsupportedAlgorithm,
-)
+from .errors import ForensicsError, ImpossibleDate, RecordCountMismatch, UnparseableTimestamp
 from .evidence import (
     DIGEST_ALGORITHM,
     FIELD_SEP,
@@ -143,10 +135,13 @@ def seal_dump(
     locale and file table the dump was read with, then the chain head
     and the running chain value after each record (so tampering can be
     localized to an index), as lowercase hex. ``isolation_method`` is
-    one of ``ISOLATION_METHODS``' values; any other value is refused.
+    one of ``ISOLATION_METHODS``' values and ``dump.locale`` one of
+    ``LOCALES``; any other value is refused.
     """
     if isolation_method not in ISOLATION_METHODS.values():
         raise ValueError(f"unknown isolation method {isolation_method!r}")
+    if dump.locale not in LOCALES:
+        raise ValueError(f"locale must be one of {', '.join(LOCALES)}, got {dump.locale!r}")
     manifest = {
         "dump_id": dump.dump_id,
         "collected_at": dump.collected_at.to_iso(),
@@ -180,7 +175,7 @@ def verify_chain(manifest: dict, records: Sequence[EvidenceRecord]) -> dict:
     algorithm, count = manifest["digest_algorithm"], manifest["record_count"]
     sealed_links = manifest["record_links"]
     if algorithm != DIGEST_ALGORITHM:
-        raise UnsupportedAlgorithm(f"cannot verify algorithm {algorithm!r}, only {DIGEST_ALGORITHM}")
+        raise ForensicsError(f"cannot verify algorithm {algorithm!r}, only {DIGEST_ALGORITHM}")
     if count != len(records):
         raise RecordCountMismatch(f"manifest sealed {count} records, got {len(records)}")
     if len(sealed_links) != count:
@@ -311,7 +306,7 @@ def diff_acquisitions(a: DeviceDump, b: DeviceDump, allow_device_mismatch: bool 
             reason = f"{unstated}, so the dumps cannot be shown to come from one device"
         else:
             reason = f"dumps claim different devices (imei {imei_a!r} vs {imei_b!r})"
-        raise DeviceMismatch(f"{reason}; pass the override flag to diff anyway")
+        raise ForensicsError(f"{reason}; pass the override flag to diff anyway")
     by_id_a = {r.record_id: r for r in a.records}
     by_id_b = {r.record_id: r for r in b.records}
     added = sorted(set(by_id_b) - set(by_id_a))
@@ -344,7 +339,7 @@ _SEALED_TABLE = {
 
 
 def load_sealed_manifest(bundle_path: Path | str) -> dict:
-    """Read manifest.sealed.json, checked as a stage file is; raise MalformedManifest if malformed.
+    """Read manifest.sealed.json, checked as a stage file is; raise ForensicsError if malformed.
 
     Returns the payload in the form ``seal_dump`` gives it: digests in
     lowercase hex, ``collected_at`` in its ISO-Z rendering, and only the
@@ -355,25 +350,25 @@ def load_sealed_manifest(bundle_path: Path | str) -> dict:
     path = Path(bundle_path) / SEALED_MANIFEST
     if not path.is_file():
         if path.exists():
-            raise MalformedManifest(f"{path} is not a file")
-        raise MissingManifest(f"no {SEALED_MANIFEST} in {bundle_path}; seal the bundle first")
+            raise ForensicsError(f"{path} is not a file")
+        raise ForensicsError(f"no {SEALED_MANIFEST} in {bundle_path}; seal the bundle first")
     try:
         data = load_json_file(path, _SEALED)
     except ValueError as exc:
-        raise MalformedManifest(f"{path} {exc}") from None
+        raise ForensicsError(f"{path} {exc}") from None
     table = "files" in data
     problem = table and shape_problem(data, _SEALED_TABLE)
     if problem:
-        raise MalformedManifest(f"{path} {problem}")
+        raise ForensicsError(f"{path} {problem}")
     if data["isolation_method"] not in ISOLATION_METHODS.values():
         method = data["isolation_method"]
-        raise MalformedManifest(f"{path} field 'isolation_method' has unknown value {method!r}")
+        raise ForensicsError(f"{path} field 'isolation_method' has unknown value {method!r}")
     if table and data["locale"] not in LOCALES:
-        raise MalformedManifest(f"{path} field 'locale' has unknown value {data['locale']!r}")
+        raise ForensicsError(f"{path} field 'locale' has unknown value {data['locale']!r}")
     try:
         collected_at = normalize_timestamp(data["collected_at"], "day-first", 0)
     except (UnparseableTimestamp, ImpossibleDate) as exc:
-        raise MalformedManifest(f"{path} field 'collected_at': {exc}") from None
+        raise ForensicsError(f"{path} field 'collected_at': {exc}") from None
     manifest = {key: data[key] for key in (*_SEALED, *(_SEALED_TABLE if table else ()))}
     manifest["collected_at"] = collected_at.to_iso()
     if table:
@@ -405,10 +400,10 @@ def _sealed_links(links: list, path: Path) -> list[str]:
 
 
 def _sealed_link(text: object, path: Path, where: str) -> str:
-    """A sealed digest's hex text in lowercase; MalformedManifest if it names no 32 bytes."""
+    """A sealed digest's hex text in lowercase; ForensicsError if it names no 32 bytes."""
     try:
         return checked_digest_hex(text)
     except ValueError:
-        raise MalformedManifest(
+        raise ForensicsError(
             f"{path} field {where!r} must be 64 hex characters, got {text!r}"
         ) from None

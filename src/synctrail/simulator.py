@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .acquisition import CATEGORY_FILES, TIME_FIELDS, ingest_device_dump
-from .errors import EmptyBundle, IoFailure
+from .errors import ForensicsError
 from .evidence import EPOCH_MAX, EPOCH_MIN, epoch_to_iso
 
 CLOUD_LOG_NAME = "cloud_events.jsonl"
@@ -395,7 +395,7 @@ def generate_case(params: SimParams, out_dir: Path | str) -> SimCase:
             encoding="utf-8",
         )
     except OSError as exc:
-        raise IoFailure(f"could not write case under {out}: {exc}") from exc
+        raise ForensicsError(f"could not write case under {out}: {exc}") from exc
     return SimCase(bundle_dir=bundle, cloud_log=cloud_log, ground_truth=truth)
 
 
@@ -413,7 +413,7 @@ def inject_tamper(bundle_path: Path | str, seed: int) -> tuple[Path, int]:
     bundle = Path(bundle_path)
     dump = ingest_device_dump(bundle)
     if not dump.records:
-        raise EmptyBundle(f"{bundle} has no records to tamper with")
+        raise ForensicsError(f"{bundle} has no records to tamper with")
     rng = Lcg64(seed)
     start = rng.randrange(len(dump.records))
     for offset in range(len(dump.records)):
@@ -444,4 +444,4 @@ def inject_tamper(bundle_path: Path | str, seed: int) -> tuple[Path, int]:
         lines[line_no - 1] = _LINE.encode(fields).encode("utf-8") + line[len(body):]
         path.write_bytes(b"".join(lines))
         return bundle, index
-    raise EmptyBundle(f"{bundle} has no mutable attribute values")
+    raise ForensicsError(f"{bundle} has no mutable attribute values")

@@ -7,12 +7,13 @@ import pytest
 
 from synctrail.acquisition import (
     dump_to_json_dict,
+    file_table,
     ingest_cloud_log,
     ingest_device_dump,
     parse_app_inventory,
     record_rows,
 )
-from synctrail.errors import DuplicateEventId, DuplicateRecordId, MissingManifest
+from synctrail.errors import ForensicsError
 from synctrail.evidence import LOCALES, EvidenceRecord
 
 from _oracles import civil_to_epoch
@@ -137,7 +138,8 @@ class TestIngestDeviceDump:
 
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "b").mkdir()
-        with pytest.raises(MissingManifest):
+        problem = f"^no manifest\\.json in {re.escape(str(tmp_path / 'b'))}$"
+        with pytest.raises(ForensicsError, match=problem):
             ingest_device_dump(tmp_path / "b")
 
     def test_malformed_line_ledgered_at_correct_number(self, tmp_path):
@@ -189,7 +191,8 @@ class TestIngestDeviceDump:
             tmp_path / "b",
             {"messages.jsonl": [{"id": "m1", "peer": "+1"}, {"id": "m1", "peer": "+2"}]},
         )
-        with pytest.raises(DuplicateRecordId):
+        problem = r"^record id 'm1' at messages\.jsonl:2 already used at messages\.jsonl:1$"
+        with pytest.raises(ForensicsError, match=problem):
             ingest_device_dump(bundle)
 
     def test_duplicate_record_id_names_both_lines(self, tmp_path):
@@ -200,7 +203,7 @@ class TestIngestDeviceDump:
                 "calls.jsonl": [{"peer": "+3"}, {"id": "m1", "peer": "+4"}],
             },
         )
-        with pytest.raises(DuplicateRecordId) as caught:
+        with pytest.raises(ForensicsError) as caught:
             ingest_device_dump(bundle)
         assert str(caught.value) == (
             "record id 'm1' at calls.jsonl:2 already used at messages.jsonl:1"
@@ -309,6 +312,18 @@ class TestIngestDeviceDump:
         section = ingest_device_dump(bundle).device
         assert {name: section[name] for name in strings} == {n: f"v-{n}" for n in strings}
         assert all(section[name] is True for name in flags)
+
+    def test_a_profile_value_that_does_not_read_is_null(self, tmp_path):
+        row = {"model": "X1", "screen_lock_enabled": "maybe", "battery_percent": "abc"}
+        bundle = write_bundle(tmp_path / "b", {"device_info.jsonl": [row]})
+        section = dump_to_json_dict(ingest_device_dump(bundle))["device"]
+        assert section["model"] == "X1"
+        assert section["screen_lock_enabled"] is None and section["battery_percent"] is None
+
+    def test_the_file_table_of_a_directory_without_a_manifest_is_empty(self, tmp_path):
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "messages.jsonl").write_text('{"id":"m1","peer":"+1"}\n')
+        assert file_table(tmp_path / "b") == ([], [])
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
     def test_unicode_line_separator_stays_inside_its_record(self, tmp_path, separator):
@@ -509,10 +524,9 @@ class TestIngestCloudLog:
         rows[7]["id"] = "e3"
         path = tmp_path / "log.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        with pytest.raises(DuplicateEventId) as err:
+        problem = "^event id 'e3' on line 8 already used on line 4$"
+        with pytest.raises(ForensicsError, match=problem):
             ingest_cloud_log(path)
-        assert "line 8" in str(err.value)
-        assert "line 4" in str(err.value)
 
     def test_digest_and_size_parsed(self, tmp_path):
         path = tmp_path / "log.jsonl"

@@ -69,6 +69,8 @@ class TestExitCodes:
             ("--skew-seconds", "-1462752001"),
             ("--skew-seconds", "2670537598"),
             ("--sync-lag-max", "4000000000"),
+            ("--sync-lag-max", "0"),
+            ("--uninstall-fraction", "1.5"),
         ],
     )
     def test_bad_simulate_params_usage_error(self, tmp_path, capsys, flag, value):
@@ -896,6 +898,13 @@ MALFORMED_INPUTS = [
                  "error: {path} unreadable: 'utf-8' codec can't decode byte 0xff in position 0: "
                  "invalid start byte",
                  id="non-utf8-manifest"),
+    pytest.param("bundle/manifest.json", _with("collected_at", "yesterday"), "ingest", 4,
+                 "error: {path} field 'collected_at': "
+                 "timestamp 'yesterday' matches no supported grammar",
+                 id="manifest-unparseable-collected-at"),
+    pytest.param("bundle/manifest.json", _with("collected_at", "2016-13-01T00:00:00Z"), "ingest",
+                 4, "error: {path} field 'collected_at': month 13 does not exist",
+                 id="manifest-impossible-collected-at"),
     # Nested stage-file content that the renderers index.
     pytest.param("out/links.json", lambda raw: b'[{"tier":"ExactDigest"}]', "report-md", 4,
                  "error: stage file {path} missing field '[0].device_record_id'",

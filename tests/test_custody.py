@@ -327,6 +327,20 @@ class TestHeadAndTable:
             "running_apps.jsonl was sealed but is missing from the bundle"
         )
 
+    def test_a_reordered_table_with_a_recomputed_head_is_tampered(self, tmp_path, capsys):
+        bundle = sealed_copy(tmp_path)
+
+        def swap(data: dict) -> None:
+            data["files"][1], data["files"][2] = data["files"][2], data["files"][1]
+            links = b"".join(bytes.fromhex(link) for link in data["record_links"])
+            data["chain_head"] = head_digest(data, links).hex()
+
+        rewrite_sealed(bundle, swap)
+        assert verify(bundle, capsys) == (3, [
+            "verification failed: the sealed file table lists the bundle's files in another order",
+            TAMPERED,
+        ])
+
     def test_the_seal_records_the_locale_it_read_with(self, golden_bundle):
         dump = ingest_device_dump(golden_bundle, "month-first")
         assert seal_dump(dump)["locale"] == "month-first"

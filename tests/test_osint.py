@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from synctrail import osint
 from synctrail.acquisition import CATEGORY_FILES, ingest_device_dump
-from synctrail.errors import MalformedTable
+from synctrail.errors import ForensicsError
 from synctrail.evidence import EvidenceRecord, UtcTimestamp
 from synctrail.osint import (
     build_identity_graph,
@@ -385,6 +385,10 @@ class TestIdentityGraph:
         }
 
 
+# What load_geo_table says of a second row that overlaps or precedes the first.
+UNSORTED = r"geo\.csv:2: ranges must be sorted and non-overlapping$"
+
+
 def make_table(tmp_path, rows):
     path = tmp_path / "geo.csv"
     path.write_text("".join(f"{a},{b},{c},{d}\n" for a, b, c, d in rows), encoding="utf-8")
@@ -415,19 +419,19 @@ class TestGeoLookup:
 
     def test_overlap_rejected(self, tmp_path):
         rows = [("10.0.0.0", "10.0.0.255", "IE", "Dublin"), ("10.0.0.200", "10.0.1.0", "IE", "Cork")]
-        with pytest.raises(MalformedTable):
+        with pytest.raises(ForensicsError, match=UNSORTED):
             load_geo_table(make_table(tmp_path, rows))
 
     def test_unsorted_rejected(self, tmp_path):
         rows = [("10.0.1.0", "10.0.1.255", "IE", "Dublin"), ("10.0.0.0", "10.0.0.255", "IE", "Cork")]
-        with pytest.raises(MalformedTable):
+        with pytest.raises(ForensicsError, match=UNSORTED):
             load_geo_table(make_table(tmp_path, rows))
 
     def test_non_utf8_table_rejected(self, tmp_path):
         path = tmp_path / "geo.csv"
         path.write_bytes(b"10.0.0.0,10.0.0.255,IE,Cork\n10.0.1.0,10.0.1.255,\xff\xfe,Cork\n")
         problem = r"geo\.csv: not UTF-8 text \(invalid start byte\)$"
-        with pytest.raises(MalformedTable, match=problem):
+        with pytest.raises(ForensicsError, match=problem):
             load_geo_table(path)
 
     def test_field_over_csv_limit_rejected(self, tmp_path):
@@ -435,7 +439,7 @@ class TestGeoLookup:
         path = tmp_path / "geo.csv"
         path.write_text(f"10.0.0.0,10.0.0.255,IE,{'x' * (limit + 1)}\n", encoding="utf-8")
         problem = rf"geo\.csv:1: field larger than field limit \({limit}\)$"
-        with pytest.raises(MalformedTable, match=problem):
+        with pytest.raises(ForensicsError, match=problem):
             load_geo_table(path)
 
     def test_matches_linear_scan_oracle(self, tmp_path):

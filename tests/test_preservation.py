@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from synctrail.acquisition import DeviceDump, ingest_device_dump
 from synctrail.cli import run
-from synctrail.errors import DeviceMismatch, RecordCountMismatch, UnsupportedAlgorithm
+from synctrail.errors import ForensicsError, RecordCountMismatch
 from synctrail.evidence import (
     EvidenceRecord,
     canonical_encode,
@@ -155,7 +155,7 @@ class TestVerifyChain:
         records = [record("r1", k="1")]
         manifest = self.make_sealed(records)
         manifest["digest_algorithm"] = "md5"
-        with pytest.raises(UnsupportedAlgorithm):
+        with pytest.raises(ForensicsError, match="^cannot verify algorithm 'md5', only sha-256$"):
             verify_chain(manifest, records)
 
     @given(data=st.data())
@@ -197,6 +197,19 @@ class TestSealAndLoad:
         dump = ingest_device_dump(case.bundle_dir)
         with pytest.raises(ValueError, match=repr(method)):
             seal_dump(dump, isolation_method=method)
+
+    @pytest.mark.parametrize("locale", ["Day-First", "day_first", ""])
+    def test_a_locale_outside_the_sealed_values_is_refused(self, golden_bundle, locale):
+        """A hand-built dump cannot seal a locale that load_sealed_manifest would refuse."""
+        dump = ingest_device_dump(golden_bundle)
+        hand_built = DeviceDump(
+            dump.dump_id, dump.collected_at, dump.zone_offset_minutes, dump.tool_name,
+            dump.tool_version, dump.device, dump.records, dump.ledger, dump.line_counts,
+            locale, dump.files, dump.unrecognized_files,
+        )
+        problem = f"^locale must be one of day-first, month-first, got {locale!r}$"
+        with pytest.raises(ValueError, match=problem):
+            seal_dump(hand_built)
 
     def test_sealed_file_carries_hex_fields(self, tmp_path):
         case = generate_case(SimParams(seed=12, n_uploads=1), tmp_path)
@@ -302,7 +315,11 @@ class TestDiffAcquisitions:
         case_b = generate_case(SimParams(seed=25), tmp_path / "b")
         a = ingest_device_dump(case_a.bundle_dir)
         b = ingest_device_dump(case_b.bundle_dir)
-        with pytest.raises(DeviceMismatch):
+        problem = (
+            r"^dumps claim different devices \(imei '350000000000024' vs '350000000000025'\); "
+            r"pass the override flag to diff anyway$"
+        )
+        with pytest.raises(ForensicsError, match=problem):
             diff_acquisitions(a, b)
         diff = diff_acquisitions(a, b, allow_device_mismatch=True)
         assert diff["identical_count"] >= 0
@@ -327,7 +344,7 @@ class TestDiffAcquisitions:
                        dump.tool_version, {**dump.device, "imei": imei}, dump.records)
             for imei in (imei_a, imei_b)
         )
-        with pytest.raises(DeviceMismatch) as raised:
+        with pytest.raises(ForensicsError) as raised:
             diff_acquisitions(a, b)
         assert str(raised.value) == f"{reason}; pass the override flag to diff anyway"
 

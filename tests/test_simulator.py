@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 
 import pytest
@@ -12,7 +13,7 @@ from synctrail.correlation import (
     match_synced_artifacts,
     zero_skew,
 )
-from synctrail.errors import EmptyBundle
+from synctrail.errors import ForensicsError
 from synctrail.preservation import load_sealed_manifest, seal_dump, verify_chain, write_sealed_manifest
 from synctrail.simulator import Lcg64, SimParams, generate_case, inject_tamper
 
@@ -38,6 +39,10 @@ class TestLcg64:
         draws = [rng.randrange(10) for _ in range(200)]
         assert min(draws) >= 0 and max(draws) <= 9
         assert len(set(draws)) > 1
+
+    def test_randrange_refuses_an_empty_range(self):
+        with pytest.raises(ValueError, match="^randrange needs a positive bound$"):
+            Lcg64(1).randrange(0)
 
 
 class TestGenerateCase:
@@ -160,10 +165,25 @@ class TestInjectTamper:
         _, index = inject_tamper(bundle, seed=1)
         assert index == 0
 
+    def test_a_bundle_without_a_string_value_to_change_is_refused(self, tmp_path):
+        bundle = tmp_path / "bare"
+        bundle.mkdir()
+        (bundle / "manifest.json").write_text(
+            json.dumps(
+                {"dump_id": "one", "collected_at": "2016-05-12T10:00:00Z", "zone_offset_minutes": 0}
+            )
+        )
+        (bundle / "messages.jsonl").write_text('{"id":"x"}\n')
+        (bundle / "running_apps.jsonl").write_text('{"pid":7}\n')
+        problem = f"^{re.escape(str(bundle))} has no mutable attribute values$"
+        with pytest.raises(ForensicsError, match=problem):
+            inject_tamper(bundle, seed=1)
+
     def test_empty_bundle_rejected(self, tmp_path):
         params = SimParams(seed=72, n_apps=0, n_messages=0, n_calls=0, n_uploads=0)
         case = generate_case(params, tmp_path)
-        with pytest.raises(EmptyBundle):
+        problem = f"^{re.escape(str(case.bundle_dir))} has no records to tamper with$"
+        with pytest.raises(ForensicsError, match=problem):
             inject_tamper(case.bundle_dir, seed=2)
 
     @pytest.mark.parametrize("ending", [b"\n", b"\r\n"], ids=["lf", "crlf"])

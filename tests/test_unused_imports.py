@@ -10,6 +10,11 @@ over from code that is gone. No module imports ``enum``: every value
 set of the package is the plain strings that the command line takes and
 the outputs hold.
 
+Every failure that ends a run is a ``ForensicsError``: ``errors.py``
+defines a subclass of it only where some ``except`` clause of the
+package names that subclass, since a name nothing catches tells a
+caller nothing the one-line message does not.
+
 Every source file of the package and its tests also compiles with
 warnings as errors: an ``is`` against a literal, such as
 ``category is "Message"``, is a SyntaxWarning, and compares identity
@@ -78,6 +83,43 @@ def test_no_module_imports_enum(path):
 def test_the_scan_sees_an_enum_import():
     source = "import os, enum as e\nfrom enum import Enum\nimport enumerate_me\nfrom . import enum\n"
     assert enum_imports(source) == [1, 2]
+
+
+def uncaught_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """The classes ``errors_source`` defines, besides ForensicsError, that no ``except`` names.
+
+    A class counts as caught where some ``except`` clause of ``sources``
+    names it, alone, in a tuple, or as an attribute such as ``errors.X``.
+    """
+    caught: set[str] = set()
+    for source in sources:
+        for handler in ast.walk(ast.parse(source)):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                for node in ast.walk(handler.type):
+                    if isinstance(node, ast.Name):
+                        caught.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        caught.add(node.attr)
+    classes = ast.parse(errors_source).body
+    defined = [node.name for node in classes if isinstance(node, ast.ClassDef)]
+    return [name for name in defined if name != "ForensicsError" and name not in caught]
+
+
+def test_every_error_subclass_is_caught_by_name():
+    """A fatal error is a ForensicsError; a subclass exists only where the package catches it."""
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert uncaught_errors((PACKAGE / "errors.py").read_text(encoding="utf-8"), sources) == []
+
+
+def test_the_scan_sees_an_uncaught_error():
+    errors = "class ForensicsError(Exception): ...\nclass A(ForensicsError): ...\n" + "".join(
+        f"class {name}(ForensicsError): ...\n" for name in "BCDE"
+    )
+    sources = [
+        "try:\n    f()\nexcept A:\n    pass\nexcept (errors.B, ValueError) as exc:\n    pass\n",
+        "try:\n    g()\nexcept:\n    raise C('d')\nfinally:\n    E\n",
+    ]
+    assert uncaught_errors(errors, sources) == ["C", "D", "E"]
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:
