@@ -46,6 +46,30 @@ def _forensics_errors() -> list[type]:
     return sorted(found, key=lambda error: error.__name__)
 
 
+# One message of each kind of fatal failure the package raises as a plain
+# ForensicsError, in the shape its raise site gives it, named by that kind.
+FATAL_MESSAGES = {
+    "DeviceMismatch": "dumps claim different devices (imei '35-1' vs '35-2'); "
+                      "pass the override flag to diff anyway",
+    "DuplicateEventId": "event id 'e1' on line 2 already used on line 1",
+    "DuplicateRecordId": "record id 'r1' at contacts.jsonl:3 already used at contacts.jsonl:1",
+    "EmptyBundle": "bundle has no mutable attribute values",
+    "IoFailure": "could not write case under out: [Errno 28] No space left on device: 'out'",
+    "MalformedManifest": "bundle/manifest.sealed.json field 'locale' has unknown value 'x'",
+    "MalformedStageFile": "stage file out/links.json missing field '[0].device_record_id'",
+    "MalformedTable": "geo.csv:7: ranges must be sorted and non-overlapping",
+    "MissingManifest": "no manifest.json in bundle",
+    "UnsafeCaseId": "dump id '..' cannot name the report file: it must be one path component: "
+                    "not empty, '.' or '..', no '/', '\\' or NUL",
+    "UnsupportedAlgorithm": "cannot verify algorithm 'md5', only sha256",
+}
+FATAL_FAILURES = [
+    *(pytest.param(error, f"{error.__name__} escaped", id=error.__name__)
+      for error in _forensics_errors()),
+    *(pytest.param(ForensicsError, message, id=kind) for kind, message in FATAL_MESSAGES.items()),
+]
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 2
@@ -222,7 +246,7 @@ class TestExitCodes:
         )
         assert rc == 4
 
-    @pytest.mark.parametrize("error", _forensics_errors(), ids=lambda error: error.__name__)
+    @pytest.mark.parametrize("error, message", FATAL_FAILURES)
     @pytest.mark.parametrize(
         "stage, command",
         [
@@ -233,10 +257,10 @@ class TestExitCodes:
     )
     def test_any_forensics_error_escaping_a_stage_is_parse_fatal(
         self, tmp_path, capsys, monkeypatch, golden_bundle, golden_cloud_log,
-        error, stage, command,
+        error, message, stage, command,
     ):
         def fail(*args, **kwargs):
-            raise error(f"{error.__name__} escaped {stage}")
+            raise error(message)
 
         monkeypatch.setattr(cli, stage, fail)
         out = tmp_path / "out"
@@ -250,7 +274,7 @@ class TestExitCodes:
             "report": ["report", "--out", str(out)],
         }[command]
         assert run(argv) == 4
-        assert capsys.readouterr().err == f"error: {error.__name__} escaped {stage}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
     def test_no_except_in_cli_names_a_subclass_of_forensics_error(self):
